@@ -22,6 +22,9 @@ from .prob import CondPmf, Pmf
 
 REL_TOL = 1e-12
 
+# Cells (candidates x block length) counted per chunk of a decoder scan.
+SCAN_CHUNK_CELLS = 1 << 20
+
 
 class EmptyCosetError(RuntimeError):
     """The requested coset has no members (counted as an encoder block error)."""
@@ -205,24 +208,6 @@ def min_div_encode(cs: CosetSpec, target: EncodeTarget,
     return x
 
 
-def _decode_scan(cosets, base, strides, n_cells, n, log_denom, chunk_cands):
-    """Yield (offset, divergences) over the product of cosets, in lex order."""
-    sizes = tuple(c.shape[0] for c in cosets)
-    total = int(np.prod(sizes))
-    contribs = [c * s for c, s in zip(cosets, strides)]
-    for f0 in range(0, total, chunk_cands):
-        f1 = min(total, f0 + chunk_cands)
-        idxs = np.unravel_index(np.arange(f0, f1), sizes)
-        cells = base[None, :].copy()
-        for contrib, idx in zip(contribs, idxs):
-            cells = cells + contrib[idx]
-        m = f1 - f0
-        rows = np.repeat(np.arange(m, dtype=np.int64), n)
-        counts = np.bincount(rows * n_cells + cells.ravel(),
-                             minlength=m * n_cells).reshape(m, n_cells)
-        yield f0, _divergence_from_counts(counts, log_denom[None, :], n)
-
-
 def _term_table(base_vals, s1, s2, q1, q2, model_flat, n):
     """Per (group, a1, a2): the per-count divergence contributions.
 
@@ -381,102 +366,164 @@ def _pair_scan_ties(cosets, qs, base, strides, flat_factors, model_flat, n):
     return ties
 
 
+class MinDivDecoder:
+    """Joint minimum-divergence decoder compiled for fixed cosets.
+
+    Built once per (labels, syndromes, model, u): the build validates the
+    inputs, enumerates the per-sender cosets and precomputes everything that
+    does not depend on the channel output; each call with y runs the search
+    over the product of the cosets.  `model` has one axis per variable in
+    order (u if given, senders..., y); sequences hold indices into the
+    matching axis.
+    """
+
+    def __init__(self, labels, syndromes, model: np.ndarray, u=None,
+                 budget: int = ENUMERATION_BUDGET):
+        labels = list(labels)
+        syndromes = list(syndromes)
+        if len(labels) != len(syndromes):
+            raise ValueError("one syndrome per label required")
+        if not labels:
+            raise ValueError("at least one label required")
+        n = labels[0].cols
+        shape = model.shape
+        offset = 0
+        if u is not None:
+            u = np.asarray(u, dtype=np.int64)
+            if u.size != n:
+                raise ValueError("u length must equal the block length")
+            offset = 1
+        if len(shape) != offset + len(labels) + 1:
+            raise ValueError("model axes do not match the variables")
+        for j, lab in enumerate(labels):
+            if lab.field.q != shape[offset + j]:
+                raise ValueError(f"sender {j} alphabet does not match the model axis")
+            if lab.cols != n:
+                raise ValueError("label columns must equal the block length")
+
+        cosets = [enumerate_coset(lab, a, budget) for lab, a in zip(labels, syndromes)]
+        if any(c.shape[0] == 0 for c in cosets):
+            raise AllCosetsEmptyError("a syndrome is unreachable for its matrix")
+        for c in cosets:
+            c.flags.writeable = False
+        sizes = tuple(c.shape[0] for c in cosets)
+        total = math.prod(sizes)
+        if total > budget:
+            raise EnumerationBudgetError(
+                f"product coset size {total} exceeds the budget of {budget}")
+
+        strides = np.ones(len(shape), dtype=np.int64)
+        for i in range(len(shape) - 2, -1, -1):
+            strides[i] = strides[i + 1] * shape[i + 1]
+        model_flat = model.ravel()
+        with np.errstate(divide="ignore"):
+            log_denom = np.where(model_flat > 0,
+                                 np.log2(np.maximum(n * model_flat, 1e-300)), -np.inf)
+        flat_factors = [1] * len(sizes)
+        for j in range(len(sizes) - 2, -1, -1):
+            flat_factors[j] = flat_factors[j + 1] * sizes[j + 1]
+        rest_product = math.prod(sorted(sizes, reverse=True)[2:])
+
+        self.n = n
+        self.cosets = cosets
+        self.sizes = sizes
+        self._qs = [lab.field.q for lab in labels]
+        self._n_out = shape[-1]
+        self._y_stride = int(strides[-1])
+        self._base = (u * strides[0] if u is not None
+                      else np.zeros(n, dtype=np.int64))
+        self._sender_strides = [int(strides[offset + j]) for j in range(len(labels))]
+        self._n_cells = int(np.prod(shape))
+        self._model_flat = model_flat
+        self._log_denom = log_denom[None, :]
+        self._flat_factors = flat_factors
+        self._denoms = ([n * Fraction(float(p)) for p in model_flat]
+                        if all(q == 2 for q in self._qs) else None)
+        self._pair = total > (1 << 16) and len(cosets) >= 2 and rest_product <= 256
+        self._chunk = max(1, SCAN_CHUNK_CELLS // max(n, 1))
+        # The y-free cells of a product that fits one chunk are kept.
+        self._static = (list(self._static_chunks())
+                        if not self._pair and total <= self._chunk else None)
+
+    def _static_chunks(self):
+        """Yield (offset, cells) over the product of cosets, in lex order.
+
+        cells[r] holds the model cell of every position of candidate
+        f0 + r without the y term, shifted by r * n_cells so one bincount
+        counts the whole chunk.
+        """
+        total = math.prod(self.sizes)
+        contribs = [c * s for c, s in zip(self.cosets, self._sender_strides)]
+        for f0 in range(0, total, self._chunk):
+            f1 = min(total, f0 + self._chunk)
+            idxs = np.unravel_index(np.arange(f0, f1), self.sizes)
+            cells = self._base[None, :].copy()
+            for contrib, idx in zip(contribs, idxs):
+                cells = cells + contrib[idx]
+            cells += (np.arange(f1 - f0, dtype=np.int64) * self._n_cells)[:, None]
+            yield f0, cells
+
+    def _scan_ties(self, y_cells: np.ndarray) -> list[int]:
+        """Tie set (flat indices) by one pass over the product of cosets.
+
+        Only the candidates within tolerance of the running minimum are
+        kept; the minimum only falls, so filtering them against the final
+        minimum gives the tie set of a two-pass scan.
+        """
+        best = np.inf
+        kept = []
+        for f0, static in (self._static if self._static is not None
+                           else self._static_chunks()):
+            m = static.shape[0]
+            counts = np.bincount((static + y_cells).ravel(),
+                                 minlength=m * self._n_cells).reshape(m, self._n_cells)
+            dv = _divergence_from_counts(counts, self._log_denom, self.n)
+            low = dv.min()
+            if np.isinf(low):
+                continue
+            if low < best:
+                best = low
+            hit = np.nonzero(dv <= best * (1.0 + REL_TOL))[0]
+            kept.append((f0 + hit, dv[hit]))
+        if np.isinf(best):
+            # Every candidate misses the model support; all tie, lex-first wins.
+            return [0]
+        return [int(i) for idx, dv in kept for i in idx[dv <= best * (1.0 + REL_TOL)]]
+
+    def _candidate(self, flat: int) -> tuple[np.ndarray, ...]:
+        idx = np.unravel_index(flat, self.sizes)
+        return tuple(c[i] for c, i in zip(self.cosets, idx))
+
+    def _key(self, base: np.ndarray, flat: int):
+        cells = base.copy()
+        for part, s in zip(self._candidate(flat), self._sender_strides):
+            cells = cells + part * s
+        counts = np.bincount(cells, minlength=self._n_cells)
+        return _exact_key(counts, self._denoms)
+
+    def __call__(self, y) -> tuple[np.ndarray, ...]:
+        y = np.asarray(y, dtype=np.int64)
+        if y.shape != (self.n,):
+            raise ValueError("y length must equal the block length")
+        if y.max(initial=0) >= self._n_out:
+            raise ValueError("output symbol outside the model axis")
+        y_cells = y * self._y_stride
+        base = self._base + y_cells
+        if self._pair:
+            ties = _pair_scan_ties(self.cosets, self._qs, base, self._sender_strides,
+                                   self._flat_factors, self._model_flat, self.n)
+        else:
+            ties = self._scan_ties(y_cells)
+        ties = np.asarray(sorted(ties), dtype=np.int64)
+        if ties.size > 1 and self._denoms is not None:
+            ties = _refine_exact(ties, lambda flat: self._key(base, flat))
+        return self._candidate(int(ties[0]))
+
+
 def min_div_decode(labels, syndromes, y, model: np.ndarray, u=None,
                    budget: int = ENUMERATION_BUDGET) -> tuple[np.ndarray, ...]:
-    """Joint minimum-divergence search over the product of per-sender cosets.
-
-    `model` has one axis per variable in order (u if given, senders..., y);
-    sequences hold indices into the matching axis.
-    """
-    labels = list(labels)
-    syndromes = list(syndromes)
-    if len(labels) != len(syndromes):
-        raise ValueError("one syndrome per label required")
-    y = np.asarray(y, dtype=np.int64)
-    n = y.size
-    shape = model.shape
-    offset = 0
-    if u is not None:
-        u = np.asarray(u, dtype=np.int64)
-        if u.size != n:
-            raise ValueError("u and y length mismatch")
-        offset = 1
-    if len(shape) != offset + len(labels) + 1:
-        raise ValueError("model axes do not match the variables")
-    for j, lab in enumerate(labels):
-        if lab.field.q != shape[offset + j]:
-            raise ValueError(f"sender {j} alphabet does not match the model axis")
-        if lab.cols != n:
-            raise ValueError("label columns must equal the block length")
-    if y.max(initial=0) >= shape[-1]:
-        raise ValueError("output symbol outside the model axis")
-
-    cosets = [enumerate_coset(lab, a, budget) for lab, a in zip(labels, syndromes)]
-    if any(c.shape[0] == 0 for c in cosets):
-        raise AllCosetsEmptyError("a syndrome is unreachable for its matrix")
-    total = 1
-    for c in cosets:
-        total *= c.shape[0]
-    if total > budget:
-        raise EnumerationBudgetError(f"product coset size {total} exceeds the budget of {budget}")
-
-    strides = np.ones(len(shape), dtype=np.int64)
-    for i in range(len(shape) - 2, -1, -1):
-        strides[i] = strides[i + 1] * shape[i + 1]
-    base = y * strides[-1]
-    if u is not None:
-        base = base + u * strides[0]
-    sender_strides = [int(strides[offset + j]) for j in range(len(labels))]
-    n_cells = int(np.prod(shape))
-    with np.errstate(divide="ignore"):
-        log_denom = np.where(model.ravel() > 0,
-                             np.log2(np.maximum(n * model.ravel(), 1e-300)), -np.inf)
-
-    sizes = tuple(c.shape[0] for c in cosets)
-    flat_factors = [1] * len(sizes)
-    for j in range(len(sizes) - 2, -1, -1):
-        flat_factors[j] = flat_factors[j + 1] * sizes[j + 1]
-    rest_product = 1
-    for j in sorted(range(len(sizes)), key=lambda j: -sizes[j])[2:]:
-        rest_product *= sizes[j]
-    if total > (1 << 16) and len(cosets) >= 2 and rest_product <= 256:
-        qs = [lab.field.q for lab in labels]
-        ties = _pair_scan_ties(cosets, qs, base, sender_strides, flat_factors,
-                               model.ravel(), n)
-    else:
-        chunk = max(1, (1 << 20) // max(n, 1))
-        best = np.inf
-        for _, dv in _decode_scan(cosets, base, sender_strides, n_cells, n,
-                                  log_denom, chunk):
-            m = dv.min()
-            if m < best:
-                best = m
-        ties = []
-        for f0, dv in _decode_scan(cosets, base, sender_strides, n_cells, n,
-                                   log_denom, chunk):
-            if np.isinf(best):
-                hit = np.nonzero(np.isinf(dv))[0]
-            else:
-                hit = np.nonzero(dv <= best * (1.0 + REL_TOL))[0]
-            ties.extend(int(f0 + i) for i in hit)
-
-    def candidate(flat: int):
-        idx = np.unravel_index(flat, sizes)
-        return tuple(cosets[j][idx[j]] for j in range(len(cosets)))
-
-    def key_fn(flat: int):
-        parts = candidate(flat)
-        cells = base.copy()
-        for part, s in zip(parts, sender_strides):
-            cells = cells + part * s
-        counts = np.bincount(cells, minlength=n_cells)
-        denoms = [n * Fraction(float(p)) for p in model.ravel()]
-        return _exact_key(counts, denoms)
-
-    ties = np.asarray(sorted(ties), dtype=np.int64)
-    if ties.size > 1 and all(lab.field.q == 2 for lab in labels):
-        ties = _refine_exact(ties, key_fn)
-    return candidate(int(ties[0]))
+    """One-shot joint minimum-divergence decoding: build a MinDivDecoder, call it once."""
+    return MinDivDecoder(labels, syndromes, model, u=u, budget=budget)(y)
 
 
 def build_T_subset(u, mu_cond: CondPmf, gamma: float, size: int,

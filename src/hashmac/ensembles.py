@@ -9,6 +9,7 @@ mass of exceptional collisions.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -251,6 +252,34 @@ def _beta_for_alpha(weight_probs, counts_by_weight, alpha: float, im_size: int) 
     return beta
 
 
+def _counts_by_weight(q: int, n: int) -> list[int]:
+    """Number of nonzero differences in GF(q)^n of each weight."""
+    return [math.comb(n, w) * (q - 1) ** w for w in range(n + 1)]
+
+
+@functools.lru_cache(maxsize=256)
+def _exact_hash_params(spec: EnsembleSpec) -> HashParams:
+    """Exact-mode estimate_hash_params; memoized, as the spec is frozen."""
+    q = spec.field.q
+    n = spec.cols
+    counts_by_weight = _counts_by_weight(q, n)
+    if spec.kind in (UNIFORM, BINNING):
+        weight_probs = [Fraction(1, spec.im_size)] * (n + 1)
+        weight_probs[0] = Fraction(1)
+    else:
+        if q**n > BINNING_TABLE_BUDGET:
+            raise SupportBudgetError(
+                f"exact sweep needs {q}^{n} <= {BINNING_TABLE_BUDGET}")
+        weight_probs = sparse_collision_by_weight(spec)
+    best = None
+    for alpha in ALPHA_GRID:
+        beta = _beta_for_alpha(weight_probs, counts_by_weight, float(alpha), spec.im_size)
+        score = float(alpha) + float(beta)
+        if best is None or score < best[0] - 1e-15:
+            best = (score, float(alpha), float(beta))
+    return HashParams(best[1], best[2], "exact")
+
+
 def estimate_hash_params(spec: EnsembleSpec, mode: str = "exact",
                          trials: int = 2000, rng: np.random.Generator | None = None
                          ) -> HashParams:
@@ -260,29 +289,15 @@ def estimate_hash_params(spec: EnsembleSpec, mode: str = "exact",
     differences whose collision probability exceeds alpha/|range|; the pair
     minimizing alpha+beta is reported (ties keep the smaller alpha).
     """
-    q = spec.field.q
-    n = spec.cols
-    counts_by_weight = [math.comb(n, w) * (q - 1) ** w for w in range(n + 1)]
     if mode == "exact":
-        if spec.kind in (UNIFORM, BINNING):
-            weight_probs = [Fraction(1, spec.im_size)] * (n + 1)
-            weight_probs[0] = Fraction(1)
-        else:
-            if q**n > BINNING_TABLE_BUDGET:
-                raise SupportBudgetError(
-                    f"exact sweep needs {q}^{n} <= {BINNING_TABLE_BUDGET}")
-            weight_probs = sparse_collision_by_weight(spec)
-        best = None
-        for alpha in ALPHA_GRID:
-            beta = _beta_for_alpha(weight_probs, counts_by_weight, float(alpha), spec.im_size)
-            score = float(alpha) + float(beta)
-            if best is None or score < best[0] - 1e-15:
-                best = (score, float(alpha), float(beta))
-        return HashParams(best[1], best[2], "exact")
+        return _exact_hash_params(spec)
     if mode != "mc":
         raise ValueError(f"unknown mode {mode!r}")
     if rng is None:
         raise ValueError("mc mode needs an rng")
+    q = spec.field.q
+    n = spec.cols
+    counts_by_weight = _counts_by_weight(q, n)
     # One representative difference per weight: collision probability is a
     # function of the weight alone for every family here.
     reps = np.zeros((n, n), dtype=np.int64)

@@ -10,12 +10,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from . import rng as rng_mod
 from .channel import Dmc, sample_channel
-from .codec import (CosetSpec, EmptyCosetError, EncodeTarget,
+# min_div_decode is not called here; it stays importable from this module
+# because perfbench/spans.py traces it at this import site.
+from .codec import (CosetSpec, EmptyCosetError, EncodeTarget, MinDivDecoder,  # noqa: F401
                     conditional_divergences, marginal_divergences,
                     min_div_decode, min_div_encode)
 from .empirical import divergence_to, is_cond_typical, seq_mutual_multi
@@ -85,6 +88,29 @@ class CodeInstance:
     @property
     def k_messages(self) -> int:
         return len(self.message_maps)
+
+    # A code's encoder and decoder are fixed functions of the message and of
+    # y, so both are compiled on the first trial and kept with the code.
+
+    @cached_property
+    def codebooks(self) -> tuple[dict, ...]:
+        """Per-sender message -> codeword tables, filled on first use.
+
+        A superposition satellite is keyed by (cloud message, message),
+        since its target is conditioned on the cloud codeword.  An empty
+        coset is stored as its error text, never as the raised exception,
+        whose traceback would keep every failing trial's frames alive.
+        """
+        return tuple({} for _ in self.message_maps)
+
+    @cached_property
+    def decoder(self) -> MinDivDecoder:
+        """Joint decoder over the syndrome cosets, built on first use."""
+        if self.scenario == "private":
+            return MinDivDecoder(self.checks, self.syndromes, self.law.table, u=self.u)
+        if self.degenerate_cloud:
+            return MinDivDecoder(self.checks[1:], self.syndromes[1:], self.law.table[0])
+        return MinDivDecoder(self.checks, self.syndromes, self.law.table)
 
 
 def _round_rows(n: int, rate: float, q: int) -> int:
@@ -233,25 +259,48 @@ def build_private_code(mu_u, input_conds, dmc: Dmc, rates, eps, n: int,
         channel_cond=_channel_cond(dmc, ctx_sizes))
 
 
+def _codeword(code: CodeInstance, i: int, key, message, given) -> np.ndarray:
+    """Sender i's codeword for `message`, from its codebook or min_div_encode.
+
+    The target is the cloud law when `given` is None, else sender i's
+    conditional law given the sequence `given`.
+    """
+    book = code.codebooks[i]
+    x = book.get(key)
+    if x is None:
+        cs = CosetSpec(code.checks[i], code.message_maps[i], code.syndromes[i], message)
+        target = (EncodeTarget.for_marginal(code.mu_cloud) if given is None
+                  else EncodeTarget.for_conditional(code.cond_inputs[i], given))
+        try:
+            x = min_div_encode(cs, target)
+        except EmptyCosetError as exc:
+            book[key] = str(exc)
+            raise
+        x = x.copy()  # a view would keep the whole coset array alive
+        x.flags.writeable = False
+        book[key] = x
+    if isinstance(x, str):
+        raise EmptyCosetError(x)
+    return x
+
+
+def _message_key(m) -> bytes:
+    return np.asarray(m, dtype=np.int64).tobytes()
+
+
 def encode_private(code: CodeInstance, messages) -> tuple[np.ndarray, ...]:
     if code.scenario != "private":
         raise ValueError("not a private-message code")
-    xs = []
-    for j, m in enumerate(messages):
-        cs = CosetSpec(code.checks[j], code.message_maps[j], code.syndromes[j], m)
-        target = EncodeTarget.for_conditional(code.cond_inputs[j], code.u)
-        xs.append(min_div_encode(cs, target))
-    return tuple(xs)
+    return tuple(_codeword(code, j, _message_key(m), m, code.u)
+                 for j, m in enumerate(messages))
 
 
 def decode_private(code: CodeInstance, y):
     """Returns (decoded messages, decoded channel inputs)."""
     if code.scenario != "private":
         raise ValueError("not a private-message code")
-    xs = min_div_decode(code.checks, code.syndromes, y, code.law.table, u=code.u)
+    xs = code.decoder(y)
     msgs = tuple(apply_label(code.message_maps[j], xs[j]) for j in range(len(xs)))
-    for j in range(len(xs)):
-        assert (apply_label(code.message_maps[j], xs[j]) == msgs[j]).all()
     return msgs, xs
 
 
@@ -356,16 +405,13 @@ def build_superposition_code(mu_cloud, cond1, cond2, dmc: Dmc, rates, eps, n: in
 
 
 def _encode_superposition_full(code: CodeInstance, m0, m1, m2):
+    k0 = _message_key(m0)
     if code.degenerate_cloud:
         x0 = np.zeros(code.n, dtype=np.int64)
     else:
-        cs0 = CosetSpec(code.checks[0], code.message_maps[0], code.syndromes[0], m0)
-        x0 = min_div_encode(cs0, EncodeTarget.for_marginal(code.mu_cloud))
-    xs = [x0]
-    for i, m in ((1, m1), (2, m2)):
-        cs = CosetSpec(code.checks[i], code.message_maps[i], code.syndromes[i], m)
-        xs.append(min_div_encode(cs, EncodeTarget.for_conditional(code.cond_inputs[i], x0)))
-    return tuple(xs)
+        x0 = _codeword(code, 0, k0, m0, None)
+    return (x0,) + tuple(_codeword(code, i, (k0, _message_key(m)), m, x0)
+                         for i, m in ((1, m1), (2, m2)))
 
 
 def encode_superposition(code: CodeInstance, m0, m1, m2) -> tuple[np.ndarray, np.ndarray]:
@@ -380,15 +426,10 @@ def decode_superposition(code: CodeInstance, y):
     """Returns ((m0, m1, m2), (x0, x1, x2))."""
     if code.scenario != "superposition":
         raise ValueError("not a cloud-center code")
+    xs = code.decoder(y)
     if code.degenerate_cloud:
-        table = code.law.table[0]
-        xs_sat = min_div_decode(code.checks[1:], code.syndromes[1:], y, table)
-        xs = (np.zeros(code.n, dtype=np.int64),) + tuple(xs_sat)
-    else:
-        xs = min_div_decode(code.checks, code.syndromes, y, code.law.table)
+        xs = (np.zeros(code.n, dtype=np.int64),) + xs
     msgs = tuple(apply_label(code.message_maps[i], xs[i]) for i in range(3))
-    for i in range(3):
-        assert (apply_label(code.message_maps[i], xs[i]) == msgs[i]).all()
     return msgs, xs
 
 

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -195,13 +197,15 @@ def test_t_subset_downward_closed():
             assert tuple(row) in chosen
 
 
-def test_pair_scan_matches_generic_scan_nonbinary():
+def test_pair_scan_matches_generic_scan_nonbinary(monkeypatch):
     # The bilinear fast path dispatches only above 2^16 candidates; call it
-    # directly on moderate ternary/mixed instances and compare tie sets.
+    # directly on moderate ternary/mixed instances and compare tie sets with
+    # the compiled decoder's chunked scan (one chunk, then several).
     import hashmac.codec as C
-    from hashmac.gf import FieldSpec, enumerate_coset
+    from hashmac.gf import FieldSpec
     rng = np.random.default_rng(21)
-    for qs in ((3, 3), (2, 3)):
+    for qs, chunk_cells in itertools.product(((3, 3), (2, 3)), (1 << 20, 1 << 12)):
+        monkeypatch.setattr(C, "SCAN_CHUNK_CELLS", chunk_cells)
         n = 7
         labels = []
         syndromes = []
@@ -213,27 +217,14 @@ def test_pair_scan_matches_generic_scan_nonbinary():
         y = rng.integers(2, size=n)
         w = rng.integers(1, 9, size=qs + (2,)).astype(float)
         model = w / w.sum()
-        cosets = [enumerate_coset(lab, a) for lab, a in zip(labels, syndromes)]
-        if any(c.shape[0] == 0 for c in cosets):
+        try:
+            dec = C.MinDivDecoder(labels, syndromes, model)
+        except AllCosetsEmptyError:
             continue
-        shape = model.shape
-        strides = np.ones(len(shape), dtype=np.int64)
-        for i in range(len(shape) - 2, -1, -1):
-            strides[i] = strides[i + 1] * shape[i + 1]
-        base = y * strides[-1]
-        sstr = [int(strides[j]) for j in range(2)]
-        sizes = tuple(c.shape[0] for c in cosets)
-        flat_factors = [sizes[1], 1]
-        ties = C._pair_scan_ties(cosets, list(qs), base, sstr, flat_factors,
+        assert not dec._pair
+        base = y  # the y axis is last, so its stride is 1
+        sstr = [model.shape[1] * model.shape[2], model.shape[2]]
+        flat_factors = [dec.sizes[1], 1]
+        ties = C._pair_scan_ties(dec.cosets, list(qs), base, sstr, flat_factors,
                                  model.ravel(), n)
-        with np.errstate(divide="ignore"):
-            logd = np.where(model.ravel() > 0,
-                            np.log2(np.maximum(n * model.ravel(), 1e-300)), -np.inf)
-        best = np.inf
-        for _, dv in C._decode_scan(cosets, base, sstr, model.size, n, logd, 1 << 12):
-            best = min(best, float(dv.min()))
-        want = []
-        for f0, dv in C._decode_scan(cosets, base, sstr, model.size, n, logd, 1 << 12):
-            hit = np.nonzero(dv <= best * (1 + 1e-12))[0]
-            want.extend(int(f0 + i) for i in hit)
-        assert sorted(ties) == sorted(want)
+        assert sorted(ties) == dec._scan_ties(base)

@@ -138,6 +138,21 @@ def test_hash_params_mc_agrees_on_uniform():
     assert p.alpha + p.beta < 1.6  # near the exact (1, 0)
 
 
+def test_hash_params_exact_memoized_per_spec(monkeypatch):
+    import hashmac.ensembles as ens
+    ens._exact_hash_params.cache_clear()
+    sweeps = []
+    orig = ens._beta_for_alpha
+    monkeypatch.setattr(ens, "_beta_for_alpha",
+                        lambda *a: sweeps.append(1) or orig(*a))
+    first = estimate_hash_params(EnsembleSpec(SPARSE, 2, 4, F2, column_degree=1))
+    done = len(sweeps)
+    assert done > 0
+    again = estimate_hash_params(EnsembleSpec(SPARSE, 2, 4, F2, column_degree=1))
+    assert again is first
+    assert len(sweeps) == done  # the equal spec was not swept again
+
+
 def test_product_params_examples():
     one = HashParams(1.0, 0.0, "exact")
     assert product_params(one, one) == HashParams(1.0, 0.0, "exact")

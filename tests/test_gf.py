@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hashmac.gf import (ENUMERATION_BUDGET, EnumerationBudgetError, FieldSpec,
                         LinearLabel, all_vectors, apply_label, coset_size,
-                        enumerate_coset, rank, stack_labels)
+                        enumerate_coset, rank, solve_affine, stack_labels)
 
 F2 = FieldSpec(2)
 F3 = FieldSpec(3)
@@ -123,6 +125,65 @@ def test_enumeration_budget_error():
     assert ENUMERATION_BUDGET == 1 << 24
 
 
+def test_enumeration_budget_bounds_the_coset_not_the_space():
+    # 2^40 ambient vectors, but a full-rank 24 x 40 label leaves 2^16 per coset.
+    rng = np.random.default_rng(40)
+    A = LinearLabel(F2, np.hstack([np.eye(24, dtype=np.int64),
+                                   rng.integers(2, size=(24, 16))]))
+    a = rng.integers(2, size=24)
+    sols = enumerate_coset(A, a)
+    assert sols.shape == (1 << 16, 40)
+    assert ((sols @ A.matrix.T) % 2 == a).all()
+    assert coset_size(A, a) == 1 << 16
+
+
 def test_matrix_entries_validated():
     with pytest.raises(ValueError):
         LinearLabel(F2, np.array([[2, 0]]))
+
+
+# Property tests over random labels.
+
+@st.composite
+def labels_and_syndromes(draw, max_rows=4, max_cols=7):
+    q = draw(st.sampled_from((2, 3, 5)))
+    rows = draw(st.integers(0, max_rows))
+    cols = draw(st.integers(1, max_cols))
+    entries = st.integers(0, q - 1)
+    mat = draw(st.lists(st.lists(entries, min_size=cols, max_size=cols),
+                        min_size=rows, max_size=rows))
+    a = draw(st.lists(entries, min_size=rows, max_size=rows))
+    return LinearLabel(FieldSpec(q), np.array(mat, dtype=np.int64).reshape(rows, cols)), a
+
+
+@settings(max_examples=150, deadline=None)
+@given(labels_and_syndromes())
+def test_solve_affine_solutions_satisfy_system(case):
+    A, a = case
+    particular, basis = solve_affine(A, a)
+    if particular is None:
+        assert enumerate_coset(A, a).shape[0] == 0
+        return
+    q = A.field.q
+    assert (apply_label(A, particular) == np.asarray(a)).all()
+    for v in basis:
+        assert not apply_label(A, v).any()  # kernel vectors
+        assert (apply_label(A, (particular + v) % q) == np.asarray(a)).all()
+
+
+@settings(max_examples=150, deadline=None)
+@given(labels_and_syndromes())
+def test_coset_size_is_q_to_nullity(case):
+    A, a = case
+    size = coset_size(A, a)
+    if size:
+        assert size == A.field.q ** (A.cols - rank(A))
+    assert enumerate_coset(A, a).shape[0] == size
+
+
+@settings(max_examples=150, deadline=None)
+@given(labels_and_syndromes())
+def test_enumerate_coset_rows_unique_and_lex_sorted(case):
+    A, a = case
+    rows = [tuple(r) for r in enumerate_coset(A, a).tolist()]
+    assert rows == sorted(set(rows))
