@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .gf import FieldSpec, LinearLabel, all_vectors
+from .gf import FieldSpec, LinearLabel, all_vectors, apply_label_many
 
 # Kinds of label families.
 UNIFORM = "uniform-all-linear"
@@ -109,7 +109,6 @@ class BinLabel:
 def label_outputs(label, vecs: np.ndarray) -> np.ndarray:
     """Outputs of a label on each row of vecs, for either label kind."""
     if isinstance(label, LinearLabel):
-        from .gf import apply_label_many
         return apply_label_many(label, vecs)
     return label.apply_many(vecs)
 
@@ -513,9 +512,32 @@ def crp_test(spec: EnsembleSpec, G, u, trials: int, rng: np.random.Generator) ->
     return hits / trials
 
 
+def _joint_hits(matches, alive=None) -> int:
+    """Ways to pick one row per boolean matrix so the rows AND to some True.
+
+    Recurses over the rows of the leading matrices; the last two are counted
+    with one product, so memory stays within one row block per matrix plus
+    an (L_{k-1}, L_k) result.
+    """
+    first, rest = matches[0], matches[1:]
+    if alive is not None:
+        first = first & alive
+    if not rest:
+        return int(first.any(axis=1).sum())
+    if len(rest) == 1:
+        # Sums of 0/1 products are exact in float64.
+        common = first.astype(np.float64) @ rest[0].T.astype(np.float64)
+        return int((common > 0).sum())
+    return sum(_joint_hits(rest, row) for row in first if row.any())
+
+
 def multi_crp_rate_exact(specs, tuples, u_parts, budget: int = SUPPORT_BUDGET) -> float:
-    """Exact joint collision rate over independent per-sender families."""
-    k = len(specs)
+    """Exact joint collision rate over independent per-sender families.
+
+    For each sender and each label in its support, one boolean row marks the
+    other tuples whose part shares u's bin; a combination of labels is a hit
+    when its rows AND to some True.
+    """
     u_parts = [np.asarray(p, dtype=np.int64) for p in u_parts]
     others = []
     for t in tuples:
@@ -531,17 +553,15 @@ def multi_crp_rate_exact(specs, tuples, u_parts, budget: int = SUPPORT_BUDGET) -
         count *= len(s)
     if count > budget:
         raise SupportBudgetError(f"product support {count} exceeds the budget of {budget}")
-    hits = 0
-    for combo in itertools.product(*supports):
-        targets = [label_outputs(lab, u[None, :])[0] for lab, u in zip(combo, u_parts)]
-        found = False
-        for parts in others:
-            if all((label_outputs(lab, p[None, :])[0] == t).all()
-                   for lab, p, t in zip(combo, parts, targets)):
-                found = True
-                break
-        hits += int(found)
-    return hits / count
+    matches = []
+    for i, support in enumerate(supports):
+        vecs = np.stack([u_parts[i]] + [parts[i] for parts in others])
+        rows = np.empty((len(support), len(others)), dtype=bool)
+        for j, label in enumerate(support):
+            outs = label_outputs(label, vecs)
+            rows[j] = (outs[1:] == outs[0]).all(axis=1)
+        matches.append(rows)
+    return _joint_hits(matches) / count
 
 
 def occupancy_factor(beta_k: float, n: int, k: int, xi: float = 1.0,

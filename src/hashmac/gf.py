@@ -177,8 +177,7 @@ def all_vectors(q: int, n: int, budget: int = ENUMERATION_BUDGET) -> np.ndarray:
         raise EnumerationBudgetError(f"{q}^{n} vectors exceed the budget of {budget}")
     if n == 0:
         return np.zeros((1, 0), dtype=np.int64)
-    grids = np.meshgrid(*([np.arange(q, dtype=np.int64)] * n), indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=1)
+    return np.ascontiguousarray(np.indices((q,) * n, dtype=np.int64).reshape(n, -1).T)
 
 
 def lex_sort(vecs: np.ndarray) -> np.ndarray:

@@ -38,6 +38,10 @@ class JointLaw:
         t.flags.writeable = False
         object.__setattr__(self, "table", t)
         object.__setattr__(self, "names", tuple(self.names))
+        # Entropies and region bounds, filled on first use.  Not a field,
+        # so eq and repr are unchanged; the table is read-only, so nothing
+        # stored here can go stale.
+        object.__setattr__(self, "_memo", {})
 
     def axis(self, name: str) -> int:
         return self.names.index(name)
@@ -52,9 +56,14 @@ class JointLaw:
         return np.moveaxis(t, np.argsort(keep), range(len(keep)))
 
     def entropy(self, names) -> float:
-        t = self.marginal(names).ravel()
-        nz = t[t > 0]
-        return float(-(nz * np.log2(nz)).sum())
+        # Keyed by the ordered names: the float sum depends on axis order.
+        key = ("entropy", tuple(names))
+        h = self._memo.get(key)
+        if h is None:
+            t = self.marginal(names).ravel()
+            nz = t[t > 0]
+            h = self._memo[key] = float(-(nz * np.log2(nz)).sum())
+        return h
 
 
 def mutual_information(law: JointLaw, a_names, b_names, c_names=()) -> float:
@@ -178,6 +187,22 @@ class RegionVerdict:
         return self.inside
 
 
+def _subset_bounds(law: JointLaw, names, cond_extra=()):
+    """(J, I(X_J;Y|cond_extra,X_J^c)) for every nonempty J, largest first."""
+    key = ("subsets", tuple(names), tuple(cond_extra))
+    rows = law._memo.get(key)
+    if rows is None:
+        k = len(names)
+        rows = []
+        for r in range(k, 0, -1):
+            for J in itertools.combinations(range(k), r):
+                comp = [names[j] for j in range(k) if j not in J]
+                rows.append((J, mutual_information(law, [names[j] for j in J], ["y"],
+                                                   list(cond_extra) + comp)))
+        rows = law._memo[key] = tuple(rows)
+    return rows
+
+
 def _subset_verdict(rates, law: JointLaw, names, cond_extra=()) -> RegionVerdict:
     k = len(names)
     if len(rates) != k:
@@ -186,16 +211,12 @@ def _subset_verdict(rates, law: JointLaw, names, cond_extra=()) -> RegionVerdict
         bad = [i for i, r in enumerate(rates) if r < 0]
         return RegionVerdict(False, f"R_{bad[0] + 1} < 0")
     # Largest subsets first, so a sum-rate violation is the reported witness.
-    for r in range(k, 0, -1):
-        for J in itertools.combinations(range(k), r):
-            total = sum(rates[j] for j in J)
-            comp = [names[j] for j in range(k) if j not in J]
-            bound = mutual_information(law, [names[j] for j in J], ["y"],
-                                       list(cond_extra) + comp)
-            if not total < bound:
-                subset = "{" + ",".join(str(j + 1) for j in J) + "}"
-                return RegionVerdict(
-                    False, f"J={subset}: sum {total:.6g} >= bound {bound:.6g}")
+    for J, bound in _subset_bounds(law, names, cond_extra):
+        total = sum(rates[j] for j in J)
+        if not total < bound:
+            subset = "{" + ",".join(str(j + 1) for j in J) + "}"
+            return RegionVerdict(
+                False, f"J={subset}: sum {total:.6g} >= bound {bound:.6g}")
     return RegionVerdict(True)
 
 
@@ -215,19 +236,24 @@ def in_region_han(rates, law: JointLaw) -> RegionVerdict:
 
 
 def _sw_constraints(law: JointLaw):
+    """The (name, coefficients, bound) rows of the cloud-center region, once per law."""
+    cached = law._memo.get("sw")
+    if cached is not None:
+        return cached
     mi = lambda a, b, c=(): mutual_information(law, a, b, c)
-    base = [
+    base = (
         ("R1 < I(X1;Y|X0,X2)", (0, 1, 0), mi(["x1"], ["y"], ["x0", "x2"])),
         ("R2 < I(X2;Y|X0,X1)", (0, 0, 1), mi(["x2"], ["y"], ["x0", "x1"])),
         ("R1+R2 < I(X1,X2;Y|X0)", (0, 1, 1), mi(["x1", "x2"], ["y"], ["x0"])),
         ("R0+R1+R2 < I(X1,X2;Y)", (1, 1, 1), mi(["x1", "x2"], ["y"])),
-    ]
-    aux = [
+    )
+    aux = (
         ("R0 < I(X0;X1,X2,Y)", (1, 0, 0), mi(["x0"], ["x1", "x2", "y"])),
         ("R0+R1 < I(X0,X1;X2,Y)", (1, 1, 0), mi(["x0", "x1"], ["x2", "y"])),
         ("R0+R2 < I(X0,X2;X1,Y)", (1, 0, 1), mi(["x0", "x2"], ["x1", "y"])),
-    ]
-    return base, aux
+    )
+    cached = law._memo["sw"] = (base, aux)
+    return cached
 
 
 def in_region_sw(rates, law: JointLaw, include_aux: bool = False) -> RegionVerdict:
@@ -238,7 +264,7 @@ def in_region_sw(rates, law: JointLaw, include_aux: bool = False) -> RegionVerdi
     if rates[1] < 0 or rates[2] < 0:
         return RegionVerdict(False, "private rates must be nonnegative")
     base, aux = _sw_constraints(law)
-    rows = base + (aux if include_aux else [])
+    rows = base + aux if include_aux else base
     for name, coef, bound in rows:
         total = sum(c * r for c, r in zip(coef, rates))
         if not total < bound:
@@ -261,6 +287,8 @@ def eps_feasible(rates, law: JointLaw, eps, n: int) -> bool:
         raise ValueError("margins must be positive")
     kind = _law_kind(law)
     if kind == "sw":
+        if len(rates) != 3 or len(eps) != 3:
+            raise ValueError("expected (R0, R1, R2)")
         m_inputs = law.size("x0") * law.size("x1") * law.size("x2")
         slack = feasibility_slack(eps, n, m_inputs, law.size("y"))
         base, aux = _sw_constraints(law)
@@ -281,14 +309,10 @@ def eps_feasible(rates, law: JointLaw, eps, n: int) -> bool:
     if any(r < 0 for r in rates):
         return False
     cond_extra = ("u",) if kind == "ts" else ()
-    for r in range(1, k + 1):
-        for J in itertools.combinations(range(k), r):
-            total = sum(rates[j] + eps[j] for j in J)
-            comp = [names[j] for j in range(k) if j not in J]
-            bound = mutual_information(law, [names[j] for j in J], ["y"],
-                                       list(cond_extra) + comp)
-            if not total < bound - slack:
-                return False
+    for J, bound in _subset_bounds(law, names, cond_extra):
+        total = sum(rates[j] + eps[j] for j in J)
+        if not total < bound - slack:
+            return False
     return True
 
 
@@ -347,8 +371,8 @@ def rate_split(target, law: JointLaw, step: float = GRID_STEP) -> RateSplit:
         flat = int(np.argmin(score))
         return (float(m1g.ravel()[flat]), float(m2g.ravel()[flat])), worst
 
-    lim1 = max(0.0, min(r0, _sw_constraints(law)[0][0][2] - r1)) + step
-    lim2 = max(0.0, min(r0, _sw_constraints(law)[0][1][2] - r2)) + step
+    lim1 = max(0.0, min(r0, base[0][2] - r1)) + step
+    lim2 = max(0.0, min(r0, base[1][2] - r2)) + step
     g1 = np.arange(0.0, lim1 + step, step)
     g2 = np.arange(0.0, lim2 + step, step)
     found, worst = scan(g1, g2)

@@ -1,19 +1,22 @@
+import itertools
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hashmac import rng as rng_mod
 from hashmac.ensembles import (BINNING, EnsembleSpec, HashParams,
-                               SPARSE, UNIFORM, collision_prob, conditional_maxima,
+                               SPARSE, SupportBudgetError, UNIFORM, collision_prob, conditional_maxima,
                                crp_bound, crp_rate_exact, crp_test, enumerate_support,
                                ensemble_syndrome_hit_rate, estimate_hash_params,
                                multi_crp_bound, multi_crp_rate_exact, multi_params,
                                occupancy_factor, product_params, sample,
                                saturation_bound, saturation_rate_exact,
                                saturation_test, support_size,
-                               uniform_syndrome_hit_rate)
+                               label_outputs, uniform_syndrome_hit_rate)
 from hashmac.gf import FieldSpec, LinearLabel, all_vectors
 
 F2 = FieldSpec(2)
@@ -258,6 +261,62 @@ def test_multi_crp_exhaustive_dominated():
     bound = multi_crp_bound(conditional_maxima(tuples, 2),
                             [s.im_size for s in specs], params)
     assert rate <= bound + 1e-12
+
+
+def _ref_multi_crp_rate(specs, tuples, u_parts):
+    # The per-combination loop: one label_outputs call per label and tuple.
+    u_parts = [np.asarray(p, dtype=np.int64) for p in u_parts]
+    others = [[np.asarray(p, dtype=np.int64) for p in t] for t in tuples
+              if not all((np.asarray(a) == b).all() for a, b in zip(t, u_parts))]
+    if not others:
+        return 0.0
+    supports = [list(enumerate_support(s)) for s in specs]
+    hits = count = 0
+    for combo in itertools.product(*supports):
+        count += 1
+        targets = [label_outputs(lab, u[None, :])[0] for lab, u in zip(combo, u_parts)]
+        hits += any(all((label_outputs(lab, p[None, :])[0] == t).all()
+                        for lab, p, t in zip(combo, parts, targets))
+                    for parts in others)
+    return hits / count
+
+
+# Supports of 64 x 16 and 4 x 9 x 16 labels: small enough for the reference loop.
+MULTI_SPECS = {
+    2: (EnsembleSpec(UNIFORM, 2, 3, F2), EnsembleSpec(BINNING, 1, 2, F2)),
+    3: (EnsembleSpec(SPARSE, 2, 2, F2, column_degree=1),
+        EnsembleSpec(UNIFORM, 1, 2, FieldSpec(3)), EnsembleSpec(BINNING, 1, 2, F2)),
+}
+
+
+@st.composite
+def multi_crp_cases(draw):
+    specs = MULTI_SPECS[draw(st.sampled_from((2, 3)))]
+    part = lambda s: st.tuples(*[st.integers(0, s.field.q - 1)] * s.cols)
+    tup = st.tuples(*[part(s) for s in specs])
+    tuples = draw(st.lists(tup, min_size=1, max_size=6, unique=True))
+    u_parts = draw(st.one_of(st.sampled_from(tuples), tup))
+    return specs, tuples, u_parts
+
+
+@settings(max_examples=40, deadline=None)
+@given(multi_crp_cases())
+def test_multi_crp_exact_matches_per_combination_loop(case):
+    specs, tuples, u_parts = case
+    assert multi_crp_rate_exact(specs, tuples, u_parts) == \
+        _ref_multi_crp_rate(specs, tuples, u_parts)
+
+
+def test_multi_crp_exact_edge_cases():
+    specs = [EnsembleSpec(UNIFORM, 2, 3, F2)] * 2
+    u = ((0, 1, 1), (1, 0, 0))
+    assert multi_crp_rate_exact(specs, [u], u) == 0.0
+    assert multi_crp_rate_exact(specs, [], u) == 0.0
+    tuples = [u, ((0, 1, 1), (1, 1, 1))]
+    with pytest.raises(SupportBudgetError, match="product support"):
+        multi_crp_rate_exact(specs, tuples, u, budget=100)
+    # Only the second sender differs: the rate is its own pair collision rate.
+    assert multi_crp_rate_exact(specs, tuples, u) == 0.25
 
 
 def test_occupancy_factor_branches():

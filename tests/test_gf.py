@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -116,6 +118,23 @@ def test_full_rank_coset_sizes():
     assert rank(A) == 2
     for a in all_vectors(2, 2):
         assert coset_size(A, list(a)) == 4
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+@pytest.mark.parametrize("n", range(6))
+def test_all_vectors_lex_order_dtype_and_layout(q, n):
+    vecs = all_vectors(q, n)
+    assert vecs.tolist() == [list(v) for v in itertools.product(range(q), repeat=n)]
+    assert vecs.shape == (q**n, n)
+    assert vecs.dtype == np.int64 and vecs.flags.c_contiguous
+
+
+def test_all_vectors_budget_error():
+    assert all_vectors(2, 4, budget=16).shape == (16, 4)
+    with pytest.raises(EnumerationBudgetError):
+        all_vectors(2, 5, budget=16)
+    with pytest.raises(EnumerationBudgetError):
+        all_vectors(3, 16)
 
 
 def test_enumeration_budget_error():

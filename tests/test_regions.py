@@ -1,12 +1,15 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from hashmac import rng as rng_mod
 from hashmac.channel import deterministic_dmc
-from hashmac.regions import (JointLaw, RatePoint, eps_feasible, in_region_han,
-                             in_region_private, in_region_sw, in_region_ts,
-                             joint_han, joint_private, joint_sw, joint_ts,
-                             mutual_information, rate_split)
+from hashmac.channel import Dmc
+from hashmac.regions import (JointLaw, RatePoint, _sw_constraints, eps_feasible,
+                             in_region_han, in_region_private, in_region_sw,
+                             in_region_ts, joint_han, joint_private, joint_sw,
+                             joint_ts, mutual_information, rate_split)
 from hashmac.slack import RadiusError
 
 ADDER = deterministic_dmc((2, 2), 3, lambda a, b: a + b)
@@ -143,7 +146,6 @@ def test_sw_factorization_identity_random():
     for _ in range(25):
         w = rng.integers(1, 9, size=(2, 2, 2)).astype(float)
         dmc_table = w / w.sum(axis=-1, keepdims=True)
-        from hashmac.channel import Dmc
         dmc = Dmc((2, 2), 2, dmc_table)
         mu0 = rng.integers(1, 9, size=2).astype(float)
         mu0 /= mu0.sum()
@@ -165,3 +167,83 @@ def test_rate_point_validation():
 def test_joint_law_validation():
     with pytest.raises(ValueError):
         JointLaw(("a",), np.array([0.5, 0.6]))
+
+
+def _random_sw_law(seed):
+    rng = rng_mod.stream(seed, "memo")
+    w = rng.integers(1, 9, size=(2, 2, 3)).astype(float)
+    dmc = Dmc((2, 2), 3, w / w.sum(axis=-1, keepdims=True))
+    mu0 = rng.integers(1, 9, size=3).astype(float)
+    c1 = rng.integers(1, 9, size=(3, 2)).astype(float)
+    c2 = rng.integers(1, 9, size=(3, 2)).astype(float)
+    return joint_sw(mu0 / mu0.sum(), c1 / c1.sum(axis=1, keepdims=True),
+                    c2 / c2.sum(axis=1, keepdims=True), dmc)
+
+
+def _fresh(law):
+    return JointLaw(law.names, law.table)
+
+
+def test_memoized_entropy_is_bit_identical():
+    law = _random_sw_law(5)
+    for r in range(1, len(law.names) + 1):
+        for names in itertools.permutations(law.names, r):
+            first = law.entropy(names)
+            assert law.entropy(list(names)) == first
+            assert _fresh(law).entropy(names) == first
+    assert law == law and "_memo" not in repr(law)
+
+
+def test_sw_constraints_computed_once_per_law():
+    law = _random_sw_law(6)
+    rows = _sw_constraints(law)
+    assert _sw_constraints(law) is rows
+    assert _sw_constraints(_fresh(law)) == rows
+
+
+def _ref_in_region_sw(rates, law, include_aux=False):
+    # The region test with every bound recomputed on a fresh law.
+    if rates[0] < 0:
+        return False, "R0 < 0"
+    if rates[1] < 0 or rates[2] < 0:
+        return False, "private rates must be nonnegative"
+    mi = lambda a, b, c=(): mutual_information(_fresh(law), a, b, c)
+    rows = [
+        ("R1 < I(X1;Y|X0,X2)", (0, 1, 0), mi(["x1"], ["y"], ["x0", "x2"])),
+        ("R2 < I(X2;Y|X0,X1)", (0, 0, 1), mi(["x2"], ["y"], ["x0", "x1"])),
+        ("R1+R2 < I(X1,X2;Y|X0)", (0, 1, 1), mi(["x1", "x2"], ["y"], ["x0"])),
+        ("R0+R1+R2 < I(X1,X2;Y)", (1, 1, 1), mi(["x1", "x2"], ["y"])),
+    ]
+    if include_aux:
+        rows += [
+            ("R0 < I(X0;X1,X2,Y)", (1, 0, 0), mi(["x0"], ["x1", "x2", "y"])),
+            ("R0+R1 < I(X0,X1;X2,Y)", (1, 1, 0), mi(["x0", "x1"], ["x2", "y"])),
+            ("R0+R2 < I(X0,X2;X1,Y)", (1, 0, 1), mi(["x0", "x2"], ["x1", "y"])),
+        ]
+    for name, coef, bound in rows:
+        total = sum(c * r for c, r in zip(coef, rates))
+        if not total < bound:
+            return False, f"{name}: sum {total:.6g} >= bound {bound:.6g}"
+    return True, None
+
+
+def test_in_region_sw_verdicts_unchanged_on_grid():
+    for law in (_random_sw_law(7), _sw_test_law()):
+        bound = mutual_information(law, ["x1", "x2"], ["y"])
+        grid = np.linspace(-0.05, bound, 9)
+        seen = set()
+        for point in itertools.product(grid, repeat=3):
+            for aux in (False, True):
+                v = in_region_sw(point, law, include_aux=aux)
+                assert (v.inside, v.witness) == _ref_in_region_sw(point, law, aux)
+                seen.add(v.witness)
+        assert None in seen and len(seen) > 3
+
+
+def test_eps_feasible_sw_checks_lengths():
+    law = _sw_test_law()
+    assert eps_feasible((0.01, 0.01, 0.01), law, (1e-4,) * 3, 10**6)
+    for rates, eps in (((0.01, 0.01), (1e-4,) * 3), ((0.01,) * 3, (1e-4, 1e-4)),
+                       ((0.01, 0.01), (1e-4, 1e-4))):
+        with pytest.raises(ValueError, match="expected"):
+            eps_feasible(rates, law, eps, 10**6)
