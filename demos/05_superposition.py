@@ -13,8 +13,7 @@ from hashmac import rng as rng_mod
 from hashmac.channel import deterministic_dmc, sample_channel
 from hashmac.gf import apply_label
 from hashmac.scenarios import (build_superposition_code, decode_superposition,
-                               search_code, simulate_error,
-                               _encode_superposition_full)
+                               encode_components, search_code, simulate_error)
 
 dmc = deterministic_dmc((2, 2), 4, lambda a, b: 2 * a + b)
 mu0 = np.array([0.5, 0.5])
@@ -32,7 +31,7 @@ print(f"rows: cloud {code.checks[0].rows}+{code.message_maps[0].rows}, "
 
 rng = rng_mod.stream(seed, "demo-sw-roundtrip")
 msgs = [rng.integers(2, size=code.message_maps[i].rows) for i in range(3)]
-x0, x1, x2 = _encode_superposition_full(code, *msgs)
+x0, x1, x2 = encode_components(code, msgs)
 print(f"common message {msgs[0].tolist()} -> cloud center {x0.tolist()}")
 print(f"satellites: {x1.tolist()} / {x2.tolist()} "
       f"(agreement with cloud: {(x1 == x0).mean():.2f} / {(x2 == x0).mean():.2f})")

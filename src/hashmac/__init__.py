@@ -12,8 +12,7 @@ from .ensembles import (BinLabel, CollisionEstimate, EnsembleSpec, HashParams,
                         product_params, sample, saturation_bound, saturation_test)
 from .gf import (FieldSpec, LinearLabel, apply_label, enumerate_coset,
                  stack_labels)
-from .prob import (CondPmf, Pmf, cond_divergence, cond_entropy, cond_mutual_info,
-                   divergence, entropy, mutual_info)
+from .prob import CondPmf, Pmf, cond_entropy, entropy
 from .regions import (JointLaw, RatePoint, RateSplit, eps_feasible, in_region_han,
                       in_region_private, in_region_sw, in_region_ts, joint_han,
                       joint_private, joint_sw, joint_ts, mutual_information,

@@ -94,7 +94,7 @@ def _parse_ensemble_factory(block: dict | None, where: str):
         if kind == SPARSE and rows == 0:
             return EnsembleSpec(UNIFORM, rows, cols, field)
         if kind == SPARSE:
-            d = degree if degree is not None else None
+            d = degree
             if d is not None:
                 d = max(1, min(int(d), rows))
             spec = EnsembleSpec(SPARSE, rows, cols, field,

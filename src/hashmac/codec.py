@@ -10,12 +10,15 @@ smallest vector (for tuples: smallest concatenation).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
+from .empirical import (_divergence_from_counts, conditional_divergences,
+                        marginal_divergences)
 from .gf import (ENUMERATION_BUDGET, EnumerationBudgetError, LinearLabel,
                  all_vectors, apply_label, enumerate_coset, stack_labels)
 from .prob import CondPmf, Pmf
@@ -90,49 +93,24 @@ class EncodeTarget:
         if self.conditional is not None and self.conditioning is None:
             raise ValueError("conditional target needs a conditioning sequence")
 
+    def divergences(self, cands: np.ndarray) -> np.ndarray:
+        """Divergence from the target of each candidate row's empirical law."""
+        if self.marginal is not None:
+            return marginal_divergences(cands, self.marginal)
+        return conditional_divergences(cands, self.conditional, self.conditioning)
 
-def _count_symbols(cands: np.ndarray, n_symbols: int) -> np.ndarray:
-    """Per-candidate symbol counts; cands is (m, n) with entries < n_symbols."""
-    m = cands.shape[0]
-    rows = np.repeat(np.arange(m, dtype=np.int64), cands.shape[1])
-    flat = rows * n_symbols + cands.ravel()
-    return np.bincount(flat, minlength=m * n_symbols).reshape(m, n_symbols)
-
-
-def _divergence_from_counts(counts: np.ndarray, log_denom: np.ndarray, n: int) -> np.ndarray:
-    """(1/n) sum_cells c*(log2 c - log_denom); log_denom is -inf at zero cells."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logc = np.where(counts > 0, np.log2(np.maximum(counts, 1)), 0.0)
-        term = np.where(counts > 0, counts * (logc - log_denom), 0.0)
-    return term.sum(axis=-1) / n
-
-
-def marginal_divergences(cands: np.ndarray, mu: Pmf) -> np.ndarray:
-    """D(nu_x || mu) for each candidate row; symbols are alphabet indices."""
-    n = cands.shape[1]
-    counts = _count_symbols(cands, mu.size)
-    with np.errstate(divide="ignore"):
-        log_denom = np.log2(n * mu.probs)
-    return _divergence_from_counts(counts, log_denom[None, :], n)
-
-
-def conditional_divergences(cands: np.ndarray, mu_cond: CondPmf, u: np.ndarray) -> np.ndarray:
-    """D(nu_{x|u} || mu | nu_u) for each candidate row."""
-    n = cands.shape[1]
-    if u.shape != (n,):
-        raise ValueError("conditioning sequence length mismatch")
-    mv, mx = mu_cond.given_size, mu_cond.size
-    u_counts = np.bincount(u, minlength=mv)
-    for b in range(mv):
-        if u_counts[b] > 0 and not mu_cond.present[b]:
-            raise ValueError(f"model row absent for seen symbol {mu_cond.given_alphabet[b]!r}")
-    # Joint cell (b, a) for each position, then the shared counting path.
-    cells = u[None, :] * mx + cands
-    counts = _count_symbols(cells, mv * mx)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        denom = u_counts[:, None] * mu_cond.rows
-        log_denom = np.where(denom > 0, np.log2(np.maximum(denom, 1e-300)), -np.inf)
-    return _divergence_from_counts(counts, log_denom.ravel()[None, :], n)
+    def exact_key(self, cand: np.ndarray):
+        """Exact rational key of one candidate (see _exact_key)."""
+        if self.marginal is not None:
+            counts = np.bincount(cand, minlength=self.marginal.size)
+            denoms = [cand.shape[0] * Fraction(float(p)) for p in self.marginal.probs]
+            return _exact_key(counts, denoms)
+        mu, u = self.conditional, self.conditioning
+        u_counts = np.bincount(u, minlength=mu.given_size)
+        counts = np.bincount(u * mu.size + cand, minlength=mu.given_size * mu.size)
+        denoms = [int(u_counts[b]) * Fraction(float(p))
+                  for b in range(mu.given_size) for p in mu.rows[b]]
+        return _exact_key(counts, denoms)
 
 
 def _exact_key(counts, denoms):
@@ -146,25 +124,6 @@ def _exact_key(counts, denoms):
             return None
         key *= Fraction(c, 1) ** c / Fraction(den) ** c
     return key
-
-
-def _marginal_exact_key(cand: np.ndarray, mu: Pmf):
-    n = cand.shape[0]
-    counts = np.bincount(cand, minlength=mu.size)
-    denoms = [n * Fraction(float(p)) for p in mu.probs]
-    return _exact_key(counts, denoms)
-
-
-def _conditional_exact_key(cand: np.ndarray, mu_cond: CondPmf, u: np.ndarray):
-    mv, mx = mu_cond.given_size, mu_cond.size
-    u_counts = np.bincount(u, minlength=mv)
-    cells = u * mx + cand
-    counts = np.bincount(cells, minlength=mv * mx)
-    denoms = []
-    for b in range(mv):
-        for a in range(mx):
-            denoms.append(int(u_counts[b]) * Fraction(float(mu_cond.rows[b, a])))
-    return _exact_key(counts, denoms)
 
 
 def _tie_indices(dvals: np.ndarray) -> np.ndarray:
@@ -192,16 +151,9 @@ def min_div_encode(cs: CosetSpec, target: EncodeTarget,
     if cands.shape[0] == 0:
         raise EmptyCosetError(
             f"no vector satisfies the {cs.check.rows}+{cs.message_map.rows} constraints")
-    if target.marginal is not None:
-        dvals = marginal_divergences(cands, target.marginal)
-        key_fn = lambda i: _marginal_exact_key(cands[i], target.marginal)
-    else:
-        u = target.conditioning
-        dvals = conditional_divergences(cands, target.conditional, u)
-        key_fn = lambda i: _conditional_exact_key(cands[i], target.conditional, u)
-    ties = _tie_indices(dvals)
+    ties = _tie_indices(target.divergences(cands))
     if ties.size > 1 and cs.check.field.q == 2:
-        ties = _refine_exact(ties, key_fn)
+        ties = _refine_exact(ties, lambda i: target.exact_key(cands[i]))
     x = cands[int(ties[0])]
     assert (apply_label(cs.check, x) == cs.syndrome).all()
     assert (apply_label(cs.message_map, x) == cs.message).all()
@@ -295,7 +247,6 @@ def _pair_scan_ties(cosets, qs, base, strides, flat_factors, model_flat, n):
     The two largest cosets form the inner bilinear pair; the remaining
     senders are folded into the per-position context and iterated outside.
     """
-    import itertools
     sizes = [c.shape[0] for c in cosets]
     order = sorted(range(len(cosets)), key=lambda j: -sizes[j])
     p1, p2 = order[0], order[1]

@@ -125,7 +125,7 @@ def seq_entropy(u, alphabet=None) -> float:
     return _entropy_counts(np.asarray(counts, dtype=np.int64))
 
 
-def seq_cond_entropy(u, v, u_alphabet=None, v_alphabet=None) -> float:
+def seq_cond_entropy(u, v) -> float:
     """Empirical conditional entropy H(u|v), in bits."""
     u = list(u)
     v = list(v)
@@ -146,18 +146,61 @@ def seq_mutual_multi(xs, u) -> float:
     return total - seq_cond_entropy(joint, u)
 
 
+def _count_symbols(cands: np.ndarray, n_symbols: int) -> np.ndarray:
+    """Per-candidate symbol counts; cands is (m, n) with entries < n_symbols."""
+    m = cands.shape[0]
+    flat = np.arange(0, m * n_symbols, n_symbols, dtype=np.int64)[:, None] + cands
+    return np.bincount(flat.ravel(), minlength=m * n_symbols).reshape(m, n_symbols)
+
+
+def _log2_denom(denom: np.ndarray) -> np.ndarray:
+    """log2 of the model's expected counts, -inf at cells of zero mass."""
+    return np.log2(denom, out=np.full(denom.shape, -np.inf), where=denom > 0)
+
+
+def _divergence_from_counts(counts: np.ndarray, log_denom: np.ndarray, n: int) -> np.ndarray:
+    """(1/n) sum_cells c*(log2 c - log_denom); log_denom is -inf at zero cells.
+
+    log_denom broadcasts against counts, whose last axis runs over cells.
+    An empty cell adds 0, also where the model has no mass.
+    """
+    term = np.log2(np.maximum(counts, 1))
+    term -= log_denom
+    term[counts == 0] = 0.0
+    term *= counts
+    return term.sum(axis=-1) / n
+
+
+def marginal_divergences(cands: np.ndarray, mu: Pmf) -> np.ndarray:
+    """D(nu_x || mu) for each candidate row; symbols are alphabet indices."""
+    n = cands.shape[1]
+    counts = _count_symbols(cands, mu.size)
+    return _divergence_from_counts(counts, _log2_denom(n * mu.probs)[None, :], n)
+
+
+def conditional_divergences(cands: np.ndarray, mu_cond: CondPmf, u: np.ndarray) -> np.ndarray:
+    """D(nu_{x|u} || mu | nu_u) for each candidate row."""
+    n = cands.shape[1]
+    if u.shape != (n,):
+        raise ValueError("conditioning sequence length mismatch")
+    mv, mx = mu_cond.given_size, mu_cond.size
+    u_counts = np.bincount(u, minlength=mv)
+    seen = u_counts > 0
+    if not mu_cond.present[seen].all():
+        b = np.flatnonzero(seen & ~mu_cond.present)[0]
+        raise ValueError(f"model row absent for seen symbol {mu_cond.given_alphabet[b]!r}")
+    # Joint cell (b, a) for each position, then the shared counting path.
+    counts = _count_symbols(u[None, :] * mx + cands, mv * mx)
+    log_denom = _log2_denom(u_counts[:, None] * mu_cond.rows)
+    return _divergence_from_counts(counts, log_denom.ravel()[None, :], n)
+
+
 def divergence_to(u, mu: Pmf) -> float:
     """D(nu_u || mu) of a sequence's empirical distribution, in bits."""
-    t = empirical(u, mu.alphabet)
-    n = t.n
-    total = 0.0
-    for c, m in zip(t.counts, mu.probs):
-        if c == 0:
-            continue
-        if m == 0:
-            return math.inf
-        total += (c / n) * math.log2(c / (n * m))
-    return total
+    ix = _index_seq(u, mu.alphabet)
+    if ix.size == 0:
+        raise ValueError("empty sequence")
+    return float(marginal_divergences(ix[None, :], mu)[0])
 
 
 def cond_divergence_to(u, v, mu_cond: CondPmf) -> float:
@@ -166,24 +209,9 @@ def cond_divergence_to(u, v, mu_cond: CondPmf) -> float:
     vi = _index_seq(v, mu_cond.given_alphabet)
     if ui.size != vi.size:
         raise ValueError("length mismatch")
-    n = ui.size
-    c = joint_counts((vi, ui), (mu_cond.given_size, mu_cond.size))
-    c_v = c.sum(axis=1)
-    total = 0.0
-    for b in range(mu_cond.given_size):
-        if c_v[b] == 0:
-            continue
-        if not mu_cond.present[b]:
-            raise ValueError(f"model row absent for seen symbol {mu_cond.given_alphabet[b]!r}")
-        for a in range(mu_cond.size):
-            cc = c[b, a]
-            if cc == 0:
-                continue
-            m = mu_cond.rows[b, a]
-            if m == 0:
-                return math.inf
-            total += (cc / n) * math.log2(cc / (c_v[b] * m))
-    return total
+    if ui.size == 0:
+        raise ValueError("empty sequence")
+    return float(conditional_divergences(ui[None, :], mu_cond, vi)[0])
 
 
 def is_typical(u, mu: Pmf, gamma: float) -> bool:

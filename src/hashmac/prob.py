@@ -2,15 +2,9 @@
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 SUM_TOL = 1e-12
-
-
-def _log2(x: float) -> float:
-    return math.log2(x)
 
 
 class Pmf:
@@ -122,70 +116,4 @@ def cond_entropy(cond: CondPmf, base: Pmf) -> float:
         if not cond.present[i]:
             raise ValueError(f"absent row {cond.given_alphabet[i]} has positive weight")
         total += pv * entropy(cond.rows[i])
-    return total
-
-
-def _marginalize(joint: Pmf, keep: tuple[int, ...]) -> dict:
-    out: dict = {}
-    for sym, p in zip(joint.alphabet, joint.probs):
-        key = tuple(sym[i] for i in keep)
-        out[key] = out.get(key, 0.0) + float(p)
-    return out
-
-
-def _entropy_of(dist: dict) -> float:
-    return float(-sum(p * _log2(p) for p in dist.values() if p > 0))
-
-
-def mutual_info(joint: Pmf) -> float:
-    """I(U;V) from a joint distribution whose symbols are (u, v) pairs."""
-    if any(not isinstance(s, tuple) or len(s) != 2 for s in joint.alphabet):
-        raise ValueError("joint alphabet must consist of (u, v) pairs")
-    hu = _entropy_of(_marginalize(joint, (0,)))
-    hv = _entropy_of(_marginalize(joint, (1,)))
-    return hu + hv - entropy(joint)
-
-
-def cond_mutual_info(joint: Pmf) -> float:
-    """I(U;V|W) from a joint distribution over (u, v, w) triples."""
-    if any(not isinstance(s, tuple) or len(s) != 3 for s in joint.alphabet):
-        raise ValueError("joint alphabet must consist of (u, v, w) triples")
-    huw = _entropy_of(_marginalize(joint, (0, 2)))
-    hvw = _entropy_of(_marginalize(joint, (1, 2)))
-    hw = _entropy_of(_marginalize(joint, (2,)))
-    return huw + hvw - entropy(joint) - hw
-
-
-def divergence(p: Pmf, p2: Pmf) -> float:
-    """KL divergence D(p || p2) in bits; +inf when supp(p) is not in supp(p2)."""
-    if p.alphabet != p2.alphabet:
-        raise ValueError("alphabet mismatch")
-    total = 0.0
-    for a, b in zip(p.probs, p2.probs):
-        if a == 0:
-            continue
-        if b == 0:
-            return math.inf
-        total += a * _log2(a / b)
-    return total
-
-
-def cond_divergence(q1: CondPmf, q2: CondPmf, p: Pmf) -> float:
-    """D(q1 || q2 | p) = sum_v p(v) D(q1(.|v) || q2(.|v)), in bits."""
-    if q1.given_alphabet != q2.given_alphabet or q1.alphabet != q2.alphabet:
-        raise ValueError("alphabet mismatch")
-    if q1.given_alphabet != p.alphabet:
-        raise ValueError("conditioning alphabet mismatch")
-    total = 0.0
-    for i, pv in enumerate(p.probs):
-        if pv == 0:
-            continue
-        if not (q1.present[i] and q2.present[i]):
-            raise ValueError(f"absent row {p.alphabet[i]} has positive weight")
-        for a, b in zip(q1.rows[i], q2.rows[i]):
-            if a == 0:
-                continue
-            if b == 0:
-                return math.inf
-            total += pv * a * _log2(a / b)
     return total

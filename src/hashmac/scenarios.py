@@ -1,13 +1,22 @@
 """End-to-end code constructions: build, encode, transmit, decode, diagnose.
 
-Two constructions are wired here: per-sender private messages with an
-optional shared time-sharing sequence (a constant sequence recovers the
-plain private-message code), and the two-sender cloud-center construction
-carrying one common and two private messages.
+Every code here is a context plus coded components.  Each component's
+codeword is the minimum-divergence member of its coset, against a target
+law conditioned on the context sequence.  The context is either shared or
+coded:
+
+- shared: u is drawn from its law when the code is built, and every
+  component is a sender (private messages with time sharing; a one-point
+  law gives the plain private-message code);
+- coded: component 0 is a cloud center carrying a common message.  It is
+  coded against the context law itself, and its codeword is the context of
+  the two senders' satellites.  A one-point cloud has no rows and its
+  codeword is all zeros, fixed at build time like a shared u.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -19,11 +28,10 @@ from .channel import Dmc, sample_channel
 # min_div_decode is not called here; it stays importable from this module
 # because perfbench/spans.py traces it at this import site.
 from .codec import (CosetSpec, EmptyCosetError, EncodeTarget, MinDivDecoder,  # noqa: F401
-                    conditional_divergences, marginal_divergences,
                     min_div_decode, min_div_encode)
-from .empirical import divergence_to, is_cond_typical, seq_mutual_multi
-from .ensembles import (EnsembleSpec, UNIFORM, estimate_hash_params, multi_params,
-                        occupancy_factor, product_params, sample)
+from .empirical import divergence_to, is_cond_typical, marginal_divergences, seq_mutual_multi
+from .ensembles import (EnsembleSpec, SupportBudgetError, UNIFORM, estimate_hash_params,
+                        multi_params, occupancy_factor, product_params, sample)
 from .gf import FieldSpec, LinearLabel, all_vectors, apply_label
 from .prob import CondPmf, Pmf
 from .regions import JointLaw, in_region_sw, in_region_ts, joint_sw, joint_ts
@@ -66,10 +74,10 @@ class CodeInstance:
     n: int
     dmc: Dmc
     law: JointLaw                      # model law used by the decoder
-    checks: tuple                      # syndrome maps A_j
+    checks: tuple                      # syndrome maps A_j, one per component
     message_maps: tuple                # message maps A'_j
     syndromes: tuple
-    check_specs: tuple
+    check_specs: tuple                 # None for a one-point cloud
     message_specs: tuple
     rates: tuple                       # realized message rates
     srates: tuple                      # realized syndrome rates
@@ -78,39 +86,46 @@ class CodeInstance:
     gamma: float
     gamma_ok: bool
     gamma_prime: float
-    u: np.ndarray | None = None        # shared time-sharing sequence
-    mu_u: Pmf | None = None
-    cond_inputs: tuple = ()            # per-sender conditional input laws
-    mu_cloud: Pmf | None = None        # cloud-center law (superposition)
-    degenerate_cloud: bool = False
-    channel_cond: CondPmf | None = None  # y given the full input context
+    kappa: float                       # bin-occupancy factor of the coded components
+    ctx_law: Pmf                       # law of the context symbol (u or the cloud x0)
+    u: np.ndarray | None               # context fixed at build time; None if a cloud codes it
+    cond_inputs: tuple                 # per component: law given the context; None: a cloud
+    channel_cond: CondPmf              # y given the full input context
 
     @property
     def k_messages(self) -> int:
         return len(self.message_maps)
+
+    @cached_property
+    def n_cloud(self) -> int:
+        """Components before the senders: 1 with a cloud center, else 0."""
+        return self.k_messages - self.dmc.n_senders
+
+    @cached_property
+    def fixed(self) -> int:
+        """Leading components fixed at build time: a one-point cloud, whose codeword is u."""
+        return self.check_specs.count(None)
 
     # A code's encoder and decoder are fixed functions of the message and of
     # y, so both are compiled on the first trial and kept with the code.
 
     @cached_property
     def codebooks(self) -> tuple[dict, ...]:
-        """Per-sender message -> codeword tables, filled on first use.
+        """Per-component message -> codeword tables, filled on first use.
 
-        A superposition satellite is keyed by (cloud message, message),
-        since its target is conditioned on the cloud codeword.  An empty
-        coset is stored as its error text, never as the raised exception,
-        whose traceback would keep every failing trial's frames alive.
+        A satellite of a cloud is keyed by the cloud message's bytes
+        followed by its own, since its target is conditioned on the cloud
+        codeword.  An empty coset is
+        stored as its error text, never as the raised exception, whose
+        traceback would keep every failing trial's frames alive.
         """
         return tuple({} for _ in self.message_maps)
 
     @cached_property
     def decoder(self) -> MinDivDecoder:
-        """Joint decoder over the syndrome cosets, built on first use."""
-        if self.scenario == "private":
-            return MinDivDecoder(self.checks, self.syndromes, self.law.table, u=self.u)
-        if self.degenerate_cloud:
-            return MinDivDecoder(self.checks[1:], self.syndromes[1:], self.law.table[0])
-        return MinDivDecoder(self.checks, self.syndromes, self.law.table)
+        """Joint decoder over the cosets of the components not fixed by u."""
+        f = self.fixed
+        return MinDivDecoder(self.checks[f:], self.syndromes[f:], self.law.table, u=self.u)
 
 
 def _round_rows(n: int, rate: float, q: int) -> int:
@@ -162,19 +177,11 @@ def _as_cond(rows, given_size: int, out_size: int) -> CondPmf:
     return CondPmf(tuple(range(given_size)), tuple(range(out_size)), rows)
 
 
-def _as_pmf(p, size: int) -> Pmf:
-    if isinstance(p, Pmf):
-        if p.size != size:
-            raise ValueError("distribution size mismatch")
-        return p
-    arr = np.asarray(p, dtype=float)
-    if arr.shape != (size,):
-        raise ValueError(f"distribution shape {arr.shape} != ({size},)")
-    return Pmf(tuple(range(size)), arr)
+def _as_pmf(p) -> Pmf:
+    return p if isinstance(p, Pmf) else Pmf(tuple(range(len(p))), p)
 
 
 def _stacked_beta(check_specs, message_specs) -> float:
-    from .ensembles import SupportBudgetError
     params = []
     for cs, ms in zip(check_specs, message_specs):
         try:
@@ -186,6 +193,97 @@ def _stacked_beta(check_specs, message_specs) -> float:
     return multi_params(params, range(len(params))).beta
 
 
+def _build(scenario, law: JointLaw, ctx_law: Pmf, conds, in_region, dmc: Dmc,
+           rates, eps, n: int, rng, ensemble_factory, check_region) -> CodeInstance:
+    """Sample one code: coded components conditioned on a context.
+
+    conds[j] is component j's input law given the context symbol, or None
+    for a cloud center (component 0), whose target is ctx_law itself.  The
+    components are named by the law's axes before y; the context is its
+    first axis.  in_region(rates, law) is the region verdict.
+    """
+    k = len(conds)
+    rates = tuple(float(r) for r in rates)
+    eps = tuple(float(e) for e in eps)
+    if len(rates) != k or len(eps) != k:
+        raise ValueError(f"expected one rate and one margin per component ({k})")
+    if any(e <= 0 for e in eps):
+        raise ValueError("margins must be positive")
+    c = k - dmc.n_senders
+    m = ctx_law.size
+    ctx, names = law.names[0], law.names[-1 - k:-1]
+    qs = [m if x is None else x.size for x in conds]
+    live = [j for j in range(k) if qs[j] > 1]  # a one-point cloud carries nothing
+    if any(rates[j] != 0 for j in range(k) if j not in live):
+        raise InfeasibleRateError("a one-point cloud alphabet forces R0 = 0")
+    h_ctx = law.entropy([ctx])
+    h = [h_ctx if x is None else law.entropy([name, ctx]) - h_ctx
+         for x, name in zip(conds, names)]
+
+    msg_rows = [_round_rows(n, rates[j], qs[j]) if j in live else 0 for j in range(k)]
+    act_rates = tuple(_rows_rate(r, n, q) for r, q in zip(msg_rows, qs))
+    if check_region:
+        verdict = in_region(act_rates, law)
+        if not verdict:
+            raise InfeasibleRateError(f"rates outside the region: {verdict.witness}")
+    chk_rows = [0] * k
+    for j in live:
+        r_j = h[j] - act_rates[j] - eps[j]
+        chk_rows[j] = _round_rows(n, r_j, qs[j])
+        if check_region and (chk_rows[j] < 1 or r_j <= 0):
+            # Forced control runs may proceed with empty syndrome maps.
+            raise InfeasibleRateError(
+                f"{names[j]}: syndrome rate {r_j:.4g} not positive after rounding")
+    act_srates = tuple(_rows_rate(r, n, q) for r, q in zip(chk_rows, qs))
+    tol = max(math.log2(qs[j]) / n for j in live)
+    for j in live:
+        drift = act_srates[j] + act_rates[j] - (h[j] - eps[j])
+        if abs(drift) > tol:
+            raise InfeasibleRateError(
+                f"{names[j]}: rounding drift {drift:.4g} exceeds {tol:.4g}")
+
+    no_rows = LinearLabel(FieldSpec(2), np.zeros((0, n), dtype=np.int64))
+    check_specs, message_specs = [None] * k, [None] * k
+    checks, message_maps = [no_rows] * k, [no_rows] * k
+    syndromes = [np.zeros(0, dtype=np.int64)] * k
+    for j in live:
+        field = FieldSpec(qs[j])
+        check_specs[j] = ensemble_factory(chk_rows[j], n, field)
+        message_specs[j] = ensemble_factory(msg_rows[j], n, field)
+        checks[j] = sample(check_specs[j], rng)
+        message_maps[j] = sample(message_specs[j], rng)
+        syndromes[j] = rng.integers(qs[j], size=chk_rows[j])
+    # The context is fixed now unless a cloud codes it; a one-point law
+    # draws all zeros.
+    u = None
+    if c == 0 or m == 1:
+        u = rng.choice(m, size=n, p=ctx_law.probs).astype(np.int64)
+        u.flags.writeable = False
+
+    kappa = occupancy_factor(_stacked_beta([check_specs[j] for j in live],
+                                           [message_specs[j] for j in live]), n, len(live))
+    per_component = [
+        (lambda g: typical_size_slack(g, n, m)) if x is None
+        else (lambda g, q=x.size: cond_typical_size_slack(g, g, n, q, m))
+        for x in conds]
+
+    def sum_terms(g):
+        total = (dmc.n_senders + 3) * g
+        for _ in conds[:c]:  # a cloud adds its own entropy slack
+            total += entropy_slack(g, m)
+        return total + sum(cond_entropy_slack(g, g, x.size, m) for x in conds[c:])
+
+    gamma, gamma_ok = _select_gamma(per_component, sum_terms, eps, n, kappa)
+    return CodeInstance(
+        scenario=scenario, n=n, dmc=dmc, law=law,
+        checks=tuple(checks), message_maps=tuple(message_maps), syndromes=tuple(syndromes),
+        check_specs=tuple(check_specs), message_specs=tuple(message_specs),
+        rates=act_rates, srates=act_srates, eps=eps, requested_rates=rates,
+        gamma=gamma, gamma_ok=gamma_ok, gamma_prime=2 * sum(eps), kappa=kappa,
+        ctx_law=ctx_law, u=u, cond_inputs=tuple(conds),
+        channel_cond=_channel_cond(dmc, (m,) + tuple(dmc.input_sizes)))
+
+
 def build_private_code(mu_u, input_conds, dmc: Dmc, rates, eps, n: int,
                        rng: np.random.Generator,
                        ensemble_factory=uniform_ensemble_factory,
@@ -194,85 +292,47 @@ def build_private_code(mu_u, input_conds, dmc: Dmc, rates, eps, n: int,
 
     Pass a one-point mu_u for the plain construction without time sharing.
     """
-    k = dmc.n_senders
-    rates = tuple(float(r) for r in rates)
-    eps = tuple(float(e) for e in eps)
-    if len(rates) != k or len(eps) != k:
-        raise ValueError("one rate and one margin per sender required")
-    if any(e <= 0 for e in eps):
-        raise ValueError("margins must be positive")
-    mu_u = mu_u if isinstance(mu_u, Pmf) else Pmf(tuple(range(len(mu_u))), mu_u)
+    mu_u = _as_pmf(mu_u)
     conds = tuple(_as_cond(c, mu_u.size, dmc.input_sizes[j])
                   for j, c in enumerate(input_conds))
     law = joint_ts(mu_u, [c.rows for c in conds], dmc)
-
-    fields = [FieldSpec(q) for q in dmc.input_sizes]
-    h_cond = [law.entropy([f"x{j + 1}", "u"]) - law.entropy(["u"]) for j in range(k)]
-    msg_rows = [_round_rows(n, rates[j], fields[j].q) for j in range(k)]
-    act_rates = tuple(_rows_rate(msg_rows[j], n, fields[j].q) for j in range(k))
-    if check_region:
-        verdict = in_region_ts(act_rates, law)
-        if not verdict:
-            raise InfeasibleRateError(f"rates outside the region: {verdict.witness}")
-    chk_rows = []
-    for j in range(k):
-        r_j = h_cond[j] - act_rates[j] - eps[j]
-        rows = _round_rows(n, r_j, fields[j].q)
-        if check_region and (rows < 1 or r_j <= 0):
-            # Forced control runs may proceed with empty syndrome maps.
-            raise InfeasibleRateError(
-                f"sender {j + 1}: syndrome rate {r_j:.4g} not positive after rounding")
-        chk_rows.append(rows)
-    act_srates = tuple(_rows_rate(chk_rows[j], n, fields[j].q) for j in range(k))
-    tol = max(math.log2(f.q) / n for f in fields)
-    for j in range(k):
-        drift = act_srates[j] + act_rates[j] - (h_cond[j] - eps[j])
-        if abs(drift) > tol:
-            raise InfeasibleRateError(
-                f"sender {j + 1}: rounding drift {drift:.4g} exceeds {tol:.4g}")
-
-    check_specs = tuple(ensemble_factory(chk_rows[j], n, fields[j]) for j in range(k))
-    message_specs = tuple(ensemble_factory(msg_rows[j], n, fields[j]) for j in range(k))
-    checks, message_maps, syndromes = [], [], []
-    for j in range(k):
-        checks.append(sample(check_specs[j], rng))
-        message_maps.append(sample(message_specs[j], rng))
-        syndromes.append(rng.integers(fields[j].q, size=chk_rows[j]))
-    u = rng.choice(mu_u.size, size=n, p=mu_u.probs).astype(np.int64)
-
-    kappa = occupancy_factor(_stacked_beta(check_specs, message_specs), n, k)
-    per_sender = [
-        (lambda g, j=j: cond_typical_size_slack(g, g, n, dmc.input_sizes[j], mu_u.size))
-        for j in range(k)]
-    sum_terms = lambda g: (k + 3) * g + sum(
-        cond_entropy_slack(g, g, dmc.input_sizes[j], mu_u.size) for j in range(k))
-    gamma, gamma_ok = _select_gamma(per_sender, sum_terms, eps, n, kappa)
-    ctx_sizes = (mu_u.size,) + tuple(dmc.input_sizes)
-    return CodeInstance(
-        scenario="private", n=n, dmc=dmc, law=law,
-        checks=tuple(checks), message_maps=tuple(message_maps),
-        syndromes=tuple(np.asarray(s) for s in syndromes),
-        check_specs=check_specs, message_specs=message_specs,
-        rates=act_rates, srates=act_srates, eps=eps, requested_rates=rates,
-        gamma=gamma, gamma_ok=gamma_ok, gamma_prime=2 * sum(eps),
-        u=u, mu_u=mu_u, cond_inputs=conds,
-        channel_cond=_channel_cond(dmc, ctx_sizes))
+    return _build("private", law, mu_u, conds, in_region_ts, dmc, rates, eps, n, rng,
+                  ensemble_factory, check_region)
 
 
-def _codeword(code: CodeInstance, i: int, key, message, given) -> np.ndarray:
-    """Sender i's codeword for `message`, from its codebook or min_div_encode.
+def build_superposition_code(mu_cloud, cond1, cond2, dmc: Dmc, rates, eps, n: int,
+                             rng: np.random.Generator,
+                             ensemble_factory=uniform_ensemble_factory,
+                             check_region: bool = True) -> CodeInstance:
+    """Sample one cloud-center code for a common plus two private messages."""
+    if dmc.n_senders != 2:
+        raise ValueError("this construction needs a two-sender channel")
+    mu_cloud = _as_pmf(mu_cloud)
+    conds = (_as_cond(cond1, mu_cloud.size, dmc.input_sizes[0]),
+             _as_cond(cond2, mu_cloud.size, dmc.input_sizes[1]))
+    law = joint_sw(mu_cloud, conds[0].rows, conds[1].rows, dmc)
+    # Without a cloud the auxiliary (cloud-decodability) constraints are vacuous.
+    degenerate = mu_cloud.size == 1
+    in_region = lambda r, law: in_region_sw(r, law, include_aux=not degenerate)
+    return _build("superposition", law, mu_cloud, (None,) + conds, in_region, dmc,
+                  rates, eps, n, rng, ensemble_factory, check_region)
 
-    The target is the cloud law when `given` is None, else sender i's
-    conditional law given the sequence `given`.
-    """
+
+def _target(code: CodeInstance, i: int, ctx) -> EncodeTarget:
+    """Component i's design law: the context law for a cloud, else its law given ctx."""
+    cond = code.cond_inputs[i]
+    return (EncodeTarget.for_marginal(code.ctx_law) if cond is None
+            else EncodeTarget.for_conditional(cond, ctx))
+
+
+def _codeword(code: CodeInstance, i: int, key, message, ctx) -> np.ndarray:
+    """Component i's codeword for `message`, from its codebook or min_div_encode."""
     book = code.codebooks[i]
     x = book.get(key)
     if x is None:
         cs = CosetSpec(code.checks[i], code.message_maps[i], code.syndromes[i], message)
-        target = (EncodeTarget.for_marginal(code.mu_cloud) if given is None
-                  else EncodeTarget.for_conditional(code.cond_inputs[i], given))
         try:
-            x = min_div_encode(cs, target)
+            x = min_div_encode(cs, _target(code, i, ctx))
         except EmptyCosetError as exc:
             book[key] = str(exc)
             raise
@@ -288,149 +348,49 @@ def _message_key(m) -> bytes:
     return np.asarray(m, dtype=np.int64).tobytes()
 
 
+def encode_components(code: CodeInstance, messages) -> tuple[np.ndarray, ...]:
+    """Every component's codeword, a cloud center's first.
+
+    The context is u when it is fixed, else the cloud codeword.
+    """
+    c = code.n_cloud
+    key = b"".join(map(_message_key, messages[:c]))
+    ctx = code.u if code.u is not None else _codeword(code, 0, key, messages[0], None)
+    return (ctx,) * c + tuple(_codeword(code, i, key + _message_key(m), m, ctx)
+                              for i, m in enumerate(messages[c:], c))
+
+
+def decode_components(code: CodeInstance, y):
+    """Returns (decoded messages, decoded codewords) of every component."""
+    xs = (code.u,) * code.fixed + code.decoder(y)
+    return tuple(apply_label(mm, x) for mm, x in zip(code.message_maps, xs)), xs
+
+
 def encode_private(code: CodeInstance, messages) -> tuple[np.ndarray, ...]:
     if code.scenario != "private":
         raise ValueError("not a private-message code")
-    return tuple(_codeword(code, j, _message_key(m), m, code.u)
-                 for j, m in enumerate(messages))
+    return encode_components(code, messages)
 
 
 def decode_private(code: CodeInstance, y):
     """Returns (decoded messages, decoded channel inputs)."""
     if code.scenario != "private":
         raise ValueError("not a private-message code")
-    xs = code.decoder(y)
-    msgs = tuple(apply_label(code.message_maps[j], xs[j]) for j in range(len(xs)))
-    return msgs, xs
-
-
-def build_superposition_code(mu_cloud, cond1, cond2, dmc: Dmc, rates, eps, n: int,
-                             rng: np.random.Generator,
-                             ensemble_factory=uniform_ensemble_factory,
-                             check_region: bool = True) -> CodeInstance:
-    """Sample one cloud-center code for a common plus two private messages."""
-    if dmc.n_senders != 2:
-        raise ValueError("this construction needs a two-sender channel")
-    rates = tuple(float(r) for r in rates)
-    eps = tuple(float(e) for e in eps)
-    if len(rates) != 3 or len(eps) != 3:
-        raise ValueError("expected (R0, R1, R2) and three margins")
-    if any(e <= 0 for e in eps):
-        raise ValueError("margins must be positive")
-    m0 = mu_cloud.size if isinstance(mu_cloud, Pmf) else len(mu_cloud)
-    mu_cloud = _as_pmf(mu_cloud, m0)
-    degenerate = m0 == 1
-    conds = (_as_cond(cond1, m0, dmc.input_sizes[0]),
-             _as_cond(cond2, m0, dmc.input_sizes[1]))
-    law = joint_sw(mu_cloud, conds[0].rows, conds[1].rows, dmc)
-
-    if degenerate and rates[0] != 0:
-        raise InfeasibleRateError("a one-point cloud alphabet forces R0 = 0")
-    fields = [None if degenerate else FieldSpec(m0),
-              FieldSpec(dmc.input_sizes[0]), FieldSpec(dmc.input_sizes[1])]
-    h = [law.entropy(["x0"]),
-         law.entropy(["x1", "x0"]) - law.entropy(["x0"]),
-         law.entropy(["x2", "x0"]) - law.entropy(["x0"])]
-    qs = [1 if degenerate else m0, dmc.input_sizes[0], dmc.input_sizes[1]]
-    msg_rows = [0 if (i == 0 and degenerate) else _round_rows(n, rates[i], qs[i])
-                for i in range(3)]
-    act_rates = tuple(0.0 if (i == 0 and degenerate) else _rows_rate(msg_rows[i], n, qs[i])
-                      for i in range(3))
-    if check_region:
-        # Without a cloud the auxiliary (cloud-decodability) constraints are vacuous.
-        verdict = in_region_sw(act_rates, law, include_aux=not degenerate)
-        if not verdict:
-            raise InfeasibleRateError(f"rates outside the region: {verdict.witness}")
-    chk_rows = []
-    for i in range(3):
-        if i == 0 and degenerate:
-            chk_rows.append(0)
-            continue
-        r_i = h[i] - act_rates[i] - eps[i]
-        rows = _round_rows(n, r_i, qs[i])
-        if check_region and (rows < 1 or r_i <= 0):
-            raise InfeasibleRateError(
-                f"index {i}: syndrome rate {r_i:.4g} not positive after rounding")
-        chk_rows.append(rows)
-    act_srates = tuple(0.0 if (i == 0 and degenerate) else _rows_rate(chk_rows[i], n, qs[i])
-                       for i in range(3))
-    tol = max(math.log2(q) / n for q in qs if q > 1)
-    for i in range(3):
-        if i == 0 and degenerate:
-            continue
-        drift = act_srates[i] + act_rates[i] - (h[i] - eps[i])
-        if abs(drift) > tol:
-            raise InfeasibleRateError(f"index {i}: rounding drift {drift:.4g} exceeds {tol:.4g}")
-
-    check_specs, message_specs, checks, message_maps, syndromes = [], [], [], [], []
-    for i in range(3):
-        if i == 0 and degenerate:
-            lbl = LinearLabel(FieldSpec(2), np.zeros((0, n), dtype=np.int64))
-            for seq in (check_specs, message_specs):
-                seq.append(None)
-            checks.append(lbl)
-            message_maps.append(lbl)
-            syndromes.append(np.zeros(0, dtype=np.int64))
-            continue
-        cs = ensemble_factory(chk_rows[i], n, fields[i])
-        ms = ensemble_factory(msg_rows[i], n, fields[i])
-        check_specs.append(cs)
-        message_specs.append(ms)
-        checks.append(sample(cs, rng))
-        message_maps.append(sample(ms, rng))
-        syndromes.append(rng.integers(qs[i], size=chk_rows[i]))
-
-    live_specs = [(c, m) for c, m in zip(check_specs, message_specs) if c is not None]
-    kappa = occupancy_factor(
-        _stacked_beta([c for c, _ in live_specs], [m for _, m in live_specs]), n, 3)
-    per_sender = [
-        lambda g: typical_size_slack(g, n, m0),
-        lambda g: cond_typical_size_slack(g, g, n, qs[1], m0),
-        lambda g: cond_typical_size_slack(g, g, n, qs[2], m0),
-    ]
-    sum_terms = lambda g: 5 * g + entropy_slack(g, m0) + sum(
-        cond_entropy_slack(g, g, qs[i], m0) for i in (1, 2))
-    gamma, gamma_ok = _select_gamma(per_sender, sum_terms, eps, n, kappa)
-    ctx_sizes = (m0,) + tuple(dmc.input_sizes)
-    return CodeInstance(
-        scenario="superposition", n=n, dmc=dmc, law=law,
-        checks=tuple(checks), message_maps=tuple(message_maps),
-        syndromes=tuple(syndromes),
-        check_specs=tuple(check_specs), message_specs=tuple(message_specs),
-        rates=act_rates, srates=act_srates, eps=eps, requested_rates=rates,
-        gamma=gamma, gamma_ok=gamma_ok, gamma_prime=2 * sum(eps),
-        mu_cloud=mu_cloud, cond_inputs=(None,) + conds,
-        degenerate_cloud=degenerate,
-        channel_cond=_channel_cond(dmc, ctx_sizes))
-
-
-def _encode_superposition_full(code: CodeInstance, m0, m1, m2):
-    k0 = _message_key(m0)
-    if code.degenerate_cloud:
-        x0 = np.zeros(code.n, dtype=np.int64)
-    else:
-        x0 = _codeword(code, 0, k0, m0, None)
-    return (x0,) + tuple(_codeword(code, i, (k0, _message_key(m)), m, x0)
-                         for i, m in ((1, m1), (2, m2)))
+    return decode_components(code, y)
 
 
 def encode_superposition(code: CodeInstance, m0, m1, m2) -> tuple[np.ndarray, np.ndarray]:
     """Channel inputs (x1, x2); the cloud center is shared state, not transmitted."""
     if code.scenario != "superposition":
         raise ValueError("not a cloud-center code")
-    _, x1, x2 = _encode_superposition_full(code, m0, m1, m2)
-    return x1, x2
+    return encode_components(code, (m0, m1, m2))[1:]
 
 
 def decode_superposition(code: CodeInstance, y):
     """Returns ((m0, m1, m2), (x0, x1, x2))."""
     if code.scenario != "superposition":
         raise ValueError("not a cloud-center code")
-    xs = code.decoder(y)
-    if code.degenerate_cloud:
-        xs = (np.zeros(code.n, dtype=np.int64),) + xs
-    msgs = tuple(apply_label(code.message_maps[i], xs[i]) for i in range(3))
-    return msgs, xs
+    return decode_components(code, y)
 
 
 def reduce_common_to_private(dmc: Dmc, msg_sets, symbol_maps, aux_sizes):
@@ -440,7 +400,6 @@ def reduce_common_to_private(dmc: Dmc, msg_sets, symbol_maps, aux_sizes):
     sequences to the per-sender channel inputs by applying each symbol map
     componentwise; the decoder of the derived-channel code is reused as is.
     """
-    import itertools
     k = dmc.n_senders
     kt = len(aux_sizes)
     if len(msg_sets) != k or len(symbol_maps) != k:
@@ -476,34 +435,25 @@ def reduce_common_to_private(dmc: Dmc, msg_sets, symbol_maps, aux_sizes):
 
 def _classify(code: CodeInstance, xs, y) -> str:
     g = code.gamma
-    if code.scenario == "private":
-        parts = list(xs)
-        cond_seq = code.u
-        sizes = (code.mu_u.size,) + tuple(code.dmc.input_sizes)
-        for j, x in enumerate(parts):
-            if not is_cond_typical(x, cond_seq, code.cond_inputs[j], g):
-                return STAGE_ENCODER
-        threshold = g + sum(
-            cond_entropy_slack(g, g, code.dmc.input_sizes[j], code.mu_u.size) + code.eps[j]
-            for j in range(len(parts)))
-        if not seq_mutual_multi(parts, cond_seq) < threshold:
-            return STAGE_MI
-        ctx = _ctx_seq([cond_seq] + parts, sizes)
-    else:
-        x0, x1, x2 = xs
-        m0 = code.mu_cloud.size
-        if not divergence_to(x0, code.mu_cloud) < g:
+    c = code.n_cloud
+    m = code.ctx_law.size
+    ctx = code.u if code.u is not None else xs[0]
+    for x in xs[:c]:
+        if not divergence_to(x, code.ctx_law) < g:
             return STAGE_ENCODER
-        for i, x in ((1, x1), (2, x2)):
-            if not is_cond_typical(x, x0, code.cond_inputs[i], g):
-                return STAGE_ENCODER
-        threshold = (g + entropy_slack(g, m0) + code.eps[0]
-                     + sum(cond_entropy_slack(g, g, code.dmc.input_sizes[i - 1], m0)
-                           + code.eps[i] for i in (1, 2)))
-        if not seq_mutual_multi([x1, x2], x0) < threshold:
-            return STAGE_MI
-        ctx = _ctx_seq([x0, x1, x2], (m0,) + tuple(code.dmc.input_sizes))
-    if not is_cond_typical(y, ctx, code.channel_cond, g):
+    for i in range(c, len(xs)):
+        if not is_cond_typical(xs[i], ctx, code.cond_inputs[i], g):
+            return STAGE_ENCODER
+    threshold = g
+    for e in code.eps[:c]:  # a cloud adds its entropy slack and margin
+        threshold = threshold + entropy_slack(g, m) + e
+    threshold = threshold + sum(
+        cond_entropy_slack(g, g, code.cond_inputs[i].size, m) + code.eps[i]
+        for i in range(c, len(xs)))
+    if not seq_mutual_multi(xs[c:], ctx) < threshold:
+        return STAGE_MI
+    cells = _ctx_seq((ctx,) + tuple(xs[c:]), (m,) + tuple(code.dmc.input_sizes))
+    if not is_cond_typical(y, cells, code.channel_cond, g):
         return STAGE_CHANNEL
     return STAGE_DECODER
 
@@ -525,32 +475,20 @@ class SimulationResult:
 
 
 def _draw_messages(code: CodeInstance, rng) -> list[np.ndarray]:
-    out = []
-    for i, mm in enumerate(code.message_maps):
-        if mm.rows == 0:
-            out.append(np.zeros(0, dtype=np.int64))
-        else:
-            out.append(rng.integers(mm.field.q, size=mm.rows))
-    return out
+    # An empty message draws nothing, so it leaves the trial's stream as is.
+    return [rng.integers(mm.field.q, size=mm.rows) if mm.rows else np.zeros(0, dtype=np.int64)
+            for mm in code.message_maps]
 
 
 def run_trial(code: CodeInstance, rng: np.random.Generator) -> TrialResult:
     """One uniform-message round trip; failures carry the first violated stage."""
     msgs = _draw_messages(code, rng)
     try:
-        if code.scenario == "private":
-            xs = encode_private(code, msgs)
-            sent = xs
-        else:
-            xs = _encode_superposition_full(code, *msgs)
-            sent = xs[1:]
+        xs = encode_components(code, msgs)
     except EmptyCosetError:
         return TrialResult(False, STAGE_EMPTY)
-    y = sample_channel(code.dmc, sent, rng)
-    if code.scenario == "private":
-        got, _ = decode_private(code, y)
-    else:
-        got, _ = decode_superposition(code, y)
+    y = sample_channel(code.dmc, xs[code.n_cloud:], rng)
+    got, _ = decode_components(code, y)
     ok = all((g == m).all() for g, m in zip(got, msgs))
     if ok:
         return TrialResult(True)
@@ -606,27 +544,18 @@ def search_code(builder, candidates: int, pilot_trials: int, seed: int,
 
 
 def saturation_audit(code: CodeInstance, budget: int = 1 << 20) -> list[dict]:
-    """Check whether each sender's typical set can fill its bins kappa-fold.
+    """Check whether each component's typical set can fill its bins kappa-fold.
 
-    Diagnostic only; reports, per live sender, the typical-set size against
-    the [kappa, 2*kappa] bin-occupancy window.
+    Diagnostic only; reports, per coded component, the typical-set size
+    against the [kappa, 2*kappa] bin-occupancy window.  Satellites of a
+    coded cloud are audited given its most typical sequence.
     """
-    live = [i for i in range(len(code.checks))
-            if not (code.scenario == "superposition" and code.degenerate_cloud and i == 0)]
-    beta = _stacked_beta([code.check_specs[i] for i in live],
-                         [code.message_specs[i] for i in live])
-    kappa = occupancy_factor(beta, code.n, len(live))
+    ctx = code.u if code.u is not None else _typical_cloud(code)
+    kappa = code.kappa
     out = []
-    for i in live:
-        q = code.checks[i].field.q
-        cands = all_vectors(q, code.n, budget)
-        if code.scenario == "private":
-            d = conditional_divergences(cands, code.cond_inputs[i], code.u)
-        elif i == 0:
-            d = marginal_divergences(cands, code.mu_cloud)
-        else:
-            d = conditional_divergences(cands, code.cond_inputs[i], _audit_cloud(code))
-        t_size = int((d < code.gamma).sum())
+    for i in range(code.fixed, code.k_messages):
+        cands = all_vectors(code.checks[i].field.q, code.n, budget)
+        t_size = int((_target(code, i, ctx).divergences(cands) < code.gamma).sum())
         bins = code.checks[i].im_size * code.message_maps[i].im_size
         lo = math.ceil(kappa * bins)
         hi = math.floor(min(2 * kappa * bins, t_size))
@@ -635,10 +564,6 @@ def saturation_audit(code: CodeInstance, budget: int = 1 << 20) -> list[dict]:
     return out
 
 
-def _audit_cloud(code: CodeInstance) -> np.ndarray:
-    """Reference cloud sequence for auditing satellite typical sets."""
-    if code.degenerate_cloud:
-        return np.zeros(code.n, dtype=np.int64)
-    cands = all_vectors(code.mu_cloud.size, code.n)
-    d = marginal_divergences(cands, code.mu_cloud)
-    return cands[int(np.argmin(d))]
+def _typical_cloud(code: CodeInstance) -> np.ndarray:
+    cands = all_vectors(code.ctx_law.size, code.n)
+    return cands[int(np.argmin(marginal_divergences(cands, code.ctx_law)))]

@@ -18,8 +18,9 @@ import numpy as np
 
 from . import rng as rng_mod
 from .codec import (CosetSpec, EmptyCosetError, EncodeTarget, build_T_subset,
-                    conditional_divergences, min_div_decode, min_div_encode)
-from .empirical import enumerate_types, type_class_size
+                    min_div_decode, min_div_encode)
+from .empirical import (_divergence_from_counts, _log2_denom, conditional_divergences,
+                        enumerate_types, type_class_size)
 from .ensembles import (EnsembleSpec, SPARSE, UNIFORM, collision_prob,
                         conditional_maxima, crp_bound, crp_rate_exact,
                         enumerate_support, estimate_hash_params, multi_crp_bound,
@@ -52,13 +53,7 @@ class LemmaReport:
 
 def _div_from_counts(counts: np.ndarray, denom: np.ndarray, n: int) -> np.ndarray:
     """(1/n) sum over cells of c*log2(c/denom); denom 0 with c>0 gives +inf."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        term = np.where(counts > 0,
-                        counts * (np.log2(np.maximum(counts, 1))
-                                  - np.log2(np.maximum(denom, 1e-300))),
-                        0.0)
-        term = np.where((counts > 0) & (denom <= 0), np.inf, term)
-    return term.sum(axis=-1) / n
+    return _divergence_from_counts(counts, _log2_denom(denom), n)
 
 
 def _entropy_from_counts(counts: np.ndarray, n: int) -> np.ndarray:

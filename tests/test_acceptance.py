@@ -272,14 +272,14 @@ def test_criterion_09_superposition_roundtrip(superposition_runs):
         np.array(SW_INPUTS["satellites_given_cloud"][1]),
         dmc, (0.125, 0.125, 0.125), (0.05, 0.05, 0.05), 8, rng)
     found = search_code(builder, 20, 100, SEED, ("superposition", 8))
-    from hashmac.scenarios import decode_superposition, _encode_superposition_full
+    from hashmac.scenarios import decode_superposition, encode_components
     from hashmac.channel import sample_channel
     checked = 0
     for t in range(20):
         rng = rng_mod.stream(SEED, "c9-check", t)
         msgs = [rng.integers(2, size=found.code.message_maps[i].rows)
                 for i in range(3)]
-        xs = _encode_superposition_full(found.code, *msgs)
+        xs = encode_components(found.code, msgs)
         y = sample_channel(dmc, xs[1:], rng)
         got, xs_hat = decode_superposition(found.code, y)
         if all((g == m).all() for g, m in zip(got, msgs)):

@@ -61,7 +61,7 @@ def superposition():
     code = decodable(lambda rng: build_superposition_code(
         mu0, c, c.copy(), noisy_adder(2, 1 / 16), (0.125, 0.125, 0.125),
         (0.05, 0.05, 0.05), 8, rng))
-    assert not code.degenerate_cloud
+    assert code.u is None  # the cloud codeword is the context
     return code
 
 
@@ -72,7 +72,7 @@ def all_messages(code, i):
 
 def one_shot(code, i, m, given):
     cs = CosetSpec(code.checks[i], code.message_maps[i], code.syndromes[i], m)
-    target = (EncodeTarget.for_marginal(code.mu_cloud) if given is None
+    target = (EncodeTarget.for_marginal(code.ctx_law) if given is None
               else EncodeTarget.for_conditional(code.cond_inputs[i], given))
     try:
         return min_div_encode(cs, target)
@@ -126,7 +126,7 @@ def test_private_encoder_table_matches_one_shot(make):
 
 def test_superposition_encoder_table_matches_one_shot():
     check_encoder(superposition(),
-                  lambda code, msgs: scenarios._encode_superposition_full(code, *msgs),
+                  scenarios.encode_components,
                   expected_superposition)
 
 

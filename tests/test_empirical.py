@@ -1,14 +1,17 @@
 import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from hashmac.empirical import (EmpiricalType, cond_empirical, divergence_to,
-                               empirical, enumerate_types, is_cond_typical,
-                               is_typical, joint_empirical, seq_cond_entropy,
-                               seq_entropy, seq_mutual_multi, type_class_size)
+from hashmac.empirical import (EmpiricalType, cond_divergence_to, cond_empirical,
+                               divergence_to, empirical, enumerate_types,
+                               is_cond_typical, is_typical, joint_empirical,
+                               seq_cond_entropy, seq_entropy, seq_mutual_multi,
+                               type_class_size)
 from hashmac.prob import CondPmf, Pmf
+from hashmac.verify import _ref_div_cells
 
 
 def test_empirical_alternating():
@@ -117,6 +120,41 @@ def test_divergence_to_matches_prob_divergence():
     want = 0.0
     assert abs(divergence_to(seq, mu) - want) < 1e-12
     assert divergence_to([1, 1], Pmf((0, 1), [1.0, 0.0])) == math.inf
+
+
+def test_divergence_to_matches_cellwise_reference():
+    # Both are one-row calls of the shared kernel; the reference sums the
+    # occupied cells one by one, so the float order differs: 1e-12 tolerance.
+    rng = np.random.default_rng(7)
+    mu = Pmf(("a", "b", "c"), [0.5, 0.25, 0.25])
+    cond = CondPmf(("p", "q"), ("a", "b", "c"), [[0.6, 0.3, 0.1], [0.0, 0.5, 0.5]])
+    for n in (1, 5, 12):
+        for _ in range(20):
+            u = [mu.alphabet[i] for i in rng.integers(3, size=n)]
+            v = [cond.given_alphabet[i] for i in rng.integers(2, size=n)]
+            want = _ref_div_cells(Counter(u), lambda a: n * mu.prob(a), n)
+            assert abs(divergence_to(u, mu) - want) < 1e-12
+            v_counts = Counter(v)
+            want = _ref_div_cells(
+                Counter(zip(v, u)),
+                lambda c: v_counts[c[0]] * cond.row(c[0]).prob(c[1]), n)
+            got = cond_divergence_to(u, v, cond)
+            assert got == want == math.inf or abs(got - want) < 1e-12
+
+
+def test_divergence_to_errors():
+    mu = Pmf((0, 1), [0.5, 0.5])
+    cond = CondPmf((0, 1), (0, 1), [[1.0, 0.0], [0.0, 0.0]], present=[True, False])
+    with pytest.raises(ValueError, match="outside alphabet"):
+        divergence_to([0, 2], mu)
+    with pytest.raises(ValueError, match="outside alphabet"):
+        cond_divergence_to([0, 2], [0, 0], cond)
+    with pytest.raises(ValueError, match="length mismatch"):
+        cond_divergence_to([0, 1], [0], cond)
+    with pytest.raises(ValueError, match="row absent"):
+        cond_divergence_to([0, 0], [0, 1], cond)
+    with pytest.raises(ValueError, match="empty"):
+        divergence_to([], mu)
 
 
 def test_enumerate_types_counts():

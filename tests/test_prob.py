@@ -1,9 +1,11 @@
 import math
 
+import numpy as np
 import pytest
 
-from hashmac.prob import (CondPmf, Pmf, cond_divergence, cond_entropy,
-                          cond_mutual_info, divergence, entropy, mutual_info)
+from hashmac.empirical import cond_divergence_to, divergence_to
+from hashmac.prob import CondPmf, Pmf, cond_entropy, entropy
+from hashmac.regions import JointLaw, mutual_information
 
 
 def test_entropy_fair_coin():
@@ -19,57 +21,58 @@ def test_zero_prob_contributes_nothing():
 
 
 def test_mutual_info_independent_is_zero():
-    pairs = [(a, b) for a in range(2) for b in range(2)]
-    joint = Pmf(pairs, [0.25] * 4)
-    assert abs(mutual_info(joint)) < 1e-12
+    law = JointLaw(("u", "v"), np.full((2, 2), 0.25))
+    assert abs(mutual_information(law, ["u"], ["v"])) < 1e-12
 
 
 def test_mutual_info_copy_channel():
-    joint = Pmf([(0, 0), (0, 1), (1, 0), (1, 1)], [0.5, 0.0, 0.0, 0.5])
-    assert abs(mutual_info(joint) - 1.0) < 1e-12
+    law = JointLaw(("u", "v"), np.array([[0.5, 0.0], [0.0, 0.5]]))
+    assert abs(mutual_information(law, ["u"], ["v"]) - 1.0) < 1e-12
 
 
 def test_cond_mutual_info_chain():
     # w = u xor v with independent fair u, v: I(U;V|W) = 1 bit.
-    triples, probs = [], []
+    t = np.zeros((2, 2, 2))
     for u in range(2):
         for v in range(2):
-            triples.append((u, v, (u + v) % 2))
-            probs.append(0.25)
-    assert abs(cond_mutual_info(Pmf(triples, probs)) - 1.0) < 1e-12
+            t[u, v, (u + v) % 2] = 0.25
+    law = JointLaw(("u", "v", "w"), t)
+    assert abs(mutual_information(law, ["u"], ["v"], ["w"]) - 1.0) < 1e-12
 
+
+# Divergences of a distribution are taken from a sequence of that type.
 
 def test_divergence_self_zero():
     p = Pmf((0, 1), [0.3, 0.7])
-    assert divergence(p, p) == 0.0
+    assert abs(divergence_to([0] * 3 + [1] * 7, p)) < 1e-12
 
 
 def test_divergence_point_vs_fair():
-    assert divergence(Pmf((0, 1), [1, 0]), Pmf((0, 1), [0.5, 0.5])) == 1.0
+    assert divergence_to([0, 0], Pmf((0, 1), [0.5, 0.5])) == 1.0
 
 
 def test_divergence_disjoint_support():
-    assert divergence(Pmf((0, 1), [1, 0]), Pmf((0, 1), [0, 1])) == math.inf
+    assert divergence_to([0], Pmf((0, 1), [0, 1])) == math.inf
 
 
 def test_divergence_alphabet_mismatch():
     with pytest.raises(ValueError):
-        divergence(Pmf((0, 1), [0.5, 0.5]), Pmf((0, 2), [0.5, 0.5]))
+        divergence_to([0, 1], Pmf((0, 2), [0.5, 0.5]))
 
 
 def test_cond_entropy_and_divergence():
     cond = CondPmf((0, 1), (0, 1), [[0.5, 0.5], [1.0, 0.0]])
     base = Pmf((0, 1), [0.5, 0.5])
     assert abs(cond_entropy(cond, base) - 0.5) < 1e-12
-    same = cond_divergence(cond, cond, base)
+    # v has the type of base, and u given v the rows of cond.
+    same = cond_divergence_to([0, 1, 0, 0], [0, 0, 1, 1], cond)
     assert same == 0.0
 
 
 def test_cond_divergence_weights_rows():
-    q1 = CondPmf((0, 1), (0, 1), [[1.0, 0.0], [0.5, 0.5]])
+    # Only the rows of symbols that v takes count: here row 0 alone.
     q2 = CondPmf((0, 1), (0, 1), [[0.5, 0.5], [0.5, 0.5]])
-    base = Pmf((0, 1), [1.0, 0.0])
-    assert abs(cond_divergence(q1, q2, base) - 1.0) < 1e-12
+    assert abs(cond_divergence_to([0, 0], [0, 0], q2) - 1.0) < 1e-12
 
 
 def test_absent_row_with_weight_rejected():

@@ -7,7 +7,7 @@ from hashmac.gf import apply_label
 from hashmac.scenarios import (InfeasibleRateError, STAGES, TrialResult,
                                build_private_code, build_superposition_code,
                                decode_private, decode_superposition,
-                               encode_private, encode_superposition,
+                               encode_components, encode_private, encode_superposition,
                                reduce_common_to_private, run_trial,
                                saturation_audit, search_code, simulate_error)
 
@@ -117,7 +117,7 @@ def test_search_all_infeasible():
 def test_time_sharing_constant_u_matches_plain_objectives():
     code = build_small(8)
     assert code.u.tolist() == [0] * 8
-    assert code.mu_u.size == 1
+    assert code.ctx_law.size == 1
 
 
 def test_reduction_identity_channel():
@@ -183,9 +183,8 @@ def test_superposition_shared_cloud_center():
     m0 = np.array([1])
     m1 = np.array([0])
     m2 = np.array([1])
-    from hashmac.scenarios import _encode_superposition_full
-    x0a, _, _ = _encode_superposition_full(code, m0, m1, m2)
-    x0b, _, _ = _encode_superposition_full(code, m0, np.array([1]), np.array([0]))
+    x0a, _, _ = encode_components(code, (m0, m1, m2))
+    x0b, _, _ = encode_components(code, (m0, np.array([1]), np.array([0])))
     assert (x0a == x0b).all()  # the cloud depends only on (A0, A'0, a0, m0)
 
 
@@ -216,7 +215,7 @@ def test_superposition_degenerate_cloud_matches_private_shape():
     code = build_superposition_code([1.0], FAIR[0], FAIR[1], PAIR,
                                     (0.0, 0.25, 0.25), (0.05, 0.05, 0.05), 8,
                                     rng_mod.stream(SEED, "deg"))
-    assert code.degenerate_cloud
+    assert code.fixed == 1 and not code.u.any()  # x0 = 0, fixed at build time
     res = simulate_error(code, 30, SEED, ("deg",))
     assert res.error == 0.0  # noiseless two-output channel reveals both inputs
 
@@ -252,6 +251,27 @@ def test_saturation_audit_reports_all_live_senders():
         assert row["bins"] == (code.checks[row["index"]].im_size
                                * code.message_maps[row["index"]].im_size)
         assert row["typical_size"] >= 0
+
+
+@pytest.mark.parametrize("n", [8, 12])
+def test_one_point_cloud_kappa_matches_private(n):
+    # A one-point cloud codes the same two senders as a private code, so the
+    # occupancy factor counts the same two components.
+    deg = build_superposition_code([1.0], FAIR[0], FAIR[1], noisy_adder(),
+                                   (0.0, 0.25, 0.25), (0.05, 0.05, 0.05), n,
+                                   rng_mod.stream(SEED, "kappa", n))
+    priv = build_private_code([1.0], FAIR, noisy_adder(), (0.25, 0.25), (0.05, 0.05), n,
+                              rng_mod.stream(SEED, "kappa", n))
+    assert deg.check_specs[1:] == priv.check_specs
+    assert deg.message_specs[1:] == priv.message_specs
+    assert deg.kappa == priv.kappa
+    mu0, c1, c2 = _sw_inputs()
+    cloud = build_superposition_code(mu0, c1, c2, PAIR, (0.125, 0.125, 0.125),
+                                     (0.05, 0.05, 0.05), 8, rng_mod.stream(SEED, "kappa"))
+    for code in (deg, priv, cloud):
+        audit = saturation_audit(code)
+        assert [row["index"] for row in audit] == list(range(code.fixed, code.k_messages))
+        assert all(row["kappa"] == code.kappa for row in audit)
 
 
 def test_run_trial_deterministic():
