@@ -17,6 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import codec
 from .gf import FieldSpec, LinearLabel, all_vectors, apply_label_many
 
 # Kinds of label families.
@@ -91,19 +92,25 @@ class BinLabel:
     def im_size(self) -> int:
         return self.field.q ** self.rows
 
-    def _encode(self, vecs: np.ndarray) -> np.ndarray:
-        q = self.field.q
-        idx = np.zeros(vecs.shape[0], dtype=np.int64)
-        for j in range(self.cols):
-            idx = idx * q + vecs[:, j]
-        return idx
-
     def __call__(self, u) -> np.ndarray:
         u = np.asarray(u, dtype=np.int64)
-        return self.table[self._encode(u[None, :])[0]]
+        return self.table[_base_q(u, self.field.q)]
 
     def apply_many(self, vecs: np.ndarray) -> np.ndarray:
-        return self.table[self._encode(np.asarray(vecs, dtype=np.int64))]
+        return self.table[_base_q(np.asarray(vecs, dtype=np.int64), self.field.q)]
+
+
+def _base_q(arr: np.ndarray, q: int) -> np.ndarray:
+    """Base-q value of each last-axis row (first entry most significant).
+
+    Python ints (object dtype) when q^width does not fit int64.
+    """
+    width = arr.shape[-1]
+    dtype = np.int64 if q**width < 2**63 else object
+    code = np.zeros(arr.shape[:-1], dtype=dtype)
+    for j in range(width):
+        code = code * q + arr[..., j]
+    return code
 
 
 def label_outputs(label, vecs: np.ndarray) -> np.ndarray:
@@ -152,14 +159,18 @@ def sample(spec: EnsembleSpec, rng: np.random.Generator):
 # valued sparse vector and scaling by a nonzero constant permutes outcomes.
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=64)
 def _sparse_column_outcomes(rows: int, degree: int, q: int) -> np.ndarray:
+    """Every column of a sparse matrix, in support order (read-only)."""
     out = []
     for pos in itertools.combinations(range(rows), degree):
         for vals in itertools.product(range(1, q), repeat=degree):
             v = np.zeros(rows, dtype=np.int64)
             v[list(pos)] = vals
             out.append(v)
-    return np.array(out, dtype=np.int64)
+    out = np.array(out, dtype=np.int64)
+    out.flags.writeable = False
+    return out
 
 
 def sparse_collision_by_weight(spec: EnsembleSpec, budget: int = 1 << 22) -> list[Fraction]:
@@ -410,35 +421,6 @@ def conditional_maxima(tuples, k: int) -> dict:
     return out
 
 
-def enumerate_support(spec: EnsembleSpec, budget: int = SUPPORT_BUDGET):
-    """Yield every label of an enumerable family (all equally likely)."""
-    q = spec.field.q
-    if spec.kind == UNIFORM:
-        cells = spec.rows * spec.cols
-        if q**cells > budget:
-            raise SupportBudgetError(f"{q}^{cells} matrices exceed the budget of {budget}")
-        for digits in itertools.product(range(q), repeat=cells):
-            m = np.array(digits, dtype=np.int64).reshape(spec.rows, spec.cols)
-            yield LinearLabel(spec.field, m)
-        return
-    if spec.kind == SPARSE:
-        outcomes = _sparse_column_outcomes(spec.rows, spec.degree(), q)
-        if len(outcomes) ** spec.cols > budget:
-            raise SupportBudgetError(
-                f"{len(outcomes)}^{spec.cols} sparse matrices exceed the budget of {budget}")
-        for choice in itertools.product(range(len(outcomes)), repeat=spec.cols):
-            m = outcomes[list(choice)].T
-            yield LinearLabel(spec.field, m)
-        return
-    n_inputs = q**spec.cols
-    n_tables = (q**spec.rows) ** n_inputs
-    if n_tables > budget:
-        raise SupportBudgetError(f"{n_tables} binning tables exceed the budget of {budget}")
-    rows = all_vectors(q, spec.rows)
-    for choice in itertools.product(range(len(rows)), repeat=n_inputs):
-        yield BinLabel(spec.field, spec.cols, rows[list(choice)])
-
-
 def support_size(spec: EnsembleSpec) -> int:
     q = spec.field.q
     if spec.kind == UNIFORM:
@@ -448,20 +430,116 @@ def support_size(spec: EnsembleSpec) -> int:
     return (q**spec.rows) ** (q**spec.cols)
 
 
+def _checked_support_size(spec: EnsembleSpec, budget: int) -> int:
+    """support_size, or SupportBudgetError when it exceeds the budget."""
+    size = support_size(spec)
+    if size > budget:
+        q = spec.field.q
+        if spec.kind == UNIFORM:
+            what = f"{q}^{spec.rows * spec.cols} matrices"
+        elif spec.kind == SPARSE:
+            outcomes = len(_sparse_column_outcomes(spec.rows, spec.degree(), q))
+            what = f"{outcomes}^{spec.cols} sparse matrices"
+        else:
+            what = f"{size} binning tables"
+        raise SupportBudgetError(f"{what} exceed the budget of {budget}")
+    return size
+
+
+def _digits(idx: np.ndarray, base: int, width: int) -> np.ndarray:
+    """Base-`base` digits of each index, most significant first: (len(idx), width)."""
+    powers = base ** np.arange(width - 1, -1, -1, dtype=np.int64)
+    return (idx[:, None] // powers) % base
+
+
+def _members(spec: EnsembleSpec, idx: np.ndarray) -> np.ndarray:
+    """Matrices (linear families) or tables (binning) of the labels at the
+    given support positions.  This fixes the support order: the digits of
+    the position pick the matrix entries (uniform), the column outcomes
+    (sparse) or the output of each input (binning), first digit first.
+    """
+    q = spec.field.q
+    if spec.kind == UNIFORM:
+        return _digits(idx, q, spec.rows * spec.cols).reshape(len(idx), spec.rows, spec.cols)
+    if spec.kind == SPARSE:
+        outcomes = _sparse_column_outcomes(spec.rows, spec.degree(), q)
+        return outcomes[_digits(idx, len(outcomes), spec.cols)].transpose(0, 2, 1)
+    return all_vectors(q, spec.rows)[_digits(idx, spec.im_size, q**spec.cols)]
+
+
+def _member_chunks(spec: EnsembleSpec, size: int, cells_per_label: int):
+    """_members over the whole support, about codec.SCAN_CHUNK_CELLS cells at a time."""
+    step = max(1, codec.SCAN_CHUNK_CELLS // max(cells_per_label, 1))
+    for start in range(0, size, step):
+        yield _members(spec, np.arange(start, min(start + step, size), dtype=np.int64))
+
+
+def _member_cells(spec: EnsembleSpec) -> int:
+    width = spec.field.q**spec.cols if spec.kind == BINNING else spec.cols
+    return spec.rows * width
+
+
+def _label(spec: EnsembleSpec, member: np.ndarray):
+    if spec.kind == BINNING:
+        return BinLabel(spec.field, spec.cols, member)
+    return LinearLabel(spec.field, member)
+
+
+def enumerate_support(spec: EnsembleSpec, budget: int = SUPPORT_BUDGET):
+    """Yield every label of an enumerable family (all equally likely)."""
+    size = _checked_support_size(spec, budget)
+    for members in _member_chunks(spec, size, _member_cells(spec)):
+        for member in members:
+            yield _label(spec, member)
+
+
+def support_label(spec: EnsembleSpec, index: int, budget: int = SUPPORT_BUDGET):
+    """The label at position index of enumerate_support, built on its own."""
+    size = _checked_support_size(spec, budget)
+    if not 0 <= index < size:
+        raise IndexError(f"support position {index} outside [0, {size})")
+    return _label(spec, _members(spec, np.array([index], dtype=np.int64))[0])
+
+
+def _output_chunks(spec: EnsembleSpec, vecs, budget: int):
+    """support_outputs, one chunk of labels at a time."""
+    vecs = np.asarray(vecs, dtype=np.int64)
+    if vecs.ndim != 2 or vecs.shape[1] != spec.cols:
+        raise ValueError(f"expected an (m, {spec.cols}) array of vectors")
+    size = _checked_support_size(spec, budget)
+    q = spec.field.q
+    inputs = _base_q(vecs, q) if spec.kind == BINNING else None
+    cells = _member_cells(spec) + vecs.shape[0] * spec.rows
+    for members in _member_chunks(spec, size, cells):
+        if inputs is not None:
+            yield members[:, inputs]
+        else:
+            yield (vecs @ members.transpose(0, 2, 1)) % q
+
+
+def support_outputs(spec: EnsembleSpec, vecs, budget: int = SUPPORT_BUDGET) -> np.ndarray:
+    """Outputs of every support label on every row of vecs, as (M, m, rows).
+
+    Entry i is label_outputs of the i-th label of enumerate_support.  The
+    labels are built in chunks of about codec.SCAN_CHUNK_CELLS cells and
+    never all at once; SupportBudgetError comes before any allocation.
+    """
+    return np.concatenate(list(_output_chunks(spec, vecs, budget)))
+
+
 def saturation_rate_exact(spec: EnsembleSpec, T, budget: int = SUPPORT_BUDGET) -> float:
     """Exact P over (A, a uniform) that T meets no element of a's bin."""
     T = np.asarray(T, dtype=np.int64)
     if T.shape[0] < 1:
         raise ValueError("T must be nonempty")
     im = spec.im_size
-    total = Fraction(0)
-    count = 0
-    for label in enumerate_support(spec, budget):
-        outs = label_outputs(label, T)
-        hit = len({tuple(row) for row in outs})
-        total += Fraction(im - hit, im)
-        count += 1
-    return float(total / count)
+    hit = labels = 0
+    for outs in _output_chunks(spec, T, budget):
+        # Bins hit per label: sorted codes change once per further bin.
+        codes = np.sort(_base_q(outs, spec.field.q), axis=1)
+        hit += codes.shape[0] + int((codes[:, 1:] != codes[:, :-1]).sum())
+        labels += codes.shape[0]
+    return float(Fraction(labels * im - hit, im * labels))
 
 
 def saturation_test(spec: EnsembleSpec, T, trials: int,
@@ -480,6 +558,11 @@ def saturation_test(spec: EnsembleSpec, T, trials: int,
     return misses / trials
 
 
+def _bin_matches(outs: np.ndarray) -> np.ndarray:
+    """(labels, m - 1): which of rows 1.. share row 0's output, per label."""
+    return (outs[:, 1:] == outs[:, :1]).all(axis=2)
+
+
 def crp_rate_exact(spec: EnsembleSpec, G, u, budget: int = SUPPORT_BUDGET) -> float:
     """Exact P over A that some other member of G shares u's bin."""
     G = np.asarray(G, dtype=np.int64)
@@ -487,14 +570,11 @@ def crp_rate_exact(spec: EnsembleSpec, G, u, budget: int = SUPPORT_BUDGET) -> fl
     others = G[~(G == u).all(axis=1)]
     if others.shape[0] == 0:
         return 0.0
-    hits = 0
-    count = 0
-    for label in enumerate_support(spec, budget):
-        au = label_outputs(label, u[None, :])[0]
-        outs = label_outputs(label, others)
-        hits += int((outs == au).all(axis=1).any())
-        count += 1
-    return hits / count
+    hits = labels = 0
+    for outs in _output_chunks(spec, np.vstack([u[None, :], others]), budget):
+        hits += int(_bin_matches(outs).any(axis=1).sum())
+        labels += outs.shape[0]
+    return hits / labels
 
 
 def crp_test(spec: EnsembleSpec, G, u, trials: int, rng: np.random.Generator) -> float:
@@ -547,20 +627,12 @@ def multi_crp_rate_exact(specs, tuples, u_parts, budget: int = SUPPORT_BUDGET) -
         others.append(parts)
     if not others:
         return 0.0
-    supports = [list(enumerate_support(s, budget)) for s in specs]
-    count = 1
-    for s in supports:
-        count *= len(s)
+    count = math.prod(_checked_support_size(s, budget) for s in specs)
     if count > budget:
         raise SupportBudgetError(f"product support {count} exceeds the budget of {budget}")
-    matches = []
-    for i, support in enumerate(supports):
-        vecs = np.stack([u_parts[i]] + [parts[i] for parts in others])
-        rows = np.empty((len(support), len(others)), dtype=bool)
-        for j, label in enumerate(support):
-            outs = label_outputs(label, vecs)
-            rows[j] = (outs[1:] == outs[0]).all(axis=1)
-        matches.append(rows)
+    matches = [_bin_matches(support_outputs(
+                   spec, np.stack([u_parts[i]] + [parts[i] for parts in others]), budget))
+               for i, spec in enumerate(specs)]
     return _joint_hits(matches) / count
 
 
@@ -586,11 +658,24 @@ def uniform_syndrome_hit_rate(label, u) -> float:
     return float((syndromes == au).all(axis=1).mean())
 
 
+def _syndrome_hits(spec: EnsembleSpec, vecs, budget: int):
+    """Per chunk of labels, how many uniform syndromes equal each output."""
+    _checked_support_size(spec, budget)  # before the syndrome grid is built
+    q = spec.field.q
+    per_code = np.bincount(_base_q(all_vectors(q, spec.rows), q), minlength=spec.im_size)
+    for outs in _output_chunks(spec, vecs, budget):
+        yield per_code[_base_q(outs, q)]
+
+
+def syndrome_hit_rates(spec: EnsembleSpec, vecs, budget: int = SUPPORT_BUDGET) -> np.ndarray:
+    """uniform_syndrome_hit_rate of each support label (axis 0) on each row of vecs."""
+    return np.concatenate(list(_syndrome_hits(spec, vecs, budget))) / spec.im_size
+
+
 def ensemble_syndrome_hit_rate(spec: EnsembleSpec, u, budget: int = SUPPORT_BUDGET) -> float:
     """Joint mean over (label, uniform syndrome) of the same indicator."""
-    total = Fraction(0)
-    count = 0
-    for label in enumerate_support(spec, budget):
-        total += Fraction(uniform_syndrome_hit_rate(label, u)).limit_denominator(spec.im_size)
-        count += 1
-    return float(total / count)
+    hits = labels = 0
+    for chunk in _syndrome_hits(spec, np.asarray(u, dtype=np.int64)[None, :], budget):
+        hits += int(chunk.sum())
+        labels += chunk.shape[0]
+    return float(Fraction(hits, spec.im_size * labels))

@@ -23,9 +23,10 @@ from .empirical import (_divergence_from_counts, _log2_denom, conditional_diverg
                         enumerate_types, type_class_size)
 from .ensembles import (EnsembleSpec, SPARSE, UNIFORM, collision_prob,
                         conditional_maxima, crp_bound, crp_rate_exact,
-                        enumerate_support, estimate_hash_params, multi_crp_bound,
+                        estimate_hash_params, multi_crp_bound,
                         multi_crp_rate_exact, product_params, saturation_bound,
                         saturation_rate_exact, sparse_collision_by_weight,
+                        support_label, syndrome_hit_rates,
                         uniform_syndrome_hit_rate, ensemble_syndrome_hit_rate)
 from .gf import FieldSpec, LinearLabel, all_vectors
 from .prob import CondPmf, Pmf
@@ -354,12 +355,15 @@ def hash_suite(seed: int = 20250811) -> list[LemmaReport]:
         for n in (2, 3, 4):
             spec = EnsembleSpec(UNIFORM, l, n, f2)
             want = 1.0 / spec.im_size
-            labels = list(enumerate_support(spec))
-            for u in all_vectors(2, n):
-                for label in labels:
-                    cases += 1
-                    if uniform_syndrome_hit_rate(label, u) != want:
-                        viol += 1
+            space = all_vectors(2, n)
+            rates = syndrome_hit_rates(spec, space)  # (labels, vectors)
+            cases += rates.size
+            viol += int((rates != want).sum())
+            # The batched rows must agree with the one-label function.
+            for i in (0, rates.shape[0] - 1):
+                label = support_label(spec, i)
+                one = np.array([uniform_syndrome_hit_rate(label, u) for u in space])
+                viol += int((one != rates[i]).sum())
             cases += 1
             if ensemble_syndrome_hit_rate(spec, np.zeros(n, dtype=np.int64)) != want:
                 viol += 1

@@ -15,7 +15,8 @@ from hashmac.ensembles import (BINNING, EnsembleSpec, HashParams,
                                multi_crp_bound, multi_crp_rate_exact, multi_params,
                                occupancy_factor, product_params, sample,
                                saturation_bound, saturation_rate_exact,
-                               saturation_test, support_size,
+                               saturation_test, support_label, support_outputs,
+                               support_size, syndrome_hit_rates,
                                label_outputs, uniform_syndrome_hit_rate)
 from hashmac.gf import FieldSpec, LinearLabel, all_vectors
 
@@ -351,3 +352,191 @@ def test_multi_params_limit_trend():
         gaps.append((joint.alpha - 1.0) + joint.beta)
     assert gaps == sorted(gaps, reverse=True)
     assert gaps[-1] < 1e-5
+
+
+# ---------------------------------------------------------------------------
+# Whole-support evaluation against the per-label loops it replaced.
+# ---------------------------------------------------------------------------
+
+F3 = FieldSpec(3)
+SUPPORT_SPECS = (
+    EnsembleSpec(UNIFORM, 2, 3, F2),
+    EnsembleSpec(UNIFORM, 1, 2, F3),
+    EnsembleSpec(UNIFORM, 0, 3, F2),
+    EnsembleSpec(UNIFORM, 0, 2, F3),
+    EnsembleSpec(SPARSE, 3, 3, F2, column_degree=2),
+    EnsembleSpec(SPARSE, 2, 2, F3, column_degree=1),
+    EnsembleSpec(BINNING, 1, 2, F2),
+    EnsembleSpec(BINNING, 2, 1, F2),
+    EnsembleSpec(BINNING, 1, 1, F3),
+    EnsembleSpec(BINNING, 0, 2, F2),
+)
+
+
+def _spec_id(spec):
+    return f"{spec.kind}-{spec.rows}x{spec.cols}-q{spec.field.q}"
+
+
+def _ref_enumerate_support(spec):
+    # The itertools.product enumeration that defined the support order.
+    q = spec.field.q
+    if spec.kind == UNIFORM:
+        for digits in itertools.product(range(q), repeat=spec.rows * spec.cols):
+            yield np.array(digits, dtype=np.int64).reshape(spec.rows, spec.cols)
+    elif spec.kind == SPARSE:
+        outcomes = []
+        for pos in itertools.combinations(range(spec.rows), spec.degree()):
+            for vals in itertools.product(range(1, q), repeat=spec.degree()):
+                v = np.zeros(spec.rows, dtype=np.int64)
+                v[list(pos)] = vals
+                outcomes.append(v)
+        outcomes = np.array(outcomes)
+        for choice in itertools.product(range(len(outcomes)), repeat=spec.cols):
+            yield outcomes[list(choice)].T
+    else:
+        rows = all_vectors(q, spec.rows)
+        for choice in itertools.product(range(len(rows)), repeat=q**spec.cols):
+            yield rows[list(choice)]
+
+
+def _members_of(label):
+    return label.matrix if isinstance(label, LinearLabel) else label.table
+
+
+@pytest.mark.parametrize("spec", SUPPORT_SPECS, ids=_spec_id)
+def test_support_order_matches_product_enumeration(spec):
+    labels = list(enumerate_support(spec))
+    ref = list(_ref_enumerate_support(spec))
+    assert len(labels) == len(ref) == support_size(spec)
+    for i, (lab, want) in enumerate(zip(labels, ref)):
+        assert (_members_of(lab) == want).all() and _members_of(lab).shape == want.shape
+        assert (_members_of(support_label(spec, i)) == want).all()
+    with pytest.raises(IndexError):
+        support_label(spec, len(ref))
+
+
+@pytest.mark.parametrize("spec", SUPPORT_SPECS, ids=_spec_id)
+def test_support_outputs_matches_per_label_outputs(spec):
+    q = spec.field.q
+    space = all_vectors(q, spec.cols)
+    vecs = np.vstack([space, space[::-1][:2]])  # repeated rows too
+    got = support_outputs(spec, vecs)
+    want = np.stack([label_outputs(lab, vecs) for lab in enumerate_support(spec)])
+    assert got.shape == want.shape == (support_size(spec), vecs.shape[0], spec.rows)
+    assert got.dtype == np.int64
+    assert (got == want).all()
+
+
+def _ref_saturation(spec, T):
+    im = spec.im_size
+    total = Fraction(0)
+    count = 0
+    for label in enumerate_support(spec):
+        hit = len({tuple(row) for row in label_outputs(label, T)})
+        total += Fraction(im - hit, im)
+        count += 1
+    return float(total / count)
+
+
+def _ref_crp(spec, G, u):
+    others = G[~(G == u).all(axis=1)]
+    if others.shape[0] == 0:
+        return 0.0
+    hits = count = 0
+    for label in enumerate_support(spec):
+        au = label_outputs(label, u[None, :])[0]
+        hits += int((label_outputs(label, others) == au).all(axis=1).any())
+        count += 1
+    return hits / count
+
+
+def _ref_syndrome_rates(spec, vecs):
+    return np.array([[uniform_syndrome_hit_rate(lab, u) for u in vecs]
+                     for lab in enumerate_support(spec)])
+
+
+def _ref_ensemble_syndrome(spec, u):
+    total = Fraction(0)
+    count = 0
+    for label in enumerate_support(spec):
+        total += Fraction(uniform_syndrome_hit_rate(label, u)).limit_denominator(spec.im_size)
+        count += 1
+    return float(total / count)
+
+
+@st.composite
+def support_cases(draw):
+    spec = draw(st.sampled_from(SUPPORT_SPECS))
+    space = all_vectors(spec.field.q, spec.cols)
+    rows = st.integers(0, space.shape[0] - 1)
+    T = space[draw(st.lists(rows, min_size=1, max_size=space.shape[0], unique=True))]
+    G = space[draw(st.lists(rows, min_size=1, max_size=6, unique=True))]
+    u = draw(st.one_of(st.sampled_from(list(G)), st.sampled_from(list(space))))
+    return spec, T, G, u
+
+
+@settings(max_examples=60, deadline=None)
+@given(support_cases())
+def test_exact_rates_match_per_label_loops(case):
+    spec, T, G, u = case
+    assert saturation_rate_exact(spec, T) == _ref_saturation(spec, T)
+    assert crp_rate_exact(spec, G, u) == _ref_crp(spec, G, u)
+    assert ensemble_syndrome_hit_rate(spec, u) == _ref_ensemble_syndrome(spec, u)
+    rates = syndrome_hit_rates(spec, G)
+    assert rates.shape == (support_size(spec), G.shape[0])
+    assert (rates == _ref_syndrome_rates(spec, G)).all()
+
+
+def test_saturation_counts_distinct_bins_not_runs():
+    # Label [1 0] sends the rows below to bins 0, 1, 0: two bins, not three.
+    spec = EnsembleSpec(UNIFORM, 1, 2, F2)
+    T = np.array([[0, 0], [1, 0], [0, 1]])
+    assert saturation_rate_exact(spec, T) == _ref_saturation(spec, T) == 0.125
+
+
+@pytest.mark.parametrize("cells", [1, 5, 64])
+def test_exact_rates_identical_over_several_chunks(monkeypatch, cells):
+    import hashmac.codec as C
+    specs = (EnsembleSpec(UNIFORM, 2, 3, F2), EnsembleSpec(SPARSE, 2, 2, F3, column_degree=1),
+             EnsembleSpec(BINNING, 1, 2, F2), EnsembleSpec(UNIFORM, 0, 2, F2))
+    tuples = [((0, 0, 0), (0, 0)), ((1, 0, 1), (1, 2)), ((1, 1, 0), (0, 0))]
+
+    def run():
+        out = []
+        for spec in specs:
+            space = all_vectors(spec.field.q, spec.cols)
+            out += [support_outputs(spec, space),
+                    np.stack([_members_of(lab) for lab in enumerate_support(spec)]),
+                    saturation_rate_exact(spec, space[::2]),
+                    crp_rate_exact(spec, space[:3], space[0]),
+                    syndrome_hit_rates(spec, space),
+                    ensemble_syndrome_hit_rate(spec, space[-1])]
+        return out + [multi_crp_rate_exact(specs[:2], tuples, tuples[0])]
+
+    whole = run()
+    monkeypatch.setattr(C, "SCAN_CHUNK_CELLS", cells)
+    chunked = run()
+    for a, b in zip(whole, chunked):
+        assert np.shape(a) == np.shape(b) and np.array_equal(a, b)
+
+
+def test_exact_rates_budget_errors():
+    spec = EnsembleSpec(UNIFORM, 2, 4, F2)  # 256 labels
+    space = all_vectors(2, 4)
+    with pytest.raises(SupportBudgetError, match="2\\^8 matrices"):
+        saturation_rate_exact(spec, space, budget=100)
+    with pytest.raises(SupportBudgetError, match="2\\^8 matrices"):
+        crp_rate_exact(spec, space[:3], space[0], budget=100)
+    with pytest.raises(SupportBudgetError):
+        support_outputs(spec, space, budget=100)
+    with pytest.raises(SupportBudgetError):
+        syndrome_hit_rates(spec, space, budget=100)
+    with pytest.raises(SupportBudgetError):
+        support_outputs(EnsembleSpec(BINNING, 2, 2, F2), space[:, :2], budget=100)
+
+
+def test_base_q_codes_do_not_overflow():
+    from hashmac.ensembles import _base_q
+    wide = np.ones((2, 64), dtype=np.int64)
+    assert list(_base_q(wide, 2)) == [2**64 - 1] * 2
+    assert _base_q(np.array([[2, 1, 0]]), 3).tolist() == [21]
