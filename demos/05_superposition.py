@@ -12,7 +12,7 @@ import numpy as np
 from hashmac import rng as rng_mod
 from hashmac.channel import deterministic_dmc, sample_channel
 from hashmac.gf import apply_label
-from hashmac.scenarios import (build_superposition_code, decode_superposition,
+from hashmac.scenarios import (build_superposition_code, decode_components,
                                encode_components, search_code, simulate_error)
 
 dmc = deterministic_dmc((2, 2), 4, lambda a, b: 2 * a + b)
@@ -36,7 +36,7 @@ print(f"common message {msgs[0].tolist()} -> cloud center {x0.tolist()}")
 print(f"satellites: {x1.tolist()} / {x2.tolist()} "
       f"(agreement with cloud: {(x1 == x0).mean():.2f} / {(x2 == x0).mean():.2f})")
 y = sample_channel(dmc, [x1, x2], rng)
-got, xs_hat = decode_superposition(code, y)
+got, xs_hat = decode_components(code, y)
 print("decoded messages:", [g.tolist() for g in got])
 print("round trip ok:", all((g == m).all() for g, m in zip(got, msgs)))
 for i in range(3):

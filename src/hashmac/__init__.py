@@ -19,9 +19,8 @@ from .regions import (JointLaw, RatePoint, RateSplit, eps_feasible, in_region_ha
                       rate_split)
 from .scenarios import (CodeInstance, InfeasibleRateError, SimulationResult,
                         TrialResult, build_private_code, build_superposition_code,
-                        decode_private, decode_superposition, encode_private,
-                        encode_superposition, reduce_common_to_private,
-                        saturation_audit, search_code, simulate_error)
+                        reduce_common_to_private, saturation_audit, search_code,
+                        simulate_error)
 from .slack import (cond_entropy_slack, cond_typical_size_slack, entropy_slack,
                     feasibility_slack, joint_typicality_radius, type_count_penalty,
                     typical_size_slack)

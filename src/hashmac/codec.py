@@ -1,24 +1,24 @@
 """Minimum-divergence encoding into cosets and joint decoding over products.
 
-Both operations are exhaustive searches with a deterministic total order:
-float divergences first, candidates within relative tolerance 1e-12 of the
-minimum form a tie group, the group is refined by exact rational comparison
-when every field is GF(2) (floats are dyadic, so model probabilities are
-exactly representable), and remaining ties go to the lexicographically
-smallest vector (for tuples: smallest concatenation).
+Both operations are exact searches (the decoder skips only candidates a
+lower bound rules out) with a deterministic total order: float divergences
+first, candidates within relative tolerance 1e-12 of the minimum form a tie
+group, the group is refined by exact rational comparison when every field
+is GF(2) (floats are dyadic, so model probabilities are exactly
+representable), and remaining ties go to the lexicographically smallest
+vector (for tuples: smallest concatenation).
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .empirical import (_divergence_from_counts, conditional_divergences,
-                        marginal_divergences)
+from .empirical import (_count_symbols, _divergence_from_counts, _log2_denom,
+                        conditional_divergences, marginal_divergences)
 from .gf import (ENUMERATION_BUDGET, EnumerationBudgetError, LinearLabel,
                  all_vectors, apply_label, enumerate_coset, stack_labels)
 from .prob import CondPmf, Pmf
@@ -160,161 +160,13 @@ def min_div_encode(cs: CosetSpec, target: EncodeTarget,
     return x
 
 
-def _term_table(base_vals, s1, s2, q1, q2, model_flat, n):
-    """Per (group, a1, a2): the per-count divergence contributions.
-
-    term[g, a1, a2, c] = c*(log2 c - log2(n*mu))/n with the +inf convention,
-    where mu is the model mass of the cell base_vals[g] + a1*s1 + a2*s2.
-    """
-    counts = np.arange(n + 1, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        clogc = np.where(counts > 0, counts * np.log2(np.maximum(counts, 1)), 0.0)
-    term = np.empty((len(base_vals), q1, q2, n + 1))
-    for g, b in enumerate(base_vals):
-        for a1 in range(q1):
-            for a2 in range(q2):
-                mu = model_flat[b + a1 * s1 + a2 * s2]
-                if mu > 0:
-                    term[g, a1, a2] = (clogc - counts * math.log2(n * mu)) / n
-                else:
-                    term[g, a1, a2] = np.where(counts > 0, np.inf, 0.0)
-    return term
-
-
-def _pair_block_divergences(ind1, ind2, term, block):
-    """Divergences for one block of pair candidates via 0/1 matmuls.
-
-    ind1[a1][g] is the float32 (m1, p_g) indicator slab of coset 1 restricted
-    to the positions of group g (likewise ind2); counts of small integers are
-    exact in float32.
-    """
-    q1 = len(ind1)
-    q2 = len(ind2)
-    groups = len(ind1[0])
-    m2 = ind2[0][0].shape[0] if groups else 0
-    d = np.zeros((block.stop - block.start, m2))
-    for g in range(groups):
-        for a1 in range(q1):
-            lhs = ind1[a1][g][block]
-            if lhs.shape[1] == 0:
-                continue
-            for a2 in range(q2):
-                cnt = lhs @ ind2[a2][g].T
-                d += term[g, a1, a2][cnt.astype(np.int64)]
-    return d
-
-
-def _binary_pair_tables(term, group_sizes, n):
-    """Collapse a binary-pair term table into one lookup per group.
-
-    For binary symbols the four joint counts are affine in the ones-ones
-    inner product: c10 = s1 - c11, c01 = s2 - c11, c00 = p - s1 - s2 + c11.
-    Returns flat tables indexed by (s1*(n+1) + s2)*(n+1) + c11.
-    """
-    k1 = n + 1
-    s1 = np.arange(k1)[:, None, None]
-    s2 = np.arange(k1)[None, :, None]
-    c11 = np.arange(k1)[None, None, :]
-    tables = []
-    for g, p in enumerate(group_sizes):
-        c10 = s1 - c11
-        c01 = s2 - c11
-        c00 = p - s1 - s2 + c11
-        valid = (c10 >= 0) & (c01 >= 0) & (c00 >= 0) & (c11 <= np.minimum(s1, s2))
-        idx = lambda c: np.clip(c, 0, n)
-        t = (term[g, 1, 1][idx(c11)] + term[g, 1, 0][idx(c10)]
-             + term[g, 0, 1][idx(c01)] + term[g, 0, 0][idx(c00)])
-        t = np.where(valid, t, np.inf)
-        tables.append(np.ascontiguousarray(t.reshape(-1)))
-    return tables
-
-
-def _binary_pair_block(p1_ind, p2_ind, s1_all, s2_all, tables, n, block):
-    """Binary specialization: one matmul and one gather per position group."""
-    m2 = p2_ind[0].shape[0]
-    d = np.zeros((block.stop - block.start, m2))
-    k1 = n + 1
-    for g, table in enumerate(tables):
-        c11 = (p1_ind[g][block] @ p2_ind[g].T).astype(np.int32)
-        c11 += (s1_all[g][block][:, None] * k1 + s2_all[g][None, :]) * k1
-        d += table[c11]
-    return d
-
-
-def _pair_scan_ties(cosets, qs, base, strides, flat_factors, model_flat, n):
-    """Tie set (original flat indices) for large product cosets.
-
-    The two largest cosets form the inner bilinear pair; the remaining
-    senders are folded into the per-position context and iterated outside.
-    """
-    sizes = [c.shape[0] for c in cosets]
-    order = sorted(range(len(cosets)), key=lambda j: -sizes[j])
-    p1, p2 = order[0], order[1]
-    rest = sorted(order[2:])
-    c1, c2 = cosets[p1], cosets[p2]
-    q1, q2 = qs[p1], qs[p2]
-    m1, m2 = sizes[p1], sizes[p2]
-    block_rows = max(1, (1 << 22) // max(m2, 1))
-
-    binary = q1 == 2 and q2 == 2
-
-    def group_context(base_vec):
-        vals, gids = np.unique(base_vec, return_inverse=True)
-        term = _term_table(vals, strides[p1], strides[p2], q1, q2, model_flat, n)
-        if binary:
-            p1_ind = [np.ascontiguousarray((c1[:, gids == g] == 1).astype(np.float32))
-                      for g in range(len(vals))]
-            p2_ind = [np.ascontiguousarray((c2[:, gids == g] == 1).astype(np.float32))
-                      for g in range(len(vals))]
-            s1_all = [p.sum(axis=1).astype(np.int32) for p in p1_ind]
-            s2_all = [p.sum(axis=1).astype(np.int32) for p in p2_ind]
-            sizes_g = [p.shape[1] for p in p1_ind]
-            tables = _binary_pair_tables(term, sizes_g, n)
-            return lambda block: _binary_pair_block(p1_ind, p2_ind, s1_all, s2_all,
-                                                    tables, n, block)
-        ind1 = [[np.ascontiguousarray((c1[:, gids == g] == a).astype(np.float32))
-                 for g in range(len(vals))] for a in range(q1)]
-        ind2 = [[np.ascontiguousarray((c2[:, gids == g] == a).astype(np.float32))
-                 for g in range(len(vals))] for a in range(q2)]
-        return lambda block: _pair_block_divergences(ind1, ind2, term, block)
-
-    rest_iter = list(itertools.product(*(range(sizes[j]) for j in rest)))
-    # Pass 1: global minimum, remembering per-block minima for the re-scan.
-    block_info = []
-    best = np.inf
-    for combo in rest_iter:
-        base_vec = base.copy()
-        for j, idx in zip(rest, combo):
-            base_vec = base_vec + cosets[j][idx] * strides[j]
-        block_divs = group_context(base_vec)
-        for start in range(0, m1, block_rows):
-            block = slice(start, min(m1, start + block_rows))
-            d = block_divs(block)
-            mn = float(d.min())
-            block_info.append((combo, block, mn))
-            if mn < best:
-                best = mn
-    if np.isinf(best):
-        # Every candidate misses the model support; all tie, lex-first wins.
-        return [0]
-    ties = []
-    for combo, block, mn in block_info:
-        if not (mn <= best * (1.0 + REL_TOL) or (np.isinf(best) and np.isinf(mn))):
-            continue
-        base_vec = base.copy()
-        flat_rest = 0
-        for j, idx in zip(rest, combo):
-            base_vec = base_vec + cosets[j][idx] * strides[j]
-            flat_rest += idx * flat_factors[j]
-        d = group_context(base_vec)(block)
-        if np.isinf(best):
-            hits = np.nonzero(np.isinf(d))
-        else:
-            hits = np.nonzero(d <= best * (1.0 + REL_TOL))
-        for i1, i2 in zip(*hits):
-            ties.append(flat_rest + (block.start + int(i1)) * flat_factors[p1]
-                        + int(i2) * flat_factors[p2])
-    return ties
+def _min_plus(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """out[..., r] = min over t <= r of a[..., t] + b[..., r - t]."""
+    k = a.shape[-1]
+    lag = np.arange(k)[:, None] - np.arange(k)[None, :]
+    sums = a[..., None, :] + b[..., np.maximum(lag, 0)]
+    sums[..., lag < 0] = np.inf
+    return sums.min(axis=-1)
 
 
 class MinDivDecoder:
@@ -326,6 +178,11 @@ class MinDivDecoder:
     over the product of the cosets.  `model` has one axis per variable in
     order (u if given, senders..., y); sequences hold indices into the
     matching axis.
+
+    A product that fits one scan chunk is scored whole from its precomputed
+    y-free cells.  A larger one is searched under per-sender count bounds
+    (see _search_ties), which score only the candidates a bound cannot rule
+    out; both paths score with the same divergence kernel.
     """
 
     def __init__(self, labels, syndromes, model: np.ndarray, u=None,
@@ -367,75 +224,133 @@ class MinDivDecoder:
         for i in range(len(shape) - 2, -1, -1):
             strides[i] = strides[i + 1] * shape[i + 1]
         model_flat = model.ravel()
-        with np.errstate(divide="ignore"):
-            log_denom = np.where(model_flat > 0,
-                                 np.log2(np.maximum(n * model_flat, 1e-300)), -np.inf)
-        flat_factors = [1] * len(sizes)
-        for j in range(len(sizes) - 2, -1, -1):
-            flat_factors[j] = flat_factors[j + 1] * sizes[j + 1]
-        rest_product = math.prod(sorted(sizes, reverse=True)[2:])
+        log_denom = _log2_denom(n * model_flat)
 
         self.n = n
         self.cosets = cosets
         self.sizes = sizes
-        self._qs = [lab.field.q for lab in labels]
         self._n_out = shape[-1]
         self._y_stride = int(strides[-1])
         self._base = (u * strides[0] if u is not None
                       else np.zeros(n, dtype=np.int64))
-        self._sender_strides = [int(strides[offset + j]) for j in range(len(labels))]
+        self._contribs = [c * int(strides[offset + j]) for j, c in enumerate(cosets)]
         self._n_cells = int(np.prod(shape))
-        self._model_flat = model_flat
         self._log_denom = log_denom[None, :]
-        self._flat_factors = flat_factors
+        self._qs = [lab.field.q for lab in labels]
         self._denoms = ([n * Fraction(float(p)) for p in model_flat]
                         if all(q == 2 for q in self._qs) else None)
-        self._pair = total > (1 << 16) and len(cosets) >= 2 and rest_product <= 256
         self._chunk = max(1, SCAN_CHUNK_CELLS // max(n, 1))
-        # The y-free cells of a product that fits one chunk are kept.
-        self._static = (list(self._static_chunks())
-                        if not self._pair and total <= self._chunk else None)
+        if total <= self._chunk:
+            self._static = next(self._product([np.arange(m) for m in sizes]))[1]
+            return
+        self._static = None
+        self._lead = int(np.argmax(sizes))
+        # Context (u, y) index of a position is self._ctx_u + y.
+        self._ctx_u = u * shape[-1] if u is not None else np.zeros(n, dtype=np.int64)
+        self._bounds = self._count_bounds(shape, offset, log_denom)
+        # A score sums at most n_cells terms whose magnitudes add up to at
+        # most n * scale; a bound sums the same terms, divided by n first and
+        # in another order.  This covers both roundings with room to spare.
+        scale = math.log2(n) + np.abs(log_denom[np.isfinite(log_denom)]).max(initial=0.0)
+        self._slack = 4 * (self._n_cells + 2) * np.finfo(float).eps * scale
 
-    def _static_chunks(self):
-        """Yield (offset, cells) over the product of cosets, in lex order.
+    def _count_bounds(self, shape, offset, log_denom):
+        """Per sender j, the table T[ctx * q_j + a, r] of its count bound.
 
-        cells[r] holds the model cell of every position of candidate
-        f0 + r without the y term, shifted by r * n_cells so one bincount
-        counts the whole chunk.
+        T is the least sum of cell terms of r positions in context ctx (u
+        and y) where sender j sends a, over every split of the r positions
+        among the other senders' joint symbols: a min-plus fold over those
+        symbols.  Summing T over (ctx, a) at a row's counts bounds from
+        below the divergence of every candidate that uses the row.
         """
-        total = math.prod(self.sizes)
-        contribs = [c * s for c, s in zip(self.cosets, self._sender_strides)]
+        n = self.n
+        counts = np.broadcast_to(np.arange(n + 1)[None, :, None],
+                                 (self._n_cells, n + 1, 1))
+        terms = _divergence_from_counts(counts, log_denom[:, None, None], n)
+        terms = terms.reshape(shape + (n + 1,))
+        ctx_axes = list(range(offset)) + [len(shape) - 1]
+        senders = list(range(offset, len(shape) - 1))
+        bounds = []
+        for axis in senders:
+            others = [a for a in senders if a != axis]
+            t = terms.transpose(ctx_axes + [axis] + others + [len(shape)])
+            t = t.reshape(-1, math.prod(shape[a] for a in others), n + 1)
+            table = t[:, 0]
+            for b in range(1, t.shape[1]):
+                table = _min_plus(table, t[:, b])
+            bounds.append(table)
+        return bounds
+
+    def _product(self, sets):
+        """Yield (flat, cells) over the product of per-sender row sets.
+
+        Chunks follow the lex order of the product; flat holds each
+        candidate's index in the full product of cosets, and cells[r] the
+        model cell of every position of candidate r without the y term,
+        shifted by r * n_cells so one bincount counts the whole chunk.
+        """
+        shape = tuple(s.size for s in sets)
+        total = math.prod(shape)
         for f0 in range(0, total, self._chunk):
             f1 = min(total, f0 + self._chunk)
-            idxs = np.unravel_index(np.arange(f0, f1), self.sizes)
+            sub = np.unravel_index(np.arange(f0, f1), shape)
+            idxs = [rows[i] for rows, i in zip(sets, sub)]
             cells = self._base[None, :].copy()
-            for contrib, idx in zip(contribs, idxs):
+            for contrib, idx in zip(self._contribs, idxs):
                 cells = cells + contrib[idx]
             cells += (np.arange(f1 - f0, dtype=np.int64) * self._n_cells)[:, None]
-            yield f0, cells
+            yield np.ravel_multi_index(idxs, self.sizes), cells
 
-    def _scan_ties(self, y_cells: np.ndarray) -> list[int]:
-        """Tie set (flat indices) by one pass over the product of cosets.
+    def _divergences(self, cells: np.ndarray, y_cells: np.ndarray) -> np.ndarray:
+        m = cells.shape[0]
+        counts = np.bincount((cells + y_cells).ravel(),
+                             minlength=m * self._n_cells).reshape(m, self._n_cells)
+        return _divergence_from_counts(counts, self._log_denom, self.n)
 
-        Only the candidates within tolerance of the running minimum are
-        kept; the minimum only falls, so filtering them against the final
-        minimum gives the tie set of a two-pass scan.
+    def _row_bounds(self, j: int, ctx: np.ndarray) -> np.ndarray:
+        """Count bound of every row of coset j: one bincount and one gather."""
+        table = self._bounds[j]
+        counts = _count_symbols(ctx * self._qs[j] + self.cosets[j], table.shape[0])
+        return table[np.arange(table.shape[0]), counts].sum(axis=1)
+
+    def _search_ties(self, y_cells: np.ndarray, ctx: np.ndarray) -> list[int]:
+        """Tie set (flat indices) of a product larger than one chunk.
+
+        Rows of the largest coset are visited in ascending count bound and
+        scored in blocks against the rows of the other cosets whose bound is
+        within the limit, best * (1 + REL_TOL) + slack of the running
+        minimum; the search stops at the first row past the limit.  The
+        slack covers the different summation order of a bound and a score,
+        so no tie is pruned.  Candidates within tolerance of the running
+        minimum are kept and filtered against the final one at the end.
         """
+        bounds = [self._row_bounds(j, ctx) for j in range(len(self.cosets))]
+        lead = bounds[self._lead]
+        order = np.argsort(lead, kind="stable")
         best = np.inf
+        limit = np.finfo(float).max  # admits every row whose bound is finite
         kept = []
-        for f0, static in (self._static if self._static is not None
-                           else self._static_chunks()):
-            m = static.shape[0]
-            counts = np.bincount((static + y_cells).ravel(),
-                                 minlength=m * self._n_cells).reshape(m, self._n_cells)
-            dv = _divergence_from_counts(counts, self._log_denom, self.n)
-            low = dv.min()
-            if np.isinf(low):
-                continue
-            if low < best:
-                best = low
-            hit = np.nonzero(dv <= best * (1.0 + REL_TOL))[0]
-            kept.append((f0 + hit, dv[hit]))
+        pos = 0
+        while pos < order.size and lead[order[pos]] <= limit:
+            sets = [np.flatnonzero(b <= limit) for b in bounds]
+            width = math.prod(s.size for j, s in enumerate(sets) if j != self._lead)
+            if width == 0:  # a partner has no finite bound: no finite score
+                break
+            # One row until a finite score sets the limit, then a chunk's worth.
+            step = 1 if np.isinf(best) else max(1, self._chunk // width)
+            rows = order[pos:pos + step]
+            sets[self._lead] = rows[lead[rows] <= limit]
+            pos += step
+            for flat, cells in self._product(sets):
+                dv = self._divergences(cells, y_cells)
+                low = dv.min()
+                if np.isinf(low):
+                    continue
+                if low < best:
+                    best = low
+                    limit = best * (1.0 + REL_TOL) + self._slack
+                hit = np.nonzero(dv <= best * (1.0 + REL_TOL))[0]
+                kept.append((flat[hit], dv[hit]))
         if np.isinf(best):
             # Every candidate misses the model support; all tie, lex-first wins.
             return [0]
@@ -446,11 +361,22 @@ class MinDivDecoder:
         return tuple(c[i] for c, i in zip(self.cosets, idx))
 
     def _key(self, base: np.ndarray, flat: int):
-        cells = base.copy()
-        for part, s in zip(self._candidate(flat), self._sender_strides):
-            cells = cells + part * s
+        cells = base
+        for contrib, i in zip(self._contribs, np.unravel_index(flat, self.sizes)):
+            cells = cells + contrib[i]
         counts = np.bincount(cells, minlength=self._n_cells)
         return _exact_key(counts, self._denoms)
+
+    def _ties(self, y: np.ndarray) -> np.ndarray:
+        """Sorted flat indices of the tie group, before exact refinement."""
+        y_cells = y * self._y_stride
+        if self._static is None:
+            ties = self._search_ties(y_cells, self._ctx_u + y)
+        else:
+            dv = self._divergences(self._static, y_cells)
+            # Every candidate missing the model support ties; lex-first wins.
+            ties = [0] if np.isinf(dv.min()) else _tie_indices(dv)
+        return np.sort(np.asarray(ties, dtype=np.int64))
 
     def __call__(self, y) -> tuple[np.ndarray, ...]:
         y = np.asarray(y, dtype=np.int64)
@@ -458,15 +384,9 @@ class MinDivDecoder:
             raise ValueError("y length must equal the block length")
         if y.max(initial=0) >= self._n_out:
             raise ValueError("output symbol outside the model axis")
-        y_cells = y * self._y_stride
-        base = self._base + y_cells
-        if self._pair:
-            ties = _pair_scan_ties(self.cosets, self._qs, base, self._sender_strides,
-                                   self._flat_factors, self._model_flat, self.n)
-        else:
-            ties = self._scan_ties(y_cells)
-        ties = np.asarray(sorted(ties), dtype=np.int64)
+        ties = self._ties(y)
         if ties.size > 1 and self._denoms is not None:
+            base = self._base + y * self._y_stride
             ties = _refine_exact(ties, lambda flat: self._key(base, flat))
         return self._candidate(int(ties[0]))
 

@@ -85,7 +85,6 @@ class CodeInstance:
     requested_rates: tuple
     gamma: float
     gamma_ok: bool
-    gamma_prime: float
     kappa: float                       # bin-occupancy factor of the coded components
     ctx_law: Pmf                       # law of the context symbol (u or the cloud x0)
     u: np.ndarray | None               # context fixed at build time; None if a cloud codes it
@@ -279,7 +278,7 @@ def _build(scenario, law: JointLaw, ctx_law: Pmf, conds, in_region, dmc: Dmc,
         checks=tuple(checks), message_maps=tuple(message_maps), syndromes=tuple(syndromes),
         check_specs=tuple(check_specs), message_specs=tuple(message_specs),
         rates=act_rates, srates=act_srates, eps=eps, requested_rates=rates,
-        gamma=gamma, gamma_ok=gamma_ok, gamma_prime=2 * sum(eps), kappa=kappa,
+        gamma=gamma, gamma_ok=gamma_ok, kappa=kappa,
         ctx_law=ctx_law, u=u, cond_inputs=tuple(conds),
         channel_cond=_channel_cond(dmc, (m,) + tuple(dmc.input_sizes)))
 
@@ -364,33 +363,6 @@ def decode_components(code: CodeInstance, y):
     """Returns (decoded messages, decoded codewords) of every component."""
     xs = (code.u,) * code.fixed + code.decoder(y)
     return tuple(apply_label(mm, x) for mm, x in zip(code.message_maps, xs)), xs
-
-
-def encode_private(code: CodeInstance, messages) -> tuple[np.ndarray, ...]:
-    if code.scenario != "private":
-        raise ValueError("not a private-message code")
-    return encode_components(code, messages)
-
-
-def decode_private(code: CodeInstance, y):
-    """Returns (decoded messages, decoded channel inputs)."""
-    if code.scenario != "private":
-        raise ValueError("not a private-message code")
-    return decode_components(code, y)
-
-
-def encode_superposition(code: CodeInstance, m0, m1, m2) -> tuple[np.ndarray, np.ndarray]:
-    """Channel inputs (x1, x2); the cloud center is shared state, not transmitted."""
-    if code.scenario != "superposition":
-        raise ValueError("not a cloud-center code")
-    return encode_components(code, (m0, m1, m2))[1:]
-
-
-def decode_superposition(code: CodeInstance, y):
-    """Returns ((m0, m1, m2), (x0, x1, x2))."""
-    if code.scenario != "superposition":
-        raise ValueError("not a cloud-center code")
-    return decode_components(code, y)
 
 
 def reduce_common_to_private(dmc: Dmc, msg_sets, symbol_maps, aux_sizes):

@@ -252,9 +252,9 @@ def test_criterion_08_error_trend_and_control(trend_runs, control_runs):
     control_err = float(_rows(control_a)[0]["block_error"])
     assert rows[12] < rows[6], f"err(12)={rows[12]} !< err(6)={rows[6]}"
     assert control_err > 0.9, f"control error {control_err} <= 0.9"
-    assert secs + csecs < 600, f"criterion 8 took {secs + csecs:.0f}s"
+    assert secs + csecs < 60, f"criterion 8 took {secs + csecs:.0f}s"
     _ok(8, f"block error {rows[6]:.4f}@n=6 -> {rows[12]:.4f}@n=12 (strict); "
-           f"control {control_err:.3f} > 0.9; {secs + csecs:.0f}s < 600s")
+           f"control {control_err:.3f} > 0.9; {secs + csecs:.0f}s < 60s")
 
 
 def test_criterion_09_superposition_roundtrip(superposition_runs):
@@ -272,7 +272,7 @@ def test_criterion_09_superposition_roundtrip(superposition_runs):
         np.array(SW_INPUTS["satellites_given_cloud"][1]),
         dmc, (0.125, 0.125, 0.125), (0.05, 0.05, 0.05), 8, rng)
     found = search_code(builder, 20, 100, SEED, ("superposition", 8))
-    from hashmac.scenarios import decode_superposition, encode_components
+    from hashmac.scenarios import decode_components, encode_components
     from hashmac.channel import sample_channel
     checked = 0
     for t in range(20):
@@ -281,7 +281,7 @@ def test_criterion_09_superposition_roundtrip(superposition_runs):
                 for i in range(3)]
         xs = encode_components(found.code, msgs)
         y = sample_channel(dmc, xs[1:], rng)
-        got, xs_hat = decode_superposition(found.code, y)
+        got, xs_hat = decode_components(found.code, y)
         if all((g == m).all() for g, m in zip(got, msgs)):
             checked += 1
             for i in range(3):

@@ -1,4 +1,3 @@
-import itertools
 from collections import Counter
 
 import numpy as np
@@ -202,34 +201,80 @@ def test_t_subset_downward_closed():
             assert tuple(row) in chosen
 
 
-def test_pair_scan_matches_generic_scan_nonbinary(monkeypatch):
-    # The bilinear fast path dispatches only above 2^16 candidates; call it
-    # directly on moderate ternary/mixed instances and compare tie sets with
-    # the compiled decoder's chunked scan (one chunk, then several).
+def _bounded_cases():
+    """Two lists of (labels, syndromes, model, u, y) for the bounded search.
+
+    The first has random codes over GF(2), GF(3) and mixed fields with 1 to
+    3 senders, whole-space cosets (no syndrome rows), uniform and
+    near-uniform models that force ties, and models with zero-mass cells,
+    with and without u.  The second puts the minimum divergence near 0.
+    """
+    rng = np.random.default_rng(20250811)
+    cases = []
+    shapes = [((2, 2), 6, 3, False), ((3, 3), 4, 2, False), ((2, 3), 5, 2, True),
+              ((2, 2, 2), 4, 2, True), ((2, 3, 2), 4, 1, False), ((2,), 7, 0, True),
+              ((2, 2), 5, 0, False), ((3, 2), 4, 0, True)]
+    for qs, n, rows, with_u in shapes:
+        for kind in ("random", "uniform", "near-uniform", "zero-cell"):
+            labels, syndromes = [], []
+            for q in qs:
+                lab = LinearLabel(FieldSpec(q), rng.integers(q, size=(rows, n)))
+                labels.append(lab)
+                syndromes.append((lab.matrix @ rng.integers(q, size=n)) % q)
+            u = rng.integers(2, size=n) if with_u else None
+            shape = ((2,) if with_u else ()) + qs + (2,)
+            if kind == "random":
+                w = rng.integers(1, 9, size=shape).astype(float)
+            elif kind == "uniform":
+                w = np.ones(shape)
+            elif kind == "near-uniform":
+                w = 1.0 + 1e-6 * rng.integers(-1, 2, size=shape)
+            else:
+                w = rng.integers(0, 3, size=shape).astype(float)
+                w.flat[0] = 0.0
+                w.flat[-1] = 1.0
+            for _ in range(2):
+                cases.append((labels, syndromes, w / w.sum(), u, rng.integers(2, size=n)))
+    # Balanced y and a near-uniform model whose cells divide n: the minimum
+    # divergence is about 1e-13, where the relative tolerance leaves no room
+    # for rounding, so only the slack keeps a bound that rounds above the
+    # score.  The bound is exact for one sender and tight against a
+    # whole-space partner (no syndrome rows).
+    near_zero = []
+    for qs, n, rows in (((2,), 8, (0,)), ((3,), 6, (0,)), ((2, 2), 8, (4, 0))):
+        labels = [LinearLabel(FieldSpec(q), rng.integers(q, size=(r, n)))
+                  for q, r in zip(qs, rows)]
+        syndromes = [np.zeros(r, dtype=np.int64) for r in rows]
+        for _ in range(6):
+            w = 1.0 + 1e-6 * rng.integers(-1, 2, size=qs + (2,))
+            near_zero.append((labels, syndromes, w / w.sum(), None, rng.permutation(n) % 2))
+    return cases, near_zero
+
+
+def test_bounded_search_matches_whole_scan_tie_sets(monkeypatch):
+    # The default chunk scans each of these products whole; small chunks
+    # send the same decodes through the count-bounded search, which must
+    # return the same tie set (not only the same winner).
     import hashmac.codec as C
-    from hashmac.gf import FieldSpec
-    rng = np.random.default_rng(21)
-    for qs, chunk_cells in itertools.product(((3, 3), (2, 3)), (1 << 20, 1 << 12)):
+    from hashmac.verify import _ref_decode
+    cases, near_zero = _bounded_cases()
+    whole = []
+    for labels, syndromes, model, u, y in cases + near_zero:
+        dec = C.MinDivDecoder(labels, syndromes, model, u=u)
+        assert dec._static is not None
+        whole.append((dec._ties(y), dec(y)))
+    assert sum(ties.size > 1 for ties, _ in whole) >= 60
+    for chunk_cells in (8, 32, 128):
         monkeypatch.setattr(C, "SCAN_CHUNK_CELLS", chunk_cells)
-        n = 7
-        labels = []
-        syndromes = []
-        for q in qs:
-            lab = LinearLabel(FieldSpec(q), rng.integers(q, size=(3, n)))
-            x = rng.integers(q, size=n)
-            labels.append(lab)
-            syndromes.append((lab.matrix @ x) % q)
-        y = rng.integers(2, size=n)
-        w = rng.integers(1, 9, size=qs + (2,)).astype(float)
-        model = w / w.sum()
-        try:
-            dec = C.MinDivDecoder(labels, syndromes, model)
-        except AllCosetsEmptyError:
-            continue
-        assert not dec._pair
-        base = y  # the y axis is last, so its stride is 1
-        sstr = [model.shape[1] * model.shape[2], model.shape[2]]
-        flat_factors = [dec.sizes[1], 1]
-        ties = C._pair_scan_ties(dec.cosets, list(qs), base, sstr, flat_factors,
-                                 model.ravel(), n)
-        assert sorted(ties) == dec._scan_ties(base)
+        for (labels, syndromes, model, u, y), (ties, winner) in zip(cases + near_zero, whole):
+            dec = C.MinDivDecoder(labels, syndromes, model, u=u)
+            assert dec._static is None
+            assert dec._ties(y).tolist() == ties.tolist()
+            assert all((g == w).all() for g, w in zip(dec(y), winner))
+    # The oracle sums in another order, so near a zero minimum its tie
+    # group can differ by rounding; it checks the first list only.
+    for labels, syndromes, model, u, y in cases:
+        if all(lab.field.q == 2 for lab in labels):
+            ref = _ref_decode([lab.matrix for lab in labels], syndromes, y, model, u)
+            got = C.MinDivDecoder(labels, syndromes, model, u=u)(y)
+            assert all((g == r).all() for g, r in zip(got, ref))

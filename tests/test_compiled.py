@@ -15,8 +15,7 @@ from hashmac.codec import (AllCosetsEmptyError, CosetSpec, EmptyCosetError,
                            EncodeTarget, min_div_decode, min_div_encode)
 from hashmac.gf import LinearLabel, all_vectors
 from hashmac.scenarios import (build_private_code, build_superposition_code,
-                               decode_private, decode_superposition,
-                               encode_private, simulate_error)
+                               decode_components, encode_components, simulate_error)
 
 SEED = 20250811
 
@@ -121,13 +120,11 @@ def check_encoder(code, encode, expected):
 
 @pytest.mark.parametrize("make", [private_binary_with_u, private_ternary])
 def test_private_encoder_table_matches_one_shot(make):
-    check_encoder(make(), encode_private, expected_private)
+    check_encoder(make(), encode_components, expected_private)
 
 
 def test_superposition_encoder_table_matches_one_shot():
-    check_encoder(superposition(),
-                  scenarios.encode_components,
-                  expected_superposition)
+    check_encoder(superposition(), encode_components, expected_superposition)
 
 
 def random_outputs(code, count):
@@ -139,7 +136,7 @@ def random_outputs(code, count):
 def test_private_compiled_decoder_matches_one_shot(make):
     code = make()
     for y in random_outputs(code, 50):
-        _, got = decode_private(code, y)
+        _, got = decode_components(code, y)
         want = min_div_decode(code.checks, code.syndromes, y, code.law.table, u=code.u)
         assert all((g == w).all() for g, w in zip(got, want))
 
@@ -147,7 +144,7 @@ def test_private_compiled_decoder_matches_one_shot(make):
 def test_superposition_compiled_decoder_matches_one_shot():
     code = superposition()
     for y in random_outputs(code, 50):
-        _, got = decode_superposition(code, y)
+        _, got = decode_components(code, y)
         want = min_div_decode(code.checks, code.syndromes, y, code.law.table)
         assert all((g == w).all() for g, w in zip(got, want))
 
@@ -179,7 +176,7 @@ def test_empty_coset_raises_fresh_error_every_call(monkeypatch):
     raised = []
     for _ in range(3):
         with pytest.raises(EmptyCosetError) as err:
-            encode_private(code, bad)
+            encode_components(code, bad)
         raised.append(err.value)
     assert len(calls) == 1  # later calls hit the stored empty entry
     assert raised[0] is not raised[1] and raised[1] is not raised[2]
