@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
+import math
 import sys
 import time
 
@@ -21,9 +23,9 @@ from .channel import Dmc
 from .ensembles import (EnsembleSpec, KINDS, SPARSE, UNIFORM,
                         estimate_hash_params)
 from .gf import FieldSpec
-from .regions import (in_region_private, in_region_sw, in_region_ts,
-                      joint_private, joint_sw, joint_ts, rate_split,
-                      RateSplitInfeasible)
+from .prob import SUM_TOL
+from .regions import (in_region_private, in_region_sw, joint_private, joint_sw,
+                      joint_ts, rate_split, RateSplitInfeasible)
 from .scenarios import (InfeasibleRateError, STAGES, build_private_code,
                         build_superposition_code, search_code, simulate_error,
                         uniform_ensemble_factory)
@@ -76,9 +78,19 @@ def _parse_dist(x, size: int, where: str) -> np.ndarray:
     arr = np.asarray(x, dtype=float)
     if arr.shape != (size,):
         raise ConfigError(f"{where}: expected {size} probabilities, got shape {arr.shape}")
-    if arr.min() < 0 or abs(arr.sum() - 1.0) > 1e-9:
+    if arr.min() < 0 or abs(arr.sum() - 1.0) > SUM_TOL:
         raise ConfigError(f"{where}: not a probability distribution")
     return arr
+
+
+def _parse_cond(x, given: int, size: int, where: str) -> np.ndarray:
+    """A conditional law: one distribution row per conditioning symbol."""
+    rows = np.asarray(x, dtype=float)
+    if rows.shape != (given, size):
+        raise ConfigError(f"{where}: shape mismatch")
+    for i, row in enumerate(rows):
+        _parse_dist(row, size, f"{where}[{i}]")
+    return rows
 
 
 def _parse_ensemble_factory(block: dict | None, where: str):
@@ -94,20 +106,17 @@ def _parse_ensemble_factory(block: dict | None, where: str):
         if kind == SPARSE and rows == 0:
             return EnsembleSpec(UNIFORM, rows, cols, field)
         if kind == SPARSE:
-            d = degree
-            if d is not None:
-                d = max(1, min(int(d), rows))
-            spec = EnsembleSpec(SPARSE, rows, cols, field,
-                                column_degree=d, degree_coeff=coeff)
-            if spec.degree() > rows:
-                return EnsembleSpec(SPARSE, rows, cols, field, column_degree=rows)
-            return spec
+            # The spec rejects a degree above rows, so clamp before building it.
+            d = int(degree) if degree is not None else math.ceil(coeff * math.log2(cols + 1))
+            return EnsembleSpec(SPARSE, rows, cols, field,
+                                column_degree=max(1, min(d, rows)), degree_coeff=coeff)
         return EnsembleSpec(kind, rows, cols, field)
 
     return factory, kind
 
 
 def _law_and_builder(block: dict, dmc: Dmc, where: str):
+    """(scenario, joint law, build): build(dmc, rates, eps, n, rng, **kw) samples a code."""
     scenario = _need(block, "scenario", where)
     if scenario == "private":
         dists = _need(block, "inputs", where)
@@ -115,35 +124,25 @@ def _law_and_builder(block: dict, dmc: Dmc, where: str):
             raise ConfigError(f"{where}.inputs: one distribution per sender required")
         dists = [_parse_dist(d, s, f"{where}.inputs[{j}]")
                  for j, (d, s) in enumerate(zip(dists, dmc.input_sizes))]
-        law = joint_private(dists, dmc)
-        mu_u = [1.0]
-        conds = [d[None, :] for d in dists]
-        return scenario, law, ("private", mu_u, conds)
+        return scenario, joint_private(dists, dmc), functools.partial(
+            build_private_code, [1.0], [d[None, :] for d in dists])
     if scenario == "private-ts":
         mu_u = _parse_dist(_need(block, "u", where), len(block["u"]), f"{where}.u")
-        conds_raw = _need(block, "inputs_given_u", where)
-        conds = []
-        for j, c in enumerate(conds_raw):
-            c = np.asarray(c, dtype=float)
-            if c.shape != (mu_u.size, dmc.input_sizes[j]):
-                raise ConfigError(f"{where}.inputs_given_u[{j}]: shape mismatch")
-            conds.append(c)
-        law = joint_ts(mu_u, conds, dmc)
-        return scenario, law, ("private", mu_u, conds)
+        conds = [_parse_cond(c, mu_u.size, dmc.input_sizes[j], f"{where}.inputs_given_u[{j}]")
+                 for j, c in enumerate(_need(block, "inputs_given_u", where))]
+        return scenario, joint_ts(mu_u, conds, dmc), functools.partial(
+            build_private_code, mu_u, conds)
     if scenario == "superposition":
         cloud = np.asarray(_need(block, "cloud", where), dtype=float)
         cloud = _parse_dist(cloud, cloud.size, f"{where}.cloud")
         sats = _need(block, "satellites_given_cloud", where)
         if len(sats) != 2:
             raise ConfigError(f"{where}.satellites_given_cloud: expected two tables")
-        conds = []
-        for j, c in enumerate(sats):
-            c = np.asarray(c, dtype=float)
-            if c.shape != (cloud.size, dmc.input_sizes[j]):
-                raise ConfigError(f"{where}.satellites_given_cloud[{j}]: shape mismatch")
-            conds.append(c)
-        law = joint_sw(cloud, conds[0], conds[1], dmc)
-        return scenario, law, ("superposition", cloud, conds)
+        c1, c2 = (_parse_cond(c, cloud.size, dmc.input_sizes[j],
+                              f"{where}.satellites_given_cloud[{j}]")
+                  for j, c in enumerate(sats))
+        return scenario, joint_sw(cloud, c1, c2, dmc), functools.partial(
+            build_superposition_code, cloud, c1, c2)
     raise ConfigError(f"{where}.scenario: unknown scenario {scenario!r}")
 
 
@@ -157,15 +156,11 @@ def cmd_region(config: dict, out_path: str | None) -> int:
     want_split = bool(block.get("rate_split", False))
     if want_split and scenario != "superposition":
         raise ConfigError("region.rate_split: only defined for the superposition scenario")
+    in_region = in_region_sw if "x0" in law.names else in_region_private
     rows = []
     for p in points:
         point = tuple(float(r) for r in p)
-        if scenario == "superposition":
-            verdict = in_region_sw(point, law)
-        elif scenario == "private-ts":
-            verdict = in_region_ts(point, law)
-        else:
-            verdict = in_region_private(point, law)
+        verdict = in_region(point, law)
         split_point = split_moved = ""
         if verdict and want_split:
             try:
@@ -206,7 +201,7 @@ def cmd_simulate(config: dict, seed: int | None, force: bool,
     if block is None:
         raise ConfigError("simulate: missing top-level object")
     dmc = _parse_channel(_need(block, "channel", "simulate"), "simulate.channel")
-    scenario, law, builder_info = _law_and_builder(block, dmc, "simulate")
+    scenario, law, build = _law_and_builder(block, dmc, "simulate")
     rates = tuple(float(r) for r in _need(block, "rates", "simulate"))
     eps = tuple(float(e) for e in _need(block, "eps", "simulate"))
     want = 3 if scenario == "superposition" else dmc.n_senders
@@ -227,17 +222,9 @@ def cmd_simulate(config: dict, seed: int | None, force: bool,
 
     rows = []
     for n in ladder:
-        kind_b, dist_a, dist_b = builder_info
-
         def builder(rng, n=n):
-            if kind_b == "private":
-                return build_private_code(dist_a, dist_b, dmc, rates, eps, n, rng,
-                                          ensemble_factory=factory,
-                                          check_region=not force)
-            return build_superposition_code(dist_a, dist_b[0], dist_b[1], dmc,
-                                            rates, eps, n, rng,
-                                            ensemble_factory=factory,
-                                            check_region=not force)
+            return build(dmc, rates, eps, n, rng, ensemble_factory=factory,
+                         check_region=not force)
 
         start = time.perf_counter()
         try:

@@ -173,8 +173,10 @@ def _sparse_column_outcomes(rows: int, degree: int, q: int) -> np.ndarray:
     return out
 
 
-def sparse_collision_by_weight(spec: EnsembleSpec, budget: int = 1 << 22) -> list[Fraction]:
-    """Exact P[A d = 0] for sparse A, by the nonzero count of d; index = weight."""
+def collision_by_weight(spec: EnsembleSpec, budget: int = 1 << 22) -> list[Fraction]:
+    """Exact P[A d = 0] for every family, by the nonzero count of d; index = weight."""
+    if spec.kind != SPARSE:
+        return [Fraction(1)] + [Fraction(1, spec.im_size)] * spec.cols
     q = spec.field.q
     l, n, d = spec.rows, spec.cols, spec.degree()
     states = q**l
@@ -206,15 +208,6 @@ def sparse_collision_by_weight(spec: EnsembleSpec, budget: int = 1 << 22) -> lis
     return probs
 
 
-def _exact_pair_collision(spec: EnsembleSpec, diff_weight: int) -> Fraction:
-    q = spec.field.q
-    if diff_weight == 0:
-        raise ValueError("identical vectors collide trivially; refusing")
-    if spec.kind in (UNIFORM, BINNING):
-        return Fraction(1, q**spec.rows)
-    return sparse_collision_by_weight(spec)[diff_weight]
-
-
 @dataclass(frozen=True)
 class CollisionEstimate:
     value: float
@@ -236,7 +229,7 @@ def collision_prob(spec: EnsembleSpec, u, u2, mode: str = "exact",
     if w == 0:
         raise ValueError("u == u'; collision probability is trivially 1")
     if mode == "exact":
-        return CollisionEstimate(float(_exact_pair_collision(spec, w)), "exact")
+        return CollisionEstimate(float(collision_by_weight(spec)[w]), "exact")
     if mode != "mc":
         raise ValueError(f"unknown mode {mode!r}")
     if rng is None:
@@ -273,14 +266,9 @@ def _exact_hash_params(spec: EnsembleSpec) -> HashParams:
     q = spec.field.q
     n = spec.cols
     counts_by_weight = _counts_by_weight(q, n)
-    if spec.kind in (UNIFORM, BINNING):
-        weight_probs = [Fraction(1, spec.im_size)] * (n + 1)
-        weight_probs[0] = Fraction(1)
-    else:
-        if q**n > BINNING_TABLE_BUDGET:
-            raise SupportBudgetError(
-                f"exact sweep needs {q}^{n} <= {BINNING_TABLE_BUDGET}")
-        weight_probs = sparse_collision_by_weight(spec)
+    if spec.kind == SPARSE and q**n > BINNING_TABLE_BUDGET:
+        raise SupportBudgetError(f"exact sweep needs {q}^{n} <= {BINNING_TABLE_BUDGET}")
+    weight_probs = collision_by_weight(spec)
     best = None
     for alpha in ALPHA_GRID:
         beta = _beta_for_alpha(weight_probs, counts_by_weight, float(alpha), spec.im_size)

@@ -7,13 +7,14 @@ outside.  Mutual informations come from exact joint tables.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .channel import Dmc
-from .prob import Pmf, SUM_TOL
+from .prob import Pmf, SUM_TOL, entropy
 from .slack import feasibility_slack
 
 TABLE_CELL_BUDGET = 1 << 16
@@ -60,9 +61,7 @@ class JointLaw:
         key = ("entropy", tuple(names))
         h = self._memo.get(key)
         if h is None:
-            t = self.marginal(names).ravel()
-            nz = t[t > 0]
-            h = self._memo[key] = float(-(nz * np.log2(nz)).sum())
+            h = self._memo[key] = entropy(self.marginal(names).ravel())
         return h
 
 
@@ -154,30 +153,6 @@ def joint_sw(mu0, cond1, cond2, dmc: Dmc) -> JointLaw:
     return JointLaw(("x0", "x1", "x2", "y"), t)
 
 
-def joint_han(msg_dists, msg_sets, symbol_maps, dmc: Dmc) -> JointLaw:
-    """Law over per-message auxiliaries and the output, with deterministic inputs."""
-    k = dmc.n_senders
-    kt = len(msg_dists)
-    if len(msg_sets) != k or len(symbol_maps) != k:
-        raise ValueError("one message-index set and one symbol map per sender required")
-    dists = [np.asarray(p.probs if isinstance(p, Pmf) else p, dtype=float) for p in msg_dists]
-    sizes = tuple(d.size for d in dists)
-    t = np.zeros(sizes + (dmc.output_size,))
-    for combo in itertools.product(*(range(s) for s in sizes)):
-        p = 1.0
-        for d, c in zip(dists, combo):
-            p *= d[c]
-        if p == 0:
-            continue
-        xs = []
-        for j in range(k):
-            args = tuple(combo[i] for i in msg_sets[j])
-            xs.append(int(symbol_maps[j](*args)))
-        t[combo] += p * dmc.table[tuple(xs)]
-    names = tuple(f"t{i}" for i in range(kt)) + ("y",)
-    return JointLaw(names, t)
-
-
 @dataclass(frozen=True)
 class RegionVerdict:
     inside: bool
@@ -187,73 +162,68 @@ class RegionVerdict:
         return self.inside
 
 
-def _subset_bounds(law: JointLaw, names, cond_extra=()):
-    """(J, I(X_J;Y|cond_extra,X_J^c)) for every nonempty J, largest first."""
-    key = ("subsets", tuple(names), tuple(cond_extra))
-    rows = law._memo.get(key)
-    if rows is None:
+def _constraints(law: JointLaw):
+    """The law's region as (witness label, coefficients, bound) rows, once per law.
+
+    Returns (base, aux).  A law with a cloud axis x0 gives the superposition
+    rows, with the cloud-decodability rows in aux; any other law gives
+    R_J < I(X_J;Y|u,X_J^c) for every nonempty subset J of its senders,
+    largest first so a sum-rate violation is the reported witness, and no
+    aux rows.
+    """
+    cached = law._memo.get("constraints")
+    if cached is not None:
+        return cached
+    mi = lambda a, b, c=(): mutual_information(law, a, b, c)
+    if "x0" in law.names:
+        base = (
+            ("R1 < I(X1;Y|X0,X2)", (0, 1, 0), mi(["x1"], ["y"], ["x0", "x2"])),
+            ("R2 < I(X2;Y|X0,X1)", (0, 0, 1), mi(["x2"], ["y"], ["x0", "x1"])),
+            ("R1+R2 < I(X1,X2;Y|X0)", (0, 1, 1), mi(["x1", "x2"], ["y"], ["x0"])),
+            ("R0+R1+R2 < I(X1,X2;Y)", (1, 1, 1), mi(["x1", "x2"], ["y"])),
+        )
+        aux = (
+            ("R0 < I(X0;X1,X2,Y)", (1, 0, 0), mi(["x0"], ["x1", "x2", "y"])),
+            ("R0+R1 < I(X0,X1;X2,Y)", (1, 1, 0), mi(["x0", "x1"], ["x2", "y"])),
+            ("R0+R2 < I(X0,X2;X1,Y)", (1, 0, 1), mi(["x0", "x2"], ["x1", "y"])),
+        )
+    else:
+        names = [nm for nm in law.names if nm.startswith("x")]
+        cond = ["u"] if "u" in law.names else []
         k = len(names)
         rows = []
         for r in range(k, 0, -1):
             for J in itertools.combinations(range(k), r):
-                comp = [names[j] for j in range(k) if j not in J]
-                rows.append((J, mutual_information(law, [names[j] for j in J], ["y"],
-                                                   list(cond_extra) + comp)))
-        rows = law._memo[key] = tuple(rows)
-    return rows
+                rest = [names[j] for j in range(k) if j not in J]
+                rows.append(("J={" + ",".join(str(j + 1) for j in J) + "}",
+                             tuple(int(j in J) for j in range(k)),
+                             mi([names[j] for j in J], ["y"], cond + rest)))
+        base, aux = tuple(rows), ()
+    cached = law._memo["constraints"] = (base, aux)
+    return cached
 
 
-def _subset_verdict(rates, law: JointLaw, names, cond_extra=()) -> RegionVerdict:
-    k = len(names)
-    if len(rates) != k:
-        raise ValueError(f"expected {k} rates")
-    if any(r < 0 for r in rates):
-        bad = [i for i, r in enumerate(rates) if r < 0]
-        return RegionVerdict(False, f"R_{bad[0] + 1} < 0")
-    # Largest subsets first, so a sum-rate violation is the reported witness.
-    for J, bound in _subset_bounds(law, names, cond_extra):
-        total = sum(rates[j] for j in J)
+def _verdict(rates, rows) -> RegionVerdict:
+    for label, coef, bound in rows:
+        total = sum(c * r for c, r in zip(coef, rates))
         if not total < bound:
-            subset = "{" + ",".join(str(j + 1) for j in J) + "}"
-            return RegionVerdict(
-                False, f"J={subset}: sum {total:.6g} >= bound {bound:.6g}")
+            return RegionVerdict(False, f"{label}: sum {total:.6g} >= bound {bound:.6g}")
     return RegionVerdict(True)
 
 
 def in_region_private(rates, law: JointLaw) -> RegionVerdict:
-    names = [n for n in law.names if n.startswith("x")]
-    return _subset_verdict(rates, law, names)
+    """Private-message region; time-shared when the law has a u axis."""
+    base, _ = _constraints(law)
+    k = len(base[0][1])
+    if len(rates) != k:
+        raise ValueError(f"expected {k} rates")
+    bad = [i for i, r in enumerate(rates) if r < 0]
+    if bad:
+        return RegionVerdict(False, f"R_{bad[0] + 1} < 0")
+    return _verdict(rates, base)
 
 
-def in_region_ts(rates, law: JointLaw) -> RegionVerdict:
-    names = [n for n in law.names if n.startswith("x")]
-    return _subset_verdict(rates, law, names, cond_extra=("u",))
-
-
-def in_region_han(rates, law: JointLaw) -> RegionVerdict:
-    names = [n for n in law.names if n.startswith("t")]
-    return _subset_verdict(rates, law, names)
-
-
-def _sw_constraints(law: JointLaw):
-    """The (name, coefficients, bound) rows of the cloud-center region, once per law."""
-    cached = law._memo.get("sw")
-    if cached is not None:
-        return cached
-    mi = lambda a, b, c=(): mutual_information(law, a, b, c)
-    base = (
-        ("R1 < I(X1;Y|X0,X2)", (0, 1, 0), mi(["x1"], ["y"], ["x0", "x2"])),
-        ("R2 < I(X2;Y|X0,X1)", (0, 0, 1), mi(["x2"], ["y"], ["x0", "x1"])),
-        ("R1+R2 < I(X1,X2;Y|X0)", (0, 1, 1), mi(["x1", "x2"], ["y"], ["x0"])),
-        ("R0+R1+R2 < I(X1,X2;Y)", (1, 1, 1), mi(["x1", "x2"], ["y"])),
-    )
-    aux = (
-        ("R0 < I(X0;X1,X2,Y)", (1, 0, 0), mi(["x0"], ["x1", "x2", "y"])),
-        ("R0+R1 < I(X0,X1;X2,Y)", (1, 1, 0), mi(["x0", "x1"], ["x2", "y"])),
-        ("R0+R2 < I(X0,X2;X1,Y)", (1, 0, 1), mi(["x0", "x2"], ["x1", "y"])),
-    )
-    cached = law._memo["sw"] = (base, aux)
-    return cached
+in_region_ts = in_region_private
 
 
 def in_region_sw(rates, law: JointLaw, include_aux: bool = False) -> RegionVerdict:
@@ -263,57 +233,31 @@ def in_region_sw(rates, law: JointLaw, include_aux: bool = False) -> RegionVerdi
         return RegionVerdict(False, "R0 < 0")
     if rates[1] < 0 or rates[2] < 0:
         return RegionVerdict(False, "private rates must be nonnegative")
-    base, aux = _sw_constraints(law)
-    rows = base + aux if include_aux else base
-    for name, coef, bound in rows:
-        total = sum(c * r for c, r in zip(coef, rates))
-        if not total < bound:
-            return RegionVerdict(False, f"{name}: sum {total:.6g} >= bound {bound:.6g}")
-    return RegionVerdict(True)
-
-
-def _law_kind(law: JointLaw) -> str:
-    if "x0" in law.names:
-        return "sw"
-    if "u" in law.names:
-        return "ts"
-    return "private"
+    base, aux = _constraints(law)
+    return _verdict(rates, base + aux if include_aux else base)
 
 
 def eps_feasible(rates, law: JointLaw, eps, n: int) -> bool:
-    """Region test with per-sender margins and the block-length-n slack."""
+    """Region test with per-component margins and the block-length-n slack.
+
+    Every row of the law's table, aux rows included, must hold with the
+    margins added to the rates and the slack taken off the bound.
+    """
     eps = [float(e) for e in eps]
     if any(e <= 0 for e in eps):
         raise ValueError("margins must be positive")
-    kind = _law_kind(law)
-    if kind == "sw":
-        if len(rates) != 3 or len(eps) != 3:
-            raise ValueError("expected (R0, R1, R2)")
-        m_inputs = law.size("x0") * law.size("x1") * law.size("x2")
-        slack = feasibility_slack(eps, n, m_inputs, law.size("y"))
-        base, aux = _sw_constraints(law)
-        for name, coef, bound in base + aux:
-            total = sum(c * (r + e) for c, r, e in zip(coef, rates, eps))
-            if not total < bound - slack:
-                return False
-        return rates[0] >= 0 and rates[1] >= 0 and rates[2] >= 0
-    names = [nm for nm in law.names if nm.startswith("x")]
-    m_inputs = 1
-    for nm in names:
-        m_inputs *= law.size(nm)
-    m_cond = law.size("y") * (law.size("u") if kind == "ts" else 1)
-    slack = feasibility_slack(eps, n, m_inputs, m_cond)
-    k = len(names)
+    base, aux = _constraints(law)
+    k = len(base[0][1])
     if len(rates) != k or len(eps) != k:
-        raise ValueError("rates/eps dimension mismatch")
+        raise ValueError(f"expected {k} rates and {k} margins")
+    # Input symbols span the x axes (a cloud included); y and u condition.
+    m_inputs = math.prod(law.size(nm) for nm in law.names if nm.startswith("x"))
+    m_cond = math.prod(law.size(nm) for nm in law.names if not nm.startswith("x"))
+    slack = feasibility_slack(eps, n, m_inputs, m_cond)
     if any(r < 0 for r in rates):
         return False
-    cond_extra = ("u",) if kind == "ts" else ()
-    for J, bound in _subset_bounds(law, names, cond_extra):
-        total = sum(rates[j] + eps[j] for j in J)
-        if not total < bound - slack:
-            return False
-    return True
+    return all(sum(c * (r + e) for c, r, e in zip(coef, rates, eps)) < bound - slack
+               for _, coef, bound in base + aux)
 
 
 class RateSplitInfeasible(RuntimeError):
@@ -349,7 +293,7 @@ def rate_split(target, law: JointLaw, step: float = GRID_STEP) -> RateSplit:
     r0, r1, r2 = (float(t) for t in target)
     if not in_region_sw((r0, r1, r2), law):
         raise RateSplitInfeasible("target triple is outside the base region")
-    base, aux = _sw_constraints(law)
+    base, aux = _constraints(law)
     rows = base + aux
 
     def scan(m1_grid, m2_grid):

@@ -21,18 +21,19 @@ from .codec import (CosetSpec, EmptyCosetError, EncodeTarget, build_T_subset,
                     min_div_decode, min_div_encode)
 from .empirical import (_divergence_from_counts, _log2_denom, conditional_divergences,
                         enumerate_types, type_class_size)
-from .ensembles import (EnsembleSpec, SPARSE, UNIFORM, collision_prob,
+from .ensembles import (EnsembleSpec, SPARSE, UNIFORM, collision_by_weight, collision_prob,
                         conditional_maxima, crp_bound, crp_rate_exact,
                         estimate_hash_params, multi_crp_bound,
                         multi_crp_rate_exact, product_params, saturation_bound,
-                        saturation_rate_exact, sparse_collision_by_weight,
+                        saturation_rate_exact,
                         support_label, syndrome_hit_rates,
                         uniform_syndrome_hit_rate, ensemble_syndrome_hit_rate)
 from .gf import FieldSpec, LinearLabel, all_vectors
 from .prob import CondPmf, Pmf
-from .regions import (in_region_private, in_region_sw, joint_han, joint_private,
-                      joint_sw, mutual_information, rate_split, sender_names)
+from .regions import (in_region_private, in_region_sw, joint_private, joint_sw,
+                      mutual_information, rate_split, sender_names)
 from .channel import Dmc, deterministic_dmc
+from .scenarios import reduce_common_to_private
 from . import slack
 
 
@@ -251,15 +252,6 @@ def types_suite(ns=(4, 6, 8, 10), gammas=(0.01, 0.05, 0.125),
 # Hash-family suite: exact collision statistics against the stated bounds.
 # ---------------------------------------------------------------------------
 
-def _exact_collision_rates(spec: EnsembleSpec) -> dict[int, Fraction]:
-    """P[A d = 0] per difference weight, valid for every family here."""
-    if spec.kind == SPARSE:
-        probs = sparse_collision_by_weight(spec)
-        return {w: probs[w] for w in range(len(probs))}
-    return {w: Fraction(1, spec.im_size) if w else Fraction(1)
-            for w in range(spec.cols + 1)}
-
-
 def hash_suite(seed: int = 20250811) -> list[LemmaReport]:
     reports = []
     f2 = FieldSpec(2)
@@ -374,8 +366,8 @@ def hash_suite(seed: int = 20250811) -> list[LemmaReport]:
     s2 = EnsembleSpec(SPARSE, 2, 4, f2, column_degree=2)
     p1, p2 = estimate_hash_params(s1), estimate_hash_params(s2)
     stacked = product_params(p1, p2)
-    f1 = _exact_collision_rates(s1)
-    f2rates = _exact_collision_rates(s2)
+    f1 = collision_by_weight(s1)
+    f2rates = collision_by_weight(s2)
     im = s1.im_size * s2.im_size
     thr = Fraction(stacked.alpha).limit_denominator(10**9) / im
     mass = Fraction(0)
@@ -396,7 +388,7 @@ def hash_suite(seed: int = 20250811) -> list[LemmaReport]:
     for spec in (EnsembleSpec(UNIFORM, 2, 3, f2),
                  EnsembleSpec(SPARSE, 2, 3, f2, column_degree=1)):
         params = estimate_hash_params(spec)
-        rates = _exact_collision_rates(spec)
+        rates = collision_by_weight(spec)
         space = all_vectors(2, 3)
         for _ in range(10):
             t_size = int(rng.integers(1, 8))
@@ -708,16 +700,16 @@ def regions_suite(seed: int = 20250811, split_points: int = 100) -> list[LemmaRe
         dmc = _random_dmc(rng)
         dists = [rng.integers(1, 9, size=2).astype(float) for _ in range(2)]
         dists = [d / d.sum() for d in dists]
-        hl = joint_han(dists, [(0,), (1,)], [lambda a: a, lambda a: a], dmc)
+        derived, _ = reduce_common_to_private(dmc, [(0,), (1,)],
+                                              [lambda a: a, lambda a: a], (2, 2))
+        hl = joint_private(dists, derived)
         pl = joint_private(dists, dmc)
         for J in ((0,), (1,), (0, 1)):
-            a_h = [f"t{i}" for i in J]
-            c_h = [f"t{i}" for i in range(2) if i not in J]
-            a_p = [f"x{i + 1}" for i in J]
-            c_p = [f"x{i + 1}" for i in range(2) if i not in J]
+            a = [f"x{i + 1}" for i in J]
+            c = [f"x{i + 1}" for i in range(2) if i not in J]
             cases += 1
-            if abs(mutual_information(hl, a_h, ["y"], c_h)
-                   - mutual_information(pl, a_p, ["y"], c_p)) > 1e-12:
+            if abs(mutual_information(hl, a, ["y"], c)
+                   - mutual_information(pl, a, ["y"], c)) > 1e-12:
                 viol += 1
     reports.append(LemmaReport("identity-reduction-match", cases, viol))
 

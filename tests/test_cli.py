@@ -3,6 +3,7 @@ import json
 import hashmac.cli as cli
 import hashmac.slack as slack
 import hashmac.verify as verify
+from hashmac.gf import FieldSpec
 from hashmac.verify import LemmaReport
 
 NOISY_ADDER = {
@@ -200,6 +201,53 @@ def test_simulate_sparse_ensemble_config(tmp_path):
     out = tmp_path / "sp.csv"
     assert cli.main(["simulate", "--config", cfg, "--out", str(out)]) == 0
     assert "sparse-linear" in out.read_text()
+
+
+def test_simulate_sparse_ensemble_default_degree_is_clamped(tmp_path):
+    # ceil(log2(6 + 1)) = 3 nonzeros per column do not fit a 2-row map.
+    factory, kind = cli._parse_ensemble_factory({"kind": "sparse-linear"}, "e")
+    assert factory(2, 6, FieldSpec(2)).degree() == 2
+    assert factory(5, 6, FieldSpec(2)).degree() == 3
+    assert factory(5, 6, FieldSpec(2)) == factory(5, 6, FieldSpec(2))
+    cfg = write_cfg(tmp_path, sim_cfg(n_ladder=[6], trials=20, candidates=2,
+                                      pilot_trials=5, ensemble={"kind": "sparse-linear"}))
+    out = tmp_path / "sd.csv"
+    assert cli.main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+    assert "sparse-linear" in out.read_text()
+
+
+TS_REGION = {"scenario": "private-ts", "channel": NOISY_ADDER, "u": [0.5, 0.5],
+             "inputs_given_u": [[[0.875, 0.125], [0.125, 0.875]]] * 2,
+             "points": [[0.1, 0.1]]}
+SW_REGION = {"scenario": "superposition", "channel": NOISY_ADDER, "cloud": [0.5, 0.5],
+             "satellites_given_cloud": [[[0.875, 0.125], [0.125, 0.875]]] * 2,
+             "points": [[0.1, 0.1, 0.1]]}
+
+
+def test_config_distributions_checked_at_sum_tol(tmp_path, capsys):
+    third = [0.3333333333, 0.6666666666]  # sums to 1 - 1e-10
+    for block in (TS_REGION, SW_REGION):
+        assert cli.main(["region", "--config", write_cfg(tmp_path, {"region": block})]) == 0
+    capsys.readouterr()
+    cases = [
+        (dict(TS_REGION, scenario="private", inputs=[third, [0.5, 0.5]], points=[[0.1, 0.1]]),
+         "region.inputs[0]"),
+        (dict(TS_REGION, u=third), "region.u"),
+        (dict(TS_REGION, inputs_given_u=[[[0.875, 0.125], third], [[0.5, 0.5]] * 2]),
+         "region.inputs_given_u[0][1]"),
+        (dict(TS_REGION, inputs_given_u=[[[0.5, 0.5]] * 2, [[0.5, 0.5], [0.9, 0.2]]]),
+         "region.inputs_given_u[1][1]"),
+        (dict(SW_REGION, cloud=third), "region.cloud"),
+        (dict(SW_REGION, satellites_given_cloud=[[third, [0.5, 0.5]], [[0.5, 0.5]] * 2]),
+         "region.satellites_given_cloud[0][0]"),
+    ]
+    for block, field in cases:
+        assert cli.main(["region", "--config", write_cfg(tmp_path, {"region": block})]) == 2
+        err = capsys.readouterr().err
+        assert f"{field}: not a probability distribution" in err
+    cfg = write_cfg(tmp_path, sim_cfg(inputs=[third, [0.5, 0.5]]))
+    assert cli.main(["simulate", "--config", cfg]) == 2
+    assert "simulate.inputs[0]" in capsys.readouterr().err
 
 
 def test_shipped_configs_are_valid():
