@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -16,6 +16,7 @@ class Dmc:
     input_sizes: tuple[int, ...]
     output_size: int
     table: np.ndarray  # shape input_sizes + (output_size,)
+    cdf: np.ndarray = field(init=False, repr=False, compare=False)  # cumsum over y
 
     def __post_init__(self):
         t = np.asarray(self.table, dtype=float)
@@ -30,6 +31,9 @@ class Dmc:
         t = t.copy()
         t.flags.writeable = False
         object.__setattr__(self, "table", t)
+        cdf = np.cumsum(t, axis=-1)
+        cdf.flags.writeable = False
+        object.__setattr__(self, "cdf", cdf)
         object.__setattr__(self, "input_sizes", tuple(int(s) for s in self.input_sizes))
 
     @property
@@ -57,8 +61,7 @@ def sample_channel(dmc: Dmc, xs, rng: np.random.Generator) -> np.ndarray:
             raise ValueError("input length mismatch")
         if x.size and (x.min() < 0 or x.max() >= dmc.input_sizes[j]):
             raise ValueError(f"sender {j} symbol outside its alphabet")
-    rows = dmc.table[tuple(xs)]              # (n, output_size)
-    cum = np.cumsum(rows, axis=1)
+    cum = dmc.cdf[tuple(xs)]                 # (n, output_size)
     draws = rng.random(n)
     # Inverse CDF with the fixed symbol order of the table.
     return (draws[:, None] >= cum).sum(axis=1).astype(np.int64)

@@ -285,18 +285,13 @@ def cmd_ensemble_stats(config: dict, seed: int | None, out_path: str | None) -> 
     the_seed = int(seed if seed is not None else config.get("seed", 0))
     rows = []
     for item in _need(block, "ensembles", "ensemble_stats"):
-        kind = _need(item, "kind", "ensemble_stats.ensembles[]")
-        if kind not in KINDS:
-            raise ConfigError(f"ensemble_stats.ensembles[].kind: unknown kind {kind!r}")
+        _need(item, "kind", "ensemble_stats.ensembles[]")
+        # simulate's factory, so a sparse degree is clamped to the rows alike.
+        factory, kind = _parse_ensemble_factory(item, "ensemble_stats.ensembles[]")
         ratio = float(item.get("rows_per_n", 0.5))
         for n in ladder:
             rows_n = max(1, round(ratio * n))
-            extra = {}
-            if kind == SPARSE:
-                if "column_degree" in item:
-                    extra["column_degree"] = int(item["column_degree"])
-                extra["degree_coeff"] = float(item.get("degree_coeff", 1.0))
-            spec = EnsembleSpec(kind, rows_n, n, FieldSpec(q), **extra)
+            spec = factory(rows_n, n, FieldSpec(q))
             rng = rng_mod.stream(the_seed, "ensemble-stats", kind, n)
             params = estimate_hash_params(spec, mode=mode, trials=trials, rng=rng)
             rows.append({

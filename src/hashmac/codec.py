@@ -114,16 +114,17 @@ class EncodeTarget:
 
 
 def _exact_key(counts, denoms):
-    """Fraction product over cells of (c/denom)^c; None encodes +infinity."""
-    key = Fraction(1)
-    for c, den in zip(counts, denoms):
+    """Fraction product over cells of (c/denom)^c, reduced once; None encodes +infinity."""
+    num, den = 1, 1
+    for c, d in zip(counts, denoms):
         c = int(c)
         if c == 0:
             continue
-        if den == 0:
+        if d == 0:
             return None
-        key *= Fraction(c, 1) ** c / Fraction(den) ** c
-    return key
+        num *= (c * d.denominator) ** c
+        den *= d.numerator ** c
+    return Fraction(num, den)
 
 
 def _tie_indices(dvals: np.ndarray) -> np.ndarray:
@@ -143,6 +144,18 @@ def _refine_exact(ties: np.ndarray, key_fn) -> np.ndarray:
     return np.asarray(keep, dtype=np.int64)
 
 
+def min_div_member(cands: np.ndarray, target: EncodeTarget, q: int) -> int:
+    """Index of the encoder's choice among lex-sorted candidates over GF(q).
+
+    The encoder's total order: float divergence, exact refinement of the
+    tie group on GF(2), then the first (lexicographically smallest) row.
+    """
+    ties = _tie_indices(target.divergences(cands))
+    if ties.size > 1 and q == 2:
+        ties = _refine_exact(ties, lambda i: target.exact_key(cands[i]))
+    return int(ties[0])
+
+
 def min_div_encode(cs: CosetSpec, target: EncodeTarget,
                    budget: int = ENUMERATION_BUDGET) -> np.ndarray:
     """Coset member whose empirical law is divergence-closest to the target."""
@@ -151,10 +164,7 @@ def min_div_encode(cs: CosetSpec, target: EncodeTarget,
     if cands.shape[0] == 0:
         raise EmptyCosetError(
             f"no vector satisfies the {cs.check.rows}+{cs.message_map.rows} constraints")
-    ties = _tie_indices(target.divergences(cands))
-    if ties.size > 1 and cs.check.field.q == 2:
-        ties = _refine_exact(ties, lambda i: target.exact_key(cands[i]))
-    x = cands[int(ties[0])]
+    x = cands[min_div_member(cands, target, cs.check.field.q)]
     assert (apply_label(cs.check, x) == cs.syndrome).all()
     assert (apply_label(cs.message_map, x) == cs.message).all()
     return x
@@ -182,7 +192,7 @@ class MinDivDecoder:
     A product that fits one scan chunk is scored whole from its precomputed
     y-free cells.  A larger one is searched under per-sender count bounds
     (see _search_ties), which score only the candidates a bound cannot rule
-    out; both paths score with the same divergence kernel.
+    out; both read one table of the divergence kernel's term per (cell, count).
     """
 
     def __init__(self, labels, syndromes, model: np.ndarray, u=None,
@@ -235,7 +245,9 @@ class MinDivDecoder:
                       else np.zeros(n, dtype=np.int64))
         self._contribs = [c * int(strides[offset + j]) for j, c in enumerate(cosets)]
         self._n_cells = int(np.prod(shape))
-        self._log_denom = log_denom[None, :]
+        counts = np.broadcast_to(np.arange(n + 1)[None, :, None], (self._n_cells, n + 1, 1))
+        self._terms = _divergence_from_counts(counts, log_denom[:, None, None], 1)
+        self._term_rows = np.arange(self._n_cells) * (n + 1)  # flat offset of each cell
         self._qs = [lab.field.q for lab in labels]
         self._denoms = ([n * Fraction(float(p)) for p in model_flat]
                         if all(q == 2 for q in self._qs) else None)
@@ -247,14 +259,14 @@ class MinDivDecoder:
         self._lead = int(np.argmax(sizes))
         # Context (u, y) index of a position is self._ctx_u + y.
         self._ctx_u = u * shape[-1] if u is not None else np.zeros(n, dtype=np.int64)
-        self._bounds = self._count_bounds(shape, offset, log_denom)
+        self._bounds = self._count_bounds(shape, offset)
         # A score sums at most n_cells terms whose magnitudes add up to at
         # most n * scale; a bound sums the same terms, divided by n first and
         # in another order.  This covers both roundings with room to spare.
         scale = math.log2(n) + np.abs(log_denom[np.isfinite(log_denom)]).max(initial=0.0)
         self._slack = 4 * (self._n_cells + 2) * np.finfo(float).eps * scale
 
-    def _count_bounds(self, shape, offset, log_denom):
+    def _count_bounds(self, shape, offset):
         """Per sender j, the table T[ctx * q_j + a, r] of its count bound.
 
         T is the least sum of cell terms of r positions in context ctx (u
@@ -264,10 +276,7 @@ class MinDivDecoder:
         below the divergence of every candidate that uses the row.
         """
         n = self.n
-        counts = np.broadcast_to(np.arange(n + 1)[None, :, None],
-                                 (self._n_cells, n + 1, 1))
-        terms = _divergence_from_counts(counts, log_denom[:, None, None], n)
-        terms = terms.reshape(shape + (n + 1,))
+        terms = (self._terms / n).reshape(shape + (n + 1,))
         ctx_axes = list(range(offset)) + [len(shape) - 1]
         senders = list(range(offset, len(shape) - 1))
         bounds = []
@@ -305,7 +314,7 @@ class MinDivDecoder:
         m = cells.shape[0]
         counts = np.bincount((cells + y_cells).ravel(),
                              minlength=m * self._n_cells).reshape(m, self._n_cells)
-        return _divergence_from_counts(counts, self._log_denom, self.n)
+        return self._terms.take(counts + self._term_rows).sum(axis=-1) / self.n
 
     def _row_bounds(self, j: int, ctx: np.ndarray) -> np.ndarray:
         """Count bound of every row of coset j: one bincount and one gather."""
@@ -356,10 +365,6 @@ class MinDivDecoder:
             return [0]
         return [int(i) for idx, dv in kept for i in idx[dv <= best * (1.0 + REL_TOL)]]
 
-    def _candidate(self, flat: int) -> tuple[np.ndarray, ...]:
-        idx = np.unravel_index(flat, self.sizes)
-        return tuple(c[i] for c, i in zip(self.cosets, idx))
-
     def _key(self, base: np.ndarray, flat: int):
         cells = base
         for contrib, i in zip(self._contribs, np.unravel_index(flat, self.sizes)):
@@ -378,7 +383,8 @@ class MinDivDecoder:
             ties = [0] if np.isinf(dv.min()) else _tie_indices(dv)
         return np.sort(np.asarray(ties, dtype=np.int64))
 
-    def __call__(self, y) -> tuple[np.ndarray, ...]:
+    def rows(self, y) -> tuple[int, ...]:
+        """Index of the decoded row in each sender's coset."""
         y = np.asarray(y, dtype=np.int64)
         if y.shape != (self.n,):
             raise ValueError("y length must equal the block length")
@@ -388,7 +394,10 @@ class MinDivDecoder:
         if ties.size > 1 and self._denoms is not None:
             base = self._base + y * self._y_stride
             ties = _refine_exact(ties, lambda flat: self._key(base, flat))
-        return self._candidate(int(ties[0]))
+        return tuple(int(i) for i in np.unravel_index(int(ties[0]), self.sizes))
+
+    def __call__(self, y) -> tuple[np.ndarray, ...]:
+        return tuple(c[i] for c, i in zip(self.cosets, self.rows(y)))
 
 
 def min_div_decode(labels, syndromes, y, model: np.ndarray, u=None,

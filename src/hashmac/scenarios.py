@@ -25,14 +25,15 @@ import numpy as np
 
 from . import rng as rng_mod
 from .channel import Dmc, sample_channel
-# min_div_decode is not called here; it stays importable from this module
-# because perfbench/spans.py traces it at this import site.
-from .codec import (CosetSpec, EmptyCosetError, EncodeTarget, MinDivDecoder,  # noqa: F401
-                    min_div_decode, min_div_encode)
+# min_div_encode, min_div_decode and apply_label are not called here; they
+# stay importable from this module because perfbench/spans.py traces them at
+# this import site.
+from .codec import (AllCosetsEmptyError, EmptyCosetError, EncodeTarget,  # noqa: F401
+                    MinDivDecoder, min_div_decode, min_div_encode, min_div_member)
 from .empirical import divergence_to, is_cond_typical, marginal_divergences, seq_mutual_multi
 from .ensembles import (EnsembleSpec, SupportBudgetError, UNIFORM, estimate_hash_params,
                         multi_params, occupancy_factor, product_params, sample)
-from .gf import FieldSpec, LinearLabel, all_vectors, apply_label
+from .gf import FieldSpec, LinearLabel, all_vectors, apply_label, apply_label_many  # noqa: F401
 from .prob import CondPmf, Pmf
 from .regions import JointLaw, in_region_sw, in_region_ts, joint_sw, joint_ts
 from .slack import (MAX_RADIUS, cond_entropy_slack, cond_typical_size_slack,
@@ -121,10 +122,23 @@ class CodeInstance:
         return tuple({} for _ in self.message_maps)
 
     @cached_property
-    def decoder(self) -> MinDivDecoder:
-        """Joint decoder over the cosets of the components not fixed by u."""
+    def decoder(self) -> MinDivDecoder | None:
+        """Joint decoder over the cosets of the components not fixed by u.
+
+        None if a check syndrome is unreachable: stored, not raised, since a
+        cached_property does not cache an exception.
+        """
         f = self.fixed
-        return MinDivDecoder(self.checks[f:], self.syndromes[f:], self.law.table, u=self.u)
+        try:
+            return MinDivDecoder(self.checks[f:], self.syndromes[f:], self.law.table, u=self.u)
+        except AllCosetsEmptyError:
+            return None
+
+    @cached_property
+    def coset_messages(self) -> tuple[np.ndarray, ...]:
+        """Per decoded component, the message A'_j x of each row x of its coset."""
+        return tuple(apply_label_many(mm, c)
+                     for mm, c in zip(self.message_maps[self.fixed:], self.decoder.cosets))
 
 
 def _round_rows(n: int, rate: float, q: int) -> int:
@@ -325,22 +339,33 @@ def _target(code: CodeInstance, i: int, ctx) -> EncodeTarget:
 
 
 def _codeword(code: CodeInstance, i: int, key, message, ctx) -> np.ndarray:
-    """Component i's codeword for `message`, from its codebook or min_div_encode."""
+    """Component i's codeword for `message`, from its codebook or _fill."""
     book = code.codebooks[i]
     x = book.get(key)
     if x is None:
-        cs = CosetSpec(code.checks[i], code.message_maps[i], code.syndromes[i], message)
-        try:
-            x = min_div_encode(cs, _target(code, i, ctx))
-        except EmptyCosetError as exc:
-            book[key] = str(exc)
-            raise
-        x = x.copy()  # a view would keep the whole coset array alive
-        x.flags.writeable = False
-        book[key] = x
+        x = book[key] = _fill(code, i, message, ctx)
     if isinstance(x, str):
         raise EmptyCosetError(x)
     return x
+
+
+def _fill(code: CodeInstance, i: int, message, ctx):
+    """Component i's codeword for `message`, or the error text of an empty coset.
+
+    The stacked coset {x : A_i x = s_i, A'_i x = message} is the rows of
+    the decoder's check coset that carry the message, in the same lex
+    order, so min_div_member picks the codeword min_div_encode would.
+    """
+    if code.decoder is None:
+        return "a check syndrome is unreachable for its matrix"
+    j = i - code.fixed
+    coset = code.decoder.cosets[j]
+    rows = np.flatnonzero((code.coset_messages[j] == message).all(axis=1))
+    if rows.size == 0:
+        return (f"no vector satisfies the {code.checks[i].rows}+"
+                f"{code.message_maps[i].rows} constraints")
+    pick = min_div_member(coset[rows], _target(code, i, ctx), code.checks[i].field.q)
+    return coset[rows[pick]]  # a read-only row of the decoder's coset
 
 
 def _message_key(m) -> bytes:
@@ -361,8 +386,14 @@ def encode_components(code: CodeInstance, messages) -> tuple[np.ndarray, ...]:
 
 def decode_components(code: CodeInstance, y):
     """Returns (decoded messages, decoded codewords) of every component."""
-    xs = (code.u,) * code.fixed + code.decoder(y)
-    return tuple(apply_label(mm, x) for mm, x in zip(code.message_maps, xs)), xs
+    if code.decoder is None:
+        raise AllCosetsEmptyError("a check syndrome is unreachable for its matrix")
+    f = code.fixed
+    rows = code.decoder.rows(y)
+    xs = (code.u,) * f + tuple(c[r] for c, r in zip(code.decoder.cosets, rows))
+    msgs = (np.zeros(0, dtype=np.int64),) * f + tuple(
+        t[r] for t, r in zip(code.coset_messages, rows))
+    return msgs, xs
 
 
 def reduce_common_to_private(dmc: Dmc, msg_sets, symbol_maps, aux_sizes):

@@ -171,6 +171,22 @@ def test_ensemble_stats_mc_mode(tmp_path):
     assert "estimated" in row
 
 
+def test_ensemble_stats_clamps_sparse_degree_like_simulate(tmp_path):
+    # The default degree ceil(log2(n+1)) exceeds rows = n/2 at n = 2 and 4.
+    cfg = write_cfg(tmp_path, {"ensemble_stats": {
+        "ladder": [2, 4], "ensembles": [{"kind": "sparse-linear", "rows_per_n": 0.5}]}})
+    clamped = write_cfg(tmp_path, {"ensemble_stats": {
+        "ladder": [2], "ensembles": [{"kind": "sparse-linear", "rows_per_n": 0.5,
+                                      "column_degree": 1}]}}, name="clamped.json")
+    out, ref = tmp_path / "s.csv", tmp_path / "r.csv"
+    assert cli.main(["ensemble-stats", "--config", cfg, "--out", str(out)]) == 0
+    assert cli.main(["ensemble-stats", "--config", clamped, "--out", str(ref)]) == 0
+    rows = out.read_text().strip().splitlines()
+    assert [r.split(",")[:3] for r in rows[1:]] == [["2", "sparse-linear", "1"],
+                                                   ["4", "sparse-linear", "2"]]
+    assert rows[1] == ref.read_text().strip().splitlines()[1]
+
+
 def test_verify_all_runtime_budget(tmp_path):
     import time
     start = time.perf_counter()

@@ -8,12 +8,18 @@ import weakref
 import numpy as np
 import pytest
 
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from hashmac import rng as rng_mod
 from hashmac import scenarios
 from hashmac.channel import Dmc
-from hashmac.codec import (AllCosetsEmptyError, CosetSpec, EmptyCosetError,
-                           EncodeTarget, min_div_decode, min_div_encode)
-from hashmac.gf import LinearLabel, all_vectors
+from hashmac.codec import (AllCosetsEmptyError, CosetSpec, EmptyCosetError, EncodeTarget,
+                           MinDivDecoder, _exact_key, min_div_decode, min_div_encode)
+from hashmac.empirical import _divergence_from_counts, _log2_denom
+from hashmac.gf import FieldSpec, LinearLabel, all_vectors
 from hashmac.scenarios import (build_private_code, build_superposition_code,
                                decode_components, encode_components, simulate_error)
 
@@ -34,11 +40,8 @@ def decodable(build):
     """The first sampled code whose decoder syndromes are all reachable."""
     for attempt in range(20):
         code = build(rng_mod.stream(SEED, "compiled", attempt))
-        try:
-            code.decoder
-        except AllCosetsEmptyError:
-            continue
-        return code
+        if code.decoder is not None:
+            return code
     raise AssertionError("no sampled code had reachable syndromes")
 
 
@@ -61,6 +64,16 @@ def superposition():
         mu0, c, c.copy(), noisy_adder(2, 1 / 16), (0.125, 0.125, 0.125),
         (0.05, 0.05, 0.05), 8, rng))
     assert code.u is None  # the cloud codeword is the context
+    return code
+
+
+def superposition_one_point_cloud():
+    """A cloud of one symbol: component 0 is fixed and the decoder skips it."""
+    c1, c2 = np.array([[0.75, 0.25]]), np.array([[0.5, 0.5]])
+    code = decodable(lambda rng: build_superposition_code(
+        [1.0], c1, c2, noisy_adder(2, 1 / 16), (0.0, 0.25, 0.25),
+        (0.05, 0.05, 0.05), 8, rng))
+    assert code.fixed == 1 and not code.u.any()
     return code
 
 
@@ -90,7 +103,7 @@ def expected_private(code, msgs):
 
 
 def expected_superposition(code, msgs):
-    x0 = one_shot(code, 0, msgs[0], None)
+    x0 = code.u if code.fixed else one_shot(code, 0, msgs[0], None)
     if x0 is None:
         return None
     xs = [x0]
@@ -124,7 +137,8 @@ def test_private_encoder_table_matches_one_shot(make):
 
 
 def test_superposition_encoder_table_matches_one_shot():
-    check_encoder(superposition(), encode_components, expected_superposition)
+    for make in (superposition, superposition_one_point_cloud):
+        check_encoder(make(), encode_components, expected_superposition)
 
 
 def random_outputs(code, count):
@@ -132,21 +146,24 @@ def random_outputs(code, count):
     return [rng.integers(code.dmc.output_size, size=code.n) for _ in range(count)]
 
 
+def check_decoder(code):
+    f = code.fixed
+    for y in random_outputs(code, 50):
+        msgs, got = decode_components(code, y)
+        want = min_div_decode(code.checks[f:], code.syndromes[f:], y, code.law.table,
+                              u=code.u)
+        assert all((g == w).all() for g, w in zip(got[f:], want))
+        assert all((m == mm(x)).all() for m, mm, x in zip(msgs, code.message_maps, got))
+
+
 @pytest.mark.parametrize("make", [private_binary_with_u, private_ternary])
 def test_private_compiled_decoder_matches_one_shot(make):
-    code = make()
-    for y in random_outputs(code, 50):
-        _, got = decode_components(code, y)
-        want = min_div_decode(code.checks, code.syndromes, y, code.law.table, u=code.u)
-        assert all((g == w).all() for g, w in zip(got, want))
+    check_decoder(make())
 
 
 def test_superposition_compiled_decoder_matches_one_shot():
-    code = superposition()
-    for y in random_outputs(code, 50):
-        _, got = decode_components(code, y)
-        want = min_div_decode(code.checks, code.syndromes, y, code.law.table)
-        assert all((g == w).all() for g, w in zip(got, want))
+    for make in (superposition, superposition_one_point_cloud):
+        check_decoder(make())
 
 
 def with_empty_coset(code):
@@ -161,18 +178,24 @@ def with_empty_coset(code):
     return dataclasses.replace(code, message_maps=maps)
 
 
-def test_empty_coset_raises_fresh_error_every_call(monkeypatch):
-    code = with_empty_coset(private_binary_with_u())
-    bad = [np.array([1 - code.syndromes[0][0]]),
-           np.zeros(code.message_maps[1].rows, dtype=np.int64)]
+def counting(monkeypatch, name):
+    """Replace scenarios.<name> by a wrapper that records each call."""
     calls = []
-    orig = scenarios.min_div_encode
+    orig = getattr(scenarios, name)
 
     def counted(*args, **kwargs):
         calls.append(1)
         return orig(*args, **kwargs)
 
-    monkeypatch.setattr(scenarios, "min_div_encode", counted)
+    monkeypatch.setattr(scenarios, name, counted)
+    return calls
+
+
+def test_empty_coset_raises_fresh_error_every_call(monkeypatch):
+    code = with_empty_coset(private_binary_with_u())
+    bad = [np.array([1 - code.syndromes[0][0]]),
+           np.zeros(code.message_maps[1].rows, dtype=np.int64)]
+    calls = counting(monkeypatch, "_fill")
     raised = []
     for _ in range(3):
         with pytest.raises(EmptyCosetError) as err:
@@ -180,6 +203,21 @@ def test_empty_coset_raises_fresh_error_every_call(monkeypatch):
         raised.append(err.value)
     assert len(calls) == 1  # later calls hit the stored empty entry
     assert raised[0] is not raised[1] and raised[1] is not raised[2]
+
+
+def test_unreachable_check_syndrome_builds_decoder_once(monkeypatch):
+    # Sender 1's check repeats a row with two different syndrome bits.
+    code = private_binary_with_u()
+    chk = code.checks[1]
+    checks = code.checks[:1] + (LinearLabel(chk.field, chk.matrix[[0, 0]]),)
+    syndromes = code.syndromes[:1] + (np.array([0, 1]),)
+    code = dataclasses.replace(code, checks=checks, syndromes=syndromes)
+    builds = counting(monkeypatch, "MinDivDecoder")
+    res = simulate_error(code, 30, SEED, ("compiled", "unreachable"))
+    assert res.stage_counts[scenarios.STAGE_EMPTY] == res.errors == 30
+    assert len(builds) == 1
+    with pytest.raises(AllCosetsEmptyError):
+        decode_components(code, np.zeros(code.n, dtype=np.int64))
 
 
 def test_code_is_freed_after_simulation():
@@ -197,3 +235,61 @@ def test_code_is_freed_after_simulation():
         assert ref() is None
     finally:
         gc.enable()
+
+
+@st.composite
+def term_table_cases(draw):
+    """A two-sender model with some zero-mass cells, and random candidate cells."""
+    n = draw(st.integers(1, 12))
+    weights = draw(st.lists(st.integers(0, 3), min_size=12, max_size=12))
+    weights[draw(st.integers(0, 11))] = 1  # some mass
+    model = np.array(weights, dtype=float).reshape(2, 2, 3)
+    model /= model.sum()
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cells = rng.integers(12, size=(draw(st.integers(1, 6)), n))
+    return n, model, cells
+
+
+@settings(max_examples=100, deadline=None)
+@given(term_table_cases())
+def test_term_table_scores_equal_kernel(case):
+    n, model, cells = case
+    check = LinearLabel(FieldSpec(2), np.eye(n, dtype=np.int64)[:max(0, n - 3)])
+    dec = MinDivDecoder([check] * 2, [np.zeros(check.rows, dtype=np.int64)] * 2, model)
+    m = cells.shape[0]
+    counts = np.stack([np.bincount(c, minlength=12) for c in cells])
+    shifted = cells + (np.arange(m) * 12)[:, None]
+    got = dec._divergences(shifted, np.zeros(n, dtype=np.int64))
+    want = _divergence_from_counts(counts, _log2_denom(n * model.ravel())[None, :], n)
+    assert np.array_equal(got, want)
+
+
+def fraction_key(counts, denoms):
+    """The exact key as a product of Fractions, cell by cell."""
+    key = Fraction(1)
+    for c, den in zip(counts, denoms):
+        c = int(c)
+        if c == 0:
+            continue
+        if den == 0:
+            return None
+        key *= Fraction(c, 1) ** c / Fraction(den) ** c
+    return key
+
+
+@st.composite
+def exact_key_cases(draw):
+    k = draw(st.integers(1, 8))
+    counts = draw(st.lists(st.integers(0, 12), min_size=k, max_size=k))
+    n = max(1, sum(counts))
+    # Dyadic probabilities, as every float is; zero mass in some cells.
+    denoms = [n * Fraction(draw(st.integers(0, 64)), 2 ** draw(st.integers(0, 60)))
+              for _ in range(k)]
+    return counts, denoms
+
+
+@settings(max_examples=300, deadline=None)
+@given(exact_key_cases())
+def test_integer_exact_key_equals_fraction_product(case):
+    counts, denoms = case
+    assert _exact_key(counts, denoms) == fraction_key(counts, denoms)
