@@ -13,7 +13,7 @@ from .ensembles import (BinLabel, CollisionEstimate, EnsembleSpec, HashParams,
 from .gf import (FieldSpec, LinearLabel, apply_label, enumerate_coset,
                  stack_labels)
 from .prob import CondPmf, Pmf, cond_entropy, entropy
-from .regions import (JointLaw, RatePoint, RateSplit, eps_feasible, in_region_private,
+from .regions import (JointLaw, RateSplit, eps_feasible, in_region_private,
                       in_region_sw, in_region_ts, joint_private, joint_sw, joint_ts,
                       mutual_information, rate_split)
 from .scenarios import (CodeInstance, InfeasibleRateError, SimulationResult,

@@ -12,7 +12,6 @@ import csv
 import functools
 import io
 import json
-import math
 import sys
 import time
 
@@ -20,7 +19,7 @@ import numpy as np
 
 from . import rng as rng_mod
 from .channel import Dmc
-from .ensembles import (EnsembleSpec, KINDS, SPARSE, UNIFORM,
+from .ensembles import (EnsembleSpec, KINDS, SPARSE, UNIFORM, default_degree,
                         estimate_hash_params)
 from .gf import FieldSpec
 from .prob import SUM_TOL
@@ -51,6 +50,12 @@ def _need(block: dict, field: str, where: str):
     if field not in block:
         raise ConfigError(f"{where}.{field}: missing required field")
     return block[field]
+
+
+def _at_least(value: int, low: int, field: str) -> int:
+    if value < low:
+        raise ConfigError(f"{field}: must be at least {low}")
+    return value
 
 
 def _load_config(path: str) -> dict:
@@ -107,7 +112,7 @@ def _parse_ensemble_factory(block: dict | None, where: str):
             return EnsembleSpec(UNIFORM, rows, cols, field)
         if kind == SPARSE:
             # The spec rejects a degree above rows, so clamp before building it.
-            d = int(degree) if degree is not None else math.ceil(coeff * math.log2(cols + 1))
+            d = int(degree) if degree is not None else default_degree(cols, coeff)
             return EnsembleSpec(SPARSE, rows, cols, field,
                                 column_degree=max(1, min(d, rows)), degree_coeff=coeff)
         return EnsembleSpec(kind, rows, cols, field)
@@ -209,15 +214,16 @@ def cmd_simulate(config: dict, seed: int | None, force: bool,
         raise ConfigError(f"simulate.rates: expected {want} rates, got {len(rates)}")
     if len(eps) != want:
         raise ConfigError(f"simulate.eps: expected {want} margins, got {len(eps)}")
+    if any(e <= 0 for e in eps):
+        raise ConfigError("simulate.eps: margins must be positive")
     ladder = [int(n) for n in _need(block, "n_ladder", "simulate")]
     if ladder != sorted(ladder):
         raise ConfigError("simulate.n_ladder: must be ascending")
+    _at_least(min(ladder, default=1), 1, "simulate.n_ladder")
     factory, kind = _parse_ensemble_factory(block.get("ensemble"), "simulate.ensemble")
-    candidates = int(block.get("candidates", 20))
-    pilot = int(block.get("pilot_trials", 100))
-    trials = int(block.get("trials", 400))
-    if trials < 1:
-        raise ConfigError("simulate.trials: must be positive")
+    candidates = _at_least(int(block.get("candidates", 20)), 1, "simulate.candidates")
+    pilot = _at_least(int(block.get("pilot_trials", 100)), 0, "simulate.pilot_trials")
+    trials = _at_least(int(block.get("trials", 400)), 1, "simulate.trials")
     the_seed = int(seed if seed is not None else config.get("seed", 0))
 
     rows = []
@@ -274,14 +280,18 @@ def cmd_ensemble_stats(config: dict, seed: int | None, out_path: str | None) -> 
     block = config.get("ensemble_stats")
     if block is None:
         raise ConfigError("ensemble_stats: missing top-level object")
-    q = int(block.get("field", 2))
+    try:
+        field = FieldSpec(int(block.get("field", 2)))
+    except ValueError as e:
+        raise ConfigError(f"ensemble_stats.field: {e}") from None
     ladder = [int(n) for n in _need(block, "ladder", "ensemble_stats")]
     if ladder != sorted(ladder):
         raise ConfigError("ensemble_stats.ladder: must be ascending")
+    _at_least(min(ladder, default=1), 1, "ensemble_stats.ladder")
     mode = block.get("mode", "exact")
     if mode not in ("exact", "mc"):
         raise ConfigError(f"ensemble_stats.mode: unknown mode {mode!r}")
-    trials = int(block.get("trials", 2000))
+    trials = _at_least(int(block.get("trials", 2000)), 1, "ensemble_stats.trials")
     the_seed = int(seed if seed is not None else config.get("seed", 0))
     rows = []
     for item in _need(block, "ensembles", "ensemble_stats"):
@@ -291,7 +301,7 @@ def cmd_ensemble_stats(config: dict, seed: int | None, out_path: str | None) -> 
         ratio = float(item.get("rows_per_n", 0.5))
         for n in ladder:
             rows_n = max(1, round(ratio * n))
-            spec = factory(rows_n, n, FieldSpec(q))
+            spec = factory(rows_n, n, field)
             rng = rng_mod.stream(the_seed, "ensemble-stats", kind, n)
             params = estimate_hash_params(spec, mode=mode, trials=trials, rng=rng)
             rows.append({

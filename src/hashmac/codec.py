@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from .empirical import (_count_symbols, _divergence_from_counts, _log2_denom,
-                        conditional_divergences, marginal_divergences)
+                        conditional_divergences)
 from .gf import (ENUMERATION_BUDGET, EnumerationBudgetError, LinearLabel,
                  all_vectors, apply_label, enumerate_coset, stack_labels)
 from .prob import CondPmf, Pmf
@@ -73,38 +73,33 @@ class CosetSpec:
 
 @dataclass(frozen=True)
 class EncodeTarget:
-    """Design distribution the encoder matches: marginal, or conditional on u."""
+    """Design law the encoder matches: a conditional law given a context sequence.
 
-    marginal: Pmf | None = None
-    conditional: CondPmf | None = None
-    conditioning: np.ndarray | None = None
+    A marginal law is the law given a context of one symbol (for_marginal).
+    """
+
+    conditional: CondPmf
+    conditioning: np.ndarray
 
     @classmethod
-    def for_marginal(cls, mu: Pmf) -> "EncodeTarget":
-        return cls(marginal=mu)
+    def for_marginal(cls, mu: Pmf, n: int) -> "EncodeTarget":
+        return cls(CondPmf((0,), mu.alphabet, mu.probs[None, :]), np.zeros(n, dtype=np.int64))
 
     @classmethod
     def for_conditional(cls, mu_cond: CondPmf, u) -> "EncodeTarget":
-        return cls(conditional=mu_cond, conditioning=np.asarray(u, dtype=np.int64))
+        return cls(mu_cond, np.asarray(u, dtype=np.int64))
 
     def __post_init__(self):
-        if (self.marginal is None) == (self.conditional is None):
-            raise ValueError("exactly one of marginal/conditional must be set")
-        if self.conditional is not None and self.conditioning is None:
-            raise ValueError("conditional target needs a conditioning sequence")
+        u = self.conditioning
+        if u.ndim != 1 or ((u < 0) | (u >= self.conditional.given_size)).any():
+            raise ValueError("conditioning must be a sequence of context symbols")
 
     def divergences(self, cands: np.ndarray) -> np.ndarray:
         """Divergence from the target of each candidate row's empirical law."""
-        if self.marginal is not None:
-            return marginal_divergences(cands, self.marginal)
         return conditional_divergences(cands, self.conditional, self.conditioning)
 
     def exact_key(self, cand: np.ndarray):
         """Exact rational key of one candidate (see _exact_key)."""
-        if self.marginal is not None:
-            counts = np.bincount(cand, minlength=self.marginal.size)
-            denoms = [cand.shape[0] * Fraction(float(p)) for p in self.marginal.probs]
-            return _exact_key(counts, denoms)
         mu, u = self.conditional, self.conditioning
         u_counts = np.bincount(u, minlength=mu.given_size)
         counts = np.bincount(u * mu.size + cand, minlength=mu.given_size * mu.size)

@@ -39,9 +39,6 @@ class EmpiricalType:
     def freqs(self) -> np.ndarray:
         return self.counts / self.n
 
-    def pmf(self) -> Pmf:
-        return Pmf(self.alphabet, self.freqs)
-
 
 def _index_seq(seq, alphabet: tuple) -> np.ndarray:
     idx = {s: i for i, s in enumerate(alphabet)}
@@ -99,10 +96,10 @@ def cond_empirical(u, v, u_alphabet, v_alphabet) -> CondPmf:
     return CondPmf(v_alphabet, u_alphabet, rows, present)
 
 
-def _entropy_counts(counts: np.ndarray) -> float:
-    n = counts.sum()
-    nz = counts[counts > 0]
-    return float(math.log2(n) - (nz * np.log2(nz)).sum() / n)
+def _entropy_counts(counts: np.ndarray, n: int) -> np.ndarray:
+    """Entropy in bits of each count row (last axis) of n symbols; empty cells add 0."""
+    term = np.where(counts > 0, counts * np.log2(np.maximum(counts, 1)), 0.0)
+    return math.log2(n) - term.sum(axis=-1) / n
 
 
 def _hashable(sym):
@@ -122,7 +119,7 @@ def seq_entropy(u, alphabet=None) -> float:
             raise ValueError("empty sequence")
     else:
         counts = empirical(u, alphabet).counts
-    return _entropy_counts(np.asarray(counts, dtype=np.int64))
+    return float(_entropy_counts(counts, int(counts.sum())))
 
 
 def seq_cond_entropy(u, v) -> float:
@@ -171,13 +168,6 @@ def _divergence_from_counts(counts: np.ndarray, log_denom: np.ndarray, n: int) -
     return term.sum(axis=-1) / n
 
 
-def marginal_divergences(cands: np.ndarray, mu: Pmf) -> np.ndarray:
-    """D(nu_x || mu) for each candidate row; symbols are alphabet indices."""
-    n = cands.shape[1]
-    counts = _count_symbols(cands, mu.size)
-    return _divergence_from_counts(counts, _log2_denom(n * mu.probs)[None, :], n)
-
-
 def conditional_divergences(cands: np.ndarray, mu_cond: CondPmf, u: np.ndarray) -> np.ndarray:
     """D(nu_{x|u} || mu | nu_u) for each candidate row."""
     n = cands.shape[1]
@@ -195,12 +185,25 @@ def conditional_divergences(cands: np.ndarray, mu_cond: CondPmf, u: np.ndarray) 
     return _divergence_from_counts(counts, log_denom.ravel()[None, :], n)
 
 
+def count_divergence(counts: np.ndarray, rows: np.ndarray) -> float:
+    """D(nu_{x|b} || rows | nu_b) in bits, from joint counts [..., b, x].
+
+    Every axis but the last is part of the conditioning cell b, and rows
+    broadcasts against counts: a model row per cell, or one per trailing
+    part of it.  The cells are summed in the order conditional_divergences
+    uses, so the two agree bit for bit.
+    """
+    log_denom = _log2_denom(counts.sum(axis=-1, keepdims=True) * rows)
+    return float(_divergence_from_counts(counts.ravel(), log_denom.ravel(), int(counts.sum())))
+
+
 def divergence_to(u, mu: Pmf) -> float:
     """D(nu_u || mu) of a sequence's empirical distribution, in bits."""
     ix = _index_seq(u, mu.alphabet)
     if ix.size == 0:
         raise ValueError("empty sequence")
-    return float(marginal_divergences(ix[None, :], mu)[0])
+    one = CondPmf((0,), mu.alphabet, mu.probs[None, :])
+    return float(conditional_divergences(ix[None, :], one, np.zeros_like(ix))[0])
 
 
 def cond_divergence_to(u, v, mu_cond: CondPmf) -> float:

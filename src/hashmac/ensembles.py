@@ -35,6 +35,11 @@ class SupportBudgetError(RuntimeError):
     """Exact computation would enumerate too large an ensemble support."""
 
 
+def default_degree(cols: int, coeff: float) -> int:
+    """Nonzeros per column of a sparse map without an explicit degree."""
+    return math.ceil(coeff * math.log2(cols + 1))
+
+
 @dataclass(frozen=True)
 class EnsembleSpec:
     kind: str
@@ -63,7 +68,7 @@ class EnsembleSpec:
             raise ValueError("column degree only applies to sparse ensembles")
         if self.column_degree is not None:
             return self.column_degree
-        return math.ceil(self.degree_coeff * math.log2(self.cols + 1))
+        return default_degree(self.cols, self.degree_coeff)
 
     @property
     def im_size(self) -> int:

@@ -75,16 +75,6 @@ def mutual_information(law: JointLaw, a_names, b_names, c_names=()) -> float:
     return h_ac + h_bc - h_abc - h_c
 
 
-@dataclass(frozen=True)
-class RatePoint:
-    rates: tuple[float, ...]
-
-    def __post_init__(self):
-        if any(r < 0 for r in self.rates):
-            raise ValueError("rates must be nonnegative")
-        object.__setattr__(self, "rates", tuple(float(r) for r in self.rates))
-
-
 def _as_pmf_array(p, size: int) -> np.ndarray:
     arr = p.probs if isinstance(p, Pmf) else np.asarray(p, dtype=float)
     if arr.shape != (size,):

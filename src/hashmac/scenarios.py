@@ -9,9 +9,13 @@ coded:
   component is a sender (private messages with time sharing; a one-point
   law gives the plain private-message code);
 - coded: component 0 is a cloud center carrying a common message.  It is
-  coded against the context law itself, and its codeword is the context of
-  the two senders' satellites.  A one-point cloud has no rows and its
-  codeword is all zeros, fixed at build time like a shared u.
+  coded against the context law given a context of one symbol, and its
+  codeword is the context of the two senders' satellites.  A one-point
+  cloud has no rows and its codeword is all zeros, fixed at build time like
+  a shared u.
+
+A failed trial's stage is read from one joint count table of the trial's
+context, sender codewords and channel output.
 """
 
 from __future__ import annotations
@@ -25,12 +29,13 @@ import numpy as np
 
 from . import rng as rng_mod
 from .channel import Dmc, sample_channel
-# min_div_encode, min_div_decode and apply_label are not called here; they
-# stay importable from this module because perfbench/spans.py traces them at
-# this import site.
+# min_div_encode, min_div_decode, apply_label, divergence_to, is_cond_typical
+# and seq_mutual_multi are not called here; they stay importable from this
+# module because perfbench/spans.py traces them at this import site.
 from .codec import (AllCosetsEmptyError, EmptyCosetError, EncodeTarget,  # noqa: F401
                     MinDivDecoder, min_div_decode, min_div_encode, min_div_member)
-from .empirical import divergence_to, is_cond_typical, marginal_divergences, seq_mutual_multi
+from .empirical import (_entropy_counts, conditional_divergences, count_divergence,  # noqa: F401
+                        divergence_to, is_cond_typical, joint_counts, seq_mutual_multi)
 from .ensembles import (EnsembleSpec, SupportBudgetError, UNIFORM, estimate_hash_params,
                         multi_params, occupancy_factor, product_params, sample)
 from .gf import FieldSpec, LinearLabel, all_vectors, apply_label, apply_label_many  # noqa: F401
@@ -89,8 +94,7 @@ class CodeInstance:
     kappa: float                       # bin-occupancy factor of the coded components
     ctx_law: Pmf                       # law of the context symbol (u or the cloud x0)
     u: np.ndarray | None               # context fixed at build time; None if a cloud codes it
-    cond_inputs: tuple                 # per component: law given the context; None: a cloud
-    channel_cond: CondPmf              # y given the full input context
+    cond_inputs: tuple                 # per component: law given its context (a cloud: 1 row)
 
     @property
     def k_messages(self) -> int:
@@ -100,6 +104,17 @@ class CodeInstance:
     def n_cloud(self) -> int:
         """Components before the senders: 1 with a cloud center, else 0."""
         return self.k_messages - self.dmc.n_senders
+
+    @cached_property
+    def mi_allowance(self) -> float:
+        """Allowance of the empirical-mi stage: radius plus each component's slack and margin."""
+        g, c, m = self.gamma, self.n_cloud, self.ctx_law.size
+        threshold = g
+        for e in self.eps[:c]:  # a cloud adds its entropy slack and margin
+            threshold = threshold + entropy_slack(g, m) + e
+        return threshold + sum(
+            cond_entropy_slack(g, g, self.cond_inputs[i].size, m) + self.eps[i]
+            for i in range(c, self.k_messages))
 
     @cached_property
     def fixed(self) -> int:
@@ -167,20 +182,6 @@ def _select_gamma(per_sender, sum_terms, eps, n, kappa):
     return GAMMA_GRID[0], False
 
 
-def _channel_cond(dmc: Dmc, ctx_sizes: tuple[int, ...]) -> CondPmf:
-    """Output law conditioned on the composite (context, senders) symbol."""
-    k = dmc.n_senders
-    extra = len(ctx_sizes) - k
-    rows = np.broadcast_to(dmc.table, tuple(ctx_sizes[:extra]) + dmc.table.shape)
-    rows = rows.reshape(-1, dmc.output_size)
-    return CondPmf(tuple(range(rows.shape[0])), tuple(range(dmc.output_size)), rows)
-
-
-def _ctx_seq(seqs, sizes) -> np.ndarray:
-    return np.ravel_multi_index(tuple(np.asarray(s, dtype=np.int64) for s in seqs),
-                                tuple(sizes))
-
-
 def _as_cond(rows, given_size: int, out_size: int) -> CondPmf:
     if isinstance(rows, CondPmf):
         return rows
@@ -210,10 +211,11 @@ def _build(scenario, law: JointLaw, ctx_law: Pmf, conds, in_region, dmc: Dmc,
            rates, eps, n: int, rng, ensemble_factory, check_region) -> CodeInstance:
     """Sample one code: coded components conditioned on a context.
 
-    conds[j] is component j's input law given the context symbol, or None
-    for a cloud center (component 0), whose target is ctx_law itself.  The
-    components are named by the law's axes before y; the context is its
-    first axis.  in_region(rates, law) is the region verdict.
+    conds[j] is component j's input law given the context symbol; a cloud
+    center (component 0 when the components outnumber the senders) has
+    ctx_law as its one row, given a context of one symbol.  The components
+    are named by the law's axes before y; the context is its first axis.
+    in_region(rates, law) is the region verdict.
     """
     k = len(conds)
     rates = tuple(float(r) for r in rates)
@@ -225,13 +227,13 @@ def _build(scenario, law: JointLaw, ctx_law: Pmf, conds, in_region, dmc: Dmc,
     c = k - dmc.n_senders
     m = ctx_law.size
     ctx, names = law.names[0], law.names[-1 - k:-1]
-    qs = [m if x is None else x.size for x in conds]
+    qs = [x.size for x in conds]
     live = [j for j in range(k) if qs[j] > 1]  # a one-point cloud carries nothing
     if any(rates[j] != 0 for j in range(k) if j not in live):
         raise InfeasibleRateError("a one-point cloud alphabet forces R0 = 0")
     h_ctx = law.entropy([ctx])
-    h = [h_ctx if x is None else law.entropy([name, ctx]) - h_ctx
-         for x, name in zip(conds, names)]
+    h = [h_ctx if j < c else law.entropy([name, ctx]) - h_ctx
+         for j, name in enumerate(names)]
 
     msg_rows = [_round_rows(n, rates[j], qs[j]) if j in live else 0 for j in range(k)]
     act_rates = tuple(_rows_rate(r, n, q) for r, q in zip(msg_rows, qs))
@@ -276,9 +278,9 @@ def _build(scenario, law: JointLaw, ctx_law: Pmf, conds, in_region, dmc: Dmc,
     kappa = occupancy_factor(_stacked_beta([check_specs[j] for j in live],
                                            [message_specs[j] for j in live]), n, len(live))
     per_component = [
-        (lambda g: typical_size_slack(g, n, m)) if x is None
+        (lambda g: typical_size_slack(g, n, m)) if j < c
         else (lambda g, q=x.size: cond_typical_size_slack(g, g, n, q, m))
-        for x in conds]
+        for j, x in enumerate(conds)]
 
     def sum_terms(g):
         total = (dmc.n_senders + 3) * g
@@ -293,8 +295,7 @@ def _build(scenario, law: JointLaw, ctx_law: Pmf, conds, in_region, dmc: Dmc,
         check_specs=tuple(check_specs), message_specs=tuple(message_specs),
         rates=act_rates, srates=act_srates, eps=eps, requested_rates=rates,
         gamma=gamma, gamma_ok=gamma_ok, kappa=kappa,
-        ctx_law=ctx_law, u=u, cond_inputs=tuple(conds),
-        channel_cond=_channel_cond(dmc, (m,) + tuple(dmc.input_sizes)))
+        ctx_law=ctx_law, u=u, cond_inputs=tuple(conds))
 
 
 def build_private_code(mu_u, input_conds, dmc: Dmc, rates, eps, n: int,
@@ -327,15 +328,9 @@ def build_superposition_code(mu_cloud, cond1, cond2, dmc: Dmc, rates, eps, n: in
     # Without a cloud the auxiliary (cloud-decodability) constraints are vacuous.
     degenerate = mu_cloud.size == 1
     in_region = lambda r, law: in_region_sw(r, law, include_aux=not degenerate)
-    return _build("superposition", law, mu_cloud, (None,) + conds, in_region, dmc,
+    cloud = _as_cond(mu_cloud.probs[None, :], 1, mu_cloud.size)
+    return _build("superposition", law, mu_cloud, (cloud,) + conds, in_region, dmc,
                   rates, eps, n, rng, ensemble_factory, check_region)
-
-
-def _target(code: CodeInstance, i: int, ctx) -> EncodeTarget:
-    """Component i's design law: the context law for a cloud, else its law given ctx."""
-    cond = code.cond_inputs[i]
-    return (EncodeTarget.for_marginal(code.ctx_law) if cond is None
-            else EncodeTarget.for_conditional(cond, ctx))
 
 
 def _codeword(code: CodeInstance, i: int, key, message, ctx) -> np.ndarray:
@@ -364,7 +359,8 @@ def _fill(code: CodeInstance, i: int, message, ctx):
     if rows.size == 0:
         return (f"no vector satisfies the {code.checks[i].rows}+"
                 f"{code.message_maps[i].rows} constraints")
-    pick = min_div_member(coset[rows], _target(code, i, ctx), code.checks[i].field.q)
+    target = EncodeTarget.for_conditional(code.cond_inputs[i], ctx)
+    pick = min_div_member(coset[rows], target, code.checks[i].field.q)
     return coset[rows[pick]]  # a read-only row of the decoder's coset
 
 
@@ -375,11 +371,14 @@ def _message_key(m) -> bytes:
 def encode_components(code: CodeInstance, messages) -> tuple[np.ndarray, ...]:
     """Every component's codeword, a cloud center's first.
 
-    The context is u when it is fixed, else the cloud codeword.
+    The context is u when it is fixed, else the cloud codeword, which is
+    coded given a context of one symbol.
     """
     c = code.n_cloud
     key = b"".join(map(_message_key, messages[:c]))
-    ctx = code.u if code.u is not None else _codeword(code, 0, key, messages[0], None)
+    ctx = code.u
+    if ctx is None:
+        ctx = _codeword(code, 0, key, messages[0], np.zeros(code.n, dtype=np.int64))
     return (ctx,) * c + tuple(_codeword(code, i, key + _message_key(m), m, ctx)
                               for i, m in enumerate(messages[c:], c))
 
@@ -437,26 +436,27 @@ def reduce_common_to_private(dmc: Dmc, msg_sets, symbol_maps, aux_sizes):
 
 
 def _classify(code: CodeInstance, xs, y) -> str:
-    g = code.gamma
-    c = code.n_cloud
-    m = code.ctx_law.size
+    """First failed stage of a trial, each read off the trial's joint type.
+
+    The one table counts (context, senders, y); every stage is a marginal
+    of it against the code's laws.
+    """
+    g, c = code.gamma, code.n_cloud
     ctx = code.u if code.u is not None else xs[0]
-    for x in xs[:c]:
-        if not divergence_to(x, code.ctx_law) < g:
-            return STAGE_ENCODER
-    for i in range(c, len(xs)):
-        if not is_cond_typical(xs[i], ctx, code.cond_inputs[i], g):
-            return STAGE_ENCODER
-    threshold = g
-    for e in code.eps[:c]:  # a cloud adds its entropy slack and margin
-        threshold = threshold + entropy_slack(g, m) + e
-    threshold = threshold + sum(
-        cond_entropy_slack(g, g, code.cond_inputs[i].size, m) + code.eps[i]
-        for i in range(c, len(xs)))
-    if not seq_mutual_multi(xs[c:], ctx) < threshold:
+    table = joint_counts((ctx,) + tuple(xs[c:]) + (y,), code.law.table.shape)
+    axes = range(table.ndim)
+    ctx_counts = table.sum(axis=tuple(axes[1:]))
+    senders = [table.sum(axis=tuple(a for a in axes[1:] if a != j)) for j in axes[1:-1]]
+    given = [ctx_counts[None, :]] * c + senders  # a cloud's context is one symbol
+    if not all(count_divergence(t, x.rows) < g for t, x in zip(given, code.cond_inputs)):
+        return STAGE_ENCODER
+    n = len(y)
+    h_ctx = _entropy_counts(ctx_counts, n)
+    h_each = sum(_entropy_counts(t.ravel(), n) - h_ctx for t in senders)
+    h_joint = _entropy_counts(table.sum(axis=-1).ravel(), n) - h_ctx
+    if not h_each - h_joint < code.mi_allowance:
         return STAGE_MI
-    cells = _ctx_seq((ctx,) + tuple(xs[c:]), (m,) + tuple(code.dmc.input_sizes))
-    if not is_cond_typical(y, cells, code.channel_cond, g):
+    if not count_divergence(table, code.dmc.table) < g:
         return STAGE_CHANNEL
     return STAGE_DECODER
 
@@ -554,11 +554,13 @@ def saturation_audit(code: CodeInstance, budget: int = 1 << 20) -> list[dict]:
     coded cloud are audited given its most typical sequence.
     """
     ctx = code.u if code.u is not None else _typical_cloud(code)
+    ctxs = (np.zeros(code.n, dtype=np.int64),) * code.n_cloud + (ctx,) * code.dmc.n_senders
     kappa = code.kappa
     out = []
     for i in range(code.fixed, code.k_messages):
         cands = all_vectors(code.checks[i].field.q, code.n, budget)
-        t_size = int((_target(code, i, ctx).divergences(cands) < code.gamma).sum())
+        d = conditional_divergences(cands, code.cond_inputs[i], ctxs[i])
+        t_size = int((d < code.gamma).sum())
         bins = code.checks[i].im_size * code.message_maps[i].im_size
         lo = math.ceil(kappa * bins)
         hi = math.floor(min(2 * kappa * bins, t_size))
@@ -569,4 +571,5 @@ def saturation_audit(code: CodeInstance, budget: int = 1 << 20) -> list[dict]:
 
 def _typical_cloud(code: CodeInstance) -> np.ndarray:
     cands = all_vectors(code.ctx_law.size, code.n)
-    return cands[int(np.argmin(marginal_divergences(cands, code.ctx_law)))]
+    d = conditional_divergences(cands, code.cond_inputs[0], np.zeros(code.n, dtype=np.int64))
+    return cands[int(np.argmin(d))]

@@ -19,8 +19,9 @@ import numpy as np
 from . import rng as rng_mod
 from .codec import (CosetSpec, EmptyCosetError, EncodeTarget, build_T_subset,
                     min_div_decode, min_div_encode)
-from .empirical import (_divergence_from_counts, _log2_denom, conditional_divergences,
-                        enumerate_types, type_class_size)
+from .empirical import (_count_symbols, _divergence_from_counts, _entropy_counts,
+                        _log2_denom, conditional_divergences, enumerate_types,
+                        type_class_size)
 from .ensembles import (EnsembleSpec, SPARSE, UNIFORM, collision_by_weight, collision_prob,
                         conditional_maxima, crp_bound, crp_rate_exact,
                         estimate_hash_params, multi_crp_bound,
@@ -58,12 +59,6 @@ def _div_from_counts(counts: np.ndarray, denom: np.ndarray, n: int) -> np.ndarra
     return _divergence_from_counts(counts, _log2_denom(denom), n)
 
 
-def _entropy_from_counts(counts: np.ndarray, n: int) -> np.ndarray:
-    with np.errstate(divide="ignore", invalid="ignore"):
-        term = np.where(counts > 0, counts * np.log2(np.maximum(counts, 1)), 0.0)
-    return math.log2(n) - term.sum(axis=-1) / n
-
-
 def _binary_stats(n: int, mu: np.ndarray):
     """For all 2^n sequences: counts (m,2) and divergence to mu."""
     seqs = all_vectors(2, n)
@@ -83,10 +78,7 @@ def _pair_stats(n: int, muv: np.ndarray):
     v = digits >> 1
     u = digits & 1
     m = digits.shape[0]
-    counts = np.zeros((m, 2, 2), dtype=np.int64)
-    for b in range(2):
-        for a in range(2):
-            counts[:, b, a] = ((v == b) & (u == a)).sum(axis=1)
+    counts = _count_symbols(v * 2 + u, 4).reshape(m, 2, 2)
     cv = counts.sum(axis=2)
     mu_v = muv.sum(axis=1)
     d_joint = _div_from_counts(counts.reshape(m, 4), n * muv.ravel()[None, :], n)
@@ -94,8 +86,8 @@ def _pair_stats(n: int, muv: np.ndarray):
     mu_cond = muv / mu_v[:, None]
     d_cond = _div_from_counts(counts.reshape(m, 4),
                               (cv[:, :, None] * mu_cond[None, :, :]).reshape(m, 4), n)
-    h_v = _entropy_from_counts(cv, n)
-    h_vu = _entropy_from_counts(counts.reshape(m, 4), n)
+    h_v = _entropy_counts(cv, n)
+    h_vu = _entropy_counts(counts.reshape(m, 4), n)
     v_id = v @ (1 << np.arange(n - 1, -1, -1, dtype=np.int64))
     return v, u, v_id, counts, d_joint, d_v, d_cond, h_v, h_vu
 
@@ -123,7 +115,7 @@ def types_suite(ns=(4, 6, 8, 10), gammas=(0.01, 0.05, 0.125),
         for m in (2, 3):
             lam = slack.type_count_penalty(n, m)
             for t in enumerate_types(n, range(m)):
-                h = float(_entropy_from_counts(t.counts.astype(float)[None, :], n)[0])
+                h = float(_entropy_counts(t.counts, n))
                 logsize = math.log2(type_class_size(t))
                 cases += 1
                 if not (n * (h - lam) - 1e-9 <= logsize <= n * h + 1e-9):
@@ -144,7 +136,7 @@ def types_suite(ns=(4, 6, 8, 10), gammas=(0.01, 0.05, 0.125),
     cases = viol = 0
     for n in ns:
         _, counts, _ = _binary_stats(n, np.array([0.5, 0.5]))
-        h = _entropy_from_counts(counts, n)
+        h = _entropy_counts(counts, n)
         lam = slack.type_count_penalty(n, 2)
         for hh in (0.0, 0.25, 0.5, 0.75, 1.0):
             cases += 1
@@ -552,7 +544,7 @@ def codec_suite(seed: int = 20250811, encode_instances: int = 120,
                 CondPmf((0, 1), (0, 1), rows), u)
             ref = _ref_encode([A.matrix, Ap.matrix], [a, mvec], n, rows, u)
         else:
-            target = EncodeTarget.for_marginal(Pmf((0, 1), mu))
+            target = EncodeTarget.for_marginal(Pmf((0, 1), mu), n)
             ref = _ref_encode([A.matrix, Ap.matrix], [a, mvec], n, mu, None)
         cases += 1
         try:

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 import hashmac.cli as cli
 import hashmac.slack as slack
 import hashmac.verify as verify
@@ -115,6 +117,28 @@ def test_config_errors_exit_2(tmp_path, capsys):
 
     cfg = write_cfg(tmp_path, sim_cfg(rates=[0.25]))
     assert cli.main(["simulate", "--config", cfg]) != 0
+
+
+def stats_cfg(**overrides):
+    block = {"field": 2, "ladder": [4], "mode": "mc", "trials": 20,
+             "ensembles": [{"kind": "uniform-all-linear"}]}
+    block.update(overrides)
+    return {"seed": 7, "ensemble_stats": block}
+
+
+@pytest.mark.parametrize("command, payload, field", [
+    ("simulate", sim_cfg(candidates=0), "simulate.candidates"),
+    ("simulate", sim_cfg(n_ladder=[0, 4]), "simulate.n_ladder"),
+    ("simulate", sim_cfg(eps=[0.05, 0.0]), "simulate.eps"),
+    ("simulate", sim_cfg(eps=[-0.05, 0.05]), "simulate.eps"),
+    ("simulate", sim_cfg(pilot_trials=-1), "simulate.pilot_trials"),
+    ("ensemble-stats", stats_cfg(field=4), "ensemble_stats.field"),
+    ("ensemble-stats", stats_cfg(ladder=[0, 4]), "ensemble_stats.ladder"),
+    ("ensemble-stats", stats_cfg(trials=0), "ensemble_stats.trials"),
+])
+def test_out_of_range_config_values_exit_2(tmp_path, capsys, command, payload, field):
+    assert cli.main([command, "--config", write_cfg(tmp_path, payload)]) == 2
+    assert f"config error: {field}:" in capsys.readouterr().err
 
 
 def test_missing_config_for_simulate():

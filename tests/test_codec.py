@@ -1,11 +1,16 @@
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hashmac.codec import (AllCosetsEmptyError, CosetSpec, EmptyCosetError,
-                           EncodeTarget, build_T_subset, min_div_decode, min_div_encode)
-from hashmac.empirical import conditional_divergences, marginal_divergences
+                           EncodeTarget, _exact_key, build_T_subset, min_div_decode,
+                           min_div_encode)
+from hashmac.empirical import (_count_symbols, _divergence_from_counts, _log2_denom,
+                               conditional_divergences, divergence_to)
 from hashmac.gf import (EnumerationBudgetError, FieldSpec, LinearLabel,
                         all_vectors, apply_label)
 from hashmac.prob import CondPmf, Pmf
@@ -23,20 +28,20 @@ def lbl(rows, n=None):
 
 def test_encode_prefers_low_divergence():
     cs = CosetSpec(lbl([[1, 1]]), lbl([], 2), [0], [])
-    x = min_div_encode(cs, EncodeTarget.for_marginal(Pmf((0, 1), [0.9, 0.1])))
+    x = min_div_encode(cs, EncodeTarget.for_marginal(Pmf((0, 1), [0.9, 0.1]), 2))
     assert x.tolist() == [0, 0]
 
 
 def test_encode_uniform_breaks_ties_lexicographically():
     cs = CosetSpec(lbl([[1, 1]]), lbl([], 2), [1], [])
-    x = min_div_encode(cs, EncodeTarget.for_marginal(Pmf.uniform((0, 1))))
+    x = min_div_encode(cs, EncodeTarget.for_marginal(Pmf.uniform((0, 1)), 2))
     assert x.tolist() == [0, 1]  # both members tie; smallest wins
 
 
 def test_encode_conditional_on_constant_matches_marginal():
     cs = CosetSpec(lbl([[1, 1, 0]]), lbl([[0, 1, 1]]), [0], [1])
     mu = Pmf((0, 1), [0.9, 0.1])
-    x_marg = min_div_encode(cs, EncodeTarget.for_marginal(mu))
+    x_marg = min_div_encode(cs, EncodeTarget.for_marginal(mu, 3))
     cond = CondPmf((0,), (0, 1), [[0.9, 0.1]])
     x_cond = min_div_encode(cs, EncodeTarget.for_conditional(cond, np.zeros(3, int)))
     assert (x_marg == x_cond).all()
@@ -52,7 +57,7 @@ def test_encode_output_satisfies_constraints():
         m = rng.integers(2, size=1)
         cs = CosetSpec(A, Ap, a, m)
         try:
-            x = min_div_encode(cs, EncodeTarget.for_marginal(Pmf((0, 1), [0.75, 0.25])))
+            x = min_div_encode(cs, EncodeTarget.for_marginal(Pmf((0, 1), [0.75, 0.25]), n))
         except EmptyCosetError:
             continue
         assert (apply_label(A, x) == a).all()
@@ -62,14 +67,19 @@ def test_encode_output_satisfies_constraints():
 def test_encode_empty_coset_raises():
     cs = CosetSpec(lbl([[1, 1]]), lbl([[1, 1]]), [0], [1])
     with pytest.raises(EmptyCosetError):
-        min_div_encode(cs, EncodeTarget.for_marginal(Pmf.uniform((0, 1))))
+        min_div_encode(cs, EncodeTarget.for_marginal(Pmf.uniform((0, 1)), 2))
 
 
 def test_encode_target_validation():
-    with pytest.raises(ValueError):
-        EncodeTarget()
-    with pytest.raises(ValueError):
-        EncodeTarget(conditional=CondPmf((0,), (0, 1), [[0.5, 0.5]]))
+    cond = CondPmf((0,), (0, 1), [[0.5, 0.5]])
+    with pytest.raises(TypeError):
+        EncodeTarget(conditional=cond)  # a law needs its context sequence
+    with pytest.raises(TypeError):
+        EncodeTarget.for_marginal(Pmf.uniform((0, 1)))  # and its length
+    for bad in ([[0, 0]], [0, 1], [-1, 0]):  # not a sequence of context symbols
+        with pytest.raises(ValueError):
+            EncodeTarget.for_conditional(cond, bad)
+    assert EncodeTarget.for_marginal(Pmf.uniform((0, 1)), 3).conditioning.tolist() == [0, 0, 0]
 
 
 def test_decode_singleton_cosets_return_transmitted():
@@ -147,7 +157,7 @@ def test_divergence_helpers_match_definitions():
     # The reference sums c/n * log2(c/denom) over the occupied cells one by one.
     cands = all_vectors(2, 4)
     mu = Pmf((0, 1), [0.75, 0.25])
-    d = marginal_divergences(cands, mu)
+    d = [divergence_to(c, mu) for c in cands]
     for i in range(cands.shape[0]):
         want = _ref_div_cells(Counter(cands[i].tolist()), lambda a: 4 * mu.probs[a], 4)
         assert abs(d[i] - want) < 1e-12
@@ -159,6 +169,32 @@ def test_divergence_helpers_match_definitions():
         cells = Counter(zip(u.tolist(), cands[i].tolist()))
         want = _ref_div_cells(cells, lambda c: u_counts[c[0]] * cond.rows[c], 4)
         assert abs(dc[i] - want) < 1e-12
+
+
+def _marginal_divergences(cands, mu):
+    """The marginal kernel: counts against n * mu, without a context."""
+    n = cands.shape[1]
+    counts = _count_symbols(cands, mu.size)
+    return _divergence_from_counts(counts, _log2_denom(n * mu.probs)[None, :], n)
+
+
+def _marginal_key(cand, mu):
+    counts = np.bincount(cand, minlength=mu.size)
+    return _exact_key(counts, [cand.shape[0] * Fraction(float(p)) for p in mu.probs])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 3), st.integers(1, 6),
+       st.lists(st.integers(0, 8), min_size=3, max_size=3))
+def test_marginal_target_is_one_symbol_context(q, n, weights):
+    w = np.array(weights[:q], dtype=float)  # a zero weight leaves a cell without mass
+    if w.sum() == 0:
+        w[0] = 1.0
+    mu = Pmf(tuple(range(q)), w / w.sum())
+    cands = all_vectors(q, n)
+    target = EncodeTarget.for_marginal(mu, n)
+    assert np.array_equal(target.divergences(cands), _marginal_divergences(cands, mu))
+    assert [target.exact_key(c) for c in cands] == [_marginal_key(c, mu) for c in cands]
 
 
 def test_t_subset_whole_set_and_zero_divergence_head():

@@ -84,7 +84,7 @@ def all_messages(code, i):
 
 def one_shot(code, i, m, given):
     cs = CosetSpec(code.checks[i], code.message_maps[i], code.syndromes[i], m)
-    target = (EncodeTarget.for_marginal(code.ctx_law) if given is None
+    target = (EncodeTarget.for_marginal(code.ctx_law, code.n) if given is None
               else EncodeTarget.for_conditional(code.cond_inputs[i], given))
     try:
         return min_div_encode(cs, target)

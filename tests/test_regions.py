@@ -6,7 +6,7 @@ import pytest
 from hashmac import rng as rng_mod
 from hashmac.channel import deterministic_dmc
 from hashmac.channel import Dmc
-from hashmac.regions import (JointLaw, RatePoint, _constraints, eps_feasible,
+from hashmac.regions import (JointLaw, _constraints, eps_feasible,
                              in_region_private, in_region_sw, in_region_ts,
                              joint_private, joint_sw, joint_ts, mutual_information,
                              rate_split)
@@ -160,12 +160,6 @@ def test_sw_factorization_identity_random():
         law = joint_sw(mu0, c1, c2, dmc)
         assert abs(mutual_information(law, ["x1", "x2"], ["y"])
                    - mutual_information(law, ["x0", "x1", "x2"], ["y"])) <= 1e-9
-
-
-def test_rate_point_validation():
-    with pytest.raises(ValueError):
-        RatePoint((-0.1, 0.2))
-    assert RatePoint((0.1, 0.2)).rates == (0.1, 0.2)
 
 
 def test_joint_law_validation():

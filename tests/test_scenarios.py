@@ -1,14 +1,22 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from hashmac import rng as rng_mod
 from hashmac.channel import Dmc, deterministic_dmc, sample_channel
-from hashmac.gf import apply_label
-from hashmac.scenarios import (InfeasibleRateError, STAGES, TrialResult,
-                               build_private_code, build_superposition_code,
-                               decode_components, encode_components,
-                               reduce_common_to_private, run_trial,
+from hashmac.codec import EmptyCosetError
+from hashmac.empirical import (conditional_divergences, divergence_to, is_cond_typical,
+                               seq_mutual_multi)
+from hashmac.gf import all_vectors, apply_label
+from hashmac.prob import CondPmf
+from hashmac.scenarios import (GAMMA_GRID, InfeasibleRateError, STAGE_CHANNEL,
+                               STAGE_DECODER, STAGE_ENCODER, STAGE_MI, STAGES,
+                               TrialResult, _classify, _typical_cloud, build_private_code,
+                               build_superposition_code, decode_components,
+                               encode_components, reduce_common_to_private, run_trial,
                                saturation_audit, search_code, simulate_error)
+from hashmac.slack import MAX_RADIUS, cond_entropy_slack, entropy_slack
 
 ADDER = deterministic_dmc((2, 2), 3, lambda a, b: a + b)
 PAIR = deterministic_dmc((2, 2), 4, lambda a, b: 2 * a + b)
@@ -347,3 +355,106 @@ def test_three_sender_machinery():
         for j in range(3):
             assert (apply_label(code.message_maps[j], xs[j]) == msgs[j]).all()
         break
+
+
+def _classify_by_sequences(code, xs, y):
+    """Reference classifier: each stage tested on the raw sequences on its own."""
+    g, c, m = code.gamma, code.n_cloud, code.ctx_law.size
+    ctx = code.u if code.u is not None else xs[0]
+    for x in xs[:c]:
+        if not divergence_to(x, code.ctx_law) < g:
+            return STAGE_ENCODER
+    for i in range(c, len(xs)):
+        if not is_cond_typical(xs[i], ctx, code.cond_inputs[i], g):
+            return STAGE_ENCODER
+    threshold = g
+    for e in code.eps[:c]:
+        threshold = threshold + entropy_slack(g, m) + e
+    threshold = threshold + sum(
+        cond_entropy_slack(g, g, code.cond_inputs[i].size, m) + code.eps[i]
+        for i in range(c, len(xs)))
+    if not seq_mutual_multi(xs[c:], ctx) < threshold:
+        return STAGE_MI
+    dmc = code.dmc
+    cells = np.ravel_multi_index((ctx,) + tuple(xs[c:]), (m,) + dmc.input_sizes)
+    rows = np.broadcast_to(dmc.table, (m,) + dmc.table.shape).reshape(-1, dmc.output_size)
+    channel = CondPmf(tuple(range(rows.shape[0])), tuple(range(dmc.output_size)), rows)
+    if not is_cond_typical(y, cells, channel, g):
+        return STAGE_CHANNEL
+    return STAGE_DECODER
+
+
+def _random_code(rng, kind):
+    """A private, time-sharing, cloud or one-point-cloud code over GF(2) or GF(3)."""
+    q = int(rng.choice([2, 3]))
+    k = 2 if kind in ("cloud", "one-point") else int(rng.integers(2, 4))
+    out = int(rng.integers(2, 4))
+    dmc = Dmc((q,) * k, out, rng.dirichlet(np.ones(out), size=(q,) * k))
+    m = 1 if kind in ("private", "one-point") else int(rng.integers(2, 4))
+    ctx_law = rng.dirichlet(np.ones(m))
+    conds = [rng.dirichlet(np.ones(q), size=m) for _ in range(k)]
+    if rng.random() < 0.5:  # uniform senders, so a copied codeword stays typical
+        conds = [np.full((m, q), 1 / q)] * k
+    n = int(rng.integers(4, 7))
+    rates = [float(r) for r in rng.choice([0.0, 0.2], size=k)]
+    if kind in ("private", "time-sharing"):
+        build = lambda r: build_private_code(ctx_law, conds, dmc, rates,
+                                             rng.uniform(0.02, 0.1, k), n, r,
+                                             check_region=False)
+    else:
+        r0 = [0.0 if m == 1 else 0.2]
+        build = lambda r: build_superposition_code(ctx_law, conds[0], conds[1], dmc,
+                                                   r0 + rates, rng.uniform(0.02, 0.1, 3),
+                                                   n, r, check_region=False)
+    try:
+        return build(rng)
+    except InfeasibleRateError:
+        return None
+
+
+def _trial_inputs(code, rng):
+    """Design-law draws, encoded codewords and most typical sequences, each with its y.
+
+    The last two also go out with every sender copying the first, which is
+    what makes the multi-information stage fire.
+    """
+    c, n = code.n_cloud, code.n
+    ctx = code.u if code.u is not None else rng.choice(code.ctx_law.size, size=n,
+                                                       p=code.ctx_law.probs)
+    draws = [np.array([rng.choice(x.size, p=x.rows[b]) for b in ctx])
+             for x in code.cond_inputs[c:]]
+    out = [(ctx,) * c + tuple(draws)]
+    msgs = [rng.integers(mm.field.q, size=mm.rows) for mm in code.message_maps]
+    try:
+        out.append(encode_components(code, msgs))
+    except EmptyCosetError:
+        pass
+    ctx = code.u if code.u is not None else _typical_cloud(code)
+    typical = []
+    for x in code.cond_inputs[c:]:
+        cands = all_vectors(x.size, n)
+        typical.append(cands[np.argmin(conditional_divergences(cands, x, ctx))])
+    out.append((ctx,) * c + tuple(typical))
+    for xs in out[1:]:
+        out.append(xs[:c] + (xs[c],) * len(draws))
+    return [(xs, sample_channel(code.dmc, xs[c:], rng)) for xs in out]
+
+
+def test_classifier_matches_sequence_tests():
+    rng = np.random.default_rng(SEED)
+    seen = set()
+    compared = 0
+    for trial in range(60):
+        kind = ("private", "time-sharing", "cloud", "one-point")[trial % 4]
+        code = _random_code(rng, kind)
+        if code is None:
+            continue
+        for xs, y in _trial_inputs(code, rng):
+            for g in GAMMA_GRID + (MAX_RADIUS,):
+                at = dataclasses.replace(code, gamma=g)
+                want = _classify_by_sequences(at, xs, y)
+                assert _classify(at, xs, y) == want, (kind, g)
+                seen.add(want)
+                compared += 1
+    assert compared > 500
+    assert seen == {STAGE_ENCODER, STAGE_MI, STAGE_CHANNEL, STAGE_DECODER}
