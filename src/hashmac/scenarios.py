@@ -504,8 +504,8 @@ def simulate_error(code: CodeInstance, trials: int, seed: int, path=()) -> Simul
         raise ValueError("trials must be positive")
     counts = {s: 0 for s in STAGES}
     errors = 0
-    for t in range(trials):
-        res = run_trial(code, rng_mod.stream(seed, *path, t))
+    for rng in rng_mod.trial_streams(seed, path, trials):
+        res = run_trial(code, rng)
         if not res.success:
             errors += 1
             counts[res.stage] += 1

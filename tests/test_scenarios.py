@@ -10,7 +10,7 @@ from hashmac.empirical import (conditional_divergences, divergence_to, is_cond_t
                                seq_mutual_multi)
 from hashmac.gf import all_vectors, apply_label
 from hashmac.prob import CondPmf
-from hashmac.scenarios import (GAMMA_GRID, InfeasibleRateError, STAGE_CHANNEL,
+from hashmac.scenarios import (GAMMA_GRID, InfeasibleRateError, STAGE_CHANNEL, STAGE_EMPTY,
                                STAGE_DECODER, STAGE_ENCODER, STAGE_MI, STAGES,
                                TrialResult, _classify, _typical_cloud, build_private_code,
                                build_superposition_code, decode_components,
@@ -458,3 +458,52 @@ def test_classifier_matches_sequence_tests():
                 compared += 1
     assert compared > 500
     assert seen == {STAGE_ENCODER, STAGE_MI, STAGE_CHANNEL, STAGE_DECODER}
+
+
+def _equivalence_codes():
+    """Private GF(2)/GF(3), time-sharing, and superposition codes, one with empty cosets."""
+    dmc3 = Dmc((3,), 3, np.array([[0.8, 0.1, 0.1], [0.1, 0.8, 0.1], [0.1, 0.1, 0.8]]))
+    ts_conds = [np.array([[0.5, 0.5], [0.75, 0.25]])] * 2
+    mu0, c1, c2 = _sw_inputs()
+    noisy_pair = Dmc((2, 2), 4, 0.9 * PAIR.table + 0.025)
+    return {
+        "private-gf2": build_small(8, dmc=noisy_adder()),
+        "private-gf3": build_private_code([1.0], [np.full((1, 3), 1 / 3)], dmc3, (0.2,),
+                                          (0.05,), 6, rng_mod.stream(SEED, "eq-gf3"),
+                                          check_region=False),
+        "time-sharing": build_private_code([0.5, 0.5], ts_conds, noisy_adder(1 / 8),
+                                           (0.2, 0.2), (0.05, 0.05), 8,
+                                           rng_mod.stream(SEED, "eq-ts"), check_region=False),
+        "superposition": build_superposition_code(mu0, c1, c2, noisy_pair,
+                                                  (0.125, 0.125, 0.125),
+                                                  (0.05, 0.05, 0.05), 8,
+                                                  rng_mod.stream(SEED, "sw")),
+        "superposition-empty": build_superposition_code(mu0, c1, c2, noisy_pair,
+                                                        (0.25, 0.25, 0.25),
+                                                        (0.05, 0.05, 0.05), 8,
+                                                        rng_mod.stream(SEED, "eq-sw", 0),
+                                                        check_region=False),
+    }
+
+
+def test_simulate_error_matches_per_trial_streams(monkeypatch):
+    """The run's one-pass trial keys replay `stream(seed, *path, t)` trial by trial."""
+    import hashmac.scenarios as scenarios
+    trials, path = 60, ("eq", 3, rng_mod.MEASURE, 1)
+    seen = set()
+    for name, code in _equivalence_codes().items():
+        want = {s: 0 for s in STAGES}
+        for t in range(trials):
+            res = run_trial(code, rng_mod.stream(SEED, *path, t))
+            if not res.success:
+                want[res.stage] += 1
+        calls = []
+        monkeypatch.setattr(scenarios, "run_trial",
+                            lambda c, r: calls.append(1) or run_trial(c, r))
+        got = simulate_error(code, trials, SEED, path)
+        monkeypatch.undo()
+        assert len(calls) == trials, name  # the benchmark counts trials here
+        assert got.stage_counts == want, name
+        assert got.errors == sum(want.values()), name
+        seen |= {s for s, k in want.items() if k}
+    assert {STAGE_EMPTY, STAGE_ENCODER, STAGE_CHANNEL} <= seen
