@@ -17,6 +17,7 @@ class Dmc:
     output_size: int
     table: np.ndarray  # shape input_sizes + (output_size,)
     cdf: np.ndarray = field(init=False, repr=False, compare=False)  # cumsum over y
+    size_column: np.ndarray = field(init=False, repr=False, compare=False)  # uint64 input_sizes
 
     def __post_init__(self):
         t = np.asarray(self.table, dtype=float)
@@ -35,6 +36,9 @@ class Dmc:
         cdf.flags.writeable = False
         object.__setattr__(self, "cdf", cdf)
         object.__setattr__(self, "input_sizes", tuple(int(s) for s in self.input_sizes))
+        column = np.array(self.input_sizes, dtype=np.uint64)[:, None]
+        column.flags.writeable = False
+        object.__setattr__(self, "size_column", column)
 
     @property
     def n_senders(self) -> int:
@@ -52,16 +56,19 @@ def deterministic_dmc(input_sizes, output_size, fn) -> Dmc:
 
 def sample_channel(dmc: Dmc, xs, rng: np.random.Generator) -> np.ndarray:
     """Draw y_i independently from the table row of (x_1i, ..., x_ki)."""
-    xs = [np.asarray(x, dtype=np.int64) for x in xs]
-    if len(xs) != dmc.n_senders:
+    try:
+        xs = np.asarray(xs, dtype=np.int64)
+    except ValueError:  # sequences of different lengths
+        raise ValueError("input length mismatch") from None
+    if xs.ndim != 2 or xs.shape[0] != dmc.n_senders:
         raise ValueError(f"expected {dmc.n_senders} input sequences")
-    n = xs[0].size
-    for j, x in enumerate(xs):
-        if x.size != n:
-            raise ValueError("input length mismatch")
-        if x.size and (x.min() < 0 or x.max() >= dmc.input_sizes[j]):
-            raise ValueError(f"sender {j} symbol outside its alphabet")
+    # A negative symbol reads as a huge unsigned one, so one comparison
+    # against each sender's alphabet size checks both ends.
+    bad = xs.view(np.uint64) >= dmc.size_column
+    if bad.any():
+        j = int(np.flatnonzero(bad.any(axis=1))[0])
+        raise ValueError(f"sender {j} symbol outside its alphabet")
     cum = dmc.cdf[tuple(xs)]                 # (n, output_size)
-    draws = rng.random(n)
+    draws = rng.random(xs.shape[1])
     # Inverse CDF with the fixed symbol order of the table.
-    return (draws[:, None] >= cum).sum(axis=1).astype(np.int64)
+    return (draws[:, None] >= cum).sum(axis=1)

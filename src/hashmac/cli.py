@@ -121,7 +121,11 @@ def _parse_ensemble_factory(block: dict | None, where: str):
 
 
 def _law_and_builder(block: dict, dmc: Dmc, where: str):
-    """(scenario, joint law, build): build(dmc, rates, eps, n, rng, **kw) samples a code."""
+    """(scenario, joint law, build): build(dmc, rates, eps, n, rng, **kw) samples a code.
+
+    Every code of one builder shares one joint law, built here, so its
+    region constraints are computed once however many candidates are built.
+    """
     scenario = _need(block, "scenario", where)
     if scenario == "private":
         dists = _need(block, "inputs", where)
@@ -129,14 +133,15 @@ def _law_and_builder(block: dict, dmc: Dmc, where: str):
             raise ConfigError(f"{where}.inputs: one distribution per sender required")
         dists = [_parse_dist(d, s, f"{where}.inputs[{j}]")
                  for j, (d, s) in enumerate(zip(dists, dmc.input_sizes))]
+        conds = [d[None, :] for d in dists]
         return scenario, joint_private(dists, dmc), functools.partial(
-            build_private_code, [1.0], [d[None, :] for d in dists])
+            build_private_code, [1.0], conds, _law=joint_ts([1.0], conds, dmc))
     if scenario == "private-ts":
         mu_u = _parse_dist(_need(block, "u", where), len(block["u"]), f"{where}.u")
         conds = [_parse_cond(c, mu_u.size, dmc.input_sizes[j], f"{where}.inputs_given_u[{j}]")
                  for j, c in enumerate(_need(block, "inputs_given_u", where))]
-        return scenario, joint_ts(mu_u, conds, dmc), functools.partial(
-            build_private_code, mu_u, conds)
+        law = joint_ts(mu_u, conds, dmc)
+        return scenario, law, functools.partial(build_private_code, mu_u, conds, _law=law)
     if scenario == "superposition":
         cloud = np.asarray(_need(block, "cloud", where), dtype=float)
         cloud = _parse_dist(cloud, cloud.size, f"{where}.cloud")
@@ -146,8 +151,9 @@ def _law_and_builder(block: dict, dmc: Dmc, where: str):
         c1, c2 = (_parse_cond(c, cloud.size, dmc.input_sizes[j],
                               f"{where}.satellites_given_cloud[{j}]")
                   for j, c in enumerate(sats))
-        return scenario, joint_sw(cloud, c1, c2, dmc), functools.partial(
-            build_superposition_code, cloud, c1, c2)
+        law = joint_sw(cloud, c1, c2, dmc)
+        return scenario, law, functools.partial(build_superposition_code, cloud, c1, c2,
+                                                _law=law)
     raise ConfigError(f"{where}.scenario: unknown scenario {scenario!r}")
 
 

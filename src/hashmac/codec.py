@@ -2,11 +2,11 @@
 
 Both operations are exact searches (the decoder skips only candidates a
 lower bound rules out) with a deterministic total order: float divergences
-first, candidates within relative tolerance 1e-12 of the minimum form a tie
-group, the group is refined by exact rational comparison when every field
-is GF(2) (floats are dyadic, so model probabilities are exactly
-representable), and remaining ties go to the lexicographically smallest
-vector (for tuples: smallest concatenation).
+first, candidates within relative tolerance 1e-12 plus an absolute floor
+of 1e-14 of the minimum form a tie group, the group is refined by exact
+rational comparison when every field is GF(2) (floats are dyadic, so model
+probabilities are exactly representable), and remaining ties go to the
+lexicographically smallest vector (for tuples: smallest concatenation).
 """
 
 from __future__ import annotations
@@ -24,6 +24,15 @@ from .gf import (ENUMERATION_BUDGET, EnumerationBudgetError, LinearLabel,
 from .prob import CondPmf, Pmf
 
 REL_TOL = 1e-12
+# Absolute floor of a float tie group.  Near a zero minimum the relative
+# tolerance leaves no room, yet a score there sums per-cell terms of
+# magnitude up to about log2(n) + max |log2 p| that cancel, so two equal
+# scores whose terms are summed in different orders differ by a few eps
+# times those magnitudes (the argument that sizes MinDivDecoder._slack):
+# at most 8.9e-16 over the near-zero cases of tests/test_codec.py.  A
+# distinct score within the floor of the minimum joins the group too; on
+# GF(2) the exact refinement still separates it.
+ABS_TOL = 1e-14
 
 # Cells (candidates x block length) counted per chunk of a decoder scan.
 SCAN_CHUNK_CELLS = 1 << 20
@@ -122,11 +131,17 @@ def _exact_key(counts, denoms):
     return Fraction(num, den)
 
 
+def _tie_limit(best: float) -> float:
+    """Largest score in the tie group of a finite minimum `best`."""
+    return best * (1.0 + REL_TOL) + ABS_TOL
+
+
 def _tie_indices(dvals: np.ndarray) -> np.ndarray:
+    """Ascending indices of the float tie group of the minimum."""
     m = dvals.min()
     if np.isinf(m):
-        return np.nonzero(np.isinf(dvals))[0]
-    return np.nonzero(dvals <= m * (1.0 + REL_TOL))[0]
+        return np.flatnonzero(np.isinf(dvals))
+    return np.flatnonzero(dvals <= _tie_limit(m))
 
 
 def _refine_exact(ties: np.ndarray, key_fn) -> np.ndarray:
@@ -247,6 +262,7 @@ class MinDivDecoder:
         self._denoms = ([n * Fraction(float(p)) for p in model_flat]
                         if all(q == 2 for q in self._qs) else None)
         self._chunk = max(1, SCAN_CHUNK_CELLS // max(n, 1))
+        self._decoded = {}  # y.tobytes() -> rows, filled as outputs come up
         if total <= self._chunk:
             self._static = next(self._product([np.arange(m) for m in sizes]))[1]
             return
@@ -317,13 +333,13 @@ class MinDivDecoder:
         counts = _count_symbols(ctx * self._qs[j] + self.cosets[j], table.shape[0])
         return table[np.arange(table.shape[0]), counts].sum(axis=1)
 
-    def _search_ties(self, y_cells: np.ndarray, ctx: np.ndarray) -> list[int]:
-        """Tie set (flat indices) of a product larger than one chunk.
+    def _search_ties(self, y_cells: np.ndarray, ctx: np.ndarray) -> np.ndarray:
+        """Sorted tie set (flat indices) of a product larger than one chunk.
 
         Rows of the largest coset are visited in ascending count bound and
         scored in blocks against the rows of the other cosets whose bound is
-        within the limit, best * (1 + REL_TOL) + slack of the running
-        minimum; the search stops at the first row past the limit.  The
+        within the limit, the tie limit of the running minimum plus the
+        slack; the search stops at the first row past the limit.  The
         slack covers the different summation order of a bound and a score,
         so no tie is pruned.  Candidates within tolerance of the running
         minimum are kept and filtered against the final one at the end.
@@ -352,13 +368,14 @@ class MinDivDecoder:
                     continue
                 if low < best:
                     best = low
-                    limit = best * (1.0 + REL_TOL) + self._slack
-                hit = np.nonzero(dv <= best * (1.0 + REL_TOL))[0]
+                    limit = _tie_limit(best) + self._slack
+                hit = np.flatnonzero(dv <= _tie_limit(best))
                 kept.append((flat[hit], dv[hit]))
         if np.isinf(best):
             # Every candidate misses the model support; all tie, lex-first wins.
-            return [0]
-        return [int(i) for idx, dv in kept for i in idx[dv <= best * (1.0 + REL_TOL)]]
+            return np.zeros(1, dtype=np.int64)
+        top = _tie_limit(best)
+        return np.sort(np.concatenate([idx[dv <= top] for idx, dv in kept]))
 
     def _key(self, base: np.ndarray, flat: int):
         cells = base
@@ -371,25 +388,36 @@ class MinDivDecoder:
         """Sorted flat indices of the tie group, before exact refinement."""
         y_cells = y * self._y_stride
         if self._static is None:
-            ties = self._search_ties(y_cells, self._ctx_u + y)
-        else:
-            dv = self._divergences(self._static, y_cells)
-            # Every candidate missing the model support ties; lex-first wins.
-            ties = [0] if np.isinf(dv.min()) else _tie_indices(dv)
-        return np.sort(np.asarray(ties, dtype=np.int64))
+            return self._search_ties(y_cells, self._ctx_u + y)
+        dv = self._divergences(self._static, y_cells)
+        low = dv.min()
+        if np.isinf(low):  # every candidate misses the model support; lex-first wins
+            return np.zeros(1, dtype=np.int64)
+        return np.flatnonzero(dv <= _tie_limit(low))
 
     def rows(self, y) -> tuple[int, ...]:
-        """Index of the decoded row in each sender's coset."""
+        """Index of the decoded row in each sender's coset.
+
+        The result is a fixed function of y, so it is kept in a table keyed
+        by y's bytes: the table grows by at most one entry per distinct y
+        decoded, each about 8n + 140 bytes, and lives as long as the decoder.
+        """
         y = np.asarray(y, dtype=np.int64)
         if y.shape != (self.n,):
             raise ValueError("y length must equal the block length")
-        if y.max(initial=0) >= self._n_out:
+        key = y.tobytes()
+        got = self._decoded.get(key)
+        if got is not None:
+            return got
+        if y.view(np.uint64).max(initial=0) >= self._n_out:  # a negative symbol reads huge
             raise ValueError("output symbol outside the model axis")
         ties = self._ties(y)
         if ties.size > 1 and self._denoms is not None:
             base = self._base + y * self._y_stride
             ties = _refine_exact(ties, lambda flat: self._key(base, flat))
-        return tuple(int(i) for i in np.unravel_index(int(ties[0]), self.sizes))
+        got = self._decoded[key] = tuple(
+            int(i) for i in np.unravel_index(int(ties[0]), self.sizes))
+        return got
 
     def __call__(self, y) -> tuple[np.ndarray, ...]:
         return tuple(c[i] for c, i in zip(self.cosets, self.rows(y)))

@@ -29,8 +29,8 @@ import numpy as np
 
 from . import rng as rng_mod
 from .channel import Dmc, sample_channel
-# min_div_encode, min_div_decode, apply_label, divergence_to, is_cond_typical
-# and seq_mutual_multi are not called here; they stay importable from this
+# min_div_encode, min_div_decode, divergence_to, is_cond_typical and
+# seq_mutual_multi are not called here; they stay importable from this
 # module because perfbench/spans.py traces them at this import site.
 from .codec import (AllCosetsEmptyError, EmptyCosetError, EncodeTarget,  # noqa: F401
                     MinDivDecoder, min_div_decode, min_div_encode, min_div_member)
@@ -38,7 +38,7 @@ from .empirical import (_entropy_counts, conditional_divergences, count_divergen
                         divergence_to, is_cond_typical, joint_counts, seq_mutual_multi)
 from .ensembles import (EnsembleSpec, SupportBudgetError, UNIFORM, estimate_hash_params,
                         multi_params, occupancy_factor, product_params, sample)
-from .gf import FieldSpec, LinearLabel, all_vectors, apply_label, apply_label_many  # noqa: F401
+from .gf import FieldSpec, LinearLabel, all_vectors, apply_label, apply_label_many
 from .prob import CondPmf, Pmf
 from .regions import JointLaw, in_region_sw, in_region_ts, joint_sw, joint_ts
 from .slack import (MAX_RADIUS, cond_entropy_slack, cond_typical_size_slack,
@@ -122,17 +122,33 @@ class CodeInstance:
         return self.check_specs.count(None)
 
     # A code's encoder and decoder are fixed functions of the message and of
-    # y, so both are compiled on the first trial and kept with the code.
+    # y, so both are compiled on the first trial and kept with the code.  A
+    # message travels as its index: its base-q digits read with the first
+    # digit most significant, which is its rank in lex order.
+
+    @cached_property
+    def message_counts(self) -> tuple[int, ...]:
+        """Per component, the number of messages q^rows."""
+        return tuple(mm.field.q ** mm.rows for mm in self.message_maps)
+
+    @cached_property
+    def place_values(self) -> tuple[np.ndarray, ...]:
+        """Per component, the place value of each message digit.
+
+        Object dtype (Python ints) where an index may not fit in int64.
+        """
+        return tuple(np.array([mm.field.q ** r for r in range(mm.rows - 1, -1, -1)],
+                              dtype=np.int64 if count <= 1 << 63 else object)
+                     for mm, count in zip(self.message_maps, self.message_counts))
 
     @cached_property
     def codebooks(self) -> tuple[dict, ...]:
-        """Per-component message -> codeword tables, filled on first use.
+        """Per-component message index -> codeword tables, filled on first use.
 
-        A satellite of a cloud is keyed by the cloud message's bytes
-        followed by its own, since its target is conditioned on the cloud
-        codeword.  An empty coset is
-        stored as its error text, never as the raised exception, whose
-        traceback would keep every failing trial's frames alive.
+        A satellite of a cloud is keyed by cloud_index * q^rows + own_index,
+        since its target is conditioned on the cloud codeword.  An empty
+        coset is stored as its error text, never as the raised exception,
+        whose traceback would keep every failing trial's frames alive.
         """
         return tuple({} for _ in self.message_maps)
 
@@ -151,9 +167,37 @@ class CodeInstance:
 
     @cached_property
     def coset_messages(self) -> tuple[np.ndarray, ...]:
-        """Per decoded component, the message A'_j x of each row x of its coset."""
-        return tuple(apply_label_many(mm, c)
-                     for mm, c in zip(self.message_maps[self.fixed:], self.decoder.cosets))
+        """Per decoded component, the message index of A'_j x for each row x of its coset."""
+        f = self.fixed
+        return tuple(apply_label_many(mm, c) @ w for mm, c, w in
+                     zip(self.message_maps[f:], self.decoder.cosets, self.place_values[f:]))
+
+    @cached_property
+    def draw_runs(self) -> tuple[tuple[int, tuple[int, ...], np.ndarray], ...]:
+        """(q, components, weights) of each run of message-carrying components.
+
+        A run is a maximal sequence of components with message rows over one
+        field; components without rows draw nothing, so they split no run.
+        The run's digits times weights give its components' message indices.
+        """
+        runs = []
+        for i, mm in enumerate(self.message_maps):
+            if not mm.rows:
+                continue
+            if not runs or runs[-1][0] != mm.field.q:
+                runs.append((mm.field.q, []))
+            runs[-1][1].append(i)
+        out = []
+        for q, comps in runs:
+            places = [self.place_values[i] for i in comps]
+            weights = np.zeros((sum(p.size for p in places), len(comps)),
+                               dtype=np.result_type(*places))
+            start = 0
+            for k, p in enumerate(places):
+                weights[start:start + p.size, k] = p
+                start += p.size
+            out.append((q, tuple(comps), weights))
+        return tuple(out)
 
 
 def _round_rows(n: int, rate: float, q: int) -> int:
@@ -298,10 +342,15 @@ def _build(scenario, law: JointLaw, ctx_law: Pmf, conds, in_region, dmc: Dmc,
         ctx_law=ctx_law, u=u, cond_inputs=tuple(conds))
 
 
+# A caller that builds many codes from the same inputs may pass _law, the
+# joint law the builder would make from them (joint_ts or joint_sw), so the
+# law and its region constraints are computed once, not once per code.
+
 def build_private_code(mu_u, input_conds, dmc: Dmc, rates, eps, n: int,
                        rng: np.random.Generator,
                        ensemble_factory=uniform_ensemble_factory,
-                       check_region: bool = True) -> CodeInstance:
+                       check_region: bool = True, *, _law: JointLaw | None = None
+                       ) -> CodeInstance:
     """Sample one private-message code with a shared time-sharing sequence.
 
     Pass a one-point mu_u for the plain construction without time sharing.
@@ -309,7 +358,7 @@ def build_private_code(mu_u, input_conds, dmc: Dmc, rates, eps, n: int,
     mu_u = _as_pmf(mu_u)
     conds = tuple(_as_cond(c, mu_u.size, dmc.input_sizes[j])
                   for j, c in enumerate(input_conds))
-    law = joint_ts(mu_u, [c.rows for c in conds], dmc)
+    law = _law or joint_ts(mu_u, [c.rows for c in conds], dmc)
     return _build("private", law, mu_u, conds, in_region_ts, dmc, rates, eps, n, rng,
                   ensemble_factory, check_region)
 
@@ -317,14 +366,15 @@ def build_private_code(mu_u, input_conds, dmc: Dmc, rates, eps, n: int,
 def build_superposition_code(mu_cloud, cond1, cond2, dmc: Dmc, rates, eps, n: int,
                              rng: np.random.Generator,
                              ensemble_factory=uniform_ensemble_factory,
-                             check_region: bool = True) -> CodeInstance:
+                             check_region: bool = True, *, _law: JointLaw | None = None
+                             ) -> CodeInstance:
     """Sample one cloud-center code for a common plus two private messages."""
     if dmc.n_senders != 2:
         raise ValueError("this construction needs a two-sender channel")
     mu_cloud = _as_pmf(mu_cloud)
     conds = (_as_cond(cond1, mu_cloud.size, dmc.input_sizes[0]),
              _as_cond(cond2, mu_cloud.size, dmc.input_sizes[1]))
-    law = joint_sw(mu_cloud, conds[0].rows, conds[1].rows, dmc)
+    law = _law or joint_sw(mu_cloud, conds[0].rows, conds[1].rows, dmc)
     # Without a cloud the auxiliary (cloud-decodability) constraints are vacuous.
     degenerate = mu_cloud.size == 1
     in_region = lambda r, law: in_region_sw(r, law, include_aux=not degenerate)
@@ -333,8 +383,8 @@ def build_superposition_code(mu_cloud, cond1, cond2, dmc: Dmc, rates, eps, n: in
                   rates, eps, n, rng, ensemble_factory, check_region)
 
 
-def _codeword(code: CodeInstance, i: int, key, message, ctx) -> np.ndarray:
-    """Component i's codeword for `message`, from its codebook or _fill."""
+def _codeword(code: CodeInstance, i: int, key: int, message: int, ctx) -> np.ndarray:
+    """Component i's codeword for message index `message`, from its codebook or _fill."""
     book = code.codebooks[i]
     x = book.get(key)
     if x is None:
@@ -344,43 +394,59 @@ def _codeword(code: CodeInstance, i: int, key, message, ctx) -> np.ndarray:
     return x
 
 
-def _fill(code: CodeInstance, i: int, message, ctx):
+def _fill(code: CodeInstance, i: int, message: int, ctx):
     """Component i's codeword for `message`, or the error text of an empty coset.
 
     The stacked coset {x : A_i x = s_i, A'_i x = message} is the rows of
     the decoder's check coset that carry the message, in the same lex
-    order, so min_div_member picks the codeword min_div_encode would.
+    order, so min_div_member picks the codeword min_div_encode would.  A
+    None context is the one-symbol context of a cloud center.
     """
     if code.decoder is None:
         return "a check syndrome is unreachable for its matrix"
     j = i - code.fixed
     coset = code.decoder.cosets[j]
-    rows = np.flatnonzero((code.coset_messages[j] == message).all(axis=1))
+    rows = np.flatnonzero(code.coset_messages[j] == message)
     if rows.size == 0:
         return (f"no vector satisfies the {code.checks[i].rows}+"
                 f"{code.message_maps[i].rows} constraints")
+    if ctx is None:
+        ctx = np.zeros(code.n, dtype=np.int64)
     target = EncodeTarget.for_conditional(code.cond_inputs[i], ctx)
     pick = min_div_member(coset[rows], target, code.checks[i].field.q)
     return coset[rows[pick]]  # a read-only row of the decoder's coset
 
 
-def _message_key(m) -> bytes:
-    return np.asarray(m, dtype=np.int64).tobytes()
-
-
-def encode_components(code: CodeInstance, messages) -> tuple[np.ndarray, ...]:
-    """Every component's codeword, a cloud center's first.
+def _encode(code: CodeInstance, msgs) -> tuple[np.ndarray, ...]:
+    """Every component's codeword for the message indices `msgs`, a cloud center's first.
 
     The context is u when it is fixed, else the cloud codeword, which is
     coded given a context of one symbol.
     """
     c = code.n_cloud
-    key = b"".join(map(_message_key, messages[:c]))
+    cloud = msgs[0] if c else 0
     ctx = code.u
     if ctx is None:
-        ctx = _codeword(code, 0, key, messages[0], np.zeros(code.n, dtype=np.int64))
-    return (ctx,) * c + tuple(_codeword(code, i, key + _message_key(m), m, ctx)
-                              for i, m in enumerate(messages[c:], c))
+        ctx = _codeword(code, 0, cloud, cloud, None)
+    counts = code.message_counts
+    return (ctx,) * c + tuple(_codeword(code, i, cloud * counts[i] + msgs[i], msgs[i], ctx)
+                              for i in range(c, code.k_messages))
+
+
+def _message_index(code: CodeInstance, i: int, message) -> int:
+    """Index of component i's message, given as its digit sequence."""
+    mm = code.message_maps[i]
+    m = np.asarray(message, dtype=np.int64)
+    if m.shape != (mm.rows,) or ((m < 0) | (m >= mm.field.q)).any():
+        raise ValueError(f"message {i} must be {mm.rows} symbols of GF({mm.field.q})")
+    return int(m @ code.place_values[i])
+
+
+def encode_components(code: CodeInstance, messages) -> tuple[np.ndarray, ...]:
+    """Every component's codeword for one digit sequence per message, a cloud center's first."""
+    if len(messages) != code.k_messages:
+        raise ValueError(f"expected {code.k_messages} messages")
+    return _encode(code, [_message_index(code, i, m) for i, m in enumerate(messages)])
 
 
 def decode_components(code: CodeInstance, y):
@@ -388,11 +454,8 @@ def decode_components(code: CodeInstance, y):
     if code.decoder is None:
         raise AllCosetsEmptyError("a check syndrome is unreachable for its matrix")
     f = code.fixed
-    rows = code.decoder.rows(y)
-    xs = (code.u,) * f + tuple(c[r] for c, r in zip(code.decoder.cosets, rows))
-    msgs = (np.zeros(0, dtype=np.int64),) * f + tuple(
-        t[r] for t, r in zip(code.coset_messages, rows))
-    return msgs, xs
+    xs = (code.u,) * f + tuple(c[r] for c, r in zip(code.decoder.cosets, code.decoder.rows(y)))
+    return tuple(apply_label(mm, x) for mm, x in zip(code.message_maps, xs)), xs
 
 
 def reduce_common_to_private(dmc: Dmc, msg_sets, symbol_maps, aux_sizes):
@@ -477,24 +540,39 @@ class SimulationResult:
         return 1.96 * math.sqrt(max(p * (1 - p), 0.0) / self.trials)
 
 
-def _draw_messages(code: CodeInstance, rng) -> list[np.ndarray]:
-    # An empty message draws nothing, so it leaves the trial's stream as is.
-    return [rng.integers(mm.field.q, size=mm.rows) if mm.rows else np.zeros(0, dtype=np.int64)
-            for mm in code.message_maps]
+def _draw_messages(code: CodeInstance, rng) -> list[int]:
+    """Every component's message index, drawn uniformly.
+
+    One draw per run of components over one field: a bounded draw takes the
+    bit generator's words one at a time, so a draw of a + b digits equals a
+    draw of a followed by a draw of b, and the stream is left as one draw
+    per component would leave it.  A component without rows draws nothing.
+    """
+    msgs = [0] * code.k_messages
+    for q, comps, weights in code.draw_runs:
+        for i, m in zip(comps, (rng.integers(q, size=weights.shape[0]) @ weights).tolist()):
+            msgs[i] = m
+    return msgs
+
+
+_SUCCESS = TrialResult(True)
 
 
 def run_trial(code: CodeInstance, rng: np.random.Generator) -> TrialResult:
-    """One uniform-message round trip; failures carry the first violated stage."""
+    """One uniform-message round trip; failures carry the first violated stage.
+
+    Messages travel as indices, so a trial succeeds when each decoded
+    component's coset row carries its message index.
+    """
     msgs = _draw_messages(code, rng)
     try:
-        xs = encode_components(code, msgs)
+        xs = _encode(code, msgs)
     except EmptyCosetError:
         return TrialResult(False, STAGE_EMPTY)
     y = sample_channel(code.dmc, xs[code.n_cloud:], rng)
-    got, _ = decode_components(code, y)
-    ok = all((g == m).all() for g, m in zip(got, msgs))
-    if ok:
-        return TrialResult(True)
+    rows = code.decoder.rows(y)
+    if all(t[r] == m for t, r, m in zip(code.coset_messages, rows, msgs[code.fixed:])):
+        return _SUCCESS
     return TrialResult(False, _classify(code, xs, y))
 
 

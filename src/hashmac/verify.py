@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import rng as rng_mod
-from .codec import (CosetSpec, EmptyCosetError, EncodeTarget, build_T_subset,
+from .codec import (ABS_TOL, CosetSpec, EmptyCosetError, EncodeTarget, build_T_subset,
                     min_div_decode, min_div_encode)
 from .empirical import (_count_symbols, _divergence_from_counts, _entropy_counts,
                         _log2_denom, conditional_divergences, enumerate_types,
@@ -434,7 +434,7 @@ def _ref_select(cands, div_fn, key_fn, exact: bool):
     if math.isinf(m):
         ties = [i for i, d in enumerate(ds) if math.isinf(d)]
     else:
-        ties = [i for i, d in enumerate(ds) if d <= m * (1 + 1e-12)]
+        ties = [i for i, d in enumerate(ds) if d <= m * (1 + 1e-12) + ABS_TOL]
     if len(ties) > 1 and exact:
         keys = [key_fn(cands[i]) for i in ties]
         finite = [k for k in keys if k is not None]

@@ -51,3 +51,16 @@ def test_sampling_replays_deterministically():
     a = sample_channel(dmc, xs, rng_mod.stream(7, "c"))
     b = sample_channel(dmc, xs, rng_mod.stream(7, "c"))
     assert (a == b).all()
+
+
+def test_input_checks_name_the_fault():
+    dmc = deterministic_dmc((2, 3), 6, lambda a, b: 3 * a + b)
+    rng = rng_mod.stream(5)
+    for xs, match in (([np.array([0, 1]), np.array([0, 3])], "sender 1 symbol"),
+                      ([np.array([0, -1]), np.array([0, 1])], "sender 0 symbol"),
+                      ([np.array([0, 1]), np.array([-2, 1])], "sender 1 symbol"),
+                      ([np.array([0, 1]), np.array([0, 1, 2])], "length mismatch"),
+                      ([np.array([0, 1])] * 3, "expected 2 input sequences")):
+        with pytest.raises(ValueError, match=match):
+            sample_channel(dmc, xs, rng)
+    assert sample_channel(dmc, [np.array([1, 0]), np.array([2, 0])], rng).tolist() == [5, 0]

@@ -304,3 +304,44 @@ def test_shipped_configs_are_valid():
         for field in ("scenario", "channel", "rates", "eps", "n_ladder"):
             assert field in block, f"{name} missing {field}"
         assert block["n_ladder"] == sorted(block["n_ladder"])
+
+
+@pytest.mark.parametrize("name", ["simulate_private.json", "simulate_time_sharing.json",
+                                  "simulate_superposition.json"])
+def test_builder_computes_region_constraints_once(monkeypatch, name):
+    # Every candidate of a run shares the builder's joint law, so its region
+    # constraints (three or more mutual informations) are computed once.
+    import pathlib
+
+    import numpy as np
+
+    import hashmac.regions as regions
+    from hashmac import rng as rng_mod
+    from hashmac.scenarios import search_code
+    path = pathlib.Path(__file__).resolve().parent.parent / "demos" / "configs" / name
+    block = json.loads(path.read_text())["simulate"]
+    dmc = cli._parse_channel(block["channel"], "simulate.channel")
+    args = (dmc, block["rates"], block["eps"], block["n_ladder"][0])
+    calls = []
+    mi = regions.mutual_information
+    monkeypatch.setattr(regions, "mutual_information",
+                        lambda *a, **kw: calls.append(1) or mi(*a, **kw))
+
+    def search(candidates):
+        calls.clear()
+        _, _, build = cli._law_and_builder(block, dmc, "simulate")
+        codes = []
+        search_code(lambda rng: codes.append(build(*args, rng)) or codes[-1],
+                    candidates, 0, 20250811, ("mi", name))
+        assert len(codes) == candidates and all(c.law is codes[0].law for c in codes)
+        return len(calls), build, codes[0]
+
+    one, build, code = search(1)
+    assert one >= 3
+    assert search(20)[0] == one
+    # The shared law equals the one the builder makes when given none.
+    own = {k: v for k, v in build.keywords.items() if k != "_law"}
+    fresh = build.func(*build.args, *args, rng_mod.stream(20250811, "mi"), **own)
+    assert fresh.law is not code.law
+    assert fresh.law.names == code.law.names
+    assert np.array_equal(fresh.law.table, code.law.table)

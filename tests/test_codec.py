@@ -7,14 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hashmac.codec import (AllCosetsEmptyError, CosetSpec, EmptyCosetError,
-                           EncodeTarget, _exact_key, build_T_subset, min_div_decode,
+                           EncodeTarget, MinDivDecoder, _exact_key, build_T_subset, min_div_decode,
                            min_div_encode)
 from hashmac.empirical import (_count_symbols, _divergence_from_counts, _log2_denom,
                                conditional_divergences, divergence_to)
 from hashmac.gf import (EnumerationBudgetError, FieldSpec, LinearLabel,
                         all_vectors, apply_label)
 from hashmac.prob import CondPmf, Pmf
-from hashmac.verify import _ref_div_cells
+from hashmac.verify import _ref_div_cells, _ref_select
 
 F2 = FieldSpec(2)
 
@@ -307,10 +307,30 @@ def test_bounded_search_matches_whole_scan_tie_sets(monkeypatch):
             assert dec._static is None
             assert dec._ties(y).tolist() == ties.tolist()
             assert all((g == w).all() for g, w in zip(dec(y), winner))
-    # The oracle sums in another order, so near a zero minimum its tie
-    # group can differ by rounding; it checks the first list only.
-    for labels, syndromes, model, u, y in cases:
+    for labels, syndromes, model, u, y in cases + near_zero:
         if all(lab.field.q == 2 for lab in labels):
             ref = _ref_decode([lab.matrix for lab in labels], syndromes, y, model, u)
             got = C.MinDivDecoder(labels, syndromes, model, u=u)(y)
             assert all((g == r).all() for g, r in zip(got, ref))
+
+
+def test_gf3_near_zero_tie_goes_to_lex_first():
+    # Over GF(3) the float tie group is not refined, so the lex-first member
+    # wins.  Near a zero minimum the oracle, which sums each candidate's
+    # terms in the order its cells first occur, splits mathematically equal
+    # scores by rounding; the absolute floor keeps them in one group, so it
+    # picks the decoder's winner.
+    n = 6
+    rng = np.random.default_rng(20250811)
+    label = LinearLabel(FieldSpec(3), np.zeros((0, n), dtype=np.int64))
+    cands = [tuple(int(v) for v in x) for x in all_vectors(3, n)]
+    for _ in range(12):
+        w = 1.0 + 1e-6 * rng.integers(-1, 2, size=(3, 2))
+        model, y = w / w.sum(), rng.permutation(n) % 2
+        got = MinDivDecoder([label], [np.zeros(0, dtype=np.int64)], model)(y)[0]
+
+        def div(x):
+            cells = Counter(zip(x, y.tolist()))
+            return _ref_div_cells(cells, lambda cell: n * model[cell], n)
+
+        assert tuple(got.tolist()) == _ref_select(cands, div, None, exact=False)

@@ -1,18 +1,22 @@
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hashmac import rng as rng_mod
 from hashmac.channel import Dmc, deterministic_dmc, sample_channel
-from hashmac.codec import EmptyCosetError
+from hashmac.codec import EmptyCosetError, MinDivDecoder
 from hashmac.empirical import (conditional_divergences, divergence_to, is_cond_typical,
                                seq_mutual_multi)
-from hashmac.gf import all_vectors, apply_label
+from hashmac.gf import FieldSpec, LinearLabel, all_vectors, apply_label
 from hashmac.prob import CondPmf
 from hashmac.scenarios import (GAMMA_GRID, InfeasibleRateError, STAGE_CHANNEL, STAGE_EMPTY,
                                STAGE_DECODER, STAGE_ENCODER, STAGE_MI, STAGES,
-                               TrialResult, _classify, _typical_cloud, build_private_code,
+                               TrialResult, _classify, _draw_messages, _typical_cloud,
+                               build_private_code,
                                build_superposition_code, decode_components,
                                encode_components, reduce_common_to_private, run_trial,
                                saturation_audit, search_code, simulate_error)
@@ -507,3 +511,101 @@ def test_simulate_error_matches_per_trial_streams(monkeypatch):
         assert got.errors == sum(want.values()), name
         seen |= {s for s, k in want.items() if k}
     assert {STAGE_EMPTY, STAGE_ENCODER, STAGE_CHANNEL} <= seen
+
+
+@functools.lru_cache(maxsize=1)
+def _any_code():
+    return build_small(6)
+
+
+@st.composite
+def message_layouts(draw):
+    """Per component (q, rows): fields 2, 3 and 5, some without rows, some past int64."""
+    comps = draw(st.lists(st.tuples(st.sampled_from((2, 3, 5)),
+                                    st.one_of(st.integers(0, 6), st.just(45))),
+                          min_size=1, max_size=6))
+    return comps, draw(st.integers(0, 2**64 - 1)), draw(st.integers(1, 12))
+
+
+@settings(max_examples=150, deadline=None)
+@given(message_layouts())
+def test_merged_message_draws_equal_one_draw_per_component(layout):
+    comps, seed, n = layout
+    maps = tuple(LinearLabel(FieldSpec(q), np.zeros((r, 4), dtype=np.int64)) for q, r in comps)
+    code = dataclasses.replace(_any_code(), message_maps=maps)
+    merged, single = rng_mod.stream(seed, "draw"), rng_mod.stream(seed, "draw")
+    got = _draw_messages(code, merged)
+    want = []
+    for q, r in comps:
+        digits = single.integers(q, size=r) if r else []
+        # A message's index reads its digits in base q, first digit most significant.
+        want.append(int("".join(map(str, digits)) or "0", q))
+    assert got == want
+    assert np.array_equal(merged.random(n), single.random(n))
+
+
+def _reference_trial(code, rng):
+    """One trial from the public pieces: a draw per component and array messages."""
+    msgs = [rng.integers(mm.field.q, size=mm.rows) if mm.rows else np.zeros(0, dtype=np.int64)
+            for mm in code.message_maps]
+    try:
+        xs = encode_components(code, msgs)
+    except EmptyCosetError:
+        return TrialResult(False, STAGE_EMPTY)
+    y = sample_channel(code.dmc, xs[code.n_cloud:], rng)
+    got, _ = decode_components(code, y)
+    if all(np.array_equal(g, m) for g, m in zip(got, msgs)):
+        return TrialResult(True)
+    return TrialResult(False, _classify(code, xs, y))
+
+
+def _one_point_cloud_code():
+    mu0, c1, c2 = [1.0], np.array([[0.75, 0.25]]), np.array([[0.5, 0.5]])
+    return build_superposition_code(mu0, c1, c2, noisy_adder(), (0.0, 0.25, 0.25),
+                                    (0.05, 0.05, 0.05), 8, rng_mod.stream(SEED, "eq-one-point"))
+
+
+def test_run_trial_matches_reference_trial():
+    codes = dict(_equivalence_codes(), one_point_cloud=_one_point_cloud_code())
+    seen = set()
+    for name, code in codes.items():
+        # The reference fills its own tables, on a copy of the code.
+        ref = dataclasses.replace(code)
+        for t in range(80):
+            got = run_trial(code, rng_mod.stream(SEED, "ref", name, t))
+            assert got == _reference_trial(ref, rng_mod.stream(SEED, "ref", name, t)), (name, t)
+            seen.add(got.stage)
+    assert {None, STAGE_EMPTY, STAGE_ENCODER, STAGE_CHANNEL} <= seen
+
+
+def test_decoder_table_returns_fresh_decoder_rows():
+    for name, code in _equivalence_codes().items():
+        f = code.fixed
+        rng = rng_mod.stream(SEED, "repeat", name)
+        base = rng.integers(code.dmc.output_size, size=(3, code.n))
+        # Outputs that differ in one end symbol only, each drawn many times.
+        first, last = base.copy(), base.copy()
+        first[:, 0] = (first[:, 0] + 1) % code.dmc.output_size
+        last[:, -1] = (last[:, -1] + 1) % code.dmc.output_size
+        pool = np.concatenate([base, first, last])
+        ys = pool[rng.integers(len(pool), size=40)]
+        for y in ys:
+            fresh = MinDivDecoder(code.checks[f:], code.syndromes[f:], code.law.table, u=code.u)
+            assert code.decoder.rows(y) == fresh.rows(y), name
+        assert len(code.decoder._decoded) == len({y.tobytes() for y in ys})
+        # A y that is not a valid output still raises, whatever the table holds.
+        with pytest.raises(ValueError):
+            code.decoder.rows(ys[0][:-1])
+        for bad in (code.dmc.output_size, -1):
+            with pytest.raises(ValueError, match="outside the model axis"):
+                code.decoder.rows(np.full(code.n, bad))
+
+
+def test_encode_components_rejects_malformed_messages():
+    code = build_small(8, dmc=noisy_adder())
+    good = [np.zeros(mm.rows, dtype=np.int64) for mm in code.message_maps]
+    assert all(m.size for m in good)
+    for bad in ([good[0][:-1], good[1]], [good[0] + 2, good[1]], [good[0] - 1, good[1]],
+                good[:1]):
+        with pytest.raises(ValueError):
+            encode_components(code, bad)
