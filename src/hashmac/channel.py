@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -16,7 +17,11 @@ class Dmc:
     input_sizes: tuple[int, ...]
     output_size: int
     table: np.ndarray  # shape input_sizes + (output_size,)
-    cdf: np.ndarray = field(init=False, repr=False, compare=False)  # cumsum over y
+    # CDF over y of each sender tuple, one row per combined symbol index
+    # (the tuple read in base input_sizes, first sender most significant).
+    cdf: np.ndarray = field(init=False, repr=False, compare=False)
+    cdf_rows: tuple = field(init=False, repr=False, compare=False)  # cdf as Python floats
+    strides: np.ndarray = field(init=False, repr=False, compare=False)  # combined-index weights
     size_column: np.ndarray = field(init=False, repr=False, compare=False)  # uint64 input_sizes
 
     def __post_init__(self):
@@ -32,10 +37,23 @@ class Dmc:
         t = t.copy()
         t.flags.writeable = False
         object.__setattr__(self, "table", t)
-        cdf = np.cumsum(t, axis=-1)
+        object.__setattr__(self, "input_sizes", tuple(int(s) for s in self.input_sizes))
+        rows = t.reshape(-1, self.output_size)
+        # A row may sum just under 1, so its cumulative sum is set to exactly
+        # 1 from its last positive cell on: a uniform in [0, 1) then always
+        # lands on a symbol of positive mass.  Partial sums past 1 are
+        # clipped first, so the row stays non-decreasing; no uniform
+        # reaches 1, so clipping moves no draw.
+        cdf = np.minimum(np.cumsum(rows, axis=-1), 1.0)
+        last = rows.shape[1] - 1 - np.argmax(rows[:, ::-1] > 0, axis=1)
+        cdf[np.arange(rows.shape[1]) >= last[:, None]] = 1.0
         cdf.flags.writeable = False
         object.__setattr__(self, "cdf", cdf)
-        object.__setattr__(self, "input_sizes", tuple(int(s) for s in self.input_sizes))
+        object.__setattr__(self, "cdf_rows", tuple(map(tuple, cdf.tolist())))
+        strides = np.array([math.prod(self.input_sizes[j + 1:])
+                            for j in range(len(self.input_sizes))], dtype=np.int64)
+        strides.flags.writeable = False
+        object.__setattr__(self, "strides", strides)
         column = np.array(self.input_sizes, dtype=np.uint64)[:, None]
         column.flags.writeable = False
         object.__setattr__(self, "size_column", column)
@@ -68,7 +86,7 @@ def sample_channel(dmc: Dmc, xs, rng: np.random.Generator) -> np.ndarray:
     if bad.any():
         j = int(np.flatnonzero(bad.any(axis=1))[0])
         raise ValueError(f"sender {j} symbol outside its alphabet")
-    cum = dmc.cdf[tuple(xs)]                 # (n, output_size)
+    cum = dmc.cdf[dmc.strides @ xs]          # (n, output_size)
     draws = rng.random(xs.shape[1])
     # Inverse CDF with the fixed symbol order of the table.
-    return (draws[:, None] >= cum).sum(axis=1)
+    return np.add.reduce(draws[:, None] >= cum, axis=1, dtype=np.int64)

@@ -262,7 +262,7 @@ class MinDivDecoder:
         self._denoms = ([n * Fraction(float(p)) for p in model_flat]
                         if all(q == 2 for q in self._qs) else None)
         self._chunk = max(1, SCAN_CHUNK_CELLS // max(n, 1))
-        self._decoded = {}  # y.tobytes() -> rows, filled as outputs come up
+        self._decoded = {}  # tuple(y) -> rows, filled as outputs come up
         if total <= self._chunk:
             self._static = next(self._product([np.arange(m) for m in sizes]))[1]
             return
@@ -399,13 +399,21 @@ class MinDivDecoder:
         """Index of the decoded row in each sender's coset.
 
         The result is a fixed function of y, so it is kept in a table keyed
-        by y's bytes: the table grows by at most one entry per distinct y
-        decoded, each about 8n + 140 bytes, and lives as long as the decoder.
+        by tuple(y): the table grows by at most one entry per distinct y
+        decoded, each about 8n + 150 bytes, and lives as long as the
+        decoder.  A tuple of ints is looked up before any array is built.
         """
+        if isinstance(y, tuple):
+            try:
+                got = self._decoded.get(y)
+            except TypeError:  # an unhashable item: no valid y, rejected below
+                got = None
+            if got is not None:
+                return got
         y = np.asarray(y, dtype=np.int64)
         if y.shape != (self.n,):
             raise ValueError("y length must equal the block length")
-        key = y.tobytes()
+        key = tuple(y.tolist())
         got = self._decoded.get(key)
         if got is not None:
             return got

@@ -14,24 +14,27 @@ coded:
   cloud has no rows and its codeword is all zeros, fixed at build time like
   a shared u.
 
-A failed trial's stage is read from one joint count table of the trial's
-context, sender codewords and channel output.
+A failed trial's stage is read from joint count tables: the encoder and
+empirical-mi stages from the context and sender codewords alone, the
+channel stage with the channel output too.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from . import rng as rng_mod
-from .channel import Dmc, sample_channel
-# min_div_encode, min_div_decode, divergence_to, is_cond_typical and
-# seq_mutual_multi are not called here; they stay importable from this
-# module because perfbench/spans.py traces them at this import site.
+from .channel import Dmc, sample_channel  # noqa: F401
+# sample_channel, min_div_encode, min_div_decode, divergence_to,
+# is_cond_typical and seq_mutual_multi are not called here; they stay
+# importable from this module because perfbench/spans.py traces them at
+# this import site.
 from .codec import (AllCosetsEmptyError, EmptyCosetError, EncodeTarget,  # noqa: F401
                     MinDivDecoder, min_div_decode, min_div_encode, min_div_member)
 from .empirical import (_entropy_counts, conditional_divergences, count_divergence,  # noqa: F401
@@ -127,6 +130,17 @@ class CodeInstance:
     # digit most significant, which is its rank in lex order.
 
     @cached_property
+    def digit_draws(self) -> tuple[tuple[int, int, int], ...]:
+        """Per component, (q, rows, rejection threshold (2^32 - q) mod q) of its message digits."""
+        return tuple((mm.field.q, mm.rows, (2**32 - mm.field.q) % mm.field.q)
+                     for mm in self.message_maps)
+
+    @cached_property
+    def raw_words(self) -> int:
+        """Raw words a trial draws first: half a word per message digit, one per position."""
+        return -(-sum(mm.rows for mm in self.message_maps) // 2) + self.n
+
+    @cached_property
     def message_counts(self) -> tuple[int, ...]:
         """Per component, the number of messages q^rows."""
         return tuple(mm.field.q ** mm.rows for mm in self.message_maps)
@@ -153,6 +167,18 @@ class CodeInstance:
         return tuple({} for _ in self.message_maps)
 
     @cached_property
+    def sent(self) -> dict:
+        """Message-index tuple -> [codewords, channel-CDF row of each position, y-free stage].
+
+        Filled as tuples are drawn, so it holds at most one entry per
+        distinct tuple.  A tuple with an empty coset has codewords None.
+        The y-free stage (the encoder and empirical-mi stages, which read
+        the codewords and the context but never y) is classified when the
+        tuple first fails.
+        """
+        return {}
+
+    @cached_property
     def decoder(self) -> MinDivDecoder | None:
         """Joint decoder over the cosets of the components not fixed by u.
 
@@ -171,33 +197,6 @@ class CodeInstance:
         f = self.fixed
         return tuple(apply_label_many(mm, c) @ w for mm, c, w in
                      zip(self.message_maps[f:], self.decoder.cosets, self.place_values[f:]))
-
-    @cached_property
-    def draw_runs(self) -> tuple[tuple[int, tuple[int, ...], np.ndarray], ...]:
-        """(q, components, weights) of each run of message-carrying components.
-
-        A run is a maximal sequence of components with message rows over one
-        field; components without rows draw nothing, so they split no run.
-        The run's digits times weights give its components' message indices.
-        """
-        runs = []
-        for i, mm in enumerate(self.message_maps):
-            if not mm.rows:
-                continue
-            if not runs or runs[-1][0] != mm.field.q:
-                runs.append((mm.field.q, []))
-            runs[-1][1].append(i)
-        out = []
-        for q, comps in runs:
-            places = [self.place_values[i] for i in comps]
-            weights = np.zeros((sum(p.size for p in places), len(comps)),
-                               dtype=np.result_type(*places))
-            start = 0
-            for k, p in enumerate(places):
-                weights[start:start + p.size, k] = p
-                start += p.size
-            out.append((q, tuple(comps), weights))
-        return tuple(out)
 
 
 def _round_rows(n: int, rate: float, q: int) -> int:
@@ -498,30 +497,41 @@ def reduce_common_to_private(dmc: Dmc, msg_sets, symbol_maps, aux_sizes):
     return derived, to_physical
 
 
-def _classify(code: CodeInstance, xs, y) -> str:
-    """First failed stage of a trial, each read off the trial's joint type.
+def _stage_without_y(code: CodeInstance, xs) -> str | None:
+    """The encoder or empirical-mi stage of codewords xs, or None if both pass.
 
-    The one table counts (context, senders, y); every stage is a marginal
-    of it against the code's laws.
+    Both are marginals of one count table of (context, senders) against the
+    code's laws; neither reads the channel output.
     """
-    g, c = code.gamma, code.n_cloud
+    g, c, n = code.gamma, code.n_cloud, code.n
     ctx = code.u if code.u is not None else xs[0]
-    table = joint_counts((ctx,) + tuple(xs[c:]) + (y,), code.law.table.shape)
+    table = joint_counts((ctx,) + tuple(xs[c:]), code.law.table.shape[:-1])
     axes = range(table.ndim)
     ctx_counts = table.sum(axis=tuple(axes[1:]))
-    senders = [table.sum(axis=tuple(a for a in axes[1:] if a != j)) for j in axes[1:-1]]
+    senders = [table.sum(axis=tuple(a for a in axes[1:] if a != j)) for j in axes[1:]]
     given = [ctx_counts[None, :]] * c + senders  # a cloud's context is one symbol
     if not all(count_divergence(t, x.rows) < g for t, x in zip(given, code.cond_inputs)):
         return STAGE_ENCODER
-    n = len(y)
     h_ctx = _entropy_counts(ctx_counts, n)
     h_each = sum(_entropy_counts(t.ravel(), n) - h_ctx for t in senders)
-    h_joint = _entropy_counts(table.sum(axis=-1).ravel(), n) - h_ctx
+    h_joint = _entropy_counts(table.ravel(), n) - h_ctx
     if not h_each - h_joint < code.mi_allowance:
         return STAGE_MI
-    if not count_divergence(table, code.dmc.table) < g:
+    return None
+
+
+def _channel_stage(code: CodeInstance, xs, y) -> str:
+    """Channel-atypical or decoder-collision: whether y is typical given the inputs."""
+    ctx = code.u if code.u is not None else xs[0]
+    table = joint_counts((ctx,) + tuple(xs[code.n_cloud:]) + (y,), code.law.table.shape)
+    if not count_divergence(table, code.dmc.table) < code.gamma:
         return STAGE_CHANNEL
     return STAGE_DECODER
+
+
+def _classify(code: CodeInstance, xs, y) -> str:
+    """First failed stage of a trial, each read off the trial's joint type."""
+    return _stage_without_y(code, xs) or _channel_stage(code, xs, y)
 
 
 @dataclass(frozen=True)
@@ -540,40 +550,83 @@ class SimulationResult:
         return 1.96 * math.sqrt(max(p * (1 - p), 0.0) / self.trials)
 
 
-def _draw_messages(code: CodeInstance, rng) -> list[int]:
-    """Every component's message index, drawn uniformly.
+_TO_UNIT = 2.0**-53
 
-    One draw per run of components over one field: a bounded draw takes the
-    bit generator's words one at a time, so a draw of a + b digits equals a
-    draw of a followed by a draw of b, and the stream is left as one draw
-    per component would leave it.  A component without rows draws nothing.
+
+def _draw(code: CodeInstance, bits) -> tuple[tuple[int, ...], list[float]]:
+    """Every component's message index and the n channel uniforms of one trial.
+
+    `bits` is a fresh stream's bit generator.  The draws equal
+    `integers(q, size=rows)` per component with rows, then `random(n)`:
+    a digit is numpy's bounded draw on the raw words' uint32 halves, low
+    half first, `(h * q) >> 32`, drawn again from the next half while
+    `(h * q) mod 2^32` is under `(2^32 - q) mod q`; the uniforms are
+    `(w >> 11) * 2^-53` of the whole words after the last half used.
     """
-    msgs = [0] * code.k_messages
-    for q, comps, weights in code.draw_runs:
-        for i, m in zip(comps, (rng.integers(q, size=weights.shape[0]) @ weights).tolist()):
-            msgs[i] = m
-    return msgs
+    words = bits.random_raw(code.raw_words).tolist()
+    h = 0  # halves used
+    msgs = []
+    for q, rows, reject in code.digit_draws:
+        m = 0
+        for _ in range(rows):
+            p = (words[h >> 1] >> 32 * (h & 1) & 0xFFFFFFFF) * q
+            h += 1
+            while p & 0xFFFFFFFF < reject:
+                # Keep a trial's worth of words ahead, so no later digit runs out.
+                if len(words) - (h >> 1) < code.raw_words:
+                    words += bits.random_raw(code.raw_words).tolist()
+                p = (words[h >> 1] >> 32 * (h & 1) & 0xFFFFFFFF) * q
+                h += 1
+            m = m * q + (p >> 32)
+        msgs.append(m)
+    start = (h + 1) >> 1
+    if len(words) < start + code.n:
+        words += bits.random_raw(start + code.n - len(words)).tolist()
+    return tuple(msgs), [(w >> 11) * _TO_UNIT for w in words[start:start + code.n]]
 
 
+def _send(code: CodeInstance, msgs) -> list:
+    """The entry of `code.sent` for the message-index tuple msgs."""
+    try:
+        xs = _encode(code, msgs)
+    except EmptyCosetError:
+        return [None, None, STAGE_EMPTY]
+    cells = np.dot(code.dmc.strides, xs[code.n_cloud:]).tolist()
+    return [xs, list(map(code.dmc.cdf_rows.__getitem__, cells)), _UNCLASSIFIED]
+
+
+_UNCLASSIFIED = object()  # y-free stage of a tuple that has not failed yet
 _SUCCESS = TrialResult(True)
+_FAILURES = {s: TrialResult(False, s) for s in STAGES}
 
 
 def run_trial(code: CodeInstance, rng: np.random.Generator) -> TrialResult:
     """One uniform-message round trip; failures carry the first violated stage.
 
-    Messages travel as indices, so a trial succeeds when each decoded
-    component's coset row carries its message index.
+    `rng` must be fresh, nothing drawn from it yet, as `rng_mod.stream` and
+    `rng_mod.trial_streams` give: the trial reads its raw words from the
+    start of the stream.  Messages travel as indices, so a trial succeeds
+    when each decoded component's coset row carries its message index.
+    y_i is the inverse CDF of its position's channel row at uniform i, as
+    in `sample_channel`.
     """
-    msgs = _draw_messages(code, rng)
-    try:
-        xs = _encode(code, msgs)
-    except EmptyCosetError:
-        return TrialResult(False, STAGE_EMPTY)
-    y = sample_channel(code.dmc, xs[code.n_cloud:], rng)
+    msgs, uniforms = _draw(code, rng.bit_generator)
+    entry = code.sent.get(msgs)
+    if entry is None:
+        entry = code.sent[msgs] = _send(code, msgs)
+    xs, cdf_rows, stage = entry
+    if xs is None:
+        return _FAILURES[stage]
+    # y is built from a list, at its final length: a tuple grown from an
+    # iterator is resized, which fills CPython's n-tuple free list with
+    # blocks it never reuses (about 0.3 MB more peak RSS on `trend`).
+    y = tuple(list(map(bisect_right, cdf_rows, uniforms)))
     rows = code.decoder.rows(y)
     if all(t[r] == m for t, r, m in zip(code.coset_messages, rows, msgs[code.fixed:])):
         return _SUCCESS
-    return TrialResult(False, _classify(code, xs, y))
+    if stage is _UNCLASSIFIED:
+        stage = entry[2] = _stage_without_y(code, xs)
+    return _FAILURES[stage or _channel_stage(code, xs, y)]
 
 
 def simulate_error(code: CodeInstance, trials: int, seed: int, path=()) -> SimulationResult:

@@ -64,3 +64,32 @@ def test_input_checks_name_the_fault():
         with pytest.raises(ValueError, match=match):
             sample_channel(dmc, xs, rng)
     assert sample_channel(dmc, [np.array([1, 0]), np.array([2, 0])], rng).tolist() == [5, 0]
+
+
+class _Uniforms:
+    """An rng stand-in whose every uniform is `value`."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def random(self, size):
+        return np.full(size, self.value)
+
+
+@pytest.mark.parametrize("row", [[0.3, 0.7 - 1e-13], [0.3, 0.7 - 1e-13, 0.0]])
+def test_uniform_near_one_stays_in_the_alphabet(row):
+    # The row sums just under 1, so its plain cumulative sum ends under 1,
+    # and a trailing zero-mass symbol must stay unreachable.
+    dmc = Dmc((1, 1), len(row), np.array([[row]]))
+    assert dmc.cdf[0, 1:].tolist() == [1.0] * (len(row) - 1)
+    y = sample_channel(dmc, [np.zeros(3, int)] * 2, _Uniforms(0.99999999999999))
+    assert y.tolist() == [1, 1, 1]
+    assert sample_channel(dmc, [np.zeros(3, int)] * 2, _Uniforms(0.0)).tolist() == [0, 0, 0]
+
+
+def test_dyadic_cdf_is_the_plain_cumulative_sum():
+    table = np.array([[[0.875, 0.0625, 0.0625], [0.0625, 0.875, 0.0625]],
+                      [[0.0625, 0.875, 0.0625], [0.0625, 0.0625, 0.875]]])
+    dmc = Dmc((2, 2), 3, table)
+    assert np.array_equal(dmc.cdf, np.cumsum(table, axis=-1).reshape(4, 3))
+    assert dmc.cdf_rows == tuple(map(tuple, dmc.cdf.tolist()))

@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import math
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from hashmac.gf import FieldSpec, LinearLabel, all_vectors, apply_label
 from hashmac.prob import CondPmf
 from hashmac.scenarios import (GAMMA_GRID, InfeasibleRateError, STAGE_CHANNEL, STAGE_EMPTY,
                                STAGE_DECODER, STAGE_ENCODER, STAGE_MI, STAGES,
-                               TrialResult, _classify, _draw_messages, _typical_cloud,
+                               TrialResult, _classify, _draw, _typical_cloud,
                                build_private_code,
                                build_superposition_code, decode_components,
                                encode_components, reduce_common_to_private, run_trial,
@@ -527,21 +528,77 @@ def message_layouts(draw):
     return comps, draw(st.integers(0, 2**64 - 1)), draw(st.integers(1, 12))
 
 
+def _layout_code(comps, n):
+    """A code whose components carry (q, rows) messages, with block length n."""
+    maps = tuple(LinearLabel(FieldSpec(q), np.zeros((r, 4), dtype=np.int64)) for q, r in comps)
+    return dataclasses.replace(_any_code(), message_maps=maps, n=n)
+
+
 @settings(max_examples=150, deadline=None)
 @given(message_layouts())
 def test_merged_message_draws_equal_one_draw_per_component(layout):
     comps, seed, n = layout
-    maps = tuple(LinearLabel(FieldSpec(q), np.zeros((r, 4), dtype=np.int64)) for q, r in comps)
-    code = dataclasses.replace(_any_code(), message_maps=maps)
-    merged, single = rng_mod.stream(seed, "draw"), rng_mod.stream(seed, "draw")
-    got = _draw_messages(code, merged)
+    raw, single = rng_mod.stream(seed, "draw"), rng_mod.stream(seed, "draw")
+    msgs, uniforms = _draw(_layout_code(comps, n), raw.bit_generator)
     want = []
     for q, r in comps:
         digits = single.integers(q, size=r) if r else []
         # A message's index reads its digits in base q, first digit most significant.
         want.append(int("".join(map(str, digits)) or "0", q))
-    assert got == want
-    assert np.array_equal(merged.random(n), single.random(n))
+    assert msgs == tuple(want)
+    assert uniforms == single.random(n).tolist()
+
+
+class _RawWords:
+    """A bit generator's stand-in: random_raw hands out a fixed word list in order."""
+
+    def __init__(self, words):
+        self.words, self.pos = words, 0
+
+    def random_raw(self, size):
+        out = self.words[self.pos:self.pos + size]
+        assert len(out) == size, "the draw asked for more words than the case holds"
+        self.pos += size
+        return np.array(out, dtype=np.uint64)
+
+
+def _numpy_bounded_draw(halves, q):
+    """numpy's buffered_bounded_lemire_uint32 for [0, q) on an iterator of uint32 halves."""
+    m = next(halves) * q
+    leftover = m & 0xFFFFFFFF
+    if leftover < q:
+        threshold = (0xFFFFFFFF - (q - 1)) % q
+        while leftover < threshold:
+            m = next(halves) * q
+            leftover = m & 0xFFFFFFFF
+    return m >> 32
+
+
+@pytest.mark.parametrize("q", [3, 5])
+@pytest.mark.parametrize("rows", [4, 5])
+@pytest.mark.parametrize("rejected", [(0,), (2,), (-1,), (0, 0, -1), (0,) * 7])
+def test_rejected_digit_draws_follow_numpy(q, rows, rejected):
+    # For q = 3 and 5 the threshold (2^32 - q) mod q is 1, so a zero half is
+    # rejected; `rejected` names the digit of each rejection, the first, a
+    # middle or the last (-1), some several times in a row.  With four
+    # digits, one rejection pushes the uniforms past the words drawn first.
+    n = 2
+    halves = np.random.default_rng(q).integers(1, 2**32, size=64).tolist()
+    at = 0
+    for k, digit in enumerate(d % rows for d in rejected):
+        at = max(at, digit + k)
+        halves[at] = 0
+        at += 1
+    words = [lo | hi << 32 for lo, hi in zip(halves[::2], halves[1::2])]
+    code = _layout_code(((q, rows),), n)
+    msgs, uniforms = _draw(code, _RawWords(words))
+    it = iter(halves)
+    digits = [_numpy_bounded_draw(it, q) for _ in range(rows)]
+    used = len(halves) - sum(1 for _ in it)
+    assert used == rows + len(rejected)
+    assert msgs == (int("".join(map(str, digits)), q),)
+    start = math.ceil(used / 2)  # the uniforms skip the unused half of a word
+    assert uniforms == [(w >> 11) * 2.0**-53 for w in words[start:start + n]]
 
 
 def _reference_trial(code, rng):
@@ -593,6 +650,9 @@ def test_decoder_table_returns_fresh_decoder_rows():
             fresh = MinDivDecoder(code.checks[f:], code.syndromes[f:], code.law.table, u=code.u)
             assert code.decoder.rows(y) == fresh.rows(y), name
         assert len(code.decoder._decoded) == len({y.tobytes() for y in ys})
+        # A tuple of ints, as a trial passes, reads the same entries.
+        assert all(code.decoder.rows(tuple(y.tolist())) == code.decoder.rows(y) for y in ys)
+        assert len(code.decoder._decoded) == len({y.tobytes() for y in ys})
         # A y that is not a valid output still raises, whatever the table holds.
         with pytest.raises(ValueError):
             code.decoder.rows(ys[0][:-1])
@@ -609,3 +669,54 @@ def test_encode_components_rejects_malformed_messages():
                 good[:1]):
         with pytest.raises(ValueError):
             encode_components(code, bad)
+
+
+def test_sent_table_holds_one_entry_per_drawn_tuple():
+    trials, path = 120, ("sent",)
+    for name, code in _equivalence_codes().items():
+        simulate_error(code, trials, SEED, path)
+        drawn = {_draw(code, rng_mod.stream(SEED, *path, t).bit_generator)[0]
+                 for t in range(trials)}
+        assert set(code.sent) == drawn, name
+
+
+def test_radius_copy_gets_its_own_sent_table():
+    """A stage verdict kept for one radius never reaches a copy at another."""
+    code = _equivalence_codes()["superposition"]
+    path = ("radius",)
+    narrow = simulate_error(code, 100, SEED, path)
+    wide_code = dataclasses.replace(code, gamma=MAX_RADIUS)
+    assert wide_code.sent == {} and code.sent
+    wide = simulate_error(wide_code, 100, SEED, path)
+    assert wide.stage_counts != narrow.stage_counts
+    fresh = dataclasses.replace(code, gamma=MAX_RADIUS)
+    for t in range(100):
+        rng = rng_mod.stream(SEED, *path, t)
+        assert run_trial(wide_code, rng) == _reference_trial(fresh, rng_mod.stream(SEED, *path, t))
+
+
+def test_trial_output_equals_sample_channel():
+    """The trial path's y is sample_channel's y for the same codewords and stream."""
+    compared = 0
+    for name, code in _equivalence_codes().items():
+        if code.decoder is None:
+            continue
+        seen = []
+        rows = code.decoder.rows
+        code.decoder.rows = lambda y: seen.append(y) or rows(y)
+        try:
+            for t in range(40):
+                del seen[:]
+                run_trial(code, rng_mod.stream(SEED, "y", name, t))
+                if not seen:  # an empty coset: nothing was sent
+                    continue
+                rng = rng_mod.stream(SEED, "y", name, t)
+                msgs = [rng.integers(mm.field.q, size=mm.rows) if mm.rows
+                        else np.zeros(0, dtype=np.int64) for mm in code.message_maps]
+                xs = encode_components(code, msgs)
+                y = sample_channel(code.dmc, xs[code.n_cloud:], rng)
+                assert seen == [tuple(y.tolist())], (name, t)
+                compared += 1
+        finally:
+            del code.decoder.rows
+    assert compared > 100
