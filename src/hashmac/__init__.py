@@ -3,9 +3,9 @@
 from .channel import Dmc, deterministic_dmc, sample_channel
 from .codec import (AllCosetsEmptyError, CosetSpec, EmptyCosetError,
                     EncodeTarget, build_T_subset, min_div_decode, min_div_encode)
-from .empirical import (EmpiricalType, cond_empirical, empirical, enumerate_types,
-                        is_cond_typical, is_typical, joint_empirical, seq_cond_entropy,
-                        seq_entropy, seq_mutual_multi, type_class_size)
+from .empirical import (EmpiricalType, empirical, enumerate_types, is_cond_typical,
+                        is_typical, seq_cond_entropy, seq_entropy, seq_mutual_multi,
+                        type_class_size)
 from .ensembles import (BinLabel, CollisionEstimate, EnsembleSpec, HashParams,
                         collision_prob, crp_bound, crp_test, estimate_hash_params,
                         multi_crp_bound, multi_params, occupancy_factor,
@@ -18,8 +18,7 @@ from .regions import (JointLaw, RateSplit, eps_feasible, in_region_private,
                       mutual_information, rate_split)
 from .scenarios import (CodeInstance, InfeasibleRateError, SimulationResult,
                         TrialResult, build_private_code, build_superposition_code,
-                        reduce_common_to_private, saturation_audit, search_code,
-                        simulate_error)
+                        reduce_common_to_private, search_code, simulate_error)
 from .slack import (cond_entropy_slack, cond_typical_size_slack, entropy_slack,
                     feasibility_slack, joint_typicality_radius, type_count_penalty,
                     typical_size_slack)

@@ -262,7 +262,6 @@ class MinDivDecoder:
         self._denoms = ([n * Fraction(float(p)) for p in model_flat]
                         if all(q == 2 for q in self._qs) else None)
         self._chunk = max(1, SCAN_CHUNK_CELLS // max(n, 1))
-        self._decoded = {}  # tuple(y) -> rows, filled as outputs come up
         if total <= self._chunk:
             self._static = next(self._product([np.arange(m) for m in sizes]))[1]
             return
@@ -396,36 +395,17 @@ class MinDivDecoder:
         return np.flatnonzero(dv <= _tie_limit(low))
 
     def rows(self, y) -> tuple[int, ...]:
-        """Index of the decoded row in each sender's coset.
-
-        The result is a fixed function of y, so it is kept in a table keyed
-        by tuple(y): the table grows by at most one entry per distinct y
-        decoded, each about 8n + 150 bytes, and lives as long as the
-        decoder.  A tuple of ints is looked up before any array is built.
-        """
-        if isinstance(y, tuple):
-            try:
-                got = self._decoded.get(y)
-            except TypeError:  # an unhashable item: no valid y, rejected below
-                got = None
-            if got is not None:
-                return got
+        """Index of the decoded row in each sender's coset; keeps nothing per y."""
         y = np.asarray(y, dtype=np.int64)
         if y.shape != (self.n,):
             raise ValueError("y length must equal the block length")
-        key = tuple(y.tolist())
-        got = self._decoded.get(key)
-        if got is not None:
-            return got
         if y.view(np.uint64).max(initial=0) >= self._n_out:  # a negative symbol reads huge
             raise ValueError("output symbol outside the model axis")
         ties = self._ties(y)
         if ties.size > 1 and self._denoms is not None:
             base = self._base + y * self._y_stride
             ties = _refine_exact(ties, lambda flat: self._key(base, flat))
-        got = self._decoded[key] = tuple(
-            int(i) for i in np.unravel_index(int(ties[0]), self.sizes))
-        return got
+        return tuple(int(i) for i in np.unravel_index(int(ties[0]), self.sizes))
 
     def __call__(self, y) -> tuple[np.ndarray, ...]:
         return tuple(c[i] for c, i in zip(self.cosets, self.rows(y)))

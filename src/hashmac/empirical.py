@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .prob import CondPmf, Pmf, entropy
+from .prob import CondPmf, Pmf
 
 
 @dataclass(frozen=True)
@@ -57,43 +57,11 @@ def empirical(seq, alphabet) -> EmpiricalType:
     return EmpiricalType(alphabet, np.bincount(ix, minlength=len(alphabet)))
 
 
-def joint_empirical(seqs, alphabets) -> EmpiricalType:
-    """Joint frequencies of parallel sequences, over the product alphabet."""
-    seqs = tuple(seqs)
-    alphabets = tuple(tuple(a) for a in alphabets)
-    if len(seqs) != len(alphabets):
-        raise ValueError("one alphabet per sequence required")
-    lengths = {len(s) for s in seqs}
-    if len(lengths) != 1:
-        raise ValueError("length mismatch between parallel sequences")
-    idxs = [_index_seq(s, a) for s, a in zip(seqs, alphabets)]
-    sizes = tuple(len(a) for a in alphabets)
-    flat = np.ravel_multi_index(tuple(idxs), sizes)
-    counts = np.bincount(flat, minlength=int(np.prod(sizes)))
-    product_alphabet = tuple(itertools.product(*alphabets))
-    return EmpiricalType(product_alphabet, counts)
-
-
 def joint_counts(seqs, sizes) -> np.ndarray:
     """Joint counts of parallel index sequences as an array shaped `sizes`."""
     idxs = [np.asarray(s, dtype=np.int64) for s in seqs]
     flat = np.ravel_multi_index(tuple(idxs), tuple(sizes))
     return np.bincount(flat, minlength=int(np.prod(sizes))).reshape(tuple(sizes))
-
-
-def cond_empirical(u, v, u_alphabet, v_alphabet) -> CondPmf:
-    """Empirical conditional of u given v; rows for unseen v are absent."""
-    u_alphabet, v_alphabet = tuple(u_alphabet), tuple(v_alphabet)
-    ui = _index_seq(u, u_alphabet)
-    vi = _index_seq(v, v_alphabet)
-    if ui.size != vi.size:
-        raise ValueError("length mismatch")
-    c = joint_counts((vi, ui), (len(v_alphabet), len(u_alphabet))).astype(float)
-    totals = c.sum(axis=1)
-    present = totals > 0
-    rows = np.zeros_like(c)
-    rows[present] = c[present] / totals[present, None]
-    return CondPmf(v_alphabet, u_alphabet, rows, present)
 
 
 def _entropy_counts(counts: np.ndarray, n: int) -> np.ndarray:
@@ -175,10 +143,6 @@ def conditional_divergences(cands: np.ndarray, mu_cond: CondPmf, u: np.ndarray) 
         raise ValueError("conditioning sequence length mismatch")
     mv, mx = mu_cond.given_size, mu_cond.size
     u_counts = np.bincount(u, minlength=mv)
-    seen = u_counts > 0
-    if not mu_cond.present[seen].all():
-        b = np.flatnonzero(seen & ~mu_cond.present)[0]
-        raise ValueError(f"model row absent for seen symbol {mu_cond.given_alphabet[b]!r}")
     # Joint cell (b, a) for each position, then the shared counting path.
     counts = _count_symbols(u[None, :] * mx + cands, mv * mx)
     log_denom = _log2_denom(u_counts[:, None] * mu_cond.rows)

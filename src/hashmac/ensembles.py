@@ -629,16 +629,16 @@ def multi_crp_rate_exact(specs, tuples, u_parts, budget: int = SUPPORT_BUDGET) -
     return _joint_hits(matches) / count
 
 
-def occupancy_factor(beta_k: float, n: int, k: int, xi: float = 1.0,
-                     negligible_tol: float = 1e-12) -> float:
+def occupancy_factor(beta_k: float, n: int, k: int) -> float:
     """Growth factor sizing the audited bin-to-candidate ratio.
 
-    n^(xi/k) while beta_k * n^(xi/k) stays negligible, else beta_k^(-1/(k+1)).
+    n^(1/k) while beta_k * n^(1/k) stays negligible (at most 1e-12), else
+    beta_k^(-1/(k+1)).
     """
     if beta_k < 0:
         raise ValueError("beta must be nonnegative")
-    first = n ** (xi / k)
-    if beta_k * first <= negligible_tol:
+    first = n ** (1.0 / k)
+    if beta_k * first <= 1e-12:
         return first
     return beta_k ** (-1.0 / (k + 1))
 

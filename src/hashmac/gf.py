@@ -31,12 +31,6 @@ class FieldSpec:
         if self.q not in SUPPORTED_PRIMES:
             raise ValueError(f"unsupported field size {self.q}; supported: {SUPPORTED_PRIMES}")
 
-    def inv(self, x: int) -> int:
-        x %= self.q
-        if x == 0:
-            raise ZeroDivisionError("no inverse of 0")
-        return pow(x, self.q - 2, self.q)
-
 
 def as_vec(elems, q: int) -> np.ndarray:
     """Validate and normalize a residue vector mod q."""

@@ -40,44 +40,27 @@ class Pmf:
     def prob(self, symbol) -> float:
         return float(self.probs[self._index[symbol]])
 
-    def index(self, symbol) -> int:
-        return self._index[symbol]
-
     def __repr__(self):
         return f"Pmf({self.alphabet}, {self.probs.tolist()})"
 
 
 class CondPmf:
-    """One output row per input symbol; rows may be absent.
+    """One output distribution per input symbol."""
 
-    An absent row marks a conditioning symbol that never occurs; every
-    consumer weights rows by the conditioning distribution, so absent rows
-    contribute zero.
-    """
+    __slots__ = ("given_alphabet", "alphabet", "rows", "_gindex")
 
-    __slots__ = ("given_alphabet", "alphabet", "rows", "present", "_gindex")
-
-    def __init__(self, given_alphabet, alphabet, rows, present=None):
+    def __init__(self, given_alphabet, alphabet, rows):
         self.given_alphabet = tuple(given_alphabet)
         self.alphabet = tuple(alphabet)
         r = np.asarray(rows, dtype=float)
         if r.shape != (len(self.given_alphabet), len(self.alphabet)):
             raise ValueError(f"rows shape {r.shape} does not match alphabets")
-        if present is None:
-            present = np.ones(len(self.given_alphabet), dtype=bool)
-        present = np.asarray(present, dtype=bool)
-        for i, ok in enumerate(present):
-            if not ok:
-                continue
-            row = r[i]
+        for i, row in enumerate(r):
             if row.min() < 0 or abs(row.sum() - 1.0) > SUM_TOL:
                 raise ValueError(f"row {i} is not a distribution")
         r = r.copy()
         r.flags.writeable = False
-        present = present.copy()
-        present.flags.writeable = False
         self.rows = r
-        self.present = present
         self._gindex = {s: i for i, s in enumerate(self.given_alphabet)}
 
     @property
@@ -88,11 +71,8 @@ class CondPmf:
     def size(self) -> int:
         return len(self.alphabet)
 
-    def row(self, given) -> Pmf | None:
-        i = self._gindex[given]
-        if not self.present[i]:
-            return None
-        return Pmf(self.alphabet, self.rows[i])
+    def row(self, given) -> Pmf:
+        return Pmf(self.alphabet, self.rows[self._gindex[given]])
 
     def __repr__(self):
         return f"CondPmf(given={self.given_alphabet}, alphabet={self.alphabet})"
@@ -111,9 +91,6 @@ def cond_entropy(cond: CondPmf, base: Pmf) -> float:
         raise ValueError("conditioning alphabet mismatch")
     total = 0.0
     for i, pv in enumerate(base.probs):
-        if pv == 0:
-            continue
-        if not cond.present[i]:
-            raise ValueError(f"absent row {cond.given_alphabet[i]} has positive weight")
-        total += pv * entropy(cond.rows[i])
+        if pv > 0:
+            total += pv * entropy(cond.rows[i])
     return total

@@ -274,11 +274,12 @@ class RateSplit:
 GRID_STEP = 2.0**-10  # dyadic, so split bookkeeping is exact in floats
 
 
-def rate_split(target, law: JointLaw, step: float = GRID_STEP) -> RateSplit:
+def rate_split(target, law: JointLaw) -> RateSplit:
     """Find a reallocation of the private rates satisfying every constraint.
 
-    Searches moved amounts on a dyadic grid (coarse pass plus a refinement
-    around near misses), preferring the smallest total moved mass.
+    Searches moved amounts on a dyadic grid of GRID_STEP (coarse pass plus
+    a refinement around near misses), preferring the smallest total moved
+    mass.
     """
     r0, r1, r2 = (float(t) for t in target)
     if not in_region_sw((r0, r1, r2), law):
@@ -305,19 +306,19 @@ def rate_split(target, law: JointLaw, step: float = GRID_STEP) -> RateSplit:
         flat = int(np.argmin(score))
         return (float(m1g.ravel()[flat]), float(m2g.ravel()[flat])), worst
 
-    lim1 = max(0.0, min(r0, base[0][2] - r1)) + step
-    lim2 = max(0.0, min(r0, base[1][2] - r2)) + step
-    g1 = np.arange(0.0, lim1 + step, step)
-    g2 = np.arange(0.0, lim2 + step, step)
+    lim1 = max(0.0, min(r0, base[0][2] - r1)) + GRID_STEP
+    lim2 = max(0.0, min(r0, base[1][2] - r2)) + GRID_STEP
+    g1 = np.arange(0.0, lim1 + GRID_STEP, GRID_STEP)
+    g2 = np.arange(0.0, lim2 + GRID_STEP, GRID_STEP)
     found, worst = scan(g1, g2)
     if found is None:
         # Refine around the least-violating coarse point.
         flat = int(np.argmin(worst))
         c1 = g1[flat // len(g2)]
         c2 = g2[flat % len(g2)]
-        fine = step / 64.0
-        f1 = np.arange(max(0.0, c1 - step), c1 + step + fine, fine)
-        f2 = np.arange(max(0.0, c2 - step), c2 + step + fine, fine)
+        fine = GRID_STEP / 64.0
+        f1 = np.arange(max(0.0, c1 - GRID_STEP), c1 + GRID_STEP + fine, fine)
+        f2 = np.arange(max(0.0, c2 - GRID_STEP), c2 + GRID_STEP + fine, fine)
         found, _ = scan(f1, f2)
     if found is None:
         raise RateSplitInfeasible("no feasible reallocation found")

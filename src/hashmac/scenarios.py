@@ -37,11 +37,11 @@ from .channel import Dmc, sample_channel  # noqa: F401
 # this import site.
 from .codec import (AllCosetsEmptyError, EmptyCosetError, EncodeTarget,  # noqa: F401
                     MinDivDecoder, min_div_decode, min_div_encode, min_div_member)
-from .empirical import (_entropy_counts, conditional_divergences, count_divergence,  # noqa: F401
-                        divergence_to, is_cond_typical, joint_counts, seq_mutual_multi)
+from .empirical import (_entropy_counts, count_divergence, divergence_to,  # noqa: F401
+                        is_cond_typical, joint_counts, seq_mutual_multi)
 from .ensembles import (EnsembleSpec, SupportBudgetError, UNIFORM, estimate_hash_params,
                         multi_params, occupancy_factor, product_params, sample)
-from .gf import FieldSpec, LinearLabel, all_vectors, apply_label, apply_label_many
+from .gf import FieldSpec, LinearLabel, apply_label, apply_label_many
 from .prob import CondPmf, Pmf
 from .regions import JointLaw, in_region_sw, in_region_ts, joint_sw, joint_ts
 from .slack import (MAX_RADIUS, cond_entropy_slack, cond_typical_size_slack,
@@ -125,7 +125,7 @@ class CodeInstance:
         return self.check_specs.count(None)
 
     # A code's encoder and decoder are fixed functions of the message and of
-    # y, so both are compiled on the first trial and kept with the code.  A
+    # y, so both are tabled as trials come up and kept with the code.  A
     # message travels as its index: its base-q digits read with the first
     # digit most significant, which is its rank in lex order.
 
@@ -175,6 +175,15 @@ class CodeInstance:
         The y-free stage (the encoder and empirical-mi stages, which read
         the codewords and the context but never y) is classified when the
         tuple first fails.
+        """
+        return {}
+
+    @cached_property
+    def decoded(self) -> dict:
+        """Channel output tuple(y) -> the decoder's coset rows, filled as outputs come up.
+
+        It holds at most one entry per distinct y decoded, each about
+        8n + 150 bytes, and lives as long as the code.
         """
         return {}
 
@@ -529,11 +538,6 @@ def _channel_stage(code: CodeInstance, xs, y) -> str:
     return STAGE_DECODER
 
 
-def _classify(code: CodeInstance, xs, y) -> str:
-    """First failed stage of a trial, each read off the trial's joint type."""
-    return _stage_without_y(code, xs) or _channel_stage(code, xs, y)
-
-
 @dataclass(frozen=True)
 class SimulationResult:
     trials: int
@@ -621,7 +625,9 @@ def run_trial(code: CodeInstance, rng: np.random.Generator) -> TrialResult:
     # iterator is resized, which fills CPython's n-tuple free list with
     # blocks it never reuses (about 0.3 MB more peak RSS on `trend`).
     y = tuple(list(map(bisect_right, cdf_rows, uniforms)))
-    rows = code.decoder.rows(y)
+    rows = code.decoded.get(y)
+    if rows is None:
+        rows = code.decoded[y] = code.decoder.rows(y)
     if all(t[r] == m for t, r, m in zip(code.coset_messages, rows, msgs[code.fixed:])):
         return _SUCCESS
     if stage is _UNCLASSIFIED:
@@ -675,32 +681,3 @@ def search_code(builder, candidates: int, pilot_trials: int, seed: int,
     if best is None:
         raise InfeasibleRateError(f"all {candidates} candidates infeasible: {last_error}")
     return SearchResult(best[2], best[1], tuple(scores))
-
-
-def saturation_audit(code: CodeInstance, budget: int = 1 << 20) -> list[dict]:
-    """Check whether each component's typical set can fill its bins kappa-fold.
-
-    Diagnostic only; reports, per coded component, the typical-set size
-    against the [kappa, 2*kappa] bin-occupancy window.  Satellites of a
-    coded cloud are audited given its most typical sequence.
-    """
-    ctx = code.u if code.u is not None else _typical_cloud(code)
-    ctxs = (np.zeros(code.n, dtype=np.int64),) * code.n_cloud + (ctx,) * code.dmc.n_senders
-    kappa = code.kappa
-    out = []
-    for i in range(code.fixed, code.k_messages):
-        cands = all_vectors(code.checks[i].field.q, code.n, budget)
-        d = conditional_divergences(cands, code.cond_inputs[i], ctxs[i])
-        t_size = int((d < code.gamma).sum())
-        bins = code.checks[i].im_size * code.message_maps[i].im_size
-        lo = math.ceil(kappa * bins)
-        hi = math.floor(min(2 * kappa * bins, t_size))
-        out.append({"index": i, "typical_size": t_size, "bins": bins,
-                    "kappa": kappa, "feasible": lo <= hi and lo >= 1})
-    return out
-
-
-def _typical_cloud(code: CodeInstance) -> np.ndarray:
-    cands = all_vectors(code.ctx_law.size, code.n)
-    d = conditional_divergences(cands, code.cond_inputs[0], np.zeros(code.n, dtype=np.int64))
-    return cands[int(np.argmin(d))]

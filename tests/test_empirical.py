@@ -5,9 +5,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from hashmac.empirical import (EmpiricalType, cond_divergence_to, cond_empirical,
-                               divergence_to, empirical, enumerate_types,
-                               is_cond_typical, is_typical, joint_empirical,
+from hashmac.empirical import (EmpiricalType, cond_divergence_to, divergence_to, empirical,
+                               enumerate_types, is_cond_typical, is_typical, joint_counts,
                                seq_cond_entropy, seq_entropy, seq_mutual_multi,
                                type_class_size)
 from hashmac.prob import CondPmf, Pmf
@@ -30,30 +29,22 @@ def test_empirical_rejects_unknown_symbol():
 
 
 def test_joint_empirical():
-    t = joint_empirical(([0, 1], [1, 1]), ((0, 1), (0, 1)))
-    freqs = dict(zip(t.alphabet, t.freqs))
-    assert freqs[(0, 1)] == 0.5 and freqs[(1, 1)] == 0.5
+    t = joint_counts(([0, 1], [1, 1]), (2, 2))
+    assert t.tolist() == [[0, 1], [0, 1]]
+
+
+def _cond_rows(u, v):
+    # The empirical conditional of u given v: joint counts of (v, u), row-normalized.
+    c = joint_counts((v, u), (2, 2))
+    return c / c.sum(axis=1, keepdims=True)
 
 
 def test_cond_empirical_rows():
-    c = cond_empirical([0, 1, 0, 1], [0, 0, 1, 1], (0, 1), (0, 1))
-    assert c.rows[0].tolist() == [0.5, 0.5]
-    assert c.rows[1].tolist() == [0.5, 0.5]
+    assert _cond_rows([0, 1, 0, 1], [0, 0, 1, 1]).tolist() == [[0.5, 0.5], [0.5, 0.5]]
 
 
 def test_cond_empirical_identity_kernel():
-    c = cond_empirical([0, 1], [0, 1], (0, 1), (0, 1))
-    assert c.rows.tolist() == [[1.0, 0.0], [0.0, 1.0]]
-
-
-def test_cond_empirical_absent_row():
-    c = cond_empirical([1, 1], [0, 0], (0, 1), (0, 1))
-    assert c.present.tolist() == [True, False]
-
-
-def test_cond_empirical_length_mismatch():
-    with pytest.raises(ValueError):
-        cond_empirical([0, 1], [0], (0, 1), (0, 1))
+    assert _cond_rows([0, 1], [0, 1]).tolist() == [[1.0, 0.0], [0.0, 1.0]]
 
 
 def test_seq_entropy_values():
@@ -144,15 +135,13 @@ def test_divergence_to_matches_cellwise_reference():
 
 def test_divergence_to_errors():
     mu = Pmf((0, 1), [0.5, 0.5])
-    cond = CondPmf((0, 1), (0, 1), [[1.0, 0.0], [0.0, 0.0]], present=[True, False])
+    cond = CondPmf((0, 1), (0, 1), [[1.0, 0.0], [0.0, 1.0]])
     with pytest.raises(ValueError, match="outside alphabet"):
         divergence_to([0, 2], mu)
     with pytest.raises(ValueError, match="outside alphabet"):
         cond_divergence_to([0, 2], [0, 0], cond)
     with pytest.raises(ValueError, match="length mismatch"):
         cond_divergence_to([0, 1], [0], cond)
-    with pytest.raises(ValueError, match="row absent"):
-        cond_divergence_to([0, 0], [0, 1], cond)
     with pytest.raises(ValueError, match="empty"):
         divergence_to([], mu)
 

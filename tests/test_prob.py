@@ -75,13 +75,6 @@ def test_cond_divergence_weights_rows():
     assert abs(cond_divergence_to([0, 0], [0, 0], q2) - 1.0) < 1e-12
 
 
-def test_absent_row_with_weight_rejected():
-    cond = CondPmf((0, 1), (0, 1), [[1.0, 0.0], [0.0, 0.0]],
-                   present=[True, False])
-    with pytest.raises(ValueError):
-        cond_entropy(cond, Pmf((0, 1), [0.5, 0.5]))
-
-
 def test_pmf_validation():
     with pytest.raises(ValueError):
         Pmf((0, 1), [0.6, 0.6])

@@ -16,11 +16,11 @@ from hashmac.gf import FieldSpec, LinearLabel, all_vectors, apply_label
 from hashmac.prob import CondPmf
 from hashmac.scenarios import (GAMMA_GRID, InfeasibleRateError, STAGE_CHANNEL, STAGE_EMPTY,
                                STAGE_DECODER, STAGE_ENCODER, STAGE_MI, STAGES,
-                               TrialResult, _classify, _draw, _typical_cloud,
+                               TrialResult, _channel_stage, _draw, _stage_without_y,
                                build_private_code,
                                build_superposition_code, decode_components,
                                encode_components, reduce_common_to_private, run_trial,
-                               saturation_audit, search_code, simulate_error)
+                               search_code, simulate_error)
 from hashmac.slack import MAX_RADIUS, cond_entropy_slack, entropy_slack
 
 ADDER = deterministic_dmc((2, 2), 3, lambda a, b: a + b)
@@ -254,16 +254,6 @@ def test_gamma_recorded_with_flag():
     assert isinstance(code.gamma_ok, bool)
 
 
-def test_saturation_audit_reports_all_live_senders():
-    code = build_small(8)
-    audit = saturation_audit(code)
-    assert len(audit) == 2
-    for row in audit:
-        assert row["bins"] == (code.checks[row["index"]].im_size
-                               * code.message_maps[row["index"]].im_size)
-        assert row["typical_size"] >= 0
-
-
 @pytest.mark.parametrize("n", [8, 12])
 def test_one_point_cloud_kappa_matches_private(n):
     # A one-point cloud codes the same two senders as a private code, so the
@@ -276,13 +266,6 @@ def test_one_point_cloud_kappa_matches_private(n):
     assert deg.check_specs[1:] == priv.check_specs
     assert deg.message_specs[1:] == priv.message_specs
     assert deg.kappa == priv.kappa
-    mu0, c1, c2 = _sw_inputs()
-    cloud = build_superposition_code(mu0, c1, c2, PAIR, (0.125, 0.125, 0.125),
-                                     (0.05, 0.05, 0.05), 8, rng_mod.stream(SEED, "kappa"))
-    for code in (deg, priv, cloud):
-        audit = saturation_audit(code)
-        assert [row["index"] for row in audit] == list(range(code.fixed, code.k_messages))
-        assert all(row["kappa"] == code.kappa for row in audit)
 
 
 def test_run_trial_deterministic():
@@ -434,7 +417,11 @@ def _trial_inputs(code, rng):
         out.append(encode_components(code, msgs))
     except EmptyCosetError:
         pass
-    ctx = code.u if code.u is not None else _typical_cloud(code)
+    ctx = code.u
+    if ctx is None:  # the most typical cloud codeword
+        cands = all_vectors(code.ctx_law.size, n)
+        zeros = np.zeros(n, dtype=np.int64)
+        ctx = cands[np.argmin(conditional_divergences(cands, code.cond_inputs[0], zeros))]
     typical = []
     for x in code.cond_inputs[c:]:
         cands = all_vectors(x.size, n)
@@ -458,7 +445,8 @@ def test_classifier_matches_sequence_tests():
             for g in GAMMA_GRID + (MAX_RADIUS,):
                 at = dataclasses.replace(code, gamma=g)
                 want = _classify_by_sequences(at, xs, y)
-                assert _classify(at, xs, y) == want, (kind, g)
+                got = _stage_without_y(at, xs) or _channel_stage(at, xs, y)
+                assert got == want, (kind, g)
                 seen.add(want)
                 compared += 1
     assert compared > 500
@@ -613,7 +601,7 @@ def _reference_trial(code, rng):
     got, _ = decode_components(code, y)
     if all(np.array_equal(g, m) for g, m in zip(got, msgs)):
         return TrialResult(True)
-    return TrialResult(False, _classify(code, xs, y))
+    return TrialResult(False, _stage_without_y(code, xs) or _channel_stage(code, xs, y))
 
 
 def _one_point_cloud_code():
@@ -638,27 +626,70 @@ def test_run_trial_matches_reference_trial():
 def test_decoder_table_returns_fresh_decoder_rows():
     for name, code in _equivalence_codes().items():
         f = code.fixed
-        rng = rng_mod.stream(SEED, "repeat", name)
-        base = rng.integers(code.dmc.output_size, size=(3, code.n))
-        # Outputs that differ in one end symbol only, each drawn many times.
-        first, last = base.copy(), base.copy()
-        first[:, 0] = (first[:, 0] + 1) % code.dmc.output_size
-        last[:, -1] = (last[:, -1] + 1) % code.dmc.output_size
-        pool = np.concatenate([base, first, last])
-        ys = pool[rng.integers(len(pool), size=40)]
-        for y in ys:
+        simulate_error(code, 120, SEED, ("repeat", name))
+        assert code.decoded, name
+        for y, rows in code.decoded.items():
             fresh = MinDivDecoder(code.checks[f:], code.syndromes[f:], code.law.table, u=code.u)
-            assert code.decoder.rows(y) == fresh.rows(y), name
-        assert len(code.decoder._decoded) == len({y.tobytes() for y in ys})
-        # A tuple of ints, as a trial passes, reads the same entries.
-        assert all(code.decoder.rows(tuple(y.tolist())) == code.decoder.rows(y) for y in ys)
-        assert len(code.decoder._decoded) == len({y.tobytes() for y in ys})
-        # A y that is not a valid output still raises, whatever the table holds.
-        with pytest.raises(ValueError):
-            code.decoder.rows(ys[0][:-1])
+            assert rows == fresh.rows(y), name
+        # A y that is not a valid output still raises, as a tuple or an array.
+        y = next(iter(code.decoded))
+        for short_or_long in (y[:-1], y + (0,)):
+            with pytest.raises(ValueError):
+                code.decoder.rows(short_or_long)
         for bad in (code.dmc.output_size, -1):
-            with pytest.raises(ValueError, match="outside the model axis"):
-                code.decoder.rows(np.full(code.n, bad))
+            for bad_y in ((bad,) + y[1:], np.full(code.n, bad)):
+                with pytest.raises(ValueError, match="outside the model axis"):
+                    code.decoder.rows(bad_y)
+
+
+def _decoder_state(dec):
+    """Every attribute of a decoder with its length, or its shape for an array."""
+    return {k: np.shape(v) if isinstance(v, np.ndarray) else
+            len(v) if hasattr(v, "__len__") else None for k, v in vars(dec).items()}
+
+
+def test_decoder_keeps_no_state_per_output():
+    for name, code in _equivalence_codes().items():
+        dec = MinDivDecoder(code.checks[code.fixed:], code.syndromes[code.fixed:],
+                            code.law.table, u=code.u)
+        before = _decoder_state(dec)
+        ys = rng_mod.stream(SEED, "stateless", name).integers(
+            code.dmc.output_size, size=(50, code.n))
+        first = [dec.rows(y) for y in ys]
+        assert [dec.rows(tuple(y.tolist())) for y in ys] == first, name
+        assert _decoder_state(dec) == before, name
+
+
+def _sent_outputs(code, trials, path):
+    """The y of every trial that gets past the encoder, from the public pieces."""
+    ys = set()
+    for t in range(trials):
+        rng = rng_mod.stream(SEED, *path, t)
+        msgs = [rng.integers(mm.field.q, size=mm.rows) if mm.rows
+                else np.zeros(0, dtype=np.int64) for mm in code.message_maps]
+        try:
+            xs = encode_components(code, msgs)
+        except EmptyCosetError:
+            continue
+        ys.add(tuple(sample_channel(code.dmc, xs[code.n_cloud:], rng).tolist()))
+    return ys
+
+
+def test_decoded_table_holds_one_entry_per_distinct_output():
+    trials, path = 120, ("decoded",)
+    for name, code in _equivalence_codes().items():
+        simulate_error(code, trials, SEED, path)
+        assert set(code.decoded) == _sent_outputs(code, trials, path), name
+        assert len(code.decoded) < trials, name  # some outputs repeat
+
+
+def test_replaced_code_gets_its_own_decoded_table():
+    code = _equivalence_codes()["superposition"]
+    first = simulate_error(code, 60, SEED, ("copy",))
+    copy = dataclasses.replace(code)
+    assert copy.decoded == {} and code.decoded
+    assert simulate_error(copy, 60, SEED, ("copy",)) == first
+    assert copy.decoded == code.decoded and copy.decoded is not code.decoded
 
 
 def test_encode_components_rejects_malformed_messages():
@@ -707,6 +738,7 @@ def test_trial_output_equals_sample_channel():
         try:
             for t in range(40):
                 del seen[:]
+                code.decoded.clear()  # so every trial's y reaches the decoder
                 run_trial(code, rng_mod.stream(SEED, "y", name, t))
                 if not seen:  # an empty coset: nothing was sent
                     continue
