@@ -12,6 +12,7 @@ import csv
 import functools
 import io
 import json
+import math
 import sys
 import time
 
@@ -56,6 +57,21 @@ def _at_least(value: int, low: int, field: str) -> int:
     if value < low:
         raise ConfigError(f"{field}: must be at least {low}")
     return value
+
+
+def _finite_vector(values, count: int, what: str, where: str) -> tuple[float, ...]:
+    """`count` finite numbers, such as one rate per component, or a ConfigError."""
+    if not isinstance(values, (list, tuple)):
+        raise ConfigError(f"{where}: expected a list of {count} {what}")
+    if len(values) != count:
+        raise ConfigError(f"{where}: expected {count} {what}, got {len(values)}")
+    try:
+        out = tuple(float(v) for v in values)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{where}: {what} must be numbers") from None
+    if not all(math.isfinite(v) for v in out):
+        raise ConfigError(f"{where}: {what} must be finite")
+    return out
 
 
 def _load_config(path: str) -> dict:
@@ -164,13 +180,19 @@ def cmd_region(config: dict, out_path: str | None) -> int:
     dmc = _parse_channel(_need(block, "channel", "region"), "region.channel")
     scenario, law, _ = _law_and_builder(block, dmc, "region")
     points = _need(block, "points", "region")
+    if not isinstance(points, (list, tuple)):
+        raise ConfigError("region.points: expected a list of rate vectors")
+    # Every point is checked before any verdict prints.  A negative rate is
+    # a valid query: its verdict is outside.
+    want = 3 if scenario == "superposition" else dmc.n_senders
+    points = [_finite_vector(p, want, "rates", f"region.points[{i}]")
+              for i, p in enumerate(points)]
     want_split = bool(block.get("rate_split", False))
     if want_split and scenario != "superposition":
         raise ConfigError("region.rate_split: only defined for the superposition scenario")
     in_region = in_region_sw if "x0" in law.names else in_region_private
     rows = []
-    for p in points:
-        point = tuple(float(r) for r in p)
+    for point in points:
         verdict = in_region(point, law)
         split_point = split_moved = ""
         if verdict and want_split:
@@ -213,13 +235,9 @@ def cmd_simulate(config: dict, seed: int | None, force: bool,
         raise ConfigError("simulate: missing top-level object")
     dmc = _parse_channel(_need(block, "channel", "simulate"), "simulate.channel")
     scenario, law, build = _law_and_builder(block, dmc, "simulate")
-    rates = tuple(float(r) for r in _need(block, "rates", "simulate"))
-    eps = tuple(float(e) for e in _need(block, "eps", "simulate"))
     want = 3 if scenario == "superposition" else dmc.n_senders
-    if len(rates) != want:
-        raise ConfigError(f"simulate.rates: expected {want} rates, got {len(rates)}")
-    if len(eps) != want:
-        raise ConfigError(f"simulate.eps: expected {want} margins, got {len(eps)}")
+    rates = _finite_vector(_need(block, "rates", "simulate"), want, "rates", "simulate.rates")
+    eps = _finite_vector(_need(block, "eps", "simulate"), want, "margins", "simulate.eps")
     if any(e <= 0 for e in eps):
         raise ConfigError("simulate.eps: margins must be positive")
     ladder = [int(n) for n in _need(block, "n_ladder", "simulate")]

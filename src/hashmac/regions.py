@@ -193,6 +193,41 @@ def _constraints(law: JointLaw):
     return cached
 
 
+def _row_margins(cols, rows):
+    """The row loop over arrays: (every total < bound, max of total - bound).
+
+    cols holds one float64 array per rate component, all of one shape.  Each
+    row's total is coef . rate summed left to right, as `_verdict` sums it, so
+    the two agree bit for bit (up to the sign of a zero total).  A NaN rate
+    makes every total NaN, since 0 * NaN is NaN, so its point fails each row.
+    """
+    ok = True
+    worst = -np.inf
+    for _, coef, bound in rows:
+        total = coef[0] * cols[0]
+        for c, col in zip(coef[1:], cols[1:]):
+            total = total + c * col
+        ok = ok & (total < bound)
+        worst = np.maximum(worst, total - bound)
+    return ok, worst
+
+
+def inside(rates, law: JointLaw, include_aux: bool = False) -> np.ndarray:
+    """Array region verdict: one bool per row of an (m, k) rate array.
+
+    Row i is True exactly when in_region_private(rates[i], law), or
+    in_region_sw(rates[i], law, include_aux) for a cloud law, is inside:
+    no component is negative and every row of the law's table holds.
+    """
+    base, aux = _constraints(law)
+    rates = np.asarray(rates, dtype=float)
+    k = len(base[0][1])
+    if rates.ndim != 2 or rates.shape[1] != k:
+        raise ValueError(f"expected an (m, {k}) rate array, got shape {rates.shape}")
+    ok, _ = _row_margins(rates.T, base + aux if include_aux else base)
+    return ok & ~(rates < 0).any(axis=1)
+
+
 def _verdict(rates, rows) -> RegionVerdict:
     for label, coef, bound in rows:
         total = sum(c * r for c, r in zip(coef, rates))
@@ -290,14 +325,10 @@ def rate_split(target, law: JointLaw) -> RateSplit:
     def scan(m1_grid, m2_grid):
         m1g, m2g = np.meshgrid(m1_grid, m2_grid, indexing="ij")
         nr0 = r0 - m1g - m2g
-        nr1 = r1 + m1g
-        nr2 = r2 + m2g
-        ok = nr0 >= 0
-        worst = np.where(ok, 0.0, np.inf)
-        for _, coef, bound in rows:
-            total = coef[0] * nr0 + coef[1] * nr1 + coef[2] * nr2
-            ok &= total < bound
-            worst = np.maximum(worst, total - bound)
+        nonneg = nr0 >= 0
+        ok, worst = _row_margins((nr0, r1 + m1g, r2 + m2g), rows)
+        ok &= nonneg
+        worst = np.maximum(worst, np.where(nonneg, 0.0, np.inf))
         if not ok.any():
             return None, worst
         # argmin takes the first flat index on ties: smallest total moved

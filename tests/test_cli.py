@@ -33,6 +33,11 @@ def sim_cfg(**overrides):
     return {"seed": 20250811, "simulate": block}
 
 
+def region_cfg(points):
+    return {"region": {"scenario": "private", "channel": NOISY_ADDER,
+                       "inputs": [[0.5, 0.5], [0.5, 0.5]], "points": points}}
+
+
 def strip_walltime(text: str) -> str:
     lines = text.strip().splitlines()
     return "\n".join(",".join(line.split(",")[:-1]) for line in lines)
@@ -50,6 +55,18 @@ def test_region_command_prints_verdicts(tmp_path, capsys):
     assert "inside" in printed and "outside" in printed
     header = out.read_text().splitlines()[0]
     assert header == "point,inside,witness,split_point,split_moved"
+
+
+def test_region_negative_rate_is_an_outside_verdict(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, region_cfg([[-0.1, 0.1]]))
+    assert cli.main(["region", "--config", cfg]) == 0
+    assert "outside: R_1 < 0" in capsys.readouterr().out
+
+
+def test_region_bad_point_prints_no_verdict(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, region_cfg([[0.1, 0.1], [0.1]]))
+    assert cli.main(["region", "--config", cfg]) == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_region_empty_point_list(tmp_path):
@@ -135,6 +152,16 @@ def stats_cfg(**overrides):
     ("ensemble-stats", stats_cfg(field=4), "ensemble_stats.field"),
     ("ensemble-stats", stats_cfg(ladder=[0, 4]), "ensemble_stats.ladder"),
     ("ensemble-stats", stats_cfg(trials=0), "ensemble_stats.trials"),
+    ("region", region_cfg([[0.5, 0.5, 0.1]]), "region.points[0]"),
+    ("region", region_cfg([["a", 0.5]]), "region.points[0]"),
+    ("region", region_cfg([[0.1, 0.1], [float("nan"), 0.5]]), "region.points[1]"),
+    ("region", region_cfg([[float("inf"), 0.5]]), "region.points[0]"),
+    ("region", region_cfg([0.5, 0.5]), "region.points[0]"),
+    ("simulate", sim_cfg(rates=[float("nan"), 0.25]), "simulate.rates"),
+    ("simulate", sim_cfg(rates=["x", 0.25]), "simulate.rates"),
+    ("simulate", sim_cfg(rates=[0.25, 0.25, 0.25]), "simulate.rates"),
+    ("simulate", sim_cfg(eps=[float("nan"), 0.05]), "simulate.eps"),
+    ("simulate", sim_cfg(eps=[0.05, None]), "simulate.eps"),
 ])
 def test_out_of_range_config_values_exit_2(tmp_path, capsys, command, payload, field):
     assert cli.main([command, "--config", write_cfg(tmp_path, payload)]) == 2
@@ -217,7 +244,7 @@ def test_verify_all_runtime_budget(tmp_path):
     rc = cli.main(["verify", "--suite", "all"])
     elapsed = time.perf_counter() - start
     assert rc == 0
-    assert elapsed < 30  # about 2.7 s on a 2-vCPU machine
+    assert elapsed < 30  # about 0.7 to 0.9 s on a 2-vCPU machine
 
 
 def test_simulate_stage_counts_sum_to_errors(tmp_path):

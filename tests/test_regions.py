@@ -1,13 +1,17 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import hashmac.verify as verify
 from hashmac import rng as rng_mod
 from hashmac.channel import deterministic_dmc
 from hashmac.channel import Dmc
-from hashmac.regions import (JointLaw, _constraints, eps_feasible,
-                             in_region_private, in_region_sw, in_region_ts,
+from hashmac.regions import (GRID_STEP, JointLaw, _constraints, eps_feasible,
+                             in_region_private, in_region_sw, in_region_ts, inside,
                              joint_private, joint_sw, joint_ts, mutual_information,
                              rate_split)
 from hashmac.scenarios import reduce_common_to_private
@@ -127,6 +131,19 @@ def test_rate_split_inverse_is_exact():
         split = rate_split(point, law)
         assert in_region_sw(split.built, law, include_aux=True).inside
         assert split.recombine() == point
+
+
+def test_rate_split_refinement_pass_is_pinned():
+    # No coarse grid point moves this target inside, so the split comes from
+    # the fine pass around the coarse point of least worst margin.
+    law = _sw_test_law()
+    target = (0.8486328125, 0.38623046875, 0.6611328125)
+    split = rate_split(target, law)
+    assert split.moved == (0.157318115234375, 0.1501312255859375)
+    assert split.built == (0.5411834716796875, 0.543548583984375, 0.8112640380859375)
+    assert all(m % GRID_STEP for m in split.moved)  # off the coarse grid
+    assert in_region_sw(split.built, law, include_aux=True).inside
+    assert split.recombine() == target
 
 
 def test_rate_split_rejects_outside_target():
@@ -368,3 +385,89 @@ def test_han_law_is_the_private_law_over_the_derived_channel():
     assert law.names == ("x1", "x2", "x3", "y")
     assert np.allclose(law.table, _ref_han_table(HAN_DISTS, HAN_SETS, HAN_MAPS, ADDER),
                        rtol=0, atol=1e-15)
+
+
+def _inside_cases():
+    # (law, include_aux, scalar verdict) for every kind of region table.
+    sw = _random_sw_law(9)
+    return (
+        (joint_private([np.array([0.3, 0.7]), FAIR], ADDER), False, in_region_private),
+        (_random_ts_law(6), False, in_region_ts),
+        (sw, False, in_region_sw),
+        (sw, True, lambda r, lw: in_region_sw(r, lw, include_aux=True)),
+    )
+
+
+INSIDE_CASES = _inside_cases()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_inside_matches_scalar_verdicts(data):
+    law, aux, verdict = data.draw(st.sampled_from(INSIDE_CASES))
+    base, extra = _constraints(law)
+    rows = base + extra if aux else base
+    k = len(base[0][1])
+    bounds = [bound for _, _, bound in rows]
+    value = st.one_of(st.floats(-0.25, 2.0),
+                      st.sampled_from([0.0, -0.0, math.nan] + bounds),
+                      st.sampled_from(bounds).map(lambda b: -b))
+    points = data.draw(st.lists(st.lists(value, min_size=k, max_size=k),
+                                min_size=0, max_size=16))
+    # One point exactly on a row's bound: strict inequalities put it outside.
+    _, coef, bound = data.draw(st.sampled_from(rows))
+    j = data.draw(st.sampled_from([i for i, c in enumerate(coef) if c]))
+    on = [0.0 if c else data.draw(st.floats(0.0, 2.0)) for c in coef]
+    on[j] = bound
+    points.append(on)
+    got = inside(np.array(points, dtype=float), law, include_aux=aux)
+    assert got.dtype == bool and got.shape == (len(points),)
+    assert got.tolist() == [bool(verdict(tuple(p), law)) for p in points]
+    assert not got[-1]
+
+
+def test_inside_matches_scalar_verdicts_on_grid():
+    # The grid reaches negative rates, every row's witness and the aux rows.
+    for law, aux, verdict in INSIDE_CASES:
+        k = len(_constraints(law)[0][0][1])
+        bound = mutual_information(law, [nm for nm in law.names if nm.startswith("x")], ["y"])
+        points = list(_rate_grid(bound, k))
+        got = inside(np.array(points), law, include_aux=aux)
+        assert got.tolist() == [bool(verdict(p, law)) for p in points]
+        assert got.any() and not got.all()
+
+
+def test_inside_checks_the_rate_array_shape():
+    law = _sw_test_law()
+    assert inside(np.zeros((0, 3)), law).shape == (0,)
+    for bad in (np.zeros((4, 2)), np.zeros(3), np.zeros((2, 3, 1))):
+        with pytest.raises(ValueError, match="expected an"):
+            inside(bad, law)
+
+
+def test_regions_suite_splits_the_one_draw_sampler_points(monkeypatch):
+    runs = {}
+    for points in (25, 100):
+        seen = runs[points] = []
+
+        def record(target, lw, seen=seen):
+            seen.append((target, lw))
+            return rate_split(target, lw)
+
+        monkeypatch.setattr(verify, "rate_split", record)
+        assert verify.regions_suite(split_points=points)[-1].ok
+    law = runs[100][0][1]
+    assert all(lw is law for _, lw in runs[100])
+    # Reference: one random(3) draw at a time, tested by the scalar verdict.
+    split_rng = rng_mod.stream(20250811, "rate-split")
+    verify._random_dmc(split_rng, (2, 2), 2)  # the law's channel comes first
+    scale = max(mutual_information(law, ["x1", "x2"], ["y"]), 0.25)
+    step = 2.0**-10
+    ref = []
+    while len(ref) < 100:
+        r = np.floor(split_rng.random(3) * scale / step) * step
+        if r.min() <= 0 or not in_region_sw(tuple(r), law):
+            continue
+        ref.append(tuple(r))
+    assert [t for t, _ in runs[100]] == ref
+    assert [t for t, _ in runs[25]] == ref[:25]
