@@ -65,13 +65,21 @@ def _finite_vector(values, count: int, what: str, where: str) -> tuple[float, ..
         raise ConfigError(f"{where}: expected a list of {count} {what}")
     if len(values) != count:
         raise ConfigError(f"{where}: expected {count} {what}, got {len(values)}")
+    # A JSON string or boolean is not a number, though float() would take it.
+    if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in values):
+        raise ConfigError(f"{where}: {what} must be numbers")
     try:
         out = tuple(float(v) for v in values)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{where}: {what} must be numbers") from None
+    except OverflowError:
+        raise ConfigError(f"{where}: {what} must be finite") from None
     if not all(math.isfinite(v) for v in out):
         raise ConfigError(f"{where}: {what} must be finite")
     return out
+
+
+def _rate_count(law) -> int:
+    """Rates a point of the law's region has: one per x axis, a cloud included."""
+    return sum(nm.startswith("x") for nm in law.names)
 
 
 def _load_config(path: str) -> dict:
@@ -184,8 +192,7 @@ def cmd_region(config: dict, out_path: str | None) -> int:
         raise ConfigError("region.points: expected a list of rate vectors")
     # Every point is checked before any verdict prints.  A negative rate is
     # a valid query: its verdict is outside.
-    want = 3 if scenario == "superposition" else dmc.n_senders
-    points = [_finite_vector(p, want, "rates", f"region.points[{i}]")
+    points = [_finite_vector(p, _rate_count(law), "rates", f"region.points[{i}]")
               for i, p in enumerate(points)]
     want_split = bool(block.get("rate_split", False))
     if want_split and scenario != "superposition":
@@ -235,7 +242,7 @@ def cmd_simulate(config: dict, seed: int | None, force: bool,
         raise ConfigError("simulate: missing top-level object")
     dmc = _parse_channel(_need(block, "channel", "simulate"), "simulate.channel")
     scenario, law, build = _law_and_builder(block, dmc, "simulate")
-    want = 3 if scenario == "superposition" else dmc.n_senders
+    want = _rate_count(law)
     rates = _finite_vector(_need(block, "rates", "simulate"), want, "rates", "simulate.rates")
     eps = _finite_vector(_need(block, "eps", "simulate"), want, "margins", "simulate.eps")
     if any(e <= 0 for e in eps):

@@ -212,19 +212,19 @@ def _row_margins(cols, rows):
     return ok, worst
 
 
-def inside(rates, law: JointLaw, include_aux: bool = False) -> np.ndarray:
+def inside(rates, law: JointLaw) -> np.ndarray:
     """Array region verdict: one bool per row of an (m, k) rate array.
 
     Row i is True exactly when in_region_private(rates[i], law), or
-    in_region_sw(rates[i], law, include_aux) for a cloud law, is inside:
-    no component is negative and every row of the law's table holds.
+    in_region_sw(rates[i], law) for a cloud law, is inside: no component
+    is negative and every base row of the law's table holds.
     """
-    base, aux = _constraints(law)
+    base, _ = _constraints(law)
     rates = np.asarray(rates, dtype=float)
     k = len(base[0][1])
     if rates.ndim != 2 or rates.shape[1] != k:
         raise ValueError(f"expected an (m, {k}) rate array, got shape {rates.shape}")
-    ok, _ = _row_margins(rates.T, base + aux if include_aux else base)
+    ok, _ = _row_margins(rates.T, base)
     return ok & ~(rates < 0).any(axis=1)
 
 

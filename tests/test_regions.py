@@ -10,9 +10,9 @@ import hashmac.verify as verify
 from hashmac import rng as rng_mod
 from hashmac.channel import deterministic_dmc
 from hashmac.channel import Dmc
-from hashmac.regions import (GRID_STEP, JointLaw, _constraints, eps_feasible,
-                             in_region_private, in_region_sw, in_region_ts, inside,
-                             joint_private, joint_sw, joint_ts, mutual_information,
+from hashmac.regions import (GRID_STEP, JointLaw, _constraints, _row_margins,
+                             eps_feasible, in_region_private, in_region_sw, in_region_ts,
+                             inside, joint_private, joint_sw, joint_ts, mutual_information,
                              rate_split)
 from hashmac.scenarios import reduce_common_to_private
 from hashmac.slack import RadiusError, feasibility_slack
@@ -387,14 +387,24 @@ def test_han_law_is_the_private_law_over_the_derived_channel():
                        rtol=0, atol=1e-15)
 
 
+def _aux_inside(rates, law):
+    # The shared row loop over base and aux rows, as rate_split's scan runs it.
+    base, aux = _constraints(law)
+    ok, _ = _row_margins(rates.T, base + aux)
+    return ok & ~(rates < 0).any(axis=1)
+
+
 def _inside_cases():
-    # (law, include_aux, scalar verdict) for every kind of region table.
+    # (law, rows, array verdict, scalar verdict) for every kind of region table.
+    priv = joint_private([np.array([0.3, 0.7]), FAIR], ADDER)
+    ts = _random_ts_law(6)
     sw = _random_sw_law(9)
+    base, aux = _constraints(sw)
     return (
-        (joint_private([np.array([0.3, 0.7]), FAIR], ADDER), False, in_region_private),
-        (_random_ts_law(6), False, in_region_ts),
-        (sw, False, in_region_sw),
-        (sw, True, lambda r, lw: in_region_sw(r, lw, include_aux=True)),
+        (priv, _constraints(priv)[0], inside, in_region_private),
+        (ts, _constraints(ts)[0], inside, in_region_ts),
+        (sw, base, inside, in_region_sw),
+        (sw, base + aux, _aux_inside, lambda r, lw: in_region_sw(r, lw, include_aux=True)),
     )
 
 
@@ -404,10 +414,8 @@ INSIDE_CASES = _inside_cases()
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_inside_matches_scalar_verdicts(data):
-    law, aux, verdict = data.draw(st.sampled_from(INSIDE_CASES))
-    base, extra = _constraints(law)
-    rows = base + extra if aux else base
-    k = len(base[0][1])
+    law, rows, array_verdict, verdict = data.draw(st.sampled_from(INSIDE_CASES))
+    k = len(rows[0][1])
     bounds = [bound for _, _, bound in rows]
     value = st.one_of(st.floats(-0.25, 2.0),
                       st.sampled_from([0.0, -0.0, math.nan] + bounds),
@@ -420,7 +428,7 @@ def test_inside_matches_scalar_verdicts(data):
     on = [0.0 if c else data.draw(st.floats(0.0, 2.0)) for c in coef]
     on[j] = bound
     points.append(on)
-    got = inside(np.array(points, dtype=float), law, include_aux=aux)
+    got = array_verdict(np.array(points, dtype=float), law)
     assert got.dtype == bool and got.shape == (len(points),)
     assert got.tolist() == [bool(verdict(tuple(p), law)) for p in points]
     assert not got[-1]
@@ -428,11 +436,11 @@ def test_inside_matches_scalar_verdicts(data):
 
 def test_inside_matches_scalar_verdicts_on_grid():
     # The grid reaches negative rates, every row's witness and the aux rows.
-    for law, aux, verdict in INSIDE_CASES:
-        k = len(_constraints(law)[0][0][1])
+    for law, rows, array_verdict, verdict in INSIDE_CASES:
+        k = len(rows[0][1])
         bound = mutual_information(law, [nm for nm in law.names if nm.startswith("x")], ["y"])
         points = list(_rate_grid(bound, k))
-        got = inside(np.array(points), law, include_aux=aux)
+        got = array_verdict(np.array(points), law)
         assert got.tolist() == [bool(verdict(p, law)) for p in points]
         assert got.any() and not got.all()
 
