@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .prob import SUM_TOL
+from .prob import as_distribution
 
 
 @dataclass(frozen=True)
@@ -25,17 +25,10 @@ class Dmc:
     size_column: np.ndarray = field(init=False, repr=False, compare=False)  # uint64 input_sizes
 
     def __post_init__(self):
-        t = np.asarray(self.table, dtype=float)
+        t = as_distribution(self.table)
         want = tuple(self.input_sizes) + (self.output_size,)
         if t.shape != want:
             raise ValueError(f"table shape {t.shape} != {want}")
-        if t.min() < 0:
-            raise ValueError("negative channel probability")
-        sums = t.sum(axis=-1)
-        if np.abs(sums - 1.0).max() > SUM_TOL:
-            raise ValueError("channel rows must each sum to 1")
-        t = t.copy()
-        t.flags.writeable = False
         object.__setattr__(self, "table", t)
         object.__setattr__(self, "input_sizes", tuple(int(s) for s in self.input_sizes))
         rows = t.reshape(-1, self.output_size)

@@ -23,7 +23,7 @@ from .channel import Dmc
 from .ensembles import (EnsembleSpec, KINDS, SPARSE, UNIFORM, default_degree,
                         estimate_hash_params)
 from .gf import FieldSpec
-from .prob import SUM_TOL
+from .prob import as_distribution
 from .regions import (in_region_private, in_region_sw, joint_private, joint_sw,
                       joint_ts, rate_split, RateSplitInfeasible)
 from .scenarios import (InfeasibleRateError, STAGES, build_private_code,
@@ -53,28 +53,45 @@ def _need(block: dict, field: str, where: str):
     return block[field]
 
 
-def _at_least(value: int, low: int, field: str) -> int:
+def _is_number(value) -> bool:
+    # A JSON string or boolean is not a number, though float() would take it.
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _number(value, field: str) -> float:
+    """Every config number is read here: a finite JSON number, or a ConfigError."""
+    # The bounds fail NaN and Infinity, which json reads, and ints too large for a float.
+    if not (_is_number(value) and -sys.float_info.max <= value <= sys.float_info.max):
+        raise ConfigError(f"{field}: expected a finite number")
+    return float(value)
+
+
+def _count(value, low: float, field: str) -> int:
+    """An integral config number of at least low."""
+    if not _number(value, field).is_integer():
+        raise ConfigError(f"{field}: expected an integer")
     if value < low:
         raise ConfigError(f"{field}: must be at least {low}")
+    return int(value)
+
+
+def _items(value, count: int | None, where: str) -> list:
+    """A config list, of `count` items unless count is None."""
+    if not isinstance(value, (list, tuple)) or count not in (None, len(value)):
+        raise ConfigError(f"{where}: expected a list" + (f" of {count} items" if count else ""))
     return value
 
 
-def _finite_vector(values, count: int, what: str, where: str) -> tuple[float, ...]:
+def _finite_vector(values, count: int, where: str) -> tuple[float, ...]:
     """`count` finite numbers, such as one rate per component, or a ConfigError."""
-    if not isinstance(values, (list, tuple)):
-        raise ConfigError(f"{where}: expected a list of {count} {what}")
-    if len(values) != count:
-        raise ConfigError(f"{where}: expected {count} {what}, got {len(values)}")
-    # A JSON string or boolean is not a number, though float() would take it.
-    if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in values):
-        raise ConfigError(f"{where}: {what} must be numbers")
-    try:
-        out = tuple(float(v) for v in values)
-    except OverflowError:
-        raise ConfigError(f"{where}: {what} must be finite") from None
-    if not all(math.isfinite(v) for v in out):
-        raise ConfigError(f"{where}: {what} must be finite")
-    return out
+    return tuple(_number(v, where) for v in _items(values, count, where))
+
+
+def _ladder(values, where: str) -> list[int]:
+    ladder = [_count(n, 1, where) for n in _items(values, None, where)]
+    if ladder != sorted(ladder):
+        raise ConfigError(f"{where}: must be ascending")
+    return ladder
 
 
 def _rate_count(law) -> int:
@@ -94,32 +111,33 @@ def _load_config(path: str) -> dict:
 
 
 def _parse_channel(block: dict, where: str) -> Dmc:
-    inputs = _need(block, "inputs", where)
-    output = _need(block, "output", where)
-    table = np.asarray(_need(block, "table", where), dtype=float)
+    inputs = tuple(_count(s, 1, f"{where}.inputs")
+                   for s in _items(_need(block, "inputs", where), None, f"{where}.inputs"))
+    output = _count(_need(block, "output", where), 1, f"{where}.output")
+    table = _need(block, "table", where)
     try:
-        return Dmc(tuple(int(s) for s in inputs), int(output), table)
+        if not all(map(_is_number, np.array(table, dtype=object).flat)):
+            raise ValueError("expected nested lists of numbers")
+        return Dmc(inputs, output, table)
     except ValueError as e:
         raise ConfigError(f"{where}.table: {e}") from None
 
 
-def _parse_dist(x, size: int, where: str) -> np.ndarray:
-    arr = np.asarray(x, dtype=float)
-    if arr.shape != (size,):
-        raise ConfigError(f"{where}: expected {size} probabilities, got shape {arr.shape}")
-    if arr.min() < 0 or abs(arr.sum() - 1.0) > SUM_TOL:
-        raise ConfigError(f"{where}: not a probability distribution")
-    return arr
+def _parse_dist(x, size: int | None, where: str) -> np.ndarray:
+    """One distribution, of `size` probabilities unless size is None."""
+    x = _items(x, size, where)
+    try:
+        if not all(map(_is_number, x)):
+            raise ValueError("not numbers")
+        return as_distribution(x)
+    except ValueError:
+        raise ConfigError(f"{where}: not a probability distribution") from None
 
 
 def _parse_cond(x, given: int, size: int, where: str) -> np.ndarray:
     """A conditional law: one distribution row per conditioning symbol."""
-    rows = np.asarray(x, dtype=float)
-    if rows.shape != (given, size):
-        raise ConfigError(f"{where}: shape mismatch")
-    for i, row in enumerate(rows):
-        _parse_dist(row, size, f"{where}[{i}]")
-    return rows
+    return np.array([_parse_dist(row, size, f"{where}[{i}]")
+                     for i, row in enumerate(_items(x, given, where))])
 
 
 def _parse_ensemble_factory(block: dict | None, where: str):
@@ -129,16 +147,19 @@ def _parse_ensemble_factory(block: dict | None, where: str):
     if kind not in KINDS:
         raise ConfigError(f"{where}.kind: unknown ensemble kind {kind!r}")
     degree = block.get("column_degree")
-    coeff = float(block.get("degree_coeff", 1.0))
+    degree = None if degree is None else _count(degree, 1, f"{where}.column_degree")
+    coeff = _number(block.get("degree_coeff", 1.0), f"{where}.degree_coeff")
+    if coeff <= 0:
+        raise ConfigError(f"{where}.degree_coeff: must be positive")
 
     def factory(rows: int, cols: int, field: FieldSpec) -> EnsembleSpec:
         if kind == SPARSE and rows == 0:
             return EnsembleSpec(UNIFORM, rows, cols, field)
         if kind == SPARSE:
             # The spec rejects a degree above rows, so clamp before building it.
-            d = int(degree) if degree is not None else default_degree(cols, coeff)
+            d = degree if degree is not None else default_degree(cols, coeff)
             return EnsembleSpec(SPARSE, rows, cols, field,
-                                column_degree=max(1, min(d, rows)), degree_coeff=coeff)
+                                column_degree=min(d, rows), degree_coeff=coeff)
         return EnsembleSpec(kind, rows, cols, field)
 
     return factory, kind
@@ -152,26 +173,23 @@ def _law_and_builder(block: dict, dmc: Dmc, where: str):
     """
     scenario = _need(block, "scenario", where)
     if scenario == "private":
-        dists = _need(block, "inputs", where)
-        if len(dists) != dmc.n_senders:
-            raise ConfigError(f"{where}.inputs: one distribution per sender required")
+        dists = _items(_need(block, "inputs", where), dmc.n_senders, f"{where}.inputs")
         dists = [_parse_dist(d, s, f"{where}.inputs[{j}]")
                  for j, (d, s) in enumerate(zip(dists, dmc.input_sizes))]
         conds = [d[None, :] for d in dists]
         return scenario, joint_private(dists, dmc), functools.partial(
             build_private_code, [1.0], conds, _law=joint_ts([1.0], conds, dmc))
     if scenario == "private-ts":
-        mu_u = _parse_dist(_need(block, "u", where), len(block["u"]), f"{where}.u")
+        mu_u = _parse_dist(_need(block, "u", where), None, f"{where}.u")
         conds = [_parse_cond(c, mu_u.size, dmc.input_sizes[j], f"{where}.inputs_given_u[{j}]")
-                 for j, c in enumerate(_need(block, "inputs_given_u", where))]
+                 for j, c in enumerate(_items(_need(block, "inputs_given_u", where),
+                                              dmc.n_senders, f"{where}.inputs_given_u"))]
         law = joint_ts(mu_u, conds, dmc)
         return scenario, law, functools.partial(build_private_code, mu_u, conds, _law=law)
     if scenario == "superposition":
-        cloud = np.asarray(_need(block, "cloud", where), dtype=float)
-        cloud = _parse_dist(cloud, cloud.size, f"{where}.cloud")
-        sats = _need(block, "satellites_given_cloud", where)
-        if len(sats) != 2:
-            raise ConfigError(f"{where}.satellites_given_cloud: expected two tables")
+        cloud = _parse_dist(_need(block, "cloud", where), None, f"{where}.cloud")
+        sats = _items(_need(block, "satellites_given_cloud", where), 2,
+                      f"{where}.satellites_given_cloud")
         c1, c2 = (_parse_cond(c, cloud.size, dmc.input_sizes[j],
                               f"{where}.satellites_given_cloud[{j}]")
                   for j, c in enumerate(sats))
@@ -187,14 +205,14 @@ def cmd_region(config: dict, out_path: str | None) -> int:
         raise ConfigError("region: missing top-level object")
     dmc = _parse_channel(_need(block, "channel", "region"), "region.channel")
     scenario, law, _ = _law_and_builder(block, dmc, "region")
-    points = _need(block, "points", "region")
-    if not isinstance(points, (list, tuple)):
-        raise ConfigError("region.points: expected a list of rate vectors")
     # Every point is checked before any verdict prints.  A negative rate is
     # a valid query: its verdict is outside.
-    points = [_finite_vector(p, _rate_count(law), "rates", f"region.points[{i}]")
-              for i, p in enumerate(points)]
-    want_split = bool(block.get("rate_split", False))
+    points = [_finite_vector(p, _rate_count(law), f"region.points[{i}]")
+              for i, p in enumerate(_items(_need(block, "points", "region"), None,
+                                           "region.points"))]
+    want_split = block.get("rate_split", False)
+    if not isinstance(want_split, bool):
+        raise ConfigError("region.rate_split: expected true or false")
     if want_split and scenario != "superposition":
         raise ConfigError("region.rate_split: only defined for the superposition scenario")
     in_region = in_region_sw if "x0" in law.names else in_region_private
@@ -243,19 +261,16 @@ def cmd_simulate(config: dict, seed: int | None, force: bool,
     dmc = _parse_channel(_need(block, "channel", "simulate"), "simulate.channel")
     scenario, law, build = _law_and_builder(block, dmc, "simulate")
     want = _rate_count(law)
-    rates = _finite_vector(_need(block, "rates", "simulate"), want, "rates", "simulate.rates")
-    eps = _finite_vector(_need(block, "eps", "simulate"), want, "margins", "simulate.eps")
+    rates = _finite_vector(_need(block, "rates", "simulate"), want, "simulate.rates")
+    eps = _finite_vector(_need(block, "eps", "simulate"), want, "simulate.eps")
     if any(e <= 0 for e in eps):
         raise ConfigError("simulate.eps: margins must be positive")
-    ladder = [int(n) for n in _need(block, "n_ladder", "simulate")]
-    if ladder != sorted(ladder):
-        raise ConfigError("simulate.n_ladder: must be ascending")
-    _at_least(min(ladder, default=1), 1, "simulate.n_ladder")
+    ladder = _ladder(_need(block, "n_ladder", "simulate"), "simulate.n_ladder")
     factory, kind = _parse_ensemble_factory(block.get("ensemble"), "simulate.ensemble")
-    candidates = _at_least(int(block.get("candidates", 20)), 1, "simulate.candidates")
-    pilot = _at_least(int(block.get("pilot_trials", 100)), 0, "simulate.pilot_trials")
-    trials = _at_least(int(block.get("trials", 400)), 1, "simulate.trials")
-    the_seed = int(seed if seed is not None else config.get("seed", 0))
+    candidates = _count(block.get("candidates", 20), 1, "simulate.candidates")
+    pilot = _count(block.get("pilot_trials", 100), 0, "simulate.pilot_trials")
+    trials = _count(block.get("trials", 400), 1, "simulate.trials")
+    the_seed = seed if seed is not None else _count(config.get("seed", 0), -math.inf, "seed")
 
     rows = []
     for n in ladder:
@@ -311,25 +326,26 @@ def cmd_ensemble_stats(config: dict, seed: int | None, out_path: str | None) -> 
     block = config.get("ensemble_stats")
     if block is None:
         raise ConfigError("ensemble_stats: missing top-level object")
+    q = _count(block.get("field", 2), 2, "ensemble_stats.field")
     try:
-        field = FieldSpec(int(block.get("field", 2)))
+        field = FieldSpec(q)
     except ValueError as e:
         raise ConfigError(f"ensemble_stats.field: {e}") from None
-    ladder = [int(n) for n in _need(block, "ladder", "ensemble_stats")]
-    if ladder != sorted(ladder):
-        raise ConfigError("ensemble_stats.ladder: must be ascending")
-    _at_least(min(ladder, default=1), 1, "ensemble_stats.ladder")
+    ladder = _ladder(_need(block, "ladder", "ensemble_stats"), "ensemble_stats.ladder")
     mode = block.get("mode", "exact")
     if mode not in ("exact", "mc"):
         raise ConfigError(f"ensemble_stats.mode: unknown mode {mode!r}")
-    trials = _at_least(int(block.get("trials", 2000)), 1, "ensemble_stats.trials")
-    the_seed = int(seed if seed is not None else config.get("seed", 0))
+    trials = _count(block.get("trials", 2000), 1, "ensemble_stats.trials")
+    the_seed = seed if seed is not None else _count(config.get("seed", 0), -math.inf, "seed")
     rows = []
-    for item in _need(block, "ensembles", "ensemble_stats"):
-        _need(item, "kind", "ensemble_stats.ensembles[]")
+    for i, item in enumerate(_need(block, "ensembles", "ensemble_stats")):
+        where = f"ensemble_stats.ensembles[{i}]"
+        _need(item, "kind", where)
         # simulate's factory, so a sparse degree is clamped to the rows alike.
-        factory, kind = _parse_ensemble_factory(item, "ensemble_stats.ensembles[]")
-        ratio = float(item.get("rows_per_n", 0.5))
+        factory, kind = _parse_ensemble_factory(item, where)
+        ratio = _number(item.get("rows_per_n", 0.5), f"{where}.rows_per_n")
+        if ratio <= 0:
+            raise ConfigError(f"{where}.rows_per_n: must be positive")
         for n in ladder:
             rows_n = max(1, round(ratio * n))
             spec = factory(rows_n, n, field)

@@ -249,38 +249,31 @@ def collision_prob(spec: EnsembleSpec, u, u2, mode: str = "exact",
     return CollisionEstimate(p, "estimated", hw)
 
 
-def _beta_for_alpha(weight_probs, counts_by_weight, alpha: float, im_size: int) -> Fraction:
-    threshold = Fraction(alpha).limit_denominator(10**9) / im_size
-    beta = Fraction(0)
-    for w, p in enumerate(weight_probs):
-        if w == 0:
-            continue
-        if p > threshold:
-            beta += counts_by_weight[w] * p
-    return beta
+def _alpha_sweep(spec: EnsembleSpec, probs, widths, exact: bool):
+    """(alpha, beta, half-width) minimizing alpha + beta over ALPHA_GRID.
 
-
-def _counts_by_weight(q: int, n: int) -> list[int]:
-    """Number of nonzero differences in GF(q)^n of each weight."""
-    return [math.comb(n, w) * (q - 1) ** w for w in range(n + 1)]
+    probs and widths run over the weights 1..n; exact mode passes Fractions.
+    """
+    q, n = spec.field.q, spec.cols
+    counts = [math.comb(n, w) * (q - 1) ** w for w in range(1, n + 1)]
+    best = None
+    for alpha in map(float, ALPHA_GRID):
+        thr = (Fraction(alpha).limit_denominator(10**9) if exact else alpha) / spec.im_size
+        over = [w for w, p in enumerate(probs) if p > thr]
+        beta = float(sum(counts[w] * probs[w] for w in over))
+        if best is None or alpha + beta < best[0] - 1e-15:
+            best = (alpha + beta, alpha, beta, float(sum(counts[w] * widths[w] for w in over)))
+    return best[1:]
 
 
 @functools.lru_cache(maxsize=256)
 def _exact_hash_params(spec: EnsembleSpec) -> HashParams:
     """Exact-mode estimate_hash_params; memoized, as the spec is frozen."""
-    q = spec.field.q
-    n = spec.cols
-    counts_by_weight = _counts_by_weight(q, n)
+    q, n = spec.field.q, spec.cols
     if spec.kind == SPARSE and q**n > BINNING_TABLE_BUDGET:
         raise SupportBudgetError(f"exact sweep needs {q}^{n} <= {BINNING_TABLE_BUDGET}")
-    weight_probs = collision_by_weight(spec)
-    best = None
-    for alpha in ALPHA_GRID:
-        beta = _beta_for_alpha(weight_probs, counts_by_weight, float(alpha), spec.im_size)
-        score = float(alpha) + float(beta)
-        if best is None or score < best[0] - 1e-15:
-            best = (score, float(alpha), float(beta))
-    return HashParams(best[1], best[2], "exact")
+    alpha, beta, _ = _alpha_sweep(spec, collision_by_weight(spec)[1:], [0] * n, True)
+    return HashParams(alpha, beta, "exact")
 
 
 def estimate_hash_params(spec: EnsembleSpec, mode: str = "exact",
@@ -298,9 +291,7 @@ def estimate_hash_params(spec: EnsembleSpec, mode: str = "exact",
         raise ValueError(f"unknown mode {mode!r}")
     if rng is None:
         raise ValueError("mc mode needs an rng")
-    q = spec.field.q
     n = spec.cols
-    counts_by_weight = _counts_by_weight(q, n)
     # One representative difference per weight: collision probability is a
     # function of the weight alone for every family here.
     reps = np.zeros((n, n), dtype=np.int64)
@@ -314,16 +305,8 @@ def estimate_hash_params(spec: EnsembleSpec, mode: str = "exact",
         hits += (out[:-1] == out[-1]).all(axis=1)
     phat = hits / trials
     hw = 1.96 * np.sqrt(np.maximum(phat * (1 - phat), 0.0) / trials)
-    best = None
-    for alpha in ALPHA_GRID:
-        thr = float(alpha) / spec.im_size
-        mask = phat > thr
-        beta = float(sum(counts_by_weight[w + 1] * phat[w] for w in range(n) if mask[w]))
-        bhw = float(sum(counts_by_weight[w + 1] * hw[w] for w in range(n) if mask[w]))
-        score = float(alpha) + beta
-        if best is None or score < best[0] - 1e-15:
-            best = (score, float(alpha), beta, bhw)
-    return HashParams(best[1], best[2], "estimated", best[3])
+    alpha, beta, half_width = _alpha_sweep(spec, phat, hw, False)
+    return HashParams(alpha, beta, "estimated", half_width)
 
 
 def product_params(p1: HashParams, p2: HashParams) -> HashParams:

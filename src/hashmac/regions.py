@@ -14,10 +14,14 @@ from fractions import Fraction
 import numpy as np
 
 from .channel import Dmc
-from .prob import Pmf, SUM_TOL, entropy
+from .prob import Pmf, as_distribution, entropy
 from .slack import feasibility_slack
 
 TABLE_CELL_BUDGET = 1 << 16
+# A joint table's total is checked more loosely than an input law's rows: it
+# is a product of the channel and every input law, each off by up to prob's
+# row tolerance, rounded in as many as TABLE_CELL_BUDGET cells.
+JOINT_TOTAL_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -33,11 +37,8 @@ class JointLaw:
             raise ValueError("one name per axis required")
         if t.size > TABLE_CELL_BUDGET:
             raise ValueError(f"joint table with {t.size} cells exceeds {TABLE_CELL_BUDGET}")
-        if t.min() < 0 or abs(t.sum() - 1.0) > 1e-9:
-            raise ValueError("table must be a distribution")
-        t = t.copy()
-        t.flags.writeable = False
-        object.__setattr__(self, "table", t)
+        object.__setattr__(self, "table",
+                           as_distribution(t.ravel(), JOINT_TOTAL_TOL).reshape(t.shape))
         object.__setattr__(self, "names", tuple(self.names))
         # Entropies and region bounds, filled on first use.  Not a field,
         # so eq and repr are unchanged; the table is read-only, so nothing
@@ -76,11 +77,9 @@ def mutual_information(law: JointLaw, a_names, b_names, c_names=()) -> float:
 
 
 def _as_pmf_array(p, size: int) -> np.ndarray:
-    arr = p.probs if isinstance(p, Pmf) else np.asarray(p, dtype=float)
+    arr = as_distribution(p.probs if isinstance(p, Pmf) else p)
     if arr.shape != (size,):
         raise ValueError(f"distribution shape {arr.shape} != ({size},)")
-    if arr.min() < 0 or abs(arr.sum() - 1.0) > SUM_TOL:
-        raise ValueError("not a distribution")
     return arr
 
 
@@ -105,11 +104,11 @@ def joint_private(input_dists, dmc: Dmc) -> JointLaw:
 def joint_ts(mu_u, input_conds, dmc: Dmc) -> JointLaw:
     """Time-shared inputs: senders independent given the shared u."""
     k = dmc.n_senders
-    mu_u = np.asarray(mu_u.probs if isinstance(mu_u, Pmf) else mu_u, dtype=float)
+    mu_u = as_distribution(mu_u.probs if isinstance(mu_u, Pmf) else mu_u)
     mu = mu_u.size
     conds = []
     for j, c in enumerate(input_conds):
-        c = np.asarray(c, dtype=float)
+        c = as_distribution(c)
         if c.shape != (mu, dmc.input_sizes[j]):
             raise ValueError(f"conditional {j} shape {c.shape} != ({mu}, {dmc.input_sizes[j]})")
         conds.append(c)
@@ -130,10 +129,10 @@ def joint_sw(mu0, cond1, cond2, dmc: Dmc) -> JointLaw:
     """Cloud-center law: satellites independent given x0, channel sees (x1, x2)."""
     if dmc.n_senders != 2:
         raise ValueError("this construction needs a two-sender channel")
-    mu0 = np.asarray(mu0.probs if isinstance(mu0, Pmf) else mu0, dtype=float)
+    mu0 = as_distribution(mu0.probs if isinstance(mu0, Pmf) else mu0)
     m0 = mu0.size
-    c1 = np.asarray(cond1, dtype=float)
-    c2 = np.asarray(cond2, dtype=float)
+    c1 = as_distribution(cond1)
+    c2 = as_distribution(cond2)
     if c1.shape != (m0, dmc.input_sizes[0]) or c2.shape != (m0, dmc.input_sizes[1]):
         raise ValueError("conditional shapes do not match the alphabets")
     t = (mu0[:, None, None, None]

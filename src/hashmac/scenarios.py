@@ -237,9 +237,6 @@ def _select_gamma(per_sender, sum_terms, eps, n, kappa):
 def _as_cond(rows, given_size: int, out_size: int) -> CondPmf:
     if isinstance(rows, CondPmf):
         return rows
-    rows = np.asarray(rows, dtype=float)
-    if rows.shape != (given_size, out_size):
-        raise ValueError(f"conditional shape {rows.shape} != ({given_size}, {out_size})")
     return CondPmf(tuple(range(given_size)), tuple(range(out_size)), rows)
 
 

@@ -33,9 +33,23 @@ def sim_cfg(**overrides):
     return {"seed": 20250811, "simulate": block}
 
 
-def region_cfg(points):
-    return {"region": {"scenario": "private", "channel": NOISY_ADDER,
-                       "inputs": [[0.5, 0.5], [0.5, 0.5]], "points": points}}
+def region_cfg(points, **overrides):
+    block = {"scenario": "private", "channel": NOISY_ADDER,
+             "inputs": [[0.5, 0.5], [0.5, 0.5]], "points": points}
+    block.update(overrides)
+    return {"region": block}
+
+
+TS_REGION = {"scenario": "private-ts", "channel": NOISY_ADDER, "u": [0.5, 0.5],
+             "inputs_given_u": [[[0.875, 0.125], [0.125, 0.875]]] * 2,
+             "points": [[0.1, 0.1]]}
+SW_REGION = {"scenario": "superposition", "channel": NOISY_ADDER, "cloud": [0.5, 0.5],
+             "satellites_given_cloud": [[[0.875, 0.125], [0.125, 0.875]]] * 2,
+             "points": [[0.1, 0.1, 0.1]]}
+
+
+def channel(**overrides):
+    return dict(NOISY_ADDER, **overrides)
 
 
 def strip_walltime(text: str) -> str:
@@ -166,6 +180,67 @@ def stats_cfg(**overrides):
     ("simulate", sim_cfg(rates=[0.25, 0.25, 0.25]), "simulate.rates"),
     ("simulate", sim_cfg(eps=[float("nan"), 0.05]), "simulate.eps"),
     ("simulate", sim_cfg(eps=[0.05, None]), "simulate.eps"),
+    # Every count and number of a config is read by one parser.
+    ("simulate", sim_cfg(candidates="abc"), "simulate.candidates"),
+    ("simulate", sim_cfg(trials=True), "simulate.trials"),
+    ("simulate", sim_cfg(pilot_trials=2.5), "simulate.pilot_trials"),
+    ("simulate", sim_cfg(n_ladder=[6.7]), "simulate.n_ladder"),
+    ("simulate", sim_cfg(n_ladder=6), "simulate.n_ladder"),
+    ("simulate", dict(sim_cfg(), seed="7"), "seed"),
+    ("simulate", sim_cfg(ensemble={"kind": "sparse-linear", "column_degree": "two"}),
+     "simulate.ensemble.column_degree"),
+    ("simulate", sim_cfg(ensemble={"kind": "sparse-linear", "column_degree": 2.9}),
+     "simulate.ensemble.column_degree"),
+    ("simulate", sim_cfg(ensemble={"kind": "sparse-linear", "column_degree": -3}),
+     "simulate.ensemble.column_degree"),
+    ("simulate", sim_cfg(ensemble={"kind": "sparse-linear", "degree_coeff": "x"}),
+     "simulate.ensemble.degree_coeff"),
+    ("simulate", sim_cfg(ensemble={"kind": "sparse-linear", "degree_coeff": 0}),
+     "simulate.ensemble.degree_coeff"),
+    ("ensemble-stats", stats_cfg(ensembles=[{"kind": "uniform-all-linear",
+                                             "rows_per_n": "half"}]),
+     "ensemble_stats.ensembles[0].rows_per_n"),
+    ("ensemble-stats", stats_cfg(ensembles=[{"kind": "uniform-all-linear",
+                                             "rows_per_n": float("nan")}]),
+     "ensemble_stats.ensembles[0].rows_per_n"),
+    ("ensemble-stats", stats_cfg(ensembles=[{"kind": "sparse-linear",
+                                             "column_degree": 1.5}]),
+     "ensemble_stats.ensembles[0].column_degree"),
+    ("ensemble-stats", stats_cfg(field="2"), "ensemble_stats.field"),
+    ("ensemble-stats", stats_cfg(ladder=[4.5]), "ensemble_stats.ladder"),
+    ("ensemble-stats", stats_cfg(trials=True), "ensemble_stats.trials"),
+    ("ensemble-stats", dict(stats_cfg(), seed=1.5), "seed"),
+    ("region", {"region": dict(SW_REGION, rate_split="no")}, "region.rate_split"),
+    # A channel names the part at fault.
+    ("region", region_cfg([[0.1, 0.1]], channel=channel(inputs=["2", 2])),
+     "region.channel.inputs"),
+    ("region", region_cfg([[0.1, 0.1]], channel=channel(inputs=[0, 2])),
+     "region.channel.inputs"),
+    ("region", region_cfg([[0.1, 0.1]], channel=channel(output=3.5)),
+     "region.channel.output"),
+    ("region", region_cfg([[0.1, 0.1]], channel=channel(
+        table=[[[0.875, 0.0625, 0.0625], [0.0625, 0.875]]] * 2)), "region.channel.table"),
+    ("region", region_cfg([[0.1, 0.1]], channel=channel(
+        table=[[[float("nan"), 0.5, 0.5]] * 2] * 2)), "region.channel.table"),
+    ("region", region_cfg([[0.1, 0.1]], channel=channel(
+        table=[[["0.875", 0.0625, 0.0625]] * 2] * 2)), "region.channel.table"),
+    # Every distribution is judged by prob.as_distribution.
+    ("region", region_cfg([[0.1, 0.1]], inputs=[[0.5, float("nan")], [0.5, 0.5]]),
+     "region.inputs[0]"),
+    ("region", region_cfg([[0.1, 0.1]], inputs=[[0.5, 0.5], [float("inf"), 0.5]]),
+     "region.inputs[1]"),
+    ("region", region_cfg([[0.1, 0.1]], inputs=[["a", 0.5], [0.5, 0.5]]),
+     "region.inputs[0]"),
+    ("region", region_cfg([[0.1, 0.1]], inputs=[["0.5", "0.5"], [0.5, 0.5]]),
+     "region.inputs[0]"),
+    ("region", region_cfg([[0.1, 0.1]], inputs=[[True, False], [0.5, 0.5]]),
+     "region.inputs[0]"),
+    ("region", {"region": dict(TS_REGION, u=[float("nan"), 1.0])}, "region.u"),
+    ("region", {"region": dict(TS_REGION, inputs_given_u=[
+        [[0.875, 0.125], [float("nan"), 1.0]], [[0.5, 0.5]] * 2])},
+     "region.inputs_given_u[0][1]"),
+    ("region", {"region": dict(SW_REGION, cloud=[0.5, float("nan")])}, "region.cloud"),
+    ("simulate", sim_cfg(inputs=[[float("nan"), 0.5], [0.5, 0.5]]), "simulate.inputs[0]"),
 ])
 def test_out_of_range_config_values_exit_2(tmp_path, capsys, command, payload, field):
     assert cli.main([command, "--config", write_cfg(tmp_path, payload)]) == 2
@@ -285,14 +360,6 @@ def test_simulate_sparse_ensemble_default_degree_is_clamped(tmp_path):
     out = tmp_path / "sd.csv"
     assert cli.main(["simulate", "--config", cfg, "--out", str(out)]) == 0
     assert "sparse-linear" in out.read_text()
-
-
-TS_REGION = {"scenario": "private-ts", "channel": NOISY_ADDER, "u": [0.5, 0.5],
-             "inputs_given_u": [[[0.875, 0.125], [0.125, 0.875]]] * 2,
-             "points": [[0.1, 0.1]]}
-SW_REGION = {"scenario": "superposition", "channel": NOISY_ADDER, "cloud": [0.5, 0.5],
-             "satellites_given_cloud": [[[0.875, 0.125], [0.125, 0.875]]] * 2,
-             "points": [[0.1, 0.1, 0.1]]}
 
 
 def test_config_distributions_checked_at_sum_tol(tmp_path, capsys):

@@ -146,8 +146,8 @@ def test_hash_params_exact_memoized_per_spec(monkeypatch):
     import hashmac.ensembles as ens
     ens._exact_hash_params.cache_clear()
     sweeps = []
-    orig = ens._beta_for_alpha
-    monkeypatch.setattr(ens, "_beta_for_alpha",
+    orig = ens._alpha_sweep
+    monkeypatch.setattr(ens, "_alpha_sweep",
                         lambda *a: sweeps.append(1) or orig(*a))
     first = estimate_hash_params(EnsembleSpec(SPARSE, 2, 4, F2, column_degree=1))
     done = len(sweeps)
