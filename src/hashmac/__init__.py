@@ -7,9 +7,9 @@ from .empirical import (EmpiricalType, empirical, enumerate_types, is_cond_typic
                         is_typical, seq_cond_entropy, seq_entropy, seq_mutual_multi,
                         type_class_size)
 from .ensembles import (BinLabel, CollisionEstimate, EnsembleSpec, HashParams,
-                        collision_prob, crp_bound, crp_test, estimate_hash_params,
-                        multi_crp_bound, multi_params, occupancy_factor,
-                        product_params, sample, saturation_bound, saturation_test)
+                        collision_prob, crp_bound, estimate_hash_params,
+                        multi_crp_bound, multi_params, product_params, sample,
+                        saturation_bound)
 from .gf import (FieldSpec, LinearLabel, apply_label, enumerate_coset,
                  stack_labels)
 from .prob import CondPmf, Pmf, cond_entropy, entropy

@@ -29,7 +29,7 @@ from .regions import (in_region_private, in_region_sw, joint_private, joint_sw,
 from .scenarios import (InfeasibleRateError, STAGES, build_private_code,
                         build_superposition_code, search_code, simulate_error,
                         uniform_ensemble_factory)
-from .verify import run_suite
+from .verify import SUITES, run_suite
 
 SIMULATE_COLUMNS = ("scenario", "n", "rates", "ensemble", "seed", "trials",
                     "block_error", "ci_half_width") + tuple(
@@ -51,6 +51,20 @@ def _need(block: dict, field: str, where: str):
     if field not in block:
         raise ConfigError(f"{where}.{field}: missing required field")
     return block[field]
+
+
+def _object(value, where: str) -> dict:
+    """Every config block is read here: a JSON object, or a ConfigError naming it."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where}: expected a JSON object")
+    return value
+
+
+def _section(config: dict, name: str) -> dict:
+    """A subcommand's top-level block."""
+    if name not in config:
+        raise ConfigError(f"{name}: missing top-level object")
+    return _object(config[name], name)
 
 
 def _is_number(value) -> bool:
@@ -102,7 +116,7 @@ def _rate_count(law) -> int:
 def _load_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return _object(json.load(fh), "config")
     except OSError as e:
         raise ConfigError(f"config: cannot read {path}: {e}") from None
     except json.JSONDecodeError as e:
@@ -111,6 +125,7 @@ def _load_config(path: str) -> dict:
 
 
 def _parse_channel(block: dict, where: str) -> Dmc:
+    block = _object(block, where)
     inputs = tuple(_count(s, 1, f"{where}.inputs")
                    for s in _items(_need(block, "inputs", where), None, f"{where}.inputs"))
     output = _count(_need(block, "output", where), 1, f"{where}.output")
@@ -143,6 +158,7 @@ def _parse_cond(x, given: int, size: int, where: str) -> np.ndarray:
 def _parse_ensemble_factory(block: dict | None, where: str):
     if block is None:
         return uniform_ensemble_factory, UNIFORM
+    block = _object(block, where)
     kind = block.get("kind", UNIFORM)
     if kind not in KINDS:
         raise ConfigError(f"{where}.kind: unknown ensemble kind {kind!r}")
@@ -200,9 +216,7 @@ def _law_and_builder(block: dict, dmc: Dmc, where: str):
 
 
 def cmd_region(config: dict, out_path: str | None) -> int:
-    block = config.get("region")
-    if block is None:
-        raise ConfigError("region: missing top-level object")
+    block = _section(config, "region")
     dmc = _parse_channel(_need(block, "channel", "region"), "region.channel")
     scenario, law, _ = _law_and_builder(block, dmc, "region")
     # Every point is checked before any verdict prints.  A negative rate is
@@ -255,9 +269,7 @@ def _write_csv(path: str, columns, rows):
 
 def cmd_simulate(config: dict, seed: int | None, force: bool,
                  out_path: str | None) -> int:
-    block = config.get("simulate")
-    if block is None:
-        raise ConfigError("simulate: missing top-level object")
+    block = _section(config, "simulate")
     dmc = _parse_channel(_need(block, "channel", "simulate"), "simulate.channel")
     scenario, law, build = _law_and_builder(block, dmc, "simulate")
     want = _rate_count(law)
@@ -310,8 +322,12 @@ def cmd_simulate(config: dict, seed: int | None, force: bool,
 
 
 def cmd_verify(config: dict, suite: str | None) -> int:
-    block = config.get("verify", {}) if config else {}
+    block = _object(config.get("verify", {}), "verify")
     name = suite or block.get("suite", "all")
+    # A tuple, not SUITES itself: an unhashable name is unknown, not a TypeError.
+    if name not in ("all", *SUITES):
+        raise ConfigError(f"{'--suite' if suite else 'verify.suite'}: unknown suite {name!r}; "
+                          f"choose from {sorted(SUITES)} or 'all'")
     reports = run_suite(name)
     failed = False
     for r in reports:
@@ -323,9 +339,7 @@ def cmd_verify(config: dict, suite: str | None) -> int:
 
 
 def cmd_ensemble_stats(config: dict, seed: int | None, out_path: str | None) -> int:
-    block = config.get("ensemble_stats")
-    if block is None:
-        raise ConfigError("ensemble_stats: missing top-level object")
+    block = _section(config, "ensemble_stats")
     q = _count(block.get("field", 2), 2, "ensemble_stats.field")
     try:
         field = FieldSpec(q)
@@ -338,9 +352,10 @@ def cmd_ensemble_stats(config: dict, seed: int | None, out_path: str | None) -> 
     trials = _count(block.get("trials", 2000), 1, "ensemble_stats.trials")
     the_seed = seed if seed is not None else _count(config.get("seed", 0), -math.inf, "seed")
     rows = []
-    for i, item in enumerate(_need(block, "ensembles", "ensemble_stats")):
+    items = _items(_need(block, "ensembles", "ensemble_stats"), None, "ensemble_stats.ensembles")
+    for i, item in enumerate(items):
         where = f"ensemble_stats.ensembles[{i}]"
-        _need(item, "kind", where)
+        _need(_object(item, where), "kind", where)
         # simulate's factory, so a sparse degree is clamped to the rows alike.
         factory, kind = _parse_ensemble_factory(item, where)
         ratio = _number(item.get("rows_per_n", 0.5), f"{where}.rows_per_n")
@@ -383,6 +398,9 @@ def main(argv=None) -> int:
     try:
         config = _load_config(args.config) if args.config else {}
         out = args.out or config.get("out")
+        if not isinstance(out, (str, type(None))):
+            # open() would take an int as a file descriptor.
+            raise ConfigError("out: expected a file path")
         if args.command == "region":
             return cmd_region(config, out)
         if args.command == "simulate":

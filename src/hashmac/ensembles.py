@@ -518,22 +518,6 @@ def saturation_rate_exact(spec: EnsembleSpec, T, budget: int = SUPPORT_BUDGET) -
     return float(Fraction(labels * im - hit, im * labels))
 
 
-def saturation_test(spec: EnsembleSpec, T, trials: int,
-                    rng: np.random.Generator) -> float:
-    """Monte Carlo rate of the empty-bin event over (A, a)."""
-    T = np.asarray(T, dtype=np.int64)
-    if T.shape[0] < 1:
-        raise ValueError("T must be nonempty")
-    q = spec.field.q
-    misses = 0
-    for _ in range(trials):
-        label = sample(spec, rng)
-        a = rng.integers(q, size=spec.rows)
-        outs = label_outputs(label, T)
-        misses += int(not (outs == a).all(axis=1).any())
-    return misses / trials
-
-
 def _bin_matches(outs: np.ndarray) -> np.ndarray:
     """(labels, m - 1): which of rows 1.. share row 0's output, per label."""
     return (outs[:, 1:] == outs[:, :1]).all(axis=2)
@@ -551,21 +535,6 @@ def crp_rate_exact(spec: EnsembleSpec, G, u, budget: int = SUPPORT_BUDGET) -> fl
         hits += int(_bin_matches(outs).any(axis=1).sum())
         labels += outs.shape[0]
     return hits / labels
-
-
-def crp_test(spec: EnsembleSpec, G, u, trials: int, rng: np.random.Generator) -> float:
-    G = np.asarray(G, dtype=np.int64)
-    u = np.asarray(u, dtype=np.int64)
-    others = G[~(G == u).all(axis=1)]
-    if others.shape[0] == 0:
-        return 0.0
-    hits = 0
-    for _ in range(trials):
-        label = sample(spec, rng)
-        au = label_outputs(label, u[None, :])[0]
-        outs = label_outputs(label, others)
-        hits += int((outs == au).all(axis=1).any())
-    return hits / trials
 
 
 def _joint_hits(matches, alive=None) -> int:
@@ -610,20 +579,6 @@ def multi_crp_rate_exact(specs, tuples, u_parts, budget: int = SUPPORT_BUDGET) -
                    spec, np.stack([u_parts[i]] + [parts[i] for parts in others]), budget))
                for i, spec in enumerate(specs)]
     return _joint_hits(matches) / count
-
-
-def occupancy_factor(beta_k: float, n: int, k: int) -> float:
-    """Growth factor sizing the audited bin-to-candidate ratio.
-
-    n^(1/k) while beta_k * n^(1/k) stays negligible (at most 1e-12), else
-    beta_k^(-1/(k+1)).
-    """
-    if beta_k < 0:
-        raise ValueError("beta must be nonnegative")
-    first = n ** (1.0 / k)
-    if beta_k * first <= 1e-12:
-        return first
-    return beta_k ** (-1.0 / (k + 1))
 
 
 def uniform_syndrome_hit_rate(label, u) -> float:

@@ -32,20 +32,18 @@ import numpy as np
 from . import rng as rng_mod
 from .channel import Dmc, sample_channel  # noqa: F401
 # sample_channel, min_div_encode, min_div_decode, divergence_to,
-# is_cond_typical and seq_mutual_multi are not called here; they stay
-# importable from this module because perfbench/spans.py traces them at
-# this import site.
+# is_cond_typical, seq_mutual_multi and estimate_hash_params are not called
+# here; they stay importable from this module because perfbench/spans.py
+# traces them at this import site.
 from .codec import (AllCosetsEmptyError, EmptyCosetError, EncodeTarget,  # noqa: F401
                     MinDivDecoder, min_div_decode, min_div_encode, min_div_member)
 from .empirical import (_entropy_counts, count_divergence, divergence_to,  # noqa: F401
                         is_cond_typical, joint_counts, seq_mutual_multi)
-from .ensembles import (EnsembleSpec, SupportBudgetError, UNIFORM, estimate_hash_params,
-                        multi_params, occupancy_factor, product_params, sample)
+from .ensembles import EnsembleSpec, UNIFORM, estimate_hash_params, sample  # noqa: F401
 from .gf import FieldSpec, LinearLabel, apply_label, apply_label_many
 from .prob import CondPmf, Pmf
 from .regions import JointLaw, in_region_sw, in_region_ts, joint_sw, joint_ts
-from .slack import (MAX_RADIUS, cond_entropy_slack, cond_typical_size_slack,
-                    entropy_slack, typical_size_slack)
+from .slack import cond_entropy_slack, entropy_slack
 
 STAGE_ENCODER = "encoder-atypical"
 STAGE_MI = "empirical-mi"
@@ -54,7 +52,12 @@ STAGE_DECODER = "decoder-collision"
 STAGE_EMPTY = "empty-coset"
 STAGES = (STAGE_ENCODER, STAGE_MI, STAGE_CHANNEL, STAGE_DECODER, STAGE_EMPTY)
 
-GAMMA_GRID = tuple(0.005 * 2**i for i in range(5) if 0.005 * 2**i <= MAX_RADIUS)
+# The failure classifier's typicality radius, fixed rather than searched
+# for.  A radius meets the analysis's margin constraints only if every
+# margin exceeds its component's typical-size slack, which is over 0.33
+# bits at this radius for any n and larger at every radius up to
+# slack.MAX_RADIUS, so at margins like the lab's 0.05 none qualifies.
+RADIUS = 0.005
 
 
 class InfeasibleRateError(RuntimeError):
@@ -92,9 +95,7 @@ class CodeInstance:
     srates: tuple                      # realized syndrome rates
     eps: tuple
     requested_rates: tuple
-    gamma: float
-    gamma_ok: bool
-    kappa: float                       # bin-occupancy factor of the coded components
+    gamma: float                       # classifier radius: RADIUS when built
     ctx_law: Pmf                       # law of the context symbol (u or the cloud x0)
     u: np.ndarray | None               # context fixed at build time; None if a cloud codes it
     cond_inputs: tuple                 # per component: law given its context (a cloud: 1 row)
@@ -216,24 +217,6 @@ def _rows_rate(rows: int, n: int, q: int) -> float:
     return rows * math.log2(q) / n
 
 
-def _select_gamma(per_sender, sum_terms, eps, n, kappa):
-    """Largest grid radius meeting the margin constraints, if any.
-
-    per_sender[j](gamma) is the per-sender slack that must fit under eps_j
-    together with log2(kappa)/n; sum_terms(gamma) must fit under sum(eps).
-    """
-    log_kappa = math.log2(kappa) / n if kappa > 1 else 0.0
-    chosen = None
-    for g in GAMMA_GRID:
-        ok = all(f(g) + log_kappa <= e for f, e in zip(per_sender, eps))
-        ok = ok and sum_terms(g) <= sum(eps)
-        if ok:
-            chosen = g
-    if chosen is not None:
-        return chosen, True
-    return GAMMA_GRID[0], False
-
-
 def _as_cond(rows, given_size: int, out_size: int) -> CondPmf:
     if isinstance(rows, CondPmf):
         return rows
@@ -242,18 +225,6 @@ def _as_cond(rows, given_size: int, out_size: int) -> CondPmf:
 
 def _as_pmf(p) -> Pmf:
     return p if isinstance(p, Pmf) else Pmf(tuple(range(len(p))), p)
-
-
-def _stacked_beta(check_specs, message_specs) -> float:
-    params = []
-    for cs, ms in zip(check_specs, message_specs):
-        try:
-            pc = estimate_hash_params(cs)
-            pm = estimate_hash_params(ms)
-        except SupportBudgetError:
-            return 0.0  # beyond the exact sweep: fall back to the limit value
-        params.append(product_params(pc, pm))
-    return multi_params(params, range(len(params))).beta
 
 
 def _build(scenario, law: JointLaw, ctx_law: Pmf, conds, in_region, dmc: Dmc,
@@ -324,26 +295,12 @@ def _build(scenario, law: JointLaw, ctx_law: Pmf, conds, in_region, dmc: Dmc,
         u = rng.choice(m, size=n, p=ctx_law.probs).astype(np.int64)
         u.flags.writeable = False
 
-    kappa = occupancy_factor(_stacked_beta([check_specs[j] for j in live],
-                                           [message_specs[j] for j in live]), n, len(live))
-    per_component = [
-        (lambda g: typical_size_slack(g, n, m)) if j < c
-        else (lambda g, q=x.size: cond_typical_size_slack(g, g, n, q, m))
-        for j, x in enumerate(conds)]
-
-    def sum_terms(g):
-        total = (dmc.n_senders + 3) * g
-        for _ in conds[:c]:  # a cloud adds its own entropy slack
-            total += entropy_slack(g, m)
-        return total + sum(cond_entropy_slack(g, g, x.size, m) for x in conds[c:])
-
-    gamma, gamma_ok = _select_gamma(per_component, sum_terms, eps, n, kappa)
     return CodeInstance(
         scenario=scenario, n=n, dmc=dmc, law=law,
         checks=tuple(checks), message_maps=tuple(message_maps), syndromes=tuple(syndromes),
         check_specs=tuple(check_specs), message_specs=tuple(message_specs),
         rates=act_rates, srates=act_srates, eps=eps, requested_rates=rates,
-        gamma=gamma, gamma_ok=gamma_ok, kappa=kappa,
+        gamma=RADIUS,
         ctx_law=ctx_law, u=u, cond_inputs=tuple(conds))
 
 

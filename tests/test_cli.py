@@ -241,6 +241,17 @@ def stats_cfg(**overrides):
      "region.inputs_given_u[0][1]"),
     ("region", {"region": dict(SW_REGION, cloud=[0.5, float("nan")])}, "region.cloud"),
     ("simulate", sim_cfg(inputs=[[float("nan"), 0.5], [0.5, 0.5]]), "simulate.inputs[0]"),
+    # Every config block is a JSON object, and a bad one is named.
+    ("region", [region_cfg([[0.1, 0.1]])], "config"),
+    ("simulate", {"simulate": 3}, "simulate"),
+    ("region", region_cfg([[0.1, 0.1]], channel=5), "region.channel"),
+    ("simulate", sim_cfg(ensemble=7), "simulate.ensemble"),
+    ("ensemble-stats", stats_cfg(ensembles=[5]), "ensemble_stats.ensembles[0]"),
+    ("ensemble-stats", stats_cfg(ensembles=5), "ensemble_stats.ensembles"),
+    ("verify", {"verify": 3}, "verify"),
+    ("verify", {"verify": {"suite": "nope"}}, "verify.suite"),
+    ("verify", {"verify": {"suite": ["types"]}}, "verify.suite"),
+    ("region", dict(region_cfg([[0.1, 0.1]]), out=1), "out"),
 ])
 def test_out_of_range_config_values_exit_2(tmp_path, capsys, command, payload, field):
     assert cli.main([command, "--config", write_cfg(tmp_path, payload)]) == 2
@@ -249,6 +260,11 @@ def test_out_of_range_config_values_exit_2(tmp_path, capsys, command, payload, f
 
 def test_missing_config_for_simulate():
     assert cli.main(["simulate"]) == 2
+
+
+def test_unknown_suite_flag_exits_2(capsys):
+    assert cli.main(["verify", "--suite", "bogus"]) == 2
+    assert "config error: --suite: unknown suite 'bogus'" in capsys.readouterr().err
 
 
 def test_verify_exit_codes(monkeypatch, capsys):

@@ -10,12 +10,11 @@ from hypothesis import strategies as st
 from hashmac import rng as rng_mod
 from hashmac.ensembles import (BINNING, EnsembleSpec, HashParams,
                                SPARSE, SupportBudgetError, UNIFORM, collision_prob, conditional_maxima,
-                               crp_bound, crp_rate_exact, crp_test, enumerate_support,
+                               crp_bound, crp_rate_exact, enumerate_support,
                                ensemble_syndrome_hit_rate, estimate_hash_params,
                                multi_crp_bound, multi_crp_rate_exact, multi_params,
-                               occupancy_factor, product_params, sample,
-                               saturation_bound, saturation_rate_exact,
-                               saturation_test, support_label, support_outputs,
+                               product_params, sample, saturation_bound,
+                               saturation_rate_exact, support_label, support_outputs,
                                support_size, syndrome_hit_rates,
                                label_outputs, uniform_syndrome_hit_rate)
 from hashmac.gf import FieldSpec, LinearLabel, all_vectors
@@ -210,14 +209,6 @@ def test_saturation_everything_rate_is_rank_deficiency_mass():
     assert rate <= saturation_bound(1.0, 0.0, 4, 16) + 1e-12
 
 
-def test_saturation_mc_close_to_exact():
-    spec = EnsembleSpec(UNIFORM, 2, 3, F2)
-    T = all_vectors(2, 3)[:3]
-    exact = saturation_rate_exact(spec, T)
-    mc = saturation_test(spec, T, 4000, rng_mod.stream(17))
-    assert abs(mc - exact) < 0.05
-
-
 def test_crp_exact_pair_is_exactly_one_eighth():
     spec = EnsembleSpec(UNIFORM, 3, 4, F2)
     G = np.array([[0, 0, 0, 0], [1, 0, 1, 0]])
@@ -230,7 +221,6 @@ def test_crp_singleton_rate_zero():
     spec = EnsembleSpec(UNIFORM, 2, 3, F2)
     u = np.array([1, 0, 1])
     assert crp_rate_exact(spec, u[None, :], u) == 0.0
-    assert crp_test(spec, u[None, :], u, 50, rng_mod.stream(1)) == 0.0
 
 
 def test_multi_crp_single_domain_reduces_to_crp():
@@ -318,13 +308,6 @@ def test_multi_crp_exact_edge_cases():
         multi_crp_rate_exact(specs, tuples, u, budget=100)
     # Only the second sender differs: the rate is its own pair collision rate.
     assert multi_crp_rate_exact(specs, tuples, u) == 0.25
-
-
-def test_occupancy_factor_branches():
-    assert occupancy_factor(0.0, 16, 2) == 4.0
-    assert abs(occupancy_factor(1e-3, 16, 2) - 10.0) < 1e-9
-    grid = [occupancy_factor(0.0, n, 2) for n in (4, 9, 16, 25)]
-    assert grid == sorted(grid)
 
 
 def test_syndrome_hit_rates():

@@ -59,7 +59,7 @@ PINS = {
     "private": {
         "candidate": 2, "pilot_scores": (0.7, 1.0, 0.35),
         "rates": (0.25, 0.25), "srates": (0.75, 0.75),
-        "gamma": 0.005, "gamma_ok": False,
+        "gamma": 0.005,
         "sha256": "85655ac90816556b6d463a1148ddb7fc43e334bc108e06710032c40ae080d7d5",
         "errors": 24,
         "stage_counts": {"encoder-atypical": 24, "empirical-mi": 0, "channel-atypical": 0,
@@ -70,7 +70,7 @@ PINS = {
     "private-ts": {
         "candidate": 1, "pilot_scores": (0.25, 0.15, 0.2),
         "rates": (0.125, 0.125), "srates": (0.375, 0.375),
-        "gamma": 0.005, "gamma_ok": False,
+        "gamma": 0.005,
         "sha256": "e47048be50e6ffc6a89213ec5a4962b435db7a5200a6e3f7682e36ff3680d6ae",
         "errors": 20,
         "stage_counts": {"encoder-atypical": 20, "empirical-mi": 0, "channel-atypical": 0,
@@ -81,7 +81,7 @@ PINS = {
     "cloud": {
         "candidate": 0, "pilot_scores": (0.2, 0.5, 0.6),
         "rates": (0.125, 0.125, 0.125), "srates": (0.875, 0.375, 0.375),
-        "gamma": 0.005, "gamma_ok": False,
+        "gamma": 0.005,
         "sha256": "83a2bb1476dcb7a4aea641924b51f4235e2c174c7a1ed0395e45db0e883e0b30",
         "errors": 33,
         "stage_counts": {"encoder-atypical": 33, "empirical-mi": 0, "channel-atypical": 0,
@@ -92,7 +92,7 @@ PINS = {
     "one-point-cloud": {
         "candidate": 2, "pilot_scores": (0.6, 0.25, 0.2),
         "rates": (0.0, 0.125, 0.125), "srates": (0.0, 0.375, 0.375),
-        "gamma": 0.005, "gamma_ok": False,
+        "gamma": 0.005,
         "sha256": "6e21055d40935408aa0a1a53a4445338ca3285a90df9829b5efb61acf7a449ad",
         "errors": 34,
         "stage_counts": {"encoder-atypical": 34, "empirical-mi": 0, "channel-atypical": 0,
@@ -127,7 +127,6 @@ def observe(name):
         "rates": code.rates,
         "srates": code.srates,
         "gamma": code.gamma,
-        "gamma_ok": code.gamma_ok,
         "sha256": code_digest(code),
         "errors": res.errors,
         "stage_counts": res.stage_counts,

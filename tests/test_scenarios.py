@@ -7,14 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hashmac import rng as rng_mod
+from hashmac import ensembles, rng as rng_mod
 from hashmac.channel import Dmc, deterministic_dmc, sample_channel
 from hashmac.codec import EmptyCosetError, MinDivDecoder
 from hashmac.empirical import (conditional_divergences, divergence_to, is_cond_typical,
                                seq_mutual_multi)
 from hashmac.gf import FieldSpec, LinearLabel, all_vectors, apply_label
 from hashmac.prob import CondPmf
-from hashmac.scenarios import (GAMMA_GRID, InfeasibleRateError, STAGE_CHANNEL, STAGE_EMPTY,
+from hashmac.scenarios import (InfeasibleRateError, RADIUS, STAGE_CHANNEL, STAGE_EMPTY,
                                STAGE_DECODER, STAGE_ENCODER, STAGE_MI, STAGES,
                                TrialResult, _channel_stage, _draw, _stage_without_y,
                                build_private_code,
@@ -250,14 +250,33 @@ def test_superposition_infeasible_names_constraint():
 
 def test_gamma_recorded_with_flag():
     code = build_small(8)
-    assert 0 < code.gamma <= 0.125
-    assert isinstance(code.gamma_ok, bool)
+    assert code.gamma == RADIUS
+
+
+def test_build_reads_no_hash_params(monkeypatch):
+    """The classifier radius is fixed, so a build estimates no (alpha, beta)."""
+    def refuse(spec):
+        raise AssertionError(f"hash parameters read for {spec}")
+
+    monkeypatch.setattr(ensembles, "_exact_hash_params", refuse)
+    sparse = functools.partial(ensembles.EnsembleSpec, ensembles.SPARSE)
+    mu0, c1, c2 = _sw_inputs()
+    codes = [
+        build_small(12),
+        build_private_code([1.0], FAIR, noisy_adder(), (0.25, 0.25), (0.05, 0.05), 40,
+                           rng_mod.stream(SEED, "sparse", 40), ensemble_factory=sparse),
+        build_superposition_code(mu0, c1, c2, PAIR, (0.125, 0.125, 0.125),
+                                 (0.05, 0.05, 0.05), 8, rng_mod.stream(SEED, "sw")),
+    ]
+    assert [m.rows for m in codes[1].message_maps] == [10, 10]
+    assert {s.degree() for s in codes[1].message_specs} == {6}
+    assert [code.gamma for code in codes] == [RADIUS] * 3
 
 
 @pytest.mark.parametrize("n", [8, 12])
 def test_one_point_cloud_kappa_matches_private(n):
-    # A one-point cloud codes the same two senders as a private code, so the
-    # occupancy factor counts the same two components.
+    # A one-point cloud codes the same two senders as a private code, with
+    # the same check and message ensembles.
     deg = build_superposition_code([1.0], FAIR[0], FAIR[1], noisy_adder(),
                                    (0.0, 0.25, 0.25), (0.05, 0.05, 0.05), n,
                                    rng_mod.stream(SEED, "kappa", n))
@@ -265,7 +284,6 @@ def test_one_point_cloud_kappa_matches_private(n):
                               rng_mod.stream(SEED, "kappa", n))
     assert deg.check_specs[1:] == priv.check_specs
     assert deg.message_specs[1:] == priv.message_specs
-    assert deg.kappa == priv.kappa
 
 
 def test_run_trial_deterministic():
@@ -442,7 +460,7 @@ def test_classifier_matches_sequence_tests():
         if code is None:
             continue
         for xs, y in _trial_inputs(code, rng):
-            for g in GAMMA_GRID + (MAX_RADIUS,):
+            for g in (0.005, 0.01, 0.02, 0.04, 0.08, 0.125):
                 at = dataclasses.replace(code, gamma=g)
                 want = _classify_by_sequences(at, xs, y)
                 got = _stage_without_y(at, xs) or _channel_stage(at, xs, y)
