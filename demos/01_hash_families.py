@@ -28,8 +28,7 @@ print("\n=== pairwise collisions ===")
 u, v = np.array([1, 0, 1]), np.array([0, 1, 1])
 for kind, extra in ((UNIFORM, {}), (SPARSE, {"column_degree": 1}), (BINNING, {})):
     spec = EnsembleSpec(kind, 2, 3, f2, **extra)
-    est = collision_prob(spec, u, v)
-    print(f"{kind:>20}: P[labels collide] = {est.value:.6f} ({est.provenance})")
+    print(f"{kind:>20}: P[labels collide] = {collision_prob(spec, u, v):.6f} (exact)")
 
 print("\n=== (alpha, beta) summaries ===")
 specs = [
@@ -40,7 +39,7 @@ specs = [
 ]
 for tag, spec in specs:
     p = estimate_hash_params(spec)
-    print(f"{tag:>20}: alpha={p.alpha:.2f} beta={p.beta:.4f} [{p.provenance}]")
+    print(f"{tag:>20}: alpha={p.alpha:.2f} beta={p.beta:.4f} [exact]")
 
 print("\n=== saturation: every bin wants a typical member ===")
 spec = EnsembleSpec(UNIFORM, 2, 4, f2)

@@ -6,10 +6,9 @@ from .codec import (AllCosetsEmptyError, CosetSpec, EmptyCosetError,
 from .empirical import (EmpiricalType, empirical, enumerate_types, is_cond_typical,
                         is_typical, seq_cond_entropy, seq_entropy, seq_mutual_multi,
                         type_class_size)
-from .ensembles import (BinLabel, CollisionEstimate, EnsembleSpec, HashParams,
-                        collision_prob, crp_bound, estimate_hash_params,
-                        multi_crp_bound, multi_params, product_params, sample,
-                        saturation_bound)
+from .ensembles import (BinLabel, EnsembleSpec, HashParams, collision_prob,
+                        crp_bound, estimate_hash_params, multi_crp_bound,
+                        multi_params, product_params, sample, saturation_bound)
 from .gf import (FieldSpec, LinearLabel, apply_label, enumerate_coset,
                  stack_labels)
 from .prob import CondPmf, Pmf, cond_entropy, entropy

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import rng as rng_mod
 from .channel import Dmc
-from .ensembles import (EnsembleSpec, KINDS, SPARSE, UNIFORM, default_degree,
+from .ensembles import (BINNING, EnsembleSpec, KINDS, SPARSE, UNIFORM, default_degree,
                         estimate_hash_params)
 from .gf import FieldSpec
 from .prob import as_distribution
@@ -279,6 +279,9 @@ def cmd_simulate(config: dict, seed: int | None, force: bool,
         raise ConfigError("simulate.eps: margins must be positive")
     ladder = _ladder(_need(block, "n_ladder", "simulate"), "simulate.n_ladder")
     factory, kind = _parse_ensemble_factory(block.get("ensemble"), "simulate.ensemble")
+    if kind == BINNING:
+        raise ConfigError(f"simulate.ensemble.kind: coset codes need a linear map, "
+                          f"and {BINNING!r} is not linear")
     candidates = _count(block.get("candidates", 20), 1, "simulate.candidates")
     pilot = _count(block.get("pilot_trials", 100), 0, "simulate.pilot_trials")
     trials = _count(block.get("trials", 400), 1, "simulate.trials")
@@ -338,7 +341,7 @@ def cmd_verify(config: dict, suite: str | None) -> int:
     return 1 if failed else 0
 
 
-def cmd_ensemble_stats(config: dict, seed: int | None, out_path: str | None) -> int:
+def cmd_ensemble_stats(config: dict, out_path: str | None) -> int:
     block = _section(config, "ensemble_stats")
     q = _count(block.get("field", 2), 2, "ensemble_stats.field")
     try:
@@ -346,12 +349,8 @@ def cmd_ensemble_stats(config: dict, seed: int | None, out_path: str | None) -> 
     except ValueError as e:
         raise ConfigError(f"ensemble_stats.field: {e}") from None
     ladder = _ladder(_need(block, "ladder", "ensemble_stats"), "ensemble_stats.ladder")
-    mode = block.get("mode", "exact")
-    if mode not in ("exact", "mc"):
-        raise ConfigError(f"ensemble_stats.mode: unknown mode {mode!r}")
-    trials = _count(block.get("trials", 2000), 1, "ensemble_stats.trials")
-    the_seed = seed if seed is not None else _count(config.get("seed", 0), -math.inf, "seed")
-    rows = []
+    # Every spec is built before any row prints, so a bad entry prints nothing.
+    specs = []
     items = _items(_need(block, "ensembles", "ensemble_stats"), None, "ensemble_stats.ensembles")
     for i, item in enumerate(items):
         where = f"ensemble_stats.ensembles[{i}]"
@@ -363,17 +362,19 @@ def cmd_ensemble_stats(config: dict, seed: int | None, out_path: str | None) -> 
             raise ConfigError(f"{where}.rows_per_n: must be positive")
         for n in ladder:
             rows_n = max(1, round(ratio * n))
-            spec = factory(rows_n, n, field)
-            rng = rng_mod.stream(the_seed, "ensemble-stats", kind, n)
-            params = estimate_hash_params(spec, mode=mode, trials=trials, rng=rng)
-            rows.append({
-                "n": n, "kind": kind, "rows": rows_n,
-                "alpha": _fmt(params.alpha), "beta": _fmt(params.beta),
-                "provenance": params.provenance,
-                "half_width": _fmt(params.half_width) if params.provenance == "estimated" else "",
-            })
-            print(f"n={n} {kind}: alpha={params.alpha} beta={params.beta} "
-                  f"({params.provenance})")
+            try:
+                specs.append((n, kind, factory(rows_n, n, field)))
+            except ValueError as e:
+                raise ConfigError(f"{where}: {e}") from None
+    rows = []
+    for n, kind, spec in specs:
+        params = estimate_hash_params(spec)
+        rows.append({
+            "n": n, "kind": kind, "rows": spec.rows,
+            "alpha": _fmt(params.alpha), "beta": _fmt(params.beta),
+            "provenance": "exact", "half_width": "",
+        })
+        print(f"n={n} {kind}: alpha={params.alpha} beta={params.beta} (exact)")
     if out_path:
         _write_csv(out_path, STATS_COLUMNS, rows)
     return 0
@@ -409,7 +410,7 @@ def main(argv=None) -> int:
             return cmd_simulate(config, args.seed, args.force, out)
         if args.command == "verify":
             return cmd_verify(config, args.suite)
-        return cmd_ensemble_stats(config, args.seed, out)
+        return cmd_ensemble_stats(config, out)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2

@@ -129,14 +129,10 @@ def label_outputs(label, vecs: np.ndarray) -> np.ndarray:
 class HashParams:
     alpha: float
     beta: float
-    provenance: str            # 'exact' | 'estimated'
-    half_width: float = 0.0    # 95% normal-approximation CI when estimated
 
     def __post_init__(self):
         if self.alpha < 0 or self.beta < 0:
             raise ValueError("alpha and beta must be nonnegative")
-        if self.provenance not in ("exact", "estimated"):
-            raise ValueError(f"unknown provenance {self.provenance!r}")
 
 
 def sample(spec: EnsembleSpec, rng: np.random.Generator):
@@ -178,51 +174,38 @@ def _sparse_column_outcomes(rows: int, degree: int, q: int) -> np.ndarray:
     return out
 
 
-def collision_by_weight(spec: EnsembleSpec, budget: int = 1 << 22) -> list[Fraction]:
-    """Exact P[A d = 0] for every family, by the nonzero count of d; index = weight."""
+def collision_by_weight(spec: EnsembleSpec) -> list[Fraction]:
+    """Exact P[A d = 0] for every family, by the nonzero count of d; index = weight.
+
+    For the sparse family, with columns of degree t on l rows, a character
+    sum over the syndromes s gives
+
+        P[A d = 0] = q^-l * sum_k C(l, k) (q-1)^k lambda_k^w,
+
+    where lambda_k = N_k / (C(l, t) (q-1)^t) is the mean character of one
+    column against an s of weight k, and
+    N_k = sum_i C(k, i) C(l-k, t-i) (-1)^i (q-1)^(t-i) counts the column
+    outcomes by sign.  The powers of N_k stay Python ints over one running
+    denominator, so each weight costs one Fraction.
+    """
     if spec.kind != SPARSE:
         return [Fraction(1)] + [Fraction(1, spec.im_size)] * spec.cols
     q = spec.field.q
-    l, n, d = spec.rows, spec.cols, spec.degree()
-    states = q**l
-    outcomes = _sparse_column_outcomes(l, d, q)
-    n_out = outcomes.shape[0]
-    if n_out * states * n > budget:
-        raise SupportBudgetError(
-            f"sparse convolution cost {n_out}*{states}*{n} exceeds the budget of {budget}")
-    digits = all_vectors(q, l)
-    # Integer counts over the state group keep the computation exact.
-    offsets = []
-    for w_vec in outcomes:
-        shifted = (digits + w_vec) % q
-        idx = np.zeros(states, dtype=np.int64)
-        for j in range(l):
-            idx = idx * q + shifted[:, j]
-        offsets.append(idx)
-    counts = np.zeros(states, dtype=object)
-    counts[0] = 1
+    l, t = spec.rows, spec.degree()
+    terms = [math.comb(l, k) * (q - 1) ** k for k in range(l + 1)]
+    signed = [sum(math.comb(k, i) * math.comb(l - k, t - i) * (-1) ** i * (q - 1) ** (t - i)
+                  for i in range(t + 1)) for k in range(l + 1)]
+    outcomes = math.comb(l, t) * (q - 1) ** t
+    denom = q**l
     probs = [Fraction(1)]
-    for w in range(1, n + 1):
-        new = np.zeros(states, dtype=object)
-        for idx in offsets:
-            # idx is a permutation of the states (a group shift), so fancy
-            # indexing accumulates without dropping duplicates.
-            new[idx] += counts
-        counts = new
-        probs.append(Fraction(int(counts[0]), n_out**w))
+    for _ in range(spec.cols):
+        terms = [a * b for a, b in zip(terms, signed)]
+        denom *= outcomes
+        probs.append(Fraction(sum(terms), denom))
     return probs
 
 
-@dataclass(frozen=True)
-class CollisionEstimate:
-    value: float
-    provenance: str
-    half_width: float = 0.0
-
-
-def collision_prob(spec: EnsembleSpec, u, u2, mode: str = "exact",
-                   trials: int = 10000, rng: np.random.Generator | None = None
-                   ) -> CollisionEstimate:
+def collision_prob(spec: EnsembleSpec, u, u2) -> float:
     """Probability over the family that u and u' share a label value."""
     q = spec.field.q
     u = np.asarray(u, dtype=np.int64) % q
@@ -233,87 +216,40 @@ def collision_prob(spec: EnsembleSpec, u, u2, mode: str = "exact",
     w = int(np.count_nonzero(diff))
     if w == 0:
         raise ValueError("u == u'; collision probability is trivially 1")
-    if mode == "exact":
-        return CollisionEstimate(float(collision_by_weight(spec)[w]), "exact")
-    if mode != "mc":
-        raise ValueError(f"unknown mode {mode!r}")
-    if rng is None:
-        raise ValueError("mc mode needs an rng")
-    hits = 0
-    for _ in range(trials):
-        label = sample(spec, rng)
-        out = label_outputs(label, np.stack([u, u2]))
-        hits += int((out[0] == out[1]).all())
-    p = hits / trials
-    hw = 1.96 * math.sqrt(max(p * (1 - p), 0.0) / trials)
-    return CollisionEstimate(p, "estimated", hw)
+    return float(collision_by_weight(spec)[w])
 
 
-def _alpha_sweep(spec: EnsembleSpec, probs, widths, exact: bool):
-    """(alpha, beta, half-width) minimizing alpha + beta over ALPHA_GRID.
+def _alpha_sweep(spec: EnsembleSpec, probs):
+    """(alpha, beta) minimizing alpha + beta over ALPHA_GRID.
 
-    probs and widths run over the weights 1..n; exact mode passes Fractions.
+    probs are the exact collision probabilities of the weights 1..n.
     """
     q, n = spec.field.q, spec.cols
-    counts = [math.comb(n, w) * (q - 1) ** w for w in range(1, n + 1)]
+    masses = [math.comb(n, w) * (q - 1) ** w * p for w, p in enumerate(probs, 1)]
     best = None
     for alpha in map(float, ALPHA_GRID):
-        thr = (Fraction(alpha).limit_denominator(10**9) if exact else alpha) / spec.im_size
-        over = [w for w, p in enumerate(probs) if p > thr]
-        beta = float(sum(counts[w] * probs[w] for w in over))
+        thr = Fraction(alpha).limit_denominator(10**9) / spec.im_size
+        beta = float(sum(m for m, p in zip(masses, probs) if p > thr))
         if best is None or alpha + beta < best[0] - 1e-15:
-            best = (alpha + beta, alpha, beta, float(sum(counts[w] * widths[w] for w in over)))
+            best = (alpha + beta, alpha, beta)
     return best[1:]
 
 
 @functools.lru_cache(maxsize=256)
-def _exact_hash_params(spec: EnsembleSpec) -> HashParams:
-    """Exact-mode estimate_hash_params; memoized, as the spec is frozen."""
-    q, n = spec.field.q, spec.cols
-    if spec.kind == SPARSE and q**n > BINNING_TABLE_BUDGET:
-        raise SupportBudgetError(f"exact sweep needs {q}^{n} <= {BINNING_TABLE_BUDGET}")
-    alpha, beta, _ = _alpha_sweep(spec, collision_by_weight(spec)[1:], [0] * n, True)
-    return HashParams(alpha, beta, "exact")
-
-
-def estimate_hash_params(spec: EnsembleSpec, mode: str = "exact",
-                         trials: int = 2000, rng: np.random.Generator | None = None
-                         ) -> HashParams:
-    """Smallest-footprint (alpha, beta) pair for the family.
+def estimate_hash_params(spec: EnsembleSpec) -> HashParams:
+    """Smallest-footprint (alpha, beta) pair for the family, exactly.
 
     For each alpha on a fixed grid, beta is the total collision mass of the
     differences whose collision probability exceeds alpha/|range|; the pair
     minimizing alpha+beta is reported (ties keep the smaller alpha).
+    Memoized, as the spec is frozen.
     """
-    if mode == "exact":
-        return _exact_hash_params(spec)
-    if mode != "mc":
-        raise ValueError(f"unknown mode {mode!r}")
-    if rng is None:
-        raise ValueError("mc mode needs an rng")
-    n = spec.cols
-    # One representative difference per weight: collision probability is a
-    # function of the weight alone for every family here.
-    reps = np.zeros((n, n), dtype=np.int64)
-    for w in range(1, n + 1):
-        reps[w - 1, :w] = 1
-    zero = np.zeros(n, dtype=np.int64)
-    hits = np.zeros(n, dtype=np.int64)
-    for _ in range(trials):
-        label = sample(spec, rng)
-        out = label_outputs(label, np.vstack([reps, zero[None, :]]))
-        hits += (out[:-1] == out[-1]).all(axis=1)
-    phat = hits / trials
-    hw = 1.96 * np.sqrt(np.maximum(phat * (1 - phat), 0.0) / trials)
-    alpha, beta, half_width = _alpha_sweep(spec, phat, hw, False)
-    return HashParams(alpha, beta, "estimated", half_width)
+    return HashParams(*_alpha_sweep(spec, collision_by_weight(spec)[1:]))
 
 
 def product_params(p1: HashParams, p2: HashParams) -> HashParams:
     """Parameters of the stacked family (outputs concatenated)."""
-    prov = "exact" if p1.provenance == p2.provenance == "exact" else "estimated"
-    return HashParams(p1.alpha * p2.alpha, p1.beta + p2.beta, prov,
-                      p1.half_width + p2.half_width)
+    return HashParams(p1.alpha * p2.alpha, p1.beta + p2.beta)
 
 
 def multi_params(params, indices) -> HashParams:
@@ -325,16 +261,11 @@ def multi_params(params, indices) -> HashParams:
         return params[indices[0]]
     alpha = 1.0
     one_plus_beta = 1.0
-    prov = "exact"
-    hw = 0.0
     for i in indices:
         p = params[i]
         alpha *= p.alpha
         one_plus_beta *= 1.0 + p.beta
-        hw += p.half_width
-        if p.provenance != "exact":
-            prov = "estimated"
-    return HashParams(alpha, one_plus_beta - 1.0, prov, hw)
+    return HashParams(alpha, one_plus_beta - 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -151,10 +151,9 @@ def test_config_errors_exit_2(tmp_path, capsys):
 
 
 def stats_cfg(**overrides):
-    block = {"field": 2, "ladder": [4], "mode": "mc", "trials": 20,
-             "ensembles": [{"kind": "uniform-all-linear"}]}
+    block = {"field": 2, "ladder": [4], "ensembles": [{"kind": "uniform-all-linear"}]}
     block.update(overrides)
-    return {"seed": 7, "ensemble_stats": block}
+    return {"ensemble_stats": block}
 
 
 @pytest.mark.parametrize("command, payload, field", [
@@ -165,7 +164,9 @@ def stats_cfg(**overrides):
     ("simulate", sim_cfg(pilot_trials=-1), "simulate.pilot_trials"),
     ("ensemble-stats", stats_cfg(field=4), "ensemble_stats.field"),
     ("ensemble-stats", stats_cfg(ladder=[0, 4]), "ensemble_stats.ladder"),
-    ("ensemble-stats", stats_cfg(trials=0), "ensemble_stats.trials"),
+    # A spec the command cannot build is named by its entry.
+    ("ensemble-stats", stats_cfg(ladder=[20], ensembles=[{"kind": "random-binning"}]),
+     "ensemble_stats.ensembles[0]"),
     ("region", region_cfg([[0.5, 0.5, 0.1]]), "region.points[0]"),
     ("region", region_cfg([["a", 0.5]]), "region.points[0]"),
     ("region", region_cfg([["0.5", 0.5]]), "region.points[0]"),
@@ -208,8 +209,10 @@ def stats_cfg(**overrides):
      "ensemble_stats.ensembles[0].column_degree"),
     ("ensemble-stats", stats_cfg(field="2"), "ensemble_stats.field"),
     ("ensemble-stats", stats_cfg(ladder=[4.5]), "ensemble_stats.ladder"),
-    ("ensemble-stats", stats_cfg(trials=True), "ensemble_stats.trials"),
-    ("ensemble-stats", dict(stats_cfg(), seed=1.5), "seed"),
+    # Coset codes need a linear map, and a binning table is not one.
+    ("simulate", sim_cfg(ensemble={"kind": "random-binning"}), "simulate.ensemble.kind"),
+    ("ensemble-stats", stats_cfg(ensembles=[{"kind": "nope"}]),
+     "ensemble_stats.ensembles[0].kind"),
     ("region", {"region": dict(SW_REGION, rate_split="no")}, "region.rate_split"),
     # A channel names the part at fault.
     ("region", region_cfg([[0.1, 0.1]], channel=channel(inputs=["2", 2])),
@@ -289,8 +292,8 @@ def test_fault_injection_breaks_types_suite(monkeypatch):
 
 
 def test_ensemble_stats_csv(tmp_path):
-    cfg = write_cfg(tmp_path, {"seed": 7, "ensemble_stats": {
-        "field": 2, "ladder": [4, 8], "mode": "exact",
+    cfg = write_cfg(tmp_path, {"ensemble_stats": {
+        "field": 2, "ladder": [4, 8],
         "ensembles": [{"kind": "uniform-all-linear", "rows_per_n": 0.5},
                       {"kind": "sparse-linear", "rows_per_n": 0.5,
                        "degree_coeff": 0.5}],
@@ -305,16 +308,23 @@ def test_ensemble_stats_csv(tmp_path):
         assert fields[3] == "1.0" and fields[4] == "0.0" and fields[5] == "exact"
 
 
-def test_ensemble_stats_mc_mode(tmp_path):
-    cfg = write_cfg(tmp_path, {"seed": 7, "ensemble_stats": {
-        "field": 2, "ladder": [4], "mode": "mc", "trials": 200,
-        "ensembles": [{"kind": "sparse-linear", "rows_per_n": 0.5,
-                       "column_degree": 1}],
-    }})
-    out = tmp_path / "m.csv"
+def test_ensemble_stats_sparse_exact_to_n_40(tmp_path):
+    # Past every enumeration budget: 2^10 and 2^20 syndromes, 252^20 and 38760^40 matrices.
+    cfg = write_cfg(tmp_path, {"ensemble_stats": {
+        "ladder": [20, 40], "ensembles": [{"kind": "sparse-linear"}]}})
+    out = tmp_path / "s.csv"
     assert cli.main(["ensemble-stats", "--config", cfg, "--out", str(out)]) == 0
-    row = out.read_text().strip().splitlines()[1]
-    assert "estimated" in row
+    assert out.read_text().splitlines()[1:] == [
+        "20,sparse-linear,10,2.05,0.753968253968254,exact,",
+        "40,sparse-linear,20,2.45,0.3376264167698836,exact,",
+    ]
+
+
+def test_ensemble_stats_bad_entry_prints_no_row(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, stats_cfg(ladder=[4, 20], ensembles=[
+        {"kind": "uniform-all-linear"}, {"kind": "random-binning"}]))
+    assert cli.main(["ensemble-stats", "--config", cfg]) == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_ensemble_stats_clamps_sparse_degree_like_simulate(tmp_path):

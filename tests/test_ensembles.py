@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hashmac import rng as rng_mod
-from hashmac.ensembles import (BINNING, EnsembleSpec, HashParams,
-                               SPARSE, SupportBudgetError, UNIFORM, collision_prob, conditional_maxima,
+from hashmac.ensembles import (BINNING, EnsembleSpec, HashParams, SPARSE, SUPPORT_BUDGET,
+                               SupportBudgetError, UNIFORM, collision_by_weight,
+                               collision_prob, conditional_maxima,
                                crp_bound, crp_rate_exact, enumerate_support,
                                ensemble_syndrome_hit_rate, estimate_hash_params,
                                multi_crp_bound, multi_crp_rate_exact, multi_params,
@@ -64,9 +65,7 @@ def test_collision_prob_uniform_matches_enumeration():
     for u, u2 in (([0, 0, 1], [0, 0, 0]), ([1, 0, 1], [0, 1, 0])):
         d = (np.array(u) - np.array(u2)) % 2
         exact = float((((mats @ d) % 2) == 0).all(axis=1).mean())
-        got = collision_prob(spec, u, u2)
-        assert got.value == exact == 0.25
-        assert got.provenance == "exact"
+        assert collision_prob(spec, u, u2) == exact == 0.25
 
 
 def test_collision_prob_rejects_equal():
@@ -77,7 +76,7 @@ def test_collision_prob_rejects_equal():
 
 def test_collision_prob_binning_half():
     spec = EnsembleSpec(BINNING, 1, 2, F2)
-    assert collision_prob(spec, [0, 1], [1, 1]).value == 0.5
+    assert collision_prob(spec, [0, 1], [1, 1]) == 0.5
 
 
 def _sparse_collision_oracle(spec, u, u2):
@@ -92,19 +91,64 @@ def _sparse_collision_oracle(spec, u, u2):
 def test_collision_prob_sparse_exact_and_mc():
     spec = EnsembleSpec(SPARSE, 2, 2, F2, column_degree=1)
     u, u2 = [1, 0], [0, 1]
-    oracle = _sparse_collision_oracle(spec, u, u2)
-    exact = collision_prob(spec, u, u2)
-    assert exact.value == float(oracle)
-    mc = collision_prob(spec, u, u2, mode="mc", trials=3000,
-                        rng=rng_mod.stream(5, "mc"))
-    assert mc.provenance == "estimated" and mc.half_width > 0
-    assert abs(mc.value - float(oracle)) <= 3 * mc.half_width + 1e-9
+    assert collision_prob(spec, u, u2) == float(_sparse_collision_oracle(spec, u, u2))
+
+
+# (q, rows, cols, degree): tall maps whose q^rows syndromes are too many to
+# convolve over, while their supports stay enumerable.
+TALL_SPARSE = ((2, 20, 3, 1), (2, 24, 2, 2), (3, 12, 3, 1), (5, 8, 3, 1))
+
+
+def _sparse_shapes():
+    """Every sparse shape of a small grid whose support is enumerable, and the tall ones."""
+    for q in (2, 3, 5):
+        for rows in range(1, 5):
+            for cols in range(1, 5):
+                for degree in range(1, rows + 1):
+                    spec = EnsembleSpec(SPARSE, rows, cols, FieldSpec(q), column_degree=degree)
+                    if support_size(spec) <= SUPPORT_BUDGET:
+                        yield spec
+    for q, rows, cols, degree in TALL_SPARSE:
+        yield EnsembleSpec(SPARSE, rows, cols, FieldSpec(q), column_degree=degree)
+
+
+def test_collision_by_weight_matches_support_enumeration():
+    """The closed form against every label of the support, weight by weight.
+
+    The difference of weight w cycles through the nonzero values, so the
+    claim that only the weight matters is tested too.
+    """
+    shapes = list(_sparse_shapes())
+    assert {s.field.q for s in shapes} == {2, 3, 5}
+    for spec in shapes:
+        q, n = spec.field.q, spec.cols
+        want = [Fraction(1)]
+        for w in range(1, n + 1):
+            d = np.zeros(n, dtype=np.int64)
+            d[:w] = np.arange(w) % (q - 1) + 1
+            outs = support_outputs(spec, np.stack([d, np.zeros(n, dtype=np.int64)]))
+            hits = int((outs[:, 0] == outs[:, 1]).all(axis=1).sum())
+            want.append(Fraction(hits, outs.shape[0]))
+        assert collision_by_weight(spec) == want, spec
+
+
+@pytest.mark.parametrize("degree, alpha, beta", [
+    (3, 3.8, 92.41748732547097),
+    (5, 3.25, 0.31159991515313207),
+    (6, 2.65, 0.24319172635341438),
+    (7, 2.15, 0.13185764017961688),
+])
+def test_hash_params_sparse_exact_past_enumeration(degree, alpha, beta):
+    # 34 x 40 on GF(2): neither the support nor the syndromes can be enumerated.
+    p = estimate_hash_params(EnsembleSpec(SPARSE, 34, 40, F2, column_degree=degree))
+    assert p.alpha == alpha
+    assert abs(p.beta - beta) <= 1e-12
 
 
 def test_hash_params_uniform_and_binning_exact():
     for spec in (EnsembleSpec(UNIFORM, 2, 3, F2), EnsembleSpec(BINNING, 1, 2, F2)):
         p = estimate_hash_params(spec)
-        assert (p.alpha, p.beta, p.provenance) == (1.0, 0.0, "exact")
+        assert (p.alpha, p.beta) == (1.0, 0.0)
 
 
 def _sweep_oracle(spec):
@@ -131,19 +175,11 @@ def test_hash_params_sparse_matches_support_sweep():
     want = _sweep_oracle(spec)
     got = estimate_hash_params(spec)
     assert (got.alpha, got.beta) == want
-    assert got.provenance == "exact"
-
-
-def test_hash_params_mc_agrees_on_uniform():
-    spec = EnsembleSpec(UNIFORM, 2, 4, F2)
-    p = estimate_hash_params(spec, mode="mc", trials=500, rng=rng_mod.stream(3))
-    assert p.provenance == "estimated"
-    assert p.alpha + p.beta < 1.6  # near the exact (1, 0)
 
 
 def test_hash_params_exact_memoized_per_spec(monkeypatch):
     import hashmac.ensembles as ens
-    ens._exact_hash_params.cache_clear()
+    ens.estimate_hash_params.cache_clear()
     sweeps = []
     orig = ens._alpha_sweep
     monkeypatch.setattr(ens, "_alpha_sweep",
@@ -157,19 +193,19 @@ def test_hash_params_exact_memoized_per_spec(monkeypatch):
 
 
 def test_product_params_examples():
-    one = HashParams(1.0, 0.0, "exact")
-    assert product_params(one, one) == HashParams(1.0, 0.0, "exact")
-    p = product_params(HashParams(1.2, 0.01, "exact"), HashParams(1.1, 0.02, "exact"))
+    one = HashParams(1.0, 0.0)
+    assert product_params(one, one) == HashParams(1.0, 0.0)
+    p = product_params(HashParams(1.2, 0.01), HashParams(1.1, 0.02))
     assert abs(p.alpha - 1.32) < 1e-12 and abs(p.beta - 0.03) < 1e-12
     assert product_params(p, one).alpha == p.alpha
 
 
 def test_multi_params_examples():
-    one = HashParams(1.0, 0.0, "exact")
-    assert multi_params([one, one], [0, 1]) == HashParams(1.0, 0.0, "exact")
-    p = multi_params([HashParams(1.0, 0.1, "exact")] * 2, [0, 1])
+    one = HashParams(1.0, 0.0)
+    assert multi_params([one, one], [0, 1]) == HashParams(1.0, 0.0)
+    p = multi_params([HashParams(1.0, 0.1)] * 2, [0, 1])
     assert abs(p.beta - 0.21) < 1e-12
-    single = multi_params([HashParams(1.3, 0.2, "exact")], [0])
+    single = multi_params([HashParams(1.3, 0.2)], [0])
     assert (single.alpha, single.beta) == (1.3, 0.2)
     with pytest.raises(ValueError):
         multi_params([one], [])
@@ -224,13 +260,13 @@ def test_crp_singleton_rate_zero():
 
 
 def test_multi_crp_single_domain_reduces_to_crp():
-    params = [HashParams(1.0, 0.0, "exact")]
+    params = [HashParams(1.0, 0.0)]
     maxima = {frozenset([0]): 2}
     assert multi_crp_bound(maxima, [8], params) == crp_bound(2, 8, 1.0, 0.0)
 
 
 def test_multi_crp_formula_example():
-    params = [HashParams(1.0, 0.0, "exact")] * 2
+    params = [HashParams(1.0, 0.0)] * 2
     maxima = {frozenset([0]): 2, frozenset([1]): 2, frozenset([0, 1]): 4}
     assert multi_crp_bound(maxima, [8, 8], params) == 0.5625
 
@@ -330,7 +366,7 @@ def test_multi_params_limit_trend():
     # As per-family parameters approach (1, 0), so do the joint parameters.
     gaps = []
     for n in (10, 100, 1000, 10**6):
-        params = [HashParams(1.0 + 1.0 / n, 1.0 / n, "exact")] * 3
+        params = [HashParams(1.0 + 1.0 / n, 1.0 / n)] * 3
         joint = multi_params(params, [0, 1, 2])
         gaps.append((joint.alpha - 1.0) + joint.beta)
     assert gaps == sorted(gaps, reverse=True)

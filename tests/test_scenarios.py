@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hashmac import ensembles, rng as rng_mod
+from hashmac import ensembles, rng as rng_mod, scenarios
 from hashmac.channel import Dmc, deterministic_dmc, sample_channel
 from hashmac.codec import EmptyCosetError, MinDivDecoder
 from hashmac.empirical import (conditional_divergences, divergence_to, is_cond_typical,
@@ -258,7 +258,9 @@ def test_build_reads_no_hash_params(monkeypatch):
     def refuse(spec):
         raise AssertionError(f"hash parameters read for {spec}")
 
-    monkeypatch.setattr(ensembles, "_exact_hash_params", refuse)
+    monkeypatch.setattr(ensembles, "estimate_hash_params", refuse)
+    monkeypatch.setattr(scenarios, "estimate_hash_params", refuse)
+    monkeypatch.setattr(ensembles, "collision_by_weight", refuse)
     sparse = functools.partial(ensembles.EnsembleSpec, ensembles.SPARSE)
     mu0, c1, c2 = _sw_inputs()
     codes = [
@@ -499,7 +501,6 @@ def _equivalence_codes():
 
 def test_simulate_error_matches_per_trial_streams(monkeypatch):
     """The run's one-pass trial keys replay `stream(seed, *path, t)` trial by trial."""
-    import hashmac.scenarios as scenarios
     trials, path = 60, ("eq", 3, rng_mod.MEASURE, 1)
     seen = set()
     for name, code in _equivalence_codes().items():
