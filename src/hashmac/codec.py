@@ -19,8 +19,9 @@ import numpy as np
 
 from .empirical import (_count_symbols, _divergence_from_counts, _log2_denom,
                         conditional_divergences)
-from .gf import (ENUMERATION_BUDGET, EnumerationBudgetError, LinearLabel,
-                 all_vectors, apply_label, enumerate_coset, stack_labels)
+from . import gf
+from .gf import (EnumerationBudgetError, LinearLabel, all_vectors, apply_label,
+                 enumerate_coset, stack_labels)
 from .prob import CondPmf, Pmf
 
 REL_TOL = 1e-12
@@ -166,11 +167,10 @@ def min_div_member(cands: np.ndarray, target: EncodeTarget, q: int) -> int:
     return int(ties[0])
 
 
-def min_div_encode(cs: CosetSpec, target: EncodeTarget,
-                   budget: int = ENUMERATION_BUDGET) -> np.ndarray:
+def min_div_encode(cs: CosetSpec, target: EncodeTarget) -> np.ndarray:
     """Coset member whose empirical law is divergence-closest to the target."""
     stacked, want = cs.stacked()
-    cands = enumerate_coset(stacked, want, budget)
+    cands = enumerate_coset(stacked, want)
     if cands.shape[0] == 0:
         raise EmptyCosetError(
             f"no vector satisfies the {cs.check.rows}+{cs.message_map.rows} constraints")
@@ -205,8 +205,7 @@ class MinDivDecoder:
     out; both read one table of the divergence kernel's term per (cell, count).
     """
 
-    def __init__(self, labels, syndromes, model: np.ndarray, u=None,
-                 budget: int = ENUMERATION_BUDGET):
+    def __init__(self, labels, syndromes, model: np.ndarray, u=None):
         labels = list(labels)
         syndromes = list(syndromes)
         if len(labels) != len(syndromes):
@@ -229,16 +228,16 @@ class MinDivDecoder:
             if lab.cols != n:
                 raise ValueError("label columns must equal the block length")
 
-        cosets = [enumerate_coset(lab, a, budget) for lab, a in zip(labels, syndromes)]
+        cosets = [enumerate_coset(lab, a) for lab, a in zip(labels, syndromes)]
         if any(c.shape[0] == 0 for c in cosets):
             raise AllCosetsEmptyError("a syndrome is unreachable for its matrix")
         for c in cosets:
             c.flags.writeable = False
         sizes = tuple(c.shape[0] for c in cosets)
         total = math.prod(sizes)
-        if total > budget:
+        if total > gf.ENUMERATION_BUDGET:
             raise EnumerationBudgetError(
-                f"product coset size {total} exceeds the budget of {budget}")
+                f"product coset size {total} exceeds the budget of {gf.ENUMERATION_BUDGET}")
 
         strides = np.ones(len(shape), dtype=np.int64)
         for i in range(len(shape) - 2, -1, -1):
@@ -411,14 +410,12 @@ class MinDivDecoder:
         return tuple(c[i] for c, i in zip(self.cosets, self.rows(y)))
 
 
-def min_div_decode(labels, syndromes, y, model: np.ndarray, u=None,
-                   budget: int = ENUMERATION_BUDGET) -> tuple[np.ndarray, ...]:
+def min_div_decode(labels, syndromes, y, model: np.ndarray, u=None) -> tuple[np.ndarray, ...]:
     """One-shot joint minimum-divergence decoding: build a MinDivDecoder, call it once."""
-    return MinDivDecoder(labels, syndromes, model, u=u, budget=budget)(y)
+    return MinDivDecoder(labels, syndromes, model, u=u)(y)
 
 
-def build_T_subset(u, mu_cond: CondPmf, gamma: float, size: int,
-                   budget: int = ENUMERATION_BUDGET) -> np.ndarray:
+def build_T_subset(u, mu_cond: CondPmf, gamma: float, size: int) -> np.ndarray:
     """The `size` conditionally typical sequences of smallest divergence.
 
     Ordered ascending by (divergence, lexicographic); downward-closed under
@@ -428,7 +425,7 @@ def build_T_subset(u, mu_cond: CondPmf, gamma: float, size: int,
         raise ValueError("gamma must be positive")
     u = np.asarray(u, dtype=np.int64)
     n = u.size
-    cands = all_vectors(mu_cond.size, n, budget)
+    cands = all_vectors(mu_cond.size, n)
     dvals = conditional_divergences(cands, mu_cond, u)
     typical = np.nonzero(dvals < gamma)[0]
     if size > typical.size:

@@ -9,6 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import gf
 from .prob import CondPmf, Pmf
 
 
@@ -194,12 +195,19 @@ def is_cond_typical(u, v, mu_cond: CondPmf, gamma: float) -> bool:
     return cond_divergence_to(u, v, mu_cond) < gamma
 
 
-def enumerate_types(n: int, alphabet, budget: int = 1 << 24) -> list[EmpiricalType]:
-    """All length-n types over the alphabet (compositions of n)."""
+def enumerate_types(n: int, alphabet) -> list[EmpiricalType]:
+    """All length-n types over the alphabet (compositions of n).
+
+    There are C(n+m-1, m-1) of them for m symbols; past gf.ENUMERATION_BUDGET
+    the call raises before it builds any.
+    """
     alphabet = tuple(alphabet)
     m = len(alphabet)
-    if (n + 1) ** m > budget:
-        raise ValueError(f"({n}+1)^{m} type candidates exceed the budget of {budget}")
+    count = math.comb(n + m - 1, m - 1)
+    if count > gf.ENUMERATION_BUDGET:
+        raise gf.EnumerationBudgetError(
+            f"{count} types of length {n} over {m} symbols exceed the budget of "
+            f"{gf.ENUMERATION_BUDGET}")
     out = []
     for cuts in itertools.combinations(range(n + m - 1), m - 1):
         counts = np.diff((-1,) + cuts + (n + m - 1,)) - 1

@@ -27,6 +27,8 @@ BINNING = "random-binning"
 KINDS = (UNIFORM, SPARSE, BINNING)
 
 BINNING_TABLE_BUDGET = 1 << 16
+# Hard cap on the labels of one support walk (a product of supports
+# included).  Every check reads it at call time.
 SUPPORT_BUDGET = 1 << 20
 ALPHA_GRID = np.round(np.arange(1.0, 4.0 + 1e-9, 0.05), 2)
 
@@ -222,14 +224,18 @@ def collision_prob(spec: EnsembleSpec, u, u2) -> float:
 def _alpha_sweep(spec: EnsembleSpec, probs):
     """(alpha, beta) minimizing alpha + beta over ALPHA_GRID.
 
-    probs are the exact collision probabilities of the weights 1..n.
+    probs are the exact collision probabilities of the weights 1..n.  The
+    masses are integer numerators over one common denominator, so each beta
+    is one Fraction.
     """
     q, n = spec.field.q, spec.cols
-    masses = [math.comb(n, w) * (q - 1) ** w * p for w, p in enumerate(probs, 1)]
+    den = math.lcm(*(p.denominator for p in probs))
+    masses = [math.comb(n, w) * (q - 1) ** w * p.numerator * (den // p.denominator)
+              for w, p in enumerate(probs, 1)]
     best = None
     for alpha in map(float, ALPHA_GRID):
         thr = Fraction(alpha).limit_denominator(10**9) / spec.im_size
-        beta = float(sum(m for m, p in zip(masses, probs) if p > thr))
+        beta = float(Fraction(sum(m for m, p in zip(masses, probs) if p > thr), den))
         if best is None or alpha + beta < best[0] - 1e-15:
             best = (alpha + beta, alpha, beta)
     return best[1:]
@@ -337,10 +343,10 @@ def support_size(spec: EnsembleSpec) -> int:
     return (q**spec.rows) ** (q**spec.cols)
 
 
-def _checked_support_size(spec: EnsembleSpec, budget: int) -> int:
-    """support_size, or SupportBudgetError when it exceeds the budget."""
+def _checked_support_size(spec: EnsembleSpec) -> int:
+    """support_size, or SupportBudgetError when it exceeds SUPPORT_BUDGET."""
     size = support_size(spec)
-    if size > budget:
+    if size > SUPPORT_BUDGET:
         q = spec.field.q
         if spec.kind == UNIFORM:
             what = f"{q}^{spec.rows * spec.cols} matrices"
@@ -349,7 +355,7 @@ def _checked_support_size(spec: EnsembleSpec, budget: int) -> int:
             what = f"{outcomes}^{spec.cols} sparse matrices"
         else:
             what = f"{size} binning tables"
-        raise SupportBudgetError(f"{what} exceed the budget of {budget}")
+        raise SupportBudgetError(f"{what} exceed the budget of {SUPPORT_BUDGET}")
     return size
 
 
@@ -392,28 +398,33 @@ def _label(spec: EnsembleSpec, member: np.ndarray):
     return LinearLabel(spec.field, member)
 
 
-def enumerate_support(spec: EnsembleSpec, budget: int = SUPPORT_BUDGET):
+def enumerate_support(spec: EnsembleSpec):
     """Yield every label of an enumerable family (all equally likely)."""
-    size = _checked_support_size(spec, budget)
+    size = _checked_support_size(spec)
     for members in _member_chunks(spec, size, _member_cells(spec)):
         for member in members:
             yield _label(spec, member)
 
 
-def support_label(spec: EnsembleSpec, index: int, budget: int = SUPPORT_BUDGET):
+def support_label(spec: EnsembleSpec, index: int):
     """The label at position index of enumerate_support, built on its own."""
-    size = _checked_support_size(spec, budget)
+    size = _checked_support_size(spec)
     if not 0 <= index < size:
         raise IndexError(f"support position {index} outside [0, {size})")
     return _label(spec, _members(spec, np.array([index], dtype=np.int64))[0])
 
 
-def _output_chunks(spec: EnsembleSpec, vecs, budget: int):
-    """support_outputs, one chunk of labels at a time."""
+def _output_chunks(spec: EnsembleSpec, vecs):
+    """label_outputs of each support label on the rows of vecs, in support order.
+
+    Yields (labels, m, rows) arrays of about codec.SCAN_CHUNK_CELLS cells, so
+    memory stays within one chunk; SupportBudgetError comes before any
+    allocation.
+    """
     vecs = np.asarray(vecs, dtype=np.int64)
     if vecs.ndim != 2 or vecs.shape[1] != spec.cols:
         raise ValueError(f"expected an (m, {spec.cols}) array of vectors")
-    size = _checked_support_size(spec, budget)
+    size = _checked_support_size(spec)
     q = spec.field.q
     inputs = _base_q(vecs, q) if spec.kind == BINNING else None
     cells = _member_cells(spec) + vecs.shape[0] * spec.rows
@@ -424,24 +435,14 @@ def _output_chunks(spec: EnsembleSpec, vecs, budget: int):
             yield (vecs @ members.transpose(0, 2, 1)) % q
 
 
-def support_outputs(spec: EnsembleSpec, vecs, budget: int = SUPPORT_BUDGET) -> np.ndarray:
-    """Outputs of every support label on every row of vecs, as (M, m, rows).
-
-    Entry i is label_outputs of the i-th label of enumerate_support.  The
-    labels are built in chunks of about codec.SCAN_CHUNK_CELLS cells and
-    never all at once; SupportBudgetError comes before any allocation.
-    """
-    return np.concatenate(list(_output_chunks(spec, vecs, budget)))
-
-
-def saturation_rate_exact(spec: EnsembleSpec, T, budget: int = SUPPORT_BUDGET) -> float:
+def saturation_rate_exact(spec: EnsembleSpec, T) -> float:
     """Exact P over (A, a uniform) that T meets no element of a's bin."""
     T = np.asarray(T, dtype=np.int64)
     if T.shape[0] < 1:
         raise ValueError("T must be nonempty")
     im = spec.im_size
     hit = labels = 0
-    for outs in _output_chunks(spec, T, budget):
+    for outs in _output_chunks(spec, T):
         # Bins hit per label: sorted codes change once per further bin.
         codes = np.sort(_base_q(outs, spec.field.q), axis=1)
         hit += codes.shape[0] + int((codes[:, 1:] != codes[:, :-1]).sum())
@@ -454,7 +455,7 @@ def _bin_matches(outs: np.ndarray) -> np.ndarray:
     return (outs[:, 1:] == outs[:, :1]).all(axis=2)
 
 
-def crp_rate_exact(spec: EnsembleSpec, G, u, budget: int = SUPPORT_BUDGET) -> float:
+def crp_rate_exact(spec: EnsembleSpec, G, u) -> float:
     """Exact P over A that some other member of G shares u's bin."""
     G = np.asarray(G, dtype=np.int64)
     u = np.asarray(u, dtype=np.int64)
@@ -462,7 +463,7 @@ def crp_rate_exact(spec: EnsembleSpec, G, u, budget: int = SUPPORT_BUDGET) -> fl
     if others.shape[0] == 0:
         return 0.0
     hits = labels = 0
-    for outs in _output_chunks(spec, np.vstack([u[None, :], others]), budget):
+    for outs in _output_chunks(spec, np.vstack([u[None, :], others])):
         hits += int(_bin_matches(outs).any(axis=1).sum())
         labels += outs.shape[0]
     return hits / labels
@@ -487,7 +488,7 @@ def _joint_hits(matches, alive=None) -> int:
     return sum(_joint_hits(rest, row) for row in first if row.any())
 
 
-def multi_crp_rate_exact(specs, tuples, u_parts, budget: int = SUPPORT_BUDGET) -> float:
+def multi_crp_rate_exact(specs, tuples, u_parts) -> float:
     """Exact joint collision rate over independent per-sender families.
 
     For each sender and each label in its support, one boolean row marks the
@@ -503,12 +504,15 @@ def multi_crp_rate_exact(specs, tuples, u_parts, budget: int = SUPPORT_BUDGET) -
         others.append(parts)
     if not others:
         return 0.0
-    count = math.prod(_checked_support_size(s, budget) for s in specs)
-    if count > budget:
-        raise SupportBudgetError(f"product support {count} exceeds the budget of {budget}")
-    matches = [_bin_matches(support_outputs(
-                   spec, np.stack([u_parts[i]] + [parts[i] for parts in others]), budget))
-               for i, spec in enumerate(specs)]
+    count = math.prod(_checked_support_size(s) for s in specs)
+    if count > SUPPORT_BUDGET:
+        raise SupportBudgetError(
+            f"product support {count} exceeds the budget of {SUPPORT_BUDGET}")
+    matches = []
+    for i, spec in enumerate(specs):
+        vecs = np.stack([u_parts[i]] + [parts[i] for parts in others])
+        matches.append(np.concatenate([_bin_matches(outs)
+                                       for outs in _output_chunks(spec, vecs)]))
     return _joint_hits(matches) / count
 
 
@@ -520,24 +524,24 @@ def uniform_syndrome_hit_rate(label, u) -> float:
     return float((syndromes == au).all(axis=1).mean())
 
 
-def _syndrome_hits(spec: EnsembleSpec, vecs, budget: int):
+def _syndrome_hits(spec: EnsembleSpec, vecs):
     """Per chunk of labels, how many uniform syndromes equal each output."""
-    _checked_support_size(spec, budget)  # before the syndrome grid is built
+    _checked_support_size(spec)  # before the syndrome grid is built
     q = spec.field.q
     per_code = np.bincount(_base_q(all_vectors(q, spec.rows), q), minlength=spec.im_size)
-    for outs in _output_chunks(spec, vecs, budget):
+    for outs in _output_chunks(spec, vecs):
         yield per_code[_base_q(outs, q)]
 
 
-def syndrome_hit_rates(spec: EnsembleSpec, vecs, budget: int = SUPPORT_BUDGET) -> np.ndarray:
+def syndrome_hit_rates(spec: EnsembleSpec, vecs) -> np.ndarray:
     """uniform_syndrome_hit_rate of each support label (axis 0) on each row of vecs."""
-    return np.concatenate(list(_syndrome_hits(spec, vecs, budget))) / spec.im_size
+    return np.concatenate(list(_syndrome_hits(spec, vecs))) / spec.im_size
 
 
-def ensemble_syndrome_hit_rate(spec: EnsembleSpec, u, budget: int = SUPPORT_BUDGET) -> float:
+def ensemble_syndrome_hit_rate(spec: EnsembleSpec, u) -> float:
     """Joint mean over (label, uniform syndrome) of the same indicator."""
     hits = labels = 0
-    for chunk in _syndrome_hits(spec, np.asarray(u, dtype=np.int64)[None, :], budget):
+    for chunk in _syndrome_hits(spec, np.asarray(u, dtype=np.int64)[None, :]):
         hits += int(chunk.sum())
         labels += chunk.shape[0]
     return float(Fraction(hits, spec.im_size * labels))

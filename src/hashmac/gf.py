@@ -13,7 +13,8 @@ import numpy as np
 
 SUPPORTED_PRIMES = (2, 3, 5)
 
-# Hard cap on how many candidate vectors any single enumeration may produce.
+# Hard cap on how many items one enumeration may produce: vectors, coset
+# members, decoder candidates or types.  Every check reads it at call time.
 ENUMERATION_BUDGET = 1 << 24
 
 
@@ -165,10 +166,10 @@ def solve_affine(label: LinearLabel, a):
     return particular, basis
 
 
-def all_vectors(q: int, n: int, budget: int = ENUMERATION_BUDGET) -> np.ndarray:
+def all_vectors(q: int, n: int) -> np.ndarray:
     """All q^n vectors of length n, in lexicographic order, as an (q^n, n) array."""
-    if q**n > budget:
-        raise EnumerationBudgetError(f"{q}^{n} vectors exceed the budget of {budget}")
+    if q**n > ENUMERATION_BUDGET:
+        raise EnumerationBudgetError(f"{q}^{n} vectors exceed the budget of {ENUMERATION_BUDGET}")
     if n == 0:
         return np.zeros((1, 0), dtype=np.int64)
     return np.ascontiguousarray(np.indices((q,) * n, dtype=np.int64).reshape(n, -1).T)
@@ -182,7 +183,7 @@ def lex_sort(vecs: np.ndarray) -> np.ndarray:
     return vecs[order]
 
 
-def enumerate_coset(label: LinearLabel, a, budget: int = ENUMERATION_BUDGET) -> np.ndarray:
+def enumerate_coset(label: LinearLabel, a) -> np.ndarray:
     """All solutions of Ax = a as a lexicographically sorted (m, n) array.
 
     Empty when a is not in the image of the specific matrix A.  The budget
@@ -193,9 +194,10 @@ def enumerate_coset(label: LinearLabel, a, budget: int = ENUMERATION_BUDGET) -> 
     if particular is None:
         return np.zeros((0, label.cols), dtype=np.int64)
     k = basis.shape[0]
-    if q**k > budget:
-        raise EnumerationBudgetError(f"coset size {q}^{k} exceeds the budget of {budget}")
-    coeffs = all_vectors(q, k, budget)
+    if q**k > ENUMERATION_BUDGET:
+        raise EnumerationBudgetError(
+            f"coset size {q}^{k} exceeds the budget of {ENUMERATION_BUDGET}")
+    coeffs = all_vectors(q, k)
     sols = (coeffs @ basis + particular) % q
     return lex_sort(sols)
 

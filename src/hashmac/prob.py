@@ -94,14 +94,3 @@ def entropy(p: Pmf | np.ndarray) -> float:
     probs = p.probs if isinstance(p, Pmf) else np.asarray(p, dtype=float)
     nz = probs[probs > 0]
     return float(-(nz * np.log2(nz)).sum())
-
-
-def cond_entropy(cond: CondPmf, base: Pmf) -> float:
-    """H(U|V) = sum_v p(v) H(U|V=v), in bits."""
-    if cond.given_alphabet != base.alphabet:
-        raise ValueError("conditioning alphabet mismatch")
-    total = 0.0
-    for i, pv in enumerate(base.probs):
-        if pv > 0:
-            total += pv * entropy(cond.rows[i])
-    return total

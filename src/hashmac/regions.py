@@ -7,7 +7,6 @@ outside.  Mutual informations come from exact joint tables.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -15,7 +14,6 @@ import numpy as np
 
 from .channel import Dmc
 from .prob import Pmf, as_distribution, entropy
-from .slack import feasibility_slack
 
 TABLE_CELL_BUDGET = 1 << 16
 # A joint table's total is checked more loosely than an input law's rows: it
@@ -259,29 +257,6 @@ def in_region_sw(rates, law: JointLaw, include_aux: bool = False) -> RegionVerdi
         return RegionVerdict(False, "private rates must be nonnegative")
     base, aux = _constraints(law)
     return _verdict(rates, base + aux if include_aux else base)
-
-
-def eps_feasible(rates, law: JointLaw, eps, n: int) -> bool:
-    """Region test with per-component margins and the block-length-n slack.
-
-    Every row of the law's table, aux rows included, must hold with the
-    margins added to the rates and the slack taken off the bound.
-    """
-    eps = [float(e) for e in eps]
-    if any(e <= 0 for e in eps):
-        raise ValueError("margins must be positive")
-    base, aux = _constraints(law)
-    k = len(base[0][1])
-    if len(rates) != k or len(eps) != k:
-        raise ValueError(f"expected {k} rates and {k} margins")
-    # Input symbols span the x axes (a cloud included); y and u condition.
-    m_inputs = math.prod(law.size(nm) for nm in law.names if nm.startswith("x"))
-    m_cond = math.prod(law.size(nm) for nm in law.names if not nm.startswith("x"))
-    slack = feasibility_slack(eps, n, m_inputs, m_cond)
-    if any(r < 0 for r in rates):
-        return False
-    return all(sum(c * (r + e) for c, r, e in zip(coef, rates, eps)) < bound - slack
-               for _, coef, bound in base + aux)
 
 
 class RateSplitInfeasible(RuntimeError):

@@ -56,23 +56,3 @@ def cond_typical_size_slack(gamma_prime: float, gamma: float, n: int,
     """Conditional variant of typical_size_slack."""
     return cond_entropy_slack(gamma_prime, gamma, alphabet_size, cond_alphabet_size) \
         + type_count_penalty(n, alphabet_size * cond_alphabet_size)
-
-
-def joint_typicality_radius(eps_margins) -> float:
-    """Divergence radius 2*sum(eps) coupling per-sender margins to the decoder."""
-    eps = [float(e) for e in eps_margins]
-    if any(e <= 0 for e in eps):
-        raise ValueError("all margins must be positive")
-    radius = 2 * sum(eps)
-    if radius > MAX_RADIUS:
-        raise RadiusError(
-            f"2*sum(eps)={radius} exceeds {MAX_RADIUS}; shrink the eps margins")
-    return radius
-
-
-def feasibility_slack(eps_margins, n: int, input_alphabet_size: int,
-                      cond_alphabet_size: int) -> float:
-    """Region-shrink slack at block length n induced by the eps margins."""
-    radius = joint_typicality_radius(eps_margins)
-    return cond_typical_size_slack(radius, radius, n,
-                                   input_alphabet_size, cond_alphabet_size)

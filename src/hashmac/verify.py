@@ -122,10 +122,14 @@ def types_suite(ns=(4, 6, 8, 10), gammas=(0.01, 0.05, 0.125),
                     viol += 1
     reports.append(LemmaReport("type-class-size-bounds", cases, viol))
 
+    # Each enumeration is built once, for every lemma that reads it.
+    binary = {(i, n): _binary_stats(n, mu) for i, mu in enumerate(MU_SET) for n in ns}
+    pairs = {n: _pair_stats(n, MUV) for n in pair_ns}
+
     cases = viol = 0
-    for mu in MU_SET:
+    for i, mu in enumerate(MU_SET):
         for n in ns:
-            _, counts, d = _binary_stats(n, mu)
+            _, counts, d = binary[i, n]
             l1 = np.abs(counts / n - mu[None, :]).sum(axis=1)
             for g in gammas:
                 typical = d < g
@@ -135,7 +139,7 @@ def types_suite(ns=(4, 6, 8, 10), gammas=(0.01, 0.05, 0.125),
 
     cases = viol = 0
     for n in ns:
-        _, counts, _ = _binary_stats(n, np.array([0.5, 0.5]))
+        _, counts, _ = binary[0, n]  # the counts do not depend on mu
         h = _entropy_counts(counts, n)
         lam = slack.type_count_penalty(n, 2)
         for hh in (0.0, 0.25, 0.5, 0.75, 1.0):
@@ -147,7 +151,7 @@ def types_suite(ns=(4, 6, 8, 10), gammas=(0.01, 0.05, 0.125),
 
     cases = viol = 0
     for n in pair_ns:
-        _, _, _, counts, d_joint, d_v, d_cond, _, _ = _pair_stats(n, MUV)
+        _, _, _, counts, d_joint, d_v, d_cond, _, _ = pairs[n]
         cu = counts.sum(axis=1)
         mu_u = MUV.sum(axis=0)
         d_u = _div_from_counts(cu, n * mu_u[None, :], n)
@@ -168,7 +172,7 @@ def types_suite(ns=(4, 6, 8, 10), gammas=(0.01, 0.05, 0.125),
     h_cond_model = float(-(MUV * np.log2(mu_cond)).sum())
     cases = viol = 0
     for n in pair_ns:
-        _, _, _, _, _, d_v, d_cond, h_v, h_vu = _pair_stats(n, MUV)
+        _, _, _, _, _, d_v, d_cond, h_v, h_vu = pairs[n]
         h_ucond = h_vu - h_v
         for g in gammas:
             iota = slack.entropy_slack(g, 2)
@@ -183,9 +187,9 @@ def types_suite(ns=(4, 6, 8, 10), gammas=(0.01, 0.05, 0.125),
     reports.append(LemmaReport("typical-entropy-deviation", cases, viol))
 
     cases = viol = 0
-    for mu in MU_SET:
+    for i, mu in enumerate(MU_SET):
         for n in ns:
-            _, counts, d = _binary_stats(n, mu)
+            _, counts, d = binary[i, n]
             logp = counts @ np.log2(mu)
             lam = slack.type_count_penalty(n, 2)
             for g in gammas:
@@ -194,7 +198,7 @@ def types_suite(ns=(4, 6, 8, 10), gammas=(0.01, 0.05, 0.125),
                 if not mass <= 2 ** (-n * (g - lam)) * (1 + 1e-9):
                     viol += 1
     for n in pair_ns:
-        _, u, v_id, counts, _, _, d_cond, _, _ = _pair_stats(n, MUV)
+        _, _, v_id, counts, _, _, d_cond, _, _ = pairs[n]
         mu_cond_tbl = MUV / MUV.sum(axis=1)[:, None]
         logp = (counts * np.log2(mu_cond_tbl)[None, :, :]).reshape(counts.shape[0], 4).sum(axis=1)
         lam4 = slack.type_count_penalty(n, 4)
@@ -207,10 +211,10 @@ def types_suite(ns=(4, 6, 8, 10), gammas=(0.01, 0.05, 0.125),
     reports.append(LemmaReport("atypical-mass-bound", cases, viol))
 
     cases = viol = vac = 0
-    for mu in MU_SET:
+    for i, mu in enumerate(MU_SET):
         h_model = float(-(mu * np.log2(mu)).sum())
         for n in ns:
-            _, _, d = _binary_stats(n, mu)
+            _, _, d = binary[i, n]
             for g in gammas:
                 count = int((d < g).sum())
                 cases += 1
@@ -221,7 +225,7 @@ def types_suite(ns=(4, 6, 8, 10), gammas=(0.01, 0.05, 0.125),
                 if not abs(math.log2(count) / n - h_model) <= eta + 1e-9:
                     viol += 1
     for n in pair_ns:
-        _, _, v_id, _, _, d_v, d_cond, _, _ = _pair_stats(n, MUV)
+        _, _, v_id, _, _, d_v, d_cond, _, _ = pairs[n]
         for g in gammas:
             v_typical_ids = np.unique(v_id[d_v < g])
             for gp in gammas:

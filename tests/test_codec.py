@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from hashmac.codec import (AllCosetsEmptyError, CosetSpec, EmptyCosetError,
                            EncodeTarget, MinDivDecoder, _exact_key, build_T_subset, min_div_decode,
                            min_div_encode)
+from hashmac import gf
 from hashmac.empirical import (_count_symbols, _divergence_from_counts, _log2_denom,
                                conditional_divergences, divergence_to)
 from hashmac.gf import (EnumerationBudgetError, FieldSpec, LinearLabel,
@@ -114,11 +115,19 @@ def test_decode_unreachable_syndrome():
         min_div_decode([A], [[0, 1]], np.array([0, 0]), model)
 
 
-def test_decode_budget_guard():
+def test_decode_budget_guard(monkeypatch):
+    # Each coset has 4 members and fits; their product of 16 does not.
+    monkeypatch.setattr(gf, "ENUMERATION_BUDGET", 8)
     A = lbl([], 2)
     model = np.full((2, 2, 2), 1 / 8.0)
-    with pytest.raises(EnumerationBudgetError):
-        min_div_decode([A, A], [[], []], np.array([0, 1]), model, budget=8)
+    with pytest.raises(EnumerationBudgetError, match="product coset size 16 exceeds"):
+        min_div_decode([A, A], [[], []], np.array([0, 1]), model)
+    mu = CondPmf((0,), (0, 1), [[0.5, 0.5]])
+    with pytest.raises(EnumerationBudgetError, match="coset size 2\\^4 exceeds"):
+        min_div_encode(CosetSpec(lbl([], 4), lbl([], 4), [], []),
+                       EncodeTarget.for_conditional(mu, np.zeros(4, dtype=np.int64)))
+    with pytest.raises(EnumerationBudgetError, match="2\\^4 vectors exceed"):
+        build_T_subset(np.zeros(4, dtype=np.int64), mu, 0.5, 1)
 
 
 def test_decode_brute_force_spotcheck():

@@ -1,3 +1,4 @@
+import importlib
 import itertools
 import math
 from collections import Counter
@@ -5,6 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from hashmac import gf
 from hashmac.empirical import (EmpiricalType, cond_divergence_to, divergence_to, empirical,
                                enumerate_types, is_cond_typical, is_typical, joint_counts,
                                seq_cond_entropy, seq_entropy, seq_mutual_multi,
@@ -146,11 +148,22 @@ def test_divergence_to_errors():
         divergence_to([], mu)
 
 
-def test_enumerate_types_counts():
+def test_enumerate_types_counts(monkeypatch):
     types = enumerate_types(3, (0, 1))
     assert len(types) == 4
     assert len(types) < 4**2
     assert len(enumerate_types(1, (0, 1, 2))) == 3
+    # The budget bounds the C(18, 6) = 18 564 types, not 13^7 count vectors.
+    assert len(enumerate_types(12, range(7))) == math.comb(18, 6) == 18564
+    monkeypatch.setattr(gf, "ENUMERATION_BUDGET", 18563)
+
+    def refuse(*args):
+        raise AssertionError("a type was built past the budget")
+
+    # The package exports a function named empirical, so fetch the module itself.
+    monkeypatch.setattr(importlib.import_module("hashmac.empirical"), "EmpiricalType", refuse)
+    with pytest.raises(gf.EnumerationBudgetError, match="18564 types"):
+        enumerate_types(12, range(7))
 
 
 def test_type_class_size():

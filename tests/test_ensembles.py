@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hashmac import ensembles as ens
 from hashmac import rng as rng_mod
 from hashmac.ensembles import (BINNING, EnsembleSpec, HashParams, SPARSE, SUPPORT_BUDGET,
                                SupportBudgetError, UNIFORM, collision_by_weight,
@@ -15,7 +16,7 @@ from hashmac.ensembles import (BINNING, EnsembleSpec, HashParams, SPARSE, SUPPOR
                                ensemble_syndrome_hit_rate, estimate_hash_params,
                                multi_crp_bound, multi_crp_rate_exact, multi_params,
                                product_params, sample, saturation_bound,
-                               saturation_rate_exact, support_label, support_outputs,
+                               _output_chunks, saturation_rate_exact, support_label,
                                support_size, syndrome_hit_rates,
                                label_outputs, uniform_syndrome_hit_rate)
 from hashmac.gf import FieldSpec, LinearLabel, all_vectors
@@ -126,9 +127,11 @@ def test_collision_by_weight_matches_support_enumeration():
         for w in range(1, n + 1):
             d = np.zeros(n, dtype=np.int64)
             d[:w] = np.arange(w) % (q - 1) + 1
-            outs = support_outputs(spec, np.stack([d, np.zeros(n, dtype=np.int64)]))
-            hits = int((outs[:, 0] == outs[:, 1]).all(axis=1).sum())
-            want.append(Fraction(hits, outs.shape[0]))
+            hits = labels = 0
+            for outs in _output_chunks(spec, np.stack([d, np.zeros(n, dtype=np.int64)])):
+                hits += int((outs[:, 0] == outs[:, 1]).all(axis=1).sum())
+                labels += outs.shape[0]
+            want.append(Fraction(hits, labels))
         assert collision_by_weight(spec) == want, spec
 
 
@@ -334,14 +337,16 @@ def test_multi_crp_exact_matches_per_combination_loop(case):
         _ref_multi_crp_rate(specs, tuples, u_parts)
 
 
-def test_multi_crp_exact_edge_cases():
+def test_multi_crp_exact_edge_cases(monkeypatch):
     specs = [EnsembleSpec(UNIFORM, 2, 3, F2)] * 2
     u = ((0, 1, 1), (1, 0, 0))
     assert multi_crp_rate_exact(specs, [u], u) == 0.0
     assert multi_crp_rate_exact(specs, [], u) == 0.0
     tuples = [u, ((0, 1, 1), (1, 1, 1))]
-    with pytest.raises(SupportBudgetError, match="product support"):
-        multi_crp_rate_exact(specs, tuples, u, budget=100)
+    with monkeypatch.context() as m:
+        m.setattr(ens, "SUPPORT_BUDGET", 100)  # 64 labels per sender, 4096 in the product
+        with pytest.raises(SupportBudgetError, match="product support 4096"):
+            multi_crp_rate_exact(specs, tuples, u)
     # Only the second sender differs: the rate is its own pair collision rate.
     assert multi_crp_rate_exact(specs, tuples, u) == 0.25
 
@@ -436,10 +441,11 @@ def test_support_order_matches_product_enumeration(spec):
 
 @pytest.mark.parametrize("spec", SUPPORT_SPECS, ids=_spec_id)
 def test_support_outputs_matches_per_label_outputs(spec):
+    # The chunked walk, joined, holds label_outputs of each label in support order.
     q = spec.field.q
     space = all_vectors(q, spec.cols)
     vecs = np.vstack([space, space[::-1][:2]])  # repeated rows too
-    got = support_outputs(spec, vecs)
+    got = np.concatenate(list(_output_chunks(spec, vecs)))
     want = np.stack([label_outputs(lab, vecs) for lab in enumerate_support(spec)])
     assert got.shape == want.shape == (support_size(spec), vecs.shape[0], spec.rows)
     assert got.dtype == np.int64
@@ -524,7 +530,7 @@ def test_exact_rates_identical_over_several_chunks(monkeypatch, cells):
         out = []
         for spec in specs:
             space = all_vectors(spec.field.q, spec.cols)
-            out += [support_outputs(spec, space),
+            out += [np.concatenate(list(_output_chunks(spec, space))),
                     np.stack([_members_of(lab) for lab in enumerate_support(spec)]),
                     saturation_rate_exact(spec, space[::2]),
                     crp_rate_exact(spec, space[:3], space[0]),
@@ -539,19 +545,28 @@ def test_exact_rates_identical_over_several_chunks(monkeypatch, cells):
         assert np.shape(a) == np.shape(b) and np.array_equal(a, b)
 
 
-def test_exact_rates_budget_errors():
+def test_exact_rates_budget_errors(monkeypatch):
+    monkeypatch.setattr(ens, "SUPPORT_BUDGET", 100)
     spec = EnsembleSpec(UNIFORM, 2, 4, F2)  # 256 labels
     space = all_vectors(2, 4)
+    with pytest.raises(SupportBudgetError, match="2\\^8 matrices exceed the budget of 100"):
+        saturation_rate_exact(spec, space)
     with pytest.raises(SupportBudgetError, match="2\\^8 matrices"):
-        saturation_rate_exact(spec, space, budget=100)
+        crp_rate_exact(spec, space[:3], space[0])
     with pytest.raises(SupportBudgetError, match="2\\^8 matrices"):
-        crp_rate_exact(spec, space[:3], space[0], budget=100)
-    with pytest.raises(SupportBudgetError):
-        support_outputs(spec, space, budget=100)
-    with pytest.raises(SupportBudgetError):
-        syndrome_hit_rates(spec, space, budget=100)
-    with pytest.raises(SupportBudgetError):
-        support_outputs(EnsembleSpec(BINNING, 2, 2, F2), space[:, :2], budget=100)
+        next(_output_chunks(spec, space))
+    with pytest.raises(SupportBudgetError, match="2\\^8 matrices"):
+        syndrome_hit_rates(spec, space)
+    with pytest.raises(SupportBudgetError, match="2\\^8 matrices"):
+        ensemble_syndrome_hit_rate(spec, space[0])
+    with pytest.raises(SupportBudgetError, match="2\\^8 matrices"):
+        next(enumerate_support(spec))
+    with pytest.raises(SupportBudgetError, match="2\\^8 matrices"):
+        support_label(spec, 0)
+    with pytest.raises(SupportBudgetError, match="256 binning tables"):
+        next(_output_chunks(EnsembleSpec(BINNING, 2, 2, F2), space[:, :2]))
+    with pytest.raises(SupportBudgetError, match="4\\^4 sparse matrices"):
+        next(_output_chunks(EnsembleSpec(SPARSE, 2, 4, F3, column_degree=1), all_vectors(3, 4)))
 
 
 def test_base_q_codes_do_not_overflow():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hashmac import gf
 from hashmac.gf import (ENUMERATION_BUDGET, EnumerationBudgetError, FieldSpec,
                         LinearLabel, all_vectors, apply_label, coset_size,
                         enumerate_coset, rank, solve_affine, stack_labels)
@@ -129,12 +130,13 @@ def test_all_vectors_lex_order_dtype_and_layout(q, n):
     assert vecs.dtype == np.int64 and vecs.flags.c_contiguous
 
 
-def test_all_vectors_budget_error():
-    assert all_vectors(2, 4, budget=16).shape == (16, 4)
-    with pytest.raises(EnumerationBudgetError):
-        all_vectors(2, 5, budget=16)
+def test_all_vectors_budget_error(monkeypatch):
     with pytest.raises(EnumerationBudgetError):
         all_vectors(3, 16)
+    monkeypatch.setattr(gf, "ENUMERATION_BUDGET", 16)
+    assert all_vectors(2, 4).shape == (16, 4)
+    with pytest.raises(EnumerationBudgetError, match="2\\^5 vectors exceed the budget of 16"):
+        all_vectors(2, 5)
 
 
 def test_enumeration_budget_error():
@@ -144,7 +146,7 @@ def test_enumeration_budget_error():
     assert ENUMERATION_BUDGET == 1 << 24
 
 
-def test_enumeration_budget_bounds_the_coset_not_the_space():
+def test_enumeration_budget_bounds_the_coset_not_the_space(monkeypatch):
     # 2^40 ambient vectors, but a full-rank 24 x 40 label leaves 2^16 per coset.
     rng = np.random.default_rng(40)
     A = LinearLabel(F2, np.hstack([np.eye(24, dtype=np.int64),
@@ -154,6 +156,9 @@ def test_enumeration_budget_bounds_the_coset_not_the_space():
     assert sols.shape == (1 << 16, 40)
     assert ((sols @ A.matrix.T) % 2 == a).all()
     assert coset_size(A, a) == 1 << 16
+    monkeypatch.setattr(gf, "ENUMERATION_BUDGET", (1 << 16) - 1)
+    with pytest.raises(EnumerationBudgetError, match="coset size 2\\^16 exceeds"):
+        enumerate_coset(A, a)
 
 
 def test_matrix_entries_validated():

@@ -11,11 +11,9 @@ from hashmac import rng as rng_mod
 from hashmac.channel import deterministic_dmc
 from hashmac.channel import Dmc
 from hashmac.regions import (GRID_STEP, JointLaw, _constraints, _row_margins,
-                             eps_feasible, in_region_private, in_region_sw, in_region_ts,
-                             inside, joint_private, joint_sw, joint_ts, mutual_information,
-                             rate_split)
+                             in_region_private, in_region_sw, in_region_ts, inside,
+                             joint_private, joint_sw, joint_ts, mutual_information, rate_split)
 from hashmac.scenarios import reduce_common_to_private
-from hashmac.slack import RadiusError, feasibility_slack
 
 ADDER = deterministic_dmc((2, 2), 3, lambda a, b: a + b)
 XOR = deterministic_dmc((2, 2), 2, lambda a, b: (a + b) % 2)
@@ -76,29 +74,6 @@ def test_sw_region_witnesses():
     v = in_region_sw((0.1, 0.2, 0.2), law)
     assert not v.inside  # deterministic satellites leave no private rate room
     assert in_region_sw((-0.1, 0.1, 0.1), law).witness == "R0 < 0"
-
-
-def test_eps_feasible_radius_precondition():
-    law = joint_private([FAIR, FAIR], ADDER)
-    # 2*sum(eps) = 0.2 exceeds 1/8: the slack terms are undefined there.
-    with pytest.raises(RadiusError):
-        eps_feasible((0.25, 0.25), law, (0.05, 0.05), 512)
-
-
-def test_eps_feasible_deep_inside_large_n():
-    law = joint_private([FAIR, FAIR], ADDER)
-    assert eps_feasible((0.25, 0.25), law, (1e-4, 1e-4), 10**6)
-    # Boundary points stay excluded for any positive margin.
-    assert not eps_feasible((0.75, 0.75), law, (1e-4, 1e-4), 10**6)
-
-
-def test_eps_feasible_implies_membership():
-    rng = rng_mod.stream(31, "feas")
-    law = joint_private([FAIR, FAIR], ADDER)
-    for _ in range(50):
-        r = tuple(rng.random(2) * 0.8)
-        if eps_feasible(r, law, (1e-3, 1e-3), 4096):
-            assert in_region_private(r, law).inside
 
 
 def _sw_test_law():
@@ -259,15 +234,6 @@ def test_in_region_sw_verdicts_unchanged_on_grid():
         assert None in seen and len(seen) > 3
 
 
-def test_eps_feasible_sw_checks_lengths():
-    law = _sw_test_law()
-    assert eps_feasible((0.01, 0.01, 0.01), law, (1e-4,) * 3, 10**6)
-    for rates, eps in (((0.01, 0.01), (1e-4,) * 3), ((0.01,) * 3, (1e-4, 1e-4)),
-                       ((0.01, 0.01), (1e-4, 1e-4))):
-        with pytest.raises(ValueError, match="expected"):
-            eps_feasible(rates, law, eps, 10**6)
-
-
 def _random_ts_law(seed):
     rng = rng_mod.stream(seed, "ts-law")
     w = rng.integers(1, 9, size=(2, 3, 3)).astype(float)
@@ -299,28 +265,6 @@ def _ref_in_region_subsets(rates, law, cond_extra=()):
     return True, None
 
 
-def _ref_eps_feasible(rates, law, eps, n):
-    # The two branches of the old eps_feasible: cloud rows, or subset rows.
-    if "x0" in law.names:
-        slack = feasibility_slack(eps, n, law.size("x0") * law.size("x1") * law.size("x2"),
-                                  law.size("y"))
-        for _, coef, bound in _ref_sw_rows(law, include_aux=True):
-            if not sum(c * (r + e) for c, r, e in zip(coef, rates, eps)) < bound - slack:
-                return False
-        return min(rates) >= 0
-    names = [nm for nm in law.names if nm.startswith("x")]
-    cond_extra = ("u",) if "u" in law.names else ()
-    m_inputs = 1
-    for nm in names:
-        m_inputs *= law.size(nm)
-    m_cond = law.size("y") * (law.size("u") if cond_extra else 1)
-    slack = feasibility_slack(eps, n, m_inputs, m_cond)
-    if any(r < 0 for r in rates):
-        return False
-    return all(sum(rates[j] + eps[j] for j in J) < bound - slack
-               for J, bound in _ref_subset_rows(law, names, cond_extra))
-
-
 def _rate_grid(bound, k):
     # Negative, zero and interior points, plus the exact bound itself.
     return itertools.product(np.append(np.linspace(-0.05, bound, 6), 0.0), repeat=k)
@@ -336,7 +280,7 @@ def test_region_engine_matches_per_kind_loops():
     private = joint_private([np.array([0.3, 0.7]), FAIR], ADDER)
     derived, _ = reduce_common_to_private(ADDER, HAN_SETS, HAN_MAPS, (2, 2, 2))
     han = joint_private(HAN_DISTS, derived)
-    witnesses, feasible = set(), set()
+    witnesses = set()
     for law, verdict, ref in (
             (private, in_region_private, _ref_in_region_subsets),
             (han, in_region_private, _ref_in_region_subsets),
@@ -353,20 +297,12 @@ def test_region_engine_matches_per_kind_loops():
             v = verdict(point, law)
             assert (v.inside, v.witness) == ref(point, law)
             witnesses.add(v.witness)
-        # The grid plus a fine diagonal sweep, which crosses every slack edge.
-        eps = (1e-4,) * k
-        for point in itertools.chain(_rate_grid(bound, k),
-                                     ((s,) * k for s in np.linspace(0, bound / k, 101))):
-            got = eps_feasible(point, law, eps, 10**6)
-            assert got == _ref_eps_feasible(point, law, eps, 10**6)
-            feasible.add(got)
     # Every kind of verdict was reached: inside, negative rates and row witnesses.
     assert {None, "R_1 < 0", "R_2 < 0", "R0 < 0", "private rates must be nonnegative"} <= witnesses
     assert any(w and w.startswith("J={1,2}") for w in witnesses)
     assert any(w and w.startswith("J={1}") for w in witnesses)
     assert any(w and w.startswith("J={1,3}") for w in witnesses)
     assert any(w and "I(X0" in w for w in witnesses)  # a cloud-decodability row
-    assert feasible == {True, False}
 
 
 def _ref_han_table(msg_dists, msg_sets, symbol_maps, dmc):

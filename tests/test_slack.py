@@ -3,8 +3,7 @@ import math
 import pytest
 
 from hashmac.slack import (RadiusError, cond_entropy_slack, cond_typical_size_slack,
-                           entropy_slack, feasibility_slack, joint_typicality_radius,
-                           type_count_penalty, typical_size_slack)
+                           entropy_slack, type_count_penalty, typical_size_slack)
 
 
 def test_type_count_penalty_value():
@@ -38,24 +37,3 @@ def test_radius_bounds_enforced():
         entropy_slack(0.0, 2)
     with pytest.raises(RadiusError):
         cond_entropy_slack(0.05, 0.3, 2, 2)
-
-
-def test_joint_typicality_radius():
-    assert joint_typicality_radius([0.01, 0.01]) == 0.04
-
-
-def test_joint_typicality_radius_too_large():
-    with pytest.raises(RadiusError):
-        joint_typicality_radius([0.1, 0.1])
-
-
-def test_joint_typicality_radius_positive_margins():
-    with pytest.raises(ValueError):
-        joint_typicality_radius([0.01, 0.0])
-
-
-def test_feasibility_slack_is_definitional():
-    eps = [0.01, 0.01]
-    n = 512
-    want = cond_typical_size_slack(0.04, 0.04, n, 4, 3)
-    assert feasibility_slack(eps, n, 4, 3) == want
