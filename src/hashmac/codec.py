@@ -108,14 +108,14 @@ class EncodeTarget:
         """Divergence from the target of each candidate row's empirical law."""
         return conditional_divergences(cands, self.conditional, self.conditioning)
 
-    def exact_key(self, cand: np.ndarray):
-        """Exact rational key of one candidate (see _exact_key)."""
+    def exact_keys(self, cands: np.ndarray) -> list:
+        """Exact rational key of each candidate row (see _exact_key), counted in one pass."""
         mu, u = self.conditional, self.conditioning
         u_counts = np.bincount(u, minlength=mu.given_size)
-        counts = np.bincount(u * mu.size + cand, minlength=mu.given_size * mu.size)
+        counts = _count_symbols(u[None, :] * mu.size + cands, mu.given_size * mu.size)
         denoms = [int(u_counts[b]) * Fraction(float(p))
                   for b in range(mu.given_size) for p in mu.rows[b]]
-        return _exact_key(counts, denoms)
+        return _exact_keys(counts, denoms)
 
 
 def _exact_key(counts, denoms):
@@ -132,27 +132,43 @@ def _exact_key(counts, denoms):
     return Fraction(num, den)
 
 
+def _exact_keys(counts: np.ndarray, denoms) -> list:
+    """_exact_key of each row of counts; equal rows share one key, computed once."""
+    keys, memo = [], {}
+    for row in map(tuple, counts.tolist()):
+        if row not in memo:
+            memo[row] = _exact_key(row, denoms)
+        keys.append(memo[row])
+    return keys
+
+
+def _least_key(keys: list) -> int:
+    """Position of the first least finite key; 0 if none is finite."""
+    finite = [k for k in keys if k is not None]
+    return keys.index(min(finite)) if finite else 0
+
+
 def _tie_limit(best: float) -> float:
     """Largest score in the tie group of a finite minimum `best`."""
     return best * (1.0 + REL_TOL) + ABS_TOL
 
 
-def _tie_indices(dvals: np.ndarray) -> np.ndarray:
-    """Ascending indices of the float tie group of the minimum."""
-    m = dvals.min()
-    if np.isinf(m):
-        return np.flatnonzero(np.isinf(dvals))
-    return np.flatnonzero(dvals <= _tie_limit(m))
+def tie_groups(dvals: np.ndarray, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The float tie group of the minimum of each run of scores, in whole-array ops.
+
+    Run r is dvals[edges[r]:edges[r + 1]]; edges rise strictly from 0 to
+    dvals.size.  Returns (ties, bounds): the ascending indices of every
+    run's tie group, run r's being ties[bounds[r]:bounds[r + 1]].  A run
+    whose minimum is infinite ties whole.
+    """
+    low = np.minimum.reduceat(dvals, edges[:-1])
+    ties = (dvals <= np.repeat(_tie_limit(low), np.diff(edges))).nonzero()[0]
+    return ties, np.searchsorted(ties, edges)
 
 
-def _refine_exact(ties: np.ndarray, key_fn) -> np.ndarray:
-    keys = [key_fn(int(i)) for i in ties]
-    finite = [k for k in keys if k is not None]
-    if not finite:
-        return ties
-    best = min(finite)
-    keep = [i for i, k in zip(ties, keys) if k is not None and k == best]
-    return np.asarray(keep, dtype=np.int64)
+def exact_min(cands: np.ndarray, target: EncodeTarget) -> int:
+    """Index of the first lex-sorted GF(2) candidate of least exact key (0 if none is finite)."""
+    return _least_key(target.exact_keys(cands))
 
 
 def min_div_member(cands: np.ndarray, target: EncodeTarget, q: int) -> int:
@@ -161,9 +177,10 @@ def min_div_member(cands: np.ndarray, target: EncodeTarget, q: int) -> int:
     The encoder's total order: float divergence, exact refinement of the
     tie group on GF(2), then the first (lexicographically smallest) row.
     """
-    ties = _tie_indices(target.divergences(cands))
+    dvals = target.divergences(cands)
+    ties = (dvals <= _tie_limit(dvals.min())).nonzero()[0]  # tie_groups of one run
     if ties.size > 1 and q == 2:
-        ties = _refine_exact(ties, lambda i: target.exact_key(cands[i]))
+        return int(ties[exact_min(cands[ties], target)])
     return int(ties[0])
 
 
@@ -262,7 +279,9 @@ class MinDivDecoder:
                         if all(q == 2 for q in self._qs) else None)
         self._chunk = max(1, SCAN_CHUNK_CELLS // max(n, 1))
         if total <= self._chunk:
-            self._static = next(self._product([np.arange(m) for m in sizes]))[1]
+            # Position-major, so a position's y cell is added along the
+            # contiguous candidate axis.
+            self._static = next(self._product([np.arange(m) for m in sizes]))[1].T.copy()
             return
         self._static = None
         self._lead = int(np.argmax(sizes))
@@ -320,10 +339,16 @@ class MinDivDecoder:
             yield np.ravel_multi_index(idxs, self.sizes), cells
 
     def _divergences(self, cells: np.ndarray, y_cells: np.ndarray) -> np.ndarray:
-        m = cells.shape[0]
+        """Score of each candidate from its shifted y-free cells, in either layout.
+
+        y_cells broadcasts against cells: (n,) against candidate-major
+        cells, (n, 1) against position-major ones.
+        """
         counts = np.bincount((cells + y_cells).ravel(),
-                             minlength=m * self._n_cells).reshape(m, self._n_cells)
-        return self._terms.take(counts + self._term_rows).sum(axis=-1) / self.n
+                             minlength=cells.size // self.n * self._n_cells)
+        counts = counts.reshape(-1, self._n_cells)
+        counts += self._term_rows
+        return self._terms.take(counts).sum(axis=-1) / self.n
 
     def _row_bounds(self, j: int, ctx: np.ndarray) -> np.ndarray:
         """Count bound of every row of coset j: one bincount and one gather."""
@@ -375,23 +400,23 @@ class MinDivDecoder:
         top = _tie_limit(best)
         return np.sort(np.concatenate([idx[dv <= top] for idx, dv in kept]))
 
-    def _key(self, base: np.ndarray, flat: int):
+    def _keys(self, base: np.ndarray, flats: np.ndarray) -> list:
+        """Exact key of each candidate in flats, all counted in one bincount."""
         cells = base
-        for contrib, i in zip(self._contribs, np.unravel_index(flat, self.sizes)):
-            cells = cells + contrib[i]
-        counts = np.bincount(cells, minlength=self._n_cells)
-        return _exact_key(counts, self._denoms)
+        for contrib, idx in zip(self._contribs, np.unravel_index(flats, self.sizes)):
+            cells = cells + contrib[idx]
+        return _exact_keys(_count_symbols(cells, self._n_cells), self._denoms)
 
     def _ties(self, y: np.ndarray) -> np.ndarray:
         """Sorted flat indices of the tie group, before exact refinement."""
         y_cells = y * self._y_stride
         if self._static is None:
             return self._search_ties(y_cells, self._ctx_u + y)
-        dv = self._divergences(self._static, y_cells)
+        dv = self._divergences(self._static, y_cells[:, None])
         low = dv.min()
         if np.isinf(low):  # every candidate misses the model support; lex-first wins
             return np.zeros(1, dtype=np.int64)
-        return np.flatnonzero(dv <= _tie_limit(low))
+        return (dv <= _tie_limit(low)).nonzero()[0]
 
     def rows(self, y) -> tuple[int, ...]:
         """Index of the decoded row in each sender's coset; keeps nothing per y."""
@@ -401,10 +426,10 @@ class MinDivDecoder:
         if y.view(np.uint64).max(initial=0) >= self._n_out:  # a negative symbol reads huge
             raise ValueError("output symbol outside the model axis")
         ties = self._ties(y)
+        pick = ties[0]
         if ties.size > 1 and self._denoms is not None:
-            base = self._base + y * self._y_stride
-            ties = _refine_exact(ties, lambda flat: self._key(base, flat))
-        return tuple(int(i) for i in np.unravel_index(int(ties[0]), self.sizes))
+            pick = ties[_least_key(self._keys(self._base + y * self._y_stride, ties))]
+        return tuple(map(int, np.unravel_index(pick, self.sizes)))
 
     def __call__(self, y) -> tuple[np.ndarray, ...]:
         return tuple(c[i] for c, i in zip(self.cosets, self.rows(y)))

@@ -14,16 +14,17 @@ coded:
   cloud has no rows and its codeword is all zeros, fixed at build time like
   a shared u.
 
-A failed trial's stage is read from joint count tables: the encoder and
-empirical-mi stages from the context and sender codewords alone, the
-channel stage with the channel output too.
+A failed trial's encoder stage is read from the scores the encoder kept
+with each codeword; the empirical-mi stage from a joint count table of the
+context and sender codewords, and the channel stage from one with the
+channel output too.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -36,7 +37,7 @@ from .channel import Dmc, sample_channel  # noqa: F401
 # here; they stay importable from this module because perfbench/spans.py
 # traces them at this import site.
 from .codec import (AllCosetsEmptyError, EmptyCosetError, EncodeTarget,  # noqa: F401
-                    MinDivDecoder, min_div_decode, min_div_encode, min_div_member)
+                    MinDivDecoder, exact_min, min_div_decode, min_div_encode, tie_groups)
 from .empirical import (_entropy_counts, count_divergence, divergence_to,  # noqa: F401
                         is_cond_typical, joint_counts, seq_mutual_multi)
 from .ensembles import EnsembleSpec, UNIFORM, estimate_hash_params, sample  # noqa: F401
@@ -158,24 +159,34 @@ class CodeInstance:
 
     @cached_property
     def codebooks(self) -> tuple[dict, ...]:
-        """Per-component message index -> codeword tables, filled on first use.
+        """Per component, context -> message index -> (codeword, score), filled on first use.
 
-        A satellite of a cloud is keyed by cloud_index * q^rows + own_index,
-        since its target is conditioned on the cloud codeword.  An empty
-        coset is stored as its error text, never as the raised exception,
-        whose traceback would keep every failing trial's frames alive.
+        The context is the cloud index for a satellite of a cloud, whose
+        target is conditioned on the cloud codeword, and 0 otherwise.  Each
+        context's table is a _Codebook, made by one scoring pass (_fill) on
+        its first lookup; a score is the codeword's divergence from its
+        target law.
         """
         return tuple({} for _ in self.message_maps)
 
     @cached_property
+    def fixed_scores(self) -> tuple[float, ...]:
+        """Score of each component fixed at build time: a one-point cloud's codeword u."""
+        zeros = np.zeros(self.n, dtype=np.int64)
+        return tuple(float(EncodeTarget.for_conditional(x, zeros).divergences(self.u[None, :])[0])
+                     for x in self.cond_inputs[:self.fixed])
+
+    @cached_property
     def sent(self) -> dict:
-        """Message-index tuple -> [codewords, channel-CDF row of each position, y-free stage].
+        """Message-index tuple -> [codewords, scores, channel-CDF row per position, y-free stage].
 
         Filled as tuples are drawn, so it holds at most one entry per
         distinct tuple.  A tuple with an empty coset has codewords None.
-        The y-free stage (the encoder and empirical-mi stages, which read
-        the codewords and the context but never y) is classified when the
-        tuple first fails.
+        The scores are each codeword's divergence from its target law, a
+        cloud center's first.  The y-free stage (the encoder stage, read
+        from the scores, and the empirical-mi stage, from the codewords and
+        the context; neither reads y) is classified when the tuple first
+        fails.
         """
         return {}
 
@@ -207,6 +218,22 @@ class CodeInstance:
         f = self.fixed
         return tuple(apply_label_many(mm, c) @ w for mm, c, w in
                      zip(self.message_maps[f:], self.decoder.cosets, self.place_values[f:]))
+
+    @cached_property
+    def message_runs(self) -> tuple[tuple[np.ndarray, np.ndarray, list], ...]:
+        """Per decoded component, its coset rows grouped by message: (order, edges, messages).
+
+        order lists the rows by message index, in lex order within a
+        message (a stable sort); run r, order[edges[r]:edges[r + 1]],
+        holds the rows of messages[r], and messages ascend.
+        """
+        out = []
+        for msgs in self.coset_messages:
+            order = np.argsort(msgs, kind="stable")
+            ranked = msgs[order]
+            edges = np.flatnonzero(np.concatenate(([True], ranked[1:] != ranked[:-1], [True])))
+            out.append((order, edges, ranked[edges[:-1]].tolist()))
+        return tuple(out)
 
 
 def _round_rows(n: int, rate: float, q: int) -> int:
@@ -345,42 +372,74 @@ def build_superposition_code(mu_cloud, cond1, cond2, dmc: Dmc, rates, eps, n: in
                   rates, eps, n, rng, ensemble_factory, check_region)
 
 
-def _codeword(code: CodeInstance, i: int, key: int, message: int, ctx) -> np.ndarray:
-    """Component i's codeword for message index `message`, from its codebook or _fill."""
-    book = code.codebooks[i]
-    x = book.get(key)
-    if x is None:
-        x = book[key] = _fill(code, i, message, ctx)
-    if isinstance(x, str):
-        raise EmptyCosetError(x)
-    return x
+class _Codebook(dict):
+    """One context's codewords of a component: message index -> (codeword, score).
+
+    An entry is made on a message's first lookup, from the runs _fill
+    scored: messages[r] is carried by the coset rows of run r, whose float
+    tie group is rows[bounds[r]:bounds[r + 1]] with its scores.  A group
+    of more than one member is refined exactly when `exact` (GF(2)).  A
+    message no coset row carries raises a fresh EmptyCosetError on every
+    lookup, so no exception, whose traceback would keep a failing trial's
+    frames alive, is ever stored.
+    """
+
+    def __init__(self, error: str, coset=None, target=None, exact=False, runs=([], [], [], [])):
+        super().__init__()
+        self.error, self.coset, self.target, self.exact = error, coset, target, exact
+        self.messages, self.bounds, self.rows, self.scores = runs
+
+    def __missing__(self, message):
+        r = bisect_left(self.messages, message)
+        if r == len(self.messages) or self.messages[r] != message:
+            raise EmptyCosetError(self.error)
+        pick, end = self.bounds[r], self.bounds[r + 1]
+        if self.exact and end - pick > 1:
+            pick += exact_min(self.coset[self.rows[pick:end]], self.target)
+        entry = self[message] = (self.coset[self.rows[pick]], float(self.scores[pick]))
+        return entry
 
 
-def _fill(code: CodeInstance, i: int, message: int, ctx):
-    """Component i's codeword for `message`, or the error text of an empty coset.
+def _codeword(code: CodeInstance, i: int, key: int, message: int, ctx):
+    """Component i's (codeword, score) for message index `message` given context ctx.
 
-    The stacked coset {x : A_i x = s_i, A'_i x = message} is the rows of
-    the decoder's check coset that carry the message, in the same lex
-    order, so min_div_member picks the codeword min_div_encode would.  A
-    None context is the one-symbol context of a cloud center.
+    `key` is the context's key in the codebooks (see codebooks).
+    """
+    books = code.codebooks[i]
+    book = books.get(key)
+    if book is None:
+        book = books[key] = _fill(code, i, ctx)
+    return book[message]
+
+
+def _fill(code: CodeInstance, i: int, ctx) -> _Codebook:
+    """Component i's codebook in the context sequence ctx, from one scoring pass.
+
+    The stacked coset {x : A_i x = s_i, A'_i x = m} is the rows of the
+    decoder's check coset that carry m, in the same lex order.  So every
+    row is scored once, and each message's run of rows gives the codeword
+    min_div_encode would: the float tie group of the run's minimum
+    (tie_groups), refined exactly on GF(2), then its first row.  A None
+    context is the one-symbol context of a cloud center.
     """
     if code.decoder is None:
-        return "a check syndrome is unreachable for its matrix"
+        return _Codebook("a check syndrome is unreachable for its matrix")
     j = i - code.fixed
     coset = code.decoder.cosets[j]
-    rows = np.flatnonzero(code.coset_messages[j] == message)
-    if rows.size == 0:
-        return (f"no vector satisfies the {code.checks[i].rows}+"
-                f"{code.message_maps[i].rows} constraints")
     if ctx is None:
         ctx = np.zeros(code.n, dtype=np.int64)
     target = EncodeTarget.for_conditional(code.cond_inputs[i], ctx)
-    pick = min_div_member(coset[rows], target, code.checks[i].field.q)
-    return coset[rows[pick]]  # a read-only row of the decoder's coset
+    order, edges, messages = code.message_runs[j]
+    scores = target.divergences(coset)[order]
+    ties, bounds = tie_groups(scores, edges)
+    return _Codebook(f"no vector satisfies the {code.checks[i].rows}+"
+                     f"{code.message_maps[i].rows} constraints",
+                     coset, target, code.checks[i].field.q == 2,
+                     (messages, bounds, order[ties], scores[ties]))
 
 
-def _encode(code: CodeInstance, msgs) -> tuple[np.ndarray, ...]:
-    """Every component's codeword for the message indices `msgs`, a cloud center's first.
+def _encode(code: CodeInstance, msgs) -> tuple[tuple[np.ndarray, ...], tuple[float, ...]]:
+    """Every component's codeword and score for the message indices `msgs`, a cloud center's first.
 
     The context is u when it is fixed, else the cloud codeword, which is
     coded given a context of one symbol.
@@ -389,10 +448,15 @@ def _encode(code: CodeInstance, msgs) -> tuple[np.ndarray, ...]:
     cloud = msgs[0] if c else 0
     ctx = code.u
     if ctx is None:
-        ctx = _codeword(code, 0, cloud, cloud, None)
-    counts = code.message_counts
-    return (ctx,) * c + tuple(_codeword(code, i, cloud * counts[i] + msgs[i], msgs[i], ctx)
-                              for i in range(c, code.k_messages))
+        ctx, score = _codeword(code, 0, 0, cloud, None)
+        xs, scores = [ctx], [score]
+    else:
+        xs, scores = [ctx] * c, list(code.fixed_scores)
+    for i in range(c, code.k_messages):
+        x, score = _codeword(code, i, cloud, msgs[i], ctx)
+        xs.append(x)
+        scores.append(score)
+    return tuple(xs), tuple(scores)
 
 
 def _message_index(code: CodeInstance, i: int, message) -> int:
@@ -408,7 +472,7 @@ def encode_components(code: CodeInstance, messages) -> tuple[np.ndarray, ...]:
     """Every component's codeword for one digit sequence per message, a cloud center's first."""
     if len(messages) != code.k_messages:
         raise ValueError(f"expected {code.k_messages} messages")
-    return _encode(code, [_message_index(code, i, m) for i, m in enumerate(messages)])
+    return _encode(code, [_message_index(code, i, m) for i, m in enumerate(messages)])[0]
 
 
 def decode_components(code: CodeInstance, y):
@@ -460,21 +524,23 @@ def reduce_common_to_private(dmc: Dmc, msg_sets, symbol_maps, aux_sizes):
     return derived, to_physical
 
 
-def _stage_without_y(code: CodeInstance, xs) -> str | None:
+def _stage_without_y(code: CodeInstance, xs, scores) -> str | None:
     """The encoder or empirical-mi stage of codewords xs, or None if both pass.
 
-    Both are marginals of one count table of (context, senders) against the
-    code's laws; neither reads the channel output.
+    scores holds each codeword's divergence from its target law, as the
+    encoder computed it: the number count_divergence reads from the joint
+    count table of the context and that codeword, summed over the same
+    cells in the same order.  The empirical-mi stage is read from one
+    count table of (context, senders).  Neither reads the channel output.
     """
-    g, c, n = code.gamma, code.n_cloud, code.n
+    if not all(s < code.gamma for s in scores):
+        return STAGE_ENCODER
+    n = code.n
     ctx = code.u if code.u is not None else xs[0]
-    table = joint_counts((ctx,) + tuple(xs[c:]), code.law.table.shape[:-1])
+    table = joint_counts((ctx,) + tuple(xs[code.n_cloud:]), code.law.table.shape[:-1])
     axes = range(table.ndim)
     ctx_counts = table.sum(axis=tuple(axes[1:]))
     senders = [table.sum(axis=tuple(a for a in axes[1:] if a != j)) for j in axes[1:]]
-    given = [ctx_counts[None, :]] * c + senders  # a cloud's context is one symbol
-    if not all(count_divergence(t, x.rows) < g for t, x in zip(given, code.cond_inputs)):
-        return STAGE_ENCODER
     h_ctx = _entropy_counts(ctx_counts, n)
     h_each = sum(_entropy_counts(t.ravel(), n) - h_ctx for t in senders)
     h_joint = _entropy_counts(table.ravel(), n) - h_ctx
@@ -546,11 +612,11 @@ def _draw(code: CodeInstance, bits) -> tuple[tuple[int, ...], list[float]]:
 def _send(code: CodeInstance, msgs) -> list:
     """The entry of `code.sent` for the message-index tuple msgs."""
     try:
-        xs = _encode(code, msgs)
+        xs, scores = _encode(code, msgs)
     except EmptyCosetError:
-        return [None, None, STAGE_EMPTY]
+        return [None, None, None, STAGE_EMPTY]
     cells = np.dot(code.dmc.strides, xs[code.n_cloud:]).tolist()
-    return [xs, list(map(code.dmc.cdf_rows.__getitem__, cells)), _UNCLASSIFIED]
+    return [xs, scores, list(map(code.dmc.cdf_rows.__getitem__, cells)), _UNCLASSIFIED]
 
 
 _UNCLASSIFIED = object()  # y-free stage of a tuple that has not failed yet
@@ -572,7 +638,7 @@ def run_trial(code: CodeInstance, rng: np.random.Generator) -> TrialResult:
     entry = code.sent.get(msgs)
     if entry is None:
         entry = code.sent[msgs] = _send(code, msgs)
-    xs, cdf_rows, stage = entry
+    xs, scores, cdf_rows, stage = entry
     if xs is None:
         return _FAILURES[stage]
     # y is built from a list, at its final length: a tuple grown from an
@@ -585,7 +651,7 @@ def run_trial(code: CodeInstance, rng: np.random.Generator) -> TrialResult:
     if all(t[r] == m for t, r, m in zip(code.coset_messages, rows, msgs[code.fixed:])):
         return _SUCCESS
     if stage is _UNCLASSIFIED:
-        stage = entry[2] = _stage_without_y(code, xs)
+        stage = entry[3] = _stage_without_y(code, xs, scores)
     return _FAILURES[stage or _channel_stage(code, xs, y)]
 
 

@@ -10,7 +10,7 @@ import pytest
 
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hashmac import rng as rng_mod
@@ -141,6 +141,102 @@ def test_superposition_encoder_table_matches_one_shot():
         check_encoder(make(), encode_components, expected_superposition)
 
 
+def check_entry(code, i, context, m, ctx, want):
+    """Component i's codebook entry for message index m against min_div_encode's codeword."""
+    if want is None:
+        with pytest.raises(EmptyCosetError):
+            scenarios._codeword(code, i, context, m, ctx)
+        return
+    x, score = scenarios._codeword(code, i, context, m, ctx)
+    assert (x == want).all(), (i, context, m)
+    seq = np.zeros(code.n, dtype=np.int64) if ctx is None else ctx
+    target = EncodeTarget.for_conditional(code.cond_inputs[i], seq)
+    assert score == target.divergences(want[None, :])[0]
+
+
+def check_codebooks(code):
+    """Every component's codebook, in every context it can be asked for, message by message."""
+    contexts = [(0, code.u)]
+    if code.u is None:  # the cloud codewords are the satellites' contexts
+        contexts = []
+        for m, digits in enumerate(all_messages(code, 0)):
+            want = one_shot(code, 0, digits, None)
+            check_entry(code, 0, 0, m, None, want)
+            if want is not None:
+                contexts.append((m, want))
+    for i in range(code.n_cloud, code.k_messages):
+        for context, ctx in contexts:
+            for m, digits in enumerate(all_messages(code, i)):
+                check_entry(code, i, context, m, ctx, one_shot(code, i, digits, ctx))
+
+
+def drawn_law(draw, size):
+    """A law of `size` symbols with positive integer weights."""
+    w = np.array(draw(st.lists(st.integers(1, 7), min_size=size, max_size=size)), dtype=float)
+    return w / w.sum()
+
+
+@st.composite
+def codebook_codes(draw):
+    """Small decodable codes of every kind: private GF(2) and GF(3), time sharing, uniform
+    targets (whole weight classes tie), clouds and one-point clouds.
+
+    A margin of 0.3 leaves several check-coset rows per message, a cloud's
+    included, so the target law decides each pick.
+    """
+    kind = draw(st.sampled_from(("private-gf2", "private-gf3", "time-sharing", "uniform",
+                                 "cloud", "one-point")))
+    n = draw(st.integers(4, 6))
+    eps = draw(st.sampled_from((0.05, 0.3)))
+    rate = draw(st.sampled_from((0.0, 0.2, 0.34)))
+    q = 3 if kind == "private-gf3" else 2
+    m = 2 if kind in ("time-sharing", "cloud") else 1
+    ctx_law = drawn_law(draw, m)
+    conds = [np.stack([drawn_law(draw, q) for _ in range(m)]) for _ in range(2)]
+    if kind == "uniform":
+        conds = [np.full((1, 2), 0.5)] * 2
+    dmc = noisy_adder(q, 1 / 16 if q == 2 else 1 / 40)
+    seed = draw(st.integers(0, 2**32 - 1))
+    for attempt in range(10):
+        rng = rng_mod.stream(seed, "codebook", attempt)
+        try:
+            if kind in ("cloud", "one-point"):
+                r0 = 0.0 if kind == "one-point" else draw(st.sampled_from((0.2, 0.34)))
+                code = build_superposition_code(ctx_law, conds[0], conds[1], dmc,
+                                                (r0, rate, rate), (eps,) * 3, n, rng,
+                                                check_region=False)
+            else:
+                code = build_private_code(ctx_law, conds, dmc, (rate, rate), (eps, eps), n,
+                                          rng, check_region=False)
+        except scenarios.InfeasibleRateError:
+            continue
+        if code.decoder is not None:
+            return code
+    assume(False)
+
+
+@settings(max_examples=80, deadline=None)
+@given(codebook_codes())
+def test_codebook_gives_min_div_encode_codeword(code):
+    check_codebooks(code)
+
+
+def test_codebook_covers_exact_ties_and_multi_row_clouds(monkeypatch):
+    """Fixed codes on which the per-context codebook refines tie groups and weighs clouds."""
+    uniform = decodable(lambda rng: build_private_code(
+        [1.0], [np.full((1, 2), 0.5)] * 2, noisy_adder(2, 1 / 16), (0.2, 0.2), (0.3, 0.3), 6,
+        rng, check_region=False))
+    cloud = decodable(lambda rng: build_superposition_code(
+        [0.75, 0.25], np.array([[0.75, 0.25], [0.25, 0.75]]), np.array([[0.5, 0.5]] * 2),
+        noisy_adder(2, 1 / 16), (0.2, 0.2, 0.2), (0.3, 0.3, 0.3), 6, rng, check_region=False))
+    refined = counting(monkeypatch, "exact_min")
+    for code in (uniform, cloud):
+        check_codebooks(code)
+    assert refined  # some message's float tie group needed exact refinement
+    # The cloud's messages each have several coset rows, so its target picks among them.
+    assert (np.diff(cloud.message_runs[0][1]) > 1).all()
+
+
 def random_outputs(code, count):
     rng = rng_mod.stream(SEED, "compiled", "y")
     return [rng.integers(code.dmc.output_size, size=code.n) for _ in range(count)]
@@ -201,8 +297,16 @@ def test_empty_coset_raises_fresh_error_every_call(monkeypatch):
         with pytest.raises(EmptyCosetError) as err:
             encode_components(code, bad)
         raised.append(err.value)
-    assert len(calls) == 1  # later calls hit the stored empty entry
+    assert len(calls) == 1  # later calls hit the context's stored codebook
     assert raised[0] is not raised[1] and raised[1] is not raised[2]
+    # Every other message of either sender comes from the same two codebooks,
+    # one per (component, context): u is the only context.
+    for msgs in itertools.product(*(all_messages(code, i) for i in range(2))):
+        try:
+            encode_components(code, msgs)
+        except EmptyCosetError:
+            pass
+    assert len(calls) == 2
 
 
 def test_unreachable_check_syndrome_builds_decoder_once(monkeypatch):

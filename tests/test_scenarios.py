@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -10,8 +11,8 @@ from hypothesis import strategies as st
 from hashmac import ensembles, rng as rng_mod, scenarios
 from hashmac.channel import Dmc, deterministic_dmc, sample_channel
 from hashmac.codec import EmptyCosetError, MinDivDecoder
-from hashmac.empirical import (conditional_divergences, divergence_to, is_cond_typical,
-                               seq_mutual_multi)
+from hashmac.empirical import (conditional_divergences, count_divergence, divergence_to,
+                               is_cond_typical, joint_counts, seq_mutual_multi)
 from hashmac.gf import FieldSpec, LinearLabel, all_vectors, apply_label
 from hashmac.prob import CondPmf
 from hashmac.scenarios import (InfeasibleRateError, RADIUS, STAGE_CHANNEL, STAGE_EMPTY,
@@ -392,6 +393,21 @@ def _classify_by_sequences(code, xs, y):
     return STAGE_DECODER
 
 
+def _scores_from_counts(code, xs):
+    """Each codeword's divergence from its target law, read from the joint count table.
+
+    The encoder check of the stage classifier, done from counts apart from
+    the scores the encoder keeps.
+    """
+    c = code.n_cloud
+    ctx = code.u if code.u is not None else xs[0]
+    table = joint_counts((ctx,) + tuple(xs[c:]), code.law.table.shape[:-1])
+    axes = range(1, table.ndim)
+    senders = [table.sum(axis=tuple(a for a in axes if a != j)) for j in axes]
+    given = [table.sum(axis=tuple(axes))[None, :]] * c + senders  # a cloud's context is one symbol
+    return tuple(count_divergence(t, x.rows) for t, x in zip(given, code.cond_inputs))
+
+
 def _random_code(rng, kind):
     """A private, time-sharing, cloud or one-point-cloud code over GF(2) or GF(3)."""
     q = int(rng.choice([2, 3]))
@@ -465,7 +481,8 @@ def test_classifier_matches_sequence_tests():
             for g in (0.005, 0.01, 0.02, 0.04, 0.08, 0.125):
                 at = dataclasses.replace(code, gamma=g)
                 want = _classify_by_sequences(at, xs, y)
-                got = _stage_without_y(at, xs) or _channel_stage(at, xs, y)
+                got = (_stage_without_y(at, xs, _scores_from_counts(at, xs))
+                       or _channel_stage(at, xs, y))
                 assert got == want, (kind, g)
                 seen.add(want)
                 compared += 1
@@ -620,7 +637,8 @@ def _reference_trial(code, rng):
     got, _ = decode_components(code, y)
     if all(np.array_equal(g, m) for g, m in zip(got, msgs)):
         return TrialResult(True)
-    return TrialResult(False, _stage_without_y(code, xs) or _channel_stage(code, xs, y))
+    stage = _stage_without_y(code, xs, _scores_from_counts(code, xs))
+    return TrialResult(False, stage or _channel_stage(code, xs, y))
 
 
 def _one_point_cloud_code():
@@ -728,6 +746,22 @@ def test_sent_table_holds_one_entry_per_drawn_tuple():
         drawn = {_draw(code, rng_mod.stream(SEED, *path, t).bit_generator)[0]
                  for t in range(trials)}
         assert set(code.sent) == drawn, name
+
+
+def test_sent_scores_equal_count_divergence():
+    """The encoder's stored scores are the classifier's from-counts divergences, exactly."""
+    codes = dict(_equivalence_codes(), one_point_cloud=_one_point_cloud_code())
+    for name, code in codes.items():
+        simulate_error(code, 60, SEED, ("scores",))
+        sent = [(xs, scores) for xs, scores, _, _ in code.sent.values() if xs is not None]
+        assert sent, name
+        for msgs in itertools.product(*map(range, code.message_counts)):
+            try:
+                sent.append(scenarios._encode(code, msgs))
+            except EmptyCosetError:
+                pass
+        for xs, scores in sent:
+            assert scores == _scores_from_counts(code, xs), name
 
 
 def test_radius_copy_gets_its_own_sent_table():
