@@ -425,6 +425,11 @@ class MinDivDecoder:
             raise ValueError("y length must equal the block length")
         if y.view(np.uint64).max(initial=0) >= self._n_out:  # a negative symbol reads huge
             raise ValueError("output symbol outside the model axis")
+        return self._rows(y)
+
+    def _rows(self, y) -> tuple[int, ...]:
+        """`rows` without the checks on y, for outputs valid by construction."""
+        y = np.asarray(y, dtype=np.int64)
         ties = self._ties(y)
         pick = ties[0]
         if ties.size > 1 and self._denoms is not None:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -221,21 +222,33 @@ def collision_prob(spec: EnsembleSpec, u, u2) -> float:
     return float(collision_by_weight(spec)[w])
 
 
+@functools.cache
+def _alpha_grid() -> tuple:
+    """(alpha, alpha as an exact Fraction) for each ALPHA_GRID point, made on first use."""
+    return tuple((a, Fraction(a).limit_denominator(10**9)) for a in map(float, ALPHA_GRID))
+
+
 def _alpha_sweep(spec: EnsembleSpec, probs):
     """(alpha, beta) minimizing alpha + beta over ALPHA_GRID.
 
     probs are the exact collision probabilities of the weights 1..n.  The
-    masses are integer numerators over one common denominator, so each beta
-    is one Fraction.
+    masses are integer numerators over one common denominator, kept as
+    suffix sums in ascending order of probability: the weights whose
+    probability exceeds alpha/|range| are the suffix past bisect_right, so
+    each beta is one Fraction.
     """
     q, n = spec.field.q, spec.cols
     den = math.lcm(*(p.denominator for p in probs))
     masses = [math.comb(n, w) * (q - 1) ** w * p.numerator * (den // p.denominator)
               for w, p in enumerate(probs, 1)]
+    order = sorted(range(n), key=probs.__getitem__)
+    scaled = [probs[i] * spec.im_size for i in order]  # p > alpha/|range| iff p*|range| > alpha
+    suffix = [0] * (n + 1)
+    for k in reversed(range(n)):
+        suffix[k] = suffix[k + 1] + masses[order[k]]
     best = None
-    for alpha in map(float, ALPHA_GRID):
-        thr = Fraction(alpha).limit_denominator(10**9) / spec.im_size
-        beta = float(Fraction(sum(m for m, p in zip(masses, probs) if p > thr), den))
+    for alpha, exact in _alpha_grid():
+        beta = float(Fraction(suffix[bisect_right(scaled, exact)], den))
         if best is None or alpha + beta < best[0] - 1e-15:
             best = (alpha + beta, alpha, beta)
     return best[1:]

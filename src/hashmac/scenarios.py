@@ -647,7 +647,7 @@ def run_trial(code: CodeInstance, rng: np.random.Generator) -> TrialResult:
     y = tuple(list(map(bisect_right, cdf_rows, uniforms)))
     rows = code.decoded.get(y)
     if rows is None:
-        rows = code.decoded[y] = code.decoder.rows(y)
+        rows = code.decoded[y] = code.decoder._rows(y)  # y is valid by construction
     if all(t[r] == m for t, r, m in zip(code.coset_messages, rows, msgs[code.fixed:])):
         return _SUCCESS
     if stage is _UNCLASSIFIED:

@@ -204,8 +204,7 @@ def types_suite(ns=(4, 6, 8, 10), gammas=(0.01, 0.05, 0.125),
         lam4 = slack.type_count_penalty(n, 4)
         for g in gammas:
             atyp = ~(d_cond < g)
-            sums = np.zeros(2**n)
-            np.add.at(sums, v_id[atyp], np.exp2(logp[atyp]))
+            sums = np.bincount(v_id[atyp], weights=np.exp2(logp[atyp]), minlength=2**n)
             cases += 2**n
             viol += int((sums > 2 ** (-n * (g - lam4)) * (1 + 1e-9)).sum())
     reports.append(LemmaReport("atypical-mass-bound", cases, viol))
@@ -226,20 +225,17 @@ def types_suite(ns=(4, 6, 8, 10), gammas=(0.01, 0.05, 0.125),
                     viol += 1
     for n in pair_ns:
         _, _, v_id, _, _, d_v, d_cond, _, _ = pairs[n]
+        # One case per typical v: its count of conditionally typical u.
+        per_v = {gp: np.bincount(v_id[d_cond < gp], minlength=2**n) for gp in gammas}
         for g in gammas:
-            v_typical_ids = np.unique(v_id[d_v < g])
+            v_typical = np.bincount(v_id[d_v < g], minlength=2**n) > 0
             for gp in gammas:
                 eta_c = slack.cond_typical_size_slack(gp, g, n, 2, 2)
-                counts_per_v = np.zeros(2**n, dtype=np.int64)
-                np.add.at(counts_per_v, v_id[d_cond < gp], 1)
-                for vid in v_typical_ids:
-                    cases += 1
-                    cnt = int(counts_per_v[vid])
-                    if cnt == 0:
-                        vac += 1
-                        continue
-                    if not abs(math.log2(cnt) / n - h_cond_model) <= eta_c + 1e-9:
-                        viol += 1
+                cnt = per_v[gp][v_typical]
+                cases += cnt.size
+                vac += int((cnt == 0).sum())
+                dev = np.abs(np.log2(cnt[cnt > 0]) / n - h_cond_model)
+                viol += int((~(dev <= eta_c + 1e-9)).sum())
     reports.append(LemmaReport("typical-set-size", cases, viol, vac))
     return reports
 
@@ -448,33 +444,39 @@ def _ref_select(cands, div_fn, key_fn, exact: bool):
     return cands[ties[0]]
 
 
+def _ref_space(n):
+    """All 2^n binary vectors in lexicographic order, one per row."""
+    return np.array(list(itertools.product((0, 1), repeat=n)), dtype=np.int64).reshape(2**n, n)
+
+
 def _ref_encode(label_rows, targets, n, mu, u):
     """Reference scan over all 2^n vectors; mu is marginal when u is None."""
-    sols = []
-    for bits in itertools.product((0, 1), repeat=n):
-        x = np.array(bits, dtype=np.int64)
-        if all(((rows @ x) % 2 == t).all() for rows, t in zip(label_rows, targets)):
-            sols.append(x)
+    space = _ref_space(n)
+    keep = np.ones(space.shape[0], dtype=bool)
+    for rows, t in zip(label_rows, targets):  # a label with no rows keeps every vector
+        keep &= ((space @ rows.T) % 2 == t).all(axis=1)
+    sols = list(space[keep])
     if not sols:
         return None
 
     if u is None:
         def div_fn(x):
-            counts = Counter(int(s) for s in x)
+            counts = Counter(x.tolist())
             return _ref_div_cells(counts, lambda a: n * mu[a], n)
 
         def key_fn(x):
-            counts = Counter(int(s) for s in x)
+            counts = Counter(x.tolist())
             return _ref_key_cells(counts, lambda a: n * Fraction(float(mu[a])))
     else:
-        cv = Counter(int(b) for b in u)
+        u = [int(b) for b in u]
+        cv = Counter(u)
 
         def div_fn(x):
-            counts = Counter((int(b), int(a)) for b, a in zip(u, x))
+            counts = Counter(zip(u, x.tolist()))
             return _ref_div_cells(counts, lambda cell: cv[cell[0]] * mu[cell[0], cell[1]], n)
 
         def key_fn(x):
-            counts = Counter((int(b), int(a)) for b, a in zip(u, x))
+            counts = Counter(zip(u, x.tolist()))
             return _ref_key_cells(
                 counts, lambda cell: cv[cell[0]] * Fraction(float(mu[cell[0], cell[1]])))
 
@@ -484,22 +486,18 @@ def _ref_encode(label_rows, targets, n, mu, u):
 def _ref_decode(labels, syndromes, y, model, u):
     per_sender = []
     n = len(y)
+    space = _ref_space(n)
     for rows, t in zip(labels, syndromes):
-        sols = []
-        for bits in itertools.product((0, 1), repeat=n):
-            x = np.array(bits, dtype=np.int64)
-            if ((rows @ x) % 2 == t).all():
-                sols.append(x)
+        sols = list(space[((space @ rows.T) % 2 == t).all(axis=1)])
         if not sols:
             return None
         per_sender.append(sols)
 
+    context = [[int(s) for s in u]] if u is not None else []
+    output = [int(s) for s in y]
+
     def cells_of(parts):
-        if u is None:
-            return Counter(tuple(int(p[i]) for p in parts) + (int(y[i]),)
-                           for i in range(n))
-        return Counter((int(u[i]),) + tuple(int(p[i]) for p in parts) + (int(y[i]),)
-                       for i in range(n))
+        return Counter(zip(*context, *(p.tolist() for p in parts), output))
 
     def div_fn(parts):
         return _ref_div_cells(cells_of(parts), lambda cell: n * model[cell], n)

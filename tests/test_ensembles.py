@@ -180,6 +180,40 @@ def test_hash_params_sparse_matches_support_sweep():
     assert (got.alpha, got.beta) == want
 
 
+def _linear_sweep(spec):
+    """The per-alpha linear scan over collision_by_weight that _alpha_sweep replaced."""
+    q, n = spec.field.q, spec.cols
+    probs = collision_by_weight(spec)[1:]
+    den = math.lcm(*(p.denominator for p in probs))
+    masses = [math.comb(n, w) * (q - 1) ** w * p.numerator * (den // p.denominator)
+              for w, p in enumerate(probs, 1)]
+    best = None
+    for alpha in map(float, ens.ALPHA_GRID):
+        thr = Fraction(alpha).limit_denominator(10**9) / spec.im_size
+        beta = float(Fraction(sum(m for m, p in zip(masses, probs) if p > thr), den))
+        if best is None or alpha + beta < best[0] - 1e-15:
+            best = (alpha + beta, alpha, beta)
+    return best[1:]
+
+
+@pytest.mark.parametrize("spec", [
+    EnsembleSpec(UNIFORM, 2, 4, F2),                     # every weight ties, at alpha = 1
+    EnsembleSpec(UNIFORM, 1, 3, FieldSpec(3)),
+    EnsembleSpec(BINNING, 1, 2, F2),
+    EnsembleSpec(SPARSE, 2, 4, F2, column_degree=1),     # 0, 1/2, 0, 1/2: tied pairs
+    EnsembleSpec(SPARSE, 2, 5, F2, column_degree=2),     # 0 and 1 alternate
+    EnsembleSpec(SPARSE, 3, 4, F2, column_degree=2),
+    EnsembleSpec(SPARSE, 3, 6, F2, column_degree=2),
+    EnsembleSpec(SPARSE, 3, 4, FieldSpec(3), column_degree=1),
+    EnsembleSpec(SPARSE, 2, 4, FieldSpec(3), column_degree=2),
+    EnsembleSpec(SPARSE, 2, 2, FieldSpec(3), column_degree=1),
+], ids=lambda s: f"{s.kind}-{s.rows}x{s.cols}-q{s.field.q}-d{s.column_degree}")
+def test_alpha_sweep_equals_linear_scan(spec):
+    got = ens._alpha_sweep(spec, collision_by_weight(spec)[1:])
+    assert got == _linear_sweep(spec)
+    assert all(type(v) is float for v in got)
+
+
 def test_hash_params_exact_memoized_per_spec(monkeypatch):
     import hashmac.ensembles as ens
     ens.estimate_hash_params.cache_clear()

@@ -786,8 +786,8 @@ def test_trial_output_equals_sample_channel():
         if code.decoder is None:
             continue
         seen = []
-        rows = code.decoder.rows
-        code.decoder.rows = lambda y: seen.append(y) or rows(y)
+        rows = code.decoder._rows
+        code.decoder._rows = lambda y: seen.append(y) or rows(y)
         try:
             for t in range(40):
                 del seen[:]
@@ -803,5 +803,5 @@ def test_trial_output_equals_sample_channel():
                 assert seen == [tuple(y.tolist())], (name, t)
                 compared += 1
         finally:
-            del code.decoder.rows
+            del code.decoder._rows
     assert compared > 100
