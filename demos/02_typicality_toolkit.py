@@ -24,10 +24,10 @@ for seq in ([0, 0, 0, 1], [0, 1, 0, 1], [1, 1, 1, 1]):
 
 print("\n=== type classes at n=8 ===")
 total = 0
-for t in enumerate_types(8, (0, 1)):
-    size = type_class_size(t)
+for counts in enumerate_types(8, (0, 1)):
+    size = type_class_size(counts)
     total += size
-    print(f"counts {t.counts.tolist()}: {size} sequences")
+    print(f"counts {counts.tolist()}: {size} sequences")
 print(f"total {total} = 2^8 = {2**8}")
 
 print("\n=== slack terms (bits) ===")

@@ -12,6 +12,7 @@ lexicographically smallest vector (for tuples: smallest concatenation).
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -21,7 +22,7 @@ from .empirical import (_count_symbols, _divergence_from_counts, _log2_denom,
                         conditional_divergences)
 from . import gf
 from .gf import (EnumerationBudgetError, LinearLabel, all_vectors, apply_label,
-                 enumerate_coset, stack_labels)
+                 apply_label_many, as_vec, enumerate_coset, lex_index)
 from .prob import CondPmf, Pmf
 
 REL_TOL = 1e-12
@@ -75,10 +76,6 @@ class CosetSpec:
     @property
     def cols(self) -> int:
         return self.check.cols
-
-    def stacked(self) -> tuple[LinearLabel, np.ndarray]:
-        return (stack_labels(self.check, self.message_map),
-                np.concatenate([self.syndrome, self.message]))
 
 
 @dataclass(frozen=True)
@@ -171,27 +168,71 @@ def exact_min(cands: np.ndarray, target: EncodeTarget) -> int:
     return _least_key(target.exact_keys(cands))
 
 
-def min_div_member(cands: np.ndarray, target: EncodeTarget, q: int) -> int:
-    """Index of the encoder's choice among lex-sorted candidates over GF(q).
+def message_runs(msgs: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
+    """Rows grouped by their message index msgs: (order, edges, messages).
 
-    The encoder's total order: float divergence, exact refinement of the
-    tie group on GF(2), then the first (lexicographically smallest) row.
+    order lists the rows by message index, in row order within a message
+    (a stable sort); run r, order[edges[r]:edges[r + 1]], holds the rows
+    of messages[r], and messages ascend.
     """
-    dvals = target.divergences(cands)
-    ties = (dvals <= _tie_limit(dvals.min())).nonzero()[0]  # tie_groups of one run
-    if ties.size > 1 and q == 2:
-        return int(ties[exact_min(cands[ties], target)])
-    return int(ties[0])
+    order = np.argsort(msgs, kind="stable")
+    ranked = msgs[order]
+    edges = np.flatnonzero(np.concatenate(([True], ranked[1:] != ranked[:-1], [True])))
+    return order, edges, ranked[edges[:-1]].tolist()
+
+
+class Codebook(dict):
+    """The encoder on one check coset: message index -> (codeword, score), filled on lookup.
+
+    coset is the lex-sorted check coset {x : A x = s} over GF(q), and runs
+    the message_runs of its rows' message indices (lex_index of A' x).  So
+    message m's coset {x : A x = s, A' x = m} is its run of rows, in lex
+    order.  The build scores every row once against the target and keeps
+    the float tie group of each run's minimum (tie_groups).  A lookup
+    gives the encoder's total order on the run: the tie group, refined
+    exactly on GF(2) (exact_min) on the message's first lookup, then its
+    first row; the score is that codeword's divergence from the target.
+
+    A message no row carries, or any message when there is no coset,
+    raises a fresh EmptyCosetError(error) on every lookup, so no
+    exception, whose traceback would keep a caller's frames alive, is
+    ever stored.
+    """
+
+    def __init__(self, error: str, coset=None, runs=None, target=None, q=None):
+        super().__init__()
+        self.error, self.coset, self.target, self.exact = error, coset, target, q == 2
+        self.messages = []
+        if coset is not None:
+            order, edges, self.messages = runs
+            scores = target.divergences(coset)[order]
+            ties, self.bounds = tie_groups(scores, edges)
+            self.rows, self.scores = order[ties], scores[ties]
+
+    def __missing__(self, message):
+        r = bisect_left(self.messages, message)
+        if r == len(self.messages) or self.messages[r] != message:
+            raise EmptyCosetError(self.error)
+        pick, end = self.bounds[r], self.bounds[r + 1]
+        if self.exact and end - pick > 1:
+            pick += exact_min(self.coset[self.rows[pick:end]], self.target)
+        entry = self[message] = (self.coset[self.rows[pick]], float(self.scores[pick]))
+        return entry
 
 
 def min_div_encode(cs: CosetSpec, target: EncodeTarget) -> np.ndarray:
-    """Coset member whose empirical law is divergence-closest to the target."""
-    stacked, want = cs.stacked()
-    cands = enumerate_coset(stacked, want)
-    if cands.shape[0] == 0:
-        raise EmptyCosetError(
-            f"no vector satisfies the {cs.check.rows}+{cs.message_map.rows} constraints")
-    x = cands[min_div_member(cands, target, cs.check.field.q)]
+    """Coset member whose empirical law is divergence-closest to the target.
+
+    The one-shot of Codebook: the check coset, grouped by message, then
+    one lookup.  The enumeration limit bounds the check coset.
+    """
+    q = cs.check.field.q
+    error = f"no vector satisfies the {cs.check.rows}+{cs.message_map.rows} constraints"
+    coset = enumerate_coset(cs.check, cs.syndrome)
+    if coset.shape[0] == 0:
+        raise EmptyCosetError(error)
+    runs = message_runs(lex_index(apply_label_many(cs.message_map, coset), q))
+    x = Codebook(error, coset, runs, target, q)[int(lex_index(as_vec(cs.message, q), q))][0]
     assert (apply_label(cs.check, x) == cs.syndrome).all()
     assert (apply_label(cs.message_map, x) == cs.message).all()
     return x

@@ -195,29 +195,30 @@ def is_cond_typical(u, v, mu_cond: CondPmf, gamma: float) -> bool:
     return cond_divergence_to(u, v, mu_cond) < gamma
 
 
-def enumerate_types(n: int, alphabet) -> list[EmpiricalType]:
-    """All length-n types over the alphabet (compositions of n).
+def enumerate_types(n: int, alphabet) -> np.ndarray:
+    """All length-n types over the alphabet (compositions of n), one count row each.
 
-    There are C(n+m-1, m-1) of them for m symbols; past gf.ENUMERATION_BUDGET
-    the call raises before it builds any.
+    A (types, m) int64 array for m symbols, rows in lex order.  There are
+    C(n+m-1, m-1) types; past gf.ENUMERATION_BUDGET the call raises
+    before it builds any.
     """
-    alphabet = tuple(alphabet)
-    m = len(alphabet)
+    m = len(tuple(alphabet))
     count = math.comb(n + m - 1, m - 1)
     if count > gf.ENUMERATION_BUDGET:
         raise gf.EnumerationBudgetError(
             f"{count} types of length {n} over {m} symbols exceed the budget of "
             f"{gf.ENUMERATION_BUDGET}")
-    out = []
-    for cuts in itertools.combinations(range(n + m - 1), m - 1):
-        counts = np.diff((-1,) + cuts + (n + m - 1,)) - 1
-        out.append(EmpiricalType(alphabet, counts))
-    return out
+    # The m - 1 bar positions among n + m - 1 slots; a count is the gap between bars.
+    cuts = np.fromiter(
+        itertools.chain.from_iterable(itertools.combinations(range(n + m - 1), m - 1)),
+        dtype=np.int64, count=count * (m - 1)).reshape(count, m - 1)
+    return np.diff(cuts, axis=1, prepend=-1, append=n + m - 1) - 1
 
 
-def type_class_size(t: EmpiricalType) -> int:
-    """Number of sequences sharing the type: the multinomial coefficient."""
-    size = math.factorial(t.n)
-    for c in t.counts:
-        size //= math.factorial(int(c))
+def type_class_size(counts) -> int:
+    """Number of sequences with the given symbol counts: the multinomial coefficient."""
+    counts = [int(c) for c in counts]
+    size = math.factorial(sum(counts))
+    for c in counts:
+        size //= math.factorial(c)
     return size

@@ -19,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import codec
-from .gf import FieldSpec, LinearLabel, all_vectors, apply_label_many
+from .gf import FieldSpec, LinearLabel, all_vectors, apply_label_many, lex_index
 
 # Kinds of label families.
 UNIFORM = "uniform-all-linear"
@@ -101,24 +101,10 @@ class BinLabel:
         return self.field.q ** self.rows
 
     def __call__(self, u) -> np.ndarray:
-        u = np.asarray(u, dtype=np.int64)
-        return self.table[_base_q(u, self.field.q)]
+        return self.table[lex_index(u, self.field.q)]
 
     def apply_many(self, vecs: np.ndarray) -> np.ndarray:
-        return self.table[_base_q(np.asarray(vecs, dtype=np.int64), self.field.q)]
-
-
-def _base_q(arr: np.ndarray, q: int) -> np.ndarray:
-    """Base-q value of each last-axis row (first entry most significant).
-
-    Python ints (object dtype) when q^width does not fit int64.
-    """
-    width = arr.shape[-1]
-    dtype = np.int64 if q**width < 2**63 else object
-    code = np.zeros(arr.shape[:-1], dtype=dtype)
-    for j in range(width):
-        code = code * q + arr[..., j]
-    return code
+        return self.table[lex_index(vecs, self.field.q)]
 
 
 def label_outputs(label, vecs: np.ndarray) -> np.ndarray:
@@ -439,7 +425,7 @@ def _output_chunks(spec: EnsembleSpec, vecs):
         raise ValueError(f"expected an (m, {spec.cols}) array of vectors")
     size = _checked_support_size(spec)
     q = spec.field.q
-    inputs = _base_q(vecs, q) if spec.kind == BINNING else None
+    inputs = lex_index(vecs, q) if spec.kind == BINNING else None
     cells = _member_cells(spec) + vecs.shape[0] * spec.rows
     for members in _member_chunks(spec, size, cells):
         if inputs is not None:
@@ -457,7 +443,7 @@ def saturation_rate_exact(spec: EnsembleSpec, T) -> float:
     hit = labels = 0
     for outs in _output_chunks(spec, T):
         # Bins hit per label: sorted codes change once per further bin.
-        codes = np.sort(_base_q(outs, spec.field.q), axis=1)
+        codes = np.sort(lex_index(outs, spec.field.q), axis=1)
         hit += codes.shape[0] + int((codes[:, 1:] != codes[:, :-1]).sum())
         labels += codes.shape[0]
     return float(Fraction(labels * im - hit, im * labels))
@@ -541,9 +527,9 @@ def _syndrome_hits(spec: EnsembleSpec, vecs):
     """Per chunk of labels, how many uniform syndromes equal each output."""
     _checked_support_size(spec)  # before the syndrome grid is built
     q = spec.field.q
-    per_code = np.bincount(_base_q(all_vectors(q, spec.rows), q), minlength=spec.im_size)
+    per_code = np.bincount(lex_index(all_vectors(q, spec.rows), q), minlength=spec.im_size)
     for outs in _output_chunks(spec, vecs):
-        yield per_code[_base_q(outs, q)]
+        yield per_code[lex_index(outs, q)]
 
 
 def syndrome_hit_rates(spec: EnsembleSpec, vecs) -> np.ndarray:

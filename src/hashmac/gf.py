@@ -175,6 +175,21 @@ def all_vectors(q: int, n: int) -> np.ndarray:
     return np.ascontiguousarray(np.indices((q,) * n, dtype=np.int64).reshape(n, -1).T)
 
 
+def lex_index(vecs, q: int) -> np.ndarray:
+    """Rank in lex order of each last-axis row: its base-q digits, first most significant.
+
+    Python ints (object dtype) when q^width does not fit int64.
+    """
+    vecs = np.asarray(vecs, dtype=np.int64)
+    width = vecs.shape[-1]
+    if q**width >= 2**63:
+        vecs = vecs.astype(object)
+    index = np.zeros(vecs.shape[:-1], dtype=vecs.dtype)
+    for j in range(width):
+        index = index * q + vecs[..., j]
+    return index
+
+
 def lex_sort(vecs: np.ndarray) -> np.ndarray:
     """Sort rows lexicographically (first column most significant)."""
     if vecs.shape[0] <= 1:

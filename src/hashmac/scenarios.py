@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -36,12 +36,12 @@ from .channel import Dmc, sample_channel  # noqa: F401
 # is_cond_typical, seq_mutual_multi and estimate_hash_params are not called
 # here; they stay importable from this module because perfbench/spans.py
 # traces them at this import site.
-from .codec import (AllCosetsEmptyError, EmptyCosetError, EncodeTarget,  # noqa: F401
-                    MinDivDecoder, exact_min, min_div_decode, min_div_encode, tie_groups)
+from .codec import (AllCosetsEmptyError, Codebook, EmptyCosetError, EncodeTarget,  # noqa: F401
+                    MinDivDecoder, message_runs, min_div_decode, min_div_encode)
 from .empirical import (_entropy_counts, count_divergence, divergence_to,  # noqa: F401
                         is_cond_typical, joint_counts, seq_mutual_multi)
 from .ensembles import EnsembleSpec, UNIFORM, estimate_hash_params, sample  # noqa: F401
-from .gf import FieldSpec, LinearLabel, apply_label, apply_label_many
+from .gf import FieldSpec, LinearLabel, apply_label, apply_label_many, lex_index
 from .prob import CondPmf, Pmf
 from .regions import JointLaw, in_region_sw, in_region_ts, joint_sw, joint_ts
 from .slack import cond_entropy_slack, entropy_slack
@@ -128,8 +128,7 @@ class CodeInstance:
 
     # A code's encoder and decoder are fixed functions of the message and of
     # y, so both are tabled as trials come up and kept with the code.  A
-    # message travels as its index: its base-q digits read with the first
-    # digit most significant, which is its rank in lex order.
+    # message travels as its index, its rank in lex order (gf.lex_index).
 
     @cached_property
     def digit_draws(self) -> tuple[tuple[int, int, int], ...]:
@@ -143,27 +142,12 @@ class CodeInstance:
         return -(-sum(mm.rows for mm in self.message_maps) // 2) + self.n
 
     @cached_property
-    def message_counts(self) -> tuple[int, ...]:
-        """Per component, the number of messages q^rows."""
-        return tuple(mm.field.q ** mm.rows for mm in self.message_maps)
-
-    @cached_property
-    def place_values(self) -> tuple[np.ndarray, ...]:
-        """Per component, the place value of each message digit.
-
-        Object dtype (Python ints) where an index may not fit in int64.
-        """
-        return tuple(np.array([mm.field.q ** r for r in range(mm.rows - 1, -1, -1)],
-                              dtype=np.int64 if count <= 1 << 63 else object)
-                     for mm, count in zip(self.message_maps, self.message_counts))
-
-    @cached_property
     def codebooks(self) -> tuple[dict, ...]:
         """Per component, context -> message index -> (codeword, score), filled on first use.
 
         The context is the cloud index for a satellite of a cloud, whose
         target is conditioned on the cloud codeword, and 0 otherwise.  Each
-        context's table is a _Codebook, made by one scoring pass (_fill) on
+        context's table is a codec.Codebook, made by one scoring pass (_fill) on
         its first lookup; a score is the codeword's divergence from its
         target law.
         """
@@ -216,24 +200,13 @@ class CodeInstance:
     def coset_messages(self) -> tuple[np.ndarray, ...]:
         """Per decoded component, the message index of A'_j x for each row x of its coset."""
         f = self.fixed
-        return tuple(apply_label_many(mm, c) @ w for mm, c, w in
-                     zip(self.message_maps[f:], self.decoder.cosets, self.place_values[f:]))
+        return tuple(lex_index(apply_label_many(mm, c), mm.field.q)
+                     for mm, c in zip(self.message_maps[f:], self.decoder.cosets))
 
     @cached_property
     def message_runs(self) -> tuple[tuple[np.ndarray, np.ndarray, list], ...]:
-        """Per decoded component, its coset rows grouped by message: (order, edges, messages).
-
-        order lists the rows by message index, in lex order within a
-        message (a stable sort); run r, order[edges[r]:edges[r + 1]],
-        holds the rows of messages[r], and messages ascend.
-        """
-        out = []
-        for msgs in self.coset_messages:
-            order = np.argsort(msgs, kind="stable")
-            ranked = msgs[order]
-            edges = np.flatnonzero(np.concatenate(([True], ranked[1:] != ranked[:-1], [True])))
-            out.append((order, edges, ranked[edges[:-1]].tolist()))
-        return tuple(out)
+        """Per decoded component, codec.message_runs of its coset rows."""
+        return tuple(map(message_runs, self.coset_messages))
 
 
 def _round_rows(n: int, rate: float, q: int) -> int:
@@ -372,34 +345,6 @@ def build_superposition_code(mu_cloud, cond1, cond2, dmc: Dmc, rates, eps, n: in
                   rates, eps, n, rng, ensemble_factory, check_region)
 
 
-class _Codebook(dict):
-    """One context's codewords of a component: message index -> (codeword, score).
-
-    An entry is made on a message's first lookup, from the runs _fill
-    scored: messages[r] is carried by the coset rows of run r, whose float
-    tie group is rows[bounds[r]:bounds[r + 1]] with its scores.  A group
-    of more than one member is refined exactly when `exact` (GF(2)).  A
-    message no coset row carries raises a fresh EmptyCosetError on every
-    lookup, so no exception, whose traceback would keep a failing trial's
-    frames alive, is ever stored.
-    """
-
-    def __init__(self, error: str, coset=None, target=None, exact=False, runs=([], [], [], [])):
-        super().__init__()
-        self.error, self.coset, self.target, self.exact = error, coset, target, exact
-        self.messages, self.bounds, self.rows, self.scores = runs
-
-    def __missing__(self, message):
-        r = bisect_left(self.messages, message)
-        if r == len(self.messages) or self.messages[r] != message:
-            raise EmptyCosetError(self.error)
-        pick, end = self.bounds[r], self.bounds[r + 1]
-        if self.exact and end - pick > 1:
-            pick += exact_min(self.coset[self.rows[pick:end]], self.target)
-        entry = self[message] = (self.coset[self.rows[pick]], float(self.scores[pick]))
-        return entry
-
-
 def _codeword(code: CodeInstance, i: int, key: int, message: int, ctx):
     """Component i's (codeword, score) for message index `message` given context ctx.
 
@@ -412,30 +357,23 @@ def _codeword(code: CodeInstance, i: int, key: int, message: int, ctx):
     return book[message]
 
 
-def _fill(code: CodeInstance, i: int, ctx) -> _Codebook:
+def _fill(code: CodeInstance, i: int, ctx) -> Codebook:
     """Component i's codebook in the context sequence ctx, from one scoring pass.
 
-    The stacked coset {x : A_i x = s_i, A'_i x = m} is the rows of the
-    decoder's check coset that carry m, in the same lex order.  So every
-    row is scored once, and each message's run of rows gives the codeword
-    min_div_encode would: the float tie group of the run's minimum
-    (tie_groups), refined exactly on GF(2), then its first row.  A None
-    context is the one-symbol context of a cloud center.
+    The codebook is built on the decoder's check coset, grouped by message
+    once per code.  A None context is the one-symbol context of a cloud
+    center.
     """
     if code.decoder is None:
-        return _Codebook("a check syndrome is unreachable for its matrix")
+        return Codebook("a check syndrome is unreachable for its matrix")
     j = i - code.fixed
-    coset = code.decoder.cosets[j]
     if ctx is None:
         ctx = np.zeros(code.n, dtype=np.int64)
-    target = EncodeTarget.for_conditional(code.cond_inputs[i], ctx)
-    order, edges, messages = code.message_runs[j]
-    scores = target.divergences(coset)[order]
-    ties, bounds = tie_groups(scores, edges)
-    return _Codebook(f"no vector satisfies the {code.checks[i].rows}+"
-                     f"{code.message_maps[i].rows} constraints",
-                     coset, target, code.checks[i].field.q == 2,
-                     (messages, bounds, order[ties], scores[ties]))
+    return Codebook(f"no vector satisfies the {code.checks[i].rows}+"
+                    f"{code.message_maps[i].rows} constraints",
+                    code.decoder.cosets[j], code.message_runs[j],
+                    EncodeTarget.for_conditional(code.cond_inputs[i], ctx),
+                    code.checks[i].field.q)
 
 
 def _encode(code: CodeInstance, msgs) -> tuple[tuple[np.ndarray, ...], tuple[float, ...]]:
@@ -465,7 +403,7 @@ def _message_index(code: CodeInstance, i: int, message) -> int:
     m = np.asarray(message, dtype=np.int64)
     if m.shape != (mm.rows,) or ((m < 0) | (m >= mm.field.q)).any():
         raise ValueError(f"message {i} must be {mm.rows} symbols of GF({mm.field.q})")
-    return int(m @ code.place_values[i])
+    return int(lex_index(m, mm.field.q))
 
 
 def encode_components(code: CodeInstance, messages) -> tuple[np.ndarray, ...]:

@@ -114,9 +114,9 @@ def types_suite(ns=(4, 6, 8, 10), gammas=(0.01, 0.05, 0.125),
     for n in ns:
         for m in (2, 3):
             lam = slack.type_count_penalty(n, m)
-            for t in enumerate_types(n, range(m)):
-                h = float(_entropy_counts(t.counts, n))
-                logsize = math.log2(type_class_size(t))
+            for counts in enumerate_types(n, range(m)):
+                h = float(_entropy_counts(counts, n))
+                logsize = math.log2(type_class_size(counts))
                 cases += 1
                 if not (n * (h - lam) - 1e-9 <= logsize <= n * h + 1e-9):
                     viol += 1

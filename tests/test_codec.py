@@ -130,6 +130,17 @@ def test_decode_budget_guard(monkeypatch):
         build_T_subset(np.zeros(4, dtype=np.int64), mu, 0.5, 1)
 
 
+def test_encode_budget_bounds_the_check_coset(monkeypatch):
+    # The encoder scores the whole check coset, so the limit bounds that,
+    # not the 4-member coset of one message.
+    cs = CosetSpec(lbl([], 4), lbl([[1, 0, 0, 0], [0, 1, 0, 0]]), [], [1, 0])
+    target = EncodeTarget.for_marginal(Pmf((0, 1), [0.75, 0.25]), 4)
+    assert min_div_encode(cs, target).tolist() == [1, 0, 0, 0]
+    monkeypatch.setattr(gf, "ENUMERATION_BUDGET", 8)
+    with pytest.raises(EnumerationBudgetError, match="coset size 2\\^4 exceeds"):
+        min_div_encode(cs, target)
+
+
 def test_decode_brute_force_spotcheck():
     rng = np.random.default_rng(9)
     for _ in range(20):

@@ -1,9 +1,10 @@
-"""The per-code encoder tables and compiled decoder against one-shot calls."""
+"""Per-code encoder tables against reference scans; the compiled decoder against one-shot calls."""
 
 import dataclasses
 import gc
 import itertools
 import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -13,11 +14,11 @@ from fractions import Fraction
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from hashmac import codec, scenarios, verify
 from hashmac import rng as rng_mod
-from hashmac import scenarios
 from hashmac.channel import Dmc
-from hashmac.codec import (AllCosetsEmptyError, CosetSpec, EmptyCosetError, EncodeTarget,
-                           MinDivDecoder, _exact_key, min_div_decode, min_div_encode)
+from hashmac.codec import (AllCosetsEmptyError, EmptyCosetError, EncodeTarget, MinDivDecoder,
+                           _exact_key, min_div_decode)
 from hashmac.empirical import _divergence_from_counts, _log2_denom
 from hashmac.gf import FieldSpec, LinearLabel, all_vectors
 from hashmac.scenarios import (build_private_code, build_superposition_code,
@@ -83,13 +84,41 @@ def all_messages(code, i):
 
 
 def one_shot(code, i, m, given):
-    cs = CosetSpec(code.checks[i], code.message_maps[i], code.syndromes[i], m)
-    target = (EncodeTarget.for_marginal(code.ctx_law, code.n) if given is None
-              else EncodeTarget.for_conditional(code.cond_inputs[i], given))
-    try:
-        return min_div_encode(cs, target)
-    except EmptyCosetError:
+    """Component i's codeword for message digits m, by a scan that shares no code with codec.
+
+    A None context is a cloud center's, coded against the context law.
+    GF(2) components run verify's reference encoder; GF(3) ones
+    ternary_scan.  None if no vector satisfies the constraints.
+    """
+    labels = [code.checks[i].matrix, code.message_maps[i].matrix]
+    targets = [code.syndromes[i], m]
+    mu, u = (code.ctx_law.probs, None) if given is None else (code.cond_inputs[i].rows, given)
+    if code.checks[i].field.q == 2:
+        return verify._ref_encode(labels, targets, code.n, mu, u)
+    return ternary_scan(labels, targets, code.n, mu, u)
+
+
+def ternary_scan(labels, targets, n, rows, u):
+    """The encoder's order over GF(3)^n, scanned in lex order: float tie group, then lex-first.
+
+    There is no exact step, as in codec, which refines ties on GF(2) only.
+    Scores come from verify's scalar reference kernel.
+    """
+    space = np.array(list(itertools.product(range(3), repeat=n)), dtype=np.int64)
+    keep = np.ones(len(space), dtype=bool)
+    for a, t in zip(labels, targets):
+        keep &= ((space @ a.T) % 3 == t).all(axis=1)
+    sols = list(space[keep])
+    if not sols:
         return None
+    u = [int(b) for b in u]
+    cv = Counter(u)
+
+    def div_fn(x):
+        return verify._ref_div_cells(Counter(zip(u, x.tolist())),
+                                     lambda cell: cv[cell[0]] * rows[cell], n)
+
+    return verify._ref_select(sols, div_fn, None, exact=False)
 
 
 def expected_private(code, msgs):
@@ -142,7 +171,7 @@ def test_superposition_encoder_table_matches_one_shot():
 
 
 def check_entry(code, i, context, m, ctx, want):
-    """Component i's codebook entry for message index m against min_div_encode's codeword."""
+    """Component i's codebook entry for message index m against the reference codeword."""
     if want is None:
         with pytest.raises(EmptyCosetError):
             scenarios._codeword(code, i, context, m, ctx)
@@ -229,7 +258,7 @@ def test_codebook_covers_exact_ties_and_multi_row_clouds(monkeypatch):
     cloud = decodable(lambda rng: build_superposition_code(
         [0.75, 0.25], np.array([[0.75, 0.25], [0.25, 0.75]]), np.array([[0.5, 0.5]] * 2),
         noisy_adder(2, 1 / 16), (0.2, 0.2, 0.2), (0.3, 0.3, 0.3), 6, rng, check_region=False))
-    refined = counting(monkeypatch, "exact_min")
+    refined = counting(monkeypatch, "exact_min", codec)
     for code in (uniform, cloud):
         check_codebooks(code)
     assert refined  # some message's float tie group needed exact refinement
@@ -274,16 +303,16 @@ def with_empty_coset(code):
     return dataclasses.replace(code, message_maps=maps)
 
 
-def counting(monkeypatch, name):
-    """Replace scenarios.<name> by a wrapper that records each call."""
+def counting(monkeypatch, name, module=scenarios):
+    """Replace module.<name> by a wrapper that records each call."""
     calls = []
-    orig = getattr(scenarios, name)
+    orig = getattr(module, name)
 
     def counted(*args, **kwargs):
         calls.append(1)
         return orig(*args, **kwargs)
 
-    monkeypatch.setattr(scenarios, name, counted)
+    monkeypatch.setattr(module, name, counted)
     return calls
 
 

@@ -1,4 +1,3 @@
-import importlib
 import itertools
 import math
 from collections import Counter
@@ -7,8 +6,8 @@ import numpy as np
 import pytest
 
 from hashmac import gf
-from hashmac.empirical import (EmpiricalType, cond_divergence_to, divergence_to, empirical,
-                               enumerate_types, is_cond_typical, is_typical, joint_counts,
+from hashmac.empirical import (cond_divergence_to, divergence_to, empirical, enumerate_types,
+                               is_cond_typical, is_typical, joint_counts,
                                seq_cond_entropy, seq_entropy, seq_mutual_multi,
                                type_class_size)
 from hashmac.prob import CondPmf, Pmf
@@ -150,24 +149,29 @@ def test_divergence_to_errors():
 
 def test_enumerate_types_counts(monkeypatch):
     types = enumerate_types(3, (0, 1))
-    assert len(types) == 4
+    assert types.dtype == np.int64
+    assert types.tolist() == [[0, 3], [1, 2], [2, 1], [3, 0]]
     assert len(types) < 4**2
-    assert len(enumerate_types(1, (0, 1, 2))) == 3
+    assert enumerate_types(1, (0, 1, 2)).tolist() == [[0, 0, 1], [0, 1, 0], [1, 0, 0]]
+    assert enumerate_types(4, (0,)).tolist() == [[4]]
     # The budget bounds the C(18, 6) = 18 564 types, not 13^7 count vectors.
-    assert len(enumerate_types(12, range(7))) == math.comb(18, 6) == 18564
+    many = enumerate_types(12, range(7))
+    assert many.shape == (math.comb(18, 6), 7) == (18564, 7)
+    assert (many.sum(axis=1) == 12).all() and (many >= 0).all()
+    assert [tuple(r) for r in many.tolist()] == sorted(set(map(tuple, many.tolist())))
     monkeypatch.setattr(gf, "ENUMERATION_BUDGET", 18563)
 
     def refuse(*args):
         raise AssertionError("a type was built past the budget")
 
-    # The package exports a function named empirical, so fetch the module itself.
-    monkeypatch.setattr(importlib.import_module("hashmac.empirical"), "EmpiricalType", refuse)
+    # The rows are built from itertools.combinations of the bar positions.
+    monkeypatch.setattr(itertools, "combinations", refuse)
     with pytest.raises(gf.EnumerationBudgetError, match="18564 types"):
         enumerate_types(12, range(7))
 
 
 def test_type_class_size():
-    t = EmpiricalType((0, 1), np.array([2, 2]))
-    assert type_class_size(t) == 6
+    assert type_class_size(np.array([2, 2])) == 6
+    assert type_class_size(empirical([0, 1, 1, 2], (0, 1, 2)).counts) == 12
     total = sum(type_class_size(t) for t in enumerate_types(4, (0, 1)))
     assert total == 16

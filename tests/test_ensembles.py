@@ -604,7 +604,10 @@ def test_exact_rates_budget_errors(monkeypatch):
 
 
 def test_base_q_codes_do_not_overflow():
-    from hashmac.ensembles import _base_q
+    # The ensembles index binning tables and syndromes with gf.lex_index.
+    from hashmac.gf import lex_index
     wide = np.ones((2, 64), dtype=np.int64)
-    assert list(_base_q(wide, 2)) == [2**64 - 1] * 2
-    assert _base_q(np.array([[2, 1, 0]]), 3).tolist() == [21]
+    assert list(lex_index(wide, 2)) == [2**64 - 1] * 2
+    assert int(lex_index(wide[0], 2)) == 2**64 - 1
+    assert lex_index(np.array([[2, 1, 0]]), 3).tolist() == [21]
+    assert lex_index(np.ones((3, 62), dtype=np.int64), 2).dtype == np.int64

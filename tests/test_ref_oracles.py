@@ -15,7 +15,7 @@ import numpy as np
 
 from hashmac import verify
 from hashmac.codec import ABS_TOL, EmptyCosetError, MinDivDecoder
-from hashmac.gf import enumerate_coset
+from hashmac.gf import enumerate_coset, stack_labels
 
 VERIFY = pathlib.Path(__file__).resolve().parent.parent / "src" / "hashmac" / "verify.py"
 ALLOWED = {"ABS_TOL"}
@@ -93,8 +93,8 @@ def _reports(**kwargs):
 
 def _last_tie_encode(cs, target):
     """The encoder with its ties broken toward the last coset member."""
-    stacked, want = cs.stacked()
-    cands = enumerate_coset(stacked, want)
+    cands = enumerate_coset(stack_labels(cs.check, cs.message_map),
+                            np.concatenate([cs.syndrome, cs.message]))
     if cands.shape[0] == 0:
         raise EmptyCosetError("empty coset")
     d = target.divergences(cands)

@@ -755,7 +755,7 @@ def test_sent_scores_equal_count_divergence():
         simulate_error(code, 60, SEED, ("scores",))
         sent = [(xs, scores) for xs, scores, _, _ in code.sent.values() if xs is not None]
         assert sent, name
-        for msgs in itertools.product(*map(range, code.message_counts)):
+        for msgs in itertools.product(*(range(mm.field.q ** mm.rows) for mm in code.message_maps)):
             try:
                 sent.append(scenarios._encode(code, msgs))
             except EmptyCosetError:
