@@ -19,7 +19,7 @@ import numpy as np
 from . import rng as rng_mod
 from .codec import (ABS_TOL, CosetSpec, EmptyCosetError, EncodeTarget, build_T_subset,
                     min_div_decode, min_div_encode)
-from .empirical import (_count_symbols, _divergence_from_counts, _entropy_counts,
+from .empirical import (_divergence_from_counts, _entropy_counts,
                         _log2_denom, conditional_divergences, enumerate_types,
                         type_class_size)
 from .ensembles import (EnsembleSpec, SPARSE, UNIFORM, collision_by_weight, collision_prob,
@@ -59,37 +59,59 @@ def _div_from_counts(counts: np.ndarray, denom: np.ndarray, n: int) -> np.ndarra
     return _divergence_from_counts(counts, _log2_denom(denom), n)
 
 
+def _popcounts(n: int) -> np.ndarray:
+    """Number of ones in each n-bit index 0 .. 2^n - 1."""
+    pop = np.zeros(1 << n, dtype=np.int64)
+    for b in range(n):
+        pop[1 << b:2 << b] = pop[:1 << b] + 1
+    return pop
+
+
 def _binary_stats(n: int, mu: np.ndarray):
-    """For all 2^n sequences: counts (m,2) and divergence to mu."""
-    seqs = all_vectors(2, n)
-    c1 = seqs.sum(axis=1)
-    counts = np.stack([n - c1, c1], axis=1)
-    d = _div_from_counts(counts, n * mu[None, :], n)
-    return seqs, counts, d
+    """For all 2^n sequences, as n-bit indices in lex order: counts (m,2) and divergence to mu.
+
+    The divergence depends on the count of ones alone, so it is evaluated
+    once per type and gathered per sequence.
+    """
+    c1 = np.arange(n + 1)
+    types = np.stack([n - c1, c1], axis=1)
+    ones = _popcounts(n)
+    return types[ones], _div_from_counts(types, n * mu[None, :], n)[ones]
 
 
 def _pair_stats(n: int, muv: np.ndarray):
-    """For all 4^n (v, u) pairs: per-cell counts and the three divergences.
+    """For all 4^n (v, u) pairs, v_id-major with u_id ascending: counts and statistics.
 
-    muv is the joint table indexed [v, u]; returns (v_id, u_id, counts(m,2,2),
-    D(vu joint), D(v marginal), D(u|v conditional), plus entropy arrays).
+    muv is the joint table indexed [v, u].  Returns (v_id, counts(m,2,2),
+    D(vu joint), D(v marginal), D(u|v conditional), H(v), H(vu)), with
+    counts[:, a, b] the positions where v is a and u is b.  Every statistic
+    is a function of the pair's joint type (c11, c1., c.1) alone, so each is
+    evaluated once per type and gathered per pair.
     """
-    digits = all_vectors(4, n)
-    v = digits >> 1
-    u = digits & 1
-    m = digits.shape[0]
-    counts = _count_symbols(v * 2 + u, 4).reshape(m, 2, 2)
-    cv = counts.sum(axis=2)
+    size = 1 << n
+    ids = np.arange(size)
+    pop = _popcounts(n)
+    v_id = np.repeat(ids, size)
+    # Row of each pair in the (n+1)^3 table of (c11, c1., c.1); u_id runs fastest.
+    type_id = pop[v_id & np.tile(ids, size)]
+    type_id *= n + 1
+    type_id += np.repeat(pop, size)
+    type_id *= n + 1
+    type_id += np.tile(pop, size)
+    c11, cv1, cu1 = np.indices((n + 1,) * 3, dtype=np.int64).reshape(3, -1)
+    cells = np.stack([n - cv1 - cu1 + c11, cu1 - c11, cv1 - c11, c11], axis=1)
+    valid = (cells >= 0).all(axis=1)
+    type_id = (np.cumsum(valid) - 1)[type_id]
+    types = cells[valid]
+    cv = types.reshape(-1, 2, 2).sum(axis=2)
     mu_v = muv.sum(axis=1)
-    d_joint = _div_from_counts(counts.reshape(m, 4), n * muv.ravel()[None, :], n)
-    d_v = _div_from_counts(cv, n * mu_v[None, :], n)
     mu_cond = muv / mu_v[:, None]
-    d_cond = _div_from_counts(counts.reshape(m, 4),
-                              (cv[:, :, None] * mu_cond[None, :, :]).reshape(m, 4), n)
-    h_v = _entropy_counts(cv, n)
-    h_vu = _entropy_counts(counts.reshape(m, 4), n)
-    v_id = v @ (1 << np.arange(n - 1, -1, -1, dtype=np.int64))
-    return v, u, v_id, counts, d_joint, d_v, d_cond, h_v, h_vu
+    stats = (_div_from_counts(types, n * muv.ravel()[None, :], n),
+             _div_from_counts(cv, n * mu_v[None, :], n),
+             _div_from_counts(types, (cv[:, :, None] * mu_cond[None, :, :]).reshape(-1, 4), n),
+             _entropy_counts(cv, n),
+             _entropy_counts(types, n))
+    return (v_id, types.reshape(-1, 2, 2)[type_id]) + tuple(s[type_id] for s in stats)
 
 
 MU_SET = (np.array([0.5, 0.5]), np.array([0.75, 0.25]))
@@ -129,7 +151,7 @@ def types_suite(ns=(4, 6, 8, 10), gammas=(0.01, 0.05, 0.125),
     cases = viol = 0
     for i, mu in enumerate(MU_SET):
         for n in ns:
-            _, counts, d = binary[i, n]
+            counts, d = binary[i, n]
             l1 = np.abs(counts / n - mu[None, :]).sum(axis=1)
             for g in gammas:
                 typical = d < g
@@ -139,7 +161,7 @@ def types_suite(ns=(4, 6, 8, 10), gammas=(0.01, 0.05, 0.125),
 
     cases = viol = 0
     for n in ns:
-        _, counts, _ = binary[0, n]  # the counts do not depend on mu
+        counts, _ = binary[0, n]  # the counts do not depend on mu
         h = _entropy_counts(counts, n)
         lam = slack.type_count_penalty(n, 2)
         for hh in (0.0, 0.25, 0.5, 0.75, 1.0):
@@ -151,7 +173,7 @@ def types_suite(ns=(4, 6, 8, 10), gammas=(0.01, 0.05, 0.125),
 
     cases = viol = 0
     for n in pair_ns:
-        _, _, _, counts, d_joint, d_v, d_cond, _, _ = pairs[n]
+        _, counts, d_joint, d_v, d_cond, _, _ = pairs[n]
         cu = counts.sum(axis=1)
         mu_u = MUV.sum(axis=0)
         d_u = _div_from_counts(cu, n * mu_u[None, :], n)
@@ -172,7 +194,7 @@ def types_suite(ns=(4, 6, 8, 10), gammas=(0.01, 0.05, 0.125),
     h_cond_model = float(-(MUV * np.log2(mu_cond)).sum())
     cases = viol = 0
     for n in pair_ns:
-        _, _, _, _, _, d_v, d_cond, h_v, h_vu = pairs[n]
+        _, _, _, d_v, d_cond, h_v, h_vu = pairs[n]
         h_ucond = h_vu - h_v
         for g in gammas:
             iota = slack.entropy_slack(g, 2)
@@ -189,7 +211,7 @@ def types_suite(ns=(4, 6, 8, 10), gammas=(0.01, 0.05, 0.125),
     cases = viol = 0
     for i, mu in enumerate(MU_SET):
         for n in ns:
-            _, counts, d = binary[i, n]
+            counts, d = binary[i, n]
             logp = counts @ np.log2(mu)
             lam = slack.type_count_penalty(n, 2)
             for g in gammas:
@@ -198,7 +220,7 @@ def types_suite(ns=(4, 6, 8, 10), gammas=(0.01, 0.05, 0.125),
                 if not mass <= 2 ** (-n * (g - lam)) * (1 + 1e-9):
                     viol += 1
     for n in pair_ns:
-        _, _, v_id, counts, _, _, d_cond, _, _ = pairs[n]
+        v_id, counts, _, _, d_cond, _, _ = pairs[n]
         mu_cond_tbl = MUV / MUV.sum(axis=1)[:, None]
         logp = (counts * np.log2(mu_cond_tbl)[None, :, :]).reshape(counts.shape[0], 4).sum(axis=1)
         lam4 = slack.type_count_penalty(n, 4)
@@ -213,7 +235,7 @@ def types_suite(ns=(4, 6, 8, 10), gammas=(0.01, 0.05, 0.125),
     for i, mu in enumerate(MU_SET):
         h_model = float(-(mu * np.log2(mu)).sum())
         for n in ns:
-            _, _, d = binary[i, n]
+            _, d = binary[i, n]
             for g in gammas:
                 count = int((d < g).sum())
                 cases += 1
@@ -224,7 +246,7 @@ def types_suite(ns=(4, 6, 8, 10), gammas=(0.01, 0.05, 0.125),
                 if not abs(math.log2(count) / n - h_model) <= eta + 1e-9:
                     viol += 1
     for n in pair_ns:
-        _, _, v_id, _, _, d_v, d_cond, _, _ = pairs[n]
+        v_id, _, _, d_v, d_cond, _, _ = pairs[n]
         # One case per typical v: its count of conditionally typical u.
         per_v = {gp: np.bincount(v_id[d_cond < gp], minlength=2**n) for gp in gammas}
         for g in gammas:

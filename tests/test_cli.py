@@ -349,7 +349,7 @@ def test_verify_all_runtime_budget(tmp_path):
     rc = cli.main(["verify", "--suite", "all"])
     elapsed = time.perf_counter() - start
     assert rc == 0
-    assert elapsed < 30  # about 0.9 to 1.0 s on a 2-vCPU machine
+    assert elapsed < 30  # about 0.3 to 0.5 s on a 2-vCPU machine
 
 
 def test_simulate_stage_counts_sum_to_errors(tmp_path):
