@@ -4,8 +4,7 @@ from .channel import Dmc, deterministic_dmc, sample_channel
 from .codec import (AllCosetsEmptyError, CosetSpec, EmptyCosetError,
                     EncodeTarget, build_T_subset, min_div_decode, min_div_encode)
 from .empirical import (EmpiricalType, empirical, enumerate_types, is_cond_typical,
-                        is_typical, seq_cond_entropy, seq_entropy, seq_mutual_multi,
-                        type_class_size)
+                        is_typical, seq_mutual_multi, type_class_size)
 from .ensembles import (BinLabel, EnsembleSpec, HashParams, collision_prob,
                         crp_bound, estimate_hash_params, multi_crp_bound,
                         multi_params, product_params, sample, saturation_bound)

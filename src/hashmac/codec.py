@@ -193,21 +193,18 @@ class Codebook(dict):
     exactly on GF(2) (exact_min) on the message's first lookup, then its
     first row; the score is that codeword's divergence from the target.
 
-    A message no row carries, or any message when there is no coset,
-    raises a fresh EmptyCosetError(error) on every lookup, so no
-    exception, whose traceback would keep a caller's frames alive, is
-    ever stored.
+    A message no row carries raises a fresh EmptyCosetError(error) on
+    every lookup, so no exception, whose traceback would keep a caller's
+    frames alive, is ever stored.
     """
 
-    def __init__(self, error: str, coset=None, runs=None, target=None, q=None):
+    def __init__(self, error: str, coset: np.ndarray, runs, target: EncodeTarget, q: int):
         super().__init__()
         self.error, self.coset, self.target, self.exact = error, coset, target, q == 2
-        self.messages = []
-        if coset is not None:
-            order, edges, self.messages = runs
-            scores = target.divergences(coset)[order]
-            ties, self.bounds = tie_groups(scores, edges)
-            self.rows, self.scores = order[ties], scores[ties]
+        order, edges, self.messages = runs
+        scores = target.divergences(coset)[order]
+        ties, self.bounds = tie_groups(scores, edges)
+        self.rows, self.scores = order[ties], scores[ties]
 
     def __missing__(self, message):
         r = bisect_left(self.messages, message)

@@ -71,45 +71,27 @@ def _entropy_counts(counts: np.ndarray, n: int) -> np.ndarray:
     return math.log2(n) - term.sum(axis=-1) / n
 
 
-def _hashable(sym):
-    if isinstance(sym, np.ndarray):
-        return tuple(sym.tolist())
-    if isinstance(sym, list):
-        return tuple(sym)
-    return sym
-
-
-def seq_entropy(u, alphabet=None) -> float:
-    """Entropy of the empirical distribution of u, in bits."""
-    if alphabet is None:
-        tally = Counter(_hashable(s) for s in u)
-        counts = np.fromiter(tally.values(), dtype=np.int64)
-        if counts.size == 0:
-            raise ValueError("empty sequence")
-    else:
-        counts = empirical(u, alphabet).counts
+def _tally_entropy(seq) -> float:
+    """Entropy in bits of the empirical distribution of a nonempty sequence of hashables."""
+    counts = np.fromiter(Counter(seq).values(), dtype=np.int64)
+    if counts.size == 0:
+        raise ValueError("empty sequence")
     return float(_entropy_counts(counts, int(counts.sum())))
-
-
-def seq_cond_entropy(u, v) -> float:
-    """Empirical conditional entropy H(u|v), in bits."""
-    u = list(u)
-    v = list(v)
-    if len(u) != len(v):
-        raise ValueError("length mismatch")
-    return seq_entropy(list(zip(u, v))) - seq_entropy(v)
 
 
 def seq_mutual_multi(xs, u) -> float:
     """Empirical multi-information of parallel sequences given u, in bits.
 
     Sum over j of H(x_j|u) minus H of the whole tuple given u; nonnegative.
+    Each conditional entropy is H(x, u) - H(u), counted from the symbols.
     """
     xs = [list(x) for x in xs]
     u = list(u)
-    total = sum(seq_cond_entropy(x, u) for x in xs)
-    joint = list(zip(*xs))
-    return total - seq_cond_entropy(joint, u)
+    if any(len(x) != len(u) for x in xs):
+        raise ValueError("length mismatch")
+    h_u = _tally_entropy(u)
+    total = sum(_tally_entropy(zip(x, u)) - h_u for x in xs)
+    return total - (_tally_entropy(zip(zip(*xs), u)) - h_u)
 
 
 def _count_symbols(cands: np.ndarray, n_symbols: int) -> np.ndarray:
@@ -171,15 +153,20 @@ def divergence_to(u, mu: Pmf) -> float:
     return float(conditional_divergences(ix[None, :], one, np.zeros_like(ix))[0])
 
 
-def cond_divergence_to(u, v, mu_cond: CondPmf) -> float:
-    """Conditional divergence of nu_{u|v} from mu, weighted by nu_v, in bits."""
+def is_cond_typical(u, v, mu_cond: CondPmf, gamma: float) -> bool:
+    """Strict membership of nu_{u|v} in the conditional divergence ball of radius gamma.
+
+    The divergence from mu_cond is weighted by nu_v.
+    """
+    if gamma <= 0:
+        raise ValueError("gamma must be positive")
     ui = _index_seq(u, mu_cond.alphabet)
     vi = _index_seq(v, mu_cond.given_alphabet)
     if ui.size != vi.size:
         raise ValueError("length mismatch")
     if ui.size == 0:
         raise ValueError("empty sequence")
-    return float(conditional_divergences(ui[None, :], mu_cond, vi)[0])
+    return float(conditional_divergences(ui[None, :], mu_cond, vi)[0]) < gamma
 
 
 def is_typical(u, mu: Pmf, gamma: float) -> bool:
@@ -187,12 +174,6 @@ def is_typical(u, mu: Pmf, gamma: float) -> bool:
     if gamma <= 0:
         raise ValueError("gamma must be positive")
     return divergence_to(u, mu) < gamma
-
-
-def is_cond_typical(u, v, mu_cond: CondPmf, gamma: float) -> bool:
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
-    return cond_divergence_to(u, v, mu_cond) < gamma
 
 
 def enumerate_types(n: int, alphabet) -> np.ndarray:

@@ -227,7 +227,7 @@ def _as_pmf(p) -> Pmf:
     return p if isinstance(p, Pmf) else Pmf(tuple(range(len(p))), p)
 
 
-def _build(scenario, law: JointLaw, ctx_law: Pmf, conds, in_region, dmc: Dmc,
+def _build(law: JointLaw, ctx_law: Pmf, conds, dmc: Dmc,
            rates, eps, n: int, rng, ensemble_factory, check_region) -> CodeInstance:
     """Sample one code: coded components conditioned on a context.
 
@@ -235,7 +235,9 @@ def _build(scenario, law: JointLaw, ctx_law: Pmf, conds, in_region, dmc: Dmc,
     center (component 0 when the components outnumber the senders) has
     ctx_law as its one row, given a context of one symbol.  The components
     are named by the law's axes before y; the context is its first axis.
-    in_region(rates, law) is the region verdict.
+    A code with a cloud is a superposition code, judged by in_region_sw,
+    whose auxiliary (cloud-decodability) constraints are vacuous for a
+    one-point cloud; any other is a private code, judged by in_region_ts.
     """
     k = len(conds)
     rates = tuple(float(r) for r in rates)
@@ -258,7 +260,8 @@ def _build(scenario, law: JointLaw, ctx_law: Pmf, conds, in_region, dmc: Dmc,
     msg_rows = [_round_rows(n, rates[j], qs[j]) if j in live else 0 for j in range(k)]
     act_rates = tuple(_rows_rate(r, n, q) for r, q in zip(msg_rows, qs))
     if check_region:
-        verdict = in_region(act_rates, law)
+        verdict = (in_region_sw(act_rates, law, include_aux=m > 1) if c
+                   else in_region_ts(act_rates, law))
         if not verdict:
             raise InfeasibleRateError(f"rates outside the region: {verdict.witness}")
     chk_rows = [0] * k
@@ -296,7 +299,7 @@ def _build(scenario, law: JointLaw, ctx_law: Pmf, conds, in_region, dmc: Dmc,
         u.flags.writeable = False
 
     return CodeInstance(
-        scenario=scenario, n=n, dmc=dmc, law=law,
+        scenario="superposition" if c else "private", n=n, dmc=dmc, law=law,
         checks=tuple(checks), message_maps=tuple(message_maps), syndromes=tuple(syndromes),
         check_specs=tuple(check_specs), message_specs=tuple(message_specs),
         rates=act_rates, srates=act_srates, eps=eps, requested_rates=rates,
@@ -321,8 +324,7 @@ def build_private_code(mu_u, input_conds, dmc: Dmc, rates, eps, n: int,
     conds = tuple(_as_cond(c, mu_u.size, dmc.input_sizes[j])
                   for j, c in enumerate(input_conds))
     law = _law or joint_ts(mu_u, [c.rows for c in conds], dmc)
-    return _build("private", law, mu_u, conds, in_region_ts, dmc, rates, eps, n, rng,
-                  ensemble_factory, check_region)
+    return _build(law, mu_u, conds, dmc, rates, eps, n, rng, ensemble_factory, check_region)
 
 
 def build_superposition_code(mu_cloud, cond1, cond2, dmc: Dmc, rates, eps, n: int,
@@ -337,12 +339,9 @@ def build_superposition_code(mu_cloud, cond1, cond2, dmc: Dmc, rates, eps, n: in
     conds = (_as_cond(cond1, mu_cloud.size, dmc.input_sizes[0]),
              _as_cond(cond2, mu_cloud.size, dmc.input_sizes[1]))
     law = _law or joint_sw(mu_cloud, conds[0].rows, conds[1].rows, dmc)
-    # Without a cloud the auxiliary (cloud-decodability) constraints are vacuous.
-    degenerate = mu_cloud.size == 1
-    in_region = lambda r, law: in_region_sw(r, law, include_aux=not degenerate)
     cloud = _as_cond(mu_cloud.probs[None, :], 1, mu_cloud.size)
-    return _build("superposition", law, mu_cloud, (cloud,) + conds, in_region, dmc,
-                  rates, eps, n, rng, ensemble_factory, check_region)
+    return _build(law, mu_cloud, (cloud,) + conds, dmc, rates, eps, n, rng,
+                  ensemble_factory, check_region)
 
 
 def _codeword(code: CodeInstance, i: int, key: int, message: int, ctx):
@@ -362,10 +361,12 @@ def _fill(code: CodeInstance, i: int, ctx) -> Codebook:
 
     The codebook is built on the decoder's check coset, grouped by message
     once per code.  A None context is the one-symbol context of a cloud
-    center.
+    center.  Without a decoder (a check syndrome is unreachable) there is
+    no coset, so every call raises a fresh EmptyCosetError and nothing is
+    stored.
     """
     if code.decoder is None:
-        return Codebook("a check syndrome is unreachable for its matrix")
+        raise EmptyCosetError("a check syndrome is unreachable for its matrix")
     j = i - code.fixed
     if ctx is None:
         ctx = np.zeros(code.n, dtype=np.int64)

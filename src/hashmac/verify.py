@@ -118,14 +118,23 @@ MU_SET = (np.array([0.5, 0.5]), np.array([0.75, 0.25]))
 # Joint model for the pair lemmas: v uniform, u matches v with probability 3/4.
 MUV = np.array([[0.375, 0.125], [0.125, 0.375]])
 
+# The suites' fixed scope: block lengths of the sequence and pair lemmas,
+# typicality radii, the seed of the randomized checks, and the codec
+# suite's instances per reference search.
+TYPE_NS = (4, 6, 8, 10)
+PAIR_NS = (4, 6, 8)
+RADII = (0.01, 0.05, 0.125)
+SEED = 20250811
+ENCODE_INSTANCES = 120
+DECODE_INSTANCES = 80
 
-def types_suite(ns=(4, 6, 8, 10), gammas=(0.01, 0.05, 0.125),
-                pair_ns=(4, 6, 8)) -> list[LemmaReport]:
+
+def types_suite() -> list[LemmaReport]:
     """Exhaustive method-of-types checks over binary alphabets."""
     reports = []
 
     cases = viol = 0
-    for n in ns:
+    for n in TYPE_NS:
         for m in (2, 3):
             cases += 1
             if not len(enumerate_types(n, range(m))) < (n + 1) ** m:
@@ -133,7 +142,7 @@ def types_suite(ns=(4, 6, 8, 10), gammas=(0.01, 0.05, 0.125),
     reports.append(LemmaReport("type-count-bound", cases, viol))
 
     cases = viol = 0
-    for n in ns:
+    for n in TYPE_NS:
         for m in (2, 3):
             lam = slack.type_count_penalty(n, m)
             for counts in enumerate_types(n, range(m)):
@@ -145,22 +154,22 @@ def types_suite(ns=(4, 6, 8, 10), gammas=(0.01, 0.05, 0.125),
     reports.append(LemmaReport("type-class-size-bounds", cases, viol))
 
     # Each enumeration is built once, for every lemma that reads it.
-    binary = {(i, n): _binary_stats(n, mu) for i, mu in enumerate(MU_SET) for n in ns}
-    pairs = {n: _pair_stats(n, MUV) for n in pair_ns}
+    binary = {(i, n): _binary_stats(n, mu) for i, mu in enumerate(MU_SET) for n in TYPE_NS}
+    pairs = {n: _pair_stats(n, MUV) for n in PAIR_NS}
 
     cases = viol = 0
     for i, mu in enumerate(MU_SET):
-        for n in ns:
+        for n in TYPE_NS:
             counts, d = binary[i, n]
             l1 = np.abs(counts / n - mu[None, :]).sum(axis=1)
-            for g in gammas:
+            for g in RADII:
                 typical = d < g
                 cases += int(typical.sum())
                 viol += int((typical & (l1 > math.sqrt(2 * g) + 1e-12)).sum())
     reports.append(LemmaReport("typical-total-variation", cases, viol))
 
     cases = viol = 0
-    for n in ns:
+    for n in TYPE_NS:
         counts, _ = binary[0, n]  # the counts do not depend on mu
         h = _entropy_counts(counts, n)
         lam = slack.type_count_penalty(n, 2)
@@ -172,13 +181,13 @@ def types_suite(ns=(4, 6, 8, 10), gammas=(0.01, 0.05, 0.125),
     reports.append(LemmaReport("low-entropy-sequence-count", cases, viol))
 
     cases = viol = 0
-    for n in pair_ns:
+    for n in PAIR_NS:
         _, counts, d_joint, d_v, d_cond, _, _ = pairs[n]
         cu = counts.sum(axis=1)
         mu_u = MUV.sum(axis=0)
         d_u = _div_from_counts(cu, n * mu_u[None, :], n)
-        for g in gammas:
-            for gp in gammas:
+        for g in RADII:
+            for gp in RADII:
                 cases += d_joint.size
                 fwd = (d_v < g) & (d_cond < gp) & ~(d_joint < g + gp)
                 viol += int(fwd.sum())
@@ -193,15 +202,15 @@ def types_suite(ns=(4, 6, 8, 10), gammas=(0.01, 0.05, 0.125),
     mu_cond = MUV / mu_v[:, None]
     h_cond_model = float(-(MUV * np.log2(mu_cond)).sum())
     cases = viol = 0
-    for n in pair_ns:
+    for n in PAIR_NS:
         _, _, _, d_v, d_cond, h_v, h_vu = pairs[n]
         h_ucond = h_vu - h_v
-        for g in gammas:
+        for g in RADII:
             iota = slack.entropy_slack(g, 2)
             mask = d_v < g
             cases += int(mask.sum())
             viol += int((mask & (np.abs(h_v - h_v_model) > iota + 1e-12)).sum())
-            for gp in gammas:
+            for gp in RADII:
                 iota_c = slack.cond_entropy_slack(gp, g, 2, 2)
                 m2 = mask & (d_cond < gp)
                 cases += int(m2.sum())
@@ -210,21 +219,21 @@ def types_suite(ns=(4, 6, 8, 10), gammas=(0.01, 0.05, 0.125),
 
     cases = viol = 0
     for i, mu in enumerate(MU_SET):
-        for n in ns:
+        for n in TYPE_NS:
             counts, d = binary[i, n]
             logp = counts @ np.log2(mu)
             lam = slack.type_count_penalty(n, 2)
-            for g in gammas:
+            for g in RADII:
                 mass = float(np.exp2(logp[~(d < g)]).sum())
                 cases += 1
                 if not mass <= 2 ** (-n * (g - lam)) * (1 + 1e-9):
                     viol += 1
-    for n in pair_ns:
+    for n in PAIR_NS:
         v_id, counts, _, _, d_cond, _, _ = pairs[n]
         mu_cond_tbl = MUV / MUV.sum(axis=1)[:, None]
         logp = (counts * np.log2(mu_cond_tbl)[None, :, :]).reshape(counts.shape[0], 4).sum(axis=1)
         lam4 = slack.type_count_penalty(n, 4)
-        for g in gammas:
+        for g in RADII:
             atyp = ~(d_cond < g)
             sums = np.bincount(v_id[atyp], weights=np.exp2(logp[atyp]), minlength=2**n)
             cases += 2**n
@@ -234,9 +243,9 @@ def types_suite(ns=(4, 6, 8, 10), gammas=(0.01, 0.05, 0.125),
     cases = viol = vac = 0
     for i, mu in enumerate(MU_SET):
         h_model = float(-(mu * np.log2(mu)).sum())
-        for n in ns:
+        for n in TYPE_NS:
             _, d = binary[i, n]
-            for g in gammas:
+            for g in RADII:
                 count = int((d < g).sum())
                 cases += 1
                 if count == 0:
@@ -245,13 +254,13 @@ def types_suite(ns=(4, 6, 8, 10), gammas=(0.01, 0.05, 0.125),
                 eta = slack.typical_size_slack(g, n, 2)
                 if not abs(math.log2(count) / n - h_model) <= eta + 1e-9:
                     viol += 1
-    for n in pair_ns:
+    for n in PAIR_NS:
         v_id, _, _, d_v, d_cond, _, _ = pairs[n]
         # One case per typical v: its count of conditionally typical u.
-        per_v = {gp: np.bincount(v_id[d_cond < gp], minlength=2**n) for gp in gammas}
-        for g in gammas:
+        per_v = {gp: np.bincount(v_id[d_cond < gp], minlength=2**n) for gp in RADII}
+        for g in RADII:
             v_typical = np.bincount(v_id[d_v < g], minlength=2**n) > 0
-            for gp in gammas:
+            for gp in RADII:
                 eta_c = slack.cond_typical_size_slack(gp, g, n, 2, 2)
                 cnt = per_v[gp][v_typical]
                 cases += cnt.size
@@ -266,7 +275,7 @@ def types_suite(ns=(4, 6, 8, 10), gammas=(0.01, 0.05, 0.125),
 # Hash-family suite: exact collision statistics against the stated bounds.
 # ---------------------------------------------------------------------------
 
-def hash_suite(seed: int = 20250811) -> list[LemmaReport]:
+def hash_suite() -> list[LemmaReport]:
     reports = []
     f2 = FieldSpec(2)
 
@@ -298,7 +307,7 @@ def hash_suite(seed: int = 20250811) -> list[LemmaReport]:
             viol += 1
     reports.append(LemmaReport("two-universal-params", cases, viol))
 
-    rng = rng_mod.stream(seed, "hash-suite")
+    rng = rng_mod.stream(SEED, "hash-suite")
     specs = [EnsembleSpec(UNIFORM, l, n, f2)
              for l in (1, 2, 3) for n in (3, 4) if l < n]
     specs += [EnsembleSpec(SPARSE, 2, 4, f2, column_degree=1),
@@ -543,14 +552,13 @@ def _random_mu(rng) -> np.ndarray:
     return w / w.sum()
 
 
-def codec_suite(seed: int = 20250811, encode_instances: int = 120,
-                decode_instances: int = 80) -> list[LemmaReport]:
+def codec_suite() -> list[LemmaReport]:
     reports = []
     f2 = FieldSpec(2)
-    rng = rng_mod.stream(seed, "codec-suite")
+    rng = rng_mod.stream(SEED, "codec-suite")
 
     cases = viol = 0
-    for _ in range(encode_instances):
+    for _ in range(ENCODE_INSTANCES):
         n = int(rng.integers(2, 9))
         l = int(rng.integers(0, min(4, n) + 1))
         lp = int(rng.integers(0, min(3, n - l) + 1))
@@ -582,7 +590,7 @@ def codec_suite(seed: int = 20250811, encode_instances: int = 120,
     reports.append(LemmaReport("encoder-reference-equivalence", cases, viol))
 
     cases = viol = 0
-    for _ in range(decode_instances):
+    for _ in range(DECODE_INSTANCES):
         n = int(rng.integers(3, 9))
         k = int(rng.integers(1, 3))
         labels, syndromes = [], []
@@ -643,9 +651,10 @@ def codec_suite(seed: int = 20250811, encode_instances: int = 120,
 # Regions suite.
 # ---------------------------------------------------------------------------
 
-def _random_dmc(rng, sizes=(2, 2), out=2) -> Dmc:
-    w = rng.integers(1, 9, size=tuple(sizes) + (out,)).astype(float)
-    return Dmc(tuple(sizes), out, w / w.sum(axis=-1, keepdims=True))
+def _random_dmc(rng) -> Dmc:
+    """A random two-sender binary channel with a binary output."""
+    w = rng.integers(1, 9, size=(2, 2, 2)).astype(float)
+    return Dmc((2, 2), 2, w / w.sum(axis=-1, keepdims=True))
 
 
 def _random_sw_law(rng):
@@ -663,9 +672,9 @@ def _random_sw_law(rng):
 SPLIT_BLOCK = 1024
 
 
-def regions_suite(seed: int = 20250811, split_points: int = 100) -> list[LemmaReport]:
+def regions_suite(split_points: int = 100) -> list[LemmaReport]:
     reports = []
-    rng = rng_mod.stream(seed, "regions-suite")
+    rng = rng_mod.stream(SEED, "regions-suite")
 
     adder = deterministic_dmc((2, 2), 3, lambda a, b: a + b)
     law = joint_private([np.array([0.5, 0.5])] * 2, adder)
@@ -734,8 +743,8 @@ def regions_suite(seed: int = 20250811, split_points: int = 100) -> list[LemmaRe
     reports.append(LemmaReport("identity-reduction-match", cases, viol))
 
     cases = viol = 0
-    split_rng = rng_mod.stream(seed, "rate-split")
-    dmc = _random_dmc(split_rng, (2, 2), 2)
+    split_rng = rng_mod.stream(SEED, "rate-split")
+    dmc = _random_dmc(split_rng)
     mu0 = np.array([0.5, 0.5])
     c1 = np.array([[0.875, 0.125], [0.25, 0.75]])
     c2 = np.array([[0.75, 0.25], [0.125, 0.875]])
@@ -774,11 +783,9 @@ SUITES = {
 
 
 def run_suite(name: str) -> list[LemmaReport]:
+    # SUITES is read at call time: a caller may replace its entries.
     if name == "all":
-        out = []
-        for key in ("types", "hash", "codec", "regions"):
-            out.extend(SUITES[key]())
-        return out
+        return [r for suite in SUITES.values() for r in suite()]
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
     return SUITES[name]()

@@ -160,8 +160,7 @@ def superposition_runs(tmp_path_factory):
 
 def test_criterion_01_method_of_types_suite():
     start = time.perf_counter()
-    reports = types_suite(ns=(4, 6, 8, 10), gammas=(0.01, 0.05, 0.125),
-                          pair_ns=(4, 6, 8))
+    reports = types_suite()
     elapsed = time.perf_counter() - start
     for r in reports:
         assert r.violations == 0, f"{r.name}: {r.violations} violations"
@@ -173,7 +172,7 @@ def test_criterion_01_method_of_types_suite():
 
 @pytest.fixture(scope="module")
 def hash_reports():
-    return hash_suite(seed=SEED)
+    return hash_suite()
 
 
 def test_criterion_02_hash_exactness(hash_reports):
@@ -204,7 +203,7 @@ def test_criterion_04_syndrome_average(hash_reports):
 
 def test_criterion_05_codec_oracle_equivalence():
     start = time.perf_counter()
-    reports = codec_suite(seed=SEED, encode_instances=120, decode_instances=80)
+    reports = codec_suite()
     elapsed = time.perf_counter() - start
     by_name = {r.name: r for r in reports}
     enc = by_name["encoder-reference-equivalence"]

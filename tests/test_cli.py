@@ -283,11 +283,11 @@ def test_verify_exit_codes(monkeypatch, capsys):
 
 def test_fault_injection_breaks_types_suite(monkeypatch):
     # A wrong-signed type-count penalty must be caught by the lemma checks.
-    good = verify.types_suite(ns=(4,), gammas=(0.05,), pair_ns=(4,))
+    good = verify.types_suite()
     assert all(r.violations == 0 for r in good)
     monkeypatch.setattr(slack, "type_count_penalty",
                         lambda n, m: -(m * __import__("math").log2(n + 1) / n))
-    faulty = verify.types_suite(ns=(4,), gammas=(0.05,), pair_ns=(4,))
+    faulty = verify.types_suite()
     assert any(r.violations > 0 for r in faulty)
 
 

@@ -303,6 +303,14 @@ def with_empty_coset(code):
     return dataclasses.replace(code, message_maps=maps)
 
 
+def with_unreachable_check_syndrome(code):
+    """The same code with sender 1's check repeating a row with two different syndrome bits."""
+    chk = code.checks[1]
+    checks = code.checks[:1] + (LinearLabel(chk.field, chk.matrix[[0, 0]]),)
+    syndromes = code.syndromes[:1] + (np.array([0, 1]),)
+    return dataclasses.replace(code, checks=checks, syndromes=syndromes)
+
+
 def counting(monkeypatch, name, module=scenarios):
     """Replace module.<name> by a wrapper that records each call."""
     calls = []
@@ -339,12 +347,7 @@ def test_empty_coset_raises_fresh_error_every_call(monkeypatch):
 
 
 def test_unreachable_check_syndrome_builds_decoder_once(monkeypatch):
-    # Sender 1's check repeats a row with two different syndrome bits.
-    code = private_binary_with_u()
-    chk = code.checks[1]
-    checks = code.checks[:1] + (LinearLabel(chk.field, chk.matrix[[0, 0]]),)
-    syndromes = code.syndromes[:1] + (np.array([0, 1]),)
-    code = dataclasses.replace(code, checks=checks, syndromes=syndromes)
+    code = with_unreachable_check_syndrome(private_binary_with_u())
     builds = counting(monkeypatch, "MinDivDecoder")
     res = simulate_error(code, 30, SEED, ("compiled", "unreachable"))
     assert res.stage_counts[scenarios.STAGE_EMPTY] == res.errors == 30
@@ -353,11 +356,13 @@ def test_unreachable_check_syndrome_builds_decoder_once(monkeypatch):
         decode_components(code, np.zeros(code.n, dtype=np.int64))
 
 
-def test_code_is_freed_after_simulation():
-    # Reference counting alone must free the code: nothing it stores may
-    # point back at it (a stored exception's traceback would, through the
-    # frames of the trials that raised it).
-    code = with_empty_coset(private_binary_with_u())
+def assert_freed_after_simulation(make):
+    """Reference counting alone frees the code make() builds, once simulate_error is done.
+
+    Nothing the code stores may point back at it (a stored exception's
+    traceback would, through the frames of the trials that raised it).
+    """
+    code = make()
     gc.collect()
     gc.disable()
     try:
@@ -368,6 +373,28 @@ def test_code_is_freed_after_simulation():
         assert ref() is None
     finally:
         gc.enable()
+
+
+def test_code_is_freed_after_simulation():
+    assert_freed_after_simulation(lambda: with_empty_coset(private_binary_with_u()))
+
+
+def test_unreachable_check_syndrome_stores_no_codebook(monkeypatch):
+    # Without a decoder there is no coset: every encode raises a fresh
+    # EmptyCosetError from _fill, and no codebook is stored.
+    code = with_unreachable_check_syndrome(private_binary_with_u())
+    msgs = [np.zeros(mm.rows, dtype=np.int64) for mm in code.message_maps]
+    calls = counting(monkeypatch, "_fill")
+    raised = []
+    for _ in range(3):
+        with pytest.raises(EmptyCosetError, match="unreachable") as err:
+            encode_components(code, msgs)
+        raised.append(err.value)
+    assert len(calls) == 3
+    assert raised[0] is not raised[1] and raised[1] is not raised[2]
+    assert code.codebooks == ({}, {})
+    assert_freed_after_simulation(
+        lambda: with_unreachable_check_syndrome(private_binary_with_u()))
 
 
 @st.composite

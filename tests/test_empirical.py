@@ -6,10 +6,9 @@ import numpy as np
 import pytest
 
 from hashmac import gf
-from hashmac.empirical import (cond_divergence_to, divergence_to, empirical, enumerate_types,
-                               is_cond_typical, is_typical, joint_counts,
-                               seq_cond_entropy, seq_entropy, seq_mutual_multi,
-                               type_class_size)
+from hashmac.empirical import (_entropy_counts, conditional_divergences, divergence_to,
+                               empirical, enumerate_types, is_cond_typical, is_typical,
+                               joint_counts, seq_mutual_multi, type_class_size)
 from hashmac.prob import CondPmf, Pmf
 from hashmac.verify import _ref_div_cells
 
@@ -48,9 +47,11 @@ def test_cond_empirical_identity_kernel():
     assert _cond_rows([0, 1], [0, 1]).tolist() == [[1.0, 0.0], [0.0, 1.0]]
 
 
-def test_seq_entropy_values():
-    assert seq_entropy([0, 1, 0, 1]) == 1.0
-    assert seq_cond_entropy([0, 1, 0, 1], [0, 1, 0, 1]) == 0.0
+def test_seq_mutual_multi_values():
+    # Two copies of x given a constant share H(x); given x itself, nothing.
+    x = [0, 1, 0, 1]
+    assert seq_mutual_multi([x, x], [0, 0, 0, 0]) == 1.0
+    assert seq_mutual_multi([x, x], x) == 0.0
 
 
 def test_seq_mutual_multi_copy():
@@ -67,13 +68,22 @@ def test_seq_mutual_multi_nonnegative_random():
         assert seq_mutual_multi(xs, u) >= -1e-12
 
 
+def _mutual_information(u, v):
+    """I(u; v) = H(u) + H(v) - H(u, v) of two binary sequences, from their joint counts."""
+    n = len(u)
+    c = joint_counts((u, v), (2, 2))
+    return float(_entropy_counts(c.sum(axis=1), n) + _entropy_counts(c.sum(axis=0), n)
+                 - _entropy_counts(c.ravel(), n))
+
+
 @pytest.mark.parametrize("n", [2, 4, 6])
 def test_chain_rule_exhaustive(n):
+    # Given a constant, the multi-information of two sequences is I(u; v).
+    const = [0] * n
     for u_bits in itertools.product((0, 1), repeat=n):
         for v_bits in itertools.product((0, 1), repeat=n):
-            joint = seq_entropy(list(zip(u_bits, v_bits)))
-            split = seq_entropy(v_bits) + seq_cond_entropy(u_bits, v_bits)
-            assert abs(joint - split) < 1e-12
+            got = seq_mutual_multi([u_bits, v_bits], const)
+            assert abs(got - _mutual_information(u_bits, v_bits)) < 1e-12
 
 
 def test_chain_rule_all_types_n10():
@@ -88,9 +98,8 @@ def test_chain_rule_all_types_n10():
                                      (c00, c01, c10, c11)):
                     u += [a] * c
                     v += [b] * c
-                joint = seq_entropy(list(zip(u, v)))
-                split = seq_entropy(v) + seq_cond_entropy(u, v)
-                assert abs(joint - split) < 1e-12
+                got = seq_mutual_multi([u, v], [0] * n)
+                assert abs(got - _mutual_information(u, v)) < 1e-12
 
 
 def test_typicality_examples():
@@ -130,7 +139,9 @@ def test_divergence_to_matches_cellwise_reference():
             want = _ref_div_cells(
                 Counter(zip(v, u)),
                 lambda c: v_counts[c[0]] * cond.row(c[0]).prob(c[1]), n)
-            got = cond_divergence_to(u, v, cond)
+            ui = np.array([cond.alphabet.index(a) for a in u])
+            vi = np.array([cond.given_alphabet.index(b) for b in v])
+            got = float(conditional_divergences(ui[None, :], cond, vi)[0])
             assert got == want == math.inf or abs(got - want) < 1e-12
 
 
@@ -140,9 +151,15 @@ def test_divergence_to_errors():
     with pytest.raises(ValueError, match="outside alphabet"):
         divergence_to([0, 2], mu)
     with pytest.raises(ValueError, match="outside alphabet"):
-        cond_divergence_to([0, 2], [0, 0], cond)
+        is_cond_typical([0, 2], [0, 0], cond, 0.1)
+    with pytest.raises(ValueError, match="outside alphabet"):
+        is_cond_typical([0, 0], [0, 2], cond, 0.1)
     with pytest.raises(ValueError, match="length mismatch"):
-        cond_divergence_to([0, 1], [0], cond)
+        is_cond_typical([0, 1], [0], cond, 0.1)
+    with pytest.raises(ValueError, match="empty"):
+        is_cond_typical([], [], cond, 0.1)
+    with pytest.raises(ValueError, match="gamma"):
+        is_cond_typical([0, 1], [0, 1], cond, 0.0)
     with pytest.raises(ValueError, match="empty"):
         divergence_to([], mu)
 

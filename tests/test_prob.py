@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import hashmac.cli as cli
 from hashmac.channel import Dmc, deterministic_dmc
-from hashmac.empirical import cond_divergence_to, divergence_to
+from hashmac.empirical import conditional_divergences, divergence_to, is_cond_typical
 from hashmac.prob import SUM_TOL, CondPmf, Pmf, as_distribution, entropy
 from hashmac.regions import (JOINT_TOTAL_TOL, JointLaw, joint_private, joint_sw, joint_ts,
                              mutual_information)
@@ -68,14 +68,19 @@ def test_divergence_alphabet_mismatch():
 def test_cond_entropy_and_divergence():
     cond = CondPmf((0, 1), (0, 1), [[0.5, 0.5], [1.0, 0.0]])
     # v has the type of base, and u given v the rows of cond.
-    same = cond_divergence_to([0, 1, 0, 0], [0, 0, 1, 1], cond)
-    assert same == 0.0
+    same = conditional_divergences(np.array([[0, 1, 0, 0]]), cond, np.array([0, 0, 1, 1]))
+    assert same.tolist() == [0.0]
+    assert is_cond_typical([0, 1, 0, 0], [0, 0, 1, 1], cond, 1e-300)
 
 
 def test_cond_divergence_weights_rows():
     # Only the rows of symbols that v takes count: here row 0 alone.
     q2 = CondPmf((0, 1), (0, 1), [[0.5, 0.5], [0.5, 0.5]])
-    assert abs(cond_divergence_to([0, 0], [0, 0], q2) - 1.0) < 1e-12
+    d = conditional_divergences(np.array([[0, 0]]), q2, np.array([0, 0]))
+    assert abs(d[0] - 1.0) < 1e-12
+    # Strict membership: a radius just past 1 bit admits the pair, 1 bit does not.
+    assert is_cond_typical([0, 0], [0, 0], q2, 1.0 + 1e-12)
+    assert not is_cond_typical([0, 0], [0, 0], q2, 1.0 - 1e-12)
 
 
 def test_pmf_validation():

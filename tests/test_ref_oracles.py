@@ -86,8 +86,8 @@ def test_ref_space_is_every_vector_in_product_order():
         assert [tuple(r) for r in space.tolist()] == list(itertools.product((0, 1), repeat=n))
 
 
-def _reports(**kwargs):
-    reports = verify.codec_suite(**kwargs)
+def _reports():
+    reports = verify.codec_suite()
     return {r.name: r.violations for r in reports}
 
 
