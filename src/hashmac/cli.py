@@ -2,7 +2,8 @@
 
 Configuration is a single JSON document with one top-level object per
 subcommand; see the README for the schema and worked examples.  Exit codes:
-0 success, 1 verification or feasibility failure, 2 configuration error.
+0 success, 1 verification or feasibility failure, 2 configuration error or
+a run that would pass an enumeration limit.
 """
 
 from __future__ import annotations
@@ -20,9 +21,9 @@ import numpy as np
 
 from . import rng as rng_mod
 from .channel import Dmc
-from .ensembles import (BINNING, EnsembleSpec, KINDS, SPARSE, UNIFORM, default_degree,
-                        estimate_hash_params)
-from .gf import FieldSpec
+from .ensembles import (BINNING, EnsembleSpec, KINDS, SPARSE, UNIFORM, SupportBudgetError,
+                        default_degree, estimate_hash_params)
+from .gf import EnumerationBudgetError, FieldSpec
 from .prob import as_distribution
 from .regions import (in_region_private, in_region_sw, joint_private, joint_sw,
                       joint_ts, rate_split, RateSplitInfeasible)
@@ -36,6 +37,8 @@ SIMULATE_COLUMNS = ("scenario", "n", "rates", "ensemble", "seed", "trials",
     s.replace("-", "_") for s in STAGES) + ("wall_time_s",)
 REGION_COLUMNS = ("point", "inside", "witness", "split_point", "split_moved")
 STATS_COLUMNS = ("n", "kind", "rows", "alpha", "beta", "provenance", "half_width")
+# A configuration that asks for more than a limit allows: exit 2, like a bad field.
+LIMIT_ERRORS = (EnumerationBudgetError, SupportBudgetError)
 
 
 class ConfigError(ValueError):
@@ -296,12 +299,14 @@ def cmd_simulate(config: dict, seed: int | None, force: bool,
         start = time.perf_counter()
         try:
             found = search_code(builder, candidates, pilot, the_seed, (scenario, n))
+            result = simulate_error(found.code, trials, the_seed,
+                                    (scenario, n, rng_mod.MEASURE, found.candidate))
         except InfeasibleRateError as e:
             print(f"n={n}: infeasible: {e}", file=sys.stderr)
             print("hint: pass --force to run an out-of-region control", file=sys.stderr)
             return 1
-        result = simulate_error(found.code, trials, the_seed,
-                                (scenario, n, rng_mod.MEASURE, found.candidate))
+        except LIMIT_ERRORS as e:
+            raise type(e)(f"n={n}: {e}") from None
         wall = time.perf_counter() - start
         row = {
             "scenario": scenario,
@@ -386,7 +391,8 @@ def main(argv=None) -> int:
         description="Coset-code laboratory for multiple-access channels.",
         epilog="Region tests use strict inequalities: boundary rate points "
                "count as outside. Exit codes: 0 ok, 1 verification or "
-               "feasibility failure, 2 configuration error.")
+               "feasibility failure, 2 configuration error or a run past an "
+               "enumeration limit.")
     parser.add_argument("command",
                         choices=["region", "simulate", "verify", "ensemble-stats"])
     parser.add_argument("--config", help="JSON experiment configuration")
@@ -413,6 +419,9 @@ def main(argv=None) -> int:
         return cmd_ensemble_stats(config, out)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
+        return 2
+    except LIMIT_ERRORS as e:
+        print(f"limit error: {e}", file=sys.stderr)
         return 2
 
 

@@ -18,7 +18,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import codec
 from .gf import FieldSpec, LinearLabel, all_vectors, apply_label_many, lex_index
 
 # Kinds of label families.
@@ -31,6 +30,9 @@ BINNING_TABLE_BUDGET = 1 << 16
 # Hard cap on the labels of one support walk (a product of supports
 # included).  Every check reads it at call time.
 SUPPORT_BUDGET = 1 << 20
+# Cells (matrix entries plus outputs) one step of a support walk holds, so
+# the walk's memory stays small whatever the support size.
+SUPPORT_CHUNK_CELLS = 1 << 14
 ALPHA_GRID = np.round(np.arange(1.0, 4.0 + 1e-9, 0.05), 2)
 
 
@@ -380,8 +382,8 @@ def _members(spec: EnsembleSpec, idx: np.ndarray) -> np.ndarray:
 
 
 def _member_chunks(spec: EnsembleSpec, size: int, cells_per_label: int):
-    """_members over the whole support, about codec.SCAN_CHUNK_CELLS cells at a time."""
-    step = max(1, codec.SCAN_CHUNK_CELLS // max(cells_per_label, 1))
+    """_members over the whole support, about SUPPORT_CHUNK_CELLS cells at a time."""
+    step = max(1, SUPPORT_CHUNK_CELLS // max(cells_per_label, 1))
     for start in range(0, size, step):
         yield _members(spec, np.arange(start, min(start + step, size), dtype=np.int64))
 
@@ -416,7 +418,7 @@ def support_label(spec: EnsembleSpec, index: int):
 def _output_chunks(spec: EnsembleSpec, vecs):
     """label_outputs of each support label on the rows of vecs, in support order.
 
-    Yields (labels, m, rows) arrays of about codec.SCAN_CHUNK_CELLS cells, so
+    Yields (labels, m, rows) arrays of about SUPPORT_CHUNK_CELLS cells, so
     memory stays within one chunk; SupportBudgetError comes before any
     allocation.
     """

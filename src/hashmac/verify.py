@@ -1,9 +1,11 @@
 """Exhaustive verification suites for the toolkit's combinatorial claims.
 
-Each suite enumerates every object in a small scope (sequences, matrices,
-candidate vectors) and counts violations of the bound or identity under
-test.  The codec suite instead replays random instances against slow,
-independently written reference searches.
+Each suite covers every object in a small scope and counts violations of
+the bound or identity under test.  The types suite counts sequences and
+pairs by type class, with exact class sizes; the hash suite walks each
+ensemble's whole support in bounded chunks.  The codec suite instead
+replays random instances against slow, independently written reference
+searches.
 """
 
 from __future__ import annotations
@@ -26,9 +28,9 @@ from .ensembles import (EnsembleSpec, SPARSE, UNIFORM, collision_by_weight, coll
                         conditional_maxima, crp_bound, crp_rate_exact,
                         estimate_hash_params, multi_crp_bound,
                         multi_crp_rate_exact, product_params, saturation_bound,
-                        saturation_rate_exact,
-                        support_label, syndrome_hit_rates,
-                        uniform_syndrome_hit_rate, ensemble_syndrome_hit_rate)
+                        saturation_rate_exact, support_label,
+                        uniform_syndrome_hit_rate, ensemble_syndrome_hit_rate,
+                        _output_chunks, _syndrome_hits)
 from .gf import FieldSpec, LinearLabel, all_vectors
 from .prob import CondPmf, Pmf
 from .regions import (in_region_private, in_region_sw, inside, joint_private, joint_sw,
@@ -51,7 +53,12 @@ class LemmaReport:
 
 
 # ---------------------------------------------------------------------------
-# Vectorized helpers over exhaustive binary sequence/pair enumerations.
+# Method-of-types suite, counted over type classes.
+#
+# Every statistic these lemmas test is a function of a sequence's type, or
+# of a pair's joint type, alone.  So a count over all sequences is a sum over
+# types, each weighted by its exact class size (a Python int), and no
+# sequence is enumerated.
 # ---------------------------------------------------------------------------
 
 def _div_from_counts(counts: np.ndarray, denom: np.ndarray, n: int) -> np.ndarray:
@@ -59,59 +66,70 @@ def _div_from_counts(counts: np.ndarray, denom: np.ndarray, n: int) -> np.ndarra
     return _divergence_from_counts(counts, _log2_denom(denom), n)
 
 
-def _popcounts(n: int) -> np.ndarray:
-    """Number of ones in each n-bit index 0 .. 2^n - 1."""
-    pop = np.zeros(1 << n, dtype=np.int64)
-    for b in range(n):
-        pop[1 << b:2 << b] = pop[:1 << b] + 1
-    return pop
+def _binary_types(n: int) -> np.ndarray:
+    """Types (n - k, k) of the binary n-sequences, one row per count of ones k = 0..n."""
+    k = np.arange(n + 1)
+    return np.stack([n - k, k], axis=1)
 
 
-def _binary_stats(n: int, mu: np.ndarray):
-    """For all 2^n sequences, as n-bit indices in lex order: counts (m,2) and divergence to mu.
+def _binomials(n: int) -> np.ndarray:
+    """C(n, k) for k = 0..n as Python ints: the class size of each binary type."""
+    return np.array([math.comb(n, k) for k in range(n + 1)], dtype=object)
 
-    The divergence depends on the count of ones alone, so it is evaluated
-    once per type and gathered per sequence.
+
+def _total(sizes: np.ndarray, mask: np.ndarray) -> int:
+    """Exact number of objects in the classes where mask holds."""
+    return int(sizes[mask].sum())
+
+
+@dataclass(frozen=True)
+class _PairTypes:
+    """Joint types of the binary (v, u) pairs of length n, and their statistics.
+
+    One entry per type (c11, k, c.1): the positions where v and u are both
+    1, the ones of v and the ones of u.  cells holds the counts of
+    (v, u) = 00, 01, 10, 11.  per_v is the number of u that give the type
+    for one v with k ones, C(k, c11) C(n - k, c.1 - c11), and size the
+    number of pairs of the type, C(n, k) per_v.  The statistics follow
+    the model muv, indexed [v, u].
     """
-    c1 = np.arange(n + 1)
-    types = np.stack([n - c1, c1], axis=1)
-    ones = _popcounts(n)
-    return types[ones], _div_from_counts(types, n * mu[None, :], n)[ones]
+
+    n: int
+    k: np.ndarray
+    per_v: np.ndarray
+    size: np.ndarray
+    cells: np.ndarray
+    d_joint: np.ndarray
+    d_v: np.ndarray
+    d_u: np.ndarray
+    d_cond: np.ndarray
+    h_v: np.ndarray
+    h_vu: np.ndarray
+
+    def by_v(self, values: np.ndarray, mask: np.ndarray) -> list:
+        """Per k = 0..n: the sum of values over one v's pairs with mask, for a v with k ones."""
+        return [values[mask & (self.k == j)].sum() for j in range(self.n + 1)]
 
 
-def _pair_stats(n: int, muv: np.ndarray):
-    """For all 4^n (v, u) pairs, v_id-major with u_id ascending: counts and statistics.
-
-    muv is the joint table indexed [v, u].  Returns (v_id, counts(m,2,2),
-    D(vu joint), D(v marginal), D(u|v conditional), H(v), H(vu)), with
-    counts[:, a, b] the positions where v is a and u is b.  Every statistic
-    is a function of the pair's joint type (c11, c1., c.1) alone, so each is
-    evaluated once per type and gathered per pair.
-    """
-    size = 1 << n
-    ids = np.arange(size)
-    pop = _popcounts(n)
-    v_id = np.repeat(ids, size)
-    # Row of each pair in the (n+1)^3 table of (c11, c1., c.1); u_id runs fastest.
-    type_id = pop[v_id & np.tile(ids, size)]
-    type_id *= n + 1
-    type_id += np.repeat(pop, size)
-    type_id *= n + 1
-    type_id += np.tile(pop, size)
-    c11, cv1, cu1 = np.indices((n + 1,) * 3, dtype=np.int64).reshape(3, -1)
-    cells = np.stack([n - cv1 - cu1 + c11, cu1 - c11, cv1 - c11, c11], axis=1)
+def _pair_types(n: int, muv: np.ndarray) -> _PairTypes:
+    c11, k, cu1 = np.indices((n + 1,) * 3, dtype=np.int64).reshape(3, -1)
+    cells = np.stack([n - k - cu1 + c11, cu1 - c11, k - c11, c11], axis=1)
     valid = (cells >= 0).all(axis=1)
-    type_id = (np.cumsum(valid) - 1)[type_id]
-    types = cells[valid]
-    cv = types.reshape(-1, 2, 2).sum(axis=2)
+    c11, k, cu1, cells = c11[valid], k[valid], cu1[valid], cells[valid]
+    per_v = np.array([math.comb(a, b) * math.comb(n - a, c - b)
+                      for a, b, c in zip(k.tolist(), c11.tolist(), cu1.tolist())], dtype=object)
+    cv = cells.reshape(-1, 2, 2).sum(axis=2)
+    cu = cells.reshape(-1, 2, 2).sum(axis=1)
     mu_v = muv.sum(axis=1)
     mu_cond = muv / mu_v[:, None]
-    stats = (_div_from_counts(types, n * muv.ravel()[None, :], n),
-             _div_from_counts(cv, n * mu_v[None, :], n),
-             _div_from_counts(types, (cv[:, :, None] * mu_cond[None, :, :]).reshape(-1, 4), n),
-             _entropy_counts(cv, n),
-             _entropy_counts(types, n))
-    return (v_id, types.reshape(-1, 2, 2)[type_id]) + tuple(s[type_id] for s in stats)
+    return _PairTypes(
+        n, k, per_v, _binomials(n)[k] * per_v, cells,
+        d_joint=_div_from_counts(cells, n * muv.ravel()[None, :], n),
+        d_v=_div_from_counts(cv, n * mu_v[None, :], n),
+        d_u=_div_from_counts(cu, n * muv.sum(axis=0)[None, :], n),
+        d_cond=_div_from_counts(cells, (cv[:, :, None] * mu_cond[None, :, :]).reshape(-1, 4), n),
+        h_v=_entropy_counts(cv, n),
+        h_vu=_entropy_counts(cells, n))
 
 
 MU_SET = (np.array([0.5, 0.5]), np.array([0.75, 0.25]))
@@ -130,7 +148,7 @@ DECODE_INSTANCES = 80
 
 
 def types_suite() -> list[LemmaReport]:
-    """Exhaustive method-of-types checks over binary alphabets."""
+    """Exact method-of-types checks over binary alphabets, counted per type class."""
     reports = []
 
     cases = viol = 0
@@ -153,48 +171,46 @@ def types_suite() -> list[LemmaReport]:
                     viol += 1
     reports.append(LemmaReport("type-class-size-bounds", cases, viol))
 
-    # Each enumeration is built once, for every lemma that reads it.
-    binary = {(i, n): _binary_stats(n, mu) for i, mu in enumerate(MU_SET) for n in TYPE_NS}
-    pairs = {n: _pair_stats(n, MUV) for n in PAIR_NS}
+    # Each table is built once, for every lemma that reads it.
+    binary = {n: (_binary_types(n), _binomials(n)) for n in TYPE_NS}
+    div = {(i, n): _div_from_counts(binary[n][0], n * mu[None, :], n)
+           for i, mu in enumerate(MU_SET) for n in TYPE_NS}
+    pairs = {n: _pair_types(n, MUV) for n in PAIR_NS}
 
     cases = viol = 0
     for i, mu in enumerate(MU_SET):
         for n in TYPE_NS:
-            counts, d = binary[i, n]
+            counts, sizes = binary[n]
+            d = div[i, n]
             l1 = np.abs(counts / n - mu[None, :]).sum(axis=1)
             for g in RADII:
                 typical = d < g
-                cases += int(typical.sum())
-                viol += int((typical & (l1 > math.sqrt(2 * g) + 1e-12)).sum())
+                cases += _total(sizes, typical)
+                viol += _total(sizes, typical & (l1 > math.sqrt(2 * g) + 1e-12))
     reports.append(LemmaReport("typical-total-variation", cases, viol))
 
     cases = viol = 0
     for n in TYPE_NS:
-        counts, _ = binary[0, n]  # the counts do not depend on mu
+        counts, sizes = binary[n]
         h = _entropy_counts(counts, n)
         lam = slack.type_count_penalty(n, 2)
         for hh in (0.0, 0.25, 0.5, 0.75, 1.0):
             cases += 1
-            count = int((h <= hh + 1e-12).sum())
+            count = _total(sizes, h <= hh + 1e-12)
             if not count <= 2 ** (n * (hh + lam)) * (1 + 1e-9):
                 viol += 1
     reports.append(LemmaReport("low-entropy-sequence-count", cases, viol))
 
     cases = viol = 0
     for n in PAIR_NS:
-        _, counts, d_joint, d_v, d_cond, _, _ = pairs[n]
-        cu = counts.sum(axis=1)
-        mu_u = MUV.sum(axis=0)
-        d_u = _div_from_counts(cu, n * mu_u[None, :], n)
+        t = pairs[n]
         for g in RADII:
             for gp in RADII:
-                cases += d_joint.size
-                fwd = (d_v < g) & (d_cond < gp) & ~(d_joint < g + gp)
-                viol += int(fwd.sum())
+                cases += 4**n
+                viol += _total(t.size, (t.d_v < g) & (t.d_cond < gp) & ~(t.d_joint < g + gp))
             # Joint typicality implies both marginal and conditional typicality.
-            cases += d_joint.size
-            back = (d_joint < g) & (~(d_u < g) | ~(d_cond < g))
-            viol += int(back.sum())
+            cases += 4**n
+            viol += _total(t.size, (t.d_joint < g) & (~(t.d_u < g) | ~(t.d_cond < g)))
     reports.append(LemmaReport("typicality-transfer", cases, viol))
 
     h_v_model = float(-(MUV.sum(axis=1) * np.log2(MUV.sum(axis=1))).sum())
@@ -203,50 +219,49 @@ def types_suite() -> list[LemmaReport]:
     h_cond_model = float(-(MUV * np.log2(mu_cond)).sum())
     cases = viol = 0
     for n in PAIR_NS:
-        _, _, _, d_v, d_cond, h_v, h_vu = pairs[n]
-        h_ucond = h_vu - h_v
+        t = pairs[n]
+        h_ucond = t.h_vu - t.h_v
         for g in RADII:
             iota = slack.entropy_slack(g, 2)
-            mask = d_v < g
-            cases += int(mask.sum())
-            viol += int((mask & (np.abs(h_v - h_v_model) > iota + 1e-12)).sum())
+            mask = t.d_v < g
+            cases += _total(t.size, mask)
+            viol += _total(t.size, mask & (np.abs(t.h_v - h_v_model) > iota + 1e-12))
             for gp in RADII:
                 iota_c = slack.cond_entropy_slack(gp, g, 2, 2)
-                m2 = mask & (d_cond < gp)
-                cases += int(m2.sum())
-                viol += int((m2 & (np.abs(h_ucond - h_cond_model) > iota_c + 1e-12)).sum())
+                m2 = mask & (t.d_cond < gp)
+                cases += _total(t.size, m2)
+                viol += _total(t.size, m2 & (np.abs(h_ucond - h_cond_model) > iota_c + 1e-12))
     reports.append(LemmaReport("typical-entropy-deviation", cases, viol))
 
     cases = viol = 0
     for i, mu in enumerate(MU_SET):
         for n in TYPE_NS:
-            counts, d = binary[i, n]
-            logp = counts @ np.log2(mu)
+            counts, sizes = binary[n]
+            mass = np.exp2(counts @ np.log2(mu)) * sizes.astype(np.float64)
             lam = slack.type_count_penalty(n, 2)
             for g in RADII:
-                mass = float(np.exp2(logp[~(d < g)]).sum())
                 cases += 1
-                if not mass <= 2 ** (-n * (g - lam)) * (1 + 1e-9):
+                if not float(mass[~(div[i, n] < g)].sum()) <= 2 ** (-n * (g - lam)) * (1 + 1e-9):
                     viol += 1
     for n in PAIR_NS:
-        v_id, counts, _, _, d_cond, _, _ = pairs[n]
-        mu_cond_tbl = MUV / MUV.sum(axis=1)[:, None]
-        logp = (counts * np.log2(mu_cond_tbl)[None, :, :]).reshape(counts.shape[0], 4).sum(axis=1)
+        t = pairs[n]
+        mass = np.exp2((t.cells * np.log2(mu_cond).ravel()[None, :]).sum(axis=1)) \
+            * t.per_v.astype(np.float64)
         lam4 = slack.type_count_penalty(n, 4)
+        sizes = _binomials(n)
         for g in RADII:
-            atyp = ~(d_cond < g)
-            sums = np.bincount(v_id[atyp], weights=np.exp2(logp[atyp]), minlength=2**n)
+            # One case per v: its atypical conditional mass, a function of its ones alone.
+            sums = np.array(t.by_v(mass, ~(t.d_cond < g)))
             cases += 2**n
-            viol += int((sums > 2 ** (-n * (g - lam4)) * (1 + 1e-9)).sum())
+            viol += _total(sizes, sums > 2 ** (-n * (g - lam4)) * (1 + 1e-9))
     reports.append(LemmaReport("atypical-mass-bound", cases, viol))
 
     cases = viol = vac = 0
     for i, mu in enumerate(MU_SET):
         h_model = float(-(mu * np.log2(mu)).sum())
         for n in TYPE_NS:
-            _, d = binary[i, n]
             for g in RADII:
-                count = int((d < g).sum())
+                count = _total(binary[n][1], div[i, n] < g)
                 cases += 1
                 if count == 0:
                     vac += 1
@@ -255,18 +270,21 @@ def types_suite() -> list[LemmaReport]:
                 if not abs(math.log2(count) / n - h_model) <= eta + 1e-9:
                     viol += 1
     for n in PAIR_NS:
-        v_id, _, _, d_v, d_cond, _, _ = pairs[n]
-        # One case per typical v: its count of conditionally typical u.
-        per_v = {gp: np.bincount(v_id[d_cond < gp], minlength=2**n) for gp in RADII}
+        t = pairs[n]
+        sizes = _binomials(n)
+        # One case per typical v: its count of conditionally typical u, a
+        # function of its ones k alone, as is its own typicality.
+        per_v = {gp: np.array(t.by_v(t.per_v, t.d_cond < gp), dtype=object) for gp in RADII}
+        d_v = _div_from_counts(_binary_types(n), n * mu_v[None, :], n)
         for g in RADII:
-            v_typical = np.bincount(v_id[d_v < g], minlength=2**n) > 0
             for gp in RADII:
                 eta_c = slack.cond_typical_size_slack(gp, g, n, 2, 2)
-                cnt = per_v[gp][v_typical]
-                cases += cnt.size
-                vac += int((cnt == 0).sum())
-                dev = np.abs(np.log2(cnt[cnt > 0]) / n - h_cond_model)
-                viol += int((~(dev <= eta_c + 1e-9)).sum())
+                cnt, w = per_v[gp][d_v < g], sizes[d_v < g]
+                live = cnt > 0
+                dev = np.abs(np.log2(cnt[live].astype(np.float64)) / n - h_cond_model)
+                cases += int(w.sum())
+                vac += _total(w, ~live)
+                viol += _total(w[live], ~(dev <= eta_c + 1e-9))
     reports.append(LemmaReport("typical-set-size", cases, viol, vac))
     return reports
 
@@ -283,10 +301,13 @@ def hash_suite() -> list[LemmaReport]:
     for l in (1, 2, 3):
         for n in (2, 3, 4):
             spec = EnsembleSpec(UNIFORM, l, n, f2)
-            mats = all_vectors(2, l * n).reshape(-1, l, n)
             diffs = all_vectors(2, n)[1:]
-            hits = ((mats @ diffs.T) % 2 == 0).all(axis=1)  # (M, D)
-            rates = hits.mean(axis=0)
+            # Per difference, the labels of the whole support that map it to 0.
+            hits = labels = 0
+            for outs in _output_chunks(spec, diffs):
+                hits += (outs == 0).all(axis=2).sum(axis=0)
+                labels += outs.shape[0]
+            rates = hits / labels
             cases += diffs.shape[0]
             viol += int((rates != 2.0**-l).sum())
             for d_idx in (0, diffs.shape[0] - 1):
@@ -371,14 +392,19 @@ def hash_suite() -> list[LemmaReport]:
             spec = EnsembleSpec(UNIFORM, l, n, f2)
             want = 1.0 / spec.im_size
             space = all_vectors(2, n)
-            rates = syndrome_hit_rates(spec, space)  # (labels, vectors)
-            cases += rates.size
-            viol += int((rates != want).sum())
+            labels = 0
+            for hits in _syndrome_hits(spec, space):  # (labels, vectors) per chunk
+                rates = hits / spec.im_size
+                cases += rates.size
+                viol += int((rates != want).sum())
+                if labels == 0:
+                    first = rates[0]
+                labels += rates.shape[0]
             # The batched rows must agree with the one-label function.
-            for i in (0, rates.shape[0] - 1):
+            for i, row in ((0, first), (labels - 1, rates[-1])):
                 label = support_label(spec, i)
                 one = np.array([uniform_syndrome_hit_rate(label, u) for u in space])
-                viol += int((one != rates[i]).sum())
+                viol += int((one != row).sum())
             cases += 1
             if ensemble_syndrome_hit_rate(spec, np.zeros(n, dtype=np.int64)) != want:
                 viol += 1

@@ -201,6 +201,19 @@ def test_criterion_04_syndrome_average(hash_reports):
     _ok(4, f"expectation exactly 1/|range| on {rep.cases} exhaustive cases")
 
 
+def test_hash_suite_reports_at_defaults(hash_reports):
+    assert [(r.name, r.cases, r.violations) for r in hash_reports] == [
+        ("pairwise-collision-exactness", 93, 0),
+        ("two-universal-params", 4, 0),
+        ("bin-saturation-bound", 30, 0),
+        ("collision-resistance-bound", 30, 0),
+        ("joint-collision-bound", 6, 0),
+        ("uniform-syndrome-average", 74936, 0),
+        ("stacked-family-params", 2, 0),
+        ("aggregate-collision-mass", 20, 0),
+    ]
+
+
 def test_criterion_05_codec_oracle_equivalence():
     start = time.perf_counter()
     reports = codec_suite()

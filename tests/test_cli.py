@@ -3,6 +3,8 @@ import json
 import pytest
 
 import hashmac.cli as cli
+import hashmac.ensembles as ens
+import hashmac.gf as gf
 import hashmac.slack as slack
 import hashmac.verify as verify
 from hashmac.gf import FieldSpec
@@ -259,6 +261,18 @@ def stats_cfg(**overrides):
 def test_out_of_range_config_values_exit_2(tmp_path, capsys, command, payload, field):
     assert cli.main([command, "--config", write_cfg(tmp_path, payload)]) == 2
     assert f"config error: {field}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("module, limit, argv, line", [
+    (gf, "ENUMERATION_BUDGET", ["simulate"],
+     "limit error: n=4: coset size 2^1 exceeds the budget of 1"),
+    (ens, "SUPPORT_BUDGET", ["verify", "--suite", "hash"],
+     "limit error: 2^2 matrices exceed the budget of 1"),
+], ids=["enumeration", "support"])
+def test_limit_errors_exit_2_with_one_line(tmp_path, monkeypatch, capsys, module, limit, argv, line):
+    monkeypatch.setattr(module, limit, 1)
+    assert cli.main(argv + ["--config", write_cfg(tmp_path, sim_cfg())]) == 2
+    assert capsys.readouterr().err.splitlines() == [line]
 
 
 def test_missing_config_for_simulate():

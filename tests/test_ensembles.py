@@ -555,7 +555,6 @@ def test_saturation_counts_distinct_bins_not_runs():
 
 @pytest.mark.parametrize("cells", [1, 5, 64])
 def test_exact_rates_identical_over_several_chunks(monkeypatch, cells):
-    import hashmac.codec as C
     specs = (EnsembleSpec(UNIFORM, 2, 3, F2), EnsembleSpec(SPARSE, 2, 2, F3, column_degree=1),
              EnsembleSpec(BINNING, 1, 2, F2), EnsembleSpec(UNIFORM, 0, 2, F2))
     tuples = [((0, 0, 0), (0, 0)), ((1, 0, 1), (1, 2)), ((1, 1, 0), (0, 0))]
@@ -573,7 +572,7 @@ def test_exact_rates_identical_over_several_chunks(monkeypatch, cells):
         return out + [multi_crp_rate_exact(specs[:2], tuples, tuples[0])]
 
     whole = run()
-    monkeypatch.setattr(C, "SCAN_CHUNK_CELLS", cells)
+    monkeypatch.setattr(ens, "SUPPORT_CHUNK_CELLS", cells)
     chunked = run()
     for a, b in zip(whole, chunked):
         assert np.shape(a) == np.shape(b) and np.array_equal(a, b)

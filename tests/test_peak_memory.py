@@ -2,6 +2,8 @@
 
 import tracemalloc
 
+import numpy.random  # noqa: F401  (imported on first use otherwise, inside the trace)
+
 from hashmac import verify
 
 MB = 1 << 20
@@ -19,6 +21,12 @@ def traced_peak(fn, *args):
 
 
 def test_types_suite_peak():
-    # Every pair statistic is gathered from a per-type table; no (4^n, n) digit matrix.
+    # Every lemma is counted over type classes; no sequence or pair is enumerated.
     _, peak = traced_peak(verify.types_suite)
-    assert peak < 12 * MB
+    assert peak < 1 * MB
+
+
+def test_hash_suite_peak():
+    # Support walks hold one chunk of ensembles.SUPPORT_CHUNK_CELLS cells at a time.
+    _, peak = traced_peak(verify.hash_suite)
+    assert peak < 1 * MB
