@@ -290,42 +290,43 @@ def cmd_simulate(config: dict, seed: int | None, force: bool,
     trials = _count(block.get("trials", 400), 1, "simulate.trials")
     the_seed = seed if seed is not None else _count(config.get("seed", 0), -math.inf, "seed")
 
+    # Every finished row reaches --out, also when a later point stops the ladder.
     rows = []
-    for n in ladder:
-        def builder(rng, n=n):
-            return build(dmc, rates, eps, n, rng, ensemble_factory=factory,
-                         check_region=not force)
-
-        start = time.perf_counter()
-        try:
-            found = search_code(builder, candidates, pilot, the_seed, (scenario, n))
-            result = simulate_error(found.code, trials, the_seed,
-                                    (scenario, n, rng_mod.MEASURE, found.candidate))
-        except InfeasibleRateError as e:
-            print(f"n={n}: infeasible: {e}", file=sys.stderr)
-            print("hint: pass --force to run an out-of-region control", file=sys.stderr)
-            return 1
-        except LIMIT_ERRORS as e:
-            raise type(e)(f"n={n}: {e}") from None
-        wall = time.perf_counter() - start
-        row = {
-            "scenario": scenario,
-            "n": n,
-            "rates": "|".join(_fmt(r) for r in rates),
-            "ensemble": kind,
-            "seed": the_seed,
-            "trials": trials,
-            "block_error": _fmt(result.error),
-            "ci_half_width": _fmt(result.half_width),
-            "wall_time_s": format(wall, ".3f"),
-        }
-        for s in STAGES:
-            row[s.replace("-", "_")] = result.stage_counts[s]
-        rows.append(row)
-        print(f"n={n}: block_error={result.error:.4f} (+/-{result.half_width:.4f}) "
-              f"candidate={found.candidate}")
-    if out_path:
-        _write_csv(out_path, SIMULATE_COLUMNS, rows)
+    try:
+        for n in ladder:
+            builder = functools.partial(build, dmc, rates, eps, n, ensemble_factory=factory,
+                                        check_region=not force)
+            start = time.perf_counter()
+            try:
+                found = search_code(builder, candidates, pilot, the_seed, (scenario, n))
+                result = simulate_error(found.code, trials, the_seed,
+                                        (scenario, n, rng_mod.MEASURE, found.candidate))
+            except InfeasibleRateError as e:
+                print(f"n={n}: infeasible: {e}", file=sys.stderr)
+                print("hint: pass --force to run an out-of-region control", file=sys.stderr)
+                return 1
+            except LIMIT_ERRORS as e:
+                raise type(e)(f"n={n}: {e}") from None
+            wall = time.perf_counter() - start
+            row = {
+                "scenario": scenario,
+                "n": n,
+                "rates": "|".join(_fmt(r) for r in rates),
+                "ensemble": kind,
+                "seed": the_seed,
+                "trials": trials,
+                "block_error": _fmt(result.error),
+                "ci_half_width": _fmt(result.half_width),
+                "wall_time_s": format(wall, ".3f"),
+            }
+            for s in STAGES:
+                row[s.replace("-", "_")] = result.stage_counts[s]
+            rows.append(row)
+            print(f"n={n}: block_error={result.error:.4f} (+/-{result.half_width:.4f}) "
+                  f"candidate={found.candidate}")
+    finally:
+        if out_path:
+            _write_csv(out_path, SIMULATE_COLUMNS, rows)
     return 0
 
 

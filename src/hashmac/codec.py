@@ -21,8 +21,8 @@ import numpy as np
 from .empirical import (_count_symbols, _divergence_from_counts, _log2_denom,
                         conditional_divergences)
 from . import gf
-from .gf import (EnumerationBudgetError, LinearLabel, all_vectors, apply_label,
-                 apply_label_many, as_vec, enumerate_coset, lex_index)
+from .gf import (EnumerationBudgetError, LinearLabel, all_vectors, apply_label, as_vec,
+                 enumerate_coset, lex_index)
 from .prob import CondPmf, Pmf
 
 REL_TOL = 1e-12
@@ -228,7 +228,7 @@ def min_div_encode(cs: CosetSpec, target: EncodeTarget) -> np.ndarray:
     coset = enumerate_coset(cs.check, cs.syndrome)
     if coset.shape[0] == 0:
         raise EmptyCosetError(error)
-    runs = message_runs(lex_index(apply_label_many(cs.message_map, coset), q))
+    runs = message_runs(lex_index(apply_label(cs.message_map, coset), q))
     x = Codebook(error, coset, runs, target, q)[int(lex_index(as_vec(cs.message, q), q))][0]
     assert (apply_label(cs.check, x) == cs.syndrome).all()
     assert (apply_label(cs.message_map, x) == cs.message).all()

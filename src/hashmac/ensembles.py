@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .gf import FieldSpec, LinearLabel, all_vectors, apply_label_many, lex_index
+from .gf import FieldSpec, LinearLabel, all_vectors, lex_index
 
 # Kinds of label families.
 UNIFORM = "uniform-all-linear"
@@ -98,22 +98,9 @@ class BinLabel:
     def rows(self) -> int:
         return self.table.shape[1]
 
-    @property
-    def im_size(self) -> int:
-        return self.field.q ** self.rows
-
     def __call__(self, u) -> np.ndarray:
+        """The table row of each last-axis row of u: shape (..., rows)."""
         return self.table[lex_index(u, self.field.q)]
-
-    def apply_many(self, vecs: np.ndarray) -> np.ndarray:
-        return self.table[lex_index(vecs, self.field.q)]
-
-
-def label_outputs(label, vecs: np.ndarray) -> np.ndarray:
-    """Outputs of a label on each row of vecs, for either label kind."""
-    if isinstance(label, LinearLabel):
-        return apply_label_many(label, vecs)
-    return label.apply_many(vecs)
 
 
 @dataclass(frozen=True)
@@ -381,46 +368,23 @@ def _members(spec: EnsembleSpec, idx: np.ndarray) -> np.ndarray:
     return all_vectors(q, spec.rows)[_digits(idx, spec.im_size, q**spec.cols)]
 
 
-def _member_chunks(spec: EnsembleSpec, size: int, cells_per_label: int):
-    """_members over the whole support, about SUPPORT_CHUNK_CELLS cells at a time."""
-    step = max(1, SUPPORT_CHUNK_CELLS // max(cells_per_label, 1))
-    for start in range(0, size, step):
-        yield _members(spec, np.arange(start, min(start + step, size), dtype=np.int64))
-
-
-def _member_cells(spec: EnsembleSpec) -> int:
-    width = spec.field.q**spec.cols if spec.kind == BINNING else spec.cols
-    return spec.rows * width
-
-
-def _label(spec: EnsembleSpec, member: np.ndarray):
+def support_label(spec: EnsembleSpec, index: int):
+    """The label at position index of the support (all labels equally likely)."""
+    size = _checked_support_size(spec)
+    if not 0 <= index < size:
+        raise IndexError(f"support position {index} outside [0, {size})")
+    member = _members(spec, np.array([index], dtype=np.int64))[0]
     if spec.kind == BINNING:
         return BinLabel(spec.field, spec.cols, member)
     return LinearLabel(spec.field, member)
 
 
-def enumerate_support(spec: EnsembleSpec):
-    """Yield every label of an enumerable family (all equally likely)."""
-    size = _checked_support_size(spec)
-    for members in _member_chunks(spec, size, _member_cells(spec)):
-        for member in members:
-            yield _label(spec, member)
-
-
-def support_label(spec: EnsembleSpec, index: int):
-    """The label at position index of enumerate_support, built on its own."""
-    size = _checked_support_size(spec)
-    if not 0 <= index < size:
-        raise IndexError(f"support position {index} outside [0, {size})")
-    return _label(spec, _members(spec, np.array([index], dtype=np.int64))[0])
-
-
 def _output_chunks(spec: EnsembleSpec, vecs):
-    """label_outputs of each support label on the rows of vecs, in support order.
+    """The outputs of each support label on the rows of vecs, in support order.
 
-    Yields (labels, m, rows) arrays of about SUPPORT_CHUNK_CELLS cells, so
-    memory stays within one chunk; SupportBudgetError comes before any
-    allocation.
+    The only walk over a whole support.  Yields (labels, m, rows) arrays of
+    about SUPPORT_CHUNK_CELLS cells (members plus outputs), so memory stays
+    within one chunk; SupportBudgetError comes before any allocation.
     """
     vecs = np.asarray(vecs, dtype=np.int64)
     if vecs.ndim != 2 or vecs.shape[1] != spec.cols:
@@ -428,8 +392,10 @@ def _output_chunks(spec: EnsembleSpec, vecs):
     size = _checked_support_size(spec)
     q = spec.field.q
     inputs = lex_index(vecs, q) if spec.kind == BINNING else None
-    cells = _member_cells(spec) + vecs.shape[0] * spec.rows
-    for members in _member_chunks(spec, size, cells):
+    width = q**spec.cols if inputs is not None else spec.cols
+    step = max(1, SUPPORT_CHUNK_CELLS // max(spec.rows * (width + vecs.shape[0]), 1))
+    for start in range(0, size, step):
+        members = _members(spec, np.arange(start, min(start + step, size), dtype=np.int64))
         if inputs is not None:
             yield members[:, inputs]
         else:
@@ -519,10 +485,8 @@ def multi_crp_rate_exact(specs, tuples, u_parts) -> float:
 
 def uniform_syndrome_hit_rate(label, u) -> float:
     """Mean over uniform syndromes a of the indicator that u's label equals a."""
-    q = label.field.q
-    au = label_outputs(label, np.asarray(u, dtype=np.int64)[None, :])[0]
-    syndromes = all_vectors(q, label.rows)
-    return float((syndromes == au).all(axis=1).mean())
+    syndromes = all_vectors(label.field.q, label.rows)
+    return float((syndromes == label(u)).all(axis=1).mean())
 
 
 def _syndrome_hits(spec: EnsembleSpec, vecs):
@@ -532,11 +496,6 @@ def _syndrome_hits(spec: EnsembleSpec, vecs):
     per_code = np.bincount(lex_index(all_vectors(q, spec.rows), q), minlength=spec.im_size)
     for outs in _output_chunks(spec, vecs):
         yield per_code[lex_index(outs, q)]
-
-
-def syndrome_hit_rates(spec: EnsembleSpec, vecs) -> np.ndarray:
-    """uniform_syndrome_hit_rate of each support label (axis 0) on each row of vecs."""
-    return np.concatenate(list(_syndrome_hits(spec, vecs))) / spec.im_size
 
 
 def ensemble_syndrome_hit_rate(spec: EnsembleSpec, u) -> float:

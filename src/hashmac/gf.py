@@ -68,33 +68,19 @@ class LinearLabel:
     def cols(self) -> int:
         return self.matrix.shape[1]
 
-    @property
-    def im_size(self) -> int:
-        """Size of the ensemble-level range GF(q)^rows."""
-        return self.field.q ** self.rows
-
     def __call__(self, u) -> np.ndarray:
         return apply_label(self, u)
 
 
 def apply_label(label: LinearLabel, u) -> np.ndarray:
-    """Compute the length-l product Au over GF(q)."""
-    u = as_vec(u, label.field.q)
-    if u.size != label.cols:
-        raise ValueError(f"vector length {u.size} != label columns {label.cols}")
-    if label.rows == 0:
-        return np.zeros(0, dtype=np.int64)
-    return (label.matrix @ u) % label.field.q
-
-
-def apply_label_many(label: LinearLabel, vecs: np.ndarray) -> np.ndarray:
-    """Apply the label to each row of an (m, n) array; returns (m, rows)."""
-    vecs = np.asarray(vecs, dtype=np.int64)
-    if vecs.shape[1] != label.cols:
-        raise ValueError("column mismatch")
-    if label.rows == 0:
-        return np.zeros((vecs.shape[0], 0), dtype=np.int64)
-    return (vecs @ label.matrix.T) % label.field.q
+    """Au over GF(q) for each last-axis row of u: shape (..., rows)."""
+    q = label.field.q
+    u = np.asarray(u, dtype=np.int64)
+    if u.shape[-1:] != (label.cols,):
+        raise ValueError(f"input shape {u.shape} does not end in label columns {label.cols}")
+    if u.size and (u.min() < 0 or u.max() >= q):
+        raise ValueError(f"vector entries must lie in [0, {q})")
+    return (u @ label.matrix.T) % q
 
 
 def stack_labels(a: LinearLabel, b: LinearLabel) -> LinearLabel:

@@ -6,6 +6,7 @@ outside.  Mutual informations come from exact joint tables.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -161,7 +162,7 @@ def _constraints(law: JointLaw):
     cached = law._memo.get("constraints")
     if cached is not None:
         return cached
-    mi = lambda a, b, c=(): mutual_information(law, a, b, c)
+    mi = functools.partial(mutual_information, law)
     if "x0" in law.names:
         base = (
             ("R1 < I(X1;Y|X0,X2)", (0, 1, 0), mi(["x1"], ["y"], ["x0", "x2"])),

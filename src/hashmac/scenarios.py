@@ -41,7 +41,7 @@ from .codec import (AllCosetsEmptyError, Codebook, EmptyCosetError, EncodeTarget
 from .empirical import (_entropy_counts, count_divergence, divergence_to,  # noqa: F401
                         is_cond_typical, joint_counts, seq_mutual_multi)
 from .ensembles import EnsembleSpec, UNIFORM, estimate_hash_params, sample  # noqa: F401
-from .gf import FieldSpec, LinearLabel, apply_label, apply_label_many, lex_index
+from .gf import FieldSpec, LinearLabel, apply_label, lex_index
 from .prob import CondPmf, Pmf
 from .regions import JointLaw, in_region_sw, in_region_ts, joint_sw, joint_ts
 from .slack import cond_entropy_slack, entropy_slack
@@ -200,7 +200,7 @@ class CodeInstance:
     def coset_messages(self) -> tuple[np.ndarray, ...]:
         """Per decoded component, the message index of A'_j x for each row x of its coset."""
         f = self.fixed
-        return tuple(lex_index(apply_label_many(mm, c), mm.field.q)
+        return tuple(lex_index(apply_label(mm, c), mm.field.q)
                      for mm, c in zip(self.message_maps[f:], self.decoder.cosets))
 
     @cached_property

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import pytest
@@ -132,6 +133,38 @@ def test_simulate_infeasible_needs_force(tmp_path, capsys):
     out = tmp_path / "f.csv"
     assert cli.main(["simulate", "--config", cfg, "--force", "--out", str(out)]) == 0
     assert "0.9|0.9" in out.read_text()
+
+
+def test_simulate_infeasible_writes_the_header_alone(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, sim_cfg(rates=[0.9, 0.9], n_ladder=[6],
+                                      candidates=1, pilot_trials=0, trials=10))
+    out = tmp_path / "f.csv"
+    assert cli.main(["simulate", "--config", cfg, "--out", str(out)]) == 1
+    assert "force" in capsys.readouterr().err
+    assert out.read_text() == ",".join(cli.SIMULATE_COLUMNS) + "\n"
+
+
+def _csv_rows(path):
+    with open(path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    for r in rows:
+        del r["wall_time_s"]
+    return rows
+
+
+def test_simulate_keeps_finished_rows_past_a_limit(tmp_path, monkeypatch, capsys):
+    cfg = write_cfg(tmp_path, sim_cfg())
+    whole, cut = tmp_path / "whole.csv", tmp_path / "cut.csv"
+    assert cli.main(["simulate", "--config", cfg, "--out", str(whole)]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(gf, "ENUMERATION_BUDGET", 8)
+    assert cli.main(["simulate", "--config", cfg, "--out", str(cut)]) == 2
+    out, err = capsys.readouterr()
+    assert out.startswith("n=4: ") and "n=6" not in out
+    assert err.splitlines() == ["limit error: n=6: product coset size 16 exceeds the budget of 8"]
+    want = _csv_rows(whole)
+    assert [r["n"] for r in want] == ["4", "6"]
+    assert _csv_rows(cut) == want[:1]
 
 
 def test_config_errors_exit_2(tmp_path, capsys):

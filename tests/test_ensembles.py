@@ -9,16 +9,15 @@ from hypothesis import strategies as st
 
 from hashmac import ensembles as ens
 from hashmac import rng as rng_mod
-from hashmac.ensembles import (BINNING, EnsembleSpec, HashParams, SPARSE, SUPPORT_BUDGET,
-                               SupportBudgetError, UNIFORM, collision_by_weight,
-                               collision_prob, conditional_maxima,
-                               crp_bound, crp_rate_exact, enumerate_support,
+from hashmac.ensembles import (BINNING, BinLabel, EnsembleSpec, HashParams, SPARSE,
+                               SUPPORT_BUDGET, SupportBudgetError, UNIFORM,
+                               collision_by_weight, collision_prob, conditional_maxima,
+                               crp_bound, crp_rate_exact,
                                ensemble_syndrome_hit_rate, estimate_hash_params,
                                multi_crp_bound, multi_crp_rate_exact, multi_params,
                                product_params, sample, saturation_bound,
                                _output_chunks, saturation_rate_exact, support_label,
-                               support_size, syndrome_hit_rates,
-                               label_outputs, uniform_syndrome_hit_rate)
+                               support_size, uniform_syndrome_hit_rate)
 from hashmac.gf import FieldSpec, LinearLabel, all_vectors
 
 F2 = FieldSpec(2)
@@ -83,7 +82,7 @@ def test_collision_prob_binning_half():
 def _sparse_collision_oracle(spec, u, u2):
     hits = 0
     total = 0
-    for label in enumerate_support(spec):
+    for label in _ref_labels(spec):
         total += 1
         hits += int((label(np.array(u)) == label(np.array(u2))).all())
     return Fraction(hits, total)
@@ -158,7 +157,7 @@ def _sweep_oracle(spec):
     """Independent (alpha, beta) sweep by enumerating the support."""
     n = spec.cols
     diffs = all_vectors(2, n)[1:]
-    labels = list(enumerate_support(spec))
+    labels = list(_ref_labels(spec))
     probs = []
     for d in diffs:
         hits = sum(int((lab(d) == 0).all()) for lab in labels)
@@ -273,7 +272,7 @@ def test_saturation_everything_rate_is_rank_deficiency_mass():
     space = all_vectors(2, 4)
     rate = saturation_rate_exact(spec, space)
     oracle = 0.0
-    labels = list(enumerate_support(spec))
+    labels = list(_ref_labels(spec))
     for lab in labels:
         outs = {tuple(r) for r in (space @ lab.matrix.T) % 2}
         oracle += (4 - len(outs)) / 4
@@ -328,18 +327,18 @@ def test_multi_crp_exhaustive_dominated():
 
 
 def _ref_multi_crp_rate(specs, tuples, u_parts):
-    # The per-combination loop: one label_outputs call per label and tuple.
+    # The per-combination loop: one label call per label and tuple.
     u_parts = [np.asarray(p, dtype=np.int64) for p in u_parts]
     others = [[np.asarray(p, dtype=np.int64) for p in t] for t in tuples
               if not all((np.asarray(a) == b).all() for a, b in zip(t, u_parts))]
     if not others:
         return 0.0
-    supports = [list(enumerate_support(s)) for s in specs]
+    supports = [list(_ref_labels(s)) for s in specs]
     hits = count = 0
     for combo in itertools.product(*supports):
         count += 1
-        targets = [label_outputs(lab, u[None, :])[0] for lab, u in zip(combo, u_parts)]
-        hits += any(all((label_outputs(lab, p[None, :])[0] == t).all()
+        targets = [lab(u) for lab, u in zip(combo, u_parts)]
+        hits += any(all((lab(p) == t).all()
                         for lab, p, t in zip(combo, parts, targets))
                     for parts in others)
     return hits / count
@@ -398,7 +397,7 @@ def test_support_size_matches_enumeration():
     for spec in (EnsembleSpec(UNIFORM, 1, 3, F2),
                  EnsembleSpec(SPARSE, 2, 3, F2, column_degree=1),
                  EnsembleSpec(BINNING, 1, 1, F2)):
-        assert support_size(spec) == len(list(enumerate_support(spec)))
+        assert support_size(spec) == len(list(_ref_enumerate_support(spec)))
 
 
 def test_multi_params_limit_trend():
@@ -457,30 +456,43 @@ def _ref_enumerate_support(spec):
             yield rows[list(choice)]
 
 
+def _ref_labels(spec):
+    """The labels of _ref_enumerate_support, in its order."""
+    for member in _ref_enumerate_support(spec):
+        if spec.kind == BINNING:
+            yield BinLabel(spec.field, spec.cols, member)
+        else:
+            yield LinearLabel(spec.field, member)
+
+
 def _members_of(label):
     return label.matrix if isinstance(label, LinearLabel) else label.table
 
 
+def _syndrome_rates(spec, vecs):
+    """uniform_syndrome_hit_rate of each support label (axis 0) on each row of vecs."""
+    return np.concatenate(list(ens._syndrome_hits(spec, vecs))) / spec.im_size
+
+
 @pytest.mark.parametrize("spec", SUPPORT_SPECS, ids=_spec_id)
 def test_support_order_matches_product_enumeration(spec):
-    labels = list(enumerate_support(spec))
     ref = list(_ref_enumerate_support(spec))
-    assert len(labels) == len(ref) == support_size(spec)
-    for i, (lab, want) in enumerate(zip(labels, ref)):
-        assert (_members_of(lab) == want).all() and _members_of(lab).shape == want.shape
-        assert (_members_of(support_label(spec, i)) == want).all()
+    assert len(ref) == support_size(spec)
+    for i, want in enumerate(ref):
+        got = _members_of(support_label(spec, i))
+        assert (got == want).all() and got.shape == want.shape
     with pytest.raises(IndexError):
         support_label(spec, len(ref))
 
 
 @pytest.mark.parametrize("spec", SUPPORT_SPECS, ids=_spec_id)
 def test_support_outputs_matches_per_label_outputs(spec):
-    # The chunked walk, joined, holds label_outputs of each label in support order.
+    # The chunked walk, joined, holds each label's outputs in support order.
     q = spec.field.q
     space = all_vectors(q, spec.cols)
     vecs = np.vstack([space, space[::-1][:2]])  # repeated rows too
     got = np.concatenate(list(_output_chunks(spec, vecs)))
-    want = np.stack([label_outputs(lab, vecs) for lab in enumerate_support(spec)])
+    want = np.stack([lab(vecs) for lab in _ref_labels(spec)])
     assert got.shape == want.shape == (support_size(spec), vecs.shape[0], spec.rows)
     assert got.dtype == np.int64
     assert (got == want).all()
@@ -490,8 +502,8 @@ def _ref_saturation(spec, T):
     im = spec.im_size
     total = Fraction(0)
     count = 0
-    for label in enumerate_support(spec):
-        hit = len({tuple(row) for row in label_outputs(label, T)})
+    for label in _ref_labels(spec):
+        hit = len({tuple(row) for row in label(T)})
         total += Fraction(im - hit, im)
         count += 1
     return float(total / count)
@@ -502,22 +514,21 @@ def _ref_crp(spec, G, u):
     if others.shape[0] == 0:
         return 0.0
     hits = count = 0
-    for label in enumerate_support(spec):
-        au = label_outputs(label, u[None, :])[0]
-        hits += int((label_outputs(label, others) == au).all(axis=1).any())
+    for label in _ref_labels(spec):
+        hits += int((label(others) == label(u)).all(axis=1).any())
         count += 1
     return hits / count
 
 
 def _ref_syndrome_rates(spec, vecs):
     return np.array([[uniform_syndrome_hit_rate(lab, u) for u in vecs]
-                     for lab in enumerate_support(spec)])
+                     for lab in _ref_labels(spec)])
 
 
 def _ref_ensemble_syndrome(spec, u):
     total = Fraction(0)
     count = 0
-    for label in enumerate_support(spec):
+    for label in _ref_labels(spec):
         total += Fraction(uniform_syndrome_hit_rate(label, u)).limit_denominator(spec.im_size)
         count += 1
     return float(total / count)
@@ -541,7 +552,7 @@ def test_exact_rates_match_per_label_loops(case):
     assert saturation_rate_exact(spec, T) == _ref_saturation(spec, T)
     assert crp_rate_exact(spec, G, u) == _ref_crp(spec, G, u)
     assert ensemble_syndrome_hit_rate(spec, u) == _ref_ensemble_syndrome(spec, u)
-    rates = syndrome_hit_rates(spec, G)
+    rates = _syndrome_rates(spec, G)
     assert rates.shape == (support_size(spec), G.shape[0])
     assert (rates == _ref_syndrome_rates(spec, G)).all()
 
@@ -564,10 +575,9 @@ def test_exact_rates_identical_over_several_chunks(monkeypatch, cells):
         for spec in specs:
             space = all_vectors(spec.field.q, spec.cols)
             out += [np.concatenate(list(_output_chunks(spec, space))),
-                    np.stack([_members_of(lab) for lab in enumerate_support(spec)]),
                     saturation_rate_exact(spec, space[::2]),
                     crp_rate_exact(spec, space[:3], space[0]),
-                    syndrome_hit_rates(spec, space),
+                    _syndrome_rates(spec, space),
                     ensemble_syndrome_hit_rate(spec, space[-1])]
         return out + [multi_crp_rate_exact(specs[:2], tuples, tuples[0])]
 
@@ -589,11 +599,9 @@ def test_exact_rates_budget_errors(monkeypatch):
     with pytest.raises(SupportBudgetError, match="2\\^8 matrices"):
         next(_output_chunks(spec, space))
     with pytest.raises(SupportBudgetError, match="2\\^8 matrices"):
-        syndrome_hit_rates(spec, space)
+        _syndrome_rates(spec, space)
     with pytest.raises(SupportBudgetError, match="2\\^8 matrices"):
         ensemble_syndrome_hit_rate(spec, space[0])
-    with pytest.raises(SupportBudgetError, match="2\\^8 matrices"):
-        next(enumerate_support(spec))
     with pytest.raises(SupportBudgetError, match="2\\^8 matrices"):
         support_label(spec, 0)
     with pytest.raises(SupportBudgetError, match="256 binning tables"):

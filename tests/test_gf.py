@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hashmac import gf
+from hashmac.ensembles import BinLabel
 from hashmac.gf import (ENUMERATION_BUDGET, EnumerationBudgetError, FieldSpec,
                         LinearLabel, all_vectors, apply_label, coset_size,
                         enumerate_coset, rank, solve_affine, stack_labels)
@@ -39,8 +40,46 @@ def test_apply_gf3_row():
 
 
 def test_apply_dimension_mismatch():
-    with pytest.raises(ValueError):
-        apply_label(label([[1, 1]]), [1, 0, 1])
+    for vecs in ([1, 0, 1], np.zeros((3, 3)), np.zeros((2, 1)), np.zeros(0), 1):
+        with pytest.raises(ValueError, match="label columns 2"):
+            apply_label(label([[1, 1]]), vecs)
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_apply_rows_equal_row_by_row(q):
+    rng = np.random.default_rng(q)
+    A = LinearLabel(FieldSpec(q), rng.integers(q, size=(3, 4)))
+    vecs = rng.integers(q, size=(2, 5, 4))
+    got = apply_label(A, vecs)
+    assert got.shape == (2, 5, 3) and got.dtype == np.int64
+    for block, outs in zip(vecs, got):
+        assert (apply_label(A, block) == outs).all()
+        assert (np.stack([apply_label(A, v) for v in block]) == outs).all()
+    assert (A(vecs) == got).all()
+
+
+def test_apply_zero_rows_keeps_leading_axes():
+    empty = LinearLabel(F3, np.zeros((0, 2), dtype=np.int64))
+    assert apply_label(empty, [2, 1]).shape == (0,)
+    assert apply_label(empty, np.zeros((4, 2), dtype=np.int64)).shape == (4, 0)
+    assert apply_label(empty, np.zeros((3, 4, 2), dtype=np.int64)).shape == (3, 4, 0)
+
+
+@pytest.mark.parametrize("bad", [-1, 3])
+def test_apply_out_of_range_rows_raise(bad):
+    vecs = np.zeros((4, 2), dtype=np.int64)
+    vecs[2, 1] = bad
+    with pytest.raises(ValueError, match=r"\[0, 3\)"):
+        apply_label(LinearLabel(F3, np.array([[1, 2]])), vecs)
+
+
+def test_bin_label_rows_equal_row_by_row():
+    rng = np.random.default_rng(7)
+    lab = BinLabel(F3, 2, rng.integers(3, size=(9, 2)))
+    vecs = all_vectors(3, 2)[rng.permutation(9)]
+    got = lab(vecs)
+    assert got.shape == (9, 2)
+    assert (np.stack([lab(v) for v in vecs]) == got).all()
 
 
 def test_coset_parity_zero():

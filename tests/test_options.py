@@ -16,14 +16,12 @@ SRC = ROOT / "src" / "hashmac"
 # (module.qualified function, parameter); a lambda is named <lambda>.
 OPTIONS = {
     ("cli.main", "argv"),
-    ("cli.cmd_simulate.builder", "n"),
     ("codec.MinDivDecoder.__init__", "u"),
     ("codec.min_div_decode", "u"),
     ("ensembles._joint_hits", "alive"),
     ("prob.as_distribution", "tol"),
     ("regions.mutual_information", "c_names"),
     ("regions.in_region_sw", "include_aux"),
-    ("regions._constraints.<lambda>", "c"),
     ("rng._hashmix", "mult"),
     ("scenarios.build_private_code", "ensemble_factory"),
     ("scenarios.build_private_code", "check_region"),
