@@ -30,7 +30,7 @@ print(f"rows: cloud {code.checks[0].rows}+{code.message_maps[0].rows}, "
       f"+{[m.rows for m in code.message_maps[1:]]}")
 
 rng = rng_mod.stream(seed, "demo-sw-roundtrip")
-msgs = [rng.integers(2, size=code.message_maps[i].rows) for i in range(3)]
+msgs = [rng.integers(0, 2, size=code.message_maps[i].rows) for i in range(3)]
 x0, x1, x2 = encode_components(code, msgs)
 print(f"common message {msgs[0].tolist()} -> cloud center {x0.tolist()}")
 print(f"satellites: {x1.tolist()} / {x2.tolist()} "

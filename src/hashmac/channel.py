@@ -65,8 +65,11 @@ def deterministic_dmc(input_sizes, output_size, fn) -> Dmc:
     return Dmc(tuple(input_sizes), output_size, table)
 
 
-def sample_channel(dmc: Dmc, xs, rng: np.random.Generator) -> np.ndarray:
-    """Draw y_i independently from the table row of (x_1i, ..., x_ki)."""
+def sample_channel(dmc: Dmc, xs, rng) -> np.ndarray:
+    """Draw y_i independently from the table row of (x_1i, ..., x_ki).
+
+    rng is an `rng.Stream` or anything else with its `random`, such as a numpy Generator.
+    """
     try:
         xs = np.asarray(xs, dtype=np.int64)
     except ValueError:  # sequences of different lengths

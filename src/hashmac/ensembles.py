@@ -113,19 +113,23 @@ class HashParams:
             raise ValueError("alpha and beta must be nonnegative")
 
 
-def sample(spec: EnsembleSpec, rng: np.random.Generator):
-    """Draw one label from the family."""
+def sample(spec: EnsembleSpec, rng):
+    """Draw one label from the family.
+
+    rng is an `rng.Stream` or anything else with its `integers` and `choice`,
+    such as a numpy Generator.
+    """
     q = spec.field.q
     if spec.kind == UNIFORM:
-        return LinearLabel(spec.field, rng.integers(q, size=(spec.rows, spec.cols)))
+        return LinearLabel(spec.field, rng.integers(0, q, size=(spec.rows, spec.cols)))
     if spec.kind == SPARSE:
         d = spec.degree()
         m = np.zeros((spec.rows, spec.cols), dtype=np.int64)
         for j in range(spec.cols):
-            pos = rng.choice(spec.rows, size=d, replace=False)
+            pos = rng.choice(spec.rows, size=d, replace=False, p=None)
             m[pos, j] = rng.integers(1, q, size=d)
         return LinearLabel(spec.field, m)
-    table = rng.integers(q, size=(q**spec.cols, spec.rows))
+    table = rng.integers(0, q, size=(q**spec.cols, spec.rows))
     return BinLabel(spec.field, spec.cols, table)
 
 

@@ -290,12 +290,12 @@ def _build(law: JointLaw, ctx_law: Pmf, conds, dmc: Dmc,
         message_specs[j] = ensemble_factory(msg_rows[j], n, field)
         checks[j] = sample(check_specs[j], rng)
         message_maps[j] = sample(message_specs[j], rng)
-        syndromes[j] = rng.integers(qs[j], size=chk_rows[j])
+        syndromes[j] = rng.integers(0, qs[j], size=chk_rows[j])
     # The context is fixed now unless a cloud codes it; a one-point law
     # draws all zeros.
     u = None
     if c == 0 or m == 1:
-        u = rng.choice(m, size=n, p=ctx_law.probs).astype(np.int64)
+        u = rng.choice(m, size=n, p=ctx_law.probs, replace=True).astype(np.int64)
         u.flags.writeable = False
 
     return CodeInstance(
@@ -307,12 +307,14 @@ def _build(law: JointLaw, ctx_law: Pmf, conds, dmc: Dmc,
         ctx_law=ctx_law, u=u, cond_inputs=tuple(conds))
 
 
-# A caller that builds many codes from the same inputs may pass _law, the
-# joint law the builder would make from them (joint_ts or joint_sw), so the
-# law and its region constraints are computed once, not once per code.
+# rng is an `rng.Stream` or anything else with its `integers`, `random` and
+# `choice`, such as a numpy Generator.  A caller that builds many codes from
+# the same inputs may pass _law, the joint law the builder would make from
+# them (joint_ts or joint_sw), so the law and its region constraints are
+# computed once, not once per code.
 
 def build_private_code(mu_u, input_conds, dmc: Dmc, rates, eps, n: int,
-                       rng: np.random.Generator,
+                       rng,
                        ensemble_factory=uniform_ensemble_factory,
                        check_region: bool = True, *, _law: JointLaw | None = None
                        ) -> CodeInstance:
@@ -328,7 +330,7 @@ def build_private_code(mu_u, input_conds, dmc: Dmc, rates, eps, n: int,
 
 
 def build_superposition_code(mu_cloud, cond1, cond2, dmc: Dmc, rates, eps, n: int,
-                             rng: np.random.Generator,
+                             rng,
                              ensemble_factory=uniform_ensemble_factory,
                              check_region: bool = True, *, _law: JointLaw | None = None
                              ) -> CodeInstance:
@@ -516,17 +518,17 @@ class SimulationResult:
 _TO_UNIT = 2.0**-53
 
 
-def _draw(code: CodeInstance, bits) -> tuple[tuple[int, ...], list[float]]:
+def _draw(code: CodeInstance, rng) -> tuple[tuple[int, ...], list[float]]:
     """Every component's message index and the n channel uniforms of one trial.
 
-    `bits` is a fresh stream's bit generator.  The draws equal
+    `rng` is a fresh `rng_mod.Stream`, read through `random_raw`.  The draws equal
     `integers(q, size=rows)` per component with rows, then `random(n)`:
     a digit is numpy's bounded draw on the raw words' uint32 halves, low
     half first, `(h * q) >> 32`, drawn again from the next half while
     `(h * q) mod 2^32` is under `(2^32 - q) mod q`; the uniforms are
     `(w >> 11) * 2^-53` of the whole words after the last half used.
     """
-    words = bits.random_raw(code.raw_words).tolist()
+    words = rng.random_raw(code.raw_words)
     h = 0  # halves used
     msgs = []
     for q, rows, reject in code.digit_draws:
@@ -537,14 +539,14 @@ def _draw(code: CodeInstance, bits) -> tuple[tuple[int, ...], list[float]]:
             while p & 0xFFFFFFFF < reject:
                 # Keep a trial's worth of words ahead, so no later digit runs out.
                 if len(words) - (h >> 1) < code.raw_words:
-                    words += bits.random_raw(code.raw_words).tolist()
+                    words += rng.random_raw(code.raw_words)
                 p = (words[h >> 1] >> 32 * (h & 1) & 0xFFFFFFFF) * q
                 h += 1
             m = m * q + (p >> 32)
         msgs.append(m)
     start = (h + 1) >> 1
     if len(words) < start + code.n:
-        words += bits.random_raw(start + code.n - len(words)).tolist()
+        words += rng.random_raw(start + code.n - len(words))
     return tuple(msgs), [(w >> 11) * _TO_UNIT for w in words[start:start + code.n]]
 
 
@@ -563,7 +565,7 @@ _SUCCESS = TrialResult(True)
 _FAILURES = {s: TrialResult(False, s) for s in STAGES}
 
 
-def run_trial(code: CodeInstance, rng: np.random.Generator) -> TrialResult:
+def run_trial(code: CodeInstance, rng: rng_mod.Stream) -> TrialResult:
     """One uniform-message round trip; failures carry the first violated stage.
 
     `rng` must be fresh, nothing drawn from it yet, as `rng_mod.stream` and
@@ -573,7 +575,7 @@ def run_trial(code: CodeInstance, rng: np.random.Generator) -> TrialResult:
     y_i is the inverse CDF of its position's channel row at uniform i, as
     in `sample_channel`.
     """
-    msgs, uniforms = _draw(code, rng.bit_generator)
+    msgs, uniforms = _draw(code, rng)
     entry = code.sent.get(msgs)
     if entry is None:
         entry = code.sent[msgs] = _send(code, msgs)
@@ -600,7 +602,7 @@ def simulate_error(code: CodeInstance, trials: int, seed: int, path=()) -> Simul
         raise ValueError("trials must be positive")
     counts = {s: 0 for s in STAGES}
     errors = 0
-    for rng in rng_mod.trial_streams(seed, path, trials):
+    for rng in rng_mod.trial_streams(seed, path, trials, code.raw_words):
         res = run_trial(code, rng)
         if not res.success:
             errors += 1

@@ -10,6 +10,7 @@ searches.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections import Counter
@@ -338,8 +339,8 @@ def hash_suite() -> list[LemmaReport]:
         spec = specs[i % len(specs)]
         params = estimate_hash_params(spec)
         space = all_vectors(2, spec.cols)
-        size = int(rng.integers(1, space.shape[0]))
-        T = space[rng.choice(space.shape[0], size=size, replace=False)]
+        size = int(rng.integers(1, space.shape[0], None))
+        T = space[rng.choice(space.shape[0], size=size, replace=False, p=None)]
         rate = saturation_rate_exact(spec, T)
         bound = saturation_bound(params.alpha, params.beta, spec.im_size, T.shape[0])
         cases += 1
@@ -352,10 +353,10 @@ def hash_suite() -> list[LemmaReport]:
         spec = specs[i % len(specs)]
         params = estimate_hash_params(spec)
         space = all_vectors(2, spec.cols)
-        size = int(rng.integers(1, min(6, space.shape[0])))
-        G = space[rng.choice(space.shape[0], size=size, replace=False)]
-        u = G[int(rng.integers(size))] if rng.random() < 0.7 \
-            else space[int(rng.integers(space.shape[0]))]
+        size = int(rng.integers(1, min(6, space.shape[0]), None))
+        G = space[rng.choice(space.shape[0], size=size, replace=False, p=None)]
+        u = G[int(rng.integers(0, size, None))] if rng.random(None) < 0.7 \
+            else space[int(rng.integers(0, space.shape[0], None))]
         rate = crp_rate_exact(spec, G, u)
         bound = crp_bound(G.shape[0], spec.im_size, params.alpha, params.beta)
         cases += 1
@@ -368,16 +369,16 @@ def hash_suite() -> list[LemmaReport]:
     params = [estimate_hash_params(s) for s in pair]
     space = all_vectors(2, 3)
     for _ in range(6):
-        size = int(rng.integers(2, 7))
+        size = int(rng.integers(2, 7, None))
         tuples = []
         seen = set()
         while len(tuples) < size:
-            a = tuple(space[int(rng.integers(8))])
-            b = tuple(space[int(rng.integers(8))])
+            a = tuple(space[int(rng.integers(0, 8, None))])
+            b = tuple(space[int(rng.integers(0, 8, None))])
             if (a, b) not in seen:
                 seen.add((a, b))
                 tuples.append((a, b))
-        u_parts = tuples[int(rng.integers(size))]
+        u_parts = tuples[int(rng.integers(0, size, None))]
         rate = multi_crp_rate_exact(pair, tuples, u_parts)
         maxima = conditional_maxima(tuples, 2)
         bound = multi_crp_bound(maxima, [s.im_size for s in pair], params)
@@ -440,10 +441,10 @@ def hash_suite() -> list[LemmaReport]:
         rates = collision_by_weight(spec)
         space = all_vectors(2, 3)
         for _ in range(10):
-            t_size = int(rng.integers(1, 8))
-            tp_size = int(rng.integers(1, 8))
-            T = space[rng.choice(8, size=t_size, replace=False)]
-            Tp = space[rng.choice(8, size=tp_size, replace=False)]
+            t_size = int(rng.integers(1, 8, None))
+            tp_size = int(rng.integers(1, 8, None))
+            T = space[rng.choice(8, size=t_size, replace=False, p=None)]
+            Tp = space[rng.choice(8, size=tp_size, replace=False, p=None)]
             total = Fraction(0)
             inter = 0
             for a in T:
@@ -501,9 +502,12 @@ def _ref_select(cands, div_fn, key_fn, exact: bool):
     return cands[ties[0]]
 
 
+@functools.lru_cache(maxsize=None)
 def _ref_space(n):
-    """All 2^n binary vectors in lexicographic order, one per row."""
-    return np.array(list(itertools.product((0, 1), repeat=n)), dtype=np.int64).reshape(2**n, n)
+    """All 2^n binary vectors in lexicographic order, one per row; built once per n, read-only."""
+    space = np.array(list(itertools.product((0, 1), repeat=n)), dtype=np.int64).reshape(2**n, n)
+    space.flags.writeable = False
+    return space
 
 
 def _ref_encode(label_rows, targets, n, mu, u):
@@ -567,7 +571,7 @@ def _ref_decode(labels, syndromes, y, model, u):
 
 
 def _random_mu(rng) -> np.ndarray:
-    kind = rng.integers(4)
+    kind = rng.integers(0, 4, None)
     if kind == 0:
         return np.array([0.5, 0.5])
     if kind == 1:
@@ -585,18 +589,18 @@ def codec_suite() -> list[LemmaReport]:
 
     cases = viol = 0
     for _ in range(ENCODE_INSTANCES):
-        n = int(rng.integers(2, 9))
-        l = int(rng.integers(0, min(4, n) + 1))
-        lp = int(rng.integers(0, min(3, n - l) + 1))
-        A = LinearLabel(f2, rng.integers(2, size=(l, n)))
-        Ap = LinearLabel(f2, rng.integers(2, size=(lp, n)))
-        a = rng.integers(2, size=l)
-        mvec = rng.integers(2, size=lp)
+        n = int(rng.integers(2, 9, None))
+        l = int(rng.integers(0, min(4, n) + 1, None))
+        lp = int(rng.integers(0, min(3, n - l) + 1, None))
+        A = LinearLabel(f2, rng.integers(0, 2, size=(l, n)))
+        Ap = LinearLabel(f2, rng.integers(0, 2, size=(lp, n)))
+        a = rng.integers(0, 2, size=l)
+        mvec = rng.integers(0, 2, size=lp)
         mu = _random_mu(rng)
-        conditional = rng.random() < 0.5
+        conditional = rng.random(None) < 0.5
         cs = CosetSpec(A, Ap, a, mvec)
         if conditional:
-            u = rng.integers(2, size=n)
+            u = rng.integers(0, 2, size=n)
             rows = np.stack([_random_mu(rng), _random_mu(rng)])
             target = EncodeTarget.for_conditional(
                 CondPmf((0, 1), (0, 1), rows), u)
@@ -617,23 +621,23 @@ def codec_suite() -> list[LemmaReport]:
 
     cases = viol = 0
     for _ in range(DECODE_INSTANCES):
-        n = int(rng.integers(3, 9))
-        k = int(rng.integers(1, 3))
+        n = int(rng.integers(3, 9, None))
+        k = int(rng.integers(1, 3, None))
         labels, syndromes = [], []
         x_true = []
         for _ in range(k):
-            l = int(rng.integers(max(1, n - 4), n + 1))
-            A = LinearLabel(f2, rng.integers(2, size=(l, n)))
-            x = rng.integers(2, size=n)
+            l = int(rng.integers(max(1, n - 4), n + 1, None))
+            A = LinearLabel(f2, rng.integers(0, 2, size=(l, n)))
+            x = rng.integers(0, 2, size=n)
             labels.append(A)
             syndromes.append((A.matrix @ x) % 2)
             x_true.append(x)
-        with_u = rng.random() < 0.4
-        u = rng.integers(2, size=n) if with_u else None
-        y = rng.integers(2, size=n)
+        with_u = rng.random(None) < 0.4
+        u = rng.integers(0, 2, size=n) if with_u else None
+        y = rng.integers(0, 2, size=n)
         shape = (2,) * (k + (1 if with_u else 0)) + (2,)
         w = rng.integers(1, 9, size=shape).astype(float)
-        if rng.random() < 0.3:
+        if rng.random(None) < 0.3:
             w[tuple(0 for _ in shape)] = 0.0
         model = w / w.sum()
         cases += 1
@@ -646,19 +650,19 @@ def codec_suite() -> list[LemmaReport]:
 
     cases = viol = 0
     for _ in range(20):
-        n = int(rng.integers(3, 8))
-        u = rng.integers(2, size=n)
+        n = int(rng.integers(3, 8, None))
+        u = rng.integers(0, 2, size=n)
         rows = np.stack([_random_mu(rng), _random_mu(rng)])
         while (rows <= 0).any():
             rows = np.stack([_random_mu(rng), _random_mu(rng)])
         cond = CondPmf((0, 1), (0, 1), rows)
-        gamma = float(rng.choice([0.05, 0.125, 0.4, 1.0]))
+        gamma = float(rng.choice([0.05, 0.125, 0.4, 1.0], size=None, replace=True, p=None))
         cands = all_vectors(2, n)
         d = conditional_divergences(cands, cond, u)
         t_size = int((d < gamma).sum())
         if t_size == 0:
             continue
-        size = int(rng.integers(1, t_size + 1))
+        size = int(rng.integers(1, t_size + 1, None))
         sub = build_T_subset(u, cond, gamma, size)
         order = np.argsort(d[d < gamma], kind="stable")
         want = cands[np.nonzero(d < gamma)[0][order][:size]]
@@ -728,13 +732,13 @@ def regions_suite(split_points: int = 100) -> list[LemmaReport]:
                for nm in sender_names(2)]
         point = None
         for _ in range(50):
-            r = (rng.random() * max(cap[0], 1e-6), rng.random() * max(cap[1], 1e-6))
+            r = (rng.random(None) * max(cap[0], 1e-6), rng.random(None) * max(cap[1], 1e-6))
             if in_region_private(r, lw):
                 point = r
                 break
         if point is None:
             continue
-        shrunk = (point[0] * rng.random(), point[1] * rng.random())
+        shrunk = (point[0] * rng.random(None), point[1] * rng.random(None))
         cases += 1
         if not in_region_private(shrunk, lw):
             viol += 1

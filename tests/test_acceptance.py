@@ -88,9 +88,9 @@ def split_runs(tmp_path_factory):
     while len(points) < 100:
         tries += 1
         assert tries < 100000, "interior sampling stalled"
-        p = (float(np.floor(sampler.random() * isum / step) * step),
-             float(np.floor(sampler.random() * i1 / step) * step),
-             float(np.floor(sampler.random() * i2 / step) * step))
+        p = (float(np.floor(sampler.random(None) * isum / step) * step),
+             float(np.floor(sampler.random(None) * i1 / step) * step),
+             float(np.floor(sampler.random(None) * i2 / step) * step))
         if min(p) <= 0 or not in_region_sw(p, law):
             continue
         points.append(list(p))
@@ -289,7 +289,7 @@ def test_criterion_09_superposition_roundtrip(superposition_runs):
     checked = 0
     for t in range(20):
         rng = rng_mod.stream(SEED, "c9-check", t)
-        msgs = [rng.integers(2, size=found.code.message_maps[i].rows)
+        msgs = [rng.integers(0, 2, size=found.code.message_maps[i].rows)
                 for i in range(3)]
         xs = encode_components(found.code, msgs)
         y = sample_channel(dmc, xs[1:], rng)

@@ -19,6 +19,12 @@ def test_adder_channel_example():
     assert y.tolist() == [1, 2]
 
 
+def test_sample_channel_takes_a_numpy_generator():
+    dmc = deterministic_dmc((2, 2), 3, lambda a, b: a + b)
+    y = sample_channel(dmc, [np.array([0, 1, 1]), np.array([1, 1, 0])], np.random.default_rng(0))
+    assert y.tolist() == [1, 2, 1]
+
+
 def test_uniform_noise_channel_chi_square():
     table = np.full((2, 2, 4), 0.25)
     dmc = Dmc((2, 2), 4, table)

@@ -268,7 +268,7 @@ def test_codebook_covers_exact_ties_and_multi_row_clouds(monkeypatch):
 
 def random_outputs(code, count):
     rng = rng_mod.stream(SEED, "compiled", "y")
-    return [rng.integers(code.dmc.output_size, size=code.n) for _ in range(count)]
+    return [rng.integers(0, code.dmc.output_size, size=code.n) for _ in range(count)]
 
 
 def check_decoder(code):

@@ -30,6 +30,18 @@ def test_sample_deterministic_replay():
     assert (a.matrix == b.matrix).all()
 
 
+@pytest.mark.parametrize("spec", [EnsembleSpec(UNIFORM, 2, 3, FieldSpec(3)),
+                                  EnsembleSpec(SPARSE, 4, 7, F2),
+                                  EnsembleSpec(BINNING, 2, 2, F2)])
+def test_sample_takes_a_numpy_generator(spec):
+    label = sample(spec, np.random.default_rng(0))
+    table = label.table if spec.kind == BINNING else label.matrix
+    assert table.shape == ((4, 2) if spec.kind == BINNING else (spec.rows, spec.cols))
+    assert ((0 <= table) & (table < spec.field.q)).all()
+    if spec.kind == SPARSE:
+        assert ((table != 0).sum(axis=0) == spec.degree()).all()
+
+
 def test_sparse_column_degree_by_construction():
     spec = EnsembleSpec(SPARSE, 3, 5, F2, column_degree=1)
     for seed in range(10):

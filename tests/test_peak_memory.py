@@ -2,8 +2,6 @@
 
 import tracemalloc
 
-import numpy.random  # noqa: F401  (imported on first use otherwise, inside the trace)
-
 from hashmac import verify
 
 MB = 1 << 20

@@ -84,6 +84,9 @@ def test_ref_space_is_every_vector_in_product_order():
         space = verify._ref_space(n)
         assert space.shape == (2**n, n)
         assert [tuple(r) for r in space.tolist()] == list(itertools.product((0, 1), repeat=n))
+        # Built once per n and shared, so no caller may write to it.
+        assert verify._ref_space(n) is space
+        assert not space.flags.writeable
 
 
 def _reports():

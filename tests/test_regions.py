@@ -131,9 +131,9 @@ def test_downward_closure_random():
     rng = rng_mod.stream(13, "close")
     law = joint_private([FAIR, FAIR], ADDER)
     for _ in range(100):
-        r = (float(rng.random() * 1.0), float(rng.random() * 1.0))
+        r = (float(rng.random(None) * 1.0), float(rng.random(None) * 1.0))
         if in_region_private(r, law).inside:
-            shrunk = (r[0] * float(rng.random()), r[1] * float(rng.random()))
+            shrunk = (r[0] * float(rng.random(None)), r[1] * float(rng.random(None)))
             assert in_region_private(shrunk, law).inside
 
 

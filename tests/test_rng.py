@@ -1,3 +1,11 @@
+"""The lab's Philox streams against numpy's Generator(Philox(SeedSequence)) as the oracle."""
+
+import os
+import pathlib
+import re
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,41 +20,134 @@ SEEDS = st.one_of(st.just(0), st.integers(1, 2**32 - 1), st.integers(2**32, 2**6
 PARTS = st.one_of(st.text(max_size=6), st.integers(0, 9), st.integers(2**32, 2**96))
 PATHS = st.lists(PARTS, max_size=4).map(tuple)
 COUNTS = st.one_of(st.just(0), st.just(1), st.integers(2, 40))
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def numpy_stream(seed, *path):
+    ss = np.random.SeedSequence(entropy=seed & (2**64 - 1),
+                                spawn_key=tuple(rng_mod._as_key(p) for p in path))
+    return np.random.Generator(np.random.Philox(ss))
+
+
+def _raw(g, size):
+    return g.bit_generator.random_raw(size).tolist() if isinstance(g, np.random.Generator) \
+        else g.random_raw(size)
 
 
 def _draws(g):
-    """Draws over every path of the bit generator, ending with half a word buffered."""
-    return (g.integers(3, size=5).tolist(), g.integers(2**40, size=2).tolist(),
-            g.random(3).tolist(), g.integers(2, size=2).tolist())
+    """Draws over every path of the stream, ending with half a word kept."""
+    return (g.integers(0, 3, size=5).tolist(), g.integers(0, 2**40, size=2).tolist(),
+            g.random(3).tolist(), g.integers(0, 2, size=2).tolist(), _raw(g, 2))
+
+
+def _same(got, want):
+    """The same values, dtype and shape; an int or float stands for numpy's scalar."""
+    got, want = np.asarray(got), np.asarray(want)
+    return (got.dtype, got.shape, got.tolist()) == (want.dtype, want.shape, want.tolist())
+
+
+def _run(g, calls):
+    return [getattr(g, name)(*args) if name != "random_raw" else _raw(g, *args)
+            for name, *args in calls]
+
+
+SIZES = st.one_of(st.none(), st.integers(0, 7), st.just((2, 3)), st.just((0, 3)))
+# Ranges of 2^31 + 1 and 2^63 + 1 values reject about half their draws; 2^32
+# and 2^64 values take whole halves and words with no rejection at all.
+BOUNDS = st.one_of(st.sampled_from([(0, 2), (0, 3), (0, 5), (0, 2**40), (7, 8), (0, 2**31 + 1),
+                                    (-2**62, 2**62 + 1), (0, 2**32), (-2**63, 2**63)]),
+                   st.tuples(st.integers(-5, 5), st.integers(1, 100)).map(
+                       lambda t: (t[0], t[0] + t[1])))
+
+
+@st.composite
+def choices(draw):
+    a = draw(st.one_of(st.integers(1, 30), st.lists(st.floats(-1, 1), min_size=1, max_size=8)))
+    pop = a if isinstance(a, int) else len(a)
+    if draw(st.booleans()):
+        size = draw(st.one_of(st.none(), st.integers(0, pop), st.just((1, min(pop, 2)))))
+        return ("choice", a, size, False, None)
+    weights = np.array(draw(st.lists(st.integers(0, 9), min_size=pop, max_size=pop))) + 0.5
+    p = draw(st.one_of(st.none(), st.just(weights / weights.sum())))
+    return ("choice", a, draw(SIZES), True, p)
+
+
+CALLS = st.one_of(
+    st.tuples(st.just("integers"), BOUNDS, SIZES).map(lambda t: (t[0], *t[1], t[2])),
+    st.tuples(st.just("random"), st.one_of(SIZES, st.just((1024, 3)))),
+    choices(),
+    st.tuples(st.just("random_raw"), st.integers(0, 6)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(SEEDS, PATHS, st.lists(CALLS, max_size=8))
+def test_stream_draws_equal_numpy(seed, path, calls):
+    # The trailing draws show any difference in the kept half word or the word position.
+    calls = calls + [("integers", 0, 3, None), ("random_raw", 3)]
+    got, want = _run(stream(seed, *path), calls), _run(numpy_stream(seed, *path), calls)
+    for call, a, b in zip(calls, got, want):
+        assert _same(a, b), call
+
+
+@pytest.mark.parametrize("calls", [
+    # A half word kept by a scalar draw opens the next array draw.
+    [("integers", 0, 3, None), ("integers", 0, 3, 4), ("integers", 0, 5, (2, 3))],
+    # ... and outlives whole-word draws between them.
+    [("integers", 0, 2, 1), ("random", None), ("integers", 0, 2**40, 2), ("integers", 0, 3, 2)],
+    # Rejections, on halves and on whole words.
+    [("integers", 0, 2**31 + 1, 9), ("integers", 5, 2**31 + 6, None),
+     ("integers", -2**62, 2**62 + 1, 9), ("integers", 0, 3, 1)],
+    # The whole 32- and 64-bit ranges.
+    [("integers", 0, 2**32, 3), ("integers", -2**63, 2**63, 3), ("integers", 0, 2**32, None)],
+    # A one-value range and an empty size draw nothing.
+    [("integers", 7, 8, 5), ("integers", 0, 3, 0), ("integers", 0, 3, None)],
+    [("random", (1024, 3)), ("integers", -3, 4, None)],
+    [("choice", 10, 4, False, None), ("choice", ["a", "b", "c"], None, True, None),
+     ("choice", 3, 6, True, np.array([0.25, 0.25, 0.5]))],
+    # Floyd's sampling up to numpy's tail-shuffle cutoff.
+    [("choice", 20000, 400, False, None), ("choice", 10000, 10000, False, None)],
+])
+def test_named_call_sequences_equal_numpy(calls):
+    calls = calls + [("integers", 0, 3, None), ("random_raw", 3)]
+    got, want = _run(stream(11, "named"), calls), _run(numpy_stream(11, "named"), calls)
+    for call, a, b in zip(calls, got, want):
+        assert _same(a, b), call
+
+
+def test_choice_past_the_tail_shuffle_cutoff_is_not_offered():
+    with pytest.raises(NotImplementedError):
+        stream(11, "named").choice(20000, 401, False, None)
+    with pytest.raises(NotImplementedError):
+        stream(11, "named").choice(3, 2, False, np.array([0.25, 0.25, 0.5]))
 
 
 @settings(max_examples=60, deadline=None)
-@given(SEEDS, PATHS, COUNTS)
-def test_trial_streams_equal_stream(seed, path, count):
+@given(SEEDS, PATHS, COUNTS, st.integers(0, 9))
+def test_trial_streams_equal_stream(seed, path, count, words):
     spawn = tuple(rng_mod._as_key(p) for p in path)
-    t = -1
-    for t, g in enumerate(trial_streams(seed, path, count)):
+    streams = list(trial_streams(seed, path, count, words))
+    assert len(streams) == count
+    for t, g in enumerate(streams):
         ss = np.random.SeedSequence(entropy=seed & (2**64 - 1), spawn_key=spawn + (t,))
-        key = g.bit_generator.state["state"]["key"]
-        assert key.tolist() == ss.generate_state(2, np.uint64).tolist()
+        assert g._key == tuple(ss.generate_state(2, np.uint64).tolist())
         assert _draws(g) == _draws(stream(seed, *path, t))
-    assert t == count - 1
 
 
-def _fresh_state(g):
-    st_ = g.bit_generator.state
-    return (st_["state"]["counter"].tolist(), st_["state"]["key"].tolist(),
-            st_["buffer_pos"], st_["has_uint32"], st_["uinteger"])
+def test_trial_streams_are_independent_objects():
+    # Each stream of a run is its own: drawing from one leaves the others fresh.
+    streams = list(trial_streams(7, ("a",), 3, 2))
+    assert len({id(g) for g in streams}) == 3
+    for t, g in enumerate(streams):
+        assert _draws(g) == _draws(stream(7, "a", t))
 
 
-def test_rekeyed_generator_leaks_nothing_between_trials():
-    # An odd-length draw of small ints leaves half of a 64-bit word
-    # buffered; the next trial must start from its own fresh state.
-    for t, g in enumerate(trial_streams(7, ("leak",), 4)):
-        want = stream(7, "leak", t)
-        assert _fresh_state(g) == _fresh_state(want)
-        assert g.integers(2, size=3).tolist() == want.integers(2, size=3).tolist()
-        assert g.bit_generator.state["has_uint32"] == 1
+def test_trial_streams_hold_nothing_from_each_other():
+    # An odd-length draw of small ints keeps half a word; the next trial
+    # must start from its own fresh state.
+    for t, g in enumerate(trial_streams(7, ("leak",), 4, 1)):
+        want = numpy_stream(7, "leak", t)
+        assert g.integers(0, 2, 3).tolist() == want.integers(0, 2, 3).tolist()
+        assert g.integers(0, 2, None) == want.integers(0, 2, None)  # the kept half
 
 
 @pytest.mark.parametrize("part, err", [(-1, ValueError), (1.5, TypeError),
@@ -55,10 +156,29 @@ def test_bad_path_part_raises_like_stream(part, err):
     with pytest.raises(err) as want:
         stream(3, "a", part)
     with pytest.raises(err) as got:
-        trial_streams(3, ("a", part), 2)
+        trial_streams(3, ("a", part), 2, 4)
     assert str(got.value) == str(want.value)
 
 
 def test_negative_count_rejected():
     with pytest.raises(ValueError):
-        trial_streams(3, (), -1)
+        trial_streams(3, (), -1, 4)
+
+
+def test_package_never_names_numpy_random():
+    for path in sorted((ROOT / "src" / "hashmac").glob("*.py")):
+        assert not re.search(r"np\.random|numpy\.random", path.read_text()), path.name
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--config", "perfbench/configs/trend.json", "--out", "{tmp}/trend.csv"],
+    ["verify", "--suite", "all"]])
+def test_runs_never_import_numpy_random(argv, tmp_path):
+    # Importing numpy's random module loads OpenSSL too, about 5 MB of a run's peak RSS.
+    script = ("import sys\nfrom hashmac.cli import main\nrc = main(sys.argv[1:])\n"
+              "print('numpy.random' in sys.modules)\nsys.exit(rc)")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    run = subprocess.run([sys.executable, "-c", script, *(a.format(tmp=tmp_path) for a in argv)],
+                         cwd=ROOT, env=env, capture_output=True, text=True, timeout=600)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "False"

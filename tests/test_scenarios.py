@@ -60,11 +60,20 @@ def test_private_build_rejects_outside_region():
     assert "region" in str(err.value)
 
 
+def test_private_build_takes_a_numpy_generator():
+    code = build_private_code([1.0], FAIR, ADDER, (0.25, 0.25), (0.05, 0.05), 12,
+                              np.random.default_rng(0))
+    assert [c.rows for c in code.checks] == [8, 8]
+    assert code.u.tolist() == [0] * 12
+    res = simulate_error(code, 20, SEED, ("numpy-built",))
+    assert sum(res.stage_counts.values()) == res.errors
+
+
 def test_private_roundtrip_noiseless_identity_channel():
     # Full-rank singleton cosets over a channel that reveals both inputs.
     code = build_private_code([1.0], FAIR, PAIR, (0.25, 0.25), (0.05, 0.05), 8,
                               rng_mod.stream(SEED, "ident"))
-    msgs = [rng_mod.stream(1, "m", j).integers(2, size=code.message_maps[j].rows)
+    msgs = [rng_mod.stream(1, "m", j).integers(0, 2, size=code.message_maps[j].rows)
             for j in range(2)]
     xs = encode_components(code, msgs)
     for j in range(2):
@@ -188,6 +197,15 @@ def test_superposition_build_and_roundtrip():
     assert sum(res.stage_counts.values()) == res.errors
 
 
+def test_superposition_build_takes_a_numpy_generator():
+    mu0, c1, c2 = _sw_inputs()
+    code = build_superposition_code(mu0, c1, c2, PAIR, (0.125, 0.125, 0.125),
+                                    (0.05, 0.05, 0.05), 8, np.random.default_rng(0))
+    assert code.scenario == "superposition" and code.u is None
+    res = simulate_error(code, 20, SEED, ("numpy-built-sw",))
+    assert sum(res.stage_counts.values()) == res.errors
+
+
 def test_superposition_shared_cloud_center():
     mu0, c1, c2 = _sw_inputs()
     code = build_superposition_code(mu0, c1, c2, PAIR, (0.125, 0.125, 0.125),
@@ -210,7 +228,7 @@ def test_superposition_message_maps_recover():
                                         (0.05, 0.05, 0.05), 8,
                                         rng_mod.stream(SEED, "sw3", attempt))
         rng = rng_mod.stream(4, "msgs", attempt)
-        msgs = [rng.integers(2, size=code.message_maps[i].rows) for i in range(3)]
+        msgs = [rng.integers(0, 2, size=code.message_maps[i].rows) for i in range(3)]
         try:
             x1, x2 = encode_components(code, msgs)[1:]
         except EmptyCosetError:
@@ -312,7 +330,7 @@ def test_reduction_physical_roundtrip():
     trials = 60
     for t in range(trials):
         rng = rng_mod.stream(SEED, "phys-trial", t)
-        msgs = [rng.integers(2, size=code.message_maps[j].rows) for j in range(2)]
+        msgs = [rng.integers(0, 2, size=code.message_maps[j].rows) for j in range(2)]
         try:
             aux = encode_components(code, msgs)
         except Exception:
@@ -356,7 +374,7 @@ def test_three_sender_machinery():
     # identity on one successful round trip.
     for t in range(40):
         rng = rng_mod.stream(13, "k3-rt", t)
-        msgs = [rng.integers(2, size=m.rows) for m in code.message_maps]
+        msgs = [rng.integers(0, 2, size=m.rows) for m in code.message_maps]
         try:
             xs = encode_components(code, msgs)
         except Exception:
@@ -410,17 +428,17 @@ def _scores_from_counts(code, xs):
 
 def _random_code(rng, kind):
     """A private, time-sharing, cloud or one-point-cloud code over GF(2) or GF(3)."""
-    q = int(rng.choice([2, 3]))
-    k = 2 if kind in ("cloud", "one-point") else int(rng.integers(2, 4))
-    out = int(rng.integers(2, 4))
+    q = int(rng.choice([2, 3], size=None, replace=True, p=None))
+    k = 2 if kind in ("cloud", "one-point") else int(rng.integers(2, 4, None))
+    out = int(rng.integers(2, 4, None))
     dmc = Dmc((q,) * k, out, rng.dirichlet(np.ones(out), size=(q,) * k))
-    m = 1 if kind in ("private", "one-point") else int(rng.integers(2, 4))
+    m = 1 if kind in ("private", "one-point") else int(rng.integers(2, 4, None))
     ctx_law = rng.dirichlet(np.ones(m))
     conds = [rng.dirichlet(np.ones(q), size=m) for _ in range(k)]
-    if rng.random() < 0.5:  # uniform senders, so a copied codeword stays typical
+    if rng.random(None) < 0.5:  # uniform senders, so a copied codeword stays typical
         conds = [np.full((m, q), 1 / q)] * k
-    n = int(rng.integers(4, 7))
-    rates = [float(r) for r in rng.choice([0.0, 0.2], size=k)]
+    n = int(rng.integers(4, 7, None))
+    rates = [float(r) for r in rng.choice([0.0, 0.2], size=k, replace=True, p=None)]
     if kind in ("private", "time-sharing"):
         build = lambda r: build_private_code(ctx_law, conds, dmc, rates,
                                              rng.uniform(0.02, 0.1, k), n, r,
@@ -444,11 +462,11 @@ def _trial_inputs(code, rng):
     """
     c, n = code.n_cloud, code.n
     ctx = code.u if code.u is not None else rng.choice(code.ctx_law.size, size=n,
-                                                       p=code.ctx_law.probs)
-    draws = [np.array([rng.choice(x.size, p=x.rows[b]) for b in ctx])
+                                                       p=code.ctx_law.probs, replace=True)
+    draws = [np.array([rng.choice(x.size, p=x.rows[b], size=None, replace=True) for b in ctx])
              for x in code.cond_inputs[c:]]
     out = [(ctx,) * c + tuple(draws)]
-    msgs = [rng.integers(mm.field.q, size=mm.rows) for mm in code.message_maps]
+    msgs = [rng.integers(0, mm.field.q, size=mm.rows) for mm in code.message_maps]
     try:
         out.append(encode_components(code, msgs))
     except EmptyCosetError:
@@ -563,10 +581,10 @@ def _layout_code(comps, n):
 def test_merged_message_draws_equal_one_draw_per_component(layout):
     comps, seed, n = layout
     raw, single = rng_mod.stream(seed, "draw"), rng_mod.stream(seed, "draw")
-    msgs, uniforms = _draw(_layout_code(comps, n), raw.bit_generator)
+    msgs, uniforms = _draw(_layout_code(comps, n), raw)
     want = []
     for q, r in comps:
-        digits = single.integers(q, size=r) if r else []
+        digits = single.integers(0, q, size=r) if r else []
         # A message's index reads its digits in base q, first digit most significant.
         want.append(int("".join(map(str, digits)) or "0", q))
     assert msgs == tuple(want)
@@ -574,7 +592,7 @@ def test_merged_message_draws_equal_one_draw_per_component(layout):
 
 
 class _RawWords:
-    """A bit generator's stand-in: random_raw hands out a fixed word list in order."""
+    """A stream's stand-in: random_raw hands out a fixed word list in order."""
 
     def __init__(self, words):
         self.words, self.pos = words, 0
@@ -583,7 +601,7 @@ class _RawWords:
         out = self.words[self.pos:self.pos + size]
         assert len(out) == size, "the draw asked for more words than the case holds"
         self.pos += size
-        return np.array(out, dtype=np.uint64)
+        return out
 
 
 def _numpy_bounded_draw(halves, q):
@@ -627,7 +645,7 @@ def test_rejected_digit_draws_follow_numpy(q, rows, rejected):
 
 def _reference_trial(code, rng):
     """One trial from the public pieces: a draw per component and array messages."""
-    msgs = [rng.integers(mm.field.q, size=mm.rows) if mm.rows else np.zeros(0, dtype=np.int64)
+    msgs = [rng.integers(0, mm.field.q, size=mm.rows) if mm.rows else np.zeros(0, dtype=np.int64)
             for mm in code.message_maps]
     try:
         xs = encode_components(code, msgs)
@@ -691,7 +709,7 @@ def test_decoder_keeps_no_state_per_output():
                             code.law.table, u=code.u)
         before = _decoder_state(dec)
         ys = rng_mod.stream(SEED, "stateless", name).integers(
-            code.dmc.output_size, size=(50, code.n))
+            0, code.dmc.output_size, size=(50, code.n))
         first = [dec.rows(y) for y in ys]
         assert [dec.rows(tuple(y.tolist())) for y in ys] == first, name
         assert _decoder_state(dec) == before, name
@@ -702,7 +720,7 @@ def _sent_outputs(code, trials, path):
     ys = set()
     for t in range(trials):
         rng = rng_mod.stream(SEED, *path, t)
-        msgs = [rng.integers(mm.field.q, size=mm.rows) if mm.rows
+        msgs = [rng.integers(0, mm.field.q, size=mm.rows) if mm.rows
                 else np.zeros(0, dtype=np.int64) for mm in code.message_maps]
         try:
             xs = encode_components(code, msgs)
@@ -743,7 +761,7 @@ def test_sent_table_holds_one_entry_per_drawn_tuple():
     trials, path = 120, ("sent",)
     for name, code in _equivalence_codes().items():
         simulate_error(code, trials, SEED, path)
-        drawn = {_draw(code, rng_mod.stream(SEED, *path, t).bit_generator)[0]
+        drawn = {_draw(code, rng_mod.stream(SEED, *path, t))[0]
                  for t in range(trials)}
         assert set(code.sent) == drawn, name
 
@@ -796,7 +814,7 @@ def test_trial_output_equals_sample_channel():
                 if not seen:  # an empty coset: nothing was sent
                     continue
                 rng = rng_mod.stream(SEED, "y", name, t)
-                msgs = [rng.integers(mm.field.q, size=mm.rows) if mm.rows
+                msgs = [rng.integers(0, mm.field.q, size=mm.rows) if mm.rows
                         else np.zeros(0, dtype=np.int64) for mm in code.message_maps]
                 xs = encode_components(code, msgs)
                 y = sample_channel(code.dmc, xs[code.n_cloud:], rng)
