@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import itertools
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,10 +19,10 @@ class Dmc:
     input_sizes: tuple[int, ...]
     output_size: int
     table: np.ndarray  # shape input_sizes + (output_size,)
-    # CDF over y of each sender tuple, one row per combined symbol index
-    # (the tuple read in base input_sizes, first sender most significant).
-    cdf: np.ndarray = field(init=False, repr=False, compare=False)
-    cdf_rows: tuple = field(init=False, repr=False, compare=False)  # cdf as Python floats
+    # CDF over y of each sender tuple as a tuple of floats, one row per
+    # combined symbol index (the tuple read in base input_sizes, first
+    # sender most significant).
+    cdf_rows: tuple = field(init=False, repr=False, compare=False)
     strides: np.ndarray = field(init=False, repr=False, compare=False)  # combined-index weights
     size_column: np.ndarray = field(init=False, repr=False, compare=False)  # uint64 input_sizes
 
@@ -40,8 +42,6 @@ class Dmc:
         cdf = np.minimum(np.cumsum(rows, axis=-1), 1.0)
         last = rows.shape[1] - 1 - np.argmax(rows[:, ::-1] > 0, axis=1)
         cdf[np.arange(rows.shape[1]) >= last[:, None]] = 1.0
-        cdf.flags.writeable = False
-        object.__setattr__(self, "cdf", cdf)
         object.__setattr__(self, "cdf_rows", tuple(map(tuple, cdf.tolist())))
         strides = np.array([math.prod(self.input_sizes[j + 1:])
                             for j in range(len(self.input_sizes))], dtype=np.int64)
@@ -58,7 +58,6 @@ class Dmc:
 
 def deterministic_dmc(input_sizes, output_size, fn) -> Dmc:
     """Noiseless channel y = fn(x_1, ..., x_k)."""
-    import itertools
     table = np.zeros(tuple(input_sizes) + (output_size,))
     for xs in itertools.product(*(range(s) for s in input_sizes)):
         table[xs + (int(fn(*xs)),)] = 1.0
@@ -82,7 +81,7 @@ def sample_channel(dmc: Dmc, xs, rng) -> np.ndarray:
     if bad.any():
         j = int(np.flatnonzero(bad.any(axis=1))[0])
         raise ValueError(f"sender {j} symbol outside its alphabet")
-    cum = dmc.cdf[dmc.strides @ xs]          # (n, output_size)
-    draws = rng.random(xs.shape[1])
     # Inverse CDF with the fixed symbol order of the table.
-    return np.add.reduce(draws[:, None] >= cum, axis=1, dtype=np.int64)
+    rows = map(dmc.cdf_rows.__getitem__, (dmc.strides @ xs).tolist())
+    return np.array(list(map(bisect_right, rows, rng.random(xs.shape[1]).tolist())),
+                    dtype=np.int64)

@@ -260,7 +260,7 @@ class MinDivDecoder:
     out; both read one table of the divergence kernel's term per (cell, count).
     """
 
-    def __init__(self, labels, syndromes, model: np.ndarray, u=None):
+    def __init__(self, labels, syndromes, model: np.ndarray, u):
         labels = list(labels)
         syndromes = list(syndromes)
         if len(labels) != len(syndromes):
@@ -478,7 +478,7 @@ class MinDivDecoder:
         return tuple(c[i] for c, i in zip(self.cosets, self.rows(y)))
 
 
-def min_div_decode(labels, syndromes, y, model: np.ndarray, u=None) -> tuple[np.ndarray, ...]:
+def min_div_decode(labels, syndromes, y, model: np.ndarray, u) -> tuple[np.ndarray, ...]:
     """One-shot joint minimum-divergence decoding: build a MinDivDecoder, call it once."""
     return MinDivDecoder(labels, syndromes, model, u=u)(y)
 

@@ -95,7 +95,6 @@ class CodeInstance:
     rates: tuple                       # realized message rates
     srates: tuple                      # realized syndrome rates
     eps: tuple
-    requested_rates: tuple
     gamma: float                       # classifier radius: RADIUS when built
     ctx_law: Pmf                       # law of the context symbol (u or the cloud x0)
     u: np.ndarray | None               # context fixed at build time; None if a cloud codes it
@@ -131,14 +130,17 @@ class CodeInstance:
     # message travels as its index, its rank in lex order (gf.lex_index).
 
     @cached_property
-    def digit_draws(self) -> tuple[tuple[int, int, int], ...]:
-        """Per component, (q, rows, rejection threshold (2^32 - q) mod q) of its message digits."""
-        return tuple((mm.field.q, mm.rows, (2**32 - mm.field.q) % mm.field.q)
-                     for mm in self.message_maps)
+    def digit_runs(self) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
+        """Runs of consecutive components over one field: (q, digits, rows of each component)."""
+        runs = []
+        for q, maps in itertools.groupby(self.message_maps, key=lambda mm: mm.field.q):
+            rows = tuple(mm.rows for mm in maps)
+            runs.append((q, sum(rows), rows))
+        return tuple(runs)
 
     @cached_property
     def raw_words(self) -> int:
-        """Raw words a trial draws first: half a word per message digit, one per position."""
+        """Words a trial draws if no digit is rejected: half a word per digit, one per position."""
         return -(-sum(mm.rows for mm in self.message_maps) // 2) + self.n
 
     @cached_property
@@ -302,8 +304,7 @@ def _build(law: JointLaw, ctx_law: Pmf, conds, dmc: Dmc,
         scenario="superposition" if c else "private", n=n, dmc=dmc, law=law,
         checks=tuple(checks), message_maps=tuple(message_maps), syndromes=tuple(syndromes),
         check_specs=tuple(check_specs), message_specs=tuple(message_specs),
-        rates=act_rates, srates=act_srates, eps=eps, requested_rates=rates,
-        gamma=RADIUS,
+        rates=act_rates, srates=act_srates, eps=eps, gamma=RADIUS,
         ctx_law=ctx_law, u=u, cond_inputs=tuple(conds))
 
 
@@ -515,39 +516,25 @@ class SimulationResult:
         return 1.96 * math.sqrt(max(p * (1 - p), 0.0) / self.trials)
 
 
-_TO_UNIT = 2.0**-53
-
-
-def _draw(code: CodeInstance, rng) -> tuple[tuple[int, ...], list[float]]:
+def _draw(code: CodeInstance, rng: rng_mod.Stream) -> tuple[tuple[int, ...], list[float]]:
     """Every component's message index and the n channel uniforms of one trial.
 
-    `rng` is a fresh `rng_mod.Stream`, read through `random_raw`.  The draws equal
-    `integers(q, size=rows)` per component with rows, then `random(n)`:
-    a digit is numpy's bounded draw on the raw words' uint32 halves, low
-    half first, `(h * q) >> 32`, drawn again from the next half while
-    `(h * q) mod 2^32` is under `(2^32 - q) mod q`; the uniforms are
-    `(w >> 11) * 2^-53` of the whole words after the last half used.
+    The draws equal `integers(0, q, size=rows)` per component, then
+    `random(n)`; each run of components over one field draws its digits in
+    one `bounded` list.  A message's index reads its digits in base q, first
+    digit most significant.
     """
-    words = rng.random_raw(code.raw_words)
-    h = 0  # halves used
     msgs = []
-    for q, rows, reject in code.digit_draws:
-        m = 0
-        for _ in range(rows):
-            p = (words[h >> 1] >> 32 * (h & 1) & 0xFFFFFFFF) * q
-            h += 1
-            while p & 0xFFFFFFFF < reject:
-                # Keep a trial's worth of words ahead, so no later digit runs out.
-                if len(words) - (h >> 1) < code.raw_words:
-                    words += rng.random_raw(code.raw_words)
-                p = (words[h >> 1] >> 32 * (h & 1) & 0xFFFFFFFF) * q
-                h += 1
-            m = m * q + (p >> 32)
-        msgs.append(m)
-    start = (h + 1) >> 1
-    if len(words) < start + code.n:
-        words += rng.random_raw(start + code.n - len(words))
-    return tuple(msgs), [(w >> 11) * _TO_UNIT for w in words[start:start + code.n]]
+    for q, count, rows in code.digit_runs:
+        digits = rng.bounded(q - 1, count)
+        at = 0
+        for r in rows:
+            m = 0
+            for d in digits[at:at + r]:
+                m = m * q + d
+            msgs.append(m)
+            at += r
+    return tuple(msgs), rng.doubles(code.n)
 
 
 def _send(code: CodeInstance, msgs) -> list:
@@ -568,12 +555,9 @@ _FAILURES = {s: TrialResult(False, s) for s in STAGES}
 def run_trial(code: CodeInstance, rng: rng_mod.Stream) -> TrialResult:
     """One uniform-message round trip; failures carry the first violated stage.
 
-    `rng` must be fresh, nothing drawn from it yet, as `rng_mod.stream` and
-    `rng_mod.trial_streams` give: the trial reads its raw words from the
-    start of the stream.  Messages travel as indices, so a trial succeeds
-    when each decoded component's coset row carries its message index.
-    y_i is the inverse CDF of its position's channel row at uniform i, as
-    in `sample_channel`.
+    Messages travel as indices, so a trial succeeds when each decoded
+    component's coset row carries its message index.  y_i is the inverse
+    CDF of its position's channel row at uniform i, as in `sample_channel`.
     """
     msgs, uniforms = _draw(code, rng)
     entry = code.sent.get(msgs)
@@ -596,7 +580,7 @@ def run_trial(code: CodeInstance, rng: rng_mod.Stream) -> TrialResult:
     return _FAILURES[stage or _channel_stage(code, xs, y)]
 
 
-def simulate_error(code: CodeInstance, trials: int, seed: int, path=()) -> SimulationResult:
+def simulate_error(code: CodeInstance, trials: int, seed: int, path) -> SimulationResult:
     """Monte Carlo block-error rate with per-trial independent streams."""
     if trials < 1:
         raise ValueError("trials must be positive")
@@ -618,7 +602,7 @@ class SearchResult:
 
 
 def search_code(builder, candidates: int, pilot_trials: int, seed: int,
-                path=()) -> SearchResult:
+                path) -> SearchResult:
     """Best-of-N construction: build, pilot, keep the lowest pilot error."""
     if candidates < 1:
         raise ValueError("candidates must be positive")

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hashmac import rng as rng_mod
 from hashmac.channel import Dmc, deterministic_dmc, sample_channel
@@ -72,14 +76,15 @@ def test_input_checks_name_the_fault():
     assert sample_channel(dmc, [np.array([1, 0]), np.array([2, 0])], rng).tolist() == [5, 0]
 
 
-class _Uniforms:
-    """An rng stand-in whose every uniform is `value`."""
+class _Draws:
+    """An rng stand-in whose `random(size)` gives the listed uniforms."""
 
-    def __init__(self, value):
-        self.value = value
+    def __init__(self, values):
+        self.values = values
 
     def random(self, size):
-        return np.full(size, self.value)
+        assert size == len(self.values)
+        return np.array(self.values, dtype=np.float64)
 
 
 @pytest.mark.parametrize("row", [[0.3, 0.7 - 1e-13], [0.3, 0.7 - 1e-13, 0.0]])
@@ -87,15 +92,51 @@ def test_uniform_near_one_stays_in_the_alphabet(row):
     # The row sums just under 1, so its plain cumulative sum ends under 1,
     # and a trailing zero-mass symbol must stay unreachable.
     dmc = Dmc((1, 1), len(row), np.array([[row]]))
-    assert dmc.cdf[0, 1:].tolist() == [1.0] * (len(row) - 1)
-    y = sample_channel(dmc, [np.zeros(3, int)] * 2, _Uniforms(0.99999999999999))
+    assert dmc.cdf_rows[0][1:] == (1.0,) * (len(row) - 1)
+    y = sample_channel(dmc, [np.zeros(3, int)] * 2, _Draws([0.99999999999999] * 3))
     assert y.tolist() == [1, 1, 1]
-    assert sample_channel(dmc, [np.zeros(3, int)] * 2, _Uniforms(0.0)).tolist() == [0, 0, 0]
+    assert sample_channel(dmc, [np.zeros(3, int)] * 2, _Draws([0.0] * 3)).tolist() == [0, 0, 0]
 
 
 def test_dyadic_cdf_is_the_plain_cumulative_sum():
     table = np.array([[[0.875, 0.0625, 0.0625], [0.0625, 0.875, 0.0625]],
                       [[0.0625, 0.875, 0.0625], [0.0625, 0.0625, 0.875]]])
     dmc = Dmc((2, 2), 3, table)
-    assert np.array_equal(dmc.cdf, np.cumsum(table, axis=-1).reshape(4, 3))
-    assert dmc.cdf_rows == tuple(map(tuple, dmc.cdf.tolist()))
+    assert dmc.cdf_rows == tuple(map(tuple, np.cumsum(table, axis=-1).reshape(4, 3).tolist()))
+
+
+def _compare_and_count(dmc, xs, uniforms):
+    """Compare-and-count inverse CDF, the oracle: y_i counts its row's entries at or under u_i."""
+    cum = np.array(dmc.cdf_rows).reshape(-1, dmc.output_size)[dmc.strides @ xs]
+    return np.add.reduce(np.array(uniforms)[:, None] >= cum, axis=1, dtype=np.int64)
+
+
+@st.composite
+def channel_cases(draw):
+    """A channel, inputs and uniforms: rows that sum just under 1, with zero cells, and
+    uniforms at and just under the CDF's own entries."""
+    sizes = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)))
+    out = draw(st.integers(1, 4))
+    rows = []
+    for _ in range(math.prod(sizes)):
+        weights = draw(st.lists(st.sampled_from((0, 1, 2, 3, 7)), min_size=out,
+                                max_size=out).filter(any))
+        row = np.array(weights, dtype=np.float64) / sum(weights)
+        rows.append(row * (1 - draw(st.sampled_from((0.0, 1e-13, 2.0**-50)))))
+    dmc = Dmc(sizes, out, np.array(rows).reshape(sizes + (out,)))
+    n = draw(st.integers(0, 12))
+    xs = np.array([draw(st.lists(st.integers(0, s - 1), min_size=n, max_size=n))
+                   for s in sizes], dtype=np.int64).reshape(len(sizes), n)
+    edges = sorted({v for r in dmc.cdf_rows for v in r if v < 1})
+    edges += [math.nextafter(v, 0) for v in edges]
+    uniform = st.floats(0, 1, exclude_max=True) | st.sampled_from(edges + [0.0, 1 - 2.0**-53])
+    return dmc, xs, draw(st.lists(uniform, min_size=n, max_size=n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(channel_cases())
+def test_sample_channel_is_the_compare_and_count_lookup(case):
+    dmc, xs, uniforms = case
+    y = sample_channel(dmc, xs, _Draws(uniforms))
+    assert y.dtype == np.int64
+    assert y.tolist() == _compare_and_count(dmc, xs, uniforms).tolist()

@@ -94,7 +94,7 @@ def test_decode_singleton_cosets_return_transmitted():
     for a in range(2):
         for b in range(2):
             model[a, b, 2 * a + b] = 0.25
-    got = min_div_decode([eye, eye], [x1, x2], y, model)
+    got = min_div_decode([eye, eye], [x1, x2], y, model, u=None)
     assert (got[0] == x1).all() and (got[1] == x2).all()
 
 
@@ -104,7 +104,7 @@ def test_decode_tie_prefers_lexicographic_tuple():
     n = 2
     A = lbl([[1, 1]])
     model = np.full((2, 2, 2), 1 / 8.0)
-    got = min_div_decode([A, A], [[0], [1]], np.array([0, 1]), model)
+    got = min_div_decode([A, A], [[0], [1]], np.array([0, 1]), model, u=None)
     assert got[0].tolist() == [0, 0] and got[1].tolist() == [0, 1]
 
 
@@ -112,7 +112,7 @@ def test_decode_unreachable_syndrome():
     A = lbl([[1, 1], [1, 1]])
     model = np.full((2, 2), 0.25)
     with pytest.raises(AllCosetsEmptyError):
-        min_div_decode([A], [[0, 1]], np.array([0, 0]), model)
+        min_div_decode([A], [[0, 1]], np.array([0, 0]), model, u=None)
 
 
 def test_decode_budget_guard(monkeypatch):
@@ -121,7 +121,7 @@ def test_decode_budget_guard(monkeypatch):
     A = lbl([], 2)
     model = np.full((2, 2, 2), 1 / 8.0)
     with pytest.raises(EnumerationBudgetError, match="product coset size 16 exceeds"):
-        min_div_decode([A, A], [[], []], np.array([0, 1]), model)
+        min_div_decode([A, A], [[], []], np.array([0, 1]), model, u=None)
     mu = CondPmf((0,), (0, 1), [[0.5, 0.5]])
     with pytest.raises(EnumerationBudgetError, match="coset size 2\\^4 exceeds"):
         min_div_encode(CosetSpec(lbl([], 4), lbl([], 4), [], []),
@@ -152,7 +152,7 @@ def test_decode_brute_force_spotcheck():
         y = rng.integers(2, size=n)
         w = rng.integers(1, 9, size=(2, 2, 2)).astype(float)
         model = w / w.sum()
-        got = min_div_decode(labels, syn, y, model)
+        got = min_div_decode(labels, syn, y, model, u=None)
         # Direct scan over the product coset using the library divergences.
         from hashmac.gf import enumerate_coset
         c1 = enumerate_coset(labels[0], syn[0])
@@ -347,7 +347,7 @@ def test_gf3_near_zero_tie_goes_to_lex_first():
     for _ in range(12):
         w = 1.0 + 1e-6 * rng.integers(-1, 2, size=(3, 2))
         model, y = w / w.sum(), rng.permutation(n) % 2
-        got = MinDivDecoder([label], [np.zeros(0, dtype=np.int64)], model)(y)[0]
+        got = MinDivDecoder([label], [np.zeros(0, dtype=np.int64)], model, u=None)(y)[0]
 
         def div(x):
             cells = Counter(zip(x, y.tolist()))

@@ -415,7 +415,8 @@ def term_table_cases(draw):
 def test_term_table_scores_equal_kernel(case):
     n, model, cells = case
     check = LinearLabel(FieldSpec(2), np.eye(n, dtype=np.int64)[:max(0, n - 3)])
-    dec = MinDivDecoder([check] * 2, [np.zeros(check.rows, dtype=np.int64)] * 2, model)
+    dec = MinDivDecoder([check] * 2, [np.zeros(check.rows, dtype=np.int64)] * 2, model,
+                        u=None)
     m = cells.shape[0]
     counts = np.stack([np.bincount(c, minlength=12) for c in cells])
     shifted = cells + (np.arange(m) * 12)[:, None]

@@ -16,8 +16,6 @@ SRC = ROOT / "src" / "hashmac"
 # (module.qualified function, parameter); a lambda is named <lambda>.
 OPTIONS = {
     ("cli.main", "argv"),
-    ("codec.MinDivDecoder.__init__", "u"),
-    ("codec.min_div_decode", "u"),
     ("ensembles._joint_hits", "alive"),
     ("prob.as_distribution", "tol"),
     ("regions.mutual_information", "c_names"),
@@ -29,8 +27,6 @@ OPTIONS = {
     ("scenarios.build_superposition_code", "ensemble_factory"),
     ("scenarios.build_superposition_code", "check_region"),
     ("scenarios.build_superposition_code", "_law"),
-    ("scenarios.simulate_error", "path"),
-    ("scenarios.search_code", "path"),
     ("slack._check_radius", "name"),
     ("verify.regions_suite", "split_points"),
 }

@@ -29,15 +29,22 @@ def numpy_stream(seed, *path):
     return np.random.Generator(np.random.Philox(ss))
 
 
-def _raw(g, size):
-    return g.bit_generator.random_raw(size).tolist() if isinstance(g, np.random.Generator) \
-        else g.random_raw(size)
+# numpy's forms of the draws a Stream offers that a Generator does not.
+NUMPY_FORMS = {"random_raw": lambda g, size: g.bit_generator.random_raw(size).tolist(),
+               "bounded": lambda g, top, count: g.integers(0, top + 1, size=count).tolist(),
+               "doubles": lambda g, count: g.random(count).tolist()}
+
+
+def _call(g, name, *args):
+    if isinstance(g, np.random.Generator) and name in NUMPY_FORMS:
+        return NUMPY_FORMS[name](g, *args)
+    return getattr(g, name)(*args)
 
 
 def _draws(g):
     """Draws over every path of the stream, ending with half a word kept."""
     return (g.integers(0, 3, size=5).tolist(), g.integers(0, 2**40, size=2).tolist(),
-            g.random(3).tolist(), g.integers(0, 2, size=2).tolist(), _raw(g, 2))
+            g.random(3).tolist(), g.integers(0, 2, size=2).tolist(), _call(g, "random_raw", 2))
 
 
 def _same(got, want):
@@ -47,8 +54,7 @@ def _same(got, want):
 
 
 def _run(g, calls):
-    return [getattr(g, name)(*args) if name != "random_raw" else _raw(g, *args)
-            for name, *args in calls]
+    return [_call(g, name, *args) for name, *args in calls]
 
 
 SIZES = st.one_of(st.none(), st.integers(0, 7), st.just((2, 3)), st.just((0, 3)))
@@ -76,7 +82,10 @@ CALLS = st.one_of(
     st.tuples(st.just("integers"), BOUNDS, SIZES).map(lambda t: (t[0], *t[1], t[2])),
     st.tuples(st.just("random"), st.one_of(SIZES, st.just((1024, 3)))),
     choices(),
-    st.tuples(st.just("random_raw"), st.integers(0, 6)))
+    st.tuples(st.just("random_raw"), st.integers(0, 6)),
+    st.tuples(st.just("bounded"), st.sampled_from([0, 1, 2, 4, 2**31, 2**32 - 1, 2**32, 2**63 - 1]),
+              st.integers(0, 7)),
+    st.tuples(st.just("doubles"), st.integers(0, 7)))
 
 
 @settings(max_examples=200, deadline=None)
@@ -102,6 +111,9 @@ def test_stream_draws_equal_numpy(seed, path, calls):
     # A one-value range and an empty size draw nothing.
     [("integers", 7, 8, 5), ("integers", 0, 3, 0), ("integers", 0, 3, None)],
     [("random", (1024, 3)), ("integers", -3, 4, None)],
+    # The list forms keep and use the kept half word as the array draws do.
+    [("bounded", 2, 3), ("integers", 0, 3, 2), ("bounded", 4, 1), ("doubles", 2), ("bounded", 2, 2),
+     ("bounded", 2**31, 5)],
     [("choice", 10, 4, False, None), ("choice", ["a", "b", "c"], None, True, None),
      ("choice", 3, 6, True, np.array([0.25, 0.25, 0.5]))],
     # Floyd's sampling up to numpy's tail-shuffle cutoff.

@@ -591,19 +591,6 @@ def test_merged_message_draws_equal_one_draw_per_component(layout):
     assert uniforms == single.random(n).tolist()
 
 
-class _RawWords:
-    """A stream's stand-in: random_raw hands out a fixed word list in order."""
-
-    def __init__(self, words):
-        self.words, self.pos = words, 0
-
-    def random_raw(self, size):
-        out = self.words[self.pos:self.pos + size]
-        assert len(out) == size, "the draw asked for more words than the case holds"
-        self.pos += size
-        return out
-
-
 def _numpy_bounded_draw(halves, q):
     """numpy's buffered_bounded_lemire_uint32 for [0, q) on an iterator of uint32 halves."""
     m = next(halves) * q
@@ -633,13 +620,15 @@ def test_rejected_digit_draws_follow_numpy(q, rows, rejected):
         at += 1
     words = [lo | hi << 32 for lo, hi in zip(halves[::2], halves[1::2])]
     code = _layout_code(((q, rows),), n)
-    msgs, uniforms = _draw(code, _RawWords(words))
+    # A stream holding the crafted words as its first blocks draws them first.
+    msgs, uniforms = _draw(code, rng_mod.Stream((0, 0), words))
     it = iter(halves)
     digits = [_numpy_bounded_draw(it, q) for _ in range(rows)]
     used = len(halves) - sum(1 for _ in it)
     assert used == rows + len(rejected)
     assert msgs == (int("".join(map(str, digits)), q),)
     start = math.ceil(used / 2)  # the uniforms skip the unused half of a word
+    assert start + n <= len(words), "the draw read past the crafted words"
     assert uniforms == [(w >> 11) * 2.0**-53 for w in words[start:start + n]]
 
 
