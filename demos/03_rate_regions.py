@@ -9,11 +9,11 @@ buildable set by reallocating private rate into the common message.
 import numpy as np
 
 from hashmac.channel import deterministic_dmc
-from hashmac.regions import (in_region_private, in_region_sw, joint_private,
-                             joint_sw, mutual_information, rate_split)
+from hashmac.regions import (in_region_private, in_region_sw, joint_sw,
+                             joint_ts, mutual_information, rate_split)
 
 adder = deterministic_dmc((2, 2), 3, lambda a, b: a + b)
-law = joint_private([np.array([0.5, 0.5])] * 2, adder)
+law = joint_ts([1.0], [np.full((1, 2), 0.5)] * 2, adder)
 
 print("=== binary adder, uniform inputs ===")
 print(f"I(X1;Y|X2)  = {mutual_information(law, ['x1'], ['y'], ['x2']):.6f}")

@@ -11,11 +11,10 @@ from .ensembles import (BinLabel, EnsembleSpec, HashParams, collision_prob,
 from .gf import (FieldSpec, LinearLabel, apply_label, enumerate_coset,
                  stack_labels)
 from .prob import CondPmf, Pmf, entropy
-from .regions import (JointLaw, RateSplit, in_region_private, in_region_sw,
-                      in_region_ts, joint_private, joint_sw, joint_ts, mutual_information,
-                      rate_split)
+from .regions import (JointLaw, RateSplit, in_region_private, in_region_sw, in_region_ts,
+                      joint_sw, joint_ts, mutual_information, rate_split)
 from .scenarios import (CodeInstance, InfeasibleRateError, SimulationResult,
-                        TrialResult, build_private_code, build_superposition_code,
+                        build_private_code, build_superposition_code,
                         reduce_common_to_private, search_code, simulate_error)
 from .slack import (cond_entropy_slack, cond_typical_size_slack, entropy_slack,
                     type_count_penalty, typical_size_slack)

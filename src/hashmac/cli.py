@@ -25,11 +25,10 @@ from .ensembles import (BINNING, EnsembleSpec, KINDS, SPARSE, UNIFORM, SupportBu
                         default_degree, estimate_hash_params)
 from .gf import EnumerationBudgetError, FieldSpec
 from .prob import as_distribution
-from .regions import (in_region_private, in_region_sw, joint_private, joint_sw,
-                      joint_ts, rate_split, RateSplitInfeasible)
+from .regions import (in_region_private, in_region_sw, joint_sw, joint_ts, rate_split,
+                      RateSplitInfeasible)
 from .scenarios import (InfeasibleRateError, STAGES, build_private_code,
-                        build_superposition_code, search_code, simulate_error,
-                        uniform_ensemble_factory)
+                        build_superposition_code, search_code, simulate_error)
 from .verify import SUITES, run_suite
 
 SIMULATE_COLUMNS = ("scenario", "n", "rates", "ensemble", "seed", "trials",
@@ -158,9 +157,8 @@ def _parse_cond(x, given: int, size: int, where: str) -> np.ndarray:
                      for i, row in enumerate(_items(x, given, where))])
 
 
-def _parse_ensemble_factory(block: dict | None, where: str):
-    if block is None:
-        return uniform_ensemble_factory, UNIFORM
+def _parse_ensemble_factory(block: dict, where: str):
+    """(factory, kind); factory(rows, cols, field) is the one place a sparse degree is chosen."""
     block = _object(block, where)
     kind = block.get("kind", UNIFORM)
     if kind not in KINDS:
@@ -177,8 +175,7 @@ def _parse_ensemble_factory(block: dict | None, where: str):
         if kind == SPARSE:
             # The spec rejects a degree above rows, so clamp before building it.
             d = degree if degree is not None else default_degree(cols, coeff)
-            return EnsembleSpec(SPARSE, rows, cols, field,
-                                column_degree=min(d, rows), degree_coeff=coeff)
+            return EnsembleSpec(SPARSE, rows, cols, field, column_degree=min(d, rows))
         return EnsembleSpec(kind, rows, cols, field)
 
     return factory, kind
@@ -196,8 +193,8 @@ def _law_and_builder(block: dict, dmc: Dmc, where: str):
         dists = [_parse_dist(d, s, f"{where}.inputs[{j}]")
                  for j, (d, s) in enumerate(zip(dists, dmc.input_sizes))]
         conds = [d[None, :] for d in dists]
-        return scenario, joint_private(dists, dmc), functools.partial(
-            build_private_code, [1.0], conds, _law=joint_ts([1.0], conds, dmc))
+        law = joint_ts([1.0], conds, dmc)
+        return scenario, law, functools.partial(build_private_code, [1.0], conds, _law=law)
     if scenario == "private-ts":
         mu_u = _parse_dist(_need(block, "u", where), None, f"{where}.u")
         conds = [_parse_cond(c, mu_u.size, dmc.input_sizes[j], f"{where}.inputs_given_u[{j}]")
@@ -281,7 +278,7 @@ def cmd_simulate(config: dict, seed: int | None, force: bool,
     if any(e <= 0 for e in eps):
         raise ConfigError("simulate.eps: margins must be positive")
     ladder = _ladder(_need(block, "n_ladder", "simulate"), "simulate.n_ladder")
-    factory, kind = _parse_ensemble_factory(block.get("ensemble"), "simulate.ensemble")
+    factory, kind = _parse_ensemble_factory(block.get("ensemble", {}), "simulate.ensemble")
     if kind == BINNING:
         raise ConfigError(f"simulate.ensemble.kind: coset codes need a linear map, "
                           f"and {BINNING!r} is not linear")
@@ -303,7 +300,8 @@ def cmd_simulate(config: dict, seed: int | None, force: bool,
                                         (scenario, n, rng_mod.MEASURE, found.candidate))
             except InfeasibleRateError as e:
                 print(f"n={n}: infeasible: {e}", file=sys.stderr)
-                print("hint: pass --force to run an out-of-region control", file=sys.stderr)
+                if not force:
+                    print("hint: pass --force to run an out-of-region control", file=sys.stderr)
                 return 1
             except LIMIT_ERRORS as e:
                 raise type(e)(f"n={n}: {e}") from None

@@ -41,7 +41,7 @@ class SupportBudgetError(RuntimeError):
 
 
 def default_degree(cols: int, coeff: float) -> int:
-    """Nonzeros per column of a sparse map without an explicit degree."""
+    """The default nonzeros per column of a sparse map: ceil(coeff * log2(cols + 1))."""
     return math.ceil(coeff * math.log2(cols + 1))
 
 
@@ -51,8 +51,7 @@ class EnsembleSpec:
     rows: int
     cols: int
     field: FieldSpec
-    column_degree: int | None = None   # explicit nonzeros per column (sparse only)
-    degree_coeff: float = 1.0          # d(n) = ceil(coeff * log2(n+1)) when not explicit
+    column_degree: int | None = None   # nonzeros per column: required for sparse, else unused
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -60,7 +59,9 @@ class EnsembleSpec:
         if self.rows < 0 or self.cols < 1:
             raise ValueError("rows must be >= 0 and cols >= 1")
         if self.kind == SPARSE:
-            d = self.degree()
+            d = self.column_degree
+            if d is None:
+                raise ValueError("a sparse ensemble needs a column_degree")
             if not 1 <= d <= self.rows:
                 raise ValueError(f"column degree {d} outside [1, rows={self.rows}]")
         if self.kind == BINNING and self.field.q**self.cols > BINNING_TABLE_BUDGET:
@@ -71,9 +72,7 @@ class EnsembleSpec:
     def degree(self) -> int:
         if self.kind != SPARSE:
             raise ValueError("column degree only applies to sparse ensembles")
-        if self.column_degree is not None:
-            return self.column_degree
-        return default_degree(self.cols, self.degree_coeff)
+        return self.column_degree
 
     @property
     def im_size(self) -> int:

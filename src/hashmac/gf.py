@@ -118,8 +118,6 @@ def _row_reduce(mat: np.ndarray, q: int):
 
 
 def rank(label: LinearLabel) -> int:
-    if label.rows == 0 or label.cols == 0:
-        return 0
     _, pivots = _row_reduce(label.matrix.copy(), label.field.q)
     return len(pivots)
 
@@ -131,8 +129,6 @@ def solve_affine(label: LinearLabel, a):
     a = as_vec(a, q)
     if a.size != label.rows:
         raise ValueError(f"syndrome length {a.size} != label rows {label.rows}")
-    if label.rows == 0:
-        return np.zeros(n, dtype=np.int64), np.eye(n, dtype=np.int64)
     aug = np.hstack([label.matrix, a[:, None]])
     red, pivots = _row_reduce(aug.copy(), q)
     # A pivot in the augmented column means the system is inconsistent.

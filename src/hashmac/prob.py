@@ -36,26 +36,17 @@ def as_distribution(values, tol: float = SUM_TOL) -> np.ndarray:
 class Pmf:
     """Distribution over an ordered finite alphabet."""
 
-    __slots__ = ("alphabet", "probs", "_index")
+    __slots__ = ("alphabet", "probs")
 
     def __init__(self, alphabet, probs):
         self.alphabet = tuple(alphabet)
         self.probs = as_distribution(probs)
         if self.probs.shape != (len(self.alphabet),):
             raise ValueError("probs must be a 1-D array matching the alphabet")
-        self._index = {s: i for i, s in enumerate(self.alphabet)}
-
-    @classmethod
-    def uniform(cls, alphabet) -> "Pmf":
-        alphabet = tuple(alphabet)
-        return cls(alphabet, np.full(len(alphabet), 1.0 / len(alphabet)))
 
     @property
     def size(self) -> int:
         return len(self.alphabet)
-
-    def prob(self, symbol) -> float:
-        return float(self.probs[self._index[symbol]])
 
     def __repr__(self):
         return f"Pmf({self.alphabet}, {self.probs.tolist()})"
@@ -64,7 +55,7 @@ class Pmf:
 class CondPmf:
     """One output distribution per input symbol."""
 
-    __slots__ = ("given_alphabet", "alphabet", "rows", "_gindex")
+    __slots__ = ("given_alphabet", "alphabet", "rows")
 
     def __init__(self, given_alphabet, alphabet, rows):
         self.given_alphabet = tuple(given_alphabet)
@@ -72,7 +63,6 @@ class CondPmf:
         self.rows = as_distribution(rows)
         if self.rows.shape != (len(self.given_alphabet), len(self.alphabet)):
             raise ValueError(f"rows shape {self.rows.shape} does not match alphabets")
-        self._gindex = {s: i for i, s in enumerate(self.given_alphabet)}
 
     @property
     def given_size(self) -> int:
@@ -81,9 +71,6 @@ class CondPmf:
     @property
     def size(self) -> int:
         return len(self.alphabet)
-
-    def row(self, given) -> Pmf:
-        return Pmf(self.alphabet, self.rows[self._gindex[given]])
 
     def __repr__(self):
         return f"CondPmf(given={self.given_alphabet}, alphabet={self.alphabet})"

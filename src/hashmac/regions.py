@@ -75,33 +75,16 @@ def mutual_information(law: JointLaw, a_names, b_names, c_names=()) -> float:
     return h_ac + h_bc - h_abc - h_c
 
 
-def _as_pmf_array(p, size: int) -> np.ndarray:
-    arr = as_distribution(p.probs if isinstance(p, Pmf) else p)
-    if arr.shape != (size,):
-        raise ValueError(f"distribution shape {arr.shape} != ({size},)")
-    return arr
-
-
 def sender_names(k: int) -> list[str]:
     return [f"x{j + 1}" for j in range(k)]
 
 
-def joint_private(input_dists, dmc: Dmc) -> JointLaw:
-    """Independent per-sender inputs through the channel."""
-    k = dmc.n_senders
-    dists = [_as_pmf_array(p, s) for p, s in zip(input_dists, dmc.input_sizes)]
-    if len(dists) != k:
-        raise ValueError("one input distribution per sender required")
-    t = dmc.table.copy()
-    for j, d in enumerate(dists):
-        shape = [1] * (k + 1)
-        shape[j] = -1
-        t = t * d.reshape(shape)
-    return JointLaw(tuple(sender_names(k)) + ("y",), t)
-
-
 def joint_ts(mu_u, input_conds, dmc: Dmc) -> JointLaw:
-    """Time-shared inputs: senders independent given the shared u."""
+    """Time-shared inputs: senders independent given the shared u.
+
+    A one-point mu_u ([1.0], one row per conditional) is the law of plain
+    private inputs.
+    """
     k = dmc.n_senders
     mu_u = as_distribution(mu_u.probs if isinstance(mu_u, Pmf) else mu_u)
     mu = mu_u.size

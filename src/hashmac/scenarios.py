@@ -70,18 +70,6 @@ def uniform_ensemble_factory(rows: int, cols: int, field: FieldSpec) -> Ensemble
 
 
 @dataclass(frozen=True)
-class TrialResult:
-    success: bool
-    stage: str | None = None
-
-    def __post_init__(self):
-        if self.success != (self.stage is None):
-            raise ValueError("failed trials carry exactly one stage")
-        if self.stage is not None and self.stage not in STAGES:
-            raise ValueError(f"unknown stage {self.stage!r}")
-
-
-@dataclass(frozen=True)
 class CodeInstance:
     scenario: str                      # 'private' | 'superposition'
     n: int
@@ -156,20 +144,13 @@ class CodeInstance:
         return tuple({} for _ in self.message_maps)
 
     @cached_property
-    def fixed_scores(self) -> tuple[float, ...]:
-        """Score of each component fixed at build time: a one-point cloud's codeword u."""
-        zeros = np.zeros(self.n, dtype=np.int64)
-        return tuple(float(EncodeTarget.for_conditional(x, zeros).divergences(self.u[None, :])[0])
-                     for x in self.cond_inputs[:self.fixed])
-
-    @cached_property
     def sent(self) -> dict:
         """Message-index tuple -> [codewords, scores, channel-CDF row per position, y-free stage].
 
         Filled as tuples are drawn, so it holds at most one entry per
         distinct tuple.  A tuple with an empty coset has codewords None.
-        The scores are each codeword's divergence from its target law, a
-        cloud center's first.  The y-free stage (the encoder stage, read
+        The scores are each coded codeword's divergence from its target law,
+        a cloud center's first.  The y-free stage (the encoder stage, read
         from the scores, and the empirical-mi stage, from the codewords and
         the context; neither reads y) is classified when the tuple first
         fails.
@@ -267,20 +248,20 @@ def _build(law: JointLaw, ctx_law: Pmf, conds, dmc: Dmc,
         if not verdict:
             raise InfeasibleRateError(f"rates outside the region: {verdict.witness}")
     chk_rows = [0] * k
+    tol = max(math.log2(qs[j]) / n for j in live)
     for j in live:
         r_j = h[j] - act_rates[j] - eps[j]
         chk_rows[j] = _round_rows(n, r_j, qs[j])
         if check_region and (chk_rows[j] < 1 or r_j <= 0):
-            # Forced control runs may proceed with empty syndrome maps.
             raise InfeasibleRateError(
                 f"{names[j]}: syndrome rate {r_j:.4g} not positive after rounding")
-    act_srates = tuple(_rows_rate(r, n, q) for r, q in zip(chk_rows, qs))
-    tol = max(math.log2(qs[j]) / n for j in live)
-    for j in live:
-        drift = act_srates[j] + act_rates[j] - (h[j] - eps[j])
-        if abs(drift) > tol:
+        # Forced control runs may proceed with empty syndrome maps, but not
+        # past a rate so negative that no row count comes within rounding of it.
+        if r_j < -tol:
             raise InfeasibleRateError(
-                f"{names[j]}: rounding drift {drift:.4g} exceeds {tol:.4g}")
+                f"{names[j]}: syndrome rate {r_j:.4g} is negative: rate plus margin "
+                f"exceeds the entropy by more than rounding allows ({tol:.4g})")
+    act_srates = tuple(_rows_rate(r, n, q) for r, q in zip(chk_rows, qs))
 
     no_rows = LinearLabel(FieldSpec(2), np.zeros((0, n), dtype=np.int64))
     check_specs, message_specs = [None] * k, [None] * k
@@ -381,19 +362,19 @@ def _fill(code: CodeInstance, i: int, ctx) -> Codebook:
 
 
 def _encode(code: CodeInstance, msgs) -> tuple[tuple[np.ndarray, ...], tuple[float, ...]]:
-    """Every component's codeword and score for the message indices `msgs`, a cloud center's first.
+    """Every component's codeword for the message indices `msgs`, and each coded one's score.
 
-    The context is u when it is fixed, else the cloud codeword, which is
-    coded given a context of one symbol.
+    Both run a cloud center's first.  The context is u when it is fixed (a
+    one-point cloud's codeword, never encoded, so it has no score), else the
+    cloud codeword, which is coded given a context of one symbol.
     """
     c = code.n_cloud
     cloud = msgs[0] if c else 0
-    ctx = code.u
+    ctx, scores = code.u, []
     if ctx is None:
         ctx, score = _codeword(code, 0, 0, cloud, None)
-        xs, scores = [ctx], [score]
-    else:
-        xs, scores = [ctx] * c, list(code.fixed_scores)
+        scores.append(score)
+    xs = [ctx] * c
     for i in range(c, code.k_messages):
         x, score = _codeword(code, i, cloud, msgs[i], ctx)
         xs.append(x)
@@ -469,8 +450,8 @@ def reduce_common_to_private(dmc: Dmc, msg_sets, symbol_maps, aux_sizes):
 def _stage_without_y(code: CodeInstance, xs, scores) -> str | None:
     """The encoder or empirical-mi stage of codewords xs, or None if both pass.
 
-    scores holds each codeword's divergence from its target law, as the
-    encoder computed it: the number count_divergence reads from the joint
+    scores holds each coded codeword's divergence from its target law, as
+    the encoder computed it: the number count_divergence reads from the joint
     count table of the context and that codeword, summed over the same
     cells in the same order.  The empirical-mi stage is read from one
     count table of (context, senders).  Neither reads the channel output.
@@ -503,8 +484,11 @@ def _channel_stage(code: CodeInstance, xs, y) -> str:
 @dataclass(frozen=True)
 class SimulationResult:
     trials: int
-    errors: int
-    stage_counts: dict
+    stage_counts: dict                 # stage -> failed trials
+
+    @property
+    def errors(self) -> int:
+        return sum(self.stage_counts.values())
 
     @property
     def error(self) -> float:
@@ -548,12 +532,10 @@ def _send(code: CodeInstance, msgs) -> list:
 
 
 _UNCLASSIFIED = object()  # y-free stage of a tuple that has not failed yet
-_SUCCESS = TrialResult(True)
-_FAILURES = {s: TrialResult(False, s) for s in STAGES}
 
 
-def run_trial(code: CodeInstance, rng: rng_mod.Stream) -> TrialResult:
-    """One uniform-message round trip; failures carry the first violated stage.
+def run_trial(code: CodeInstance, rng: rng_mod.Stream) -> str | None:
+    """One uniform-message round trip: None on success, else the first violated stage.
 
     Messages travel as indices, so a trial succeeds when each decoded
     component's coset row carries its message index.  y_i is the inverse
@@ -565,7 +547,7 @@ def run_trial(code: CodeInstance, rng: rng_mod.Stream) -> TrialResult:
         entry = code.sent[msgs] = _send(code, msgs)
     xs, scores, cdf_rows, stage = entry
     if xs is None:
-        return _FAILURES[stage]
+        return stage
     # y is built from a list, at its final length: a tuple grown from an
     # iterator is resized, which fills CPython's n-tuple free list with
     # blocks it never reuses (about 0.3 MB more peak RSS on `trend`).
@@ -574,10 +556,10 @@ def run_trial(code: CodeInstance, rng: rng_mod.Stream) -> TrialResult:
     if rows is None:
         rows = code.decoded[y] = code.decoder._rows(y)  # y is valid by construction
     if all(t[r] == m for t, r, m in zip(code.coset_messages, rows, msgs[code.fixed:])):
-        return _SUCCESS
+        return None
     if stage is _UNCLASSIFIED:
         stage = entry[3] = _stage_without_y(code, xs, scores)
-    return _FAILURES[stage or _channel_stage(code, xs, y)]
+    return stage or _channel_stage(code, xs, y)
 
 
 def simulate_error(code: CodeInstance, trials: int, seed: int, path) -> SimulationResult:
@@ -585,13 +567,11 @@ def simulate_error(code: CodeInstance, trials: int, seed: int, path) -> Simulati
     if trials < 1:
         raise ValueError("trials must be positive")
     counts = {s: 0 for s in STAGES}
-    errors = 0
     for rng in rng_mod.trial_streams(seed, path, trials, code.raw_words):
-        res = run_trial(code, rng)
-        if not res.success:
-            errors += 1
-            counts[res.stage] += 1
-    return SimulationResult(trials, errors, counts)
+        stage = run_trial(code, rng)
+        if stage is not None:
+            counts[stage] += 1
+    return SimulationResult(trials, counts)
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,7 @@ from .ensembles import (EnsembleSpec, SPARSE, UNIFORM, collision_by_weight, coll
                         _output_chunks, _syndrome_hits)
 from .gf import FieldSpec, LinearLabel, all_vectors
 from .prob import CondPmf, Pmf
-from .regions import (in_region_private, in_region_sw, inside, joint_private, joint_sw,
+from .regions import (in_region_private, in_region_sw, inside, joint_sw, joint_ts,
                       mutual_information, rate_split, sender_names)
 from .channel import Dmc, deterministic_dmc
 from .scenarios import reduce_common_to_private
@@ -707,7 +707,7 @@ def regions_suite(split_points: int = 100) -> list[LemmaReport]:
     rng = rng_mod.stream(SEED, "regions-suite")
 
     adder = deterministic_dmc((2, 2), 3, lambda a, b: a + b)
-    law = joint_private([np.array([0.5, 0.5])] * 2, adder)
+    law = joint_ts([1.0], [np.full((1, 2), 0.5)] * 2, adder)
     cases = viol = 0
     checks = [
         abs(mutual_information(law, ["x1"], ["y"], ["x2"]) - 1.0) <= 1e-9,
@@ -717,7 +717,7 @@ def regions_suite(split_points: int = 100) -> list[LemmaReport]:
         "J={1,2}" in (in_region_private((1.0, 1.0), law).witness or ""),
     ]
     xor = deterministic_dmc((2, 2), 2, lambda a, b: (a + b) % 2)
-    xlaw = joint_private([np.array([0.5, 0.5])] * 2, xor)
+    xlaw = joint_ts([1.0], [np.full((1, 2), 0.5)] * 2, xor)
     checks.append(not in_region_private((0.6, 0.6), xlaw))
     cases = len(checks)
     viol = sum(not c for c in checks)
@@ -726,7 +726,7 @@ def regions_suite(split_points: int = 100) -> list[LemmaReport]:
     cases = viol = 0
     for _ in range(20):
         dmc = _random_dmc(rng)
-        lw = joint_private([np.array([0.5, 0.5])] * 2, dmc)
+        lw = joint_ts([1.0], [np.full((1, 2), 0.5)] * 2, dmc)
         cap = [mutual_information(lw, [nm], ["y"],
                                   [o for o in sender_names(2) if o != nm])
                for nm in sender_names(2)]
@@ -761,8 +761,9 @@ def regions_suite(split_points: int = 100) -> list[LemmaReport]:
         dists = [d / d.sum() for d in dists]
         derived, _ = reduce_common_to_private(dmc, [(0,), (1,)],
                                               [lambda a: a, lambda a: a], (2, 2))
-        hl = joint_private(dists, derived)
-        pl = joint_private(dists, dmc)
+        conds = [d[None, :] for d in dists]
+        hl = joint_ts([1.0], conds, derived)
+        pl = joint_ts([1.0], conds, dmc)
         for J in ((0,), (1,), (0, 1)):
             a = [f"x{i + 1}" for i in J]
             c = [f"x{i + 1}" for i in range(2) if i not in J]

@@ -14,7 +14,7 @@ import hashmac.cli as cli
 from hashmac import rng as rng_mod
 from hashmac.channel import deterministic_dmc
 from hashmac.gf import apply_label
-from hashmac.regions import in_region_sw, joint_private, joint_sw, mutual_information
+from hashmac.regions import in_region_sw, joint_sw, joint_ts, mutual_information
 from hashmac.scenarios import build_superposition_code, search_code
 from hashmac.verify import codec_suite, hash_suite, types_suite
 
@@ -230,7 +230,7 @@ def test_criterion_05_codec_oracle_equivalence():
 
 def test_criterion_06_region_numerics():
     adder = deterministic_dmc((2, 2), 3, lambda a, b: a + b)
-    law = joint_private([np.array([0.5, 0.5])] * 2, adder)
+    law = joint_ts([1.0], [np.full((1, 2), 0.5)] * 2, adder)
     i_single = mutual_information(law, ["x1"], ["y"], ["x2"])
     i_sum = mutual_information(law, ["x1", "x2"], ["y"])
     assert abs(i_single - 1.0) <= 1e-9

@@ -144,6 +144,26 @@ def test_simulate_infeasible_writes_the_header_alone(tmp_path, capsys):
     assert out.read_text() == ",".join(cli.SIMULATE_COLUMNS) + "\n"
 
 
+def test_forced_run_names_a_negative_syndrome_rate(tmp_path, capsys):
+    # Rates above H(X) - eps leave a negative syndrome rate, -0.2167 after the
+    # message rows round to 14/12, and --force does not get past it.  The
+    # run was forced, so no hint to pass --force follows.
+    cfg = write_cfg(tmp_path, sim_cfg(rates=[1.2, 1.2], n_ladder=[12],
+                                      candidates=1, pilot_trials=0, trials=10))
+    assert cli.main(["simulate", "--config", cfg, "--force"]) == 1
+    err = capsys.readouterr().err
+    assert "x1: syndrome rate -0.2167 is negative" in err
+    assert "drift" not in err and "hint" not in err
+
+
+@pytest.mark.parametrize("block", [sim_cfg()["simulate"], TS_REGION, SW_REGION],
+                         ids=["private", "private-ts", "superposition"])
+def test_builder_codes_with_the_law_it_returns(block):
+    dmc = cli._parse_channel(block["channel"], "simulate.channel")
+    _, law, build = cli._law_and_builder(block, dmc, "simulate")
+    assert build.keywords["_law"] is law
+
+
 def _csv_rows(path):
     with open(path, newline="") as fh:
         rows = list(csv.DictReader(fh))

@@ -35,7 +35,7 @@ def test_encode_prefers_low_divergence():
 
 def test_encode_uniform_breaks_ties_lexicographically():
     cs = CosetSpec(lbl([[1, 1]]), lbl([], 2), [1], [])
-    x = min_div_encode(cs, EncodeTarget.for_marginal(Pmf.uniform((0, 1)), 2))
+    x = min_div_encode(cs, EncodeTarget.for_marginal(Pmf((0, 1), [0.5, 0.5]), 2))
     assert x.tolist() == [0, 1]  # both members tie; smallest wins
 
 
@@ -68,7 +68,7 @@ def test_encode_output_satisfies_constraints():
 def test_encode_empty_coset_raises():
     cs = CosetSpec(lbl([[1, 1]]), lbl([[1, 1]]), [0], [1])
     with pytest.raises(EmptyCosetError):
-        min_div_encode(cs, EncodeTarget.for_marginal(Pmf.uniform((0, 1)), 2))
+        min_div_encode(cs, EncodeTarget.for_marginal(Pmf((0, 1), [0.5, 0.5]), 2))
 
 
 def test_encode_target_validation():
@@ -76,11 +76,11 @@ def test_encode_target_validation():
     with pytest.raises(TypeError):
         EncodeTarget(conditional=cond)  # a law needs its context sequence
     with pytest.raises(TypeError):
-        EncodeTarget.for_marginal(Pmf.uniform((0, 1)))  # and its length
+        EncodeTarget.for_marginal(Pmf((0, 1), [0.5, 0.5]))  # and its length
     for bad in ([[0, 0]], [0, 1], [-1, 0]):  # not a sequence of context symbols
         with pytest.raises(ValueError):
             EncodeTarget.for_conditional(cond, bad)
-    assert EncodeTarget.for_marginal(Pmf.uniform((0, 1)), 3).conditioning.tolist() == [0, 0, 0]
+    assert EncodeTarget.for_marginal(Pmf((0, 1), [0.5, 0.5]), 3).conditioning.tolist() == [0, 0, 0]
 
 
 def test_decode_singleton_cosets_return_transmitted():

@@ -133,12 +133,13 @@ def test_divergence_to_matches_cellwise_reference():
         for _ in range(20):
             u = [mu.alphabet[i] for i in rng.integers(3, size=n)]
             v = [cond.given_alphabet[i] for i in rng.integers(2, size=n)]
-            want = _ref_div_cells(Counter(u), lambda a: n * mu.prob(a), n)
+            want = _ref_div_cells(Counter(u), lambda a: n * mu.probs[mu.alphabet.index(a)], n)
             assert abs(divergence_to(u, mu) - want) < 1e-12
             v_counts = Counter(v)
             want = _ref_div_cells(
                 Counter(zip(v, u)),
-                lambda c: v_counts[c[0]] * cond.row(c[0]).prob(c[1]), n)
+                lambda c: v_counts[c[0]] * cond.rows[cond.given_alphabet.index(c[0]),
+                                                     cond.alphabet.index(c[1])], n)
             ui = np.array([cond.alphabet.index(a) for a in u])
             vi = np.array([cond.given_alphabet.index(b) for b in v])
             got = float(conditional_divergences(ui[None, :], cond, vi)[0])

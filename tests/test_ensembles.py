@@ -31,7 +31,8 @@ def test_sample_deterministic_replay():
 
 
 @pytest.mark.parametrize("spec", [EnsembleSpec(UNIFORM, 2, 3, FieldSpec(3)),
-                                  EnsembleSpec(SPARSE, 4, 7, F2),
+                                  EnsembleSpec(SPARSE, 4, 7, F2,
+                                               column_degree=ens.default_degree(7, 1.0)),
                                   EnsembleSpec(BINNING, 2, 2, F2)])
 def test_sample_takes_a_numpy_generator(spec):
     label = sample(spec, np.random.default_rng(0))
@@ -50,10 +51,12 @@ def test_sparse_column_degree_by_construction():
 
 
 def test_sparse_degree_default_and_validation():
-    spec = EnsembleSpec(SPARSE, 4, 7, F2)
+    spec = EnsembleSpec(SPARSE, 4, 7, F2, column_degree=ens.default_degree(7, 1.0))
     assert spec.degree() == math.ceil(math.log2(8))
     with pytest.raises(ValueError):
-        EnsembleSpec(SPARSE, 1, 7, F2)  # default degree 3 > rows
+        EnsembleSpec(SPARSE, 1, 7, F2, column_degree=ens.default_degree(7, 1.0))  # 3 > rows
+    with pytest.raises(ValueError, match="needs a column_degree"):
+        EnsembleSpec(SPARSE, 4, 7, F2)
 
 
 def test_uniform_sampling_chi_square():

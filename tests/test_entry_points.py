@@ -1,10 +1,12 @@
-"""Every top-level hashmac function or class is reached from outside the tests.
+"""Every top-level hashmac function, class and method is reached from outside the tests.
 
 A definition that only tests call is a code path the lab never runs.  This
 test AST-walks the modules of src/hashmac/ (not `__init__`, whose imports are
 the package's exports) and fails on any top-level function or class that no
 `Name` or `Attribute` node refers to outside its own definition, in
-src/hashmac/, demos/ or perfbench/.  Strings and comments are not
+src/hashmac/, demos/ or perfbench/.  A method of a top-level class (other
+than a dunder, which Python calls itself) counts as reached only through an
+`Attribute` node outside its own definition.  Strings and comments are not
 references.  Names on the reviewed list below are allowed.  It only reads
 files.
 """
@@ -32,27 +34,39 @@ def _sources() -> dict[str, str]:
     return {key: path.read_text() for key, path in files.items()}
 
 
-def unreferenced(modules: dict[str, str], others: dict[str, str]) -> set[str]:
-    """module.name of each top-level def or class of modules that nothing refers to.
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
-    A reference is a Name or Attribute node with that identifier in any
-    source of modules or others, outside the definition's own lines.
+
+def unreferenced(modules: dict[str, str], others: dict[str, str]) -> set[str]:
+    """module.name of each top-level def or class, and module.Class.name of each
+    method, of modules that nothing refers to.
+
+    A reference is a Name or Attribute node with that identifier (for a
+    method, an Attribute node only) in any source of modules or others,
+    outside the definition's own lines.  Dunder methods are not checked.
     """
-    refs: dict[str, list[tuple[str, int]]] = {}
-    defs = []
+    refs: dict[str, list[tuple[str, int, bool]]] = {}
+    defs = []  # (module, qualified name, node, is a method)
     for key, source in {**modules, **others}.items():
         tree = ast.parse(source)
         for node in ast.walk(tree):
-            name = (node.id if isinstance(node, ast.Name)
-                    else node.attr if isinstance(node, ast.Attribute) else None)
-            if name is not None:
-                refs.setdefault(name, []).append((key, node.lineno))
-        if key in modules:
-            defs += [(key, node) for node in tree.body
-                     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
-    return {f"{key}.{node.name}" for key, node in defs
-            if not any(where != key or not node.lineno <= line <= node.end_lineno
-                       for where, line in refs.get(node.name, ()))}
+            if isinstance(node, ast.Name):
+                refs.setdefault(node.id, []).append((key, node.lineno, False))
+            elif isinstance(node, ast.Attribute):
+                refs.setdefault(node.attr, []).append((key, node.lineno, True))
+        if key not in modules:
+            continue
+        for node in tree.body:
+            if isinstance(node, FUNCTIONS + (ast.ClassDef,)):
+                defs.append((key, node.name, node, False))
+            if isinstance(node, ast.ClassDef):
+                defs += [(key, f"{node.name}.{m.name}", m, True) for m in node.body
+                         if isinstance(m, FUNCTIONS)
+                         and not (m.name.startswith("__") and m.name.endswith("__"))]
+    return {f"{key}.{name}" for key, name, node, method in defs
+            if not any((attr or not method)
+                       and (where != key or not node.lineno <= line <= node.end_lineno)
+                       for where, line, attr in refs.get(node.name, ()))}
 
 
 def test_unreferenced_finds_test_only_definitions():
@@ -68,6 +82,23 @@ def test_unreferenced_finds_test_only_definitions():
              "mod.reached_by_attribute()\nmod._private_caller()\n")
     assert unreferenced({"mod": mod}, {"demo": other}) == {
         "mod.recursive", "mod.Named", "mod.only_in_a_string"}
+
+
+def test_unreferenced_finds_test_only_methods():
+    mod = ("class K:\n"
+           "    def __init__(self):\n        self.recursive()\n"
+           "    def recursive(self):\n        return self.recursive()\n"
+           "    def by_attribute(self):\n        pass\n"
+           "    def by_name_only(self):\n        pass\n"
+           "    @property\n    def prop(self):\n        return 1\n"
+           "    def only_in_a_string(self):\n        pass\n"
+           "def by_name_only():\n    return K\n")
+    other = ("import mod\nfrom mod import by_name_only\n"
+             "k = mod.K()\nk.by_attribute()\nk.prop\nby_name_only()\n"
+             "'only_in_a_string'\n")
+    # __init__ is a dunder; recursive is reached from __init__, outside its own lines.
+    assert unreferenced({"mod": mod}, {"demo": other}) == {
+        "mod.K.by_name_only", "mod.K.only_in_a_string"}
 
 
 def test_every_definition_is_reached_outside_the_tests():

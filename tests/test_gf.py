@@ -98,6 +98,12 @@ def test_coset_no_rows_is_everything():
     A = LinearLabel(F2, np.zeros((0, 2), dtype=np.int64))
     got = enumerate_coset(A, [])
     assert got.tolist() == [[0, 0], [0, 1], [1, 0], [1, 1]]
+    # The general elimination: a zero particular solution and the identity basis.
+    for q, n in ((2, 2), (3, 5), (5, 1)):
+        A = LinearLabel(FieldSpec(q), np.zeros((0, n), dtype=np.int64))
+        particular, basis = solve_affine(A, [])
+        assert particular.dtype == basis.dtype == np.int64
+        assert np.array_equal(particular, np.zeros(n)) and np.array_equal(basis, np.eye(n))
 
 
 def test_coset_unreachable_is_empty():
@@ -156,6 +162,8 @@ def test_coset_partition(q, l, n):
 def test_full_rank_coset_sizes():
     A = label([[1, 0, 0, 1], [0, 1, 1, 0]])
     assert rank(A) == 2
+    for shape in ((0, 4), (3, 0)):  # no rows, or no columns
+        assert rank(LinearLabel(F3, np.zeros(shape, dtype=np.int64))) == 0
     for a in all_vectors(2, 2):
         assert coset_size(A, list(a)) == 4
 

@@ -9,8 +9,7 @@ import hashmac.cli as cli
 from hashmac.channel import Dmc, deterministic_dmc
 from hashmac.empirical import conditional_divergences, divergence_to, is_cond_typical
 from hashmac.prob import SUM_TOL, CondPmf, Pmf, as_distribution, entropy
-from hashmac.regions import (JOINT_TOTAL_TOL, JointLaw, joint_private, joint_sw, joint_ts,
-                             mutual_information)
+from hashmac.regions import JOINT_TOTAL_TOL, JointLaw, joint_sw, joint_ts, mutual_information
 
 
 def test_entropy_fair_coin():
@@ -139,7 +138,7 @@ def test_every_law_constructor_agrees_with_the_one_check(data):
         (lambda: Pmf((0, 1), mu), [mu]),
         (lambda: CondPmf((0, 1), range(size), [r1, r2]), [r1, r2]),
         (lambda: Dmc((2, 2), size, [[r1, r2], [r3, r4]]), [r1, r2, r3, r4]),
-        (lambda: joint_private([r1, r2], dmc), [r1, r2]),
+        (lambda: joint_ts([1.0], [[r1], [r2]], dmc), [r1, r2]),
         (lambda: joint_ts(mu, [[r1, r2], [r3, r4]], dmc), [mu, r1, r2, r3, r4]),
         (lambda: joint_sw(mu, [r1, r2], [r3, r4], dmc), [mu, r1, r2, r3, r4]),
     ]
@@ -174,7 +173,7 @@ def test_nan_and_off_sum_rows_are_rejected():
                   lambda: CondPmf((0, 1), (0, 1), [[0.5, 0.5], [nan, 1.0]]),
                   lambda: Dmc((2,), 2, [[0.5, 0.5], [nan, 1.0]]),
                   lambda: JointLaw(("a",), [nan, 1.0]),
-                  lambda: joint_private([[nan, 1.0], [0.5, 0.5]], noisy),
+                  lambda: joint_ts([1.0], [[[nan, 1.0]], [[0.5, 0.5]]], noisy),
                   # Rows summing to 1.3 and 0.7 under a uniform mu make a
                   # table whose total is 1: only a row check sees them.
                   lambda: joint_sw([0.5, 0.5], [[0.7, 0.6], [0.35, 0.35]],

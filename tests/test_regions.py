@@ -12,7 +12,7 @@ from hashmac.channel import deterministic_dmc
 from hashmac.channel import Dmc
 from hashmac.regions import (GRID_STEP, JointLaw, _constraints, _row_margins,
                              in_region_private, in_region_sw, in_region_ts, inside,
-                             joint_private, joint_sw, joint_ts, mutual_information, rate_split)
+                             joint_sw, joint_ts, mutual_information, rate_split)
 from hashmac.scenarios import reduce_common_to_private
 
 ADDER = deterministic_dmc((2, 2), 3, lambda a, b: a + b)
@@ -20,17 +20,24 @@ XOR = deterministic_dmc((2, 2), 2, lambda a, b: (a + b) % 2)
 FAIR = np.array([0.5, 0.5])
 
 
-def test_joint_private_xor_entropies():
-    law = joint_private([FAIR, FAIR], XOR)
+def private_law(dists, dmc):
+    # Independent per-sender inputs: the time-sharing law of a one-point u.
+    return joint_ts([1.0], [d[None, :] for d in dists], dmc)
+
+
+def test_private_law_xor_entropies():
+    law = private_law([FAIR, FAIR], XOR)
     assert abs(law.entropy(["y"]) - 1.0) < 1e-12
     h_given = law.entropy(["x1", "x2", "y"]) - law.entropy(["x1", "x2"])
     assert abs(h_given) < 1e-12
 
 
 def test_joint_ts_with_constant_u_matches_private():
-    law_p = joint_private([FAIR, FAIR], ADDER)
-    law_t = joint_ts([1.0], [FAIR[None, :], FAIR[None, :]], ADDER)
-    assert np.allclose(law_t.table[0], law_p.table)
+    d1, d2 = np.array([0.3, 0.7]), FAIR
+    law = joint_ts([1.0], [d1[None, :], d2[None, :]], ADDER)
+    assert law.names == ("u", "x1", "x2", "y")
+    assert np.allclose(law.table[0], ADDER.table * d1[:, None, None] * d2[None, :, None],
+                       rtol=0, atol=1e-15)
 
 
 def test_joint_sw_deterministic_satellites():
@@ -40,7 +47,7 @@ def test_joint_sw_deterministic_satellites():
 
 
 def test_adder_region_numerics():
-    law = joint_private([FAIR, FAIR], ADDER)
+    law = private_law([FAIR, FAIR], ADDER)
     assert abs(mutual_information(law, ["x1"], ["y"], ["x2"]) - 1.0) <= 1e-9
     assert abs(mutual_information(law, ["x1", "x2"], ["y"]) - 1.5) <= 1e-9
     assert in_region_private((0.5, 0.5), law).inside
@@ -49,12 +56,12 @@ def test_adder_region_numerics():
 
 
 def test_zero_rates_always_inside():
-    for law in (joint_private([FAIR, FAIR], ADDER), joint_private([FAIR, FAIR], XOR)):
+    for law in (private_law([FAIR, FAIR], ADDER), private_law([FAIR, FAIR], XOR)):
         assert in_region_private((0.0, 0.0), law).inside
 
 
 def test_xor_sum_rate_violation():
-    law = joint_private([FAIR, FAIR], XOR)
+    law = private_law([FAIR, FAIR], XOR)
     assert not in_region_private((0.6, 0.6), law).inside
 
 
@@ -64,8 +71,8 @@ def test_ts_region_and_han_consistency():
     # The Han law of the identity reduction: one auxiliary per sender, carried as is.
     derived, _ = reduce_common_to_private(ADDER, [(0,), (1,)], [lambda a: a, lambda a: a],
                                           (2, 2))
-    hl = joint_private([FAIR, FAIR], derived)
-    pl = joint_private([FAIR, FAIR], ADDER)
+    hl = private_law([FAIR, FAIR], derived)
+    pl = private_law([FAIR, FAIR], ADDER)
     assert in_region_private((0.5, 0.5), hl).inside == in_region_private((0.5, 0.5), pl).inside
 
 
@@ -129,7 +136,7 @@ def test_rate_split_rejects_outside_target():
 
 def test_downward_closure_random():
     rng = rng_mod.stream(13, "close")
-    law = joint_private([FAIR, FAIR], ADDER)
+    law = private_law([FAIR, FAIR], ADDER)
     for _ in range(100):
         r = (float(rng.random(None) * 1.0), float(rng.random(None) * 1.0))
         if in_region_private(r, law).inside:
@@ -277,9 +284,9 @@ HAN_DISTS = [np.array([0.3, 0.7]), FAIR, np.array([0.8, 0.2])]
 
 
 def test_region_engine_matches_per_kind_loops():
-    private = joint_private([np.array([0.3, 0.7]), FAIR], ADDER)
+    private = private_law([np.array([0.3, 0.7]), FAIR], ADDER)
     derived, _ = reduce_common_to_private(ADDER, HAN_SETS, HAN_MAPS, (2, 2, 2))
-    han = joint_private(HAN_DISTS, derived)
+    han = private_law(HAN_DISTS, derived)
     witnesses = set()
     for law, verdict, ref in (
             (private, in_region_private, _ref_in_region_subsets),
@@ -317,9 +324,9 @@ def _ref_han_table(msg_dists, msg_sets, symbol_maps, dmc):
 
 def test_han_law_is_the_private_law_over_the_derived_channel():
     derived, _ = reduce_common_to_private(ADDER, HAN_SETS, HAN_MAPS, (2, 2, 2))
-    law = joint_private(HAN_DISTS, derived)
-    assert law.names == ("x1", "x2", "x3", "y")
-    assert np.allclose(law.table, _ref_han_table(HAN_DISTS, HAN_SETS, HAN_MAPS, ADDER),
+    law = private_law(HAN_DISTS, derived)
+    assert law.names == ("u", "x1", "x2", "x3", "y")
+    assert np.allclose(law.table[0], _ref_han_table(HAN_DISTS, HAN_SETS, HAN_MAPS, ADDER),
                        rtol=0, atol=1e-15)
 
 
@@ -332,7 +339,7 @@ def _aux_inside(rates, law):
 
 def _inside_cases():
     # (law, rows, array verdict, scalar verdict) for every kind of region table.
-    priv = joint_private([np.array([0.3, 0.7]), FAIR], ADDER)
+    priv = private_law([np.array([0.3, 0.7]), FAIR], ADDER)
     ts = _random_ts_law(6)
     sw = _random_sw_law(9)
     base, aux = _constraints(sw)

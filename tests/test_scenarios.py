@@ -17,9 +17,8 @@ from hashmac.gf import FieldSpec, LinearLabel, all_vectors, apply_label
 from hashmac.prob import CondPmf
 from hashmac.scenarios import (InfeasibleRateError, RADIUS, STAGE_CHANNEL, STAGE_EMPTY,
                                STAGE_DECODER, STAGE_ENCODER, STAGE_MI, STAGES,
-                               TrialResult, _channel_stage, _draw, _stage_without_y,
-                               build_private_code,
-                               build_superposition_code, decode_components,
+                               _channel_stage, _draw, _stage_without_y,
+                               build_private_code, build_superposition_code, decode_components,
                                encode_components, reduce_common_to_private, run_trial,
                                search_code, simulate_error)
 from hashmac.slack import MAX_RADIUS, cond_entropy_slack, entropy_slack
@@ -99,15 +98,6 @@ def test_stage_histogram_partitions_failures():
     res = simulate_error(code, 150, SEED, ("stage",))
     assert sum(res.stage_counts.values()) == res.errors
     assert set(res.stage_counts) == set(STAGES)
-
-
-def test_trial_result_validation():
-    with pytest.raises(ValueError):
-        TrialResult(True, "empty-coset")
-    with pytest.raises(ValueError):
-        TrialResult(False, None)
-    with pytest.raises(ValueError):
-        TrialResult(False, "nonsense")
 
 
 def test_search_single_candidate_matches_direct_build():
@@ -280,7 +270,8 @@ def test_build_reads_no_hash_params(monkeypatch):
     monkeypatch.setattr(ensembles, "estimate_hash_params", refuse)
     monkeypatch.setattr(scenarios, "estimate_hash_params", refuse)
     monkeypatch.setattr(ensembles, "collision_by_weight", refuse)
-    sparse = functools.partial(ensembles.EnsembleSpec, ensembles.SPARSE)
+    sparse = functools.partial(ensembles.EnsembleSpec, ensembles.SPARSE,
+                               column_degree=ensembles.default_degree(40, 1.0))
     mu0, c1, c2 = _sw_inputs()
     codes = [
         build_small(12),
@@ -412,10 +403,11 @@ def _classify_by_sequences(code, xs, y):
 
 
 def _scores_from_counts(code, xs):
-    """Each codeword's divergence from its target law, read from the joint count table.
+    """Each coded codeword's divergence from its target law, read from the joint count table.
 
     The encoder check of the stage classifier, done from counts apart from
-    the scores the encoder keeps.
+    the scores the encoder keeps.  A one-point cloud is fixed at build
+    time, not coded, so it has no score.
     """
     c = code.n_cloud
     ctx = code.u if code.u is not None else xs[0]
@@ -423,7 +415,8 @@ def _scores_from_counts(code, xs):
     axes = range(1, table.ndim)
     senders = [table.sum(axis=tuple(a for a in axes if a != j)) for j in axes]
     given = [table.sum(axis=tuple(axes))[None, :]] * c + senders  # a cloud's context is one symbol
-    return tuple(count_divergence(t, x.rows) for t, x in zip(given, code.cond_inputs))
+    return tuple(count_divergence(t, x.rows)
+                 for t, x in zip(given, code.cond_inputs))[code.fixed:]
 
 
 def _random_code(rng, kind):
@@ -541,9 +534,9 @@ def test_simulate_error_matches_per_trial_streams(monkeypatch):
     for name, code in _equivalence_codes().items():
         want = {s: 0 for s in STAGES}
         for t in range(trials):
-            res = run_trial(code, rng_mod.stream(SEED, *path, t))
-            if not res.success:
-                want[res.stage] += 1
+            stage = run_trial(code, rng_mod.stream(SEED, *path, t))
+            if stage is not None:
+                want[stage] += 1
         calls = []
         monkeypatch.setattr(scenarios, "run_trial",
                             lambda c, r: calls.append(1) or run_trial(c, r))
@@ -633,19 +626,18 @@ def test_rejected_digit_draws_follow_numpy(q, rows, rejected):
 
 
 def _reference_trial(code, rng):
-    """One trial from the public pieces: a draw per component and array messages."""
+    """One trial from the public pieces: None on success, else the stage it failed at."""
     msgs = [rng.integers(0, mm.field.q, size=mm.rows) if mm.rows else np.zeros(0, dtype=np.int64)
             for mm in code.message_maps]
     try:
         xs = encode_components(code, msgs)
     except EmptyCosetError:
-        return TrialResult(False, STAGE_EMPTY)
+        return STAGE_EMPTY
     y = sample_channel(code.dmc, xs[code.n_cloud:], rng)
     got, _ = decode_components(code, y)
     if all(np.array_equal(g, m) for g, m in zip(got, msgs)):
-        return TrialResult(True)
-    stage = _stage_without_y(code, xs, _scores_from_counts(code, xs))
-    return TrialResult(False, stage or _channel_stage(code, xs, y))
+        return None
+    return _stage_without_y(code, xs, _scores_from_counts(code, xs)) or _channel_stage(code, xs, y)
 
 
 def _one_point_cloud_code():
@@ -663,7 +655,7 @@ def test_run_trial_matches_reference_trial():
         for t in range(80):
             got = run_trial(code, rng_mod.stream(SEED, "ref", name, t))
             assert got == _reference_trial(ref, rng_mod.stream(SEED, "ref", name, t)), (name, t)
-            seen.add(got.stage)
+            seen.add(got)
     assert {None, STAGE_EMPTY, STAGE_ENCODER, STAGE_CHANNEL} <= seen
 
 
