@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,10 +18,10 @@ class Dmc:
     input_sizes: tuple[int, ...]
     output_size: int
     table: np.ndarray  # shape input_sizes + (output_size,)
-    # CDF over y of each sender tuple as a tuple of floats, one row per
-    # combined symbol index (the tuple read in base input_sizes, first
-    # sender most significant).
-    cdf_rows: tuple = field(init=False, repr=False, compare=False)
+    # CDF over y of each sender tuple, one read-only row per combined
+    # symbol index (the tuple read in base input_sizes, first sender most
+    # significant).
+    cdf: np.ndarray = field(init=False, repr=False, compare=False)
     strides: np.ndarray = field(init=False, repr=False, compare=False)  # combined-index weights
     size_column: np.ndarray = field(init=False, repr=False, compare=False)  # uint64 input_sizes
 
@@ -42,7 +41,8 @@ class Dmc:
         cdf = np.minimum(np.cumsum(rows, axis=-1), 1.0)
         last = rows.shape[1] - 1 - np.argmax(rows[:, ::-1] > 0, axis=1)
         cdf[np.arange(rows.shape[1]) >= last[:, None]] = 1.0
-        object.__setattr__(self, "cdf_rows", tuple(map(tuple, cdf.tolist())))
+        cdf.flags.writeable = False
+        object.__setattr__(self, "cdf", cdf)
         strides = np.array([math.prod(self.input_sizes[j + 1:])
                             for j in range(len(self.input_sizes))], dtype=np.int64)
         strides.flags.writeable = False
@@ -81,7 +81,15 @@ def sample_channel(dmc: Dmc, xs, rng) -> np.ndarray:
     if bad.any():
         j = int(np.flatnonzero(bad.any(axis=1))[0])
         raise ValueError(f"sender {j} symbol outside its alphabet")
-    # Inverse CDF with the fixed symbol order of the table.
-    rows = map(dmc.cdf_rows.__getitem__, (dmc.strides @ xs).tolist())
-    return np.array(list(map(bisect_right, rows, rng.random(xs.shape[1]).tolist())),
-                    dtype=np.int64)
+    return inverse_cdf(dmc, dmc.strides @ xs, rng.random(xs.shape[1]))
+
+
+def inverse_cdf(dmc: Dmc, cells: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """The output symbol of each uniform, drawn from the CDF row of its combined symbol index.
+
+    The symbol is the count of the row's entries at or under the uniform,
+    which on a non-decreasing row is `bisect_right`: the inverse CDF with
+    the fixed symbol order of the table.  cells and uniforms have the same
+    shape, and so has the result.
+    """
+    return np.add.reduce(dmc.cdf[cells] <= uniforms[..., None], axis=-1, dtype=np.int64)

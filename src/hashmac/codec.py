@@ -38,6 +38,11 @@ ABS_TOL = 1e-14
 
 # Cells (candidates x block length) counted per chunk of a decoder scan.
 SCAN_CHUNK_CELLS = 1 << 20
+# Cells (outputs x candidates x block length) of one pass that scores a
+# batch of outputs against a product scored whole.  Small, so a pass holds a
+# few hundred kB: passes of SCAN_CHUNK_CELLS add about 25 MB to the peak
+# RSS of a `trend` run.
+DECODE_PASS_CELLS = 1 << 14
 
 
 class EmptyCosetError(RuntimeError):
@@ -377,13 +382,14 @@ class MinDivDecoder:
             yield np.ravel_multi_index(idxs, self.sizes), cells
 
     def _divergences(self, cells: np.ndarray, y_cells: np.ndarray) -> np.ndarray:
-        """Score of each candidate from its shifted y-free cells, in either layout.
+        """Score of each candidate from its shifted y-free cells, in any layout.
 
         y_cells broadcasts against cells: (n,) against candidate-major
-        cells, (n, 1) against position-major ones.
+        cells, (n, 1) against position-major ones, and (outputs, n, 1),
+        each output's shifted past the candidates before it, for a batch.
         """
-        counts = np.bincount((cells + y_cells).ravel(),
-                             minlength=cells.size // self.n * self._n_cells)
+        flat = (cells + y_cells).ravel()
+        counts = np.bincount(flat, minlength=flat.size // self.n * self._n_cells)
         counts = counts.reshape(-1, self._n_cells)
         counts += self._term_rows
         return self._terms.take(counts).sum(axis=-1) / self.n
@@ -445,16 +451,35 @@ class MinDivDecoder:
             cells = cells + contrib[idx]
         return _exact_keys(_count_symbols(cells, self._n_cells), self._denoms)
 
-    def _ties(self, y: np.ndarray) -> np.ndarray:
-        """Sorted flat indices of the tie group, before exact refinement."""
-        y_cells = y * self._y_stride
+    def _ties(self, ys: np.ndarray) -> list[np.ndarray]:
+        """Sorted flat indices of each output's tie group, before exact refinement.
+
+        A product scored whole scores a batch of outputs per pass, at most
+        DECODE_PASS_CELLS cells of them, in one bincount; a larger product
+        is searched one output at a time.
+        """
         if self._static is None:
-            return self._search_ties(y_cells, self._ctx_u + y)
-        dv = self._divergences(self._static, y_cells[:, None])
-        low = dv.min()
-        if np.isinf(low):  # every candidate misses the model support; lex-first wins
-            return np.zeros(1, dtype=np.int64)
-        return (dv <= _tie_limit(low)).nonzero()[0]
+            return [self._search_ties(y * self._y_stride, self._ctx_u + y) for y in ys]
+        ties = []
+        per = max(1, DECODE_PASS_CELLS // self._static.size)
+        for at in range(0, len(ys), per):
+            batch = ys[at:at + per]
+            shift = np.arange(len(batch))[:, None, None] * self._static.shape[1] * self._n_cells
+            dv = self._divergences(self._static, (batch * self._y_stride)[:, :, None] + shift)
+            dv = dv.reshape(len(batch), -1)
+            low = dv.min(axis=1)
+            tie = dv <= _tie_limit(low)[:, None]
+            # At an infinite minimum every candidate misses the model
+            # support; all tie, and the lex-first wins.
+            ties += [row.nonzero()[0] if math.isfinite(m) else np.zeros(1, dtype=np.int64)
+                     for m, row in zip(low.tolist(), tie)]
+        return ties
+
+    def _refine(self, y: np.ndarray, ties: np.ndarray) -> int:
+        """The decoded candidate of a tie group: on GF(2) its least exact key, else its first."""
+        if ties.size > 1 and self._denoms is not None:
+            return ties[_least_key(self._keys(self._base + y * self._y_stride, ties))]
+        return ties[0]
 
     def rows(self, y) -> tuple[int, ...]:
         """Index of the decoded row in each sender's coset; keeps nothing per y."""
@@ -463,16 +488,12 @@ class MinDivDecoder:
             raise ValueError("y length must equal the block length")
         if y.view(np.uint64).max(initial=0) >= self._n_out:  # a negative symbol reads huge
             raise ValueError("output symbol outside the model axis")
-        return self._rows(y)
+        return self._rows(y[None, :])[0]
 
-    def _rows(self, y) -> tuple[int, ...]:
-        """`rows` without the checks on y, for outputs valid by construction."""
-        y = np.asarray(y, dtype=np.int64)
-        ties = self._ties(y)
-        pick = ties[0]
-        if ties.size > 1 and self._denoms is not None:
-            pick = ties[_least_key(self._keys(self._base + y * self._y_stride, ties))]
-        return tuple(map(int, np.unravel_index(pick, self.sizes)))
+    def _rows(self, ys: np.ndarray) -> list[tuple[int, ...]]:
+        """`rows` of each output row of ys, unchecked, for outputs valid by construction."""
+        picks = [self._refine(y, t) for y, t in zip(ys, self._ties(ys))]
+        return list(zip(*(idx.tolist() for idx in np.unravel_index(picks, self.sizes))))
 
     def __call__(self, y) -> tuple[np.ndarray, ...]:
         return tuple(c[i] for c, i in zip(self.cosets, self.rows(y)))

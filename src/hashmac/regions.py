@@ -39,9 +39,9 @@ class JointLaw:
         object.__setattr__(self, "table",
                            as_distribution(t.ravel(), JOINT_TOTAL_TOL).reshape(t.shape))
         object.__setattr__(self, "names", tuple(self.names))
-        # Entropies and region bounds, filled on first use.  Not a field,
-        # so eq and repr are unchanged; the table is read-only, so nothing
-        # stored here can go stale.
+        # Marginals, entropies and region bounds, filled on first use.  Not
+        # a field, so eq and repr are unchanged; the table is read-only, so
+        # nothing stored here can go stale.
         object.__setattr__(self, "_memo", {})
 
     def axis(self, name: str) -> int:
@@ -51,10 +51,23 @@ class JointLaw:
         return self.table.shape[self.axis(name)]
 
     def marginal(self, names) -> np.ndarray:
+        """The sum of the table over the axes not named, as a read-only view.
+
+        The sum is made once per set of kept axes.  Its axes are then
+        transposed by the argsort of the named axes: the order named for up
+        to two axes, but not for every order of three or more.  entropy
+        reads it only through a ravel, so that order fixes the float order
+        of its sums.
+        """
         keep = [self.axis(n) for n in names]
-        drop = tuple(i for i in range(len(self.names)) if i not in keep)
-        t = self.table.sum(axis=drop) if drop else self.table
-        return np.moveaxis(t, np.argsort(keep), range(len(keep)))
+        kept = ("marginal", frozenset(keep))
+        t = self._memo.get(kept)
+        if t is None:
+            drop = tuple(i for i in range(len(self.names)) if i not in keep)
+            t = np.asarray(self.table.sum(axis=drop)) if drop else self.table
+            t.flags.writeable = False
+            self._memo[kept] = t
+        return t.transpose(np.argsort(keep))
 
     def entropy(self, names) -> float:
         # Keyed by the ordered names: the float sum depends on axis order.

@@ -41,7 +41,7 @@ _U_M0, _U_M1 = np.uint64(_PHILOX_M0), np.uint64(_PHILOX_M1)
 _U_W0, _U_W1 = np.uint64(_PHILOX_W0), np.uint64(_PHILOX_W1)
 
 _TO_UNIT = 2.0**-53
-# Trials whose leading blocks trial_streams makes in one numpy pass.
+# Trials whose leading blocks trial_draws makes in one numpy pass.
 _CHUNK = 1024
 # A stream makes this many blocks or more at once in one numpy pass: a pass
 # costs about as much as 50 blocks made with ints.
@@ -167,9 +167,9 @@ class Stream:
     """One Philox4x64-10 stream with numpy Generator's draws on it.
 
     Made fresh: counter 0, nothing buffered, or holding its first whole
-    blocks already made (`trial_streams`).  Blocks are made as draws need
-    them, with int arithmetic, or in one numpy pass when _PASS_BLOCKS or
-    more are needed at once.  A 32-bit draw takes the low half of a word and
+    blocks already made (a trial that `trial_draws` draws again).  Blocks
+    are made as draws need them, with int arithmetic, or in one numpy pass
+    when _PASS_BLOCKS or more are needed at once.  A 32-bit draw takes the low half of a word and
     keeps the high half for the next 32-bit draw, as numpy does; 64-bit
     draws do not touch a kept half.
     """
@@ -313,23 +313,78 @@ def stream(seed: int, *path) -> Stream:
     return Stream(_key(seed, _spawn_words(path)), [])
 
 
-def trial_streams(seed: int, path, count: int, words: int):
-    """Iterate the streams `stream(seed, *path, t)` for `t in range(count)`.
+def _trial_keys(seed: int, paths, count: int):
+    """Keys (k0, k1) of `stream(seed, *path, t)` for each path of paths, then t in range(count).
 
-    SeedSequence's pool depends on the trial index only through the last
-    spawn-key word, so the shared `(seed, *path)` prefix is hashed once and
-    every trial's key comes out of one pass over an array of trial words.
-    Each stream holds its first `words` words, rounded up to whole blocks,
-    made for a chunk of trials at a time in one numpy pass.
+    SeedSequence's pool depends on the spawn words one at a time, so a word
+    the paths share is hashed once as an int, and a word where they differ,
+    like the trial index, is a uint32 array with one entry per trial: every
+    key comes out of one pass over those arrays.  So the paths must split
+    into the same number of words, as candidate indices below 2^32 do.
     """
     if not 0 <= count <= 1 << 32:
         raise ValueError(f"count must be in [0, 2**32], got {count}")
-    k0, k1 = _key(seed, _spawn_words(path) + [np.arange(count, dtype=np.uint32)])
-    return _with_blocks(k0, k1, -(-words // 4))
+    spawn = [_spawn_words(p) for p in paths]
+    if len({len(words) for words in spawn}) > 1:
+        raise ValueError("paths must split into the same number of words")
+    columns = [col[0] if len(set(col)) == 1 else np.repeat(np.array(col, dtype=np.uint32), count)
+               for col in zip(*spawn)]
+    return _key(seed, columns + [np.tile(np.arange(count, dtype=np.uint32), len(spawn))])
 
 
-def _with_blocks(k0: np.ndarray, k1: np.ndarray, blocks: int):
+def trial_draws(seed: int, paths, count: int, runs, n: int):
+    """Every trial's `bounded(top, c)` for each (top, c) of runs, then its `doubles(n)`, as arrays.
+
+    The trials are the streams `stream(seed, *path, t)` for each path of
+    paths, then each t in range(count); every run's range must fit 32 bits.
+    Yields (digits, doubles) per piece of at most _CHUNK trials of one path:
+    digits is int64 with the runs' draws side by side, doubles is float64
+    with n columns.  The keys come out of one hash pass (_trial_keys) and
+    each chunk's leading blocks out of one numpy pass, as many as the draws
+    take when no half is rejected.  Every trial's draws are then read from
+    the blocks in whole-array ops; a trial with a rejected half is drawn
+    again by its `Stream`, which makes the words the rejections need.
+    """
+    if any(not 0 <= top <= _M32 for top, _ in runs):
+        raise ValueError("array draws take ranges of at most 2**32 values")
+    k0, k1 = _trial_keys(seed, paths, count)
+    halves = sum(c for top, c in runs if top)
+    return _pieces(k0, k1, -(-((halves + 1) // 2 + n) // 4), count, runs, n)
+
+
+def _pieces(k0: np.ndarray, k1: np.ndarray, blocks: int, count: int, runs, n: int):
+    """trial_draws' pieces, from each trial's first `blocks` blocks, a chunk at a time."""
     for at in range(0, len(k0), _CHUNK):
         a, b = k0[at:at + _CHUNK], k1[at:at + _CHUNK]
-        for key, row in zip(zip(a.tolist(), b.tolist()), _blocks(a, b, 1, blocks)):
-            yield Stream(key, row.tolist())
+        digits, doubles = _chunk_draws(a, b, _blocks(a, b, 1, blocks), runs, n)
+        end = at + len(a)
+        cuts = [at, *range(at - at % count + count, end, count), end]  # where a path ends
+        for lo, hi in zip(cuts, cuts[1:]):
+            yield digits[lo - at:hi - at], doubles[lo - at:hi - at]
+
+
+def _chunk_draws(k0: np.ndarray, k1: np.ndarray, words: np.ndarray, runs, n: int):
+    """trial_draws' draws of the trials of keys (k0[i], k1[i]), whose leading words are words[i]."""
+    digits = np.zeros((len(words), sum(c for _, c in runs)), dtype=np.int64)
+    lead = words[:, :(sum(c for top, c in runs if top) + 1) // 2]  # the words digits read
+    halves = np.empty((len(words), 2 * lead.shape[1]), dtype=np.uint64)
+    halves[:, 0::2] = lead & _U32  # a word's low half is drawn first
+    halves[:, 1::2] = lead >> _U64_32
+    rejected = np.zeros(len(words), dtype=bool)
+    at = col = 0
+    for top, c in runs:
+        if top:  # a one-value range draws nothing
+            m = halves[:, at:at + c] * np.uint64(top + 1)
+            reject = (_M32 - top) % (top + 1)
+            if reject:
+                rejected |= ((m & _U32) < np.uint64(reject)).any(axis=1)
+            digits[:, col:col + c] = m >> _U64_32
+            at += c
+        col += c
+    start = (at + 1) // 2  # 64-bit draws skip a kept half
+    doubles = (words[:, start:start + n] >> np.uint64(11)) * _TO_UNIT
+    for i in rejected.nonzero()[0].tolist():
+        g = Stream((int(k0[i]), int(k1[i])), words[i].tolist())
+        digits[i] = [d for top, c in runs for d in g.bounded(top, c)]
+        doubles[i] = g.doubles(n)
+    return digits, doubles

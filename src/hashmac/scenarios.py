@@ -24,14 +24,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from . import rng as rng_mod
-from .channel import Dmc, sample_channel  # noqa: F401
+from .channel import Dmc, inverse_cdf, sample_channel  # noqa: F401
 # sample_channel, min_div_encode, min_div_decode, divergence_to,
 # is_cond_typical, seq_mutual_multi and estimate_hash_params are not called
 # here; they stay importable from this module because perfbench/spans.py
@@ -118,18 +117,27 @@ class CodeInstance:
     # message travels as its index, its rank in lex order (gf.lex_index).
 
     @cached_property
-    def digit_runs(self) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
-        """Runs of consecutive components over one field: (q, digits, rows of each component)."""
-        runs = []
-        for q, maps in itertools.groupby(self.message_maps, key=lambda mm: mm.field.q):
-            rows = tuple(mm.rows for mm in maps)
-            runs.append((q, sum(rows), rows))
-        return tuple(runs)
+    def draw_runs(self) -> tuple[tuple[int, int], ...]:
+        """Per run of consecutive components over one field, (q - 1, digits): one bounded draw."""
+        return tuple((q - 1, sum(mm.rows for mm in maps)) for q, maps in
+                     itertools.groupby(self.message_maps, key=lambda mm: mm.field.q))
 
     @cached_property
-    def raw_words(self) -> int:
-        """Words a trial draws if no digit is rejected: half a word per digit, one per position."""
-        return -(-sum(mm.rows for mm in self.message_maps) // 2) + self.n
+    def digit_weights(self) -> np.ndarray:
+        """The (digits, components) matrix that takes a trial's digits to its message indices.
+
+        A message's index reads its digits in base q, first digit most
+        significant.  An index past int64 needs Python ints, so the matrix
+        is then one of objects.
+        """
+        big = max(mm.field.q ** mm.rows for mm in self.message_maps) > 2**63
+        weights = np.zeros((sum(mm.rows for mm in self.message_maps), self.k_messages),
+                           dtype=object if big else np.int64)
+        at = 0
+        for j, mm in enumerate(self.message_maps):
+            weights[at:at + mm.rows, j] = [mm.field.q ** e for e in reversed(range(mm.rows))]
+            at += mm.rows
+        return weights
 
     @cached_property
     def codebooks(self) -> tuple[dict, ...]:
@@ -145,15 +153,16 @@ class CodeInstance:
 
     @cached_property
     def sent(self) -> dict:
-        """Message-index tuple -> [codewords, scores, channel-CDF row per position, y-free stage].
+        """Message-index tuple -> [codewords, scores, channel cell per position, y-free stage].
 
         Filled as tuples are drawn, so it holds at most one entry per
         distinct tuple.  A tuple with an empty coset has codewords None.
         The scores are each coded codeword's divergence from its target law,
-        a cloud center's first.  The y-free stage (the encoder stage, read
-        from the scores, and the empirical-mi stage, from the codewords and
-        the context; neither reads y) is classified when the tuple first
-        fails.
+        a cloud center's first, and a position's cell is the combined index
+        of its senders' symbols, whose row of `dmc.cdf` it draws y from.
+        The y-free stage (the encoder stage, read from the scores, and the
+        empirical-mi stage, from the codewords and the context; neither
+        reads y) is classified when the tuple first fails.
         """
         return {}
 
@@ -500,61 +509,51 @@ class SimulationResult:
         return 1.96 * math.sqrt(max(p * (1 - p), 0.0) / self.trials)
 
 
-def _draw(code: CodeInstance, rng: rng_mod.Stream) -> tuple[tuple[int, ...], list[float]]:
-    """Every component's message index and the n channel uniforms of one trial.
-
-    The draws equal `integers(0, q, size=rows)` per component, then
-    `random(n)`; each run of components over one field draws its digits in
-    one `bounded` list.  A message's index reads its digits in base q, first
-    digit most significant.
-    """
-    msgs = []
-    for q, count, rows in code.digit_runs:
-        digits = rng.bounded(q - 1, count)
-        at = 0
-        for r in rows:
-            m = 0
-            for d in digits[at:at + r]:
-                m = m * q + d
-            msgs.append(m)
-            at += r
-    return tuple(msgs), rng.doubles(code.n)
-
-
 def _send(code: CodeInstance, msgs) -> list:
-    """The entry of `code.sent` for the message-index tuple msgs."""
-    try:
-        xs, scores = _encode(code, msgs)
-    except EmptyCosetError:
-        return [None, None, None, STAGE_EMPTY]
-    cells = np.dot(code.dmc.strides, xs[code.n_cloud:]).tolist()
-    return [xs, scores, list(map(code.dmc.cdf_rows.__getitem__, cells)), _UNCLASSIFIED]
+    """The entry of `code.sent` for the message-index tuple msgs, made on a miss."""
+    entry = code.sent.get(msgs)
+    if entry is None:
+        try:
+            xs, scores = _encode(code, msgs)
+        except EmptyCosetError:
+            entry = [None, None, None, STAGE_EMPTY]
+        else:
+            entry = [xs, scores, np.dot(code.dmc.strides, xs[code.n_cloud:]), _UNCLASSIFIED]
+        code.sent[msgs] = entry
+    return entry
 
 
 _UNCLASSIFIED = object()  # y-free stage of a tuple that has not failed yet
 
 
-def run_trial(code: CodeInstance, rng: rng_mod.Stream) -> str | None:
-    """One uniform-message round trip: None on success, else the first violated stage.
+def _decode(code: CodeInstance, ys) -> None:
+    """Keep in `code.decoded` the decoder's rows of every output of ys it lacks.
 
-    Messages travel as indices, so a trial succeeds when each decoded
-    component's coset row carries its message index.  y_i is the inverse
-    CDF of its position's channel row at uniform i, as in `sample_channel`.
+    The new outputs are scored together, in the decoder's batched passes.
     """
-    msgs, uniforms = _draw(code, rng)
-    entry = code.sent.get(msgs)
-    if entry is None:
-        entry = code.sent[msgs] = _send(code, msgs)
-    xs, scores, cdf_rows, stage = entry
+    new = [y for y in dict.fromkeys(ys) if y not in code.decoded]
+    if new:
+        # The outputs are valid by construction.
+        code.decoded.update(zip(new, code.decoder._rows(np.array(new, dtype=np.int64))))
+
+
+def run_trial(code: CodeInstance, msgs: tuple, y: tuple | None) -> str | None:
+    """Judge one drawn trial: None on success, else the first violated stage.
+
+    msgs is the tuple of message indices drawn, and y the channel output as
+    a tuple, None when nothing was sent (the messages' coset is empty).
+    Messages travel as indices, so a trial succeeds when each decoded
+    component's coset row carries its message index.  The code's tables
+    are looked up, and filled on a miss.
+    """
+    entry = _send(code, msgs)
+    xs, scores, _, stage = entry
     if xs is None:
         return stage
-    # y is built from a list, at its final length: a tuple grown from an
-    # iterator is resized, which fills CPython's n-tuple free list with
-    # blocks it never reuses (about 0.3 MB more peak RSS on `trend`).
-    y = tuple(list(map(bisect_right, cdf_rows, uniforms)))
     rows = code.decoded.get(y)
     if rows is None:
-        rows = code.decoded[y] = code.decoder._rows(y)  # y is valid by construction
+        _decode(code, [y])
+        rows = code.decoded[y]
     if all(t[r] == m for t, r, m in zip(code.coset_messages, rows, msgs[code.fixed:])):
         return None
     if stage is _UNCLASSIFIED:
@@ -562,16 +561,51 @@ def run_trial(code: CodeInstance, rng: rng_mod.Stream) -> str | None:
     return stage or _channel_stage(code, xs, y)
 
 
+def _messages(code: CodeInstance, digits: np.ndarray) -> list[tuple]:
+    """Each trial's tuple of message indices, from its row of digits as trial_draws draws them."""
+    weights = code.digit_weights
+    return list(map(tuple, (digits.astype(weights.dtype, copy=False) @ weights).tolist()))
+
+
+def _tally(code: CodeInstance, trials: int, draws) -> SimulationResult:
+    """The stage counts of the next `trials` trials of draws, a piece at a time.
+
+    draws yields (digits, uniforms) pieces as `rng.trial_draws` does, none
+    holding trials past the last of these.  A piece's messages are sent
+    (each new message tuple is encoded once, in `code.sent`), its outputs
+    drawn in one inverse-CDF pass over the cells of the sent codewords, its
+    new outputs decoded in batched passes, and then each trial is judged
+    by `run_trial`.
+    """
+    counts = {s: 0 for s in STAGES}
+    left = trials
+    while left:
+        digits, uniforms = next(draws)
+        left -= len(digits)
+        msgs = _messages(code, digits)
+        entries = [_send(code, m) for m in msgs]
+        live = [t for t, e in enumerate(entries) if e[0] is not None]
+        ys = [None] * len(msgs)
+        if live:
+            # Each y is built from a list, at its final length: a tuple grown
+            # from an iterator is resized, which fills CPython's n-tuple free
+            # list with blocks it never reuses (about 0.3 MB more peak RSS).
+            cells = np.array([entries[t][2] for t in live])
+            for t, y in zip(live, inverse_cdf(code.dmc, cells, uniforms[live]).tolist()):
+                ys[t] = tuple(y)
+            _decode(code, [ys[t] for t in live])
+        for m, y in zip(msgs, ys):
+            stage = run_trial(code, m, y)
+            if stage is not None:
+                counts[stage] += 1
+    return SimulationResult(trials, counts)
+
+
 def simulate_error(code: CodeInstance, trials: int, seed: int, path) -> SimulationResult:
     """Monte Carlo block-error rate with per-trial independent streams."""
     if trials < 1:
         raise ValueError("trials must be positive")
-    counts = {s: 0 for s in STAGES}
-    for rng in rng_mod.trial_streams(seed, path, trials, code.raw_words):
-        stage = run_trial(code, rng)
-        if stage is not None:
-            counts[stage] += 1
-    return SimulationResult(trials, counts)
+    return _tally(code, trials, rng_mod.trial_draws(seed, (path,), trials, code.draw_runs, code.n))
 
 
 @dataclass(frozen=True)
@@ -586,7 +620,7 @@ def search_code(builder, candidates: int, pilot_trials: int, seed: int,
     """Best-of-N construction: build, pilot, keep the lowest pilot error."""
     if candidates < 1:
         raise ValueError("candidates must be positive")
-    best = None
+    best = draws = None
     scores = []
     for c in range(candidates):
         try:
@@ -594,12 +628,20 @@ def search_code(builder, candidates: int, pilot_trials: int, seed: int,
         except InfeasibleRateError as e:
             scores.append(math.inf)
             last_error = e
+            draws = None  # its pilot draws are skipped: the next pilot draws anew
             continue
+        score = 0.0
         if pilot_trials > 0:
-            score = simulate_error(code, pilot_trials, seed,
-                                   (*path, rng_mod.PILOT, c)).error
-        else:
-            score = 0.0
+            # The candidates of a search draw the same digits and block
+            # length, so this and every later pilot are drawn from one key
+            # hash and one block pass per chunk of trials, unless a
+            # candidate breaks the run.
+            if draws is None or (code.draw_runs, code.n) != layout:
+                layout = (code.draw_runs, code.n)
+                draws = rng_mod.trial_draws(
+                    seed, [(*path, rng_mod.PILOT, d) for d in range(c, candidates)],
+                    pilot_trials, *layout)
+            score = _tally(code, pilot_trials, draws).error
         scores.append(score)
         if best is None or score < best[0]:
             best = (score, c, code)

@@ -1,4 +1,5 @@
 import math
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -92,7 +93,7 @@ def test_uniform_near_one_stays_in_the_alphabet(row):
     # The row sums just under 1, so its plain cumulative sum ends under 1,
     # and a trailing zero-mass symbol must stay unreachable.
     dmc = Dmc((1, 1), len(row), np.array([[row]]))
-    assert dmc.cdf_rows[0][1:] == (1.0,) * (len(row) - 1)
+    assert dmc.cdf[0, 1:].tolist() == [1.0] * (len(row) - 1)
     y = sample_channel(dmc, [np.zeros(3, int)] * 2, _Draws([0.99999999999999] * 3))
     assert y.tolist() == [1, 1, 1]
     assert sample_channel(dmc, [np.zeros(3, int)] * 2, _Draws([0.0] * 3)).tolist() == [0, 0, 0]
@@ -102,13 +103,20 @@ def test_dyadic_cdf_is_the_plain_cumulative_sum():
     table = np.array([[[0.875, 0.0625, 0.0625], [0.0625, 0.875, 0.0625]],
                       [[0.0625, 0.875, 0.0625], [0.0625, 0.0625, 0.875]]])
     dmc = Dmc((2, 2), 3, table)
-    assert dmc.cdf_rows == tuple(map(tuple, np.cumsum(table, axis=-1).reshape(4, 3).tolist()))
+    assert dmc.cdf.tolist() == np.cumsum(table, axis=-1).reshape(4, 3).tolist()
+    assert not dmc.cdf.flags.writeable
 
 
 def _compare_and_count(dmc, xs, uniforms):
-    """Compare-and-count inverse CDF, the oracle: y_i counts its row's entries at or under u_i."""
-    cum = np.array(dmc.cdf_rows).reshape(-1, dmc.output_size)[dmc.strides @ xs]
+    """Compare-and-count inverse CDF, an oracle: y_i counts its row's entries at or under u_i."""
+    cum = dmc.cdf[dmc.strides @ xs]
     return np.add.reduce(np.array(uniforms)[:, None] >= cum, axis=1, dtype=np.int64)
+
+
+def _bisect_lookup(dmc, xs, uniforms):
+    """The old lookup, an oracle: bisect_right on the CDF row of each position."""
+    rows = [dmc.cdf[c].tolist() for c in (dmc.strides @ xs).tolist()]
+    return [bisect_right(row, u) for row, u in zip(rows, uniforms)]
 
 
 @st.composite
@@ -127,7 +135,7 @@ def channel_cases(draw):
     n = draw(st.integers(0, 12))
     xs = np.array([draw(st.lists(st.integers(0, s - 1), min_size=n, max_size=n))
                    for s in sizes], dtype=np.int64).reshape(len(sizes), n)
-    edges = sorted({v for r in dmc.cdf_rows for v in r if v < 1})
+    edges = sorted({v for v in dmc.cdf.ravel().tolist() if v < 1})
     edges += [math.nextafter(v, 0) for v in edges]
     uniform = st.floats(0, 1, exclude_max=True) | st.sampled_from(edges + [0.0, 1 - 2.0**-53])
     return dmc, xs, draw(st.lists(uniform, min_size=n, max_size=n))
@@ -140,3 +148,4 @@ def test_sample_channel_is_the_compare_and_count_lookup(case):
     y = sample_channel(dmc, xs, _Draws(uniforms))
     assert y.dtype == np.int64
     assert y.tolist() == _compare_and_count(dmc, xs, uniforms).tolist()
+    assert y.tolist() == _bisect_lookup(dmc, xs, uniforms)

@@ -318,14 +318,14 @@ def test_bounded_search_matches_whole_scan_tie_sets(monkeypatch):
     for labels, syndromes, model, u, y in cases + near_zero:
         dec = C.MinDivDecoder(labels, syndromes, model, u=u)
         assert dec._static is not None
-        whole.append((dec._ties(y), dec(y)))
+        whole.append((dec._ties(y[None])[0], dec(y)))
     assert sum(ties.size > 1 for ties, _ in whole) >= 60
     for chunk_cells in (8, 32, 128):
         monkeypatch.setattr(C, "SCAN_CHUNK_CELLS", chunk_cells)
         for (labels, syndromes, model, u, y), (ties, winner) in zip(cases + near_zero, whole):
             dec = C.MinDivDecoder(labels, syndromes, model, u=u)
             assert dec._static is None
-            assert dec._ties(y).tolist() == ties.tolist()
+            assert dec._ties(y[None])[0].tolist() == ties.tolist()
             assert all((g == w).all() for g, w in zip(dec(y), winner))
     for labels, syndromes, model, u, y in cases + near_zero:
         if all(lab.field.q == 2 for lab in labels):

@@ -107,7 +107,7 @@ def _last_tie_encode(cs, target):
 def _last_tie_decode(labels, syndromes, y, model, u=None):
     """The decoder with its ties broken toward the last product member."""
     dec = MinDivDecoder(labels, syndromes, model, u=u)
-    last = dec._ties(np.asarray(y, dtype=np.int64))[-1]
+    last = dec._ties(np.asarray(y, dtype=np.int64)[None])[0][-1]
     return tuple(c[i] for c, i in zip(dec.cosets, np.unravel_index(last, dec.sizes)))
 
 

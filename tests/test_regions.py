@@ -191,6 +191,24 @@ def test_memoized_entropy_is_bit_identical():
     assert law == law and "_memo" not in repr(law)
 
 
+def test_marginal_sums_once_per_axis_set_in_the_old_order():
+    # Every order of every axis subset, the empty one too, against the
+    # per-call sum and np.moveaxis the memo replaced: same shape, same floats.
+    law = _random_sw_law(7)
+    for r in range(len(law.names) + 1):
+        for names in itertools.permutations(law.names, r):
+            keep = [law.axis(n) for n in names]
+            drop = tuple(i for i in range(len(law.names)) if i not in keep)
+            want = np.moveaxis(law.table.sum(axis=drop), np.argsort(keep), range(r))
+            for _ in range(2):  # a sum, then the memo
+                got = law.marginal(names)
+                assert got.shape == want.shape and got.tolist() == want.tolist(), names
+                assert not got.flags.writeable
+    sums = [k for k in law._memo if k[0] == "marginal"]
+    assert len(sums) == 2 ** len(law.names)
+    assert law.entropy([]) == 0.0
+
+
 def test_constraints_computed_once_per_law():
     for law in (_random_sw_law(6), _random_ts_law(6)):
         rows = _constraints(law)

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hashmac import rng as rng_mod
-from hashmac.rng import stream, trial_streams
+from hashmac.rng import stream, trial_draws
 
 # Seeds: zero, one word, two words, and values `stream` masks to 64 bits.
 SEEDS = st.one_of(st.just(0), st.integers(1, 2**32 - 1), st.integers(2**32, 2**64 - 1),
@@ -134,32 +134,96 @@ def test_choice_past_the_tail_shuffle_cutoff_is_not_offered():
 
 
 @settings(max_examples=60, deadline=None)
-@given(SEEDS, PATHS, COUNTS, st.integers(0, 9))
-def test_trial_streams_equal_stream(seed, path, count, words):
+@given(SEEDS, PATHS, COUNTS, st.integers(1, 3))
+def test_trial_keys_equal_seed_sequence(seed, path, count, paths):
+    # One hash pass keys every trial of every path; a candidate index is
+    # the word where the paths differ.
     spawn = tuple(rng_mod._as_key(p) for p in path)
-    streams = list(trial_streams(seed, path, count, words))
-    assert len(streams) == count
-    for t, g in enumerate(streams):
-        ss = np.random.SeedSequence(entropy=seed & (2**64 - 1), spawn_key=spawn + (t,))
-        assert g._key == tuple(ss.generate_state(2, np.uint64).tolist())
-        assert _draws(g) == _draws(stream(seed, *path, t))
+    k0, k1 = rng_mod._trial_keys(seed, [(*path, c) for c in range(paths)], count)
+    assert len(k0) == len(k1) == paths * count
+    for i, (a, b) in enumerate(zip(k0.tolist(), k1.tolist())):
+        c, t = divmod(i, count)
+        ss = np.random.SeedSequence(entropy=seed & (2**64 - 1), spawn_key=spawn + (c, t))
+        assert (a, b) == tuple(ss.generate_state(2, np.uint64).tolist())
+        assert stream(seed, *path, c, t)._key == (a, b)
 
 
-def test_trial_streams_are_independent_objects():
-    # Each stream of a run is its own: drawing from one leaves the others fresh.
-    streams = list(trial_streams(7, ("a",), 3, 2))
-    assert len({id(g) for g in streams}) == 3
-    for t, g in enumerate(streams):
-        assert _draws(g) == _draws(stream(7, "a", t))
+def test_trial_keys_need_paths_of_one_word_count():
+    with pytest.raises(ValueError, match="same number of words"):
+        rng_mod._trial_keys(3, [("a", 1), ("a", 2**40)], 2)
 
 
-def test_trial_streams_hold_nothing_from_each_other():
-    # An odd-length draw of small ints keeps half a word; the next trial
-    # must start from its own fresh state.
-    for t, g in enumerate(trial_streams(7, ("leak",), 4, 1)):
-        want = numpy_stream(7, "leak", t)
-        assert g.integers(0, 2, 3).tolist() == want.integers(0, 2, 3).tolist()
-        assert g.integers(0, 2, None) == want.integers(0, 2, None)  # the kept half
+def _scalar_draws(g, runs, n):
+    """The draws trial_draws reads from a trial's stream g, one call at a time."""
+    return [d for top, c in runs for d in g.bounded(top, c)], g.doubles(n)
+
+
+def _stacked(pieces):
+    pieces = list(pieces)
+    return (np.concatenate([d for d, _ in pieces]), np.concatenate([u for _, u in pieces]),
+            [len(d) for d, _ in pieces])
+
+
+# Mixed fields in one trial (q = 2, 3, 5), runs with no digits, a one-value
+# range, and an odd digit count, whose kept half the doubles skip.
+MIXED_RUNS = [(1, 3), (2, 4), (4, 5), (0, 2), (2, 0), (1, 1)]
+
+
+@pytest.mark.parametrize("count", [1, 1023, 1024, 1025])
+def test_trial_draws_equal_stream(count):
+    n = 3
+    paths = [("draws", 5, c) for c in range(2)]
+    digits, doubles, sizes = _stacked(trial_draws(11, paths, count, MIXED_RUNS, n))
+    assert digits.dtype == np.int64 and doubles.dtype == np.float64
+    assert digits.shape == (2 * count, 15) and doubles.shape == (2 * count, n)
+    # Pieces hold at most one chunk and one path's trials only.
+    assert max(sizes) <= rng_mod._CHUNK
+    assert np.cumsum(sizes).tolist()[-1] == 2 * count and count in np.cumsum(sizes).tolist()
+    for i in range(2 * count):
+        c, t = divmod(i, count)
+        want_digits, want_doubles = _scalar_draws(stream(11, *paths[c], t), MIXED_RUNS, n)
+        assert digits[i].tolist() == want_digits, (c, t)
+        assert doubles[i].tolist() == want_doubles, (c, t)
+
+
+@settings(max_examples=40, deadline=None)
+@given(SEEDS, st.lists(st.tuples(st.sampled_from([0, 1, 2, 4, 6, 2**31, 2**32 - 1]),
+                                 st.integers(0, 9)), max_size=4), st.integers(0, 5))
+def test_trial_draws_start_each_trial_fresh(seed, runs, n):
+    # An odd digit count keeps half a word; each trial still starts from its
+    # own stream, and ranges of 2^31 + 1 values reject about half their halves.
+    digits, doubles, _ = _stacked(trial_draws(seed, [("fresh",)], 5, runs, n))
+    for t in range(5):
+        want_digits, want_doubles = _scalar_draws(stream(seed, "fresh", t), runs, n)
+        assert digits[t].tolist() == want_digits
+        assert doubles[t].tolist() == want_doubles
+
+
+@pytest.mark.parametrize("at", [0, 3, 5])
+def test_rejected_half_is_drawn_again_by_the_stream(at):
+    # For q = 3 the threshold (2^32 - 3) mod 3 is 1, so a zero half is
+    # rejected.  A planted zero at digit `at` of six (the first, a middle or
+    # the last) pushes the draws one half on, so the doubles start a word
+    # later and read past the two blocks made ahead.
+    runs, n = [(2, 6)], 5
+    k0, k1 = rng_mod._trial_keys(5, [("planted",)], 3)
+    words = rng_mod._blocks(k0, k1, 1, 2)  # 6 / 2 + 5 words, in 2 blocks
+    planted = words.copy()
+    planted[1, at // 2] &= np.uint64(2**32 - 1) << np.uint64(32) if at % 2 == 0 else \
+        np.uint64(2**32 - 1)
+    digits, doubles = rng_mod._chunk_draws(k0, k1, planted, runs, n)
+    for t in range(3):
+        key = (int(k0[t]), int(k1[t]))
+        want = _scalar_draws(rng_mod.Stream(key, planted[t].tolist()), runs, n)
+        assert (digits[t].tolist(), doubles[t].tolist()) == want, t
+    # The planted trial differs from its unplanted draws: one more half was read.
+    plain = _scalar_draws(rng_mod.Stream((int(k0[1]), int(k1[1])), words[1].tolist()), runs, n)
+    assert doubles[1].tolist() != plain[1]
+
+
+def test_trial_draws_take_32_bit_ranges():
+    with pytest.raises(ValueError):
+        trial_draws(3, [()], 2, [(2**32, 1)], 1)
 
 
 @pytest.mark.parametrize("part, err", [(-1, ValueError), (1.5, TypeError),
@@ -168,13 +232,13 @@ def test_bad_path_part_raises_like_stream(part, err):
     with pytest.raises(err) as want:
         stream(3, "a", part)
     with pytest.raises(err) as got:
-        trial_streams(3, ("a", part), 2, 4)
+        trial_draws(3, [("a", part)], 2, [(1, 4)], 1)
     assert str(got.value) == str(want.value)
 
 
 def test_negative_count_rejected():
     with pytest.raises(ValueError):
-        trial_streams(3, (), -1, 4)
+        trial_draws(3, [()], -1, [(1, 4)], 1)
 
 
 def test_package_never_names_numpy_random():

@@ -17,7 +17,7 @@ from hashmac.gf import FieldSpec, LinearLabel, all_vectors, apply_label
 from hashmac.prob import CondPmf
 from hashmac.scenarios import (InfeasibleRateError, RADIUS, STAGE_CHANNEL, STAGE_EMPTY,
                                STAGE_DECODER, STAGE_ENCODER, STAGE_MI, STAGES,
-                               _channel_stage, _draw, _stage_without_y,
+                               _channel_stage, _messages, _stage_without_y,
                                build_private_code, build_superposition_code, decode_components,
                                encode_components, reduce_common_to_private, run_trial,
                                search_code, simulate_error)
@@ -117,6 +117,38 @@ def test_search_is_deterministic_and_min_of_pilots():
     assert a.candidate == b.candidate and a.pilot_scores == b.pilot_scores
     assert a.pilot_scores[a.candidate] == min(a.pilot_scores)
     assert a.pilot_scores[a.candidate] <= a.pilot_scores[0]
+
+
+def test_search_pilots_equal_one_run_per_candidate(monkeypatch):
+    # The pilots share one key hash and block pass; an infeasible candidate
+    # (1 and 4) or a block length that changes (candidate 3 on) restarts it.
+    # Each feasible candidate's trials equal its own simulate_error run.
+    def build(c, rng):
+        if c in (1, 4):
+            raise InfeasibleRateError("planted")
+        return build_private_code([1.0], FAIR, noisy_adder(), (0.25, 0.25), (0.05, 0.05),
+                                  6 if c < 3 else 8, rng)
+
+    def judged(c, m, y):
+        trials.setdefault(c.n, []).append((m, y))
+        return run_trial(c, m, y)
+
+    built = []
+
+    def builder(rng):  # builds run in candidate order
+        built.append(rng)
+        return build(len(built) - 1, rng)
+
+    monkeypatch.setattr(scenarios, "run_trial", judged)
+    trials = {}
+    found = search_code(builder, 6, 30, SEED, ("pilots",))
+    searched, trials = trials, {}
+    for c in (0, 2, 3, 5):
+        code = build(c, rng_mod.stream(SEED, "pilots", rng_mod.BUILD, c))
+        own = simulate_error(code, 30, SEED, ("pilots", rng_mod.PILOT, c))
+        assert found.pilot_scores[c] == own.error, c
+    assert [found.pilot_scores[c] for c in (1, 4)] == [math.inf] * 2
+    assert searched == trials and len(trials[6]) == len(trials[8]) == 60
 
 
 def test_search_all_infeasible():
@@ -301,9 +333,8 @@ def test_one_point_cloud_kappa_matches_private(n):
 def test_run_trial_deterministic():
     code = build_private_code([1.0], FAIR, noisy_adder(), (0.25, 0.25),
                               (0.05, 0.05), 8, rng_mod.stream(SEED, "rt"))
-    a = run_trial(code, rng_mod.stream(5, "t", 0))
-    b = run_trial(code, rng_mod.stream(5, "t", 0))
-    assert a == b
+    msgs, y = _reference_draw(code, rng_mod.stream(5, "t", 0))[:2]
+    assert run_trial(code, msgs, y) == run_trial(code, msgs, y)
 
 
 def test_reduction_physical_roundtrip():
@@ -527,26 +558,54 @@ def _equivalence_codes():
     }
 
 
+def _no_decoder_code():
+    """A private code whose sender-1 check repeats a row with two syndrome bits: no decoder."""
+    code = build_small(8, dmc=noisy_adder())
+    chk = code.checks[1]
+    checks = (code.checks[0], LinearLabel(chk.field, chk.matrix[[0, 0]]))
+    code = dataclasses.replace(code, checks=checks,
+                               syndromes=(code.syndromes[0], np.array([0, 1])))
+    assert code.decoder is None
+    return code
+
+
+def _sparse_code():
+    # Two nonzeros per column: at most the three message rows.
+    sparse = functools.partial(ensembles.EnsembleSpec, ensembles.SPARSE, column_degree=2)
+    return build_private_code([1.0], FAIR, noisy_adder(), (0.25, 0.25), (0.05, 0.05), 12,
+                              rng_mod.stream(SEED, "eq-sparse"), ensemble_factory=sparse)
+
+
 def test_simulate_error_matches_per_trial_streams(monkeypatch):
-    """The run's one-pass trial keys replay `stream(seed, *path, t)` trial by trial."""
+    """The chunked run equals a stage-by-stage scalar reference on `stream(seed, *path, t)`.
+
+    Trial by trial: the messages drawn, the channel output and the stage
+    `run_trial` returns, which the benchmark counts once per trial.
+    """
     trials, path = 60, ("eq", 3, rng_mod.MEASURE, 1)
+    codes = dict(_equivalence_codes(), one_point_cloud=_one_point_cloud_code(),
+                 sparse=_sparse_code(), no_decoder=_no_decoder_code())
     seen = set()
-    for name, code in _equivalence_codes().items():
-        want = {s: 0 for s in STAGES}
-        for t in range(trials):
-            stage = run_trial(code, rng_mod.stream(SEED, *path, t))
-            if stage is not None:
-                want[stage] += 1
+    for name, code in codes.items():
+        ref = dataclasses.replace(code)  # the reference fills its own tables
+        want = [_reference_draw(ref, rng_mod.stream(SEED, *path, t)) for t in range(trials)]
         calls = []
-        monkeypatch.setattr(scenarios, "run_trial",
-                            lambda c, r: calls.append(1) or run_trial(c, r))
+
+        def judged(c, m, y):
+            calls.append((m, y, run_trial(c, m, y)))
+            return calls[-1][2]
+
+        monkeypatch.setattr(scenarios, "run_trial", judged)
         got = simulate_error(code, trials, SEED, path)
         monkeypatch.undo()
         assert len(calls) == trials, name  # the benchmark counts trials here
-        assert got.stage_counts == want, name
-        assert got.errors == sum(want.values()), name
-        seen |= {s for s, k in want.items() if k}
-    assert {STAGE_EMPTY, STAGE_ENCODER, STAGE_CHANNEL} <= seen
+        for t, ((msgs, y, stage), (want_msgs, want_y, want_stage)) in enumerate(zip(calls, want)):
+            assert (msgs, y, stage) == (want_msgs, want_y, want_stage), (name, t)
+        counts = {s: sum(w[2] == s for w in want) for s in STAGES}
+        assert got.stage_counts == counts, name
+        assert got.errors == sum(w[2] is not None for w in want), name
+        seen |= {w[2] for w in want}
+    assert {None, STAGE_EMPTY, STAGE_ENCODER, STAGE_CHANNEL} <= seen
 
 
 @functools.lru_cache(maxsize=1)
@@ -573,8 +632,9 @@ def _layout_code(comps, n):
 @given(message_layouts())
 def test_merged_message_draws_equal_one_draw_per_component(layout):
     comps, seed, n = layout
-    raw, single = rng_mod.stream(seed, "draw"), rng_mod.stream(seed, "draw")
-    msgs, uniforms = _draw(_layout_code(comps, n), raw)
+    code, single = _layout_code(comps, n), rng_mod.stream(seed, "draw", 0)
+    digits, uniforms = next(rng_mod.trial_draws(seed, [("draw",)], 1, code.draw_runs, n))
+    msgs, uniforms = _messages(code, digits)[0], uniforms[0].tolist()
     want = []
     for q, r in comps:
         digits = single.integers(0, q, size=r) if r else []
@@ -613,8 +673,11 @@ def test_rejected_digit_draws_follow_numpy(q, rows, rejected):
         at += 1
     words = [lo | hi << 32 for lo, hi in zip(halves[::2], halves[1::2])]
     code = _layout_code(((q, rows),), n)
-    # A stream holding the crafted words as its first blocks draws them first.
-    msgs, uniforms = _draw(code, rng_mod.Stream((0, 0), words))
+    # A trial whose leading words are the crafted ones draws them first.
+    key = np.zeros(1, dtype=np.uint64)
+    digits, uniforms = rng_mod._chunk_draws(key, key, np.array([words], dtype=np.uint64),
+                                            code.draw_runs, n)
+    msgs, uniforms = _messages(code, digits)[0], uniforms[0].tolist()
     it = iter(halves)
     digits = [_numpy_bounded_draw(it, q) for _ in range(rows)]
     used = len(halves) - sum(1 for _ in it)
@@ -625,19 +688,34 @@ def test_rejected_digit_draws_follow_numpy(q, rows, rejected):
     assert uniforms == [(w >> 11) * 2.0**-53 for w in words[start:start + n]]
 
 
-def _reference_trial(code, rng):
-    """One trial from the public pieces: None on success, else the stage it failed at."""
+def _reference_draw(code, rng):
+    """One trial, stage by stage from the public pieces: (message indices, y, stage).
+
+    y is a tuple, None when the messages' coset is empty; the stage is None
+    on success, else the stage the trial failed at.
+    """
     msgs = [rng.integers(0, mm.field.q, size=mm.rows) if mm.rows else np.zeros(0, dtype=np.int64)
             for mm in code.message_maps]
+    # A message's index reads its digits in base q, first digit most significant.
+    index = tuple(int("".join(map(str, m.tolist())) or "0", mm.field.q)
+                  for m, mm in zip(msgs, code.message_maps))
     try:
         xs = encode_components(code, msgs)
     except EmptyCosetError:
-        return STAGE_EMPTY
+        return index, None, STAGE_EMPTY
     y = sample_channel(code.dmc, xs[code.n_cloud:], rng)
     got, _ = decode_components(code, y)
     if all(np.array_equal(g, m) for g, m in zip(got, msgs)):
-        return None
-    return _stage_without_y(code, xs, _scores_from_counts(code, xs)) or _channel_stage(code, xs, y)
+        stage = None
+    else:
+        stage = (_stage_without_y(code, xs, _scores_from_counts(code, xs))
+                 or _channel_stage(code, xs, y))
+    return index, tuple(y.tolist()), stage
+
+
+def _reference_trial(code, rng):
+    """One trial from the public pieces: None on success, else the stage it failed at."""
+    return _reference_draw(code, rng)[2]
 
 
 def _one_point_cloud_code():
@@ -653,8 +731,9 @@ def test_run_trial_matches_reference_trial():
         # The reference fills its own tables, on a copy of the code.
         ref = dataclasses.replace(code)
         for t in range(80):
-            got = run_trial(code, rng_mod.stream(SEED, "ref", name, t))
-            assert got == _reference_trial(ref, rng_mod.stream(SEED, "ref", name, t)), (name, t)
+            msgs, y, want = _reference_draw(ref, rng_mod.stream(SEED, "ref", name, t))
+            got = run_trial(code, msgs, y)
+            assert got == want, (name, t)
             seen.add(got)
     assert {None, STAGE_EMPTY, STAGE_ENCODER, STAGE_CHANNEL} <= seen
 
@@ -742,7 +821,7 @@ def test_sent_table_holds_one_entry_per_drawn_tuple():
     trials, path = 120, ("sent",)
     for name, code in _equivalence_codes().items():
         simulate_error(code, trials, SEED, path)
-        drawn = {_draw(code, rng_mod.stream(SEED, *path, t))[0]
+        drawn = {_reference_draw(code, rng_mod.stream(SEED, *path, t))[0]
                  for t in range(trials)}
         assert set(code.sent) == drawn, name
 
@@ -774,33 +853,37 @@ def test_radius_copy_gets_its_own_sent_table():
     assert wide.stage_counts != narrow.stage_counts
     fresh = dataclasses.replace(code, gamma=MAX_RADIUS)
     for t in range(100):
-        rng = rng_mod.stream(SEED, *path, t)
-        assert run_trial(wide_code, rng) == _reference_trial(fresh, rng_mod.stream(SEED, *path, t))
+        msgs, y, want = _reference_draw(fresh, rng_mod.stream(SEED, *path, t))
+        assert run_trial(wide_code, msgs, y) == want
 
 
-def test_trial_output_equals_sample_channel():
-    """The trial path's y is sample_channel's y for the same codewords and stream."""
+def test_trial_output_equals_sample_channel(monkeypatch):
+    """The chunked run's y is sample_channel's y for the same codewords and stream, and
+    its new outputs reach the decoder together, each once."""
     compared = 0
     for name, code in _equivalence_codes().items():
         if code.decoder is None:
             continue
-        seen = []
+        judged, decoded = [], []
         rows = code.decoder._rows
-        code.decoder._rows = lambda y: seen.append(y) or rows(y)
+        code.decoder._rows = lambda ys: decoded.append(ys) or rows(ys)
+        monkeypatch.setattr(scenarios, "run_trial",
+                            lambda c, m, y: judged.append((m, y)) or run_trial(c, m, y))
         try:
-            for t in range(40):
-                del seen[:]
-                code.decoded.clear()  # so every trial's y reaches the decoder
-                run_trial(code, rng_mod.stream(SEED, "y", name, t))
-                if not seen:  # an empty coset: nothing was sent
-                    continue
-                rng = rng_mod.stream(SEED, "y", name, t)
-                msgs = [rng.integers(0, mm.field.q, size=mm.rows) if mm.rows
-                        else np.zeros(0, dtype=np.int64) for mm in code.message_maps]
-                xs = encode_components(code, msgs)
-                y = sample_channel(code.dmc, xs[code.n_cloud:], rng)
-                assert seen == [tuple(y.tolist())], (name, t)
-                compared += 1
+            simulate_error(code, 40, SEED, ("y", name))
         finally:
+            monkeypatch.undo()
             del code.decoder._rows
+        assert len(decoded) == 1 and decoded[0].shape[1] == code.n, name  # one batch: 40 trials
+        assert [tuple(y) for y in decoded[0].tolist()] == list(
+            dict.fromkeys(y for _, y in judged if y is not None)), name
+        for t, (_, y) in enumerate(judged):
+            if y is None:  # an empty coset: nothing was sent
+                continue
+            rng = rng_mod.stream(SEED, "y", name, t)
+            msgs = [rng.integers(0, mm.field.q, size=mm.rows) if mm.rows
+                    else np.zeros(0, dtype=np.int64) for mm in code.message_maps]
+            xs = encode_components(code, msgs)
+            assert y == tuple(sample_channel(code.dmc, xs[code.n_cloud:], rng).tolist()), (name, t)
+            compared += 1
     assert compared > 100
