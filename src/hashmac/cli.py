@@ -23,7 +23,7 @@ from . import rng as rng_mod
 from .channel import Dmc
 from .ensembles import (BINNING, EnsembleSpec, KINDS, SPARSE, UNIFORM, SupportBudgetError,
                         default_degree, estimate_hash_params)
-from .gf import EnumerationBudgetError, FieldSpec
+from .gf import SUPPORTED_PRIMES, EnumerationBudgetError, FieldSpec
 from .prob import as_distribution
 from .regions import (in_region_private, in_region_sw, joint_sw, joint_ts, rate_split,
                       RateSplitInfeasible)
@@ -272,6 +272,14 @@ def cmd_simulate(config: dict, seed: int | None, force: bool,
     block = _section(config, "simulate")
     dmc = _parse_channel(_need(block, "channel", "simulate"), "simulate.channel")
     scenario, law, build = _law_and_builder(block, dmc, "simulate")
+    # Each sender is coded over a field, and so is a cloud center of more than one point.
+    coded = [(f"simulate.channel.inputs[{j}]", q) for j, q in enumerate(dmc.input_sizes)]
+    if "x0" in law.names and law.size("x0") > 1:
+        coded.append(("simulate.cloud", law.size("x0")))
+    for where, q in coded:
+        if q not in SUPPORTED_PRIMES:
+            raise ConfigError(f"{where}: a coded alphabet needs a field size in "
+                              f"{SUPPORTED_PRIMES}, not {q}")
     want = _rate_count(law)
     rates = _finite_vector(_need(block, "rates", "simulate"), want, "simulate.rates")
     eps = _finite_vector(_need(block, "eps", "simulate"), want, "simulate.eps")

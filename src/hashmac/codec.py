@@ -161,11 +161,17 @@ def tie_groups(dvals: np.ndarray, edges: np.ndarray) -> tuple[np.ndarray, np.nda
     Run r is dvals[edges[r]:edges[r + 1]]; edges rise strictly from 0 to
     dvals.size.  Returns (ties, bounds): the ascending indices of every
     run's tie group, run r's being ties[bounds[r]:bounds[r + 1]].  A run
-    whose minimum is infinite ties whole.
+    whose minimum is infinite misses the model support everywhere; its tie
+    group is its first index.
     """
     low = np.minimum.reduceat(dvals, edges[:-1])
-    ties = (dvals <= np.repeat(_tie_limit(low), np.diff(edges))).nonzero()[0]
-    return ties, np.searchsorted(ties, edges)
+    inf = np.isinf(low)
+    limit = _tie_limit(low)
+    limit[inf] = -np.inf  # no score is at or under it: the first index is set alone
+    hit = dvals <= limit.repeat(np.diff(edges))
+    hit[edges[:-1][inf]] = True
+    ties = hit.nonzero()[0]
+    return ties, ties.searchsorted(edges)
 
 
 def exact_min(cands: np.ndarray, target: EncodeTarget) -> int:
@@ -461,18 +467,16 @@ class MinDivDecoder:
         if self._static is None:
             return [self._search_ties(y * self._y_stride, self._ctx_u + y) for y in ys]
         ties = []
+        total = self._static.shape[1]
         per = max(1, DECODE_PASS_CELLS // self._static.size)
         for at in range(0, len(ys), per):
             batch = ys[at:at + per]
-            shift = np.arange(len(batch))[:, None, None] * self._static.shape[1] * self._n_cells
+            shift = np.arange(len(batch))[:, None, None] * total * self._n_cells
             dv = self._divergences(self._static, (batch * self._y_stride)[:, :, None] + shift)
-            dv = dv.reshape(len(batch), -1)
-            low = dv.min(axis=1)
-            tie = dv <= _tie_limit(low)[:, None]
-            # At an infinite minimum every candidate misses the model
-            # support; all tie, and the lex-first wins.
-            ties += [row.nonzero()[0] if math.isfinite(m) else np.zeros(1, dtype=np.int64)
-                     for m, row in zip(low.tolist(), tie)]
+            flat, bounds = tie_groups(dv, np.arange(len(batch) + 1) * total)
+            flat, bounds = flat % total, bounds.tolist()
+            # Slices at list bounds: np.split of a pass takes about twice as long.
+            ties += [flat[a:b] for a, b in zip(bounds, bounds[1:])]
         return ties
 
     def _refine(self, y: np.ndarray, ties: np.ndarray) -> int:
@@ -481,22 +485,22 @@ class MinDivDecoder:
             return ties[_least_key(self._keys(self._base + y * self._y_stride, ties))]
         return ties[0]
 
-    def rows(self, y) -> tuple[int, ...]:
-        """Index of the decoded row in each sender's coset; keeps nothing per y."""
-        y = np.asarray(y, dtype=np.int64)
-        if y.shape != (self.n,):
-            raise ValueError("y length must equal the block length")
-        if y.view(np.uint64).max(initial=0) >= self._n_out:  # a negative symbol reads huge
-            raise ValueError("output symbol outside the model axis")
-        return self._rows(y[None, :])[0]
+    def rows(self, ys) -> list[tuple[int, ...]]:
+        """Index of the decoded row in each sender's coset, per output row of ys.
 
-    def _rows(self, ys: np.ndarray) -> list[tuple[int, ...]]:
-        """`rows` of each output row of ys, unchecked, for outputs valid by construction."""
-        picks = [self._refine(y, t) for y, t in zip(ys, self._ties(ys))]
+        ys is a batch of outputs, one per row; a single output is a batch of
+        one.  The decoder keeps nothing per output.
+        """
+        ys = np.asarray(ys, dtype=np.int64)
+        if ys.ndim != 2 or ys.shape[1] != self.n:
+            raise ValueError("y must be a batch of outputs of the block length")
+        if ys.view(np.uint64).max(initial=0) >= self._n_out:  # a negative symbol reads huge
+            raise ValueError("output symbol outside the model axis")
+        picks = np.array([self._refine(y, t) for y, t in zip(ys, self._ties(ys))], dtype=np.int64)
         return list(zip(*(idx.tolist() for idx in np.unravel_index(picks, self.sizes))))
 
     def __call__(self, y) -> tuple[np.ndarray, ...]:
-        return tuple(c[i] for c, i in zip(self.cosets, self.rows(y)))
+        return tuple(c[i] for c, i in zip(self.cosets, self.rows([y])[0]))
 
 
 def min_div_decode(labels, syndromes, y, model: np.ndarray, u) -> tuple[np.ndarray, ...]:

@@ -53,11 +53,9 @@ class JointLaw:
     def marginal(self, names) -> np.ndarray:
         """The sum of the table over the axes not named, as a read-only view.
 
-        The sum is made once per set of kept axes.  Its axes are then
-        transposed by the argsort of the named axes: the order named for up
-        to two axes, but not for every order of three or more.  entropy
-        reads it only through a ravel, so that order fixes the float order
-        of its sums.
+        The sum is made once per set of kept axes, then transposed so its
+        axes come in the order named.  entropy reads it through a ravel, so
+        that order fixes the float order of its sums.
         """
         keep = [self.axis(n) for n in names]
         kept = ("marginal", frozenset(keep))
@@ -67,7 +65,7 @@ class JointLaw:
             t = np.asarray(self.table.sum(axis=drop)) if drop else self.table
             t.flags.writeable = False
             self._memo[kept] = t
-        return t.transpose(np.argsort(keep))
+        return t.transpose(np.argsort(np.argsort(keep)))
 
     def entropy(self, names) -> float:
         # Keyed by the ordered names: the float sum depends on axis order.

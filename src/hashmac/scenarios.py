@@ -70,15 +70,12 @@ def uniform_ensemble_factory(rows: int, cols: int, field: FieldSpec) -> Ensemble
 
 @dataclass(frozen=True)
 class CodeInstance:
-    scenario: str                      # 'private' | 'superposition'
     n: int
     dmc: Dmc
     law: JointLaw                      # model law used by the decoder
     checks: tuple                      # syndrome maps A_j, one per component
     message_maps: tuple                # message maps A'_j
     syndromes: tuple
-    check_specs: tuple                 # None for a one-point cloud
-    message_specs: tuple
     rates: tuple                       # realized message rates
     srates: tuple                      # realized syndrome rates
     eps: tuple
@@ -110,7 +107,7 @@ class CodeInstance:
     @cached_property
     def fixed(self) -> int:
         """Leading components fixed at build time: a one-point cloud, whose codeword is u."""
-        return self.check_specs.count(None)
+        return self.n_cloud if self.u is not None else 0
 
     # A code's encoder and decoder are fixed functions of the message and of
     # y, so both are tabled as trials come up and kept with the code.  A
@@ -121,23 +118,6 @@ class CodeInstance:
         """Per run of consecutive components over one field, (q - 1, digits): one bounded draw."""
         return tuple((q - 1, sum(mm.rows for mm in maps)) for q, maps in
                      itertools.groupby(self.message_maps, key=lambda mm: mm.field.q))
-
-    @cached_property
-    def digit_weights(self) -> np.ndarray:
-        """The (digits, components) matrix that takes a trial's digits to its message indices.
-
-        A message's index reads its digits in base q, first digit most
-        significant.  An index past int64 needs Python ints, so the matrix
-        is then one of objects.
-        """
-        big = max(mm.field.q ** mm.rows for mm in self.message_maps) > 2**63
-        weights = np.zeros((sum(mm.rows for mm in self.message_maps), self.k_messages),
-                           dtype=object if big else np.int64)
-        at = 0
-        for j, mm in enumerate(self.message_maps):
-            weights[at:at + mm.rows, j] = [mm.field.q ** e for e in reversed(range(mm.rows))]
-            at += mm.rows
-        return weights
 
     @cached_property
     def codebooks(self) -> tuple[dict, ...]:
@@ -168,10 +148,13 @@ class CodeInstance:
 
     @cached_property
     def decoded(self) -> dict:
-        """Channel output tuple(y) -> the decoder's coset rows, filled as outputs come up.
+        """Channel output tuple(y) -> the decoded message-index tuple, filled as outputs come up.
 
-        It holds at most one entry per distinct y decoded, each about
-        8n + 150 bytes, and lives as long as the code.
+        The tuple holds the message index of each component the decoder
+        decodes (those not fixed by u), so a trial succeeds when it equals
+        the drawn indices of those components.  The table holds at most one
+        entry per distinct y decoded, each about 8n + 150 bytes, and lives as
+        long as the code.
         """
         return {}
 
@@ -242,6 +225,9 @@ def _build(law: JointLaw, ctx_law: Pmf, conds, dmc: Dmc,
     m = ctx_law.size
     ctx, names = law.names[0], law.names[-1 - k:-1]
     qs = [x.size for x in conds]
+    if 1 in qs[c:]:
+        raise ValueError(f"sender {qs.index(1, c) - c} has a one-symbol alphabet: "
+                         "it carries nothing and has no field")
     live = [j for j in range(k) if qs[j] > 1]  # a one-point cloud carries nothing
     if any(rates[j] != 0 for j in range(k) if j not in live):
         raise InfeasibleRateError("a one-point cloud alphabet forces R0 = 0")
@@ -273,15 +259,12 @@ def _build(law: JointLaw, ctx_law: Pmf, conds, dmc: Dmc,
     act_srates = tuple(_rows_rate(r, n, q) for r, q in zip(chk_rows, qs))
 
     no_rows = LinearLabel(FieldSpec(2), np.zeros((0, n), dtype=np.int64))
-    check_specs, message_specs = [None] * k, [None] * k
     checks, message_maps = [no_rows] * k, [no_rows] * k
     syndromes = [np.zeros(0, dtype=np.int64)] * k
     for j in live:
         field = FieldSpec(qs[j])
-        check_specs[j] = ensemble_factory(chk_rows[j], n, field)
-        message_specs[j] = ensemble_factory(msg_rows[j], n, field)
-        checks[j] = sample(check_specs[j], rng)
-        message_maps[j] = sample(message_specs[j], rng)
+        checks[j] = sample(ensemble_factory(chk_rows[j], n, field), rng)
+        message_maps[j] = sample(ensemble_factory(msg_rows[j], n, field), rng)
         syndromes[j] = rng.integers(0, qs[j], size=chk_rows[j])
     # The context is fixed now unless a cloud codes it; a one-point law
     # draws all zeros.
@@ -291,9 +274,8 @@ def _build(law: JointLaw, ctx_law: Pmf, conds, dmc: Dmc,
         u.flags.writeable = False
 
     return CodeInstance(
-        scenario="superposition" if c else "private", n=n, dmc=dmc, law=law,
+        n=n, dmc=dmc, law=law,
         checks=tuple(checks), message_maps=tuple(message_maps), syndromes=tuple(syndromes),
-        check_specs=tuple(check_specs), message_specs=tuple(message_specs),
         rates=act_rates, srates=act_srates, eps=eps, gamma=RADIUS,
         ctx_law=ctx_law, u=u, cond_inputs=tuple(conds))
 
@@ -412,7 +394,8 @@ def decode_components(code: CodeInstance, y):
     if code.decoder is None:
         raise AllCosetsEmptyError("a check syndrome is unreachable for its matrix")
     f = code.fixed
-    xs = (code.u,) * f + tuple(c[r] for c, r in zip(code.decoder.cosets, code.decoder.rows(y)))
+    rows = code.decoder.rows([y])[0]
+    xs = (code.u,) * f + tuple(c[r] for c, r in zip(code.decoder.cosets, rows))
     return tuple(apply_label(mm, x) for mm, x in zip(code.message_maps, xs)), xs
 
 
@@ -527,14 +510,15 @@ _UNCLASSIFIED = object()  # y-free stage of a tuple that has not failed yet
 
 
 def _decode(code: CodeInstance, ys) -> None:
-    """Keep in `code.decoded` the decoder's rows of every output of ys it lacks.
+    """Keep in `code.decoded` the decoded message indices of every output of ys it lacks.
 
     The new outputs are scored together, in the decoder's batched passes.
     """
     new = [y for y in dict.fromkeys(ys) if y not in code.decoded]
     if new:
-        # The outputs are valid by construction.
-        code.decoded.update(zip(new, code.decoder._rows(np.array(new, dtype=np.int64))))
+        cols = zip(*code.decoder.rows(new))  # per decoded component, each output's row
+        msgs = [t[list(r)].tolist() for t, r in zip(code.coset_messages, cols)]
+        code.decoded.update(zip(new, zip(*msgs)))
 
 
 def run_trial(code: CodeInstance, msgs: tuple, y: tuple | None) -> str | None:
@@ -542,19 +526,15 @@ def run_trial(code: CodeInstance, msgs: tuple, y: tuple | None) -> str | None:
 
     msgs is the tuple of message indices drawn, and y the channel output as
     a tuple, None when nothing was sent (the messages' coset is empty).
-    Messages travel as indices, so a trial succeeds when each decoded
-    component's coset row carries its message index.  The code's tables
-    are looked up, and filled on a miss.
+    Both are read from the code's tables, which `_send` and `_decode` fill:
+    a trial succeeds when y decodes to the drawn indices of the components
+    the decoder decodes.
     """
-    entry = _send(code, msgs)
+    entry = code.sent[msgs]
     xs, scores, _, stage = entry
     if xs is None:
         return stage
-    rows = code.decoded.get(y)
-    if rows is None:
-        _decode(code, [y])
-        rows = code.decoded[y]
-    if all(t[r] == m for t, r, m in zip(code.coset_messages, rows, msgs[code.fixed:])):
+    if code.decoded[y] == msgs[code.fixed:]:
         return None
     if stage is _UNCLASSIFIED:
         stage = entry[3] = _stage_without_y(code, xs, scores)
@@ -562,9 +542,14 @@ def run_trial(code: CodeInstance, msgs: tuple, y: tuple | None) -> str | None:
 
 
 def _messages(code: CodeInstance, digits: np.ndarray) -> list[tuple]:
-    """Each trial's tuple of message indices, from its row of digits as trial_draws draws them."""
-    weights = code.digit_weights
-    return list(map(tuple, (digits.astype(weights.dtype, copy=False) @ weights).tolist()))
+    """Each trial's tuple of message indices, from its row of digits as trial_draws draws them.
+
+    Each component's digits are read by gf.lex_index, as a message is
+    everywhere else.
+    """
+    ends = np.cumsum([mm.rows for mm in code.message_maps])[:-1]
+    return list(zip(*(lex_index(d, mm.field.q).tolist()
+                      for mm, d in zip(code.message_maps, np.split(digits, ends, axis=1)))))
 
 
 def _tally(code: CodeInstance, trials: int, draws) -> SimulationResult:

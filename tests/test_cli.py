@@ -316,6 +316,56 @@ def test_out_of_range_config_values_exit_2(tmp_path, capsys, command, payload, f
     assert f"config error: {field}:" in capsys.readouterr().err
 
 
+def parity_channel(inputs):
+    """y = x1 + x2 mod 2, flipped with probability 1/4, over two senders of any alphabet."""
+    table = [[[0.75, 0.25] if (a + b) % 2 == 0 else [0.25, 0.75] for b in range(inputs[1])]
+             for a in range(inputs[0])]
+    return {"inputs": list(inputs), "output": 2, "table": table}
+
+
+def tiny_sim_cfg(inputs=(2, 2), cloud=None, rates=(0.25, 0.25)):
+    """One code at n = 4, no pilots, 5 trials: a private code, or a superposition one."""
+    block = sim_cfg(channel=parity_channel(inputs), rates=list(rates), eps=[0.05] * len(rates),
+                    n_ladder=[4], candidates=1, pilot_trials=0, trials=5)["simulate"]
+    if cloud is None:
+        block["inputs"] = [[1 / q] * q for q in inputs]
+    else:
+        del block["inputs"]
+        block.update(scenario="superposition", cloud=[1 / cloud] * cloud,
+                     satellites_given_cloud=[[[1 / q] * q] * cloud for q in inputs])
+    return {"seed": 20250811, "simulate": block}
+
+
+@pytest.mark.parametrize("force", [False, True])
+@pytest.mark.parametrize("payload, field", [
+    (tiny_sim_cfg((4, 2)), "simulate.channel.inputs[0]"),
+    (tiny_sim_cfg((1, 2), rates=(0.0, 0.25)), "simulate.channel.inputs[0]"),
+    (tiny_sim_cfg((2, 1), rates=(0.25, 0.0)), "simulate.channel.inputs[1]"),
+    (tiny_sim_cfg(cloud=4, rates=(0.25,) * 3), "simulate.cloud"),
+], ids=["four-symbol-sender", "one-symbol-first", "one-symbol-second", "four-point-cloud"])
+def test_simulate_rejects_an_alphabet_it_cannot_code(tmp_path, capsys, payload, field, force):
+    argv = ["simulate", "--config", write_cfg(tmp_path, payload)] + ["--force"] * force
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"config error: {field}: ")
+
+
+# A sender or cloud of one symbol carries no message: its rate is 0.
+@pytest.mark.parametrize("force", [False, True])
+@pytest.mark.parametrize("payload", [tiny_sim_cfg((q, 2), rates=(0.25 * (q > 1), 0.25))
+                                     for q in range(1, 7)]
+                         + [tiny_sim_cfg((2, q), rates=(0.25, 0.25 * (q > 1)))
+                            for q in range(1, 7)]
+                         + [tiny_sim_cfg(cloud=m, rates=(0.25 * (m > 1), 0.25, 0.25))
+                            for m in range(1, 5)],
+                         ids=[f"sender{j}-q{q}" for j in (0, 1) for q in range(1, 7)]
+                         + [f"cloud-{m}" for m in range(1, 5)])
+def test_simulate_exits_cleanly_on_any_small_alphabet(tmp_path, capsys, payload, force):
+    argv = ["simulate", "--config", write_cfg(tmp_path, payload)] + ["--force"] * force
+    assert cli.main(argv) in (0, 1, 2)
+    assert "Traceback" not in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("module, limit, argv, line", [
     (gf, "ENUMERATION_BUDGET", ["simulate"],
      "limit error: n=4: coset size 2^1 exceeds the budget of 1"),

@@ -8,14 +8,14 @@ from hypothesis import strategies as st
 
 from hashmac.codec import (AllCosetsEmptyError, CosetSpec, EmptyCosetError,
                            EncodeTarget, MinDivDecoder, _exact_key, build_T_subset, min_div_decode,
-                           min_div_encode)
+                           min_div_encode, tie_groups)
 from hashmac import gf
 from hashmac.empirical import (_count_symbols, _divergence_from_counts, _log2_denom,
                                conditional_divergences, divergence_to)
 from hashmac.gf import (EnumerationBudgetError, FieldSpec, LinearLabel,
                         all_vectors, apply_label)
 from hashmac.prob import CondPmf, Pmf
-from hashmac.verify import _ref_div_cells, _ref_select
+from hashmac.verify import _ref_decode, _ref_div_cells, _ref_encode, _ref_select
 
 F2 = FieldSpec(2)
 
@@ -354,3 +354,30 @@ def test_gf3_near_zero_tie_goes_to_lex_first():
             return _ref_div_cells(cells, lambda cell: n * model[cell], n)
 
         assert tuple(got.tolist()) == _ref_select(cands, div, None, exact=False)
+
+
+def test_infinite_minimum_ties_at_its_first_candidate():
+    # A run whose every score is infinite misses the model support
+    # everywhere: its tie group is its first index, the pick of _ref_select.
+    dvals = np.array([np.inf, np.inf, 0.5, 0.5 + 1e-15, 0.7, np.inf, np.inf])
+    ties, bounds = tie_groups(dvals, np.array([0, 2, 5, 7]))
+    assert ties.tolist() == [0, 2, 3, 5] and bounds.tolist() == [0, 1, 3, 4]
+    # The encoder: a target that never sends 1, on a coset whose every member holds a 1.
+    A, Ap = lbl([[1, 1, 0, 0]]), lbl([[0, 0, 1, 1]])
+    mu = np.array([1.0, 0.0])
+    got = min_div_encode(CosetSpec(A, Ap, [1], [1]), EncodeTarget.for_marginal(Pmf((0, 1), mu), 4))
+    want = _ref_encode([A.matrix, Ap.matrix], [np.array([1]), np.array([1])], 4, mu, None)
+    assert got.tolist() == want.tolist() == [0, 1, 0, 1]
+    # The decoder's batch: y = x1 xor x2 without noise, so an output whose
+    # first two symbols sum to 0 fits no candidate pair of these cosets.
+    model = np.zeros((2, 2, 2))
+    for a in range(2):
+        for b in range(2):
+            model[a, b, a ^ b] = 0.25
+    A = lbl([[1, 1, 0]])
+    dec = MinDivDecoder([A, A], [[1], [0]], model, u=None)
+    ys = np.array([[0, 0, 0], [1, 0, 0], [1, 1, 1], [0, 1, 1]])
+    for y, rows in zip(ys, dec.rows(ys)):
+        want = _ref_decode([A.matrix, A.matrix], [[1], [0]], y, model, None)
+        assert all((c[r] == w).all() for c, r, w in zip(dec.cosets, rows, want)), y
+    assert dec.rows(ys[[0, 2]]) == [(0, 0)] * 2  # each coset's first row

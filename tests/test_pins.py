@@ -108,7 +108,7 @@ def code_digest(code) -> str:
     arrays = [lab.matrix for lab in code.checks]
     arrays += [lab.matrix for lab in code.message_maps]
     arrays += list(code.syndromes)
-    if code.scenario == "private":
+    if not code.n_cloud:  # a private code
         arrays.append(code.u)  # the shared sequence drawn at build time
     for a in arrays:
         h.update(np.ascontiguousarray(a, dtype=np.int64).tobytes())

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hashmac import ensembles, rng as rng_mod, scenarios
@@ -13,7 +13,7 @@ from hashmac.channel import Dmc, deterministic_dmc, sample_channel
 from hashmac.codec import EmptyCosetError, MinDivDecoder
 from hashmac.empirical import (conditional_divergences, count_divergence, divergence_to,
                                is_cond_typical, joint_counts, seq_mutual_multi)
-from hashmac.gf import FieldSpec, LinearLabel, all_vectors, apply_label
+from hashmac.gf import FieldSpec, LinearLabel, all_vectors, apply_label, lex_index
 from hashmac.prob import CondPmf
 from hashmac.scenarios import (InfeasibleRateError, RADIUS, STAGE_CHANNEL, STAGE_EMPTY,
                                STAGE_DECODER, STAGE_ENCODER, STAGE_MI, STAGES,
@@ -214,7 +214,7 @@ def test_superposition_build_and_roundtrip():
     code = build_superposition_code(mu0, c1, c2, PAIR, (0.125, 0.125, 0.125),
                                     (0.05, 0.05, 0.05), 8,
                                     rng_mod.stream(SEED, "sw"))
-    assert code.scenario == "superposition"
+    assert code.n_cloud == 1
     res = simulate_error(code, 30, SEED, ("sw-trip",))
     assert sum(res.stage_counts.values()) == res.errors
 
@@ -223,7 +223,7 @@ def test_superposition_build_takes_a_numpy_generator():
     mu0, c1, c2 = _sw_inputs()
     code = build_superposition_code(mu0, c1, c2, PAIR, (0.125, 0.125, 0.125),
                                     (0.05, 0.05, 0.05), 8, np.random.default_rng(0))
-    assert code.scenario == "superposition" and code.u is None
+    assert code.n_cloud == 1 and code.u is None
     res = simulate_error(code, 20, SEED, ("numpy-built-sw",))
     assert sum(res.stage_counts.values()) == res.errors
 
@@ -313,7 +313,8 @@ def test_build_reads_no_hash_params(monkeypatch):
                                  (0.05, 0.05, 0.05), 8, rng_mod.stream(SEED, "sw")),
     ]
     assert [m.rows for m in codes[1].message_maps] == [10, 10]
-    assert {s.degree() for s in codes[1].message_specs} == {6}
+    assert {int(d) for mm in codes[1].message_maps
+            for d in np.count_nonzero(mm.matrix, axis=0)} == {6}
     assert [code.gamma for code in codes] == [RADIUS] * 3
 
 
@@ -326,15 +327,24 @@ def test_one_point_cloud_kappa_matches_private(n):
                                    rng_mod.stream(SEED, "kappa", n))
     priv = build_private_code([1.0], FAIR, noisy_adder(), (0.25, 0.25), (0.05, 0.05), n,
                               rng_mod.stream(SEED, "kappa", n))
-    assert deg.check_specs[1:] == priv.check_specs
-    assert deg.message_specs[1:] == priv.message_specs
+    for one, other in ((deg.checks[1:], priv.checks), (deg.message_maps[1:], priv.message_maps)):
+        assert [(m.field, m.matrix.tolist()) for m in one] == \
+            [(m.field, m.matrix.tolist()) for m in other]
 
 
 def test_run_trial_deterministic():
     code = build_private_code([1.0], FAIR, noisy_adder(), (0.25, 0.25),
                               (0.05, 0.05), 8, rng_mod.stream(SEED, "rt"))
     msgs, y = _reference_draw(code, rng_mod.stream(5, "t", 0))[:2]
-    assert run_trial(code, msgs, y) == run_trial(code, msgs, y)
+    assert _judge(code, msgs, y) == run_trial(code, msgs, y)
+
+
+def _judge(code, msgs, y):
+    """run_trial once the tables it reads hold msgs and y, as _tally fills them."""
+    scenarios._send(code, msgs)
+    if y is not None:
+        scenarios._decode(code, [y])
+    return run_trial(code, msgs, y)
 
 
 def test_reduction_physical_roundtrip():
@@ -367,6 +377,16 @@ def test_reduction_physical_roundtrip():
     # The derived-channel simulation of the same code is the reference path.
     res = simulate_error(code, trials, SEED, ("phys-ref",))
     assert abs(res.error - errors / trials) < 0.35
+
+
+@pytest.mark.parametrize("j", [0, 1])
+def test_one_symbol_sender_is_rejected(j):
+    # A one-symbol sender carries nothing and has no field to code over.
+    dmc = Dmc((2, 1) if j else (1, 2), 2, np.full((2, 1, 2) if j else (1, 2, 2), 0.5))
+    conds = [np.array([[0.5, 0.5]]), np.array([[1.0]])][::-1 if j == 0 else 1]
+    with pytest.raises(ValueError, match=f"sender {j} has a one-symbol alphabet"):
+        build_private_code([1.0], conds, dmc, (0.0, 0.0), (0.05, 0.05), 4,
+                           rng_mod.stream(SEED, "one-symbol"), check_region=False)
 
 
 def test_ternary_sender_roundtrip():
@@ -617,7 +637,7 @@ def _any_code():
 def message_layouts(draw):
     """Per component (q, rows): fields 2, 3 and 5, some without rows, some past int64."""
     comps = draw(st.lists(st.tuples(st.sampled_from((2, 3, 5)),
-                                    st.one_of(st.integers(0, 6), st.just(45))),
+                                    st.one_of(st.integers(0, 6), st.sampled_from((45, 64)))),
                           min_size=1, max_size=6))
     return comps, draw(st.integers(0, 2**64 - 1)), draw(st.integers(1, 12))
 
@@ -630,17 +650,19 @@ def _layout_code(comps, n):
 
 @settings(max_examples=150, deadline=None)
 @given(message_layouts())
+@example(([(2, 64), (3, 0), (5, 3)], 64, 4))  # 64 binary rows need Python ints
 def test_merged_message_draws_equal_one_draw_per_component(layout):
     comps, seed, n = layout
     code, single = _layout_code(comps, n), rng_mod.stream(seed, "draw", 0)
     digits, uniforms = next(rng_mod.trial_draws(seed, [("draw",)], 1, code.draw_runs, n))
     msgs, uniforms = _messages(code, digits)[0], uniforms[0].tolist()
-    want = []
+    want, by_lex = [], []
     for q, r in comps:
-        digits = single.integers(0, q, size=r) if r else []
+        digits = single.integers(0, q, size=r) if r else np.zeros(0, dtype=np.int64)
         # A message's index reads its digits in base q, first digit most significant.
         want.append(int("".join(map(str, digits)) or "0", q))
-    assert msgs == tuple(want)
+        by_lex.append(int(lex_index(digits, q)))  # the rule every other message index uses
+    assert msgs == tuple(want) == tuple(by_lex)
     assert uniforms == single.random(n).tolist()
 
 
@@ -732,29 +754,36 @@ def test_run_trial_matches_reference_trial():
         ref = dataclasses.replace(code)
         for t in range(80):
             msgs, y, want = _reference_draw(ref, rng_mod.stream(SEED, "ref", name, t))
-            got = run_trial(code, msgs, y)
+            got = _judge(code, msgs, y)
             assert got == want, (name, t)
             seen.add(got)
     assert {None, STAGE_EMPTY, STAGE_ENCODER, STAGE_CHANNEL} <= seen
 
 
 def test_decoder_table_returns_fresh_decoder_rows():
+    # Each table entry is the message-index tuple a fresh decoder's rows carry.
     for name, code in _equivalence_codes().items():
         f = code.fixed
         simulate_error(code, 120, SEED, ("repeat", name))
         assert code.decoded, name
-        for y, rows in code.decoded.items():
+        for y, msgs in code.decoded.items():
             fresh = MinDivDecoder(code.checks[f:], code.syndromes[f:], code.law.table, u=code.u)
-            assert rows == fresh.rows(y), name
-        # A y that is not a valid output still raises, as a tuple or an array.
+            want = tuple(int(lex_index(apply_label(mm, c[r]), mm.field.q)) for mm, c, r in
+                         zip(code.message_maps[f:], fresh.cosets, fresh.rows([y])[0]))
+            assert msgs == want, name
+        # A batch holding a y that is not a valid output still raises, as a
+        # tuple or an array, and so does one output not given as a batch.
         y = next(iter(code.decoded))
+        assert code.decoder.rows(np.zeros((0, code.n), dtype=np.int64)) == []
+        with pytest.raises(ValueError, match="batch"):
+            code.decoder.rows(y)
         for short_or_long in (y[:-1], y + (0,)):
-            with pytest.raises(ValueError):
-                code.decoder.rows(short_or_long)
+            with pytest.raises(ValueError, match="block length"):
+                code.decoder.rows([short_or_long])
         for bad in (code.dmc.output_size, -1):
             for bad_y in ((bad,) + y[1:], np.full(code.n, bad)):
                 with pytest.raises(ValueError, match="outside the model axis"):
-                    code.decoder.rows(bad_y)
+                    code.decoder.rows([y, bad_y])
 
 
 def _decoder_state(dec):
@@ -770,8 +799,9 @@ def test_decoder_keeps_no_state_per_output():
         before = _decoder_state(dec)
         ys = rng_mod.stream(SEED, "stateless", name).integers(
             0, code.dmc.output_size, size=(50, code.n))
-        first = [dec.rows(y) for y in ys]
-        assert [dec.rows(tuple(y.tolist())) for y in ys] == first, name
+        first = [dec.rows([y])[0] for y in ys]
+        assert [dec.rows([tuple(y.tolist())])[0] for y in ys] == first, name
+        assert dec.rows(ys) == first, name  # a batch decodes as its outputs one at a time
         assert _decoder_state(dec) == before, name
 
 
@@ -865,18 +895,17 @@ def test_trial_output_equals_sample_channel(monkeypatch):
         if code.decoder is None:
             continue
         judged, decoded = [], []
-        rows = code.decoder._rows
-        code.decoder._rows = lambda ys: decoded.append(ys) or rows(ys)
+        rows = code.decoder.rows
+        code.decoder.rows = lambda ys: decoded.append(ys) or rows(ys)
         monkeypatch.setattr(scenarios, "run_trial",
                             lambda c, m, y: judged.append((m, y)) or run_trial(c, m, y))
         try:
             simulate_error(code, 40, SEED, ("y", name))
         finally:
             monkeypatch.undo()
-            del code.decoder._rows
-        assert len(decoded) == 1 and decoded[0].shape[1] == code.n, name  # one batch: 40 trials
-        assert [tuple(y) for y in decoded[0].tolist()] == list(
-            dict.fromkeys(y for _, y in judged if y is not None)), name
+            del code.decoder.rows
+        assert len(decoded) == 1, name  # one batch: 40 trials
+        assert decoded[0] == list(dict.fromkeys(y for _, y in judged if y is not None)), name
         for t, (_, y) in enumerate(judged):
             if y is None:  # an empty coset: nothing was sent
                 continue
