@@ -415,14 +415,17 @@ class MinDivDecoder:
         slack; the search stops at the first row past the limit.  The
         slack covers the different summation order of a bound and a score,
         so no tie is pruned.  Candidates within tolerance of the running
-        minimum are kept and filtered against the final one at the end.
+        minimum are kept, and their tie group is taken by tie_groups at the
+        end.
         """
         bounds = [self._row_bounds(j, ctx) for j in range(len(self.cosets))]
         lead = bounds[self._lead]
         order = np.argsort(lead, kind="stable")
         best = np.inf
         limit = np.finfo(float).max  # admits every row whose bound is finite
-        kept = []
+        # Candidate 0 at an infinite score, first: the tie group when every
+        # candidate misses the model support.
+        kept = [(np.zeros(1, dtype=np.int64), np.full(1, np.inf))]
         pos = 0
         while pos < order.size and lead[order[pos]] <= limit:
             sets = [np.flatnonzero(b <= limit) for b in bounds]
@@ -444,11 +447,8 @@ class MinDivDecoder:
                     limit = _tie_limit(best) + self._slack
                 hit = np.flatnonzero(dv <= _tie_limit(best))
                 kept.append((flat[hit], dv[hit]))
-        if np.isinf(best):
-            # Every candidate misses the model support; all tie, lex-first wins.
-            return np.zeros(1, dtype=np.int64)
-        top = _tie_limit(best)
-        return np.sort(np.concatenate([idx[dv <= top] for idx, dv in kept]))
+        idx, dv = (np.concatenate(part) for part in zip(*kept))
+        return np.sort(idx[tie_groups(dv, np.array([0, dv.size]))[0]])
 
     def _keys(self, base: np.ndarray, flats: np.ndarray) -> list:
         """Exact key of each candidate in flats, all counted in one bincount."""

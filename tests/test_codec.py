@@ -356,7 +356,7 @@ def test_gf3_near_zero_tie_goes_to_lex_first():
         assert tuple(got.tolist()) == _ref_select(cands, div, None, exact=False)
 
 
-def test_infinite_minimum_ties_at_its_first_candidate():
+def test_infinite_minimum_ties_at_its_first_candidate(monkeypatch):
     # A run whose every score is infinite misses the model support
     # everywhere: its tie group is its first index, the pick of _ref_select.
     dvals = np.array([np.inf, np.inf, 0.5, 0.5 + 1e-15, 0.7, np.inf, np.inf])
@@ -381,3 +381,10 @@ def test_infinite_minimum_ties_at_its_first_candidate():
         want = _ref_decode([A.matrix, A.matrix], [[1], [0]], y, model, None)
         assert all((c[r] == w).all() for c, r, w in zip(dec.cosets, rows, want)), y
     assert dec.rows(ys[[0, 2]]) == [(0, 0)] * 2  # each coset's first row
+    # The count-bounded search takes the same tie groups.
+    import hashmac.codec as C
+    monkeypatch.setattr(C, "SCAN_CHUNK_CELLS", 8)
+    searched = MinDivDecoder([A, A], [[1], [0]], model, u=None)
+    assert searched._static is None
+    assert [t.tolist() for t in searched._ties(ys)] == [t.tolist() for t in dec._ties(ys)]
+    assert searched.rows(ys) == dec.rows(ys)

@@ -192,23 +192,28 @@ def test_memoized_entropy_is_bit_identical():
 
 
 def test_marginal_sums_once_per_axis_set_in_the_named_order():
-    # Every order of every axis subset, the empty one too: the named axes,
-    # moved to the front in the order named, with the rest summed out.
+    # Every order of every axis subset, the empty one too, against the
+    # per-call sum the memo replaced, with its axes put in the order named:
+    # same shape, same floats.  A second oracle moves the named axes of the
+    # table to the front and sums the rest, in another float order.
     law = _random_sw_law(7)
     for r in range(len(law.names) + 1):
         for names in itertools.permutations(law.names, r):
             keep = [law.axis(n) for n in names]
-            want = np.moveaxis(law.table, keep, range(r)).sum(
-                axis=tuple(range(r, len(law.names))))
+            drop = tuple(i for i in range(len(law.names)) if i not in keep)
+            want = np.moveaxis(law.table.sum(axis=drop), np.argsort(np.argsort(keep)), range(r))
+            moved = np.moveaxis(law.table, keep, range(r)).sum(axis=tuple(range(r, len(law.names))))
             for _ in range(2):  # a sum, then the memo
                 got = law.marginal(names)
-                assert got.shape == want.shape and np.allclose(got, want, rtol=0, atol=1e-15)
+                assert got.shape == want.shape and got.tolist() == want.tolist(), names
+                assert got.shape == moved.shape and np.allclose(got, moved, rtol=0, atol=1e-15)
                 assert not got.flags.writeable
     sums = [k for k in law._memo if k[0] == "marginal"]
     assert len(sums) == 2 ** len(law.names)
     assert law.entropy([]) == 0.0
-    cube = JointLaw(("a", "b", "c"), np.full((2, 3, 4), 1 / 24))
-    assert cube.marginal(["c", "a", "b"]).shape == (4, 2, 3)
+    cube = JointLaw(("a", "b", "c"), np.arange(1, 25).reshape(2, 3, 4) / 300)
+    got = cube.marginal(["c", "a", "b"])
+    assert got.shape == (4, 2, 3) and got.tolist() == cube.table.transpose(2, 0, 1).tolist()
 
 
 def test_constraints_computed_once_per_law():
