@@ -13,7 +13,6 @@ import csv
 import functools
 import io
 import json
-import math
 import sys
 import time
 
@@ -293,7 +292,10 @@ def cmd_simulate(config: dict, seed: int | None, force: bool,
     candidates = _count(block.get("candidates", 20), 1, "simulate.candidates")
     pilot = _count(block.get("pilot_trials", 100), 0, "simulate.pilot_trials")
     trials = _count(block.get("trials", 400), 1, "simulate.trials")
-    the_seed = seed if seed is not None else _count(config.get("seed", 0), -math.inf, "seed")
+    where, the_seed = ("--seed", seed) if seed is not None else ("seed", config.get("seed", 0))
+    the_seed = _count(the_seed, 0, where)
+    if the_seed >= 2**64:  # a stream reads its seed modulo 2^64 (rng): it would alias another
+        raise ConfigError(f"{where}: must be below 2**64")
 
     # Every finished row reaches --out, also when a later point stops the ladder.
     rows = []

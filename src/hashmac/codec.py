@@ -11,10 +11,10 @@ lexicographically smallest vector (for tuples: smallest concatenation).
 
 from __future__ import annotations
 
+import functools
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -111,43 +111,50 @@ class EncodeTarget:
         return conditional_divergences(cands, self.conditional, self.conditioning)
 
     def exact_keys(self, cands: np.ndarray) -> list:
-        """Exact rational key of each candidate row (see _exact_key), counted in one pass."""
+        """Exact key of each candidate row (see _exact_key), counted in one pass.
+
+        Cell (b, a) has expected count #b(u) * p(a|b).
+        """
         mu, u = self.conditional, self.conditioning
-        u_counts = np.bincount(u, minlength=mu.given_size)
+        weights = np.bincount(u, minlength=mu.given_size).tolist()
+        ratios = tuple((w * num, den) for w, row in zip(weights, mu.rows.tolist())
+                       for num, den in map(float.as_integer_ratio, row))
         counts = _count_symbols(u[None, :] * mu.size + cands, mu.given_size * mu.size)
-        denoms = [int(u_counts[b]) * Fraction(float(p))
-                  for b in range(mu.given_size) for p in mu.rows[b]]
-        return _exact_keys(counts, denoms)
+        return _exact_keys(counts, _key_powers(ratios, u.size))
 
 
-def _exact_key(counts, denoms):
-    """Fraction product over cells of (c/denom)^c, reduced once; None encodes +infinity."""
-    num, den = 1, 1
-    for c, d in zip(counts, denoms):
-        c = int(c)
-        if c == 0:
-            continue
-        if d == 0:
-            return None
-        num *= (c * d.denominator) ** c
-        den *= d.numerator ** c
-    return Fraction(num, den)
+@functools.lru_cache(maxsize=4)
+def _key_powers(ratios: tuple, n: int) -> tuple:
+    """Per cell of expected count d = num/den, the pairs ((c*den)^c, num^c) for c = 0..n.
+
+    Floats are dyadic, so every d is such a ratio.  Cached: a search's codes share them.
+    """
+    return tuple(tuple(((c * den) ** c, num ** c) for c in range(n + 1)) for num, den in ratios)
 
 
-def _exact_keys(counts: np.ndarray, denoms) -> list:
+def _exact_key(counts, powers) -> tuple[int, int]:
+    """The product over cells of (c/d)^c as an unreduced (numerator, denominator).
+
+    powers is _key_powers of the cells; a denominator of 0 (a count where d = 0) is +infinity.
+    """
+    pairs = [table[c] for c, table in zip(counts, powers) if c]
+    return math.prod(a for a, _ in pairs), math.prod(b for _, b in pairs)
+
+
+def _exact_keys(counts: np.ndarray, powers) -> list:
     """_exact_key of each row of counts; equal rows share one key, computed once."""
-    keys, memo = [], {}
-    for row in map(tuple, counts.tolist()):
-        if row not in memo:
-            memo[row] = _exact_key(row, denoms)
-        keys.append(memo[row])
-    return keys
+    rows = list(map(tuple, counts.tolist()))
+    memo = {row: _exact_key(row, powers) for row in set(rows)}
+    return [memo[row] for row in rows]
 
 
 def _least_key(keys: list) -> int:
-    """Position of the first least finite key; 0 if none is finite."""
-    finite = [k for k in keys if k is not None]
-    return keys.index(min(finite)) if finite else 0
+    """Position of the first least finite key, by cross-multiplying; 0 if none is finite."""
+    pick, low, high = 0, 0, 0  # high == 0: no finite key yet
+    for i, (num, den) in enumerate(keys):
+        if den and (not high or num * high < low * den):
+            pick, low, high = i, num, den
+    return pick
 
 
 def _tie_limit(best: float) -> float:
@@ -261,9 +268,10 @@ class MinDivDecoder:
     Built once per (labels, syndromes, model, u): the build validates the
     inputs, enumerates the per-sender cosets and precomputes everything that
     does not depend on the channel output; each call with y runs the search
-    over the product of the cosets.  `model` has one axis per variable in
-    order (u if given, senders..., y); sequences hold indices into the
-    matching axis.
+    over the product of the cosets.  Its tables that depend only on the
+    model and n are shared by the decoders of one model (_model_tables,
+    _key_powers).  `model` has one axis per variable in order (u if given,
+    senders..., y); sequences hold indices into the matching axis.
 
     A product that fits one scan chunk is scored whole from its precomputed
     y-free cells.  A larger one is searched under per-sender count bounds
@@ -308,8 +316,10 @@ class MinDivDecoder:
         strides = np.ones(len(shape), dtype=np.int64)
         for i in range(len(shape) - 2, -1, -1):
             strides[i] = strides[i + 1] * shape[i + 1]
-        model_flat = model.ravel()
-        log_denom = _log2_denom(n * model_flat)
+        self._qs = [lab.field.q for lab in labels]
+        self._exact = all(q == 2 for q in self._qs)
+        log_denom, self._terms, self._ratios = _model_tables(
+            np.ascontiguousarray(model, dtype=np.float64).tobytes(), n)
 
         self.n = n
         self.cosets = cosets
@@ -319,13 +329,8 @@ class MinDivDecoder:
         self._base = (u * strides[0] if u is not None
                       else np.zeros(n, dtype=np.int64))
         self._contribs = [c * int(strides[offset + j]) for j, c in enumerate(cosets)]
-        self._n_cells = int(np.prod(shape))
-        counts = np.broadcast_to(np.arange(n + 1)[None, :, None], (self._n_cells, n + 1, 1))
-        self._terms = _divergence_from_counts(counts, log_denom[:, None, None], 1)
+        self._n_cells = log_denom.size
         self._term_rows = np.arange(self._n_cells) * (n + 1)  # flat offset of each cell
-        self._qs = [lab.field.q for lab in labels]
-        self._denoms = ([n * Fraction(float(p)) for p in model_flat]
-                        if all(q == 2 for q in self._qs) else None)
         self._chunk = max(1, SCAN_CHUNK_CELLS // max(n, 1))
         if total <= self._chunk:
             # Position-major, so a position's y cell is added along the
@@ -455,7 +460,7 @@ class MinDivDecoder:
         cells = base
         for contrib, idx in zip(self._contribs, np.unravel_index(flats, self.sizes)):
             cells = cells + contrib[idx]
-        return _exact_keys(_count_symbols(cells, self._n_cells), self._denoms)
+        return _exact_keys(_count_symbols(cells, self._n_cells), _key_powers(self._ratios, self.n))
 
     def _ties(self, ys: np.ndarray) -> list[np.ndarray]:
         """Sorted flat indices of each output's tie group, before exact refinement.
@@ -480,10 +485,9 @@ class MinDivDecoder:
         return ties
 
     def _refine(self, y: np.ndarray, ties: np.ndarray) -> int:
-        """The decoded candidate of a tie group: on GF(2) its least exact key, else its first."""
-        if ties.size > 1 and self._denoms is not None:
-            return ties[_least_key(self._keys(self._base + y * self._y_stride, ties))]
-        return ties[0]
+        """The decoded candidate of a tie group of two or more: on GF(2) its least exact key."""
+        base = self._base + y * self._y_stride
+        return ties[_least_key(self._keys(base, ties))] if self._exact else ties[0]
 
     def rows(self, ys) -> list[tuple[int, ...]]:
         """Index of the decoded row in each sender's coset, per output row of ys.
@@ -496,11 +500,29 @@ class MinDivDecoder:
             raise ValueError("y must be a batch of outputs of the block length")
         if ys.view(np.uint64).max(initial=0) >= self._n_out:  # a negative symbol reads huge
             raise ValueError("output symbol outside the model axis")
-        picks = np.array([self._refine(y, t) for y, t in zip(ys, self._ties(ys))], dtype=np.int64)
+        picks = np.array([t[0] if t.size == 1 else self._refine(y, t)
+                          for y, t in zip(ys, self._ties(ys))], dtype=np.int64)
         return list(zip(*(idx.tolist() for idx in np.unravel_index(picks, self.sizes))))
 
     def __call__(self, y) -> tuple[np.ndarray, ...]:
         return tuple(c[i] for c, i in zip(self.cosets, self.rows([y])[0]))
+
+
+@functools.lru_cache(maxsize=4)
+def _model_tables(model: bytes, n: int) -> tuple:
+    """A decoder's y-free tables, which depend only on the flat float64 model and n.
+
+    Returns read-only log2 of the expected counts d = n * p per cell and
+    the divergence kernel's term per (cell, count), and each d as a ratio
+    of ints (for _key_powers).  Cached: a search's candidates share them.
+    """
+    flat = np.frombuffer(model, dtype=np.float64)
+    log_denom = _log2_denom(n * flat)
+    counts = np.broadcast_to(np.arange(n + 1)[None, :, None], (flat.size, n + 1, 1))
+    terms = _divergence_from_counts(counts, log_denom[:, None, None], 1)
+    log_denom.flags.writeable = terms.flags.writeable = False
+    ratios = tuple((n * a, b) for a, b in map(float.as_integer_ratio, flat.tolist()))
+    return log_denom, terms, ratios
 
 
 def min_div_decode(labels, syndromes, y, model: np.ndarray, u) -> tuple[np.ndarray, ...]:

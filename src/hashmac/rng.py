@@ -5,8 +5,10 @@ as 1, 2, 3", SC 2011), keyed by numpy's SeedSequence hash of (seed, *path),
 and its draws are numpy's: `stream(seed, *path)` gives exactly the values of
 `Generator(Philox(SeedSequence(seed, spawn_key=path)))` for the calls it
 offers (`random_raw`, `integers`, `random` and `choice`; `bounded` and
-`doubles` are the list forms of `integers` and `random`).  This module is
-the only one that knows numpy's draw rules.  The lab owns the
+`doubles` are the list forms of `integers` and `random`).  A seed is read
+modulo 2^64, so this holds for seeds in [0, 2^64), which the CLI checks:
+numpy rejects a negative seed and keys a larger one by all its words.
+This module is the only one that knows numpy's draw rules.  The lab owns the
 generator, rather than importing numpy's random module, because numpy does
 not promise that a Generator's streams stay the same across versions, and a
 lab's reruns must; that module also loads OpenSSL, about 5 MB of a run.
@@ -46,6 +48,9 @@ _CHUNK = 1024
 # A stream makes this many blocks or more at once in one numpy pass: a pass
 # costs about as much as 50 blocks made with ints.
 _PASS_BLOCKS = 64
+# Most blocks a stream reads ahead in one refill: a long stream makes its
+# blocks a few passes' worth at a time, holding at most ~40 kB it has not drawn.
+_READ_AHEAD = 4 * _PASS_BLOCKS
 
 
 def _as_key(part) -> int:
@@ -167,19 +172,21 @@ class Stream:
     """One Philox4x64-10 stream with numpy Generator's draws on it.
 
     Made fresh: counter 0, nothing buffered, or holding its first whole
-    blocks already made (a trial that `trial_draws` draws again).  Blocks
-    are made as draws need them, with int arithmetic, or in one numpy pass
-    when _PASS_BLOCKS or more are needed at once.  A 32-bit draw takes the low half of a word and
-    keeps the high half for the next 32-bit draw, as numpy does; 64-bit
-    draws do not touch a kept half.
+    blocks already made (`streams`, or a trial that `trial_draws` draws
+    again).  Blocks are made as draws need them, and a refill reads ahead,
+    doubling what the stream has made, up to _READ_AHEAD blocks: with ints,
+    or in one numpy pass for _PASS_BLOCKS or more.  No draw moves with what
+    is made ahead.  A 32-bit draw takes the low half of a word and keeps
+    the high half for the next 32-bit draw, as numpy does; 64-bit draws do
+    not touch a kept half.
     """
 
-    __slots__ = ("_key", "_round_keys", "_made", "_words", "_pos", "_half")
+    __slots__ = ("_key", "_round_keys", "made", "_words", "_pos", "_half")
 
     def __init__(self, key: tuple[int, int], words: list[int]):
         self._key = key
         self._round_keys = None
-        self._made = len(words) // 4  # blocks made so far
+        self.made = len(words) // 4  # blocks made so far, drawn or not
         self._words = words  # words made, read up to _pos
         self._pos = 0
         self._half = None
@@ -187,16 +194,16 @@ class Stream:
     def _make(self, need: int) -> None:
         """Make blocks until `need` words are unread."""
         words = self._words[self._pos:]
-        more = -(-(need - len(words)) // 4)
+        more = max(-(-(need - len(words)) // 4), min(self.made, _READ_AHEAD))
         if more >= _PASS_BLOCKS:
             k0, k1 = (np.array([k], dtype=np.uint64) for k in self._key)
-            words += _blocks(k0, k1, self._made + 1, more)[0].tolist()
+            words += _blocks(k0, k1, self.made + 1, more)[0].tolist()
         else:
             if self._round_keys is None:
                 self._round_keys = _round_keys(self._key)
-            for counter in range(self._made + 1, self._made + more + 1):
+            for counter in range(self.made + 1, self.made + more + 1):
                 words += _block(counter, self._round_keys)
-        self._made += more
+        self.made += more
         self._words, self._pos = words, 0
 
     def random_raw(self, size: int) -> list[int]:
@@ -311,6 +318,17 @@ def stream(seed: int, *path) -> Stream:
     always replays the same values, regardless of creation order.
     """
     return Stream(_key(seed, _spawn_words(path)), [])
+
+
+def streams(seed: int, path, count: int, blocks: int):
+    """`stream(seed, *path, t)` for each t in range(count), each holding its first `blocks` blocks.
+
+    The keys come out of one hash pass (_trial_keys) and the blocks out of
+    one numpy pass; a stream that draws past them makes the rest itself.
+    """
+    k0, k1 = _trial_keys(seed, [path], count)
+    for key, words in zip(zip(k0.tolist(), k1.tolist()), _blocks(k0, k1, 1, blocks)):
+        yield Stream(key, words.tolist())
 
 
 def _trial_keys(seed: int, paths, count: int):

@@ -607,9 +607,15 @@ def search_code(builder, candidates: int, pilot_trials: int, seed: int,
         raise ValueError("candidates must be positive")
     best = draws = None
     scores = []
+    first = rng_mod.stream(seed, *path, rng_mod.BUILD, 0)
     for c in range(candidates):
+        if c == 1:
+            # Candidates draw alike: the others' build streams are made ahead,
+            # in one Philox pass, with as many blocks as candidate 0 made.
+            builds = rng_mod.streams(seed, (*path, rng_mod.BUILD), candidates, first.made)
+            next(builds)  # candidate 0's
         try:
-            code = builder(rng_mod.stream(seed, *path, rng_mod.BUILD, c))
+            code = builder(next(builds) if c else first)
         except InfeasibleRateError as e:
             scores.append(math.inf)
             last_error = e

@@ -316,6 +316,34 @@ def test_out_of_range_config_values_exit_2(tmp_path, capsys, command, payload, f
     assert f"config error: {field}:" in capsys.readouterr().err
 
 
+# A stream reads its seed modulo 2^64, so a seed outside [0, 2^64) would
+# silently rerun another seed's streams (-1 those of 2^64 - 1).
+@pytest.mark.parametrize("seed, line", [
+    (-1, "config error: {}: must be at least 0"),
+    (2**64, "config error: {}: must be below 2**64"),
+    (2**64 + 5, "config error: {}: must be below 2**64"),
+])
+@pytest.mark.parametrize("where", ["--seed", "seed"])
+def test_simulate_rejects_a_seed_outside_64_bits(tmp_path, capsys, seed, line, where):
+    cfg = sim_cfg()
+    argv = ["simulate", "--out", str(tmp_path / "out.csv")]
+    if where == "seed":
+        cfg["seed"] = seed
+    else:
+        argv += ["--seed", str(seed)]
+    assert cli.main(argv + ["--config", write_cfg(tmp_path, cfg)]) == 2
+    assert capsys.readouterr().err.splitlines() == [line.format(where)]
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+def test_simulate_takes_the_ends_of_the_seed_range(tmp_path, seed):
+    cfg = write_cfg(tmp_path, sim_cfg(n_ladder=[4], trials=5))
+    out = tmp_path / "out.csv"
+    assert cli.main(["simulate", "--config", cfg, "--seed", str(seed), "--out", str(out)]) == 0
+    assert [r["seed"] for r in csv.DictReader(out.open())] == [str(seed)]
+
+
 def parity_channel(inputs):
     """y = x1 + x2 mod 2, flipped with probability 1/4, over two senders of any alphabet."""
     table = [[[0.75, 0.25] if (a + b) % 2 == 0 else [0.25, 0.75] for b in range(inputs[1])]

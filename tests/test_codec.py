@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hashmac.codec import (AllCosetsEmptyError, CosetSpec, EmptyCosetError,
-                           EncodeTarget, MinDivDecoder, _exact_key, build_T_subset, min_div_decode,
+                           EncodeTarget, MinDivDecoder, build_T_subset, min_div_decode,
                            min_div_encode, tie_groups)
 from hashmac import gf
 from hashmac.empirical import (_count_symbols, _divergence_from_counts, _log2_denom,
@@ -199,8 +199,20 @@ def _marginal_divergences(cands, mu):
 
 
 def _marginal_key(cand, mu):
-    counts = np.bincount(cand, minlength=mu.size)
-    return _exact_key(counts, [cand.shape[0] * Fraction(float(p)) for p in mu.probs])
+    """Product over symbols of (c / (n p))^c as a Fraction; None where a count meets zero mass."""
+    key, n = Fraction(1), cand.shape[0]
+    for c, p in zip(np.bincount(cand, minlength=mu.size).tolist(), mu.probs.tolist()):
+        if c:
+            if p == 0:
+                return None
+            key *= (Fraction(c) / (n * Fraction(p))) ** c
+    return key
+
+
+def _as_fraction(key):
+    """An exact key (numerator, denominator) as a Fraction, None for +infinity."""
+    num, den = key
+    return Fraction(num, den) if den else None
 
 
 @settings(max_examples=200, deadline=None)
@@ -214,7 +226,8 @@ def test_marginal_target_is_one_symbol_context(q, n, weights):
     cands = all_vectors(q, n)
     target = EncodeTarget.for_marginal(mu, n)
     assert np.array_equal(target.divergences(cands), _marginal_divergences(cands, mu))
-    assert target.exact_keys(cands) == [_marginal_key(c, mu) for c in cands]
+    assert [_as_fraction(k) for k in target.exact_keys(cands)] == [_marginal_key(c, mu)
+                                                                  for c in cands]
 
 
 def test_t_subset_whole_set_and_zero_divergence_head():

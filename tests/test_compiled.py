@@ -18,7 +18,7 @@ from hashmac import codec, scenarios, verify
 from hashmac import rng as rng_mod
 from hashmac.channel import Dmc
 from hashmac.codec import (AllCosetsEmptyError, EmptyCosetError, EncodeTarget, MinDivDecoder,
-                           _exact_key, min_div_decode)
+                           _exact_key, _key_powers, _least_key, min_div_decode)
 from hashmac.empirical import _divergence_from_counts, _log2_denom
 from hashmac.gf import FieldSpec, LinearLabel, all_vectors
 from hashmac.scenarios import (build_private_code, build_superposition_code,
@@ -449,8 +449,39 @@ def exact_key_cases(draw):
     return counts, denoms
 
 
+def integer_key(counts, denoms):
+    """_exact_key of counts over cells of expected counts denoms, from their integer powers."""
+    ratios = tuple((d.numerator, d.denominator) for d in denoms)
+    return _exact_key(counts, _key_powers(ratios, max(counts)))
+
+
 @settings(max_examples=300, deadline=None)
 @given(exact_key_cases())
 def test_integer_exact_key_equals_fraction_product(case):
     counts, denoms = case
-    assert _exact_key(counts, denoms) == fraction_key(counts, denoms)
+    num, den = integer_key(counts, denoms)
+    want = fraction_key(counts, denoms)
+    assert (den == 0) == (want is None)
+    assert want is None or Fraction(num, den) == want
+
+
+@st.composite
+def exact_key_rows(draw):
+    """Several count rows over the same cells, some of equal key or of infinite key."""
+    counts, denoms = draw(exact_key_cases())
+    rows = draw(st.lists(st.permutations(counts).map(list), min_size=1, max_size=6))
+    return rows + draw(st.lists(st.sampled_from(rows), max_size=3)), denoms
+
+
+@settings(max_examples=300, deadline=None)
+@given(exact_key_rows())
+def test_cross_multiplied_key_order_equals_fraction_order(case):
+    rows, denoms = case
+    keys = [integer_key(c, denoms) for c in rows]
+    want = [fraction_key(c, denoms) for c in rows]
+    for (an, ad), a in zip(keys, want):
+        for (bn, bd), b in zip(keys, want):
+            if a is not None and b is not None:
+                assert (an * bd < bn * ad) == (a < b)
+    finite = [k for k in want if k is not None]
+    assert _least_key(keys) == (want.index(min(finite)) if finite else 0)

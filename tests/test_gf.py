@@ -258,3 +258,88 @@ def test_enumerate_coset_rows_unique_and_lex_sorted(case):
     A, a = case
     rows = [tuple(r) for r in enumerate_coset(A, a).tolist()]
     assert rows == sorted(set(rows))
+
+
+def numpy_row_reduce(mat: np.ndarray, q: int):
+    """gf's earlier elimination, numpy row operations in place: the oracle of the int one."""
+    m = mat % q
+    rows, cols = m.shape
+    pivots = []
+    r = 0
+    for c in range(cols):
+        if r >= rows:
+            break
+        nz = np.nonzero(m[r:, c])[0]
+        if nz.size == 0:
+            continue
+        p = r + nz[0]
+        if p != r:
+            m[[r, p]] = m[[p, r]]
+        inv = pow(int(m[r, c]), q - 2, q)
+        m[r] = (m[r] * inv) % q
+        for other in range(rows):
+            if other != r and m[other, c]:
+                m[other] = (m[other] - m[other, c] * m[r]) % q
+        pivots.append(c)
+        r += 1
+    return m, pivots
+
+
+def numpy_solve_affine(label, a):
+    """gf's earlier solve_affine, on numpy_row_reduce."""
+    q, n = label.field.q, label.cols
+    red, pivots = numpy_row_reduce(np.hstack([label.matrix, np.asarray(a)[:, None]]), q)
+    for r in range(red.shape[0]):
+        if not red[r, :n].any() and red[r, n]:
+            return None, None
+    pivots = [c for c in pivots if c < n]
+    free = [c for c in range(n) if c not in pivots]
+    particular = np.zeros(n, dtype=np.int64)
+    for i, c in enumerate(pivots):
+        particular[c] = red[i, n]
+    basis = np.zeros((len(free), n), dtype=np.int64)
+    for k, fc in enumerate(free):
+        basis[k, fc] = 1
+        for i, c in enumerate(pivots):
+            basis[k, c] = (-red[i, fc]) % q
+    return particular, basis
+
+
+@st.composite
+def elimination_cases(draw):
+    """Up to 10 x 12 over GF(2, 3, 5), with planted zero rows and columns and repeated rows."""
+    q = draw(st.sampled_from((2, 3, 5)))
+    rows, cols = draw(st.integers(0, 10)), draw(st.integers(0, 12))
+    entries = st.lists(st.integers(0, q - 1), min_size=rows * cols, max_size=rows * cols)
+    mat = np.array(draw(entries), dtype=np.int64).reshape(rows, cols)
+    if rows and draw(st.booleans()):
+        mat[draw(st.integers(0, rows - 1))] = 0
+    if cols and draw(st.booleans()):
+        mat[:, draw(st.integers(0, cols - 1))] = 0
+    if rows > 1 and draw(st.booleans()):  # a repeated row: inconsistent if its syndromes differ
+        mat[rows - 1] = mat[0]
+    a = np.array(draw(st.lists(st.integers(0, q - 1), min_size=rows, max_size=rows)),
+                 dtype=np.int64)
+    return LinearLabel(FieldSpec(q), mat), a
+
+
+@settings(max_examples=400, deadline=None)
+@given(elimination_cases())
+def test_int_elimination_equals_numpy_elimination(case):
+    A, a = case
+    assert rank(A) == len(numpy_row_reduce(A.matrix.copy(), A.field.q)[1])
+    got, want = solve_affine(A, a), numpy_solve_affine(A, a)
+    if want[0] is None:
+        assert got == (None, None)
+        return
+    for g, w in zip(got, want):
+        assert (g.dtype, g.shape, g.tolist()) == (w.dtype, w.shape, w.tolist())
+
+
+def test_solve_affine_on_inconsistent_and_columnless_systems():
+    inconsistent = solve_affine(label([[1, 0, 1], [1, 0, 1]], 3), [0, 2])
+    assert inconsistent == (None, None)
+    particular, basis = solve_affine(LinearLabel(F3, np.zeros((2, 0), dtype=np.int64)), [0, 0])
+    assert particular.shape == (0,) and basis.shape == (0, 0)
+    assert solve_affine(LinearLabel(F3, np.zeros((1, 0), dtype=np.int64)), [1]) == (None, None)
+    assert rank(LinearLabel(FieldSpec(5), np.zeros((3, 4), dtype=np.int64))) == 0

@@ -126,6 +126,45 @@ def test_named_call_sequences_equal_numpy(calls):
         assert _same(a, b), call
 
 
+@settings(max_examples=100, deadline=None)
+@given(SEEDS, PATHS, st.integers(0, 5), st.integers(0, 6), st.lists(CALLS, max_size=6))
+def test_streams_equal_stream(seed, path, count, blocks, calls):
+    # Within the blocks made ahead and past them: the last call reads every
+    # made word and more.  Ranges of 2^31 + 1 values reject about half their
+    # draws; a q = 3 draw (a range of 3) is rejected too rarely to be drawn.
+    calls = [("bounded", 2, 5)] + calls + [("integers", 0, 3, None), ("random_raw", 4 * blocks + 3),
+                                           ("bounded", 2**31, 9), ("bounded", 2, 9)]
+    made = list(rng_mod.streams(seed, path, count, blocks))
+    assert len(made) == count and all(g.made == blocks for g in made)
+    for t, g in enumerate(made):
+        want = _run(stream(seed, *path, t), calls)
+        for call, a, b in zip(calls, _run(g, calls), want):
+            assert _same(a, b), (t, call)
+
+
+def test_streams_that_reject_draw_past_their_blocks_as_stream_does():
+    # A stream made ahead with exactly the blocks of a draw without rejections:
+    # the rejected halves of ranges of 2^31 + 1 values push its draws past them.
+    made = list(rng_mod.streams(3, ("ahead",), 4, 2))
+    for t, g in enumerate(made):
+        want = stream(3, "ahead", t)
+        assert g.bounded(2**31, 16) == want.bounded(2**31, 16)
+        assert g.made > 2 and g.doubles(3) == want.doubles(3)
+
+
+def test_read_ahead_doubles_up_to_its_cap_without_moving_a_draw():
+    g, want = stream(7, "ahead"), numpy_stream(7, "ahead")
+    drawn, refills = 0, set()
+    for size in [1] * 40 + [3] * 1500:
+        assert g.random_raw(size) == want.bit_generator.random_raw(size).tolist()
+        drawn += size
+        need = -(-drawn // 4)  # blocks the draws so far read
+        assert need <= g.made <= max(2 * need, need + rng_mod._READ_AHEAD)
+        refills.add(g.made)
+    # 1 140 blocks drawn a few words at a time, made in passes of up to _READ_AHEAD.
+    assert len(refills) <= 16 and max(np.diff(sorted(refills))) == rng_mod._READ_AHEAD
+
+
 def test_choice_past_the_tail_shuffle_cutoff_is_not_offered():
     with pytest.raises(NotImplementedError):
         stream(11, "named").choice(20000, 401, False, None)

@@ -1,14 +1,16 @@
 import dataclasses
 import functools
 import itertools
+import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hashmac import ensembles, rng as rng_mod, scenarios
+from hashmac import cli, ensembles, rng as rng_mod, scenarios
 from hashmac.channel import Dmc, deterministic_dmc, sample_channel
 from hashmac.codec import EmptyCosetError, MinDivDecoder
 from hashmac.empirical import (conditional_divergences, count_divergence, divergence_to,
@@ -149,6 +151,63 @@ def test_search_pilots_equal_one_run_per_candidate(monkeypatch):
         assert found.pilot_scores[c] == own.error, c
     assert [found.pilot_scores[c] for c in (1, 4)] == [math.inf] * 2
     assert searched == trials and len(trials[6]) == len(trials[8]) == 60
+
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def config_builder(path, n):
+    """The builder `hashmac simulate` searches with at block length n, and the config's name."""
+    block = json.loads((ROOT / path).read_text())["simulate"]
+    dmc = cli._parse_channel(block["channel"], "simulate.channel")
+    build = cli._law_and_builder(block, dmc, "simulate")[2]
+    return functools.partial(build, dmc, block["rates"], block["eps"], n), pathlib.Path(path).stem
+
+
+def ternary_builder(c, rng):
+    """A GF(3) sender, whose draws take the Lemire path on thirds; candidate 0 is infeasible."""
+    if c == 0:
+        raise InfeasibleRateError("planted")
+    return build_private_code([1.0], [np.array([[1 / 3, 1 / 3, 1 / 3]])],
+                              deterministic_dmc((3,), 3, lambda a: a), (0.4,), (0.05,), 7, rng)
+
+
+@pytest.mark.parametrize("path, n", [("perfbench/configs/trend.json", 6),
+                                     ("perfbench/configs/trend.json", 12),
+                                     ("perfbench/configs/superposition.json", 8),
+                                     ("demos/configs/simulate_time_sharing.json", 8),
+                                     (None, 7)])
+def test_search_builds_each_candidate_as_on_its_own_stream(path, n):
+    # The candidates after the first are built on streams made ahead in one
+    # pass; each must equal the code its own `rng.stream` builds.
+    if path is None:
+        builder, name = ternary_builder, "ternary"
+    else:
+        build, name = config_builder(path, n)
+        builder = lambda c, rng: build(rng)  # noqa: E731
+    built = []
+
+    def searched(rng):  # builds run in candidate order; an infeasible one stays None
+        built.append(None)
+        built[-1] = builder(len(built) - 1, rng)
+        return built[-1]
+
+    found = search_code(searched, 20, 10, SEED, (name, n))
+    assert len(built) == 20
+    for c, code in enumerate(built):
+        try:
+            own = builder(c, rng_mod.stream(SEED, name, n, rng_mod.BUILD, c))
+        except InfeasibleRateError:
+            assert code is None and found.pilot_scores[c] == math.inf
+            continue
+        assert code_arrays(code) == code_arrays(own), c
+    assert found.code is built[found.candidate]
+
+
+def code_arrays(code):
+    """Every drawn part of a code: its matrices, syndromes and u."""
+    return ([m.matrix.tolist() for m in code.checks + code.message_maps],
+            [a.tolist() for a in code.syndromes], None if code.u is None else code.u.tolist())
 
 
 def test_search_all_infeasible():
