@@ -455,9 +455,9 @@ class MinDivDecoder:
         idx, dv = (np.concatenate(part) for part in zip(*kept))
         return np.sort(idx[tie_groups(dv, np.array([0, dv.size]))[0]])
 
-    def _keys(self, base: np.ndarray, flats: np.ndarray) -> list:
-        """Exact key of each candidate in flats, all counted in one bincount."""
-        cells = base
+    def _keys(self, y: np.ndarray, flats: np.ndarray) -> list:
+        """Exact key of each candidate in flats given output y, all counted in one bincount."""
+        cells = self._base + y * self._y_stride
         for contrib, idx in zip(self._contribs, np.unravel_index(flats, self.sizes)):
             cells = cells + contrib[idx]
         return _exact_keys(_count_symbols(cells, self._n_cells), _key_powers(self._ratios, self.n))
@@ -486,8 +486,7 @@ class MinDivDecoder:
 
     def _refine(self, y: np.ndarray, ties: np.ndarray) -> int:
         """The decoded candidate of a tie group of two or more: on GF(2) its least exact key."""
-        base = self._base + y * self._y_stride
-        return ties[_least_key(self._keys(base, ties))] if self._exact else ties[0]
+        return ties[_least_key(self._keys(y, ties))] if self._exact else ties[0]
 
     def rows(self, ys) -> list[tuple[int, ...]]:
         """Index of the decoded row in each sender's coset, per output row of ys.
