@@ -13,6 +13,7 @@ import csv
 import functools
 import io
 import json
+import os
 import sys
 import time
 
@@ -266,6 +267,14 @@ def _write_csv(path: str, columns, rows):
         fh.write(buf.getvalue())
 
 
+def _check_out(path: str) -> None:
+    """Refuse an --out the CSV cannot be written to, before any work is done."""
+    if os.path.isdir(path):
+        raise ConfigError(f"out: {path} is a directory")
+    if not os.access(path if os.path.exists(path) else os.path.dirname(path) or ".", os.W_OK):
+        raise ConfigError(f"out: cannot write {path}: no such directory, or no permission")
+
+
 def cmd_simulate(config: dict, seed: int | None, force: bool,
                  out_path: str | None) -> int:
     block = _section(config, "simulate")
@@ -417,6 +426,8 @@ def main(argv=None) -> int:
         if not isinstance(out, (str, type(None))):
             # open() would take an int as a file descriptor.
             raise ConfigError("out: expected a file path")
+        if out and args.command != "verify":
+            _check_out(out)
         if args.command == "region":
             return cmd_region(config, out)
         if args.command == "simulate":

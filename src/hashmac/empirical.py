@@ -189,11 +189,16 @@ def enumerate_types(n: int, alphabet) -> np.ndarray:
         raise gf.EnumerationBudgetError(
             f"{count} types of length {n} over {m} symbols exceed the budget of "
             f"{gf.ENUMERATION_BUDGET}")
-    # The m - 1 bar positions among n + m - 1 slots; a count is the gap between bars.
-    cuts = np.fromiter(
-        itertools.chain.from_iterable(itertools.combinations(range(n + m - 1), m - 1)),
-        dtype=np.int64, count=count * (m - 1)).reshape(count, m - 1)
-    return np.diff(cuts, axis=1, prepend=-1, append=n + m - 1) - 1
+    # The m - 1 bar positions among n + m - 1 slots, then an end bar; a count is
+    # the gap to the bar before (the first's is at -1), taken in place, right to left.
+    end = (n + m - 1,)
+    bars = np.fromiter(
+        itertools.chain.from_iterable(
+            c + end for c in itertools.combinations(range(n + m - 1), m - 1)),
+        dtype=np.int64, count=count * m).reshape(count, m)
+    for j in range(m - 1, 0, -1):
+        bars[:, j] -= bars[:, j - 1] + 1
+    return bars
 
 
 def type_class_size(counts) -> int:

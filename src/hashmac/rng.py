@@ -8,10 +8,11 @@ offers (`random_raw`, `integers`, `random` and `choice`; `bounded` and
 `doubles` are the list forms of `integers` and `random`).  A seed is read
 modulo 2^64, so this holds for seeds in [0, 2^64), which the CLI checks:
 numpy rejects a negative seed and keys a larger one by all its words.
-This module is the only one that knows numpy's draw rules.  The lab owns the
-generator, rather than importing numpy's random module, because numpy does
-not promise that a Generator's streams stay the same across versions, and a
-lab's reruns must; that module also loads OpenSSL, about 5 MB of a run.
+Every block comes from numpy passes over uint64 arrays (_blocks): Philox is
+counter-based, so a block is the same however many a pass makes.  This is
+the only module that knows numpy's draw rules.  The lab owns the generator,
+as numpy does not promise that a Generator's streams stay the same across
+versions and a lab's reruns must; numpy's random module also loads OpenSSL.
 """
 
 from __future__ import annotations
@@ -33,24 +34,17 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 
 # Philox4x64's multipliers and key increments (Weyl constants), and its rounds.
-_PHILOX_M0, _PHILOX_M1 = 0xD2E7470EE14C6C93, 0xCA5A826395121157
-_PHILOX_W0, _PHILOX_W1 = 0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B
+_U_M0, _U_M1 = np.uint64(0xD2E7470EE14C6C93), np.uint64(0xCA5A826395121157)
+_U_W0, _U_W1 = np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBB67AE8584CAA73B)
 _ROUNDS = 10
-
-# The same constants as numpy scalars, for the passes over uint64 arrays.
 _U32, _U64_32 = np.uint64(_M32), np.uint64(32)
-_U_M0, _U_M1 = np.uint64(_PHILOX_M0), np.uint64(_PHILOX_M1)
-_U_W0, _U_W1 = np.uint64(_PHILOX_W0), np.uint64(_PHILOX_W1)
 
 _TO_UNIT = 2.0**-53
 # Trials whose leading blocks trial_draws makes in one numpy pass.
 _CHUNK = 1024
-# A stream makes this many blocks or more at once in one numpy pass: a pass
-# costs about as much as 50 blocks made with ints.
-_PASS_BLOCKS = 64
-# Most blocks a stream reads ahead in one refill: a long stream makes its
-# blocks a few passes' worth at a time, holding at most ~40 kB it has not drawn.
-_READ_AHEAD = 4 * _PASS_BLOCKS
+# Fewest blocks a stream makes in one refill: a pass costs about the same
+# for 1 block or 256, and a stream holds at most ~40 kB it has not drawn.
+_READ_AHEAD = 256
 
 
 def _as_key(part) -> int:
@@ -119,25 +113,6 @@ def _key(seed: int, spawn: list):
     return state[0] | state[1] << 32, state[2] | state[3] << 32
 
 
-def _block(counter: int, round_keys) -> list[int]:
-    """The four words of the Philox block at counter, with round_keys from _round_keys.
-
-    The counter's three upper words are zero: no stream reaches 2^64 blocks.
-    """
-    c0, c1, c2, c3 = counter, 0, 0, 0
-    for k0, k1 in round_keys:
-        p0 = _PHILOX_M0 * c0
-        p1 = _PHILOX_M1 * c2
-        c0, c1, c2, c3 = p1 >> 64 ^ c1 ^ k0, p1 & _M64, p0 >> 64 ^ c3 ^ k1, p0 & _M64
-    return [c0, c1, c2, c3]
-
-
-def _round_keys(key) -> tuple[tuple[int, int], ...]:
-    k0, k1 = key
-    return tuple(((k0 + r * _PHILOX_W0) & _M64, (k1 + r * _PHILOX_W1) & _M64)
-                 for r in range(_ROUNDS))
-
-
 def _mulhi(a: np.ndarray, m: np.uint64) -> np.ndarray:
     """High words of the 128-bit products a * m, from the 32-bit halves of a and m."""
     a0, a1 = a & _U32, a >> _U64_32
@@ -151,7 +126,8 @@ def _mulhi(a: np.ndarray, m: np.uint64) -> np.ndarray:
 def _blocks(k0: np.ndarray, k1: np.ndarray, first: int, blocks: int) -> np.ndarray:
     """Blocks first to first + blocks - 1 of the stream of each key (k0[i], k1[i]).
 
-    As in _block, the counters' upper words are zero.  Shape (len(k0), 4 * blocks), uint64.
+    The counters' upper words are zero: no stream reaches 2^64 blocks.
+    Shape (len(k0), 4 * blocks), uint64.
     """
     c0 = np.broadcast_to(np.arange(first, first + blocks, dtype=np.uint64), (len(k0), blocks))
     c1 = c2 = c3 = np.zeros_like(c0)
@@ -173,38 +149,35 @@ class Stream:
 
     Made fresh: counter 0, nothing buffered, or holding its first whole
     blocks already made (`streams`, or a trial that `trial_draws` draws
-    again).  Blocks are made as draws need them, and a refill reads ahead,
-    doubling what the stream has made, up to _READ_AHEAD blocks: with ints,
-    or in one numpy pass for _PASS_BLOCKS or more.  No draw moves with what
-    is made ahead.  A 32-bit draw takes the low half of a word and keeps
-    the high half for the next 32-bit draw, as numpy does; 64-bit draws do
-    not touch a kept half.
+    again).  Blocks are made as draws need them, each refill in one numpy
+    pass of at least _READ_AHEAD blocks; no draw moves with what is made
+    ahead.  A 32-bit draw takes the low half of a word and keeps the high
+    half for the next 32-bit draw, as numpy does; 64-bit draws do not touch
+    a kept half.
     """
 
-    __slots__ = ("_key", "_round_keys", "made", "_words", "_pos", "_half")
+    __slots__ = ("_key", "made", "_words", "_pos", "_half")
 
     def __init__(self, key: tuple[int, int], words: list[int]):
         self._key = key
-        self._round_keys = None
         self.made = len(words) // 4  # blocks made so far, drawn or not
         self._words = words  # words made, read up to _pos
         self._pos = 0
         self._half = None
 
+    @property
+    def drawn(self) -> int:
+        """Blocks read so far: those made, less the whole blocks not yet read."""
+        return self.made - (len(self._words) - self._pos) // 4
+
     def _make(self, need: int) -> None:
-        """Make blocks until `need` words are unread."""
+        """Make enough blocks, and at least _READ_AHEAD, for `need` unread words."""
         words = self._words[self._pos:]
-        more = max(-(-(need - len(words)) // 4), min(self.made, _READ_AHEAD))
-        if more >= _PASS_BLOCKS:
-            k0, k1 = (np.array([k], dtype=np.uint64) for k in self._key)
-            words += _blocks(k0, k1, self.made + 1, more)[0].tolist()
-        else:
-            if self._round_keys is None:
-                self._round_keys = _round_keys(self._key)
-            for counter in range(self.made + 1, self.made + more + 1):
-                words += _block(counter, self._round_keys)
+        more = max(-(-(need - len(words)) // 4), _READ_AHEAD)
+        k0, k1 = (np.array([k], dtype=np.uint64) for k in self._key)
+        self._words = words + _blocks(k0, k1, self.made + 1, more)[0].tolist()
+        self._pos = 0
         self.made += more
-        self._words, self._pos = words, 0
 
     def random_raw(self, size: int) -> list[int]:
         """The next `size` raw 64-bit words, as ints."""

@@ -393,9 +393,7 @@ def decode_components(code: CodeInstance, y):
     """Returns (decoded messages, decoded codewords) of every component."""
     if code.decoder is None:
         raise AllCosetsEmptyError("a check syndrome is unreachable for its matrix")
-    f = code.fixed
-    rows = code.decoder.rows([y])[0]
-    xs = (code.u,) * f + tuple(c[r] for c, r in zip(code.decoder.cosets, rows))
+    xs = (code.u,) * code.fixed + code.decoder(y)
     return tuple(apply_label(mm, x) for mm, x in zip(code.message_maps, xs)), xs
 
 
@@ -611,8 +609,8 @@ def search_code(builder, candidates: int, pilot_trials: int, seed: int,
     for c in range(candidates):
         if c == 1:
             # Candidates draw alike: the others' build streams are made ahead,
-            # in one Philox pass, with as many blocks as candidate 0 made.
-            builds = rng_mod.streams(seed, (*path, rng_mod.BUILD), candidates, first.made)
+            # in one Philox pass, with as many blocks as candidate 0 drew.
+            builds = rng_mod.streams(seed, (*path, rng_mod.BUILD), candidates, first.drawn)
             next(builds)  # candidate 0's
         try:
             code = builder(next(builds) if c else first)

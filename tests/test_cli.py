@@ -316,6 +316,20 @@ def test_out_of_range_config_values_exit_2(tmp_path, capsys, command, payload, f
     assert f"config error: {field}:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, payload", [("region", region_cfg([[0.1, 0.1]])),
+                                              ("simulate", sim_cfg()),
+                                              ("ensemble-stats", stats_cfg())])
+@pytest.mark.parametrize("where", ["missing directory", "directory"])
+def test_unwritable_out_exits_2_before_any_work(tmp_path, capsys, command, payload, where):
+    # A CSV that cannot be written is refused before a verdict, row or ladder point runs.
+    cfg = write_cfg(tmp_path, payload)
+    out = tmp_path / "nowhere" / "x.csv" if where == "missing directory" else tmp_path
+    assert cli.main([command, "--config", cfg, "--out", str(out)]) == 2
+    printed, err = capsys.readouterr()
+    assert printed == "" and len(err.splitlines()) == 1
+    assert err.startswith("config error: out: ") and str(out) in err
+
+
 # A stream reads its seed modulo 2^64, so a seed outside [0, 2^64) would
 # silently rerun another seed's streams (-1 those of 2^64 - 1).
 @pytest.mark.parametrize("seed, line", [

@@ -1,4 +1,4 @@
-"""Peak traced allocation of the verify suites and of one `trend` simulation."""
+"""Peak traced allocation of the verify suites, of type enumeration and of `trend` runs."""
 
 import functools
 import json
@@ -6,6 +6,7 @@ import pathlib
 import tracemalloc
 
 from hashmac import cli, rng as rng_mod, scenarios, verify
+from hashmac.empirical import enumerate_types
 
 TREND = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "configs" / "trend.json"
 
@@ -35,6 +36,15 @@ def test_hash_suite_peak():
     assert peak < 1 * MB
 
 
+def test_enumerate_types_peak():
+    # The types are one array filled by np.fromiter and differenced in place:
+    # 1.13 MB for the 0.99 MB result, where bar positions and their differences
+    # held side by side read 3.10 MB.
+    types, peak = traced_peak(enumerate_types, 12, range(7))
+    assert types.shape == (18564, 7)
+    assert peak < 1.25 * types.nbytes
+
+
 def test_trend_simulation_peak():
     # One measurement run of a `trend` code at n = 12 (400 trials), its
     # encoder and decoder tables filled as it goes.  Decode passes of
@@ -53,16 +63,18 @@ def test_trend_simulation_peak():
 
 def test_regions_suite_peak():
     # At 25 rate-split points, the run `perfbench` times.  Its streams draw
-    # the most blocks of any suite's, and each refill's read-ahead is capped
-    # at rng._READ_AHEAD blocks: this read 0.41 MB, and 3.6 MB uncapped.
+    # the most blocks of any suite's, each refill making max(blocks short,
+    # rng._READ_AHEAD) blocks: this read 0.43 MB, and 3.6 MB when a refill
+    # doubled what a stream had made, uncapped.
     _, peak = traced_peak(verify.regions_suite, 25)
     assert peak < 0.75 * MB
 
 
 def test_trend_search_peak():
     # One search over the 20 `trend` candidates at n = 12, with their pilots.
-    # The build streams are made ahead in one pass, 48 blocks (1.5 kB) per
-    # candidate, and turned into ints one candidate at a time: 0.85 MB.
+    # The build streams are made ahead in one pass, the 38 blocks (1.2 kB)
+    # candidate 0 drew per candidate, and turned into ints one candidate at a
+    # time: 0.88 MB.
     block = json.loads(TREND.read_text())["simulate"]
     dmc = cli._parse_channel(block["channel"], "simulate.channel")
     build = cli._law_and_builder(block, dmc, "simulate")[2]

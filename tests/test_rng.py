@@ -152,17 +152,53 @@ def test_streams_that_reject_draw_past_their_blocks_as_stream_does():
         assert g.made > 2 and g.doubles(3) == want.doubles(3)
 
 
-def test_read_ahead_doubles_up_to_its_cap_without_moving_a_draw():
+def test_refills_make_read_ahead_blocks_without_moving_a_draw(monkeypatch):
+    # Every block a stream holds comes from its passes, counter after counter,
+    # and each refill is one pass of max(blocks short, _READ_AHEAD) blocks.
+    passes, blocks = [], rng_mod._blocks
+
+    def spy(k0, k1, first, count):
+        passes.append((first, count))
+        return blocks(k0, k1, first, count)
+
+    monkeypatch.setattr(rng_mod, "_blocks", spy)
     g, want = stream(7, "ahead"), numpy_stream(7, "ahead")
-    drawn, refills = 0, set()
-    for size in [1] * 40 + [3] * 1500:
+    drawn = 0
+    # Words a few at a time, then draws of fewer and more than _READ_AHEAD blocks.
+    for size in [1] * 40 + [3] * 1500 + [1100, 5, 4 * 600]:
+        made, before = g.made, len(passes)
+        short = -(-(drawn + size - 4 * made) // 4)  # blocks this draw reads past those made
         assert g.random_raw(size) == want.bit_generator.random_raw(size).tolist()
         drawn += size
-        need = -(-drawn // 4)  # blocks the draws so far read
-        assert need <= g.made <= max(2 * need, need + rng_mod._READ_AHEAD)
-        refills.add(g.made)
-    # 1 140 blocks drawn a few words at a time, made in passes of up to _READ_AHEAD.
-    assert len(refills) <= 16 and max(np.diff(sorted(refills))) == rng_mod._READ_AHEAD
+        assert passes[before:] == ([(made + 1, max(short, rng_mod._READ_AHEAD))] if short > 0
+                                   else [])
+    # The first 1 135 blocks, drawn a few words at a time, take 5 passes.
+    assert len(passes) == 7 and g.made == sum(count for _, count in passes)
+
+
+def test_drawn_counts_the_blocks_read():
+    g = stream(7, "drawn")
+    assert (g.made, g.drawn) == (0, 0)
+    g.bounded(2, 1)  # reads a word and keeps its high half
+    assert (g.made, g.drawn) == (rng_mod._READ_AHEAD, 1)
+    g.bounded(2, 1)  # the kept half reads no word
+    g.random_raw(3)  # the rest of block 1
+    assert g.drawn == 1
+    g.random_raw(1)  # a block partly read counts as drawn
+    assert g.drawn == 2
+    g.random_raw(4 * rng_mod._READ_AHEAD - 5)  # to the last word made
+    assert (g.made, g.drawn) == (rng_mod._READ_AHEAD, rng_mod._READ_AHEAD)
+    g.random_raw(1)  # a refill
+    assert (g.made, g.drawn) == (2 * rng_mod._READ_AHEAD, rng_mod._READ_AHEAD + 1)
+    # A stream made ahead holds blocks it has not drawn.
+    g = next(rng_mod.streams(7, ("drawn",), 1, 3))
+    assert (g.made, g.drawn) == (3, 0)
+    g.random_raw(5)
+    assert g.drawn == 2
+    g.random_raw(7)
+    assert (g.made, g.drawn) == (3, 3)
+    g.random_raw(1)
+    assert (g.made, g.drawn) == (3 + rng_mod._READ_AHEAD, 4)
 
 
 def test_choice_past_the_tail_shuffle_cutoff_is_not_offered():

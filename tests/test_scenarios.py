@@ -204,6 +204,30 @@ def test_search_builds_each_candidate_as_on_its_own_stream(path, n):
     assert found.code is built[found.candidate]
 
 
+@pytest.mark.parametrize("n", [6, 12])
+def test_search_makes_ahead_the_blocks_candidate_0_drew(n, monkeypatch):
+    # Not the blocks it made: its one refill read ahead past what it drew.
+    build, name = config_builder("perfbench/configs/trend.json", n)
+    held, asked, streams = [], [], rng_mod.streams
+
+    def searched(rng):
+        code = build(rng)
+        held.append((rng.made, rng.drawn))
+        return code
+
+    def spy(seed, path, count, blocks):
+        asked.append((seed, path, count, blocks))
+        return streams(seed, path, count, blocks)
+
+    monkeypatch.setattr(rng_mod, "streams", spy)
+    search_code(searched, 20, 10, SEED, (name, n))
+    drew = held[0][1]
+    assert asked == [(SEED, (name, n, rng_mod.BUILD), 20, drew)]
+    assert held[0] == (rng_mod._READ_AHEAD, drew) and drew < rng_mod._READ_AHEAD
+    # The candidates draw alike, so none draws past the blocks made for it.
+    assert held[1:] == [(drew, drew)] * 19
+
+
 def code_arrays(code):
     """Every drawn part of a code: its matrices, syndromes and u."""
     return ([m.matrix.tolist() for m in code.checks + code.message_maps],
