@@ -38,10 +38,9 @@ ABS_TOL = 1e-14
 
 # Cells (candidates x block length) counted per chunk of a decoder scan.
 SCAN_CHUNK_CELLS = 1 << 20
-# Cells (outputs x candidates x block length) of one pass that scores a
-# batch of outputs against a product scored whole.  Small, so a pass holds a
-# few hundred kB: passes of SCAN_CHUNK_CELLS add about 25 MB to the peak
-# RSS of a `trend` run.
+# Cells (candidates x block length, or the outputs x coset rows x block
+# length of a batch's count bounds) of one decoder pass over a batch of
+# outputs.  Small, so a pass holds a few hundred kB.
 DECODE_PASS_CELLS = 1 << 14
 
 
@@ -200,7 +199,7 @@ def message_runs(msgs: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
 
 
 class Codebook(dict):
-    """The encoder on one check coset: message index -> (codeword, score), filled on lookup.
+    """The encoder on one check coset: message index -> (codeword, score, row), filled on lookup.
 
     coset is the lex-sorted check coset {x : A x = s} over GF(q), and runs
     the message_runs of its rows' message indices (lex_index of A' x).  So
@@ -209,7 +208,8 @@ class Codebook(dict):
     the float tie group of each run's minimum (tie_groups).  A lookup
     gives the encoder's total order on the run: the tie group, refined
     exactly on GF(2) (exact_min) on the message's first lookup, then its
-    first row; the score is that codeword's divergence from the target.
+    first row; the score is that codeword's divergence from the target,
+    and row its index in coset.
 
     A message no row carries raises a fresh EmptyCosetError(error) on
     every lookup, so no exception, whose traceback would keep a caller's
@@ -231,7 +231,8 @@ class Codebook(dict):
         pick, end = self.bounds[r], self.bounds[r + 1]
         if self.exact and end - pick > 1:
             pick += exact_min(self.coset[self.rows[pick:end]], self.target)
-        entry = self[message] = (self.coset[self.rows[pick]], float(self.scores[pick]))
+        row = int(self.rows[pick])
+        entry = self[message] = (self.coset[row], float(self.scores[pick]), row)
         return entry
 
 
@@ -266,17 +267,18 @@ class MinDivDecoder:
     """Joint minimum-divergence decoder compiled for fixed cosets.
 
     Built once per (labels, syndromes, model, u): the build validates the
-    inputs, enumerates the per-sender cosets and precomputes everything that
-    does not depend on the channel output; each call with y runs the search
-    over the product of the cosets.  Its tables that depend only on the
-    model and n are shared by the decoders of one model (_model_tables,
-    _key_powers).  `model` has one axis per variable in order (u if given,
-    senders..., y); sequences hold indices into the matching axis.
+    inputs, enumerates the per-sender cosets and precomputes what does not
+    depend on the channel output; each call with y searches the product of
+    the cosets.  Tables that depend only on the model and n are shared by
+    the decoders of one model (_model_tables, _bound_tables, _key_powers).
+    `model` has one axis per variable in order (u if given, senders..., y);
+    sequences hold indices into the matching axis.
 
-    A product that fits one scan chunk is scored whole from its precomputed
-    y-free cells.  A larger one is searched under per-sender count bounds
-    (see _search_ties), which score only the candidates a bound cannot rule
-    out; both read one table of the divergence kernel's term per (cell, count).
+    A seed (any candidate, such as the tuple a trial sent) bounds the
+    minimum by its score; only the product of the coset rows whose count
+    bound is within its tie limit plus _slack is scored, so the tie group
+    and the result are the same with any seed or none.  Every score reads
+    one table of the divergence kernel's term per (cell, count).
     """
 
     def __init__(self, labels, syndromes, model: np.ndarray, u):
@@ -318,119 +320,71 @@ class MinDivDecoder:
             strides[i] = strides[i + 1] * shape[i + 1]
         self._qs = [lab.field.q for lab in labels]
         self._exact = all(q == 2 for q in self._qs)
-        log_denom, self._terms, self._ratios = _model_tables(
-            np.ascontiguousarray(model, dtype=np.float64).tobytes(), n)
+        model = np.ascontiguousarray(model, dtype=np.float64).tobytes()
+        self._terms, self._ratios, self._slack = _model_tables(model, n)
+        self._tables = (model, n, shape, offset)  # the key of _bound_tables
 
         self.n = n
         self.cosets = cosets
         self.sizes = sizes
         self._n_out = shape[-1]
         self._y_stride = int(strides[-1])
-        self._base = (u * strides[0] if u is not None
-                      else np.zeros(n, dtype=np.int64))
+        self._base = u * strides[0] if u is not None else np.zeros(n, dtype=np.int64)
         self._contribs = [c * int(strides[offset + j]) for j, c in enumerate(cosets)]
-        self._n_cells = log_denom.size
+        self._n_cells = len(self._ratios)
         self._term_rows = np.arange(self._n_cells) * (n + 1)  # flat offset of each cell
         self._chunk = max(1, SCAN_CHUNK_CELLS // max(n, 1))
-        if total <= self._chunk:
-            # Position-major, so a position's y cell is added along the
-            # contiguous candidate axis.
-            self._static = next(self._product([np.arange(m) for m in sizes]))[1].T.copy()
-            return
-        self._static = None
-        self._lead = int(np.argmax(sizes))
+        self._lead = sizes.index(max(sizes))
         # Context (u, y) index of a position is self._ctx_u + y.
         self._ctx_u = u * shape[-1] if u is not None else np.zeros(n, dtype=np.int64)
-        self._bounds = self._count_bounds(shape, offset)
-        # A score sums at most n_cells terms whose magnitudes add up to at
-        # most n * scale; a bound sums the same terms, divided by n first and
-        # in another order.  This covers both roundings with room to spare.
-        scale = math.log2(n) + np.abs(log_denom[np.isfinite(log_denom)]).max(initial=0.0)
-        self._slack = 4 * (self._n_cells + 2) * np.finfo(float).eps * scale
 
-    def _count_bounds(self, shape, offset):
-        """Per sender j, the table T[ctx * q_j + a, r] of its count bound.
+    def _score(self, idxs, y_cells: np.ndarray, out) -> tuple[np.ndarray, np.ndarray]:
+        """_divergences of the candidates whose rows in each coset are idxs, in one bincount.
 
-        T is the least sum of cell terms of r positions in context ctx (u
-        and y) where sender j sends a, over every split of the r positions
-        among the other senders' joint symbols: a min-plus fold over those
-        symbols.  Summing T over (ctx, a) at a row's counts bounds from
-        below the divergence of every candidate that uses the row.
+        y_cells[out] broadcasts to each candidate's y-and-u cells (_passes):
+        out indexes each candidate's output, or is None for one output.
         """
-        n = self.n
-        terms = (self._terms / n).reshape(shape + (n + 1,))
-        ctx_axes = list(range(offset)) + [len(shape) - 1]
-        senders = list(range(offset, len(shape) - 1))
-        bounds = []
-        for axis in senders:
-            others = [a for a in senders if a != axis]
-            t = terms.transpose(ctx_axes + [axis] + others + [len(shape)])
-            t = t.reshape(-1, math.prod(shape[a] for a in others), n + 1)
-            table = t[:, 0]
-            for b in range(1, t.shape[1]):
-                table = _min_plus(table, t[:, b])
-            bounds.append(table)
-        return bounds
+        cells = self._contribs[0][idxs[0]]
+        cells += y_cells[out]
+        for contrib, idx in zip(self._contribs[1:], idxs[1:]):
+            cells += contrib[idx]
+        cells += (np.arange(len(cells), dtype=np.int64) * self._n_cells)[:, None]
+        counts = np.bincount(cells.ravel(), minlength=len(cells) * self._n_cells)
+        del cells  # a pass holds at most two arrays of its size
+        return self._divergences(counts.reshape(-1, self._n_cells))
 
-    def _product(self, sets):
-        """Yield (flat, cells) over the product of per-sender row sets.
-
-        Chunks follow the lex order of the product; flat holds each
-        candidate's index in the full product of cosets, and cells[r] the
-        model cell of every position of candidate r without the y term,
-        shifted by r * n_cells so one bincount counts the whole chunk.
-        """
-        shape = tuple(s.size for s in sets)
-        total = math.prod(shape)
-        for f0 in range(0, total, self._chunk):
-            f1 = min(total, f0 + self._chunk)
-            sub = np.unravel_index(np.arange(f0, f1), shape)
-            idxs = [rows[i] for rows, i in zip(sets, sub)]
-            cells = self._base[None, :].copy()
-            for contrib, idx in zip(self._contribs, idxs):
-                cells = cells + contrib[idx]
-            cells += (np.arange(f1 - f0, dtype=np.int64) * self._n_cells)[:, None]
-            yield np.ravel_multi_index(idxs, self.sizes), cells
-
-    def _divergences(self, cells: np.ndarray, y_cells: np.ndarray) -> np.ndarray:
-        """Score of each candidate from its shifted y-free cells, in any layout.
-
-        y_cells broadcasts against cells: (n,) against candidate-major
-        cells, (n, 1) against position-major ones, and (outputs, n, 1),
-        each output's shifted past the candidates before it, for a batch.
-        """
-        flat = (cells + y_cells).ravel()
-        counts = np.bincount(flat, minlength=flat.size // self.n * self._n_cells)
-        counts = counts.reshape(-1, self._n_cells)
+    def _divergences(self, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(scores, count rows) from counts over the cells, offset in place to index _terms."""
         counts += self._term_rows
-        return self._terms.take(counts).sum(axis=-1) / self.n
+        return self._terms.take(counts).sum(axis=-1) / self.n, counts
 
     def _row_bounds(self, j: int, ctx: np.ndarray) -> np.ndarray:
-        """Count bound of every row of coset j: one bincount and one gather."""
-        table = self._bounds[j]
-        counts = _count_symbols(ctx * self._qs[j] + self.cosets[j], table.shape[0])
-        return table[np.arange(table.shape[0]), counts].sum(axis=1)
+        """Count bound of every row of coset j (columns) per context sequence of ctx (rows)."""
+        table = _bound_tables(*self._tables)[j]
+        cands = (ctx[:, None, :] * self._qs[j] + self.cosets[j]).reshape(-1, self.n)
+        counts = _count_symbols(cands, table.shape[0]) + np.arange(table.shape[0]) * (self.n + 1)
+        return table.take(counts).sum(axis=1).reshape(len(ctx), -1)
 
-    def _search_ties(self, y_cells: np.ndarray, ctx: np.ndarray) -> np.ndarray:
-        """Sorted tie set (flat indices) of a product larger than one chunk.
+    def _search_ties(self, y, y_cells, best: float) -> tuple[np.ndarray, np.ndarray]:
+        """Tie group of output y in a product larger than one chunk: (flat indices, count rows).
 
         Rows of the largest coset are visited in ascending count bound and
         scored in blocks against the rows of the other cosets whose bound is
-        within the limit, the tie limit of the running minimum plus the
-        slack; the search stops at the first row past the limit.  The
-        slack covers the different summation order of a bound and a score,
-        so no tie is pruned.  Candidates within tolerance of the running
-        minimum are kept, and their tie group is taken by tie_groups at the
-        end.
+        within the limit, the tie limit of the running minimum (from best, a
+        seed's score or +inf) plus the slack; the search stops at the first
+        row past the limit.  The slack covers the different summation order
+        of a bound and a score, so no tie is pruned.  Candidates within
+        tolerance of the running minimum are kept for tie_groups.
         """
-        bounds = [self._row_bounds(j, ctx) for j in range(len(self.cosets))]
+        ctx = (self._ctx_u + y)[None]
+        bounds = [self._row_bounds(j, ctx)[0] for j in range(len(self.cosets))]
         lead = bounds[self._lead]
         order = np.argsort(lead, kind="stable")
-        best = np.inf
-        limit = np.finfo(float).max  # admits every row whose bound is finite
+        # Without a finite score yet, admit every row whose bound is finite.
+        limit = _tie_limit(best) + self._slack if np.isfinite(best) else np.finfo(float).max
         # Candidate 0 at an infinite score, first: the tie group when every
         # candidate misses the model support.
-        kept = [(np.zeros(1, dtype=np.int64), np.full(1, np.inf))]
+        kept = [(np.zeros(1, np.int64), np.full(1, np.inf), np.zeros((1, self._n_cells), np.int64))]
         pos = 0
         while pos < order.size and lead[order[pos]] <= limit:
             sets = [np.flatnonzero(b <= limit) for b in bounds]
@@ -442,8 +396,12 @@ class MinDivDecoder:
             rows = order[pos:pos + step]
             sets[self._lead] = rows[lead[rows] <= limit]
             pos += step
-            for flat, cells in self._product(sets):
-                dv = self._divergences(cells, y_cells)
+            shape = [rows.size for rows in sets]
+            for f0 in range(0, math.prod(shape), self._chunk):  # the product in lex order
+                sub = np.unravel_index(
+                    np.arange(f0, min(math.prod(shape), f0 + self._chunk)), shape)
+                idxs = [rows[i] for rows, i in zip(sets, sub)]
+                dv, counts = self._score(idxs, y_cells, None)
                 low = dv.min()
                 if np.isinf(low):
                     continue
@@ -451,77 +409,151 @@ class MinDivDecoder:
                     best = low
                     limit = _tie_limit(best) + self._slack
                 hit = np.flatnonzero(dv <= _tie_limit(best))
-                kept.append((flat[hit], dv[hit]))
-        idx, dv = (np.concatenate(part) for part in zip(*kept))
-        return np.sort(idx[tie_groups(dv, np.array([0, dv.size]))[0]])
+                kept.append((np.ravel_multi_index(idxs, self.sizes)[hit], dv[hit], counts[hit]))
+        flat, dv, counts = (np.concatenate(part) for part in zip(*kept))
+        ties = tie_groups(dv, np.array([0, dv.size]))[0]
+        ties = ties[np.argsort(flat[ties])]  # flat indices are unique
+        return flat[ties], counts[ties]
 
-    def _keys(self, y: np.ndarray, flats: np.ndarray) -> list:
-        """Exact key of each candidate in flats given output y, all counted in one bincount."""
-        cells = self._base + y * self._y_stride
-        for contrib, idx in zip(self._contribs, np.unravel_index(flats, self.sizes)):
-            cells = cells + contrib[idx]
-        return _exact_keys(_count_symbols(cells, self._n_cells), _key_powers(self._ratios, self.n))
+    def _alive(self, ys: np.ndarray, seeds: np.ndarray, y_cells: np.ndarray) -> np.ndarray:
+        """Per output, the mask over the product of the candidates its seed leaves.
 
-    def _ties(self, ys: np.ndarray) -> list[np.ndarray]:
-        """Sorted flat indices of each output's tie group, before exact refinement.
-
-        A product scored whole scores a batch of outputs per pass, at most
-        DECODE_PASS_CELLS cells of them, in one bincount; a larger product
-        is searched one output at a time.
+        A candidate is left when each of its rows has a count bound within
+        the seed's tie limit plus the slack.
         """
-        if self._static is None:
-            return [self._search_ties(y * self._y_stride, self._ctx_u + y) for y in ys]
-        ties = []
-        total = self._static.shape[1]
-        per = max(1, DECODE_PASS_CELLS // self._static.size)
-        for at in range(0, len(ys), per):
-            batch = ys[at:at + per]
-            shift = np.arange(len(batch))[:, None, None] * total * self._n_cells
-            dv = self._divergences(self._static, (batch * self._y_stride)[:, :, None] + shift)
-            flat, bounds = tie_groups(dv, np.arange(len(batch) + 1) * total)
-            flat, bounds = flat % total, bounds.tolist()
-            # Slices at list bounds: np.split of a pass takes about twice as long.
-            ties += [flat[a:b] for a, b in zip(bounds, bounds[1:])]
-        return ties
+        limit = _tie_limit(self._score(list(seeds.T), y_cells, slice(None))[0])
+        ctx, limit = self._ctx_u + ys, (limit + self._slack)[:, None]
+        alive = self._row_bounds(0, ctx) <= limit
+        for j in range(1, len(self.sizes)):
+            more = self._row_bounds(j, ctx) <= limit
+            alive = (alive[:, :, None] & more[:, None, :]).reshape(len(ys), -1)
+        return alive
 
-    def _refine(self, y: np.ndarray, ties: np.ndarray) -> int:
-        """The decoded candidate of a tie group of two or more: on GF(2) its least exact key."""
-        return ties[_least_key(self._keys(y, ties))] if self._exact else ties[0]
+    def _passes(self, ys: np.ndarray, seeds):
+        """Yield (flat, counts, ties, bounds) per pass: each output's float tie group.
 
-    def rows(self, ys) -> list[tuple[int, ...]]:
+        Output o's group is ties[bounds[o]:bounds[o + 1]], ascending
+        positions into the pass's candidates, of flat indices flat and
+        count rows counts.  A pass scores a batch of outputs in one
+        bincount: with seeds, the candidates _alive leaves, else all.  A
+        group of outputs fills at most DECODE_PASS_CELLS with its bound
+        cells (outputs x rows x n) or mask, a pass with its candidates'
+        cells, or takes one output.  A larger product than one scan chunk
+        is searched one output at a time, seeded alike.
+        """
+        n, total = self.n, math.prod(self.sizes)
+        y_cells = self._base + ys * self._y_stride
+        if total > self._chunk:
+            best = (np.full(len(ys), np.inf) if seeds is None
+                    else self._score(list(seeds.T), y_cells, slice(None))[0])
+            for y, cells, low in zip(ys, y_cells, best):
+                flat, counts = self._search_ties(y, cells, low)
+                yield flat, counts, np.arange(flat.size), [0, flat.size]
+            return
+        group = max(1, DECODE_PASS_CELLS // max(sum(self.sizes) * n, total))
+        for g in range(0, len(ys), group):
+            at = slice(g, g + group)
+            alive = (np.ones((len(ys[at]), total), dtype=bool) if seeds is None
+                     else self._alive(ys[at], seeds[at], y_cells[at]))
+            for a, b in _runs(alive.sum(axis=1) * n, DECODE_PASS_CELLS):
+                out, flat = alive[a:b].nonzero()
+                dv, counts = self._score(np.unravel_index(flat, self.sizes), y_cells[at][a:b], out)
+                yield (flat, counts) + tie_groups(dv, out.searchsorted(np.arange(b - a + 1)))
+
+    def _least(self, counts: np.ndarray) -> int:
+        """Decoded position in a tie group of two or more, from its count rows.
+
+        On GF(2) the first of least exact key, else the first.
+        """
+        powers = _key_powers(self._ratios, self.n)
+        return _least_key(_exact_keys(counts - self._term_rows, powers)) if self._exact else 0
+
+    def rows(self, ys, seeds=None) -> list[tuple[int, ...]]:
         """Index of the decoded row in each sender's coset, per output row of ys.
 
         ys is a batch of outputs, one per row; a single output is a batch of
-        one.  The decoder keeps nothing per output.
+        one.  seeds, if given, holds one candidate per output as its row in
+        each coset; it bounds the search and cannot change the result.  The
+        decoder keeps nothing per output.
         """
         ys = np.asarray(ys, dtype=np.int64)
         if ys.ndim != 2 or ys.shape[1] != self.n:
             raise ValueError("y must be a batch of outputs of the block length")
         if ys.view(np.uint64).max(initial=0) >= self._n_out:  # a negative symbol reads huge
             raise ValueError("output symbol outside the model axis")
-        picks = np.array([t[0] if t.size == 1 else self._refine(y, t)
-                          for y, t in zip(ys, self._ties(ys))], dtype=np.int64)
-        return list(zip(*(idx.tolist() for idx in np.unravel_index(picks, self.sizes))))
+        if seeds is not None:
+            seeds = np.asarray(seeds, dtype=np.int64).reshape(len(ys), len(self.sizes))
+        picks = [np.zeros(0, dtype=np.int64)]
+        for flat, counts, ties, bounds in self._passes(ys, seeds):
+            pick = ties[bounds[:-1]]
+            for o in np.flatnonzero(np.diff(bounds) > 1).tolist():
+                group = ties[bounds[o]:bounds[o + 1]]
+                pick[o] = group[self._least(counts[group])]
+            picks.append(flat[pick])
+        picks = np.unravel_index(np.concatenate(picks), self.sizes)
+        return list(zip(*(idx.tolist() for idx in picks)))
 
     def __call__(self, y) -> tuple[np.ndarray, ...]:
         return tuple(c[i] for c, i in zip(self.cosets, self.rows([y])[0]))
+
+
+def _runs(sizes: np.ndarray, cap: int):
+    """Yield (a, b) over consecutive items, each run totalling at most cap or one item long."""
+    a, total = 0, 0
+    for i, size in enumerate(sizes.tolist()):
+        if total + size > cap and i > a:
+            yield a, i
+            a, total = i, 0
+        total += size
+    yield a, len(sizes)
 
 
 @functools.lru_cache(maxsize=4)
 def _model_tables(model: bytes, n: int) -> tuple:
     """A decoder's y-free tables, which depend only on the flat float64 model and n.
 
-    Returns read-only log2 of the expected counts d = n * p per cell and
-    the divergence kernel's term per (cell, count), and each d as a ratio
-    of ints (for _key_powers).  Cached: a search's candidates share them.
+    Returns the read-only divergence kernel's term per (cell, count), each
+    expected count d = n * p as a ratio of ints (for _key_powers), and the
+    slack of a count bound.  Cached: a search's candidates share them.
     """
     flat = np.frombuffer(model, dtype=np.float64)
     log_denom = _log2_denom(n * flat)
     counts = np.broadcast_to(np.arange(n + 1)[None, :, None], (flat.size, n + 1, 1))
     terms = _divergence_from_counts(counts, log_denom[:, None, None], 1)
-    log_denom.flags.writeable = terms.flags.writeable = False
+    terms.flags.writeable = False
     ratios = tuple((n * a, b) for a, b in map(float.as_integer_ratio, flat.tolist()))
-    return log_denom, terms, ratios
+    # A score sums at most flat.size terms whose magnitudes add up to at
+    # most n * scale; a bound sums the same terms, divided by n first and
+    # in another order.  This covers both roundings with room to spare.
+    scale = math.log2(n) + np.abs(log_denom[np.isfinite(log_denom)]).max(initial=0.0)
+    return terms, ratios, 4 * (flat.size + 2) * np.finfo(float).eps * scale
+
+
+@functools.lru_cache(maxsize=4)
+def _bound_tables(model: bytes, n: int, shape: tuple, offset: int) -> tuple:
+    """Per sender j, the read-only table T[ctx * q_j + a, r] of its count bound.
+
+    model is _model_tables', of this shape, with u first if offset is 1.
+    T is the least sum of cell terms of r positions in context ctx (u and
+    y) where sender j sends a, over every split of the r positions among
+    the other senders' joint symbols: a min-plus fold over those symbols.
+    Summing T over (ctx, a) at a row's counts bounds from below the
+    divergence of every candidate that uses the row.  Cached, as above.
+    """
+    terms = (_model_tables(model, n)[0] / n).reshape(shape + (n + 1,))
+    ctx_axes = list(range(offset)) + [len(shape) - 1]
+    senders = list(range(offset, len(shape) - 1))
+    bounds = []
+    for axis in senders:
+        others = [a for a in senders if a != axis]
+        t = terms.transpose(ctx_axes + [axis] + others + [len(shape)])
+        t = t.reshape(-1, math.prod(shape[a] for a in others), n + 1)
+        table = t[:, 0]
+        for b in range(1, t.shape[1]):
+            table = _min_plus(table, t[:, b])
+        table.flags.writeable = False
+        bounds.append(table)
+    return tuple(bounds)
 
 
 def min_div_decode(labels, syndromes, y, model: np.ndarray, u) -> tuple[np.ndarray, ...]:

@@ -170,19 +170,19 @@ class Stream:
         """Blocks read so far: those made, less the whole blocks not yet read."""
         return self.made - (len(self._words) - self._pos) // 4
 
-    def _make(self, need: int) -> None:
-        """Make enough blocks, and at least _READ_AHEAD, for `need` unread words."""
+    def _make(self, need: int) -> np.ndarray:
+        """The unread words, then new blocks (at least _READ_AHEAD) for `need`: one uint64 array."""
         words = self._words[self._pos:]
         more = max(-(-(need - len(words)) // 4), _READ_AHEAD)
         k0, k1 = (np.array([k], dtype=np.uint64) for k in self._key)
-        self._words = words + _blocks(k0, k1, self.made + 1, more)[0].tolist()
-        self._pos = 0
         self.made += more
+        fresh = _blocks(k0, k1, self.made - more + 1, more)[0]
+        return np.concatenate((np.array(words, dtype=np.uint64), fresh)) if words else fresh
 
     def random_raw(self, size: int) -> list[int]:
         """The next `size` raw 64-bit words, as ints."""
         if len(self._words) - self._pos < size:
-            self._make(size)
+            self._words, self._pos = self._make(size).tolist(), 0
         pos = self._pos
         self._pos = pos + size
         return self._words[pos:pos + size]
@@ -243,9 +243,15 @@ class Stream:
             return self.doubles(1)[0]
         # An array is made by the same rule in one numpy pass: about 4x
         # faster than a list from doubles at verify's 3 072 doubles a call.
+        # A draw that needs a refill reads its words from the refill's array.
         shape = _shape(size)
-        words = np.array(self.random_raw(math.prod(shape)), dtype=np.uint64)
-        return ((words >> 11) * _TO_UNIT).reshape(shape)
+        count = math.prod(shape)
+        if len(self._words) - self._pos < count:
+            words = self._make(count)
+            self._words, self._pos = words[count:].tolist(), 0
+        else:
+            words = np.array(self.random_raw(count), dtype=np.uint64)
+        return ((words[:count] >> 11) * _TO_UNIT).reshape(shape)
 
     def choice(self, a, size, replace, p):
         """Generator.choice on axis 0, shuffled; p only with replace."""

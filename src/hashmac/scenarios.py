@@ -121,25 +121,26 @@ class CodeInstance:
 
     @cached_property
     def codebooks(self) -> tuple[dict, ...]:
-        """Per component, context -> message index -> (codeword, score), filled on first use.
+        """Per component, context -> message index -> (codeword, score, row), filled on first use.
 
         The context is the cloud index for a satellite of a cloud, whose
         target is conditioned on the cloud codeword, and 0 otherwise.  Each
         context's table is a codec.Codebook, made by one scoring pass (_fill) on
         its first lookup; a score is the codeword's divergence from its
-        target law.
+        target law, and a row the codeword's index in the decoder's coset.
         """
         return tuple({} for _ in self.message_maps)
 
     @cached_property
     def sent(self) -> dict:
-        """Message-index tuple -> [codewords, scores, channel cell per position, y-free stage].
+        """Message-index tuple -> [codewords, scores, cell per position, rows, y-free stage].
 
         Filled as tuples are drawn, so it holds at most one entry per
         distinct tuple.  A tuple with an empty coset has codewords None.
         The scores are each coded codeword's divergence from its target law,
         a cloud center's first, and a position's cell is the combined index
         of its senders' symbols, whose row of `dmc.cdf` it draws y from.
+        The rows, each codeword's in its decoder coset, seed the decodes.
         The y-free stage (the encoder stage, read from the scores, and the
         empirical-mi stage, from the codewords and the context; neither
         reads y) is classified when the tuple first fails.
@@ -320,7 +321,7 @@ def build_superposition_code(mu_cloud, cond1, cond2, dmc: Dmc, rates, eps, n: in
 
 
 def _codeword(code: CodeInstance, i: int, key: int, message: int, ctx):
-    """Component i's (codeword, score) for message index `message` given context ctx.
+    """Component i's (codeword, score, row) for message index `message` given context ctx.
 
     `key` is the context's key in the codebooks (see codebooks).
     """
@@ -352,25 +353,22 @@ def _fill(code: CodeInstance, i: int, ctx) -> Codebook:
                     code.checks[i].field.q)
 
 
-def _encode(code: CodeInstance, msgs) -> tuple[tuple[np.ndarray, ...], tuple[float, ...]]:
-    """Every component's codeword for the message indices `msgs`, and each coded one's score.
+def _encode(code: CodeInstance, msgs) -> tuple[tuple, tuple, tuple]:
+    """Every component's codeword for the message indices `msgs`, each coded one's score and row.
 
-    Both run a cloud center's first.  The context is u when it is fixed (a
-    one-point cloud's codeword, never encoded, so it has no score), else the
-    cloud codeword, which is coded given a context of one symbol.
+    All run a cloud center's first.  The context is u when it is fixed (a
+    one-point cloud's codeword, never encoded, so it has no score or row),
+    else the cloud codeword, which is coded given a context of one symbol.
     """
     c = code.n_cloud
     cloud = msgs[0] if c else 0
-    ctx, scores = code.u, []
+    ctx, coded = code.u, []
     if ctx is None:
-        ctx, score = _codeword(code, 0, 0, cloud, None)
-        scores.append(score)
-    xs = [ctx] * c
-    for i in range(c, code.k_messages):
-        x, score = _codeword(code, i, cloud, msgs[i], ctx)
-        xs.append(x)
-        scores.append(score)
-    return tuple(xs), tuple(scores)
+        coded.append(_codeword(code, 0, 0, cloud, None))
+        ctx = coded[0][0]
+    coded += [_codeword(code, i, cloud, msgs[i], ctx) for i in range(c, code.k_messages)]
+    xs, scores, rows = zip(*coded)
+    return (ctx,) * code.fixed + xs, scores, rows
 
 
 def _message_index(code: CodeInstance, i: int, message) -> int:
@@ -495,11 +493,11 @@ def _send(code: CodeInstance, msgs) -> list:
     entry = code.sent.get(msgs)
     if entry is None:
         try:
-            xs, scores = _encode(code, msgs)
+            xs, scores, rows = _encode(code, msgs)
         except EmptyCosetError:
-            entry = [None, None, None, STAGE_EMPTY]
+            entry = [None, None, None, None, STAGE_EMPTY]
         else:
-            entry = [xs, scores, np.dot(code.dmc.strides, xs[code.n_cloud:]), _UNCLASSIFIED]
+            entry = [xs, scores, np.dot(code.dmc.strides, xs[code.n_cloud:]), rows, _UNCLASSIFIED]
         code.sent[msgs] = entry
     return entry
 
@@ -507,14 +505,18 @@ def _send(code: CodeInstance, msgs) -> list:
 _UNCLASSIFIED = object()  # y-free stage of a tuple that has not failed yet
 
 
-def _decode(code: CodeInstance, ys) -> None:
+def _decode(code: CodeInstance, ys, seeds) -> None:
     """Keep in `code.decoded` the decoded message indices of every output of ys it lacks.
 
-    The new outputs are scored together, in the decoder's batched passes.
+    The new outputs are decoded together, in the decoder's batched passes,
+    each seeded by the coset rows (seeds) of the first trial that sent it.
     """
-    new = [y for y in dict.fromkeys(ys) if y not in code.decoded]
+    new = {}
+    for y, seed in zip(ys, seeds):
+        if y not in code.decoded:
+            new.setdefault(y, seed)
     if new:
-        cols = zip(*code.decoder.rows(new))  # per decoded component, each output's row
+        cols = zip(*code.decoder.rows(list(new), list(new.values())))  # each component's rows
         msgs = [t[list(r)].tolist() for t, r in zip(code.coset_messages, cols)]
         code.decoded.update(zip(new, zip(*msgs)))
 
@@ -529,13 +531,13 @@ def run_trial(code: CodeInstance, msgs: tuple, y: tuple | None) -> str | None:
     the decoder decodes.
     """
     entry = code.sent[msgs]
-    xs, scores, _, stage = entry
+    xs, scores, _, _, stage = entry
     if xs is None:
         return stage
     if code.decoded[y] == msgs[code.fixed:]:
         return None
     if stage is _UNCLASSIFIED:
-        stage = entry[3] = _stage_without_y(code, xs, scores)
+        stage = entry[4] = _stage_without_y(code, xs, scores)
     return stage or _channel_stage(code, xs, y)
 
 
@@ -576,7 +578,7 @@ def _tally(code: CodeInstance, trials: int, draws) -> SimulationResult:
             cells = np.array([entries[t][2] for t in live])
             for t, y in zip(live, inverse_cdf(code.dmc, cells, uniforms[live]).tolist()):
                 ys[t] = tuple(y)
-            _decode(code, [ys[t] for t in live])
+            _decode(code, [ys[t] for t in live], [entries[t][3] for t in live])
         for m, y in zip(msgs, ys):
             stage = run_trial(code, m, y)
             if stage is not None:

@@ -1,19 +1,22 @@
+import itertools
+import math
 from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hashmac.codec import (AllCosetsEmptyError, CosetSpec, EmptyCosetError,
+from hashmac.codec import (ABS_TOL, REL_TOL, AllCosetsEmptyError, CosetSpec, EmptyCosetError,
                            EncodeTarget, MinDivDecoder, build_T_subset, min_div_decode,
                            min_div_encode, tie_groups)
 from hashmac import gf
 from hashmac.empirical import (_count_symbols, _divergence_from_counts, _log2_denom,
                                conditional_divergences, divergence_to)
 from hashmac.gf import (EnumerationBudgetError, FieldSpec, LinearLabel,
-                        all_vectors, apply_label)
+                        all_vectors, apply_label, enumerate_coset)
 from hashmac.prob import CondPmf, Pmf
 from hashmac.verify import _ref_decode, _ref_div_cells, _ref_encode, _ref_select
 
@@ -320,31 +323,159 @@ def _bounded_cases():
     return cases, near_zero
 
 
+def tie_sets(dec, ys, seeds=None):
+    """Each output's float tie group, before exact refinement, as ascending flat indices."""
+    ys = np.asarray(ys, dtype=np.int64)
+    if seeds is not None:
+        seeds = np.asarray(seeds, dtype=np.int64).reshape(len(ys), -1)
+    return [flat[ties[a:b]].tolist() for flat, _, ties, bounds in dec._passes(ys, seeds)
+            for a, b in zip(bounds[:-1], bounds[1:])]
+
+
+def random_seeds(dec, count, rng):
+    """count random candidates of dec, each as its row in every coset."""
+    return np.stack([rng.integers(m, size=count) for m in dec.sizes], axis=1)
+
+
 def test_bounded_search_matches_whole_scan_tie_sets(monkeypatch):
     # The default chunk scans each of these products whole; small chunks
     # send the same decodes through the count-bounded search, which must
-    # return the same tie set (not only the same winner).
+    # return the same tie set (not only the same winner), with a random
+    # seed or without one.
     import hashmac.codec as C
     from hashmac.verify import _ref_decode
     cases, near_zero = _bounded_cases()
+    rng = np.random.default_rng(1729)
     whole = []
     for labels, syndromes, model, u, y in cases + near_zero:
         dec = C.MinDivDecoder(labels, syndromes, model, u=u)
-        assert dec._static is not None
-        whole.append((dec._ties(y[None])[0], dec(y)))
-    assert sum(ties.size > 1 for ties, _ in whole) >= 60
+        assert math.prod(dec.sizes) <= dec._chunk
+        seeds = random_seeds(dec, 3, rng)
+        ties = tie_sets(dec, [y])[0]
+        assert tie_sets(dec, [y] * 3, seeds) == [ties] * 3
+        whole.append((ties, dec(y), seeds))
+    assert sum(len(ties) > 1 for ties, _, _ in whole) >= 60
     for chunk_cells in (8, 32, 128):
         monkeypatch.setattr(C, "SCAN_CHUNK_CELLS", chunk_cells)
-        for (labels, syndromes, model, u, y), (ties, winner) in zip(cases + near_zero, whole):
+        for (labels, syndromes, model, u, y), (ties, winner, seeds) in zip(cases + near_zero,
+                                                                           whole):
             dec = C.MinDivDecoder(labels, syndromes, model, u=u)
-            assert dec._static is None
-            assert dec._ties(y[None])[0].tolist() == ties.tolist()
+            assert math.prod(dec.sizes) > dec._chunk
+            assert tie_sets(dec, [y])[0] == ties
+            assert tie_sets(dec, [y] * 3, seeds) == [ties] * 3
             assert all((g == w).all() for g, w in zip(dec(y), winner))
+            assert dec.rows([y] * 3, seeds) == dec.rows([y]) * 3
     for labels, syndromes, model, u, y in cases + near_zero:
         if all(lab.field.q == 2 for lab in labels):
             ref = _ref_decode([lab.matrix for lab in labels], syndromes, y, model, u)
             got = C.MinDivDecoder(labels, syndromes, model, u=u)(y)
             assert all((g == r).all() for g, r in zip(got, ref))
+
+
+def unpruned_scan(labels, syndromes, model, u, y):
+    """Decoded coset rows of y from every candidate of the product, scored in lex order.
+
+    The float tie group of the minimum, refined on GF(2) by exact keys as
+    Fractions, then its first member; the first candidate when every
+    score is infinite.  Scores are the divergence kernel's, so they are
+    the decoder's floats; nothing is pruned.
+    """
+    cosets = [enumerate_coset(lab, a) for lab, a in zip(labels, syndromes)]
+    n = len(y)
+    rows = list(itertools.product(*(range(len(c)) for c in cosets)))
+    ctx = () if u is None else (u,)
+    counts = np.array([np.bincount(np.ravel_multi_index(
+        ctx + tuple(c[i] for c, i in zip(cosets, r)) + (y,), model.shape), minlength=model.size)
+        for r in rows])
+    d = _divergence_from_counts(counts, _log2_denom(n * model.ravel())[None, :], n)
+    low = d.min()
+    if np.isinf(low):
+        return rows[0]
+    ties = np.flatnonzero(d <= low * (1 + REL_TOL) + ABS_TOL).tolist()
+    if any(lab.field.q != 2 for lab in labels):
+        return rows[ties[0]]
+    expected = [n * Fraction(p) for p in model.ravel().tolist()]
+
+    def key(c):  # the product over cells of (c/d)^c; None if infinite
+        if any(k and not e for k, e in zip(c, expected)):
+            return None
+        return math.prod(Fraction(int(k)) ** int(k) / e ** int(k)
+                         for k, e in zip(c, expected) if k)
+
+    keys = [key(counts[t]) for t in ties]
+    finite = [k for k in keys if k is not None]
+    return rows[ties[keys.index(min(finite))]] if finite else rows[ties[0]]
+
+
+@st.composite
+def seeded_cases(draw):
+    """Small codes over GF(2) and GF(3), with or without u, of 1 to 3 components,
+    the outputs to decode, one random seed per output, and a scan chunk.
+
+    With three components the model can be a coded cloud's: component 0
+    is the cloud center and y reads only the two satellites.  A dead output
+    symbol has no model mass, so an output holding it scores every
+    candidate at +infinity.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k = draw(st.integers(1, 3))
+    qs = tuple(draw(st.sampled_from((2, 3))) for _ in range(k))
+    n = draw(st.integers(3, 6))
+    with_u = draw(st.booleans())
+    out = draw(st.integers(2, 3))
+    labels, syndromes = [], []
+    for q in qs:
+        free = draw(st.integers(0, 3 if q == 2 else 2))
+        lab = LinearLabel(FieldSpec(q), rng.integers(q, size=(n - free, n)))
+        labels.append(lab)
+        syndromes.append(apply_label(lab, rng.integers(q, size=n)))
+    shape = ((2,) if with_u else ()) + qs + (out,)
+    if k == 3 and draw(st.booleans()):  # a coded cloud
+        cloud = rng.dirichlet(np.ones(qs[0]))
+        sats = [rng.dirichlet(np.ones(q), size=qs[0]) for q in qs[1:]]
+        channel = rng.dirichlet(np.ones(out), size=qs[1:])
+        w = np.einsum("a,ab,ac,bcy->abcy", cloud, *sats, channel)
+        w = np.broadcast_to(w, shape) * (rng.integers(1, 3, size=(2, 1, 1, 1, 1)) if with_u else 1)
+    else:
+        w = rng.integers(0, 4, size=shape).astype(float)
+        w[..., 0].flat[rng.integers(w[..., 0].size)] = 1.0  # mass that no dead symbol holds
+    w = np.array(w, dtype=float)
+    dead = draw(st.booleans())
+    if dead:
+        w[..., -1] = 0.0
+    model = w / w.sum()
+    u = rng.integers(2, size=n) if with_u else None
+    ys = rng.integers(out, size=(draw(st.integers(1, 5)), n))
+    if dead:
+        ys[0, 0] = out - 1
+    chunk = draw(st.sampled_from((None, 8, 64)))
+    return labels, syndromes, model, u, ys, chunk, rng
+
+
+@settings(max_examples=150, deadline=None)
+@given(seeded_cases())
+def test_seeded_rows_equal_unseeded_rows_and_unpruned_scan(case):
+    import hashmac.codec as C
+    labels, syndromes, model, u, ys, chunk, rng = case
+    with mock.patch.object(C, "SCAN_CHUNK_CELLS", chunk or C.SCAN_CHUNK_CELLS):
+        dec = MinDivDecoder(labels, syndromes, model, u=u)
+    want = [unpruned_scan(labels, syndromes, model, u, y) for y in ys]
+    seeds = random_seeds(dec, len(ys), rng)
+    assert dec.rows(ys, seeds) == dec.rows(ys) == want
+    assert tie_sets(dec, ys, seeds) == tie_sets(dec, ys)
+
+
+def test_near_zero_seeded_rows_equal_unpruned_scan():
+    # Balanced y near a zero minimum, where the tie group rests on the
+    # absolute floor and the slack: every seed tried, the minimizer's and
+    # the farthest candidate's among them, leaves the unpruned scan's pick.
+    rng = np.random.default_rng(20250811)
+    for labels, syndromes, model, _, y in _bounded_cases()[1]:
+        dec = MinDivDecoder(labels, syndromes, model, u=None)
+        want = unpruned_scan(labels, syndromes, model, None, y)
+        seeds = np.concatenate((random_seeds(dec, 12, rng), [want, [m - 1 for m in dec.sizes]]))
+        assert dec.rows([y] * len(seeds), seeds) == [want] * len(seeds)
+        assert dec.rows([y]) == [want]
 
 
 def test_gf3_near_zero_tie_goes_to_lex_first():
@@ -394,10 +525,15 @@ def test_infinite_minimum_ties_at_its_first_candidate(monkeypatch):
         want = _ref_decode([A.matrix, A.matrix], [[1], [0]], y, model, None)
         assert all((c[r] == w).all() for c, r, w in zip(dec.cosets, rows, want)), y
     assert dec.rows(ys[[0, 2]]) == [(0, 0)] * 2  # each coset's first row
-    # The count-bounded search takes the same tie groups.
+    # Any seed, at an infinite score or not, leaves the same tie groups,
+    # and so does the count-bounded search.
     import hashmac.codec as C
+    seeds = [(1, 0), (0, 1), (1, 1), (0, 0)]
+    ties = tie_sets(dec, ys)
+    assert tie_sets(dec, ys, seeds) == ties and ties[0] == ties[2] == [0]
+    assert dec.rows(ys, seeds) == dec.rows(ys)
     monkeypatch.setattr(C, "SCAN_CHUNK_CELLS", 8)
     searched = MinDivDecoder([A, A], [[1], [0]], model, u=None)
-    assert searched._static is None
-    assert [t.tolist() for t in searched._ties(ys)] == [t.tolist() for t in dec._ties(ys)]
-    assert searched.rows(ys) == dec.rows(ys)
+    assert math.prod(searched.sizes) > searched._chunk
+    assert tie_sets(searched, ys) == tie_sets(searched, ys, seeds) == tie_sets(dec, ys)
+    assert searched.rows(ys) == searched.rows(ys, seeds) == dec.rows(ys)

@@ -176,8 +176,9 @@ def check_entry(code, i, context, m, ctx, want):
         with pytest.raises(EmptyCosetError):
             scenarios._codeword(code, i, context, m, ctx)
         return
-    x, score = scenarios._codeword(code, i, context, m, ctx)
+    x, score, row = scenarios._codeword(code, i, context, m, ctx)
     assert (x == want).all(), (i, context, m)
+    assert (code.decoder.cosets[i - code.fixed][row] == x).all()  # the decoder's row of x
     seq = np.zeros(code.n, dtype=np.int64) if ctx is None else ctx
     target = EncodeTarget.for_conditional(code.cond_inputs[i], seq)
     assert score == target.divergences(want[None, :])[0]
@@ -417,12 +418,11 @@ def test_term_table_scores_equal_kernel(case):
     check = LinearLabel(FieldSpec(2), np.eye(n, dtype=np.int64)[:max(0, n - 3)])
     dec = MinDivDecoder([check] * 2, [np.zeros(check.rows, dtype=np.int64)] * 2, model,
                         u=None)
-    m = cells.shape[0]
     counts = np.stack([np.bincount(c, minlength=12) for c in cells])
-    shifted = cells + (np.arange(m) * 12)[:, None]
-    got = dec._divergences(shifted, np.zeros(n, dtype=np.int64))
+    got, rows = dec._divergences(counts.copy())
     want = _divergence_from_counts(counts, _log2_denom(n * model.ravel())[None, :], n)
     assert np.array_equal(got, want)
+    assert np.array_equal(rows - dec._term_rows, counts)  # the count rows exact keys read
 
 
 def fraction_key(counts, denoms):

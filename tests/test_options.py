@@ -18,6 +18,7 @@ SRC = ROOT / "src" / "hashmac"
 # (module.qualified function or dataclass, parameter); a lambda is named <lambda>.
 OPTIONS = {
     ("cli.main", "argv"),
+    ("codec.MinDivDecoder.rows", "seeds"),
     ("ensembles.EnsembleSpec", "column_degree"),
     ("ensembles._joint_hits", "alive"),
     ("prob.as_distribution", "tol"),

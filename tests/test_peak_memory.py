@@ -47,9 +47,10 @@ def test_enumerate_types_peak():
 
 def test_trend_simulation_peak():
     # One measurement run of a `trend` code at n = 12 (400 trials), its
-    # encoder and decoder tables filled as it goes.  Decode passes of
-    # codec.DECODE_PASS_CELLS cells keep it near 0.8 MB; passes twice that
-    # size reach about 1.2 MB, and passes of SCAN_CHUNK_CELLS about 25 MB.
+    # encoder and decoder tables filled as it goes.  Seeded decode passes of
+    # codec.DECODE_PASS_CELLS bound and candidate cells keep it near 0.7 MB;
+    # passes twice that size reach about 1.0 MB, and passes of
+    # SCAN_CHUNK_CELLS about 2.1 MB.
     block = json.loads(TREND.read_text())["simulate"]
     dmc = cli._parse_channel(block["channel"], "simulate.channel")
     build = cli._law_and_builder(block, dmc, "simulate")[2]

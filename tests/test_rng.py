@@ -111,6 +111,9 @@ def test_stream_draws_equal_numpy(seed, path, calls):
     # A one-value range and an empty size draw nothing.
     [("integers", 7, 8, 5), ("integers", 0, 3, 0), ("integers", 0, 3, None)],
     [("random", (1024, 3)), ("integers", -3, 4, None)],
+    # Array draws that refill after unread words, and one that reads them.
+    [("random_raw", 5), ("random", (1024, 3)), ("random", (700, 3)), ("random", (1, 3)),
+     ("integers", 0, 3, 3)],
     # The list forms keep and use the kept half word as the array draws do.
     [("bounded", 2, 3), ("integers", 0, 3, 2), ("bounded", 4, 1), ("doubles", 2), ("bounded", 2, 2),
      ("bounded", 2**31, 5)],

@@ -228,6 +228,51 @@ def test_search_makes_ahead_the_blocks_candidate_0_drew(n, monkeypatch):
     assert held[1:] == [(drew, drew)] * 19
 
 
+@pytest.mark.parametrize("n", [6, 12])
+def test_search_candidates_share_one_set_of_bound_tables(n, monkeypatch):
+    # The count-bound tables depend only on the model and n, so the seeded
+    # decodes of a search's 20 candidates read one set of them, made once.
+    import hashmac.codec as codec
+    build, name = config_builder("perfbench/configs/trend.json", n)
+    made, read, decoders = codec._bound_tables, [], []
+    alive = codec.MinDivDecoder._alive
+
+    def spy(*key):
+        read.append(made(*key))
+        return read[-1]
+
+    def seeded(dec, *args):
+        decoders.append(dec)  # held, so no two decoders share an id
+        return alive(dec, *args)
+
+    monkeypatch.setattr(codec, "_bound_tables", spy)
+    monkeypatch.setattr(codec.MinDivDecoder, "_alive", seeded)
+    made.cache_clear()
+    codes = []
+    search_code(lambda rng: codes.append(build(rng)) or codes[-1], 20, 100, SEED, (name, n))
+    # Every candidate that decoded an output did so seeded.
+    decoded = [code.decoder for code in codes if code.decoded]
+    assert len(codes) == 20 and len(decoded) >= 15
+    assert {id(dec) for dec in decoders} == {id(dec) for dec in decoded}
+    assert all(tables is read[0] for tables in read)
+    assert made.cache_info().misses == 1
+
+
+def test_seeded_decodes_score_a_fraction_of_each_product(monkeypatch):
+    # A trial's output is decoded seeded by its sent tuple, whose score
+    # leaves a small share of the product to score (seeds included).
+    import hashmac.codec as codec
+    build, name = config_builder("perfbench/configs/trend.json", 12)
+    code = build(rng_mod.stream(SEED, name, rng_mod.BUILD, 0))
+    scored, score = [], codec.MinDivDecoder._score
+    monkeypatch.setattr(codec.MinDivDecoder, "_score",
+                        lambda dec, idxs, *y: scored.append(len(idxs[0])) or score(dec, idxs, *y))
+    simulate_error(code, 400, SEED, ("scored",))
+    product = math.prod(code.decoder.sizes)
+    assert product >= 64 and len(code.decoded) > 100
+    assert sum(scored) < 0.25 * product * len(code.decoded)
+
+
 def code_arrays(code):
     """Every drawn part of a code: its matrices, syndromes and u."""
     return ([m.matrix.tolist() for m in code.checks + code.message_maps],
@@ -424,9 +469,9 @@ def test_run_trial_deterministic():
 
 def _judge(code, msgs, y):
     """run_trial once the tables it reads hold msgs and y, as _tally fills them."""
-    scenarios._send(code, msgs)
+    entry = scenarios._send(code, msgs)
     if y is not None:
-        scenarios._decode(code, [y])
+        scenarios._decode(code, [y], [entry[3]])  # seeded by the sent tuple's rows
     return run_trial(code, msgs, y)
 
 
@@ -944,15 +989,19 @@ def test_sent_scores_equal_count_divergence():
     codes = dict(_equivalence_codes(), one_point_cloud=_one_point_cloud_code())
     for name, code in codes.items():
         simulate_error(code, 60, SEED, ("scores",))
-        sent = [(xs, scores) for xs, scores, _, _ in code.sent.values() if xs is not None]
+        sent = [(xs, scores, rows) for xs, scores, _, rows, _ in code.sent.values()
+                if xs is not None]
         assert sent, name
         for msgs in itertools.product(*(range(mm.field.q ** mm.rows) for mm in code.message_maps)):
             try:
                 sent.append(scenarios._encode(code, msgs))
             except EmptyCosetError:
                 pass
-        for xs, scores in sent:
+        for xs, scores, rows in sent:
             assert scores == _scores_from_counts(code, xs), name
+            # The rows are the coded codewords' rows in the decoder's cosets.
+            assert all((c[r] == x).all()
+                       for c, r, x in zip(code.decoder.cosets, rows, xs[code.fixed:])), name
 
 
 def test_radius_copy_gets_its_own_sent_table():
@@ -979,7 +1028,7 @@ def test_trial_output_equals_sample_channel(monkeypatch):
             continue
         judged, decoded = [], []
         rows = code.decoder.rows
-        code.decoder.rows = lambda ys: decoded.append(ys) or rows(ys)
+        code.decoder.rows = lambda ys, seeds: decoded.append((ys, seeds)) or rows(ys, seeds)
         monkeypatch.setattr(scenarios, "run_trial",
                             lambda c, m, y: judged.append((m, y)) or run_trial(c, m, y))
         try:
@@ -988,7 +1037,13 @@ def test_trial_output_equals_sample_channel(monkeypatch):
             monkeypatch.undo()
             del code.decoder.rows
         assert len(decoded) == 1, name  # one batch: 40 trials
-        assert decoded[0] == list(dict.fromkeys(y for _, y in judged if y is not None)), name
+        first = {}  # each output's first trial's message tuple
+        for m, y in judged:
+            if y is not None:
+                first.setdefault(y, m)
+        assert decoded[0][0] == list(first), name
+        # Each output is seeded by the coset rows of its first trial's sent tuple.
+        assert decoded[0][1] == [code.sent[m][3] for m in first.values()], name
         for t, (_, y) in enumerate(judged):
             if y is None:  # an empty coset: nothing was sent
                 continue
